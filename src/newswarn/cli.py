@@ -15,10 +15,8 @@ from .pipeline import STAGE_ORDER, run_pipeline
 from .synth import SyntheticSpec, generate_synthetic
 
 
-def _run(cfg_path, stages, seed=None, strict=None, exclude_target_articles=None):
+def _run(cfg_path, stages, strict=None, exclude_target_articles=None):
     cfg = load_config(cfg_path)
-    if seed is not None:
-        cfg.seed = seed
     if strict:
         cfg.strict = True
     if exclude_target_articles:
@@ -43,7 +41,6 @@ def main():
 
 _shared_options = [
     click.option("--config", "cfg_path", required=True, type=click.Path(exists=True)),
-    click.option("--seed", type=int, default=None, help="Override the configured seed."),
     click.option("--strict", is_flag=True, help="Fail on malformed corpus lines."),
     click.option("--exclude-target-articles", is_flag=True,
                  help="Drop articles containing a target keyword from the factors."),
@@ -60,17 +57,17 @@ def _with_shared(fn):
 @_with_shared
 @click.option("--stage", "stage", type=click.Choice(STAGE_ORDER), default=None,
               help="Run a single stage instead of the full pipeline.")
-def run(cfg_path, seed, strict, exclude_target_articles, stage):
+def run(cfg_path, strict, exclude_target_articles, stage):
     """Run the pipeline (all stages, or one with --stage)."""
     stages = [stage] if stage else None
-    _guarded(lambda: _run(cfg_path, stages, seed, strict, exclude_target_articles))
+    _guarded(lambda: _run(cfg_path, stages, strict, exclude_target_articles))
 
 
 def _stage_command(name: str, help_text: str):
     @main.command(name=name, help=help_text)
     @_with_shared
-    def _cmd(cfg_path, seed, strict, exclude_target_articles):
-        _guarded(lambda: _run(cfg_path, [name], seed, strict, exclude_target_articles))
+    def _cmd(cfg_path, strict, exclude_target_articles):
+        _guarded(lambda: _run(cfg_path, [name], strict, exclude_target_articles))
 
     return _cmd
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -44,14 +45,12 @@ class PipelineConfig:
     grid_step: float = 0.1
     precision_target: float = 0.80
     clusters: int = 12
-    neighbors: int = 4
     lasso_lambda: float = 0.001
     match_window: int = 0
     screening_mode: str = "pooled"
     factor_denominator: str = "country"
     stem_dedup: bool = False
     # run options
-    seed: int = 0
     strict: bool = False
     exclude_target_articles: bool = False
     spatial: bool = True
@@ -71,7 +70,6 @@ class PipelineConfig:
             (1.0 <= self.grid_min and self.grid_max <= 5.0, "threshold grid outside [1, 5]"),
             (0 < self.precision_target <= 1, "precision_target must be in (0, 1]"),
             (self.clusters >= 1, "clusters must be at least 1"),
-            (self.neighbors >= 1, "neighbors must be at least 1"),
             (self.lasso_lambda >= 0, "lasso_lambda must be non-negative"),
             (self.match_window >= 0, "match_window must be non-negative"),
             (self.screening_mode in ("pooled", "per-district"), "bad screening_mode"),
@@ -91,7 +89,7 @@ _LIST_KEYS = ("target_keywords", "causal_links", "cluster_labels")
 _BOOL_KEYS = ("strict", "exclude_target_articles", "spatial", "lasso_compare",
               "stem_dedup")
 _INT_KEYS = ("ngram_floor", "adf_max_d", "factor_lags", "y_lags", "publication_delay",
-             "folds", "clusters", "neighbors", "match_window", "seed")
+             "folds", "clusters", "match_window")
 _FLOAT_KEYS = ("wmd_radius", "granger_level", "adf_level", "grid_min", "grid_max",
                "grid_step", "precision_target", "lasso_lambda")
 
@@ -133,16 +131,17 @@ def load_config(path) -> PipelineConfig:
     return cfg.validate()
 
 
-def save_config(path, cfg: PipelineConfig, relative_to=None) -> None:
+def save_config(path, cfg: PipelineConfig) -> None:
+    """Write ``cfg`` with its paths relative to the config file's directory.
+
+    ``load_config`` resolves them against that directory again, so a bundle
+    keeps working after its directory is moved.
+    """
     parser = configparser.ConfigParser()
+    base = Path(path).resolve().parent
 
     def path_value(p: str) -> str:
-        if relative_to and p:
-            try:
-                return str(Path(p).relative_to(relative_to))
-            except ValueError:
-                return p
-        return p
+        return os.path.relpath(Path(p).resolve(), base) if p else p
 
     parser["paths"] = {k: path_value(getattr(cfg, k)) for k in _PATH_KEYS}
     parser["window"] = {"window_start": cfg.window_start, "window_end": cfg.window_end}
@@ -154,13 +153,10 @@ def save_config(path, cfg: PipelineConfig, relative_to=None) -> None:
     }
     parser["thresholds"] = {
         **{k: repr(getattr(cfg, k)) for k in _FLOAT_KEYS},
-        **{k: str(getattr(cfg, k)) for k in _INT_KEYS if k != "seed"},
+        **{k: str(getattr(cfg, k)) for k in _INT_KEYS},
         "screening_mode": cfg.screening_mode,
         "factor_denominator": cfg.factor_denominator,
     }
-    parser["run"] = {
-        "seed": str(cfg.seed),
-        **{k: str(getattr(cfg, k)).lower() for k in _BOOL_KEYS},
-    }
+    parser["run"] = {k: str(getattr(cfg, k)).lower() for k in _BOOL_KEYS}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

@@ -58,58 +58,46 @@ class Score:
         return None if self.n_actual == 0 else self.matched / self.n_actual
 
 
-def detect_outbreaks(phases, periods=None, district: str = "") -> list[OutbreakEvent]:
-    """Outbreak starts in a period-indexed phase series.
-
-    An event starts at t when phase(t) >= 3, phase(t+1) >= 3 and
-    phase(t-1) <= 2; severity is the maximum phase over the run of
-    consecutive periods at 3 or more.
-    """
-    values = np.asarray(phases, dtype=float)
-    if periods is None:
-        periods = list(range(values.size))
-    periods = list(periods)
+def _start_table(values: np.ndarray, periods):
+    """(periods, t, before, after): every t whose window values[t-1..t+1] has no
+    NaN, with before = values[t-1] and after = min(values[t], values[t+1])."""
+    periods = list(range(values.size)) if periods is None else list(periods)
     if len(periods) != values.size:
-        raise DataError("periods and phases must have equal length")
-    if values.size < 3:
+        raise DataError("periods and values must have equal length")
+    before = values[:-2]
+    after = np.minimum(values[1:-1], values[2:])  # NaN propagates
+    ok = ~(np.isnan(before) | np.isnan(after))
+    return periods, np.flatnonzero(ok) + 1, before[ok], after[ok]
+
+
+def _fires(before, after, l: float, u: float) -> np.ndarray:
+    """Positions in a start table where an event starts under thresholds (l, u)."""
+    return np.flatnonzero((before <= l) & (after >= u))
+
+
+def detect_outbreaks(phases, periods=None, district: str = "") -> list[OutbreakEvent]:
+    """Outbreak starts in a period-indexed phase series: ``classify(phases, 2, 3)``."""
+    events = classify(phases, 2.0, 3.0, periods, district)
+    if np.size(phases) < 3:
         warnings.warn("phase series shorter than 3 periods; no outbreak detectable")
-        return []
-    events = []
-    for t in range(1, values.size - 1):
-        window = values[t - 1 : t + 2]
-        if np.any(np.isnan(window)):
-            continue
-        if values[t] >= 3.0 and values[t + 1] >= 3.0 and values[t - 1] <= 2.0:
-            run_end = t
-            while run_end + 1 < values.size and not math.isnan(values[run_end + 1]) \
-                    and values[run_end + 1] >= 3.0:
-                run_end += 1
-            severity = float(np.max(values[t : run_end + 1]))
-            events.append(OutbreakEvent(district=district, start=periods[t], severity=severity))
     return events
 
 
 def classify(predictions, l: float, u: float, periods=None,
              district: str = "") -> list[OutbreakEvent]:
-    """Predicted outbreak starts: pred(t+1) >= u, pred(t) >= u, pred(t-1) <= l."""
+    """Predicted outbreak starts: pred(t+1) >= u, pred(t) >= u, pred(t-1) <= l.
+
+    Severity is the maximum over the run of consecutive periods at u or more.
+    """
     values = np.asarray(predictions, dtype=float)
-    if periods is None:
-        periods = list(range(values.size))
-    periods = list(periods)
-    if len(periods) != values.size:
-        raise DataError("periods and predictions must have equal length")
+    periods, t, before, after = _start_table(values, periods)
     events = []
-    for t in range(1, values.size - 1):
-        window = values[t - 1 : t + 2]
-        if np.any(np.isnan(window)):
-            continue
-        if values[t] >= u and values[t + 1] >= u and values[t - 1] <= l:
-            run_end = t
-            while run_end + 1 < values.size and not math.isnan(values[run_end + 1]) \
-                    and values[run_end + 1] >= u:
-                run_end += 1
-            severity = float(np.max(values[t : run_end + 1]))
-            events.append(OutbreakEvent(district=district, start=periods[t], severity=severity))
+    for start in t[_fires(before, after, l, u)]:
+        run_end = start + 1
+        while run_end + 1 < values.size and values[run_end + 1] >= u:  # False on NaN
+            run_end += 1
+        severity = float(np.max(values[start : run_end + 1]))
+        events.append(OutbreakEvent(district=district, start=periods[start], severity=severity))
     return events
 
 
@@ -177,14 +165,20 @@ def sweep_pareto(predictions_by_district, actual_events, grid=None,
     front is sorted by recall.
     """
     levels = grid if grid is not None else threshold_grid()
+    # Every district's candidate starts, once; severity is not scored, so it stays NaN.
+    candidates, before, after = [], [], []
+    for district, (periods, values) in sorted(predictions_by_district.items()):
+        periods, t, b, a = _start_table(np.asarray(values, dtype=float), periods)
+        candidates.extend(OutbreakEvent(district, periods[i], math.nan) for i in t)
+        before.extend(b)
+        after.extend(a)
+    before, after = np.array(before), np.array(after)
     points = []
     for l in levels:
         for u in levels:
             if require_gap and l >= u:
                 continue
-            predicted = []
-            for district, (periods, values) in sorted(predictions_by_district.items()):
-                predicted.extend(classify(values, l, u, periods, district))
+            predicted = [candidates[i] for i in _fires(before, after, l, u)]
             s = score(predicted, actual_events, window, grid=period_grid)
             if s.precision is None or s.recall is None:
                 continue

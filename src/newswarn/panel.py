@@ -777,7 +777,7 @@ def validate_factors(panel: PanelDataset, min_districts: int = 3):
     return rows, percentiles
 
 
-def load_panel_csv(path, gaz: Gazetteer, schedule=DEFAULT_PUBLICATION_SCHEDULE):
+def load_panel_csv(path, gaz: Gazetteer):
     """Read the district-month panel: IPC observations plus traditional indicators.
 
     The ipc_phase column is populated only at publication months; indicator
@@ -839,7 +839,7 @@ def assemble_panel(
     features; ``retained`` maps feature -> differencing order to apply before
     modeling.
     """
-    ipc, ipc_obs, traditional, (start, end) = load_panel_csv(panel_path, gaz, schedule)
+    ipc, ipc_obs, traditional, (start, end) = load_panel_csv(panel_path, gaz)
     districts = {d: gaz.districts[d] for d in ipc}
     raw: dict[str, dict[str, dict[str, Series]]] = {}
     for f in factor_series:

@@ -3,8 +3,8 @@
 Each stage declares its input files, parameters, and output files. A stage is
 skipped on rerun when its manifest still matches the current input hashes and
 its outputs are intact, so deleting any downstream output and resuming
-reproduces it bit-identically. Manifests carry no timestamps; a (config,
-seed) pair fully determines every emitted byte.
+reproduces it bit-identically. Manifests carry no timestamps; the config and
+its input files fully determine every emitted byte.
 """
 
 from __future__ import annotations
@@ -123,6 +123,28 @@ class RunContext:
                 specs[f"{kind}_lasso"] = panel_mod.ModelSpec(kind=kind, lasso=cfg.lasso_lambda,
                                                              **base)
         return specs
+
+    def model_designs(self) -> tuple[dict[str, panel_mod.DesignMatrix], int]:
+        """Design of every model spec, and the CV bar they all share (``min_train_rows``)."""
+        if "designs" not in self._cache:
+            panel = self.panel_dataset()
+            designs = {name: panel_mod.build_design(panel, spec)
+                       for name, spec in sorted(self.model_specs().items())}
+            self._cache["designs"] = designs, min_train_rows(designs.values(), panel,
+                                                             self.cfg.folds)
+        return self._cache["designs"]
+
+    def predictions(self) -> dict[str, dict[tuple[str, int], float]]:
+        """``predictions.csv`` as model -> (district, month) -> predicted phase."""
+        if "predictions" not in self._cache:
+            preds: dict[str, dict[tuple[str, int], float]] = {}
+            with open(self.out / "predictions.csv", "r", encoding="utf-8", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    preds.setdefault(row["model"], {})[
+                        (row["district_id"], parse_month(row["month"]))
+                    ] = float(row["y_pred"])
+            self._cache["predictions"] = preds
+        return self._cache["predictions"]
 
 
 def _execute_stage(ctx: RunContext, name: str, inputs, params: dict, outputs, compute):
@@ -320,7 +342,8 @@ def _stage_select(ctx: RunContext):
 
     params = {"n_max": cfg.factor_lags, "level": cfg.granger_level,
               "adf_level": cfg.adf_level, "max_d": cfg.adf_max_d,
-              "mode": cfg.screening_mode, "clusters": cfg.clusters}
+              "mode": cfg.screening_mode, "clusters": cfg.clusters,
+              "cluster_labels": list(cfg.cluster_labels)}
     return _execute_stage(ctx, "select", inputs, params, outputs, compute)
 
 
@@ -334,10 +357,7 @@ def _stage_fit(ctx: RunContext):
     def compute():
         panel = ctx.panel_dataset()
         specs = ctx.model_specs()
-        designs = {name: panel_mod.build_design(panel, spec)
-                   for name, spec in sorted(specs.items())}
-        # One usability bar for every model so fold exclusions stay comparable.
-        min_train = min_train_rows(designs.values(), panel, cfg.folds)
+        designs, min_train = ctx.model_designs()
         reports = {}
         audits = {}
         for name, spec in sorted(specs.items()):
@@ -392,13 +412,10 @@ def _stage_ablate(ctx: RunContext):
     outputs = [ctx.out / "ablation.csv"]
 
     def compute():
-        panel = ctx.panel_dataset()
-        spec = panel_mod.ModelSpec(kind="combined", y_lags=cfg.y_lags,
-                                   factor_lags=cfg.factor_lags, delay=cfg.publication_delay)
-        design = panel_mod.build_design(panel, spec)
-        combined, results = panel_mod.ablate(
-            panel, spec, cfg.folds,
-            min_train_rows=min_train_rows([design], panel, cfg.folds))
+        # The bar of the fit stage, so deltas are against the reported combined CV.
+        _, min_train = ctx.model_designs()
+        combined, results = panel_mod.ablate(ctx.panel_dataset(), ctx.model_specs()["combined"],
+                                             cfg.folds, min_train_rows=min_train)
         with open(ctx.out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cluster_id", "label", "district_id", "rmse_delta"])
@@ -408,20 +425,15 @@ def _stage_ablate(ctx: RunContext):
                     writer.writerow([r.cluster_id, r.label, d, repr(r.district_delta[d])])
 
     params = {"folds": cfg.folds, "y_lags": cfg.y_lags, "factor_lags": cfg.factor_lags,
-              "delay": cfg.publication_delay}
+              "delay": cfg.publication_delay, "spatial": cfg.spatial}
     return _execute_stage(ctx, "ablate", inputs, params, outputs, compute)
 
 
 def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
     """Per-model period series, masked actual series, and the shared period grid."""
-    preds: dict[str, dict[tuple[str, int], float]] = {}
-    with open(ctx.out / "predictions.csv", "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            preds.setdefault(row["model"], {})[
-                (row["district_id"], parse_month(row["month"]))
-            ] = float(row["y_pred"])
+    preds = ctx.predictions()
     periods = list(panel.publication_months)
-    model_names = [m for m in sorted(preds) if "_" not in m]  # the three main models
+    model_names = [m for m in sorted(preds) if m in panel_mod.MODEL_KINDS]
     series: dict[str, dict[str, tuple[list, np.ndarray]]] = {m: {} for m in model_names}
     actual: dict[str, tuple[list, np.ndarray]] = {}
     for d in sorted(panel.districts):
@@ -444,7 +456,8 @@ def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
 
 def _stage_classify(ctx: RunContext):
     cfg = ctx.cfg
-    inputs = [ctx.out / "predictions.csv", cfg.panel, cfg.gazetteer]
+    inputs = [ctx.out / "predictions.csv", ctx.out / "retained.json",
+              ctx.out / "clusters.json", ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
     if cfg.projections:
         ctx._require(cfg.projections, "projections")
         inputs.append(cfg.projections)
@@ -540,7 +553,7 @@ def _load_projections(path, panel, actual_series):
 def _stage_validate(ctx: RunContext):
     cfg = ctx.cfg
     inputs = [ctx.out / "retained.json", ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
-    outputs = [ctx.out / "associations.csv"]
+    outputs = [ctx.out / "associations.csv", ctx.out / "association_percentiles.json"]
 
     def compute():
         panel = ctx.panel_dataset()
@@ -567,10 +580,13 @@ def _stage_report(ctx: RunContext):
     from .report import build_report
 
     cfg = ctx.cfg
-    inputs = [ctx.out / "cv_reports.json", ctx.out / "fronts.csv", ctx.out / "events.csv",
+    ctx._require(cfg.corpus, "corpus")
+    ctx._require(cfg.embeddings, "embeddings")
+    inputs = [ctx.out / "cv_reports.json", ctx.out / "predictions.csv",
+              ctx.out / "fronts.csv", ctx.out / "events.csv",
               ctx.out / "operating_points.json", ctx.out / "ablation.csv",
               ctx.out / "retained.json", ctx.out / "clusters.json",
-              ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
+              ctx.out / "factors.csv", cfg.panel, cfg.gazetteer, cfg.corpus, cfg.embeddings]
     report_dir = ctx.out / "report"
     outputs = [
         report_dir / "rmse_by_country.csv",
@@ -586,7 +602,7 @@ def _stage_report(ctx: RunContext):
     def compute():
         build_report(ctx)
 
-    params = {"precision_target": cfg.precision_target}
+    params = {"precision_target": cfg.precision_target, "match_window": cfg.match_window}
     return _execute_stage(ctx, "report", inputs, params, outputs, compute)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import outbreak as outbreak_mod
 from . import semantics as semantics_mod
 from .months import format_month, parse_month
-from .panel import percentile_ranks
+from .panel import MODEL_KINDS, percentile_ranks
 from .series import Series
 
 EPISODE_WINDOW = 8  # months either side of an outbreak start
@@ -94,14 +94,7 @@ def build_report(ctx) -> None:
     # Episode extracts: phase, predictions, and
     # cluster-aggregated factors (mean of member factors) around each outbreak.
     clusters = semantics_mod.load_clusters(out / "clusters.json")
-    preds: dict[str, dict[tuple[str, int], float]] = {}
-    with open(out / "predictions.csv", "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if "_" in row["model"]:
-                continue
-            preds.setdefault(row["model"], {})[
-                (row["district_id"], parse_month(row["month"]))
-            ] = float(row["y_pred"])
+    preds = {m: table for m, table in ctx.predictions().items() if m in MODEL_KINDS}
     with open(report_dir / "episodes.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["district", "event_start", "month", "series", "value",

@@ -405,7 +405,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
         ngram_floor=600,
         clusters=12,
         match_window=0,
-        seed=seed,
         spatial=False,
         lasso_compare=False,
     )

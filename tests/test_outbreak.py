@@ -54,6 +54,13 @@ class TestDetect:
         events = detect_outbreaks(phases)
         assert [(e.start, e.severity) for e in events] == [(1, 3.0), (5, 4.0)]
 
+    def test_nan_blocks_starts_and_ends_runs(self):
+        nan = float("nan")
+        events = detect_outbreaks([2, nan, 3, 3, 2, 3, 3])
+        assert [(e.start, e.severity) for e in events] == [(5, 3.0)]
+        events = detect_outbreaks([2, 3, 3, nan, 5])
+        assert [(e.start, e.severity) for e in events] == [(1, 3.0)]
+
     def test_periods_carried_through(self):
         events = detect_outbreaks([2, 3, 3], periods=[100, 103, 106], district="d1")
         assert events == [OutbreakEvent("d1", 103, 3.0)]
@@ -138,16 +145,38 @@ class TestScore:
         assert score(predicted, actual, window=1, grid=grid).matched == 1
 
 
+def oracle_front(preds, actual, window=0, period_grid=None, require_gap=True):
+    """Brute force: classify every district at every (l, u) and score the union."""
+    points = []
+    for l in threshold_grid():
+        for u in threshold_grid():
+            if require_gap and l >= u:
+                continue
+            predicted = []
+            for name, (periods, vals) in sorted(preds.items()):
+                predicted.extend(classify(vals, l, u, periods, name))
+            s = score(predicted, actual, window, grid=period_grid)
+            if s.precision is None or s.recall is None:
+                continue
+            points.append(ParetoPoint(l, u, s.precision, s.recall))
+    return brute_force_front(points)
+
+
 class TestPareto:
-    def random_panel(self, rng, districts=8, periods=14):
+    def random_panel(self, rng, districts=8, periods=14, nan_share=0.0):
+        """``periods`` is a count (indices 0..n-1) or an explicit period list."""
+        periods = list(range(periods)) if isinstance(periods, int) else list(periods)
+        n = len(periods)
         preds = {}
         actual = []
         for d in range(districts):
             name = f"d{d}"
-            phases = rng.choice([1, 2, 2, 3, 3, 4], size=periods).astype(float)
-            actual.extend(detect_outbreaks(phases, district=name))
-            noisy = np.clip(phases + rng.normal(0, 0.7, periods), 1, 5)
-            preds[name] = (list(range(periods)), noisy)
+            phases = rng.choice([1, 2, 2, 3, 3, 4], size=n).astype(float)
+            actual.extend(detect_outbreaks(phases, periods, district=name))
+            noisy = np.clip(phases + rng.normal(0, 0.7, n), 1, 5)
+            if nan_share:
+                noisy[rng.random(n) < nan_share] = np.nan
+            preds[name] = (periods, noisy)
         return preds, actual
 
     def test_front_matches_exhaustive_oracle(self):
@@ -156,20 +185,28 @@ class TestPareto:
             preds, actual = self.random_panel(rng)
             if not actual:
                 continue
-            grid = threshold_grid()
-            points = []
-            for l in grid:
-                for u in grid:
-                    if l >= u:
-                        continue
-                    predicted = []
-                    for name, (periods, vals) in sorted(preds.items()):
-                        predicted.extend(classify(vals, l, u, periods, name))
-                    s = score(predicted, actual)
-                    if s.precision is None or s.recall is None:
-                        continue
-                    points.append(ParetoPoint(l, u, s.precision, s.recall))
-            assert sweep_pareto(preds, actual) == brute_force_front(points)
+            assert sweep_pareto(preds, actual) == oracle_front(preds, actual)
+
+    @pytest.mark.parametrize("nan_share, window, uneven, require_gap", [
+        pytest.param(0.15, 0, False, True, id="nan-gaps"),
+        pytest.param(0.0, 1, True, True, id="window1-uneven-grid"),
+        pytest.param(0.1, 2, True, True, id="window2-uneven-grid-nan"),
+        pytest.param(0.0, 0, False, False, id="no-gap-required"),
+    ])
+    def test_front_matches_oracle_off_the_defaults(self, nan_share, window, uneven,
+                                                    require_gap):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 4:
+            periods = np.cumsum(rng.choice([1, 3, 4, 6], size=14)).tolist() if uneven else 14
+            preds, actual = self.random_panel(rng, periods=periods, nan_share=nan_share)
+            if not actual:
+                continue
+            grid = periods if uneven else None
+            front = sweep_pareto(preds, actual, window=window, period_grid=grid,
+                                 require_gap=require_gap)
+            assert front == oracle_front(preds, actual, window, grid, require_gap)
+            checked += 1
 
     def test_perfect_predictions_reach_corner(self):
         phases = np.array([2.0, 2.0, 3.0, 3.0, 2.0, 2.0, 4.0, 4.0, 1.0])

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import warnings
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from newswarn import panel as panel_mod
 from newswarn.cli import main as cli_main
 from newswarn.config import PipelineConfig, load_config, save_config
 from newswarn.errors import ConfigError
@@ -109,6 +111,39 @@ class TestFullRun:
             rows = list(csv.DictReader(fh))
         assert {r["province"] for r in rows} == set(gaz.provinces)
 
+    def test_embedding_edit_reruns_report(self, run_dir):
+        _, cfg, _ = run_dir
+        edges = Path(cfg.output) / "report" / "feature_edges.csv"
+        original = Path(cfg.embeddings).read_bytes()
+        before = list(csv.DictReader(edges.read_text().splitlines()))
+        header, *lines = original.decode().splitlines()
+        scaled = [header] + [
+            " ".join([w] + [repr(2.0 * float(x)) for x in rest])
+            for w, *rest in (line.split() for line in lines)
+        ]
+        try:
+            Path(cfg.embeddings).write_text("\n".join(scaled) + "\n")
+            assert quiet_run(cfg, ["report"]) == {"report": "run"}
+            after = list(csv.DictReader(edges.read_text().splitlines()))
+        finally:
+            Path(cfg.embeddings).write_bytes(original)
+            quiet_run(cfg, ["report"])
+        assert before
+        assert [(r["feature_a"], r["feature_b"]) for r in after] == \
+            [(r["feature_a"], r["feature_b"]) for r in before]
+        for old, new in zip(before, after):
+            assert float(new["distance"]) == pytest.approx(2.0 * float(old["distance"]))
+
+    def test_cluster_label_edit_reruns_select(self, run_dir):
+        _, cfg, _ = run_dir
+        clusters = Path(cfg.output) / "clusters.json"
+        relabeled = dataclasses.replace(cfg, cluster_labels=("drought-and-prices",))
+        try:
+            assert quiet_run(relabeled, ["select"]) == {"select": "run"}
+            assert json.loads(clusters.read_text())[0]["label"] == "drought-and-prices"
+        finally:
+            quiet_run(cfg, ["select"])
+
     def test_models_json_names_columns(self, run_dir):
         _, cfg, _ = run_dir
         models = json.loads((Path(cfg.output) / "models.json").read_text())
@@ -147,12 +182,12 @@ class TestFailureModes:
 
 class TestConfigFile:
     def test_round_trip(self, tmp_path):
-        cfg = PipelineConfig(seed=9, wmd_radius=4.5, folds=7,
+        cfg = PipelineConfig(match_window=2, wmd_radius=4.5, folds=7,
                              target_keywords=("famine", "food crisis"))
         path = tmp_path / "cfg.ini"
         save_config(path, cfg)
         back = load_config(path)
-        assert back.seed == 9
+        assert back.match_window == 2
         assert back.wmd_radius == 4.5
         assert back.folds == 7
         assert back.target_keywords == ("famine", "food crisis")
@@ -162,6 +197,16 @@ class TestConfigFile:
         path.write_text("[thresholds]\nwarp_factor = 9\n")
         with pytest.raises(ConfigError, match="warp_factor"):
             load_config(path)
+
+
+class TestMovedBundle:
+    def test_bundle_runs_after_its_directory_moves(self, tmp_path):
+        made, moved = tmp_path / "made", tmp_path / "moved"
+        generate_synthetic(SyntheticSpec(**SMALL), seed=3, out_dir=made)
+        made.rename(moved)
+        cfg = load_config(moved / "config.ini")
+        assert quiet_run(cfg) == {s: "run" for s in STAGE_ORDER}
+        assert Path(cfg.output) == (moved / "run").resolve()
 
 
 class TestNullSimulation:
@@ -206,6 +251,34 @@ class TestSpatialAndLassoVariants:
         audits = json.loads((Path(cfg.output) / "audit.json").read_text())
         assert set(audits) == expected
         assert all(a["violations"] == [] for a in audits.values())
+
+
+class TestAblationBar:
+    def test_ablate_measures_against_the_reported_combined_cv(self, tmp_path, monkeypatch):
+        # At this size the spatial designs are wider than the combined one, and
+        # the bar they set excludes a fold that the combined design alone would keep.
+        bundle = generate_synthetic(
+            SyntheticSpec(districts=10, months=72, decoys=4,
+                          articles_per_country_month=60, countries=2),
+            seed=9, out_dir=tmp_path)
+        cfg = load_config(bundle["config"])
+        cfg.spatial = True
+        cfg.y_lags = 3
+        cfg.factor_lags = 3
+        cfg.folds = 8
+        combined_inside_ablate = []
+        real_ablate = panel_mod.ablate
+
+        def spy(*args, **kwargs):
+            combined, results = real_ablate(*args, **kwargs)
+            combined_inside_ablate.append(combined)
+            return combined, results
+
+        monkeypatch.setattr(panel_mod, "ablate", spy)
+        quiet_run(cfg, stages=["extract", "expand", "factors", "select", "fit", "ablate"])
+        cv = json.loads((Path(cfg.output) / "cv_reports.json").read_text())
+        [combined] = combined_inside_ablate
+        assert list(combined.fold_rmse) == cv["combined"]["fold_rmse"]
 
 
 class TestZeroNoiseConstruction:
