@@ -13,6 +13,7 @@ import json
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -394,12 +395,18 @@ def write_factors_csv(path, factors) -> None:
 
 def read_factors_csv(path) -> list[NewsFactorSeries]:
     rows = defaultdict(list)
+    months_of: dict[str, int] = {}  # every (feature, location) repeats the same months
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader)
+        fields = itemgetter(*(header.index(c) for c in
+                              ("feature", "location_id", "level", "month", "value")))
         for row in reader:
-            rows[(row["feature"], row["location_id"], row["level"])].append(
-                (parse_month(row["month"]), float(row["value"]))
-            )
+            feature, loc, level, month, value = fields(row)
+            t = months_of.get(month)
+            if t is None:
+                t = months_of[month] = parse_month(month)
+            rows[(feature, loc, level)].append((t, float(value)))
     out = []
     for (feature, loc, level), pairs in rows.items():
         pairs.sort()

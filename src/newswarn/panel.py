@@ -429,6 +429,14 @@ def soft_threshold(rho: float, lam: float) -> float:
     return 0.0
 
 
+def _lasso_scale(X: np.ndarray, penalized: np.ndarray) -> np.ndarray:
+    """Column scales of the lasso objective: a penalized column's sd, else 1."""
+    scale = np.ones(X.shape[1])
+    sd = X.std(axis=0)
+    scale[penalized & (sd > 0)] = sd[penalized & (sd > 0)]
+    return scale
+
+
 def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
              max_sweeps: int = 100000):
     """Cyclic coordinate descent for (1/2N)*RSS + lam*sum_penalized |beta_std|.
@@ -452,9 +460,7 @@ def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
     y = np.asarray(y, dtype=float).ravel()
     N, p = X.shape
     penalized = np.asarray(penalized, dtype=bool)
-    scale = np.ones(p)
-    sd = X.std(axis=0)
-    scale[penalized & (sd > 0)] = sd[penalized & (sd > 0)]
+    scale = _lasso_scale(X, penalized)
     Xs = X / scale
     pen = np.flatnonzero(penalized)
     free = np.flatnonzero(~penalized)
@@ -501,9 +507,7 @@ def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
     y = np.asarray(y, dtype=float).ravel()
     N, p = X.shape
     penalized = np.asarray(penalized, dtype=bool)
-    scale = np.ones(p)
-    sd = X.std(axis=0)
-    scale[penalized & (sd > 0)] = sd[penalized & (sd > 0)]
+    scale = _lasso_scale(X, penalized)
     Xs = X / scale
     beta_std = np.asarray(beta, dtype=float) * scale
     g = Xs.T @ (y - Xs @ beta_std) / N
@@ -675,19 +679,24 @@ class AblationResult:
 
 
 def ablate(panel: PanelDataset, spec: ModelSpec | None = None, folds: int = 10,
-           min_train_rows: int = 0):
+           min_train_rows: int = 0, design: DesignMatrix | None = None,
+           combined: CVReport | None = None):
     """Refit with each news-factor cluster removed; report RMSE increases.
 
     Returns (combined CVReport, list of AblationResult). Ablated designs are
     column subsets of the combined design, so removing every cluster
-    reproduces the baseline column set exactly.
+    reproduces the baseline column set exactly. ``design`` and ``combined``
+    are ``spec``'s design and its CV report at ``min_train_rows``, if the
+    caller already has them; they are computed here otherwise.
     """
     spec = spec or ModelSpec(kind="combined")
     if spec.ablated_clusters:
         raise ConfigError("pass a spec without pre-ablated clusters")
-    design = build_design(panel, spec)
-    combined = cross_validate_design(design, spec, panel, folds,
-                                     min_train_rows=min_train_rows)
+    if design is None:
+        design = build_design(panel, spec)
+    if combined is None:
+        combined = cross_validate_design(design, spec, panel, folds,
+                                         min_train_rows=min_train_rows)
     results = []
     for cid in sorted(set(panel.clusters.values())):
         keep = [i for i, c in enumerate(design.columns)

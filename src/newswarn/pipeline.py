@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -76,13 +76,18 @@ class RunContext:
             self._cache["emb"] = semantics_mod.load_embeddings(self.cfg.embeddings)
         return self._cache["emb"]
 
+    def factors(self) -> list[corpus_mod.NewsFactorSeries]:
+        """``factors.csv``, parsed on first read: after the factors stage has written it."""
+        if "factors" not in self._cache:
+            self._cache["factors"] = corpus_mod.read_factors_csv(self.out / "factors.csv")
+        return self._cache["factors"]
+
     def panel_dataset(self):
         if "panel" not in self._cache:
             retained = self._load_retained()
             clusters, labels = self._load_cluster_map()
-            factors = corpus_mod.read_factors_csv(self.out / "factors.csv")
             self._cache["panel"] = panel_mod.assemble_panel(
-                self.gazetteer(), self.cfg.panel, factors,
+                self.gazetteer(), self.cfg.panel, self.factors(),
                 {w: meta["diff_order"] for w, meta in retained.items()},
                 clusters, labels,
             )
@@ -125,14 +130,36 @@ class RunContext:
         return specs
 
     def model_designs(self) -> tuple[dict[str, panel_mod.DesignMatrix], int]:
-        """Design of every model spec, and the CV bar they all share (``min_train_rows``)."""
+        """Design of every model spec, and the CV bar they all share (``min_train_rows``).
+
+        ``build_design`` ignores ``spec.lasso``, so a ``*_lasso`` spec shares the
+        design object of its OLS twin.
+        """
         if "designs" not in self._cache:
             panel = self.panel_dataset()
-            designs = {name: panel_mod.build_design(panel, spec)
-                       for name, spec in sorted(self.model_specs().items())}
+            built: dict[panel_mod.ModelSpec, panel_mod.DesignMatrix] = {}
+            designs = {}
+            for name, spec in sorted(self.model_specs().items()):
+                key = replace(spec, lasso=None)
+                if key not in built:
+                    built[key] = panel_mod.build_design(panel, spec)
+                designs[name] = built[key]
             self._cache["designs"] = designs, min_train_rows(designs.values(), panel,
                                                              self.cfg.folds)
         return self._cache["designs"]
+
+    def cv_report(self, name: str) -> panel_mod.CVReport:
+        """Cross-validation of model spec ``name`` on its design, at the shared bar."""
+        reports = self._cache.setdefault("cv", {})
+        if name not in reports:
+            designs, min_train = self.model_designs()
+            try:
+                reports[name] = panel_mod.cross_validate_design(
+                    designs[name], self.model_specs()[name], self.panel_dataset(),
+                    self.cfg.folds, min_train_rows=min_train)
+            except DataError as exc:
+                raise DataError(f"{name}: {exc}") from None
+        return reports[name]
 
     def predictions(self) -> dict[str, dict[tuple[str, int], float]]:
         """``predictions.csv`` as model -> (district, month) -> predicted phase."""
@@ -314,9 +341,8 @@ def _stage_select(ctx: RunContext):
     def compute():
         gaz = ctx.gazetteer()
         ipc, _, _, _ = panel_mod.load_panel_csv(cfg.panel, gaz)
-        factors = corpus_mod.read_factors_csv(ctx.out / "factors.csv")
         by_feature: dict[str, dict[str, Series]] = {}
-        for f in factors:
+        for f in ctx.factors():
             if f.level == "district":
                 by_feature.setdefault(f.feature, {})[f.location_id] = f.series
         retained, report = tsstats_mod.select_features(
@@ -355,21 +381,16 @@ def _stage_fit(ctx: RunContext):
                ctx.out / "models.json", ctx.out / "audit.json"]
 
     def compute():
-        panel = ctx.panel_dataset()
         specs = ctx.model_specs()
-        designs, min_train = ctx.model_designs()
+        designs, _ = ctx.model_designs()
         reports = {}
         audits = {}
-        for name, spec in sorted(specs.items()):
+        for name in sorted(specs):
             design = designs[name]
             violations, _ = panel_mod.audit_no_lookahead(design)
             audits[name] = {"violations": violations, "rows": len(design.rows),
                             "skipped": len(design.skipped)}
-            try:
-                reports[name] = panel_mod.cross_validate_design(
-                    design, spec, panel, cfg.folds, min_train_rows=min_train)
-            except DataError as exc:
-                raise DataError(f"{name}: {exc}") from None
+            reports[name] = ctx.cv_report(name)
         _write_json(ctx.out / "cv_reports.json", {
             name: {
                 "fold_rmse": [r if r is None else float(r) for r in rep.fold_rmse],
@@ -382,7 +403,7 @@ def _stage_fit(ctx: RunContext):
         panel_mod.write_predictions_csv(ctx.out / "predictions.csv", reports)
         models = {}
         for kind in panel_mod.MODEL_KINDS:
-            result = panel_mod.fit(specs[kind], panel, on_collinear="prune")
+            result = panel_mod.fit_design(designs[kind], specs[kind], on_collinear="prune")
             models[kind] = {
                 "spec": {"kind": kind, "spatial": specs[kind].spatial,
                          "y_lags": specs[kind].y_lags,
@@ -412,10 +433,12 @@ def _stage_ablate(ctx: RunContext):
     outputs = [ctx.out / "ablation.csv"]
 
     def compute():
-        # The bar of the fit stage, so deltas are against the reported combined CV.
-        _, min_train = ctx.model_designs()
+        # The fit stage's design, bar and CV, so deltas are against the reported combined CV.
+        designs, min_train = ctx.model_designs()
         combined, results = panel_mod.ablate(ctx.panel_dataset(), ctx.model_specs()["combined"],
-                                             cfg.folds, min_train_rows=min_train)
+                                             cfg.folds, min_train_rows=min_train,
+                                             design=designs["combined"],
+                                             combined=ctx.cv_report("combined"))
         with open(ctx.out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cluster_id", "label", "district_id", "rmse_delta"])

@@ -82,6 +82,32 @@ def ols(X, y, rcond: float = 1e-10) -> OLSFit:
     return OLSFit(beta=beta, rss=rss, cov=cov, nobs=T)
 
 
+def _nested_rss(X, y, sizes, rcond: float = 1e-10) -> list[float]:
+    """RSS of the least-squares fit of ``y`` on each column prefix ``X[:, :k]``.
+
+    One QR of ``[X, y]`` serves every prefix in ``sizes`` (ascending): the
+    residual of the fit on the first k columns is the part of ``y`` beyond the
+    first k rows of R, so RSS_k is the sum of squares of the y-column of R
+    from row k down. Each prefix gets ``ols``'s checks, in order, and the
+    first one that fails raises the error ``ols`` would raise on it.
+    """
+    X = np.asarray(X, dtype=float)
+    T = X.shape[0]
+    R = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    diag = np.abs(np.diag(R))
+    tail = np.cumsum(R[::-1, -1] ** 2)[::-1]  # tail[k] = sum of R[k:, -1] ** 2
+    out = []
+    for k in sizes:
+        if T <= k:
+            raise DataError(f"need more observations ({T}) than parameters ({k})")
+        d = diag[:k]
+        bad = [int(i) for i in np.nonzero(d <= rcond * max(d.max(), 1e-300))[0]]
+        if bad:
+            raise NumericalError(f"rank-deficient design, collinear columns: {bad}")
+        out.append(float(tail[k]))
+    return out
+
+
 def _aic(rss: float, nobs: int, n_params: int) -> float:
     return nobs * math.log(max(rss, 1e-300) / nobs) + 2.0 * n_params
 
@@ -125,20 +151,21 @@ def adf_test(s, max_lag: int | None = None, level: float = 0.05) -> AdfResult:
         raise NumericalError("degenerate series: constant input to ADF test")
     dy = np.diff(x)
 
-    def regression(k: int, j0: int):
+    def design(k: int, j0: int):
         cols = [np.ones(dy.size - j0), x[j0 : x.size - 1]]
         for i in range(1, k + 1):
             cols.append(dy[j0 - i : dy.size - i])
-        X = np.column_stack(cols)
-        return ols(X, dy[j0:])
+        return np.column_stack(cols), dy[j0:]
 
+    # Lag order k is the first k + 2 columns of the max_lag design.
+    X, resp = design(max_lag, max_lag)
+    rss = _nested_rss(X, resp, range(2, max_lag + 3))
     best_k, best_aic = 0, np.inf
     for k in range(max_lag + 1):
-        fit = regression(k, max_lag)
-        a = _aic(fit.rss, fit.nobs, k + 2)
+        a = _aic(rss[k], resp.size, k + 2)
         if a < best_aic - 1e-12:
             best_aic, best_k = a, k
-    fit = regression(best_k, best_k)
+    fit = ols(*design(best_k, best_k))
     se = math.sqrt(max(fit.cov[1, 1], 0.0))
     if se == 0.0:
         raise NumericalError("degenerate ADF regression")
@@ -194,6 +221,15 @@ def _adl_design(y: np.ndarray, x: np.ndarray, n: int, t0: int):
     return np.column_stack(cols), y[t0:]
 
 
+def _lag_pairs(n: int) -> list[int]:
+    """Positions of an order-n lag block ``[y_1..y_n, x_1..x_n]`` in (y_i, x_i) order.
+
+    In that order the lag blocks of every order m <= n are column prefixes,
+    so one ``_nested_rss`` serves an AIC search over the order.
+    """
+    return [c for i in range(n) for c in (i, n + i)]
+
+
 def fit_adl(y, x, n: int, t0: int | None = None) -> ADLFit:
     ya, xa = _as_values(y), _as_values(x)
     if ya.size != xa.size:
@@ -214,11 +250,14 @@ def select_lags_aic(y, x, n_max: int) -> int:
         raise DataError("series must be aligned to a common sample")
     if ya.size <= 2 * n_max + 2:
         raise DataError(f"length {ya.size} insufficient for n_max={n_max}")
+    X, resp = _adl_design(ya, xa, n_max, n_max)
+    X = X[:, [0] + [1 + c for c in _lag_pairs(n_max)]]
+    rss = _nested_rss(X, resp, [2 * n + 1 for n in range(1, n_max + 1)])
     best_n, best_aic = None, np.inf
     for n in range(1, n_max + 1):
-        fit = fit_adl(ya, xa, n, t0=n_max)
-        if fit.aic < best_aic - 1e-12:
-            best_aic, best_n = fit.aic, n
+        a = _aic(rss[n - 1], resp.size, 2 * n + 1)
+        if a < best_aic - 1e-12:
+            best_aic, best_n = a, n
     return best_n
 
 
@@ -290,17 +329,18 @@ def _panel_stack(y_by, x_by, n: int, t0: int):
 def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
                   x_diff_order: int = 0) -> GrangerResult:
     """Pooled Granger test: district fixed intercepts, shared lag slopes."""
+    X, resp, n_d = _panel_stack(y_by, x_by, n_max, n_max)
+    # Every order shares the rows from t0 = n_max; orders wider than they allow are skipped.
+    orders = [n for n in range(1, n_max + 1) if resp.size > n_d + 2 * n]
+    if not orders:
+        raise DataError("panel too short for any candidate lag order")
+    X = X[:, list(range(n_d)) + [n_d + c for c in _lag_pairs(n_max)]]
+    rss = _nested_rss(X[:, : n_d + 2 * orders[-1]], resp, [n_d + 2 * n for n in orders])
     best_n, best_aic = None, np.inf
-    for n in range(1, n_max + 1):
-        X, resp, n_d = _panel_stack(y_by, x_by, n, n_max)
-        if resp.size <= n_d + 2 * n:
-            continue
-        fit = ols(X, resp)
-        a = _aic(fit.rss, fit.nobs, n_d + 2 * n)
+    for n, r in zip(orders, rss):
+        a = _aic(r, resp.size, n_d + 2 * n)
         if a < best_aic - 1e-12:
             best_aic, best_n = a, n
-    if best_n is None:
-        raise DataError("panel too short for any candidate lag order")
     n = best_n
     X, resp, n_d = _panel_stack(y_by, x_by, n, n)
     fit_u = ols(X, resp)

@@ -3,10 +3,11 @@ import warnings
 import numpy as np
 import pytest
 
-from newswarn.corpus import (Article, compute_news_factor, ingest_corpus,
+from newswarn.corpus import (Article, NewsFactorSeries, compute_news_factor, ingest_corpus,
                              match_locations, read_factors_csv, write_factors_csv)
 from newswarn.errors import DataError
 from newswarn.months import parse_month
+from newswarn.series import Series
 from newswarn.textutil import tokenize
 
 from conftest import article, make_gazetteer, write_corpus
@@ -227,3 +228,28 @@ class TestNewsFactor:
                {("drought", "so-jam", "district"), ("drought", "SO", "country")}
         by_loc = {f.location_id: f for f in back}
         assert np.allclose(by_loc["so-jam"].series.values, factors[0].series.values)
+
+    def test_factors_csv_round_trips_values_bit_for_bit(self, tmp_path):
+        values = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1 / 3,
+                           0.1 + 0.2, np.nextafter(1.0, 0.0), 1.0])
+        factors = [
+            NewsFactorSeries("drought", "so-jam", "district",
+                             Series(parse_month("2010-11"), values)),
+            NewsFactorSeries("flood", "SO", "country",
+                             Series(parse_month("2011-03"), values[::-1])),
+        ]
+        out = tmp_path / "factors.csv"
+        write_factors_csv(out, factors)
+        back = read_factors_csv(out)
+        assert [(f.feature, f.location_id, f.level, f.series.start) for f in back] == \
+               [(f.feature, f.location_id, f.level, f.series.start) for f in factors]
+        for got, want in zip(back, factors):
+            assert got.series.values.tobytes() == want.series.values.tobytes()
+
+    def test_factors_csv_non_contiguous_months_rejected(self, tmp_path):
+        out = tmp_path / "factors.csv"
+        out.write_text("feature,location_id,level,month,value\n"
+                       "drought,so-jam,district,2011-01,0.5\n"
+                       "drought,so-jam,district,2011-03,0.25\n")
+        with pytest.raises(DataError, match="non-contiguous months"):
+            read_factors_csv(out)

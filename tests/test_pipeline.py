@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from newswarn import corpus as corpus_mod
 from newswarn import panel as panel_mod
 from newswarn.cli import main as cli_main
 from newswarn.config import PipelineConfig, load_config, save_config
@@ -279,6 +280,70 @@ class TestAblationBar:
         cv = json.loads((Path(cfg.output) / "cv_reports.json").read_text())
         [combined] = combined_inside_ablate
         assert list(combined.fold_rmse) == cv["combined"]["fold_rmse"]
+
+
+class TestWorkDoneOnce:
+    @pytest.fixture(scope="class")
+    def counted_run(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("once")
+        bundle = generate_synthetic(SyntheticSpec(**SMALL), seed=5, out_dir=out)
+        cfg = load_config(bundle["config"])
+        parses, cv_specs = [], []
+        real_read = corpus_mod.read_factors_csv
+        real_cv = panel_mod.cross_validate_design
+
+        def count_read(*args, **kwargs):
+            parses.append(args)
+            return real_read(*args, **kwargs)
+
+        def count_cv(design, spec, *args, **kwargs):
+            cv_specs.append(spec)
+            return real_cv(design, spec, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(corpus_mod, "read_factors_csv", count_read)
+            mp.setattr(panel_mod, "cross_validate_design", count_cv)
+            summary = quiet_run(cfg)
+        assert summary == {s: "run" for s in STAGE_ORDER}
+        return parses, cv_specs
+
+    def test_cold_run_parses_factors_once(self, counted_run):
+        parses, _ = counted_run
+        assert len(parses) == 1
+
+    def test_ablate_reuses_the_combined_cv_of_fit(self, counted_run):
+        _, cv_specs = counted_run
+        unablated = [s for s in cv_specs if not s.ablated_clusters]
+        assert sorted(s.kind for s in unablated) == sorted(panel_mod.MODEL_KINDS)
+        assert any(s.ablated_clusters for s in cv_specs)
+
+    def test_lasso_variants_share_their_ols_twins_designs(self, tmp_path, monkeypatch):
+        bundle = generate_synthetic(
+            SyntheticSpec(districts=10, months=60, decoys=4,
+                          articles_per_country_month=60, countries=2),
+            seed=9, out_dir=tmp_path)
+        cfg = load_config(bundle["config"])
+        cfg.spatial = True
+        cfg.lasso_compare = True
+        cfg.y_lags = 3
+        cfg.factor_lags = 3
+        cfg.folds = 5
+        quiet_run(cfg, stages=["extract", "expand", "factors", "select"])
+        built = []
+        real_build = panel_mod.build_design
+
+        def count_build(panel, spec, *args, **kwargs):
+            built.append((spec.kind, spec.spatial))
+            return real_build(panel, spec, *args, **kwargs)
+
+        monkeypatch.setattr(panel_mod, "build_design", count_build)
+        assert quiet_run(cfg, stages=["fit"]) == {"fit": "run"}
+        assert sorted(built) == sorted({(k, sp) for k in panel_mod.MODEL_KINDS
+                                        for sp in (False, True)})
+        ctx = RunContext(cfg=cfg, out=Path(cfg.output))
+        designs, _ = ctx.model_designs()
+        for kind in panel_mod.MODEL_KINDS:
+            assert designs[f"{kind}_lasso"] is designs[kind]
 
 
 class TestZeroNoiseConstruction:

@@ -5,8 +5,9 @@ import pytest
 
 from newswarn.errors import DataError, NumericalError
 from newswarn.series import Series
-from newswarn.tsstats import (adf_test, difference_until_stationary, f_sf, fit_adl,
-                              granger_test, ols, panel_granger, select_features,
+from newswarn.tsstats import (AdfResult, _adf_critical, _aic, _granger_f, _nested_rss,
+                              _panel_stack, adf_test, difference_until_stationary, f_sf,
+                              fit_adl, granger_test, ols, panel_granger, select_features,
                               select_lags_aic, spearman, write_screening_csv)
 
 
@@ -338,3 +339,159 @@ class TestSpearman:
             spearman([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(DataError):
             spearman([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+# ---- oracles: the per-order refits that the nested searches replace
+
+
+def oracle_adf(s, max_lag=None, level=0.05):
+    x = np.asarray(s, dtype=float)
+    T = x.size
+    if max_lag is None:
+        max_lag = min(int(math.ceil(12.0 * (T / 100.0) ** 0.25)), max(T - 13, 0))
+    dy = np.diff(x)
+
+    def regression(k, j0):
+        cols = [np.ones(dy.size - j0), x[j0 : x.size - 1]]
+        for i in range(1, k + 1):
+            cols.append(dy[j0 - i : dy.size - i])
+        return ols(np.column_stack(cols), dy[j0:])
+
+    best_k, best_aic = 0, np.inf
+    for k in range(max_lag + 1):
+        fit = regression(k, max_lag)
+        a = _aic(fit.rss, fit.nobs, k + 2)
+        if a < best_aic - 1e-12:
+            best_aic, best_k = a, k
+    fit = regression(best_k, best_k)
+    stat = float(fit.beta[1] / math.sqrt(fit.cov[1, 1]))
+    cv = _adf_critical(level, fit.nobs)
+    return AdfResult(statistic=stat, stationary=stat < cv, lag=best_k, nobs=fit.nobs,
+                     critical_value=cv, level=level)
+
+
+def oracle_select_lags(y, x, n_max):
+    best_n, best_aic = None, np.inf
+    for n in range(1, n_max + 1):
+        fit = fit_adl(y, x, n, t0=n_max)
+        if fit.aic < best_aic - 1e-12:
+            best_aic, best_n = fit.aic, n
+    return best_n
+
+
+def oracle_panel_granger(y_by, x_by, n_max=6, level=0.01):
+    best_n, best_aic = None, np.inf
+    for n in range(1, n_max + 1):
+        X, resp, n_d = _panel_stack(y_by, x_by, n, n_max)
+        if resp.size <= n_d + 2 * n:
+            continue
+        fit = ols(X, resp)
+        a = _aic(fit.rss, fit.nobs, n_d + 2 * n)
+        if a < best_aic - 1e-12:
+            best_aic, best_n = a, n
+    if best_n is None:
+        raise DataError("panel too short for any candidate lag order")
+    n = best_n
+    X, resp, n_d = _panel_stack(y_by, x_by, n, n)
+    fit_u = ols(X, resp)
+    fit_r = ols(X[:, : n_d + n], resp)
+    return _granger_f(fit_r.rss, fit_u.rss, n, resp.size - n_d - 2 * n, level, n, 0)
+
+
+def error_text(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except (DataError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+def random_series(rng, kind, T):
+    e = rng.normal(0, 1, T)
+    return np.cumsum(e) if kind == "walk" else e
+
+
+class TestNestedSearch:
+    def test_prefix_rss_equals_ols(self):
+        rng = np.random.default_rng(30)
+        X = np.column_stack([np.ones(60), rng.normal(0, 1, (60, 7))])
+        y = X[:, :3] @ np.array([1.0, -2.0, 0.5]) + rng.normal(0, 0.3, 60)
+        rss = _nested_rss(X, y, range(1, 9))
+        for k, r in zip(range(1, 9), rss):
+            assert r == pytest.approx(ols(X[:, :k], y).rss, rel=1e-10)
+
+    def test_duplicated_column_raises_as_ols(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(0, 1, (40, 5))
+        X[:, 3] = X[:, 1]
+        y = rng.normal(0, 1, 40)
+        # prefixes before the duplicate pass; the first that holds it fails as ols does
+        assert len(_nested_rss(X, y, [1, 2, 3])) == 3
+        expected = error_text(ols, X[:, :4], y)
+        assert expected is not None
+        assert error_text(_nested_rss, X, y, [2, 3, 4, 5]) == expected
+
+    def test_too_few_rows_raises_as_ols(self):
+        X = np.ones((4, 5))
+        assert error_text(_nested_rss, X, np.ones(4), [4]) == error_text(ols, X[:, :4],
+                                                                           np.ones(4))
+
+    @pytest.mark.parametrize("kind", ["walk", "noise"])
+    def test_adf_matches_oracle(self, kind):
+        rng = np.random.default_rng(32 if kind == "walk" else 33)
+        for _ in range(40):
+            x = random_series(rng, kind, int(rng.integers(25, 150)))
+            assert adf_test(x) == oracle_adf(x)
+            assert adf_test(x, max_lag=3, level=0.01) == oracle_adf(x, max_lag=3, level=0.01)
+
+    @pytest.mark.parametrize("kind", ["walk", "noise"])
+    def test_select_lags_matches_oracle(self, kind):
+        rng = np.random.default_rng(34 if kind == "walk" else 35)
+        for _ in range(40):
+            T = int(rng.integers(20, 120))
+            x = random_series(rng, kind, T)
+            y = np.zeros(T)
+            for t in range(2, T):
+                y[t] = 0.5 * y[t - 1] + 0.3 * x[t - 2] + rng.normal(0, 1)
+            n_max = int(rng.integers(1, 6))
+            assert select_lags_aic(y, x, n_max) == oracle_select_lags(y, x, n_max)
+
+    @pytest.mark.parametrize("kind", ["walk", "noise"])
+    def test_panel_granger_matches_oracle(self, kind):
+        rng = np.random.default_rng(36 if kind == "walk" else 37)
+        for _ in range(20):
+            districts = int(rng.integers(1, 6))
+            y_by, x_by = {}, {}
+            for d in range(districts):
+                T = int(rng.integers(20, 50))
+                x = random_series(rng, kind, T)
+                y = np.zeros(T)
+                for t in range(1, T):
+                    y[t] = 0.4 * y[t - 1] + 0.5 * x[t - 1] + rng.normal(0, 1)
+                y_by[f"d{d}"], x_by[f"d{d}"] = y, x
+            n_max = int(rng.integers(1, 7))
+            assert panel_granger(y_by, x_by, n_max) == oracle_panel_granger(y_by, x_by, n_max)
+
+    def test_constant_factor_district_raises_as_oracle(self):
+        rng = np.random.default_rng(38)
+        y_by = {"d0": rng.normal(0, 1, 40)}
+        x_by = {"d0": np.full(40, 0.25)}
+        expected = error_text(oracle_panel_granger, y_by, x_by, 3)
+        assert expected is not None and expected[0] == "NumericalError"
+        assert error_text(panel_granger, y_by, x_by, 3) == expected
+        assert (error_text(select_lags_aic, y_by["d0"], x_by["d0"], 3)
+                == error_text(oracle_select_lags, y_by["d0"], x_by["d0"], 3))
+
+    def test_short_panel_skips_the_widest_orders(self):
+        # 2 districts x 7 rows from t0 = 8 fit order n only if 14 > 2 + 2n, so
+        # orders 6..8 are skipped, as the oracle skips them.
+        rng = np.random.default_rng(39)
+        y_by = {f"d{d}": rng.normal(0, 1, 15) for d in range(2)}
+        x_by = {f"d{d}": rng.normal(0, 1, 15) for d in range(2)}
+        assert panel_granger(y_by, x_by, 8) == oracle_panel_granger(y_by, x_by, 8)
+        # 3 rows from t0 = 3 fit no order: 3 > 1 + 2n fails at n = 1
+        tiny_y = {"d0": rng.normal(0, 1, 6)}
+        tiny_x = {"d0": rng.normal(0, 1, 6)}
+        assert error_text(panel_granger, tiny_y, tiny_x, 3) == error_text(
+            oracle_panel_granger, tiny_y, tiny_x, 3) == (
+            "DataError", "panel too short for any candidate lag order")
