@@ -13,6 +13,7 @@ import json
 import warnings
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cache
 from operator import itemgetter
 
 import numpy as np
@@ -388,9 +389,10 @@ def write_factors_csv(path, factors) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "location_id", "level", "month", "value"])
+        month = cache(format_month)  # every series repeats the same months
         for f in factors:
-            for t, v in f.series.items():
-                writer.writerow([f.feature, f.location_id, f.level, format_month(t), repr(v)])
+            writer.writerows([f.feature, f.location_id, f.level, month(t), repr(v)]
+                             for t, v in f.series.items())
 
 
 def read_factors_csv(path) -> list[NewsFactorSeries]:

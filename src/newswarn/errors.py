@@ -17,4 +17,10 @@ class DataError(PipelineError):
 
 
 class NumericalError(PipelineError):
+    """A numerical failure; ``columns`` indexes the design columns at fault."""
+
     exit_code = 3
+
+    def __init__(self, message: str = "", columns=()):
+        super().__init__(message)
+        self.columns = tuple(columns)

@@ -17,6 +17,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -173,80 +174,78 @@ class DesignMatrix:
                             self.rows, self.skipped)
 
 
-def _columns_for_spec(panel: PanelDataset, spec: ModelSpec) -> list[Column]:
-    cols: list[Column] = []
-    for d in sorted(panel.districts):
-        cols.append(Column(f"intercept[{d}]", "intercept"))
-    for m in range(1, spec.y_lags + 1):
-        cols.append(Column(f"y_lag[m={m}]", "y_lag", offset=3 * m))
-    if spec.uses_traditional:
-        for k in TRADITIONAL_INDICATORS:
-            for n in range(1, spec.factor_lags + 1):
-                cols.append(Column(f"trad[{k},n={n}]", "traditional", offset=spec.delay + n))
-        for s in panel.static_names:
-            cols.append(Column(f"static[{s}]", "static"))
-    if spec.uses_news:
-        for w in panel.feature_order:
-            if panel.clusters.get(w) in spec.ablated_clusters:
-                continue
-            for level in ("district", "province", "country"):
-                for n in range(1, spec.factor_lags + 1):
-                    cols.append(Column(f"news[{w},{level},n={n}]", "news",
-                                       offset=spec.delay + n, feature=w))
-    if spec.spatial:
-        for m in range(1, spec.y_lags + 1):
-            cols.append(Column(f"sp_y[m={m}]", "sp_y", offset=3 * m))
-        if spec.uses_traditional:
-            for k in TRADITIONAL_INDICATORS:
-                for n in range(1, spec.factor_lags + 1):
-                    cols.append(Column(f"sp_trad[{k},n={n}]", "sp_traditional",
-                                       offset=spec.delay + n))
-            for s in panel.static_names:
-                cols.append(Column(f"sp_static[{s}]", "sp_static"))
-        if spec.uses_news:
-            for w in panel.feature_order:
-                if panel.clusters.get(w) in spec.ablated_clusters:
-                    continue
-                for n in range(1, spec.factor_lags + 1):
-                    cols.append(Column(f"sp_news[{w},n={n}]", "sp_news",
-                                       offset=spec.delay + n, feature=w))
-    return cols
+class _Block(NamedTuple):
+    """Adjacent design columns filled from one source per district.
+
+    ``source(d)`` gives district d's Series for a dated block, its row of
+    constants for an undated one (``span`` None), or None, which skips d with
+    the reason ``missing``. ``span`` is (label, max offset, min offset): a row
+    at month t needs the series to cover t - max offset .. t - min offset.
+    """
+
+    columns: tuple[Column, ...]
+    source: Callable[[str], Any]
+    span: tuple[str, int, int] | None = None
+    missing: str = ""
 
 
-def _district_series_requirements(panel: PanelDataset, spec: ModelSpec, d: str):
-    """(series, max_offset, min_offset, label) coverage requirements for district d."""
-    reqs = [(panel.ipc[d], 3 * spec.y_lags, 0, "ipc")]
-    lag_hi = spec.delay + spec.factor_lags
-    lag_lo = spec.delay + 1
+def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
+    """The blocks of ``spec``'s design, in column order."""
+    district_ids = sorted(panel.districts)
+    features = [w for w in panel.feature_order
+                if panel.clusters.get(w) not in spec.ablated_clusters]
+    locations = {"district": lambda d: d, "province": panel.province_of,
+                 "country": panel.country_of}
+    blocks: list[_Block] = []
+
+    def phase(group, label, source):
+        cols = tuple(Column(f"{group}[m={m}]", group, offset=3 * m)
+                     for m in range(1, spec.y_lags + 1))
+        blocks.append(_Block(cols, source, (label, 3 * spec.y_lags, 0)))
+
+    def lagged(name, group, label, source, feature=None, missing=""):
+        cols = tuple(Column(f"{name},n={n}]", group, offset=spec.delay + n, feature=feature)
+                     for n in range(1, spec.factor_lags + 1))
+        span = (label, spec.delay + spec.factor_lags, spec.delay + 1)
+        blocks.append(_Block(cols, source, span, missing))
+
+    def undated(group, names, source):
+        blocks.append(_Block(tuple(Column(f"{group}[{s}]", group) for s in names), source))
+
+    def at(by_loc, loc_of=lambda d: d):
+        return lambda d: by_loc.get(loc_of(d))
+
+    def around(by_district):
+        return lambda d: spatial_average(panel, d, by_district)
+
+    undated("intercept", district_ids, lambda d: [float(d == e) for e in district_ids])
+    phase("y_lag", "ipc", lambda d: panel.ipc[d])
     if spec.uses_traditional:
         for k in TRADITIONAL_INDICATORS:
-            s = panel.traditional.get(k, {}).get(d)
-            if s is None:
-                return None, f"missing traditional indicator {k}"
-            reqs.append((s, lag_hi, lag_lo, f"trad:{k}"))
+            lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional.get(k, {})),
+                   missing=f"missing traditional indicator {k}")
+        undated("static", panel.static_names,
+                lambda d: [panel.districts[d].statics[s] for s in panel.static_names])
     if spec.uses_news:
-        prov, country = panel.province_of(d), panel.country_of(d)
-        for w in panel.feature_order:
-            if panel.clusters.get(w) in spec.ablated_clusters:
-                continue
-            for level, loc in (("district", d), ("province", prov), ("country", country)):
-                s = panel.factors.get(w, {}).get(level, {}).get(loc)
-                if s is None:
-                    return None, f"missing news factor {w}@{level}"
-                reqs.append((s, lag_hi, lag_lo, f"news:{w}:{level}"))
+        for w in features:
+            for level, loc_of in locations.items():
+                lagged(f"news[{w},{level}", "news", f"news:{w}:{level}",
+                       at(panel.factors.get(w, {}).get(level, {}), loc_of), feature=w,
+                       missing=f"missing news factor {w}@{level}")
     if spec.spatial:
-        reqs.append((spatial_average(panel, d, panel.ipc), 3 * spec.y_lags, 0, "sp_ipc"))
+        phase("sp_y", "sp_ipc", around(panel.ipc))
         if spec.uses_traditional:
             for k in TRADITIONAL_INDICATORS:
-                reqs.append((spatial_average(panel, d, panel.traditional[k]),
-                             lag_hi, lag_lo, f"sp_trad:{k}"))
+                lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
+                       around(panel.traditional.get(k, {})))
+            undated("sp_static", panel.static_names, lambda d: [
+                float(np.mean([panel.districts[nd].statics[s] for nd in panel.neighbors(d)]))
+                for s in panel.static_names])
         if spec.uses_news:
-            for w in panel.feature_order:
-                if panel.clusters.get(w) in spec.ablated_clusters:
-                    continue
-                reqs.append((spatial_average(panel, d, panel.factors[w]["district"]),
-                             lag_hi, lag_lo, f"sp_news:{w}"))
-    return reqs, None
+            for w in features:
+                lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
+                       around(panel.factors.get(w, {}).get("district", {})), feature=w)
+    return blocks
 
 
 def build_design(panel: PanelDataset, spec: ModelSpec, months=None) -> DesignMatrix:
@@ -258,92 +257,54 @@ def build_design(panel: PanelDataset, spec: ModelSpec, months=None) -> DesignMat
     unknown = spec.ablated_clusters - set(panel.clusters.values())
     if unknown:
         raise ConfigError(f"ablated clusters {sorted(unknown)} do not exist")
-    cols = _columns_for_spec(panel, spec)
-    col_index = {c.name: i for i, c in enumerate(cols)}
+    blocks = _design_blocks(panel, spec)
     month_filter = None if months is None else set(months)
-    blocks, row_keys, skipped = [], [], []
-    district_ids = sorted(panel.districts)
+    month_list = [t for t in range(panel.start, panel.end + 1)
+                  if month_filter is None or t in month_filter]
+    parts, row_keys, skipped = [], [], []
 
-    for d in district_ids:
-        reqs, err = _district_series_requirements(panel, spec, d)
-        if reqs is None:
-            skipped.append((d, -1, err))
+    for d in sorted(panel.districts):
+        sources = []
+        t_lo, t_hi, lo_label, hi_label = panel.start, panel.end, "ipc", "ipc"
+        for b in blocks:
+            src = b.source(d)
+            if src is None:
+                skipped.append((d, -1, b.missing))
+                break
+            sources.append(src)
+            if b.span is not None:
+                label, max_off, min_off = b.span
+                if src.start + max_off > t_lo:
+                    t_lo, lo_label = src.start + max_off, label
+                if src.end + min_off < t_hi:
+                    t_hi, hi_label = src.end + min_off, label
+        if len(sources) < len(blocks):
             continue
-        t_lo = panel.start
-        t_hi = panel.end
-        binding = {}
-        for s, max_off, min_off, label in reqs:
-            lo, hi = s.start + max_off, s.end + min_off
-            if lo > t_lo:
-                t_lo, binding["lo"] = lo, label
-            if hi < t_hi:
-                t_hi, binding["hi"] = hi, label
-        t_hi = min(t_hi, panel.ipc[d].end)
-        month_list = [t for t in range(panel.start, panel.end + 1)
-                      if (month_filter is None or t in month_filter)]
-        valid = [t for t in month_list if t_lo <= t <= t_hi]
         for t in month_list:
             if t < t_lo:
-                skipped.append((d, t, f"lag unavailable ({binding.get('lo', 'ipc')})"))
+                skipped.append((d, t, f"lag unavailable ({lo_label})"))
             elif t > t_hi:
-                skipped.append((d, t, f"series ends ({binding.get('hi', 'ipc')})"))
-        if not valid:
+                skipped.append((d, t, f"series ends ({hi_label})"))
+        M = np.array([t for t in month_list if t_lo <= t <= t_hi], dtype=int)
+        if not M.size:
             continue
-        M = np.asarray(valid)
-        block = np.zeros((M.size, len(cols)))
-        block[:, col_index[f"intercept[{d}]"]] = 1.0
-
-        def put(name: str, series: Series, offset: int):
-            block[:, col_index[name]] = series.values[M - offset - series.start]
-
+        cells = []
+        for b, src in zip(blocks, sources):
+            if b.span is None:
+                cells.append(np.broadcast_to(src, (M.size, len(b.columns))))
+            else:
+                offsets = np.array([c.offset for c in b.columns], dtype=int)
+                cells.append(src.values[M[:, None] - offsets - src.start])
         ipc = panel.ipc[d]
-        yvals = ipc.values[M - ipc.start]
-        for m in range(1, spec.y_lags + 1):
-            put(f"y_lag[m={m}]", ipc, 3 * m)
-        if spec.uses_traditional:
-            for k in TRADITIONAL_INDICATORS:
-                s = panel.traditional[k][d]
-                for n in range(1, spec.factor_lags + 1):
-                    put(f"trad[{k},n={n}]", s, spec.delay + n)
-            for sname in panel.static_names:
-                block[:, col_index[f"static[{sname}]"]] = panel.districts[d].statics[sname]
-        if spec.uses_news:
-            prov, country = panel.province_of(d), panel.country_of(d)
-            for w in panel.feature_order:
-                if panel.clusters.get(w) in spec.ablated_clusters:
-                    continue
-                for level, loc in (("district", d), ("province", prov), ("country", country)):
-                    s = panel.factors[w][level][loc]
-                    for n in range(1, spec.factor_lags + 1):
-                        put(f"news[{w},{level},n={n}]", s, spec.delay + n)
-        if spec.spatial:
-            sp_ipc = spatial_average(panel, d, panel.ipc)
-            for m in range(1, spec.y_lags + 1):
-                put(f"sp_y[m={m}]", sp_ipc, 3 * m)
-            if spec.uses_traditional:
-                for k in TRADITIONAL_INDICATORS:
-                    sp = spatial_average(panel, d, panel.traditional[k])
-                    for n in range(1, spec.factor_lags + 1):
-                        put(f"sp_trad[{k},n={n}]", sp, spec.delay + n)
-                for sname in panel.static_names:
-                    vals = [panel.districts[nd].statics[sname] for nd in panel.neighbors(d)]
-                    block[:, col_index[f"sp_static[{sname}]"]] = float(np.mean(vals))
-            if spec.uses_news:
-                for w in panel.feature_order:
-                    if panel.clusters.get(w) in spec.ablated_clusters:
-                        continue
-                    sp = spatial_average(panel, d, panel.factors[w]["district"])
-                    for n in range(1, spec.factor_lags + 1):
-                        put(f"sp_news[{w},n={n}]", sp, spec.delay + n)
-        blocks.append((block, yvals))
-        row_keys.extend((d, int(t)) for t in valid)
+        parts.append((np.hstack(cells), ipc.values[M - ipc.start]))
+        row_keys.extend((d, int(t)) for t in M)
 
-    if not blocks:
+    if not parts:
         raise DataError("design matrix has no valid rows")
-    X = np.vstack([b for b, _ in blocks])
-    y = np.concatenate([v for _, v in blocks])
-    return DesignMatrix(X=X, y=y, columns=tuple(cols), rows=tuple(row_keys),
-                        skipped=tuple(skipped))
+    X = np.vstack([x for x, _ in parts])
+    y = np.concatenate([v for _, v in parts])
+    return DesignMatrix(X=X, y=y, columns=tuple(c for b in blocks for c in b.columns),
+                        rows=tuple(row_keys), skipped=tuple(skipped))
 
 
 def build_design_row(panel: PanelDataset, spec: ModelSpec, district: str, t: int):
@@ -452,7 +413,8 @@ def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
     coordinate, on the standardized scale, in the final sweep.
 
     Returns (beta, rss, sweeps). Raises NumericalError after ``max_sweeps``
-    sweeps, naming the last largest change and its column index in brackets.
+    sweeps, naming the last largest change and its column index, which is
+    also the error's ``columns``.
     """
     if max_sweeps < 1:
         raise ConfigError("max_sweeps must be at least 1")
@@ -498,7 +460,8 @@ def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
             resid = y - Xs @ beta
             return beta / scale, float(resid @ resid), sweep
     raise NumericalError(f"lasso did not converge within {max_sweeps} sweeps: "
-                         f"last largest change {max_delta:.3g} at column [{pen[worst]}]")
+                         f"last largest change {max_delta:.3g} at column [{pen[worst]}]",
+                         [int(pen[worst])])
 
 
 def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
@@ -535,8 +498,9 @@ def fit_design(design: DesignMatrix, spec: ModelSpec,
             try:
                 result = ols(X, y)
             except NumericalError as exc:
-                names = [design.columns[i].name for i in _collinear_indices(exc)]
-                raise NumericalError(f"rank-deficient design: {names or exc}") from None
+                names = [design.columns[i].name for i in exc.columns]
+                raise NumericalError(f"rank-deficient design: {names or exc}",
+                                     exc.columns) from None
         dropped = tuple(design.columns[i].name for i in range(X.shape[1]) if i not in set(keep))
         return FitResult(spec=spec, columns=design.columns, kept=tuple(keep),
                          beta=result.beta, dropped=dropped, rss=result.rss, nobs=result.nobs)
@@ -544,20 +508,11 @@ def fit_design(design: DesignMatrix, spec: ModelSpec,
     try:
         beta, rss, sweeps = lasso_cd(X, y, spec.lasso, penalized)
     except NumericalError as exc:
-        names = [design.columns[i].name for i in _collinear_indices(exc)]
-        raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc)) from None
+        names = [design.columns[i].name for i in exc.columns]
+        raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
+                             exc.columns) from None
     return FitResult(spec=spec, columns=design.columns, kept=tuple(range(X.shape[1])),
                      beta=beta, dropped=(), rss=rss, nobs=X.shape[0], sweeps=sweeps)
-
-
-def _collinear_indices(exc: NumericalError) -> list[int]:
-    text = str(exc)
-    if "[" not in text:
-        return []
-    try:
-        return [int(x) for x in text[text.index("[") + 1 : text.index("]")].split(",") if x.strip()]
-    except ValueError:
-        return []
 
 
 def fit(spec: ModelSpec, panel: PanelDataset, months=None,

@@ -55,8 +55,8 @@ class OLSFit:
 def ols(X, y, rcond: float = 1e-10) -> OLSFit:
     """Least squares via QR decomposition.
 
-    Raises NumericalError naming (by index) columns that are numerically
-    collinear with earlier ones.
+    Raises NumericalError naming (by index, also in its ``columns``) the
+    columns that are numerically collinear with earlier ones.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -72,7 +72,7 @@ def ols(X, y, rcond: float = 1e-10) -> OLSFit:
     scale = diag.max() if diag.size else 0.0
     bad = [int(i) for i in np.nonzero(diag <= rcond * max(scale, 1e-300))[0]]
     if bad:
-        raise NumericalError(f"rank-deficient design, collinear columns: {bad}")
+        raise NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
     beta = np.linalg.solve(R, Q.T @ y)
     resid = y - X @ beta
     rss = float(resid @ resid)
@@ -103,7 +103,7 @@ def _nested_rss(X, y, sizes, rcond: float = 1e-10) -> list[float]:
         d = diag[:k]
         bad = [int(i) for i in np.nonzero(d <= rcond * max(d.max(), 1e-300))[0]]
         if bad:
-            raise NumericalError(f"rank-deficient design, collinear columns: {bad}")
+            raise NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
         out.append(float(tail[k]))
     return out
 

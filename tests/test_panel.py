@@ -116,6 +116,28 @@ class TestBuildDesign:
         with pytest.raises(ConfigError, match="99"):
             build_design(panel, spec)
 
+    def test_shortened_indicator_named_at_both_ends(self):
+        panel = make_panel(n_districts=5)
+        s = panel.traditional["price_index"]["d01"]
+        panel.traditional["price_index"]["d01"] = Series(s.start + 30, s.values[30:-5])
+        design = build_design(panel, ModelSpec(kind="baseline"))
+        reasons = {r for d, _, r in design.skipped if d == "d01"}
+        assert reasons == {"lag unavailable (trad:price_index)",
+                           "series ends (trad:price_index)"}
+        assert (("d01", panel.start + 37, "lag unavailable (trad:price_index)")
+                in design.skipped)
+        assert ("d01", panel.end - 1, "series ends (trad:price_index)") in design.skipped
+        kept = [m for d, m in design.rows if d == "d01"]
+        assert (min(kept), max(kept)) == (panel.start + 38, panel.end - 2)
+
+    def test_missing_news_factor_skips_the_district(self):
+        panel = make_panel(n_districts=5, features=("alpha", "beta"))
+        del panel.factors["beta"]["district"]["d03"]
+        design = build_design(panel, ModelSpec(kind="news"))
+        assert [s for s in design.skipped if s[0] == "d03"] == [
+            ("d03", -1, "missing news factor beta@district")]
+        assert all(d != "d03" for d, _ in design.rows)
+
     def test_no_lookahead_audit_clean(self):
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="combined"))
@@ -158,6 +180,26 @@ class TestSpatial:
         with pytest.raises(DataError):
             panel.neighbors("d00")
 
+    def test_spatial_static_is_neighbour_mean(self):
+        panel = make_panel(n_districts=6, features=("alpha",))
+        design = build_design(panel, ModelSpec(kind="baseline", spatial=True))
+        names = [c.name for c in design.columns]
+        for i, (d, _) in enumerate(design.rows):
+            for s in panel.static_names:
+                expected = np.mean([panel.districts[n].statics[s] for n in panel.neighbors(d)])
+                assert design.X[i, names.index(f"sp_static[{s}]")] == expected
+
+    def test_spatial_indicator_read_at_column_offset(self):
+        panel = make_panel(n_districts=6, features=("alpha",))
+        design = build_design(panel, ModelSpec(kind="combined", spatial=True))
+        cols = [(j, c) for j, c in enumerate(design.columns)
+                if c.name.startswith("sp_trad[rain_mean,")]
+        assert [c.offset for _, c in cols] == [3, 4, 5, 6, 7, 8]
+        for i, (d, t) in enumerate(design.rows):
+            sp = spatial_average(panel, d, panel.traditional["rain_mean"])
+            for j, c in cols:
+                assert design.X[i, j] == sp.at(t - c.offset)
+
     def test_spatial_design_appends_columns(self):
         panel = make_panel(n_districts=6, features=("alpha",))
         plain = build_design(panel, ModelSpec(kind="combined"))
@@ -190,8 +232,10 @@ class TestFit:
 
     def test_error_mode_raises_on_collinearity(self):
         panel = make_panel(n_districts=5)
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"static\[population\]") as caught:
             fit(ModelSpec(kind="baseline"), panel, on_collinear="error")
+        columns = build_design(panel, ModelSpec(kind="baseline")).columns
+        assert "static[population]" in {columns[i].name for i in caught.value.columns}
 
 
 class TestLasso:
