@@ -1,9 +1,12 @@
-"""News-corpus ingestion, gazetteer location matching, and news factors.
+"""News-corpus reading, gazetteer location matching, and news factors.
 
 The corpus file holds one JSON object per line: {id, date, source, countries,
-text}. Articles are bucketed by calendar month and indexed by location and by
-contiguous 1..3-gram. A news factor is the monthly share of a country's
-articles that co-mention a text feature and a location.
+text}. ``read_corpus`` parses it once into per-article months, country tags
+and tokens; it keeps no per-n-gram article sets. Counts come from scans of
+those: the 1..3-gram occurrences (``Corpus.ngram_occurrences``), and, for a
+list of features, the articles that co-mention a feature and a location
+(``news_factors``, ``feature_coverage``). A news factor is the monthly share
+of a country's articles that co-mention a text feature and a location.
 """
 
 from __future__ import annotations
@@ -11,9 +14,11 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -21,8 +26,8 @@ import numpy as np
 from .errors import DataError
 from .months import format_month, parse_date, parse_month
 from .series import Series
-from .stemmer import stem_tokens
-from .textutil import iter_ngrams, normalize_ngram, tokenize
+from .stemmer import porter_stem, stem_tokens
+from .textutil import tokenize
 
 STATIC_FACTOR_NAMES = ("population", "area_km2", "ruggedness", "cropland_share", "pasture_share")
 
@@ -31,16 +36,6 @@ _GAZETTEER_HEADER = [
     "lat", "lon", "population", "area_km2", "ruggedness",
     "cropland_share", "pasture_share",
 ]
-
-
-@dataclass(frozen=True)
-class Article:
-    id: str
-    month: int
-    date: str
-    source: str
-    country_tags: frozenset[str]
-    tokens: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,7 @@ class Gazetteer:
 
     def __init__(self, districts):
         self.districts: dict[str, District] = {}
-        self._name_index: dict[tuple[str, ...], set[str]] = defaultdict(set)
-        self.max_name_len = 1
+        places: dict[tuple[str, ...], set[str]] = defaultdict(set)
         for d in districts:
             if d.district_id in self.districts:
                 raise DataError(f"duplicate district id {d.district_id!r}")
@@ -76,14 +70,13 @@ class Gazetteer:
             for name in (d.name, *d.aliases):
                 toks = tokenize(name)
                 if toks:
-                    self._name_index[toks].add(d.district_id)
-                    self.max_name_len = max(self.max_name_len, len(toks))
+                    places[toks].update((d.district_id, d.province_id, d.country))
+        # name tokens -> every district so named, with its province and country
+        self.places: dict[tuple[str, ...], set[str]] = dict(places)
+        self.names_by_first = _by_first_token({name: name for name in places})
 
     def __len__(self):
         return len(self.districts)
-
-    def lookup_name(self, tokens) -> set[str]:
-        return set(self._name_index.get(tuple(tokens), ()))
 
     @property
     def provinces(self) -> dict[str, str]:
@@ -153,124 +146,65 @@ def write_gazetteer(path, districts) -> None:
             )
 
 
-def match_locations(article: Article, gaz: Gazetteer) -> set[str]:
-    """District ids named in the text, their provinces/countries, and tag countries."""
-    matched: set[str] = set()
-    toks = article.tokens
-    for n in range(1, min(gaz.max_name_len, len(toks)) + 1):
-        for i in range(len(toks) - n + 1):
-            matched |= gaz.lookup_name(toks[i : i + n])
-    out: set[str] = set()
-    for did in matched:
-        d = gaz.districts[did]
-        out |= {did, d.province_id, d.country}
-    out |= set(article.country_tags)
+def match_locations(tokens, tags, gaz: Gazetteer) -> set[str]:
+    """District ids named in ``tokens``, their provinces/countries, and the tag countries."""
+    out = set(tags)
+    for name in _contained(tokens, gaz.names_by_first):
+        out |= gaz.places[name]
     return out
 
 
-class CorpusIndex:
-    """Immutable-after-build index over a dated, geo-tagged article stream."""
+@dataclass(frozen=True)
+class Corpus:
+    """The in-window articles of a corpus file, in file order, as parallel lists."""
 
-    def __init__(self, window: tuple[int, int]):
-        self.window = window
-        self.articles: dict[str, Article] = {}
-        self.by_month: dict[int, list[str]] = defaultdict(list)
-        self.loc_postings: dict[str, set[str]] = defaultdict(set)
-        self.ngram_postings: dict[str, set[str]] = defaultdict(set)
-        self.ngram_occurrences: Counter = Counter()
-        self.monthly_totals: Counter = Counter()  # (country, month) -> articles
-        self.article_locations: dict[str, frozenset[str]] = {}
-        self._stem_cache: dict[str, tuple[str, ...]] = {}
-        self._target_cache: dict[tuple, frozenset[str]] = {}
-
-    def add(self, article: Article, gaz: Gazetteer) -> None:
-        if article.id in self.articles:
-            raise DataError(f"duplicate article id {article.id!r}")
-        self.articles[article.id] = article
-        self.by_month[article.month].append(article.id)
-        locs = match_locations(article, gaz)
-        self.article_locations[article.id] = frozenset(locs)
-        for loc in locs:
-            self.loc_postings[loc].add(article.id)
-        seen = set()
-        for gram in iter_ngrams(article.tokens, 3):
-            key = " ".join(gram)
-            self.ngram_occurrences[key] += 1
-            if key not in seen:
-                self.ngram_postings[key].add(article.id)
-                seen.add(key)
-        for c in article.country_tags:
-            self.monthly_totals[(c, article.month)] += 1
+    window: tuple[int, int]
+    months: np.ndarray                   # month index of each article (int64)
+    country_tags: list[frozenset[str]]
+    tokens: list[tuple[str, ...]]
+    skipped_lines: int = 0
 
     def __len__(self):
-        return len(self.articles)
+        return len(self.tokens)
 
-    def months(self):
-        return range(self.window[0], self.window[1] + 1)
-
-    def stemmed_tokens(self, article_id: str) -> tuple[str, ...]:
-        cached = self._stem_cache.get(article_id)
-        if cached is None:
-            cached = stem_tokens(self.articles[article_id].tokens)
-            self._stem_cache[article_id] = cached
-        return cached
-
-    def articles_with_targets(self, target_keywords) -> frozenset[str]:
-        """Ids of articles containing any target keyword, matched on stems."""
-        key = tuple(sorted(target_keywords))
-        cached = self._target_cache.get(key)
-        if cached is not None:
-            return cached
-        sequences = [stem_tokens(tokenize(k)) for k in key]
-        hits = set()
-        for aid in self.articles:
-            stems = self.stemmed_tokens(aid)
-            for seq in sequences:
-                n = len(seq)
-                if n == 0 or n > len(stems):
-                    continue
-                if any(stems[i : i + n] == seq for i in range(len(stems) - n + 1)):
-                    hits.add(aid)
-                    break
-        result = frozenset(hits)
-        self._target_cache[key] = result
-        return result
+    @property
+    def ngram_occurrences(self) -> Counter:
+        """Occurrences of each contiguous 1..3-gram, space-joined; counted on every read."""
+        counts: Counter = Counter()
+        for toks in self.tokens:
+            counts.update([*toks, *[f"{a} {b}" for a, b in zip(toks, toks[1:])],
+                           *[f"{a} {b} {c}" for a, b, c in zip(toks, toks[1:], toks[2:])]])
+        return counts
 
 
-def _parse_corpus_line(line: str, lineno: int, window) -> Article | None:
+def _parse_corpus_line(line: str, lineno: int) -> tuple[str, int, frozenset[str], tuple]:
     try:
         obj = json.loads(line)
         month = parse_date(obj["date"])
         tags = frozenset(str(c).upper() for c in obj["countries"])
         if not tags:
             raise DataError("empty country tags")
-        art = Article(
-            id=str(obj["id"]),
-            month=month,
-            date=str(obj["date"]),
-            source=str(obj.get("source", "")),
-            country_tags=tags,
-            tokens=tokenize(str(obj["text"])),
-        )
+        return str(obj["id"]), month, tags, tokenize(str(obj["text"]))
     except (KeyError, TypeError, ValueError, json.JSONDecodeError, DataError) as exc:
         raise DataError(f"line {lineno}: malformed article: {exc}") from None
-    if not (window[0] <= art.month <= window[1]):
-        return None
-    return art
 
 
-def ingest_corpus(path, window, gaz: Gazetteer, strict: bool = False) -> CorpusIndex:
-    """Index the articles of a JSONL corpus file falling inside ``window``.
+def read_corpus(path, window, strict: bool = False) -> Corpus:
+    """The articles of a JSONL corpus file falling inside ``window``, parsed once.
 
     ``window`` is an inclusive (start, end) pair of month indices or
     "YYYY-MM" strings. In strict mode malformed lines and duplicate ids are
-    fatal; otherwise they are skipped with a warning.
+    fatal; otherwise they are skipped with a warning and counted.
     """
     w0 = parse_month(window[0]) if isinstance(window[0], str) else int(window[0])
     w1 = parse_month(window[1]) if isinstance(window[1], str) else int(window[1])
     if w1 < w0:
         raise DataError(f"empty corpus window [{format_month(w0)}, {format_month(w1)}]")
-    index = CorpusIndex((w0, w1))
+    ids: set[str] = set()
+    months: list[int] = []
+    tags_of: list[frozenset[str]] = []
+    tokens: list[tuple[str, ...]] = []
+    tag_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct tag set
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -278,19 +212,93 @@ def ingest_corpus(path, window, gaz: Gazetteer, strict: bool = False) -> CorpusI
             if not line:
                 continue
             try:
-                art = _parse_corpus_line(line, lineno, (w0, w1))
-                if art is None:
+                article_id, month, tags, toks = _parse_corpus_line(line, lineno)
+                if not (w0 <= month <= w1):
                     continue
-                index.add(art, gaz)
+                if article_id in ids:
+                    raise DataError(f"duplicate article id {article_id!r}")
             except DataError as exc:
                 if strict:
                     raise DataError(f"{path}: {exc}") from None
                 warnings.warn(f"{path}: {exc} (skipped)")
                 skipped += 1
-    if not index.articles:
+                continue
+            ids.add(article_id)
+            months.append(month)
+            tags_of.append(tag_sets.setdefault(tags, tags))
+            tokens.append(toks)
+    if not tokens:
         raise DataError(f"no articles inside window [{format_month(w0)}, {format_month(w1)}]")
-    index.skipped_lines = skipped
-    return index
+    return Corpus((w0, w1), np.array(months, dtype=np.int64), tags_of, tokens, skipped)
+
+
+def _by_first_token(phrases: dict) -> dict[str, list]:
+    """{key: token tuple} as {first token: [(key, tuple), ...]}; empty tuples are dropped."""
+    by_first: dict[str, list] = defaultdict(list)
+    for key, phrase in phrases.items():
+        if phrase:
+            by_first[phrase[0]].append((key, phrase))
+    return dict(by_first)
+
+
+def _contained(tokens, by_first: dict[str, list]) -> set:
+    """Keys of the phrases of ``by_first`` that occur contiguously in ``tokens``."""
+    found = set()
+    windows: dict[int, set] = {}  # n -> the n-token windows of ``tokens``
+    for tok in by_first.keys() & tokens:
+        for key, phrase in by_first[tok]:
+            n = len(phrase)
+            if n > 1 and n not in windows:
+                windows[n] = set(zip(*(tokens[k:] for k in range(n))))
+            if n == 1 or phrase in windows[n]:
+                found.add(key)
+    return found
+
+
+def _phrase_hits(token_lists, phrases):
+    """(index, indices of the phrases it contains) for each token list containing any."""
+    by_first = _by_first_token(dict(enumerate(phrases)))
+    for a, toks in enumerate(token_lists):
+        hits = _contained(toks, by_first)
+        if hits:
+            yield a, hits
+
+
+def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, loc_index: dict[str, int]):
+    """(article, features it contains, locations it names) for each article with a feature.
+
+    Features are indices into ``features``; a feature that is not a canonical
+    corpus n-gram (1..3 tokens, as ``Corpus.ngram_occurrences`` keys them) is
+    contained nowhere. Locations are indices into ``loc_index``; others the
+    article names are dropped.
+    """
+    phrases = []
+    for f in features:
+        toks = tokenize(f)
+        phrases.append(toks if len(toks) <= 3 and " ".join(toks) == f else ())
+    for a, hits in _phrase_hits(corpus.tokens, phrases):
+        named = match_locations(corpus.tokens[a], corpus.country_tags[a], gaz)
+        yield a, hits, [loc_index[loc] for loc in named if loc in loc_index]
+
+
+def target_flags(corpus: Corpus, target_keywords) -> np.ndarray:
+    """Per article, whether it contains any target keyword, matched on Porter stems."""
+    stem_of = {t: porter_stem(t) for t in set(chain.from_iterable(corpus.tokens))}
+    stems = [tuple(map(stem_of.__getitem__, toks)) for toks in corpus.tokens]
+    keywords = [stem_tokens(tokenize(k)) for k in sorted(target_keywords)]
+    flags = np.zeros(len(corpus), dtype=bool)
+    flags[[a for a, _ in _phrase_hits(stems, keywords)]] = True
+    return flags
+
+
+def feature_coverage(corpus: Corpus, features, gaz: Gazetteer, locations) -> list[int]:
+    """Per location, the number of articles naming it that contain any of ``features``."""
+    counts = [0] * len(locations)
+    for _, _, locs in _co_mentions(corpus, features, gaz,
+                                   {loc: i for i, loc in enumerate(locations)}):
+        for i in locs:
+            counts[i] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -323,65 +331,76 @@ class NewsFactorSeries:
         )
 
 
-def compute_news_factor(
-    feature: str,
-    location_id: str,
-    index: CorpusIndex,
+def news_factors(
+    corpus: Corpus,
+    features,
     gaz: Gazetteer,
     exclude_targets: bool = False,
     target_keywords=None,
     denominator: str = "country",
-) -> NewsFactorSeries:
-    """Monthly co-mention proportion of ``feature`` and ``location_id``.
+) -> tuple[list[NewsFactorSeries], list[str]]:
+    """Monthly co-mention proportion of each feature at each gazetteer location.
 
-    The denominator is the count of the month's articles tagged with the
-    location's country ("country", the default) or all articles that month
-    ("corpus"); months with no such articles get value 0 and are flagged.
-    With ``exclude_targets`` set, articles containing a target keyword are
-    removed from numerator and denominator.
+    The numerator counts the month's articles that contain the feature and
+    name the location (``match_locations``). The denominator is the count of
+    the month's articles tagged with the location's country ("country", the
+    default) or all articles that month ("corpus"); months with no such
+    articles get value 0 and are flagged. With ``exclude_targets`` set,
+    articles containing a target keyword are removed from numerator and
+    denominator.
+
+    Returns the series, by feature in the given order and then by location
+    (sorted districts, provinces, countries), and the features that occur in
+    no article, which get no series.
     """
     if denominator not in ("country", "corpus"):
         raise DataError(f"unknown denominator scope {denominator!r}")
-    key = normalize_ngram(feature)
-    if key not in index.ngram_postings:
-        raise DataError(f"feature {key!r} does not occur in the corpus")
-    level = gaz.location_level(location_id)
-    country = gaz.location_country(location_id)
-
-    excluded: frozenset[str] = frozenset()
+    keep = np.ones(len(corpus), dtype=bool)
     if exclude_targets:
         if not target_keywords:
             raise DataError("exclude_targets requires target keywords")
-        excluded = index.articles_with_targets(target_keywords)
+        keep = ~target_flags(corpus, target_keywords)
+    locations = sorted(gaz.districts) + sorted(gaz.provinces) + sorted(gaz.countries)
+    w0, w1 = corpus.window
+    n_months, n_locs = w1 - w0 + 1, len(locations)
+    month = (corpus.months - w0).tolist()
 
-    co_ids = index.ngram_postings[key] & index.loc_postings.get(location_id, set())
-    co_by_month = Counter(index.articles[a].month for a in co_ids if a not in excluded)
-    denom_drop = Counter()
-    for a in excluded:
-        art = index.articles[a]
-        if denominator == "corpus" or country in art.country_tags:
-            denom_drop[art.month] += 1
+    found: set[int] = set()
+    cells = array("q")  # flat (feature, location, month) index of each kept co-mention
+    for a, hits, locs in _co_mentions(corpus, features, gaz,
+                                      {loc: i for i, loc in enumerate(locations)}):
+        found |= hits
+        if keep[a]:
+            cells.extend([(f * n_locs + i) * n_months + month[a] for f in hits for i in locs])
+    counts = np.bincount(np.frombuffer(cells, dtype=np.int64),
+                         minlength=len(features) * n_locs * n_months)
+    counts = counts.reshape(len(features), n_locs, n_months)
 
-    w0, w1 = index.window
-    values = np.zeros(w1 - w0 + 1)
-    zero_months = []
-    for t in range(w0, w1 + 1):
-        if denominator == "country":
-            total = index.monthly_totals.get((country, t), 0)
-        else:
-            total = len(index.by_month.get(t, ()))
-        denom = total - denom_drop.get(t, 0)
-        if denom <= 0:
-            zero_months.append(t)
-            continue
-        values[t - w0] = co_by_month.get(t, 0) / denom
-    return NewsFactorSeries(
-        feature=key,
-        location_id=location_id,
-        level=level,
-        series=Series(w0, values),
-        zero_denominator_months=tuple(zero_months),
-    )
+    kept = np.flatnonzero(keep)
+    if denominator == "corpus":
+        denom = np.tile(np.bincount(corpus.months[kept] - w0, minlength=n_months), (n_locs, 1))
+    else:
+        country_of = [gaz.location_country(loc) for loc in locations]
+        row = {c: i for i, c in enumerate(sorted(set(country_of)))}
+        tagged = [row[c] * n_months + month[a]
+                  for a in kept.tolist() for c in corpus.country_tags[a] if c in row]
+        totals = np.bincount(np.array(tagged, dtype=np.int64),
+                             minlength=len(row) * n_months).reshape(len(row), n_months)
+        denom = totals[[row[c] for c in country_of]]
+    # An integer count over an integer count, as Python's int / int would give it.
+    values = np.zeros(counts.shape)
+    np.divide(counts, denom, out=values, where=denom > 0)
+
+    levels = [gaz.location_level(loc) for loc in locations]
+    zero_months = [tuple(w0 + int(t) for t in np.flatnonzero(d <= 0)) for d in denom]
+    series = [
+        NewsFactorSeries(feature=feature, location_id=loc, level=levels[i],
+                         series=Series(w0, values[f, i]),
+                         zero_denominator_months=zero_months[i])
+        for f, feature in enumerate(features) if f in found
+        for i, loc in enumerate(locations)
+    ]
+    return series, [feature for f, feature in enumerate(features) if f not in found]
 
 
 def write_factors_csv(path, factors) -> None:

@@ -5,7 +5,8 @@ of the forward-filled phase, six monthly lags (behind a two-month publication
 delay) of each traditional indicator and of each retained news factor at
 district, province, and country level, plus time-invariant district factors.
 Baseline, news-based, and combined variants differ only in which blocks they
-keep; the spatial variant appends four-nearest-neighbour averages.
+keep; the spatial variant appends averages over those of the four nearest
+neighbours that have each series.
 
 Every dated regressor sits at least three months behind the predicted month,
 which is what makes the forecasts issuable three months ahead.
@@ -132,13 +133,15 @@ def _haversine_km(lat1, lon1, lat2, lon2) -> float:
 
 
 def spatial_average(panel: PanelDataset, district_id: str, series_by_district,
-                    k: int = 4) -> Series:
-    """Unweighted mean over the district's k nearest neighbours' series."""
-    ids = panel.neighbors(district_id, k)
-    missing = [d for d in ids if d not in series_by_district]
-    if missing:
-        raise DataError(f"no series for neighbors {missing} of {district_id!r}")
-    series = [series_by_district[d] for d in ids]
+                    k: int = 4) -> Series | None:
+    """Unweighted mean over the series of those of the k nearest neighbours that have one.
+
+    None when no neighbour has a series.
+    """
+    series = [series_by_district[d] for d in panel.neighbors(district_id, k)
+              if d in series_by_district]
+    if not series:
+        return None
     t0 = max(s.start for s in series)
     t1 = min(s.end for s in series)
     if t1 < t0:
@@ -198,10 +201,10 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
                  "country": panel.country_of}
     blocks: list[_Block] = []
 
-    def phase(group, label, source):
+    def phase(group, label, source, missing=""):
         cols = tuple(Column(f"{group}[m={m}]", group, offset=3 * m)
                      for m in range(1, spec.y_lags + 1))
-        blocks.append(_Block(cols, source, (label, 3 * spec.y_lags, 0)))
+        blocks.append(_Block(cols, source, (label, 3 * spec.y_lags, 0), missing))
 
     def lagged(name, group, label, source, feature=None, missing=""):
         cols = tuple(Column(f"{name},n={n}]", group, offset=spec.delay + n, feature=feature)
@@ -233,18 +236,20 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
                        at(panel.factors.get(w, {}).get(level, {}), loc_of), feature=w,
                        missing=f"missing news factor {w}@{level}")
     if spec.spatial:
-        phase("sp_y", "sp_ipc", around(panel.ipc))
+        phase("sp_y", "sp_ipc", around(panel.ipc), missing="no neighbour has ipc")
         if spec.uses_traditional:
             for k in TRADITIONAL_INDICATORS:
                 lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
-                       around(panel.traditional.get(k, {})))
+                       around(panel.traditional.get(k, {})),
+                       missing=f"no neighbour has traditional indicator {k}")
             undated("sp_static", panel.static_names, lambda d: [
                 float(np.mean([panel.districts[nd].statics[s] for nd in panel.neighbors(d)]))
                 for s in panel.static_names])
         if spec.uses_news:
             for w in features:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
-                       around(panel.factors.get(w, {}).get("district", {})), feature=w)
+                       around(panel.factors.get(w, {}).get("district", {})), feature=w,
+                       missing=f"no neighbour has news factor {w}@district")
     return blocks
 
 

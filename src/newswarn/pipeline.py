@@ -62,13 +62,13 @@ class RunContext:
             self._cache["gaz"] = corpus_mod.load_gazetteer(self.cfg.gazetteer)
         return self._cache["gaz"]
 
-    def index(self):
-        if "index" not in self._cache:
+    def corpus(self) -> corpus_mod.Corpus:
+        """The corpus, parsed on first read and shared by every stage of the run."""
+        if "corpus" not in self._cache:
             self._require(self.cfg.corpus, "corpus")
-            self._cache["index"] = corpus_mod.ingest_corpus(
-                self.cfg.corpus, self.window, self.gazetteer(), strict=self.cfg.strict
-            )
-        return self._cache["index"]
+            self._cache["corpus"] = corpus_mod.read_corpus(self.cfg.corpus, self.window,
+                                                           strict=self.cfg.strict)
+        return self._cache["corpus"]
 
     def embeddings(self):
         if "emb" not in self._cache:
@@ -273,12 +273,12 @@ def _stage_expand(ctx: RunContext):
     cfg = ctx.cfg
     ctx._require(cfg.embeddings, "embeddings")
     ctx._require(cfg.corpus, "corpus")
-    inputs = [ctx.out / "seeds.json", cfg.corpus, cfg.gazetteer, cfg.embeddings]
+    inputs = [ctx.out / "seeds.json", cfg.corpus, cfg.embeddings]
     outputs = [ctx.out / "expanded.json", ctx.out / "features.json"]
 
     def compute():
         seeds = frames_mod.load_seed_features(ctx.out / "seeds.json")
-        candidates = semantics_mod.enumerate_candidates(ctx.index(), cfg.ngram_floor)
+        candidates = semantics_mod.enumerate_candidates(ctx.corpus(), cfg.ngram_floor)
         expanded = semantics_mod.expand_seeds(seeds, candidates, ctx.embeddings(),
                                               radius=cfg.wmd_radius)
         _write_json(ctx.out / "expanded.json", [
@@ -307,23 +307,14 @@ def _stage_factors(ctx: RunContext):
     def compute():
         with open(ctx.out / "features.json", "r", encoding="utf-8") as fh:
             features = sorted({row["ngram"] for row in json.load(fh)})
-        index = ctx.index()
-        gaz = ctx.gazetteer()
-        locations = sorted(gaz.districts) + sorted(gaz.provinces) + sorted(gaz.countries)
-        skipped = []
-        out_rows = []
-        for feature in features:
-            if feature not in index.ngram_postings:
-                skipped.append({"ngram": feature, "reason": "absent from corpus"})
-                continue
-            for loc in locations:
-                out_rows.append(corpus_mod.compute_news_factor(
-                    feature, loc, index, gaz,
-                    exclude_targets=cfg.exclude_target_articles,
-                    target_keywords=cfg.target_keywords,
-                    denominator=cfg.factor_denominator,
-                ))
-        corpus_mod.write_factors_csv(ctx.out / "factors.csv", out_rows)
+        factors, absent = corpus_mod.news_factors(
+            ctx.corpus(), features, ctx.gazetteer(),
+            exclude_targets=cfg.exclude_target_articles,
+            target_keywords=cfg.target_keywords,
+            denominator=cfg.factor_denominator,
+        )
+        corpus_mod.write_factors_csv(ctx.out / "factors.csv", factors)
+        skipped = [{"ngram": f, "reason": "absent from corpus"} for f in absent]
         _write_json(ctx.out / "factors_skipped.json", skipped)
 
     params = {"exclude_targets": cfg.exclude_target_articles,

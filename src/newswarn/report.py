@@ -15,6 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
+from . import corpus as corpus_mod
 from . import outbreak as outbreak_mod
 from . import semantics as semantics_mod
 from .months import format_month, parse_month
@@ -167,21 +168,16 @@ def build_report(ctx) -> None:
 
     # News coverage split by outbreak prediction success of
     # the combined model.
-    index = ctx.index()
     with open(out / "retained.json", "r", encoding="utf-8") as fh:
         retained = sorted(json.load(fh))
-    feature_articles: set[str] = set()
-    for w in retained:
-        feature_articles |= index.ngram_postings.get(w, set())
     combined_hits = {(d, a) for d, _, a in matched_by_model.get("combined", set())}
     provinces = sorted({d.province_id for d in panel.districts.values()})
+    articles = corpus_mod.feature_coverage(ctx.corpus(), retained, ctx.gazetteer(), provinces)
     with open(report_dir / "coverage.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["province", "articles_with_features", "n_outbreaks",
                          "all_predicted"])
-        for prov in provinces:
-            prov_articles = index.loc_postings.get(prov, set())
-            n_articles = len(prov_articles & feature_articles)
+        for prov, n_articles in zip(provinces, articles):
             events = [e for e in actual_events
                       if panel.province_of(e.district) == prov]
             all_predicted = bool(events) and all(

@@ -141,10 +141,10 @@ def wmd(a, b, emb: EmbeddingTable, skip_oov: bool = False) -> float:
     return transport_plan(a, b, emb, skip_oov).cost
 
 
-def enumerate_candidates(index, floor: int = 1000) -> list[str]:
+def enumerate_candidates(corpus, floor: int = 1000) -> list[str]:
     """All corpus unigrams, plus bi/trigrams occurring strictly more than ``floor`` times."""
     out = []
-    for gram, count in index.ngram_occurrences.items():
+    for gram, count in corpus.ngram_occurrences.items():
         if " " not in gram or count > floor:
             out.append(gram)
     return sorted(out)

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import re
 
-_NON_TOKEN = re.compile(r"[^a-z0-9]+")
+_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase, strip punctuation, split on whitespace."""
-    return tuple(t for t in _NON_TOKEN.split(text.lower()) if t)
+    return tuple(_TOKEN.findall(text.lower()))
 
 
 def normalize_ngram(ngram) -> str:

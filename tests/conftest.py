@@ -1,9 +1,10 @@
 import json
+import zlib
 
 import numpy as np
 import pytest
 
-from newswarn.corpus import District, Gazetteer, ingest_corpus
+from newswarn.corpus import District, Gazetteer, read_corpus
 from newswarn.semantics import EmbeddingTable
 
 
@@ -43,14 +44,14 @@ def article(i, date, text, countries=("SO",), source="wire"):
 
 
 @pytest.fixture
-def small_index(tmp_path, gazetteer):
+def small_corpus(tmp_path):
     articles = [
         article(0, "2011-01-05", "famine returns to Jamaame after drought"),
         article(1, "2011-01-12", "market day in Kismayo"),
         article(2, "2011-02-03", "rains improve across the region"),
     ]
     path = write_corpus(tmp_path / "corpus.jsonl", articles)
-    return ingest_corpus(path, ("2011-01", "2011-02"), gazetteer)
+    return read_corpus(path, ("2011-01", "2011-02"))
 
 
 def embedding_table(**vectors):
@@ -111,10 +112,10 @@ def make_panel(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
         for d, rec in districts.items():
             by_level["district"][d] = Series(
                 t0, np.clip(rng.normal(0.05, 0.02, months), 0, 1))
-        for p in {rec.province_id for rec in districts.values()}:
+        for p in sorted({rec.province_id for rec in districts.values()}):
             by_level["province"][p] = Series(
                 t0, np.clip(rng.normal(0.05, 0.02, months), 0, 1))
-        for c in {rec.country for rec in districts.values()}:
+        for c in sorted({rec.country for rec in districts.values()}):
             by_level["country"][c] = Series(
                 t0, np.clip(rng.normal(0.05, 0.02, months), 0, 1))
         factors_raw[w] = by_level
@@ -170,7 +171,7 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
     coef = {}
     for c in columns:
         if c.group == "intercept":
-            coef[c.name] = 0.8 + 0.05 * (hash(c.name) % 7)
+            coef[c.name] = 0.8 + 0.05 * (zlib.crc32(c.name.encode()) % 7)
         elif c.group == "y_lag":
             coef[c.name] = 0.04
         elif c.group == "traditional":

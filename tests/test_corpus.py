@@ -1,78 +1,231 @@
+import json
 import warnings
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from newswarn.corpus import (Article, NewsFactorSeries, compute_news_factor, ingest_corpus,
-                             match_locations, read_factors_csv, write_factors_csv)
+from newswarn.corpus import (District, Gazetteer, NewsFactorSeries, feature_coverage,
+                             match_locations, news_factors, read_corpus, read_factors_csv,
+                             write_factors_csv)
 from newswarn.errors import DataError
-from newswarn.months import parse_month
+from newswarn.months import format_month, parse_date, parse_month
+from newswarn.semantics import enumerate_candidates
 from newswarn.series import Series
-from newswarn.textutil import tokenize
+from newswarn.stemmer import stem_tokens
+from newswarn.textutil import iter_ngrams, normalize_ngram, tokenize
 
 from conftest import article, make_gazetteer, write_corpus
 
 
-def make_article(text, countries=("SO",), month="2011-01"):
-    return Article(id="x", month=parse_month(month), date=f"{month}-01", source="t",
-                   country_tags=frozenset(countries), tokens=tokenize(text))
+# ------------------------------------------------------------------ oracle
+# The posting-set index the count-based corpus layer replaced: one Python set
+# of article ids per location and per distinct 1..3-gram, and one factor
+# series per call. The tests below require the new counts to equal it.
+
+
+class OracleIndex:
+    def __init__(self, window):
+        self.window = window
+        self.articles = {}  # id -> (month, tags, tokens)
+        self.by_month = defaultdict(list)
+        self.loc_postings = defaultdict(set)
+        self.ngram_postings = defaultdict(set)
+        self.ngram_occurrences = Counter()
+        self.monthly_totals = Counter()
+
+    def add(self, aid, month, tags, tokens, gaz):
+        if aid in self.articles:
+            raise DataError(f"duplicate article id {aid!r}")
+        self.articles[aid] = (month, tags, tokens)
+        self.by_month[month].append(aid)
+        for loc in oracle_locations(tokens, tags, gaz):
+            self.loc_postings[loc].add(aid)
+        for gram in iter_ngrams(tokens, 3):
+            key = " ".join(gram)
+            self.ngram_occurrences[key] += 1
+            self.ngram_postings[key].add(aid)
+        for c in tags:
+            self.monthly_totals[(c, month)] += 1
+
+    def articles_with_targets(self, target_keywords):
+        sequences = [stem_tokens(tokenize(k)) for k in sorted(target_keywords)]
+        hits = set()
+        for aid, (_, _, tokens) in self.articles.items():
+            stems = stem_tokens(tokens)
+            for seq in sequences:
+                n = len(seq)
+                if n and n <= len(stems) and any(stems[i : i + n] == seq
+                                                  for i in range(len(stems) - n + 1)):
+                    hits.add(aid)
+                    break
+        return hits
+
+
+def oracle_locations(tokens, tags, gaz):
+    matched = set()
+    for n in range(1, len(tokens) + 1):
+        for i in range(len(tokens) - n + 1):
+            for d in gaz.districts.values():
+                if tokenize(d.name) == tokens[i : i + n] or any(
+                        tokenize(a) == tokens[i : i + n] for a in d.aliases):
+                    matched.add(d.district_id)
+    out = set(tags)
+    for did in matched:
+        d = gaz.districts[did]
+        out |= {did, d.province_id, d.country}
+    return out
+
+
+def oracle_ingest(path, window, gaz, strict=False):
+    w0, w1 = (parse_month(w) for w in window)
+    if w1 < w0:
+        raise DataError(f"empty corpus window [{format_month(w0)}, {format_month(w1)}]")
+    index = OracleIndex((w0, w1))
+    skipped = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                try:
+                    obj = json.loads(line)
+                    month = parse_date(obj["date"])
+                    tags = frozenset(str(c).upper() for c in obj["countries"])
+                    if not tags:
+                        raise DataError("empty country tags")
+                    aid = str(obj["id"])
+                    tokens = tokenize(str(obj["text"]))
+                except (KeyError, TypeError, ValueError, DataError) as exc:
+                    raise DataError(f"line {lineno}: malformed article: {exc}") from None
+                if w0 <= month <= w1:
+                    index.add(aid, month, tags, tokens, gaz)
+            except DataError as exc:
+                if strict:
+                    raise DataError(f"{path}: {exc}") from None
+                skipped += 1
+    if not index.articles:
+        raise DataError(f"no articles inside window [{format_month(w0)}, {format_month(w1)}]")
+    index.skipped_lines = skipped
+    return index
+
+
+def oracle_factor(feature, loc, index, gaz, exclude_targets=False, target_keywords=None,
+                  denominator="country"):
+    key = normalize_ngram(feature)
+    if key not in index.ngram_postings:
+        raise DataError(f"feature {key!r} does not occur in the corpus")
+    level = gaz.location_level(loc)
+    country = gaz.location_country(loc)
+    excluded = index.articles_with_targets(target_keywords) if exclude_targets else set()
+    co_ids = index.ngram_postings[key] & index.loc_postings.get(loc, set())
+    co_by_month = Counter(index.articles[a][0] for a in co_ids if a not in excluded)
+    denom_drop = Counter()
+    for a in excluded:
+        month, tags, _ = index.articles[a]
+        if denominator == "corpus" or country in tags:
+            denom_drop[month] += 1
+    w0, w1 = index.window
+    values = np.zeros(w1 - w0 + 1)
+    zero_months = []
+    for t in range(w0, w1 + 1):
+        if denominator == "country":
+            total = index.monthly_totals.get((country, t), 0)
+        else:
+            total = len(index.by_month.get(t, ()))
+        denom = total - denom_drop.get(t, 0)
+        if denom <= 0:
+            zero_months.append(t)
+            continue
+        values[t - w0] = co_by_month.get(t, 0) / denom
+    return NewsFactorSeries(feature=key, location_id=loc, level=level,
+                            series=Series(w0, values),
+                            zero_denominator_months=tuple(zero_months))
+
+
+def oracle_factors(index, features, gaz, **kwargs):
+    locations = sorted(gaz.districts) + sorted(gaz.provinces) + sorted(gaz.countries)
+    series, absent = [], []
+    for f in features:
+        if f not in index.ngram_postings:
+            absent.append(f)
+            continue
+        series += [oracle_factor(f, loc, index, gaz, **kwargs) for loc in locations]
+    return series, absent
+
+
+def oracle_coverage(index, features, locations):
+    with_features = set()
+    for f in features:
+        with_features |= index.ngram_postings.get(f, set())
+    return [len(index.loc_postings.get(loc, set()) & with_features) for loc in locations]
+
+
+def factors_of(corpus, features, gaz, **kwargs):
+    """news_factors' series keyed by (feature, location)."""
+    series, _ = news_factors(corpus, features, gaz, **kwargs)
+    return {(s.feature, s.location_id): s for s in series}
 
 
 class TestIngest:
-    def test_three_articles_indexed(self, small_index):
-        assert len(small_index) == 3
+    def test_three_articles_indexed(self, small_corpus):
+        assert len(small_corpus) == 3
         jan, feb = parse_month("2011-01"), parse_month("2011-02")
-        assert sorted(small_index.by_month[jan]) == ["a000", "a001"]
-        assert small_index.by_month[feb] == ["a002"]
-        assert small_index.monthly_totals[("SO", jan)] == 2
-        assert small_index.monthly_totals[("SO", feb)] == 1
+        assert small_corpus.months.tolist() == [jan, jan, feb]
+        so_by_month = Counter(m for m, tags in zip(small_corpus.months.tolist(),
+                                                   small_corpus.country_tags) if "SO" in tags)
+        assert so_by_month == {jan: 2, feb: 1}
 
-    def test_article_outside_window_excluded(self, tmp_path, gazetteer):
+    def test_article_outside_window_excluded(self, tmp_path):
         arts = [article(0, "2011-01-05", "inside the window"),
                 article(1, "2012-06-05", "outside the window")]
         path = write_corpus(tmp_path / "c.jsonl", arts)
-        index = ingest_corpus(path, ("2011-01", "2011-12"), gazetteer)
-        assert len(index) == 1
-        assert sum(index.monthly_totals.values()) == 1
+        corpus = read_corpus(path, ("2011-01", "2011-12"))
+        assert len(corpus) == 1
+        assert corpus.tokens == [("inside", "the", "window")]
 
-    def test_duplicate_id_strict_error(self, tmp_path, gazetteer):
+    def test_duplicate_id_strict_error(self, tmp_path):
         arts = [article(0, "2011-01-05", "one"), article(0, "2011-01-06", "two")]
         path = write_corpus(tmp_path / "c.jsonl", arts)
         with pytest.raises(DataError, match="duplicate"):
-            ingest_corpus(path, ("2011-01", "2011-02"), gazetteer, strict=True)
+            read_corpus(path, ("2011-01", "2011-02"), strict=True)
 
-    def test_duplicate_id_lenient_skips(self, tmp_path, gazetteer):
+    def test_duplicate_id_lenient_skips(self, tmp_path):
         arts = [article(0, "2011-01-05", "one"), article(0, "2011-01-06", "two")]
         path = write_corpus(tmp_path / "c.jsonl", arts)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            index = ingest_corpus(path, ("2011-01", "2011-02"), gazetteer)
-        assert len(index) == 1
+            corpus = read_corpus(path, ("2011-01", "2011-02"))
+        assert len(corpus) == 1
+        assert corpus.skipped_lines == 1
         assert any("duplicate" in str(w.message) for w in caught)
 
-    def test_malformed_line_reports_line_number(self, tmp_path, gazetteer):
+    def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "c.jsonl"
         with open(path, "w") as fh:
             fh.write('{"id": "a1", "date": "2011-01-02", "countries": ["SO"], "text": "ok"}\n')
             fh.write("not json at all\n")
         with pytest.raises(DataError, match="line 2"):
-            ingest_corpus(path, ("2011-01", "2011-02"), gazetteer, strict=True)
+            read_corpus(path, ("2011-01", "2011-02"), strict=True)
 
-    def test_empty_window_errors(self, tmp_path, gazetteer):
+    def test_empty_window_errors(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [article(0, "2011-01-05", "x")])
         with pytest.raises(DataError):
-            ingest_corpus(path, ("2012-01", "2012-02"), gazetteer)
+            read_corpus(path, ("2012-01", "2012-02"))
 
-    def test_determinism(self, tmp_path, gazetteer):
+    def test_determinism(self, tmp_path):
         arts = [article(i, f"2011-0{1 + i % 2}-05", f"famine in Jamaame number {i}")
                 for i in range(6)]
         path = write_corpus(tmp_path / "c.jsonl", arts)
-        a = ingest_corpus(path, ("2011-01", "2011-02"), gazetteer)
-        b = ingest_corpus(path, ("2011-01", "2011-02"), gazetteer)
-        assert a.monthly_totals == b.monthly_totals
+        a = read_corpus(path, ("2011-01", "2011-02"))
+        b = read_corpus(path, ("2011-01", "2011-02"))
+        assert a.months.tolist() == b.months.tolist()
+        assert a.country_tags == b.country_tags
+        assert a.tokens == b.tokens
         assert a.ngram_occurrences == b.ngram_occurrences
-        assert {k: sorted(v) for k, v in a.loc_postings.items()} == \
-               {k: sorted(v) for k, v in b.loc_postings.items()}
 
 
 class TestGazetteerInvariants:
@@ -110,21 +263,23 @@ class TestGazetteerInvariants:
 
 
 class TestMatchLocations:
+    def locations(self, text, gazetteer, countries=("SO",)):
+        return match_locations(tokenize(text), frozenset(countries), gazetteer)
+
     def test_district_implies_province_and_country(self, gazetteer):
-        art = make_article("famine may return to Jamaame this year")
-        assert match_locations(art, gazetteer) == {"so-jam", "so-lower-juba", "SO"}
+        assert self.locations("famine may return to Jamaame this year", gazetteer) == \
+            {"so-jam", "so-lower-juba", "SO"}
 
     def test_no_names_falls_back_to_tags(self, gazetteer):
-        art = make_article("nothing geographic here", countries=("ET",))
-        assert match_locations(art, gazetteer) == {"ET"}
+        assert self.locations("nothing geographic here", gazetteer, ("ET",)) == {"ET"}
 
     def test_alias_match(self, gazetteer):
-        art = make_article("drought reported around Majang highlands", countries=("ET",))
-        assert match_locations(art, gazetteer) == {"et-maj", "et-gambela", "ET"}
+        assert self.locations("drought reported around Majang highlands", gazetteer,
+                              ("ET",)) == {"et-maj", "et-gambela", "ET"}
 
     def test_whole_token_only(self, gazetteer):
-        art = make_article("the gogol river floods")  # "gog" must not match inside "gogol"
-        assert match_locations(art, gazetteer) == {"SO"}
+        # "gog" must not match inside "gogol"
+        assert self.locations("the gogol river floods", gazetteer) == {"SO"}
 
 
 class TestNewsFactor:
@@ -144,8 +299,8 @@ class TestNewsFactor:
 
     def test_direct_ratio(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        f = compute_news_factor("drought", "so-jam", index, gazetteer)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        f = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
         assert f.series.at(parse_month("2011-01")) == pytest.approx(0.4)
         assert f.level == "district"
 
@@ -153,29 +308,34 @@ class TestNewsFactor:
         # 4 co-mentions, 2 contain a target; 3 of 10 articles contain a target
         # overall -> (4 - 2) / (10 - 3) = 2/7.
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        f = compute_news_factor("drought", "so-jam", index, gazetteer,
-                                exclude_targets=True, target_keywords=("famine",))
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        f = factors_of(corpus, ["drought"], gazetteer, exclude_targets=True,
+                       target_keywords=("famine",))[("drought", "so-jam")]
         assert f.series.at(parse_month("2011-01")) == pytest.approx(2.0 / 7.0)
 
     def test_never_comentioned_all_zero(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        f = compute_news_factor("market", "so-jam", index, gazetteer)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        f = factors_of(corpus, ["market"], gazetteer)[("market", "so-jam")]
         assert np.all(f.series.values == 0.0)
 
     def test_unknown_feature_errors(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        with pytest.raises(DataError):
-            compute_news_factor("zeppelin", "so-jam", index, gazetteer)
-        with pytest.raises(DataError):
-            compute_news_factor("drought", "nowhere", index, gazetteer)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        # corpus n-grams are canonical and have at most 3 tokens
+        features = ["drought", "zeppelin", "Drought", "drought hits jamaame famine"]
+        series, absent = news_factors(corpus, features, gazetteer)
+        assert absent == features[1:]
+        assert {s.feature for s in series} == {"drought"}
+        with pytest.raises(DataError, match="denominator"):
+            news_factors(corpus, ["drought"], gazetteer, denominator="nowhere")
+        with pytest.raises(DataError, match="target keywords"):
+            news_factors(corpus, ["drought"], gazetteer, exclude_targets=True)
 
     def test_zero_denominator_month_flagged(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-02"), gazetteer)
-        f = compute_news_factor("drought", "so-jam", index, gazetteer)
+        corpus = read_corpus(path, ("2011-01", "2011-02"))
+        f = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
         feb = parse_month("2011-02")
         assert f.series.at(feb) == 0.0
         assert feb in f.zero_denominator_months
@@ -183,23 +343,23 @@ class TestNewsFactor:
     def test_denominator_monotonicity(self, tmp_path, gazetteer):
         # Adding an SO-tagged article with no mentions weakly lowers the factor.
         base = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(base, ("2011-01", "2011-01"), gazetteer)
-        before = compute_news_factor("drought", "so-jam", index, gazetteer)
+        corpus = read_corpus(base, ("2011-01", "2011-01"))
+        before = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
         arts = [article(90, "2011-01-20", "sports results from the coast")]
         with open(base, "a") as fh:
-            import json as _json
-            fh.write(_json.dumps(arts[0]) + "\n")
-        index2 = ingest_corpus(base, ("2011-01", "2011-01"), gazetteer)
-        after = compute_news_factor("drought", "so-jam", index2, gazetteer)
+            fh.write(json.dumps(arts[0]) + "\n")
+        corpus2 = read_corpus(base, ("2011-01", "2011-01"))
+        after = factors_of(corpus2, ["drought"], gazetteer)[("drought", "so-jam")]
         jan = parse_month("2011-01")
         assert after.series.at(jan) <= before.series.at(jan)
 
     def test_factor_values_within_unit_interval(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        factors = factors_of(corpus, ["drought", "famine", "market"], gazetteer)
         for feature in ("drought", "famine", "market"):
             for loc in ("so-jam", "so-lower-juba", "SO"):
-                f = compute_news_factor(feature, loc, index, gazetteer)
+                f = factors[(feature, loc)]
                 assert np.all((f.series.values >= 0) & (f.series.values <= 1))
 
     def test_denominator_scope_switch(self, tmp_path, gazetteer):
@@ -208,19 +368,19 @@ class TestNewsFactor:
         arts += [article(2 + i, "2011-01-07", "harvest news", countries=("ET",))
                  for i in range(2)]
         path = write_corpus(tmp_path / "c.jsonl", arts)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
         jan = parse_month("2011-01")
-        country = compute_news_factor("drought", "so-jam", index, gazetteer)
-        corpus_wide = compute_news_factor("drought", "so-jam", index, gazetteer,
-                                          denominator="corpus")
+        country = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
+        corpus_wide = factors_of(corpus, ["drought"], gazetteer,
+                                 denominator="corpus")[("drought", "so-jam")]
         assert country.series.at(jan) == pytest.approx(1 / 2)
         assert corpus_wide.series.at(jan) == pytest.approx(1 / 4)
 
     def test_factors_csv_round_trip(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        factors = [compute_news_factor("drought", loc, index, gazetteer)
-                   for loc in ("so-jam", "SO")]
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        by_key = factors_of(corpus, ["drought"], gazetteer)
+        factors = [by_key[("drought", loc)] for loc in ("so-jam", "SO")]
         out = tmp_path / "factors.csv"
         write_factors_csv(out, factors)
         back = read_factors_csv(out)
@@ -253,3 +413,97 @@ class TestNewsFactor:
                        "drought,so-jam,district,2011-03,0.25\n")
         with pytest.raises(DataError, match="non-contiguous months"):
             read_factors_csv(out)
+
+
+# ------------------------------------------------- property test against the oracle
+
+_WORDS = ("jamaame", "kismayo", "majang", "gog", "dry", "spell", "famine", "starving",
+          "food", "crisis", "aa")
+_MALFORMED = ("not json", "[1, 2]",
+              '{"id": "m", "countries": ["SO"], "text": "aa"}',
+              '{"date": "2011-01-03", "countries": ["SO"], "text": "aa"}',
+              '{"id": "m", "date": "2011-01-03", "countries": [], "text": "aa"}',
+              '{"id": "m", "date": "2011-13-03", "countries": ["SO"], "text": "aa"}')
+_phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+_COUNTRY_OF = {"jamaame": "SO", "kismayo": "SO", "majang": "ET", "gog": "ET",
+               "kismayo aa": "KE"}
+
+
+@st.composite
+def _article(draw):
+    words = draw(st.lists(st.sampled_from(_WORDS + ("kismayo aa",)), min_size=2, max_size=12))
+    tags = set(draw(st.lists(st.sampled_from(["SO", "ET", "KE"]), min_size=1, max_size=2)))
+    if draw(st.integers(0, 9)):
+        # Mostly also tagged with the country of each district named. Otherwise
+        # a share can exceed 1, and both sides fail on every factor.
+        tags |= {_COUNTRY_OF[w] for w in words if w in _COUNTRY_OF}
+    month = draw(st.sampled_from(["2010-12", "2011-01", "2011-02", "2011-04", "2011-05"]))
+    return json.dumps({"id": str(draw(st.integers(0, 40))), "date": f"{month}-15",
+                       "countries": sorted(tags), "text": " ".join(words)})
+
+
+_line = st.one_of(st.sampled_from(_MALFORMED), st.just(""), *[_article()] * 6)
+
+
+@pytest.mark.parametrize("exclude", [False, True])
+@pytest.mark.parametrize("denominator", ["country", "corpus"])
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(_line, min_size=4, max_size=16),
+       features=st.lists(st.one_of(st.sampled_from(_WORDS), _phrase, st.just("zeppelin")),
+                         min_size=2, max_size=6),
+       targets=st.lists(st.sampled_from(["famine", "food crisis", "starvation", "dry spell"]),
+                        min_size=1, max_size=3),  # "starvation" and "starving" share a stem
+       strict=st.booleans())
+def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, strict, exclude,
+                                         denominator):
+    # The window 2011-01..2011-04 leaves out 2010-12 and 2011-05 and has no
+    # dated article in 2011-03, so every example has a zero-denominator month.
+    # The two-token alias "kismayo aa" names a district of its own, beside Kismayo.
+    turkana = District("ke-tur", "Lokichar", ("kismayo aa",), "ke-turkana", "KE", 2.0, 35.0,
+                       dict(population=1.0, area_km2=1.0, ruggedness=0.0,
+                            cropland_share=0.0, pasture_share=0.0))
+    gaz = Gazetteer([*make_gazetteer().districts.values(), turkana])
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    window = ("2011-01", "2011-04")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            index = oracle_ingest(path, window, gaz, strict=strict)
+        except DataError as exc:
+            with pytest.raises(DataError) as got:
+                read_corpus(path, window, strict=strict)
+            assert str(got.value) == str(exc)
+            return
+        corpus = read_corpus(path, window, strict=strict)
+    assert len(corpus) == len(index.articles)
+    assert corpus.skipped_lines == index.skipped_lines
+    assert corpus.ngram_occurrences == index.ngram_occurrences
+    for floor in (0, 1, 2):
+        assert enumerate_candidates(corpus, floor) == enumerate_candidates(index, floor)
+
+    features = sorted(set(features))
+    kwargs = dict(exclude_targets=exclude, target_keywords=tuple(targets),
+                  denominator=denominator)
+    try:
+        want, want_absent = oracle_factors(index, features, gaz, **kwargs)
+    except DataError as exc:
+        # e.g. an article naming a district of a country it is not tagged with
+        # can lift a share above 1
+        with pytest.raises(DataError) as got_error:
+            news_factors(corpus, features, gaz, **kwargs)
+        assert str(got_error.value) == str(exc)
+        return
+    got, got_absent = news_factors(corpus, features, gaz, **kwargs)
+    assert got_absent == want_absent
+    assert [s.zero_denominator_months for s in got] == \
+           [s.zero_denominator_months for s in want]
+    assert all(parse_month("2011-03") in s.zero_denominator_months for s in got)
+    write_factors_csv(tmp_path / "got.csv", got)
+    write_factors_csv(tmp_path / "want.csv", want)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    locations = sorted(gaz.provinces) + sorted(gaz.districts) + ["SO", "ET", "KE", "XX"]
+    assert feature_coverage(corpus, features, gaz, locations) == \
+           oracle_coverage(index, features, locations)

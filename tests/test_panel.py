@@ -200,6 +200,44 @@ class TestSpatial:
             for j, c in cols:
                 assert design.X[i, j] == sp.at(t - c.offset)
 
+    @pytest.mark.parametrize("kind,drop,reason", [
+        ("baseline", lambda p: p.traditional["rain_mean"], "traditional indicator rain_mean"),
+        ("news", lambda p: p.factors["beta"]["district"], "news factor beta@district"),
+    ], ids=["indicator", "news_factor"])
+    def test_one_missing_series_skips_one_district_in_both_designs(self, kind, drop, reason):
+        panel = make_panel(n_districts=6, features=("alpha", "beta"))
+        by_district = drop(panel)
+        del by_district["d03"]
+        plain = build_design(panel, ModelSpec(kind=kind))
+        spatial = build_design(panel, ModelSpec(kind=kind, spatial=True))
+        for design in (plain, spatial):
+            assert [s for s in design.skipped if s[0] == "d03"] == [
+                ("d03", -1, f"missing {reason}")]
+        assert spatial.rows == plain.rows
+        # Neighbours of d03 average the neighbours that have the series.
+        prefix = "sp_trad[rain_mean," if kind == "baseline" else "sp_news[beta,"
+        cols = [(j, c) for j, c in enumerate(spatial.columns) if c.name.startswith(prefix)]
+        near = [d for d in sorted(panel.districts) if "d03" in panel.neighbors(d)]
+        assert near
+        for i, (d, t) in enumerate(spatial.rows):
+            have = [n for n in panel.neighbors(d) if n in by_district]
+            assert len(have) == (3 if d in near else 4)
+            for j, c in cols:
+                assert spatial.X[i, j] == np.mean([by_district[n].at(t - c.offset)
+                                                   for n in have])
+
+    def test_no_neighbour_with_the_series_skips_with_reason(self):
+        panel = make_panel(n_districts=6)
+        by_district = panel.traditional["rain_mean"]
+        for n in panel.neighbors("d00"):
+            del by_district[n]
+        spatial = build_design(panel, ModelSpec(kind="baseline", spatial=True))
+        assert [s for s in spatial.skipped if s[0] == "d00"] == [
+            ("d00", -1, "no neighbour has traditional indicator rain_mean")]
+        assert spatial_average(panel, "d00", by_district) is None
+        plain = build_design(panel, ModelSpec(kind="baseline"))
+        assert {d for d, _ in plain.rows} == {d for d, _ in spatial.rows} | {"d00"}
+
     def test_spatial_design_appends_columns(self):
         panel = make_panel(n_districts=6, features=("alpha",))
         plain = build_design(panel, ModelSpec(kind="combined"))

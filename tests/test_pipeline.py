@@ -2,6 +2,10 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,6 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import newswarn
 from newswarn import corpus as corpus_mod
 from newswarn import panel as panel_mod
 from newswarn.cli import main as cli_main
@@ -145,6 +150,22 @@ class TestFullRun:
         finally:
             quiet_run(cfg, ["select"])
 
+    def test_gazetteer_edit_keeps_expand_cached(self, run_dir):
+        # expand reads the corpus without the gazetteer; factors matches locations
+        _, cfg, _ = run_dir
+        original = Path(cfg.gazetteer).read_bytes()
+        gaz = corpus_mod.load_gazetteer(cfg.gazetteer)
+        first, *rest = gaz.districts.values()
+        aliased = dataclasses.replace(first, aliases=first.aliases + ("unheardof",))
+        try:
+            corpus_mod.write_gazetteer(cfg.gazetteer, [aliased, *rest])
+            summary = quiet_run(cfg)
+        finally:
+            Path(cfg.gazetteer).write_bytes(original)
+            quiet_run(cfg)
+        assert summary == {s: "cached" if s in ("extract", "expand") else "run"
+                           for s in STAGE_ORDER}
+
     def test_models_json_names_columns(self, run_dir):
         _, cfg, _ = run_dir
         models = json.loads((Path(cfg.output) / "models.json").read_text())
@@ -208,6 +229,37 @@ class TestMovedBundle:
         cfg = load_config(moved / "config.ini")
         assert quiet_run(cfg) == {s: "run" for s in STAGE_ORDER}
         assert Path(cfg.output) == (moved / "run").resolve()
+
+
+class TestHashSeed:
+    SCRIPT = """
+import dataclasses, sys, warnings
+from newswarn.config import load_config
+from newswarn.pipeline import run_pipeline
+from newswarn.synth import SyntheticSpec, generate_synthetic
+bundle = generate_synthetic(SyntheticSpec(**{spec}), seed=3, out_dir=sys.argv[1])
+cfg = dataclasses.replace(load_config(bundle["config"]), exclude_target_articles=True)
+warnings.simplefilter("ignore")
+run_pipeline(cfg)
+"""
+
+    def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
+        # Both runs use the same directory, so even the manifests must match.
+        bundle = tmp_path / "bundle"
+        src = str(Path(newswarn.__file__).resolve().parent.parent)
+        outputs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", self.SCRIPT.format(spec=SMALL), str(bundle)],
+                           env=env, check=True, timeout=300)
+            outputs.append({p.relative_to(bundle).as_posix(): p.read_bytes()
+                            for p in sorted(bundle.rglob("*")) if p.is_file()})
+            shutil.rmtree(bundle)
+        first, second = outputs
+        assert "run/report/coverage.csv" in first
+        assert sorted(first) == sorted(second)
+        assert [name for name in first if first[name] != second[name]] == []
 
 
 class TestNullSimulation:
@@ -288,13 +340,18 @@ class TestWorkDoneOnce:
         out = tmp_path_factory.mktemp("once")
         bundle = generate_synthetic(SyntheticSpec(**SMALL), seed=5, out_dir=out)
         cfg = load_config(bundle["config"])
-        parses, cv_specs = [], []
+        parses, cv_specs, corpus_reads = [], [], []
         real_read = corpus_mod.read_factors_csv
+        real_read_corpus = corpus_mod.read_corpus
         real_cv = panel_mod.cross_validate_design
 
         def count_read(*args, **kwargs):
             parses.append(args)
             return real_read(*args, **kwargs)
+
+        def count_read_corpus(*args, **kwargs):
+            corpus_reads.append(args)
+            return real_read_corpus(*args, **kwargs)
 
         def count_cv(design, spec, *args, **kwargs):
             cv_specs.append(spec)
@@ -302,17 +359,23 @@ class TestWorkDoneOnce:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_mod, "read_factors_csv", count_read)
+            mp.setattr(corpus_mod, "read_corpus", count_read_corpus)
             mp.setattr(panel_mod, "cross_validate_design", count_cv)
             summary = quiet_run(cfg)
         assert summary == {s: "run" for s in STAGE_ORDER}
-        return parses, cv_specs
+        return parses, cv_specs, corpus_reads
 
     def test_cold_run_parses_factors_once(self, counted_run):
-        parses, _ = counted_run
+        parses, _, _ = counted_run
         assert len(parses) == 1
 
+    def test_cold_run_parses_the_corpus_once(self, counted_run):
+        # expand, factors and report share one parse
+        _, _, corpus_reads = counted_run
+        assert len(corpus_reads) == 1
+
     def test_ablate_reuses_the_combined_cv_of_fit(self, counted_run):
-        _, cv_specs = counted_run
+        _, cv_specs, _ = counted_run
         unablated = [s for s in cv_specs if not s.ablated_clusters]
         assert sorted(s.kind for s in unablated) == sorted(panel_mod.MODEL_KINDS)
         assert any(s.ablated_clusters for s in cv_specs)

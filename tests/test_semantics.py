@@ -173,32 +173,32 @@ class TestLoadEmbeddings:
 
 
 class TestCandidates:
-    def test_unigram_always_included_floor_is_strict(self, small_index):
-        candidates = enumerate_candidates(small_index, floor=10)
+    def test_unigram_always_included_floor_is_strict(self, small_corpus):
+        candidates = enumerate_candidates(small_corpus, floor=10)
         assert "famine" in candidates                 # unigram seen once
         assert all(" " not in c for c in candidates)  # no bigram passes floor 10
 
-    def test_strict_floor_boundary(self, tmp_path, gazetteer):
+    def test_strict_floor_boundary(self, tmp_path):
         from conftest import article, write_corpus
-        from newswarn.corpus import ingest_corpus
+        from newswarn.corpus import read_corpus
         arts = [article(i, "2011-01-05", "dry spell continues") for i in range(3)]
         path = write_corpus(tmp_path / "c.jsonl", arts)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        assert index.ngram_occurrences["dry spell"] == 3
-        at_floor = enumerate_candidates(index, floor=3)
-        above_floor = enumerate_candidates(index, floor=2)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        assert corpus.ngram_occurrences["dry spell"] == 3
+        at_floor = enumerate_candidates(corpus, floor=3)
+        above_floor = enumerate_candidates(corpus, floor=2)
         assert "dry spell" not in at_floor      # count == floor -> excluded
         assert "dry spell" in above_floor       # count > floor -> included
 
-    def test_exact_expected_set(self, tmp_path, gazetteer):
+    def test_exact_expected_set(self, tmp_path):
         from conftest import article, write_corpus
-        from newswarn.corpus import ingest_corpus
+        from newswarn.corpus import read_corpus
         arts = [article(0, "2011-01-05", "aa bb aa bb"),
                 article(1, "2011-01-06, ".replace(", ", ""), "aa bb cc")]
         arts[1]["date"] = "2011-01-06"
         path = write_corpus(tmp_path / "c.jsonl", arts)
-        index = ingest_corpus(path, ("2011-01", "2011-01"), gazetteer)
-        got = set(enumerate_candidates(index, floor=2))
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        got = set(enumerate_candidates(corpus, floor=2))
         # unigrams always in; "aa bb" occurs 3 times (> 2); everything else <= 2
         assert got == {"aa", "bb", "cc", "aa bb"}
 
