@@ -309,26 +309,12 @@ class NewsFactorSeries:
     location_id: str
     level: str
     series: Series
-    differencing_order: int = 0
     zero_denominator_months: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.differencing_order == 0:
-            v = self.series.values
-            if np.any(v < 0.0) or np.any(v > 1.0):
-                raise DataError("news factor proportions must lie in [0, 1]")
-
-    def diff(self, d: int) -> "NewsFactorSeries":
-        if d == 0:
-            return self
-        return NewsFactorSeries(
-            feature=self.feature,
-            location_id=self.location_id,
-            level=self.level,
-            series=self.series.diff(d),
-            differencing_order=self.differencing_order + d,
-            zero_denominator_months=self.zero_denominator_months,
-        )
+        v = self.series.values
+        if np.any(v < 0.0) or np.any(v > 1.0):
+            raise DataError("news factor proportions must lie in [0, 1]")
 
 
 def news_factors(
@@ -344,7 +330,9 @@ def news_factors(
     The numerator counts the month's articles that contain the feature and
     name the location (``match_locations``). The denominator is the count of
     the month's articles tagged with the location's country ("country", the
-    default) or all articles that month ("corpus"); months with no such
+    default) or all articles that month ("corpus"). With "country", the
+    numerator counts only articles tagged with the location's country too, so
+    the value is a share of that country's articles. Months with no such
     articles get value 0 and are flagged. With ``exclude_targets`` set,
     articles containing a target keyword are removed from numerator and
     denominator.
@@ -361,6 +349,7 @@ def news_factors(
             raise DataError("exclude_targets requires target keywords")
         keep = ~target_flags(corpus, target_keywords)
     locations = sorted(gaz.districts) + sorted(gaz.provinces) + sorted(gaz.countries)
+    country_of = [gaz.location_country(loc) for loc in locations]
     w0, w1 = corpus.window
     n_months, n_locs = w1 - w0 + 1, len(locations)
     month = (corpus.months - w0).tolist()
@@ -371,6 +360,8 @@ def news_factors(
                                       {loc: i for i, loc in enumerate(locations)}):
         found |= hits
         if keep[a]:
+            if denominator == "country":
+                locs = [i for i in locs if country_of[i] in corpus.country_tags[a]]
             cells.extend([(f * n_locs + i) * n_months + month[a] for f in hits for i in locs])
     counts = np.bincount(np.frombuffer(cells, dtype=np.int64),
                          minlength=len(features) * n_locs * n_months)
@@ -380,7 +371,6 @@ def news_factors(
     if denominator == "corpus":
         denom = np.tile(np.bincount(corpus.months[kept] - w0, minlength=n_months), (n_locs, 1))
     else:
-        country_of = [gaz.location_country(loc) for loc in locations]
         row = {c: i for i, c in enumerate(sorted(set(country_of)))}
         tagged = [row[c] * n_months + month[a]
                   for a in kept.tolist() for c in corpus.country_tags[a] if c in row]

@@ -381,11 +381,6 @@ class FitResult:
             named.setdefault(name, 0.0)
         return named
 
-    def predict(self, design: DesignMatrix) -> np.ndarray:
-        if tuple(c.name for c in design.columns) != tuple(c.name for c in self.columns):
-            raise DataError("design columns do not match fitted columns")
-        return design.X[:, list(self.kept)] @ self.beta
-
 
 def soft_threshold(rho: float, lam: float) -> float:
     if rho > lam:

@@ -1,10 +1,11 @@
 """Stage orchestration with content-hash manifests.
 
-Each stage declares its input files, parameters, and output files. A stage is
-skipped on rerun when its manifest still matches the current input hashes and
-its outputs are intact, so deleting any downstream output and resuming
-reproduces it bit-identically. Manifests carry no timestamps; the config and
-its input files fully determine every emitted byte.
+Each stage declares its parameters; its input and output files are the ones
+it opened through ``RunContext.read`` and ``RunContext.write``. A stage is
+skipped on rerun when its parameters are unchanged, every file it read still
+has the recorded hash, and its outputs are intact, so deleting any downstream
+output and resuming reproduces it bit-identically. Manifests carry no
+timestamps; the config and its input files fully determine every emitted byte.
 """
 
 from __future__ import annotations
@@ -23,15 +24,10 @@ from . import outbreak as outbreak_mod
 from . import panel as panel_mod
 from . import semantics as semantics_mod
 from . import tsstats as tsstats_mod
-from .config import PipelineConfig
+from .config import _PATH_KEYS, PipelineConfig
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month
 from .series import Series
-
-STAGE_ORDER = (
-    "extract", "expand", "factors", "select", "fit", "ablate",
-    "classify", "validate", "report",
-)
 
 
 def file_sha256(path) -> str:
@@ -46,74 +42,108 @@ def _params_hash(params: dict) -> str:
     return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
 
+class _MissingInput(ConfigError):
+    """A file a stage reads is not named by the config or does not exist."""
+
+
 @dataclass
 class RunContext:
+    """One run's config and output directory, and the files each stage reads and writes.
+
+    Stages open files only through ``read`` and ``write``. The names they
+    pass are config path keys (``corpus``, ``panel``, ...) or files of the
+    run directory (``seeds.json``, ``report/coverage.csv``), and the stage's
+    manifest is built from what was recorded.
+    """
+
     cfg: PipelineConfig
     out: Path
-    _cache: dict = field(default_factory=dict)
+    _reads: dict = field(default_factory=dict)  # name -> sha256, or None for an unset key
+    _writes: set = field(default_factory=set)
+    _memos: dict = field(default_factory=dict)  # key -> (value, the reads that built it)
 
     @property
     def window(self) -> tuple[int, int]:
         return parse_month(self.cfg.window_start), parse_month(self.cfg.window_end)
 
+    def _path(self, name: str) -> Path | None:
+        """Where ``name`` lives under the current config; None for an unset key."""
+        if name in _PATH_KEYS:
+            value = getattr(self.cfg, name)
+            return Path(value) if value else None
+        return self.out / name
+
+    def read(self, name: str, optional: bool = False) -> Path | None:
+        """Record that the running stage reads ``name``, and return its path.
+
+        An unset ``optional`` key is recorded as None and returns None.
+        """
+        path = self._path(name)
+        if path is None and optional:
+            self._reads[name] = None
+            return None
+        if path is None:
+            raise _MissingInput(f"config does not name a {name} file")
+        if not path.is_file():
+            raise _MissingInput(f"{name} file not found: {path}")
+        if name not in self._reads:
+            self._reads[name] = file_sha256(path)
+        return path
+
+    def write(self, name: str) -> Path:
+        """Record that the running stage writes ``name`` of the run directory; return its path."""
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self._writes.add(path)
+        return path
+
+    def _memo(self, key, build):
+        """``build()``, once per context. The files it read join every caller's reads.
+
+        They join the running stage's reads even when ``build`` fails, so the
+        stage's error file lists them.
+        """
+        if key not in self._memos:
+            outer, self._reads = self._reads, {}
+            try:
+                self._memos[key] = build(), self._reads
+            finally:
+                outer.update(self._reads)
+                self._reads = outer
+        value, reads = self._memos[key]
+        self._reads.update(reads)
+        return value
+
     def gazetteer(self):
-        if "gaz" not in self._cache:
-            self._require(self.cfg.gazetteer, "gazetteer")
-            self._cache["gaz"] = corpus_mod.load_gazetteer(self.cfg.gazetteer)
-        return self._cache["gaz"]
+        return self._memo("gazetteer", lambda: corpus_mod.load_gazetteer(self.read("gazetteer")))
 
     def corpus(self) -> corpus_mod.Corpus:
         """The corpus, parsed on first read and shared by every stage of the run."""
-        if "corpus" not in self._cache:
-            self._require(self.cfg.corpus, "corpus")
-            self._cache["corpus"] = corpus_mod.read_corpus(self.cfg.corpus, self.window,
-                                                           strict=self.cfg.strict)
-        return self._cache["corpus"]
+        return self._memo("corpus", lambda: corpus_mod.read_corpus(
+            self.read("corpus"), self.window, strict=self.cfg.strict))
 
     def embeddings(self):
-        if "emb" not in self._cache:
-            self._require(self.cfg.embeddings, "embeddings")
-            self._cache["emb"] = semantics_mod.load_embeddings(self.cfg.embeddings)
-        return self._cache["emb"]
+        return self._memo("embeddings",
+                          lambda: semantics_mod.load_embeddings(self.read("embeddings")))
 
     def factors(self) -> list[corpus_mod.NewsFactorSeries]:
         """``factors.csv``, parsed on first read: after the factors stage has written it."""
-        if "factors" not in self._cache:
-            self._cache["factors"] = corpus_mod.read_factors_csv(self.out / "factors.csv")
-        return self._cache["factors"]
+        return self._memo("factors",
+                          lambda: corpus_mod.read_factors_csv(self.read("factors.csv")))
 
     def panel_dataset(self):
-        if "panel" not in self._cache:
-            retained = self._load_retained()
-            clusters, labels = self._load_cluster_map()
-            self._cache["panel"] = panel_mod.assemble_panel(
-                self.gazetteer(), self.cfg.panel, self.factors(),
+        def build():
+            with open(self.read("retained.json"), "r", encoding="utf-8") as fh:
+                retained = json.load(fh)
+            clusters = semantics_mod.load_clusters(self.read("clusters.json"))
+            return panel_mod.assemble_panel(
+                self.gazetteer(), self.read("panel"), self.factors(),
                 {w: meta["diff_order"] for w, meta in retained.items()},
-                clusters, labels,
+                {m: c.cluster_id for c in clusters for m in c.members},
+                {c.cluster_id: c.label for c in clusters},
             )
-        return self._cache["panel"]
 
-    def _load_retained(self) -> dict:
-        path = self.out / "retained.json"
-        if not path.exists():
-            raise DataError("select stage outputs missing; run the select stage first")
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def _load_cluster_map(self):
-        path = self.out / "clusters.json"
-        if not path.exists():
-            return {}, {}
-        clusters = semantics_mod.load_clusters(path)
-        mapping = {m: c.cluster_id for c in clusters for m in c.members}
-        labels = {c.cluster_id: c.label for c in clusters}
-        return mapping, labels
-
-    def _require(self, path: str, role: str) -> None:
-        if not path:
-            raise ConfigError(f"config does not name a {role} file")
-        if not Path(path).exists():
-            raise ConfigError(f"{role} file not found: {path}")
+        return self._memo("panel", build)
 
     def model_specs(self) -> dict[str, panel_mod.ModelSpec]:
         cfg = self.cfg
@@ -135,7 +165,7 @@ class RunContext:
         ``build_design`` ignores ``spec.lasso``, so a ``*_lasso`` spec shares the
         design object of its OLS twin.
         """
-        if "designs" not in self._cache:
+        def build():
             panel = self.panel_dataset()
             built: dict[panel_mod.ModelSpec, panel_mod.DesignMatrix] = {}
             designs = {}
@@ -144,62 +174,72 @@ class RunContext:
                 if key not in built:
                     built[key] = panel_mod.build_design(panel, spec)
                 designs[name] = built[key]
-            self._cache["designs"] = designs, min_train_rows(designs.values(), panel,
-                                                             self.cfg.folds)
-        return self._cache["designs"]
+            return designs, min_train_rows(designs.values(), panel, self.cfg.folds)
+
+        return self._memo("designs", build)
 
     def cv_report(self, name: str) -> panel_mod.CVReport:
         """Cross-validation of model spec ``name`` on its design, at the shared bar."""
-        reports = self._cache.setdefault("cv", {})
-        if name not in reports:
+        def build():
             designs, min_train = self.model_designs()
             try:
-                reports[name] = panel_mod.cross_validate_design(
+                return panel_mod.cross_validate_design(
                     designs[name], self.model_specs()[name], self.panel_dataset(),
                     self.cfg.folds, min_train_rows=min_train)
             except DataError as exc:
                 raise DataError(f"{name}: {exc}") from None
-        return reports[name]
+
+        return self._memo(("cv", name), build)
 
     def predictions(self) -> dict[str, dict[tuple[str, int], float]]:
         """``predictions.csv`` as model -> (district, month) -> predicted phase."""
-        if "predictions" not in self._cache:
+        def build():
             preds: dict[str, dict[tuple[str, int], float]] = {}
-            with open(self.out / "predictions.csv", "r", encoding="utf-8", newline="") as fh:
+            with open(self.read("predictions.csv"), "r", encoding="utf-8", newline="") as fh:
                 for row in csv.DictReader(fh):
                     preds.setdefault(row["model"], {})[
                         (row["district_id"], parse_month(row["month"]))
                     ] = float(row["y_pred"])
-            self._cache["predictions"] = preds
-        return self._cache["predictions"]
+            return preds
+
+        return self._memo("predictions", build)
 
 
-def _execute_stage(ctx: RunContext, name: str, inputs, params: dict, outputs, compute):
+def _up_to_date(ctx: RunContext, manifest: dict) -> bool:
+    """Whether the recorded inputs still hash the same and the outputs are intact here.
+
+    Inputs are looked up again under the current config and output directory.
+    Outputs must lie under the current output directory, so a copied run
+    directory is never cached against the original's files.
+    """
+    for name, digest in manifest.get("inputs", {}).items():
+        path = ctx._path(name)
+        if digest != (file_sha256(path) if path is not None and path.is_file() else None):
+            return False
+    return all(
+        Path(p).is_relative_to(ctx.out) and Path(p).is_file() and file_sha256(p) == digest
+        for p, digest in manifest.get("outputs", {}).items()
+    )
+
+
+def _execute_stage(ctx: RunContext, name: str, params: dict, compute):
     manifest_dir = ctx.out / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = manifest_dir / f"{name}.json"
-    inputs = [str(p) for p in inputs]
-    outputs = [str(p) for p in outputs]
-    for p in inputs:
-        if not Path(p).exists():
-            raise ConfigError(f"stage {name!r}: missing input file {p}")
-    input_hashes = {p: file_sha256(p) for p in sorted(inputs)}
     phash = _params_hash(params)
     if manifest_path.exists():
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if (
-            manifest.get("params_hash") == phash
-            and manifest.get("inputs") == input_hashes
-            and all(Path(p).exists() for p in manifest.get("outputs", {}))
-            and all(file_sha256(p) == h for p, h in manifest.get("outputs", {}).items())
-        ):
+        if manifest.get("params_hash") == phash and _up_to_date(ctx, manifest):
             return "cached"
+    ctx._reads, ctx._writes = {}, set()
     try:
         compute()
+    except _MissingInput:
+        raise
     except Exception as exc:
         failure = {"stage": name, "error": f"{type(exc).__name__}: {exc}",
-                   "inputs": input_hashes, "params_hash": phash}
+                   "inputs": ctx._reads, "params_hash": phash}
         with open(manifest_dir / f"{name}.error.json", "w", encoding="utf-8") as fh:
             json.dump(failure, fh, indent=1, sort_keys=True)
         raise
@@ -207,8 +247,8 @@ def _execute_stage(ctx: RunContext, name: str, inputs, params: dict, outputs, co
         "stage": name,
         "params_hash": phash,
         "params": params,
-        "inputs": input_hashes,
-        "outputs": {p: file_sha256(p) for p in sorted(outputs)},
+        "inputs": ctx._reads,
+        "outputs": {str(p): file_sha256(p) for p in sorted(ctx._writes)},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -246,42 +286,33 @@ def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) 
 
 def _stage_extract(ctx: RunContext):
     cfg = ctx.cfg
-    ctx._require(cfg.frames_news, "news frames")
-    inputs = [cfg.frames_news]
-    if cfg.frames_study:
-        ctx._require(cfg.frames_study, "study frames")
-        inputs.append(cfg.frames_study)
-    out_path = ctx.out / "seeds.json"
 
     def compute():
         result = frames_mod.run_extraction(
-            cfg.frames_news,
-            cfg.frames_study or None,
+            ctx.read("frames_news"),
+            ctx.read("frames_study", optional=True),
             frames_mod.TargetLexicon(cfg.target_keywords),
             frames_mod.CausalLinkSet(cfg.causal_links),
             cfg.stop_words,
             stem_dedup=cfg.stem_dedup,
         )
-        frames_mod.save_seed_features(out_path, result)
+        frames_mod.save_seed_features(ctx.write("seeds.json"), result)
 
     params = {"targets": sorted(cfg.target_keywords), "links": sorted(cfg.causal_links),
               "stop_words": sorted(cfg.stop_words), "stem_dedup": cfg.stem_dedup}
-    return _execute_stage(ctx, "extract", inputs, params, [out_path], compute)
+    return _execute_stage(ctx, "extract", params, compute)
 
 
 def _stage_expand(ctx: RunContext):
     cfg = ctx.cfg
-    ctx._require(cfg.embeddings, "embeddings")
-    ctx._require(cfg.corpus, "corpus")
-    inputs = [ctx.out / "seeds.json", cfg.corpus, cfg.embeddings]
-    outputs = [ctx.out / "expanded.json", ctx.out / "features.json"]
 
     def compute():
-        seeds = frames_mod.load_seed_features(ctx.out / "seeds.json")
+        seeds = frames_mod.load_seed_features(ctx.read("seeds.json"))
+        embeddings = ctx.embeddings()  # before the corpus parse, so a missing file fails fast
         candidates = semantics_mod.enumerate_candidates(ctx.corpus(), cfg.ngram_floor)
-        expanded = semantics_mod.expand_seeds(seeds, candidates, ctx.embeddings(),
+        expanded = semantics_mod.expand_seeds(seeds, candidates, embeddings,
                                               radius=cfg.wmd_radius)
-        _write_json(ctx.out / "expanded.json", [
+        _write_json(ctx.write("expanded.json"), [
             {"ngram": f.ngram, "nearest_seed": f.source_seed, "distance": f.distance}
             for f in expanded
         ])
@@ -292,20 +323,18 @@ def _stage_expand(ctx: RunContext):
             {"ngram": f.ngram, "provenance": list(f.provenance),
              "nearest_seed": f.source_seed, "distance": f.distance} for f in expanded
         ]
-        _write_json(ctx.out / "features.json", sorted(rows, key=lambda r: r["ngram"]))
+        _write_json(ctx.write("features.json"), sorted(rows, key=lambda r: r["ngram"]))
 
     params = {"radius": cfg.wmd_radius, "floor": cfg.ngram_floor,
               "window": [cfg.window_start, cfg.window_end], "strict": cfg.strict}
-    return _execute_stage(ctx, "expand", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "expand", params, compute)
 
 
 def _stage_factors(ctx: RunContext):
     cfg = ctx.cfg
-    inputs = [ctx.out / "features.json", cfg.corpus, cfg.gazetteer]
-    outputs = [ctx.out / "factors.csv", ctx.out / "factors_skipped.json"]
 
     def compute():
-        with open(ctx.out / "features.json", "r", encoding="utf-8") as fh:
+        with open(ctx.read("features.json"), "r", encoding="utf-8") as fh:
             features = sorted({row["ngram"] for row in json.load(fh)})
         factors, absent = corpus_mod.news_factors(
             ctx.corpus(), features, ctx.gazetteer(),
@@ -313,25 +342,22 @@ def _stage_factors(ctx: RunContext):
             target_keywords=cfg.target_keywords,
             denominator=cfg.factor_denominator,
         )
-        corpus_mod.write_factors_csv(ctx.out / "factors.csv", factors)
+        corpus_mod.write_factors_csv(ctx.write("factors.csv"), factors)
         skipped = [{"ngram": f, "reason": "absent from corpus"} for f in absent]
-        _write_json(ctx.out / "factors_skipped.json", skipped)
+        _write_json(ctx.write("factors_skipped.json"), skipped)
 
     params = {"exclude_targets": cfg.exclude_target_articles,
               "targets": sorted(cfg.target_keywords),
               "denominator": cfg.factor_denominator,
               "window": [cfg.window_start, cfg.window_end]}
-    return _execute_stage(ctx, "factors", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "factors", params, compute)
 
 
 def _stage_select(ctx: RunContext):
     cfg = ctx.cfg
-    inputs = [ctx.out / "factors.csv", cfg.panel, cfg.gazetteer, cfg.embeddings]
-    outputs = [ctx.out / "screening.csv", ctx.out / "retained.json", ctx.out / "clusters.json"]
 
     def compute():
-        gaz = ctx.gazetteer()
-        ipc, _, _, _ = panel_mod.load_panel_csv(cfg.panel, gaz)
+        ipc, _, _, _ = panel_mod.load_panel_csv(ctx.read("panel"), ctx.gazetteer())
         by_feature: dict[str, dict[str, Series]] = {}
         for f in ctx.factors():
             if f.level == "district":
@@ -341,8 +367,8 @@ def _stage_select(ctx: RunContext):
             n_max=cfg.factor_lags, level=cfg.granger_level,
             adf_level=cfg.adf_level, max_d=cfg.adf_max_d, mode=cfg.screening_mode,
         )
-        tsstats_mod.write_screening_csv(ctx.out / "screening.csv", report)
-        _write_json(ctx.out / "retained.json", {
+        tsstats_mod.write_screening_csv(ctx.write("screening.csv"), report)
+        _write_json(ctx.write("retained.json"), {
             w: {"diff_order": meta["diff_order"], "f_stat": meta["result"].f_stat,
                 "p_value": meta["result"].p_value, "n_lags": meta["result"].n_lags}
             for w, meta in retained.items()
@@ -355,21 +381,17 @@ def _stage_select(ctx: RunContext):
             )
         else:
             clusters = []
-        semantics_mod.save_clusters(ctx.out / "clusters.json", clusters)
+        semantics_mod.save_clusters(ctx.write("clusters.json"), clusters)
 
     params = {"n_max": cfg.factor_lags, "level": cfg.granger_level,
               "adf_level": cfg.adf_level, "max_d": cfg.adf_max_d,
               "mode": cfg.screening_mode, "clusters": cfg.clusters,
               "cluster_labels": list(cfg.cluster_labels)}
-    return _execute_stage(ctx, "select", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "select", params, compute)
 
 
 def _stage_fit(ctx: RunContext):
     cfg = ctx.cfg
-    inputs = [ctx.out / "retained.json", ctx.out / "clusters.json",
-              ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
-    outputs = [ctx.out / "cv_reports.json", ctx.out / "predictions.csv",
-               ctx.out / "models.json", ctx.out / "audit.json"]
 
     def compute():
         specs = ctx.model_specs()
@@ -382,7 +404,7 @@ def _stage_fit(ctx: RunContext):
             audits[name] = {"violations": violations, "rows": len(design.rows),
                             "skipped": len(design.skipped)}
             reports[name] = ctx.cv_report(name)
-        _write_json(ctx.out / "cv_reports.json", {
+        _write_json(ctx.write("cv_reports.json"), {
             name: {
                 "fold_rmse": [r if r is None else float(r) for r in rep.fold_rmse],
                 "mean_rmse": rep.mean_rmse,
@@ -391,7 +413,7 @@ def _stage_fit(ctx: RunContext):
             }
             for name, rep in reports.items()
         })
-        panel_mod.write_predictions_csv(ctx.out / "predictions.csv", reports)
+        panel_mod.write_predictions_csv(ctx.write("predictions.csv"), reports)
         models = {}
         for kind in panel_mod.MODEL_KINDS:
             result = panel_mod.fit_design(designs[kind], specs[kind], on_collinear="prune")
@@ -407,21 +429,18 @@ def _stage_fit(ctx: RunContext):
                 "fold_rmse": [r if r is None else float(r)
                               for r in reports[kind].fold_rmse],
             }
-        _write_json(ctx.out / "models.json", models)
-        _write_json(ctx.out / "audit.json", audits)
+        _write_json(ctx.write("models.json"), models)
+        _write_json(ctx.write("audit.json"), audits)
 
     params = {"folds": cfg.folds, "spatial": cfg.spatial,
               "lasso_compare": cfg.lasso_compare, "lasso_lambda": cfg.lasso_lambda,
               "y_lags": cfg.y_lags, "factor_lags": cfg.factor_lags,
               "delay": cfg.publication_delay}
-    return _execute_stage(ctx, "fit", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "fit", params, compute)
 
 
 def _stage_ablate(ctx: RunContext):
     cfg = ctx.cfg
-    inputs = [ctx.out / "retained.json", ctx.out / "clusters.json",
-              ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
-    outputs = [ctx.out / "ablation.csv"]
 
     def compute():
         # The fit stage's design, bar and CV, so deltas are against the reported combined CV.
@@ -430,7 +449,7 @@ def _stage_ablate(ctx: RunContext):
                                              cfg.folds, min_train_rows=min_train,
                                              design=designs["combined"],
                                              combined=ctx.cv_report("combined"))
-        with open(ctx.out / "ablation.csv", "w", encoding="utf-8", newline="") as fh:
+        with open(ctx.write("ablation.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cluster_id", "label", "district_id", "rmse_delta"])
             for r in results:
@@ -440,7 +459,7 @@ def _stage_ablate(ctx: RunContext):
 
     params = {"folds": cfg.folds, "y_lags": cfg.y_lags, "factor_lags": cfg.factor_lags,
               "delay": cfg.publication_delay, "spatial": cfg.spatial}
-    return _execute_stage(ctx, "ablate", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "ablate", params, compute)
 
 
 def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
@@ -470,13 +489,6 @@ def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
 
 def _stage_classify(ctx: RunContext):
     cfg = ctx.cfg
-    inputs = [ctx.out / "predictions.csv", ctx.out / "retained.json",
-              ctx.out / "clusters.json", ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
-    if cfg.projections:
-        ctx._require(cfg.projections, "projections")
-        inputs.append(cfg.projections)
-    outputs = [ctx.out / "fronts.csv", ctx.out / "events.csv",
-               ctx.out / "operating_points.json"]
 
     def compute():
         panel = ctx.panel_dataset()
@@ -528,21 +540,22 @@ def _stage_classify(ctx: RunContext):
                     per_country[country] = {"error": str(exc)}
             entry["per_country"] = per_country
             points[model] = entry
-        if cfg.projections:
-            projections = _load_projections(cfg.projections, panel, actual_series)
+        projections_path = ctx.read("projections", optional=True)
+        if projections_path:
+            projections = _load_projections(projections_path, panel, actual_series)
             expert = outbreak_mod.expert_baseline(projections, actual_events,
                                                   cfg.match_window, period_grid=periods)
             points["expert"] = {"precision": expert.precision, "recall": expert.recall,
                                 "matched": expert.matched,
                                 "n_predicted": expert.n_predicted,
                                 "n_actual": expert.n_actual}
-        outbreak_mod.write_front_csv(ctx.out / "fronts.csv", fronts)
-        outbreak_mod.write_events_csv(ctx.out / "events.csv", event_rows)
-        _write_json(ctx.out / "operating_points.json", points)
+        outbreak_mod.write_front_csv(ctx.write("fronts.csv"), fronts)
+        outbreak_mod.write_events_csv(ctx.write("events.csv"), event_rows)
+        _write_json(ctx.write("operating_points.json"), points)
 
     params = {"grid": [cfg.grid_min, cfg.grid_max, cfg.grid_step],
               "precision_target": cfg.precision_target, "window": cfg.match_window}
-    return _execute_stage(ctx, "classify", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "classify", params, compute)
 
 
 def _load_projections(path, panel, actual_series):
@@ -565,14 +578,10 @@ def _load_projections(path, panel, actual_series):
 
 
 def _stage_validate(ctx: RunContext):
-    cfg = ctx.cfg
-    inputs = [ctx.out / "retained.json", ctx.out / "factors.csv", cfg.panel, cfg.gazetteer]
-    outputs = [ctx.out / "associations.csv", ctx.out / "association_percentiles.json"]
-
     def compute():
         panel = ctx.panel_dataset()
         rows, percentiles = panel_mod.validate_factors(panel)
-        with open(ctx.out / "associations.csv", "w", encoding="utf-8", newline="") as fh:
+        with open(ctx.write("associations.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["traditional_factor", "news_factor", "spearman_r",
                              "n_districts"])
@@ -584,40 +593,17 @@ def _stage_validate(ctx: RunContext):
                 for d, v in sorted(by_district.items()):
                     pct_rows.append({"kind": kind, "name": name, "district": d,
                                      "percentile": v})
-        _write_json(ctx.out / "association_percentiles.json", pct_rows)
+        _write_json(ctx.write("association_percentiles.json"), pct_rows)
 
-    params = {}
-    return _execute_stage(ctx, "validate", inputs, params, outputs, compute)
+    return _execute_stage(ctx, "validate", {}, compute)
 
 
 def _stage_report(ctx: RunContext):
     from .report import build_report
 
-    cfg = ctx.cfg
-    ctx._require(cfg.corpus, "corpus")
-    ctx._require(cfg.embeddings, "embeddings")
-    inputs = [ctx.out / "cv_reports.json", ctx.out / "predictions.csv",
-              ctx.out / "fronts.csv", ctx.out / "events.csv",
-              ctx.out / "operating_points.json", ctx.out / "ablation.csv",
-              ctx.out / "retained.json", ctx.out / "clusters.json",
-              ctx.out / "factors.csv", cfg.panel, cfg.gazetteer, cfg.corpus, cfg.embeddings]
-    report_dir = ctx.out / "report"
-    outputs = [
-        report_dir / "rmse_by_country.csv",
-        report_dir / "outbreak_counts.csv",
-        report_dir / "episodes.csv",
-        report_dir / "cluster_correlation.csv",
-        report_dir / "coverage.csv",
-        report_dir / "ablation_deltas.csv",
-        report_dir / "feature_edges.csv",
-        report_dir / "factor_percentiles.csv",
-    ]
-
-    def compute():
-        build_report(ctx)
-
-    params = {"precision_target": cfg.precision_target, "match_window": cfg.match_window}
-    return _execute_stage(ctx, "report", inputs, params, outputs, compute)
+    params = {"precision_target": ctx.cfg.precision_target,
+              "match_window": ctx.cfg.match_window}
+    return _execute_stage(ctx, "report", params, lambda: build_report(ctx))
 
 
 _STAGE_FUNCS = {
@@ -631,6 +617,7 @@ _STAGE_FUNCS = {
     "validate": _stage_validate,
     "report": _stage_report,
 }
+STAGE_ORDER = tuple(_STAGE_FUNCS)
 
 
 def run_pipeline(cfg: PipelineConfig, stages=None) -> dict[str, str]:

@@ -49,22 +49,24 @@ def _read_events(path):
     return actual, predicted
 
 
+def _open_table(ctx, name: str):
+    """Open report table ``name`` for writing, as an output of the report stage."""
+    return open(ctx.write(f"report/{name}"), "w", encoding="utf-8", newline="")
+
+
 def _severity_band(severity: float) -> str:
     return "phase45" if severity >= 4.0 else "phase3"
 
 
 def build_report(ctx) -> None:
     cfg = ctx.cfg
-    out = ctx.out
-    report_dir = out / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
     panel = ctx.panel_dataset()
     periods = list(panel.publication_months)
 
     # Cross-validated RMSE per model and country.
-    with open(out / "cv_reports.json", "r", encoding="utf-8") as fh:
+    with open(ctx.read("cv_reports.json"), "r", encoding="utf-8") as fh:
         cv = json.load(fh)
-    with open(report_dir / "rmse_by_country.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "rmse_by_country.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "country", "rmse"])
         for model in sorted(cv):
@@ -73,13 +75,13 @@ def build_report(ctx) -> None:
                 writer.writerow([model, country, repr(cv[model]["country_rmse"][country])])
 
     # Observed vs predicted outbreak counts by severity band.
-    actual_events, predicted_by_model = _read_events(out / "events.csv")
+    actual_events, predicted_by_model = _read_events(ctx.read("events.csv"))
     matched_by_model = {
         model: set(outbreak_mod.match_events(events, actual_events, cfg.match_window,
                                              grid=periods))
         for model, events in predicted_by_model.items()
     }
-    with open(report_dir / "outbreak_counts.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "outbreak_counts.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "band", "observed", "predicted"])
         bands = ("all", "phase3", "phase45")
@@ -94,9 +96,9 @@ def build_report(ctx) -> None:
 
     # Episode extracts: phase, predictions, and
     # cluster-aggregated factors (mean of member factors) around each outbreak.
-    clusters = semantics_mod.load_clusters(out / "clusters.json")
+    clusters = semantics_mod.load_clusters(ctx.read("clusters.json"))
     preds = {m: table for m, table in ctx.predictions().items() if m in MODEL_KINDS}
-    with open(report_dir / "episodes.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "episodes.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["district", "event_start", "month", "series", "value",
                          "value_sm3"])
@@ -151,7 +153,7 @@ def build_report(ctx) -> None:
             continue
         mean_factor[w] = Series(lo, np.stack(
             [s.window(lo, hi) for s in per.values()]).mean(axis=0))
-    with open(report_dir / "cluster_correlation.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "cluster_correlation.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["intra_cluster_corr", "inter_cluster_corr"])
         if clusters and mean_factor:
@@ -168,12 +170,12 @@ def build_report(ctx) -> None:
 
     # News coverage split by outbreak prediction success of
     # the combined model.
-    with open(out / "retained.json", "r", encoding="utf-8") as fh:
+    with open(ctx.read("retained.json"), "r", encoding="utf-8") as fh:
         retained = sorted(json.load(fh))
     combined_hits = {(d, a) for d, _, a in matched_by_model.get("combined", set())}
     provinces = sorted({d.province_id for d in panel.districts.values()})
     articles = corpus_mod.feature_coverage(ctx.corpus(), retained, ctx.gazetteer(), provinces)
-    with open(report_dir / "coverage.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "coverage.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["province", "articles_with_features", "n_outbreaks",
                          "all_predicted"])
@@ -186,9 +188,9 @@ def build_report(ctx) -> None:
             writer.writerow([prov, n_articles, len(events), int(all_predicted)])
 
     # Per-cluster ablation deltas.
-    with open(out / "ablation.csv", "r", encoding="utf-8", newline="") as fh:
+    with open(ctx.read("ablation.csv"), "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    with open(report_dir / "ablation_deltas.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "ablation_deltas.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["cluster_id", "label", "district_id", "rmse_delta"])
         for row in rows:
@@ -197,14 +199,14 @@ def build_report(ctx) -> None:
 
     # Feature-similarity edge list for external layout.
     edges = semantics_mod.similarity_edges(retained, ctx.embeddings()) if retained else []
-    with open(report_dir / "feature_edges.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "feature_edges.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_a", "feature_b", "distance"])
         for a, b, dist in edges:
             writer.writerow([a, b, repr(dist)])
 
     # Percentile-transformed country-level factor series.
-    with open(report_dir / "factor_percentiles.csv", "w", encoding="utf-8", newline="") as fh:
+    with _open_table(ctx, "factor_percentiles.csv") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature", "location_id", "month", "value", "percentile",
                          "percentile_sm3"])

@@ -37,9 +37,6 @@ class Series:
         """Last covered month (inclusive)."""
         return self.start + self.values.size - 1
 
-    def months(self):
-        return range(self.start, self.end + 1)
-
     def covers(self, t0: int, t1: int | None = None) -> bool:
         t1 = t0 if t1 is None else t1
         return self.start <= t0 and t1 <= self.end

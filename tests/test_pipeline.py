@@ -17,13 +17,15 @@ import newswarn
 from newswarn import corpus as corpus_mod
 from newswarn import panel as panel_mod
 from newswarn.cli import main as cli_main
-from newswarn.config import PipelineConfig, load_config, save_config
+from newswarn.config import _PATH_KEYS, PipelineConfig, load_config, save_config
 from newswarn.errors import ConfigError
 from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60,
              countries=2)
+TINY = dict(districts=8, countries=1, province_size=4, months=48, decoys=4,
+            articles_per_country_month=40, embedding_dim=16)
 
 
 def digest(path):
@@ -34,6 +36,11 @@ def quiet_run(cfg, stages=None):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run_pipeline(cfg, stages)
+
+
+def manifests(out):
+    return {s: json.loads((Path(out) / "manifests" / f"{s}.json").read_text())
+            for s in STAGE_ORDER}
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +179,75 @@ class TestFullRun:
         combined = models["combined"]["coefficients"]
         assert any(k.startswith("news[") for k in combined)
         assert any(k.startswith("intercept[") for k in combined)
+
+
+class TestDerivedManifests:
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path / "bundle")
+        cfg = load_config(bundle["config"])
+        assert quiet_run(cfg) == {s: "run" for s in STAGE_ORDER}
+        return cfg
+
+    def test_an_input_edit_reruns_exactly_the_stages_that_read_it(self, tiny):
+        listed = {s: set(m["inputs"]) for s, m in manifests(tiny.output).items()}
+        keys = sorted(set().union(*listed.values()) & set(_PATH_KEYS))
+        assert keys == ["corpus", "embeddings", "frames_news", "frames_study", "gazetteer",
+                        "panel", "projections"]
+        assert listed["ablate"] == listed["fit"]  # the designs both use, built once
+        for key in keys:
+            # A blank last line changes the file's hash but nothing its readers parse,
+            # so a stage that reruns rewrites the same outputs and later stages stay cached.
+            with open(getattr(tiny, key), "a", encoding="utf-8") as fh:
+                fh.write("\n")
+            expected = {s: "run" if key in listed[s] else "cached" for s in STAGE_ORDER}
+            assert quiet_run(tiny) == expected, key
+
+    def test_each_run_file_read_was_written_by_an_earlier_stage(self, tiny):
+        recorded = manifests(tiny.output)
+        written = set()
+        for stage, manifest in recorded.items():
+            read = {str(Path(tiny.output) / name) for name in manifest["inputs"]
+                    if name not in _PATH_KEYS}
+            assert read <= written, stage
+            written |= set(manifest["outputs"])
+        assert "clusters.json" in recorded["validate"]["inputs"]
+        assert not {"fronts.csv", "operating_points.json"} & set(recorded["report"]["inputs"])
+
+    def test_a_byte_identical_corpus_elsewhere_keeps_its_readers_cached(self, tiny, tmp_path):
+        copy = tmp_path / "elsewhere" / "corpus.jsonl"
+        copy.parent.mkdir()
+        shutil.copyfile(tiny.corpus, copy)
+        moved = dataclasses.replace(tiny, corpus=str(copy))
+        assert quiet_run(moved) == {s: "cached" for s in STAGE_ORDER}
+        with open(copy, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert quiet_run(moved) == {s: "run" if s in ("expand", "factors", "report")
+                                    else "cached" for s in STAGE_ORDER}
+
+    def test_unsetting_or_setting_an_optional_input_reruns_its_reader(self, tiny):
+        # report reads events.csv, which the projections do not change
+        no_projections = dataclasses.replace(tiny, projections="")
+        assert quiet_run(no_projections) == {s: "run" if s == "classify" else "cached"
+                                             for s in STAGE_ORDER}
+        assert manifests(tiny.output)["classify"]["inputs"]["projections"] is None
+        assert quiet_run(no_projections, ["classify"]) == {"classify": "cached"}
+        assert quiet_run(tiny, ["classify"]) == {"classify": "run"}
+
+        no_study = dataclasses.replace(tiny, frames_study="")
+        assert quiet_run(no_study, ["extract"]) == {"extract": "run"}
+        assert manifests(tiny.output)["extract"]["inputs"]["frames_study"] is None
+        assert quiet_run(no_study, ["extract"]) == {"extract": "cached"}
+        assert quiet_run(tiny, ["extract"]) == {"extract": "run"}
+
+    def test_a_copied_run_directory_reruns(self, tiny, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(tiny.output, copy)
+        copied = dataclasses.replace(tiny, output=str(copy))
+        assert quiet_run(copied) == {s: "run" for s in STAGE_ORDER}
+        for manifest in manifests(copy).values():
+            assert all(Path(p).is_relative_to(copy) for p in manifest["outputs"])
+        assert quiet_run(copied) == {s: "cached" for s in STAGE_ORDER}
 
 
 class TestFailureModes:
@@ -495,4 +571,5 @@ class TestCli:
                                           "--strict"])
         assert result.exit_code == 2
         failure = json.loads((out / "run" / "manifests" / "expand.error.json").read_text())
-        assert failure["stage"] == "expand" and "error" in failure and "inputs" in failure
+        assert failure["stage"] == "expand" and "error" in failure
+        assert sorted(failure["inputs"]) == ["corpus", "embeddings", "seeds.json"]
