@@ -26,16 +26,6 @@ class OutbreakEvent:
 
 
 @dataclass(frozen=True)
-class ThresholdClassifier:
-    l: float
-    u: float
-
-    def __post_init__(self):
-        if not (1.0 <= self.l <= 5.0 and 1.0 <= self.u <= 5.0):
-            raise DataError(f"thresholds ({self.l}, {self.u}) outside [1, 5]")
-
-
-@dataclass(frozen=True)
 class ParetoPoint:
     l: float
     u: float
@@ -153,16 +143,14 @@ def threshold_grid(lo: float = 1.0, hi: float = 5.0, step: float = 0.1):
 
 
 def sweep_pareto(predictions_by_district, actual_events, grid=None,
-                 window: int = 0, period_grid=None,
-                 require_gap: bool = True) -> list[ParetoPoint]:
+                 window: int = 0, period_grid=None) -> list[ParetoPoint]:
     """Pareto front of (precision, recall) over the (l, u) threshold grid.
 
     ``predictions_by_district`` maps district -> (periods, values). Only
-    pairs with l < u describe a rise out of the pre-crisis band and are swept
-    (disable via ``require_gap``). Grid points predicting no events carry
-    undefined precision and never reach the front. Among classifiers with
-    identical scores the lexicographically smallest (l, u) survives; the
-    front is sorted by recall.
+    pairs with l < u describe a rise out of the pre-crisis band and are swept.
+    Grid points predicting no events carry undefined precision and never
+    reach the front. Among classifiers with identical scores the
+    lexicographically smallest (l, u) survives; the front is sorted by recall.
     """
     levels = grid if grid is not None else threshold_grid()
     # Every district's candidate starts, once; severity is not scored, so it stays NaN.
@@ -176,7 +164,7 @@ def sweep_pareto(predictions_by_district, actual_events, grid=None,
     points = []
     for l in levels:
         for u in levels:
-            if require_gap and l >= u:
+            if l >= u:
                 continue
             predicted = [candidates[i] for i in _fires(before, after, l, u)]
             s = score(predicted, actual_events, window, grid=period_grid)

@@ -312,16 +312,6 @@ def build_design(panel: PanelDataset, spec: ModelSpec, months=None) -> DesignMat
                         rows=tuple(row_keys), skipped=tuple(skipped))
 
 
-def build_design_row(panel: PanelDataset, spec: ModelSpec, district: str, t: int):
-    """Single (district, month) feature row; raises if any lag is missing."""
-    design = build_design(panel, spec, months=[t])
-    for i, (d, m) in enumerate(design.rows):
-        if d == district and m == t:
-            return design.X[i], design.columns
-    reason = next((r for dd, mm, r in design.skipped if dd == district and mm in (t, -1)), "no row")
-    raise DataError(f"no design row for {district!r} at {format_month(t)}: {reason}")
-
-
 def audit_no_lookahead(design: DesignMatrix, horizon: int = 3):
     """Check every dated regressor sits at least ``horizon`` months in the past.
 
@@ -485,23 +475,24 @@ def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
     return worst
 
 
-def fit_design(design: DesignMatrix, spec: ModelSpec,
-               on_collinear: str = "error") -> FitResult:
+def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
+    """Fit ``spec`` on ``design``: the lasso, or OLS on ``_mgs_keep``'s columns.
+
+    OLS lists the columns it leaves out under ``dropped``. When ``ols`` still
+    rejects the pruned matrix, the error names the failing design columns.
+    """
     X, y = design.X, design.y
     if spec.lasso is None:
-        if on_collinear == "prune":
-            keep = _mgs_keep(X)
-            sub = X[:, keep]
-            result = ols(sub, y)
-        else:
-            keep = list(range(X.shape[1]))
-            try:
-                result = ols(X, y)
-            except NumericalError as exc:
-                names = [design.columns[i].name for i in exc.columns]
-                raise NumericalError(f"rank-deficient design: {names or exc}",
-                                     exc.columns) from None
-        dropped = tuple(design.columns[i].name for i in range(X.shape[1]) if i not in set(keep))
+        keep = _mgs_keep(X)
+        try:
+            result = ols(X[:, keep], y)
+        except NumericalError as exc:
+            columns = [keep[i] for i in exc.columns]
+            names = [design.columns[i].name for i in columns]
+            raise NumericalError(f"rank-deficient design, collinear columns: {columns} "
+                                 f"({', '.join(names)})", columns) from None
+        kept = set(keep)
+        dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in kept)
         return FitResult(spec=spec, columns=design.columns, kept=tuple(keep),
                          beta=result.beta, dropped=dropped, rss=result.rss, nobs=result.nobs)
     penalized = np.array([c.group != "intercept" for c in design.columns])
@@ -513,12 +504,6 @@ def fit_design(design: DesignMatrix, spec: ModelSpec,
                              exc.columns) from None
     return FitResult(spec=spec, columns=design.columns, kept=tuple(range(X.shape[1])),
                      beta=beta, dropped=(), rss=rss, nobs=X.shape[0], sweeps=sweeps)
-
-
-def fit(spec: ModelSpec, panel: PanelDataset, months=None,
-        on_collinear: str = "error") -> FitResult:
-    """Estimate the phase regression over the given training months."""
-    return fit_design(build_design(panel, spec, months=months), spec, on_collinear)
 
 
 @dataclass(frozen=True)
@@ -554,8 +539,8 @@ def month_folds(start: int, end: int, folds: int) -> list[list[int]]:
 
 
 def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset,
-                          folds: int = 10, on_collinear: str = "prune",
-                          min_train_rows: int = 0) -> CVReport:
+                          folds: int = 10, min_train_rows: int = 0) -> CVReport:
+    """Expanding-window cross-validation: test fold i trains on folds 1..i-1."""
     blocks = month_folds(panel.start, panel.end, folds)
     row_month = np.array([m for _, m in design.rows])
     fold_rmse: list = []
@@ -577,7 +562,7 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
             train = design.subset_rows(train_idx)
             test = design.subset_rows(test_idx)
             try:
-                result = fit_design(train, spec, on_collinear)
+                result = fit_design(train, spec)
             except (DataError, NumericalError) as exc:
                 reason = str(exc)
         if reason is not None:
@@ -616,14 +601,6 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
     )
 
 
-def cross_validate(spec: ModelSpec, panel: PanelDataset, folds: int = 10,
-                   on_collinear: str = "prune", min_train_rows: int = 0) -> CVReport:
-    """Expanding-window cross-validation: test fold i trains on folds 1..i-1."""
-    design = build_design(panel, spec)
-    return cross_validate_design(design, spec, panel, folds, on_collinear,
-                                 min_train_rows)
-
-
 @dataclass(frozen=True)
 class AblationResult:
     cluster_id: int
@@ -633,25 +610,16 @@ class AblationResult:
     district_delta: dict[str, float]
 
 
-def ablate(panel: PanelDataset, spec: ModelSpec | None = None, folds: int = 10,
-           min_train_rows: int = 0, design: DesignMatrix | None = None,
-           combined: CVReport | None = None):
+def ablate(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset, combined: CVReport,
+           folds: int = 10, min_train_rows: int = 0) -> list[AblationResult]:
     """Refit with each news-factor cluster removed; report RMSE increases.
 
-    Returns (combined CVReport, list of AblationResult). Ablated designs are
-    column subsets of the combined design, so removing every cluster
-    reproduces the baseline column set exactly. ``design`` and ``combined``
-    are ``spec``'s design and its CV report at ``min_train_rows``, if the
-    caller already has them; they are computed here otherwise.
+    ``design`` is ``spec``'s design and ``combined`` its CV report at
+    ``min_train_rows``. Ablated designs are column subsets of ``design``, so
+    removing every cluster reproduces the baseline column set exactly.
     """
-    spec = spec or ModelSpec(kind="combined")
     if spec.ablated_clusters:
         raise ConfigError("pass a spec without pre-ablated clusters")
-    if design is None:
-        design = build_design(panel, spec)
-    if combined is None:
-        combined = cross_validate_design(design, spec, panel, folds,
-                                         min_train_rows=min_train_rows)
     results = []
     for cid in sorted(set(panel.clusters.values())):
         keep = [i for i, c in enumerate(design.columns)
@@ -672,7 +640,7 @@ def ablate(panel: PanelDataset, spec: ModelSpec | None = None, folds: int = 10,
             mean_delta=report.mean_rmse - combined.mean_rmse,
             district_delta=deltas,
         ))
-    return combined, results
+    return results
 
 
 def percentile_ranks(values) -> np.ndarray:

@@ -416,7 +416,7 @@ def _stage_fit(ctx: RunContext):
         panel_mod.write_predictions_csv(ctx.write("predictions.csv"), reports)
         models = {}
         for kind in panel_mod.MODEL_KINDS:
-            result = panel_mod.fit_design(designs[kind], specs[kind], on_collinear="prune")
+            result = panel_mod.fit_design(designs[kind], specs[kind])
             models[kind] = {
                 "spec": {"kind": kind, "spatial": specs[kind].spatial,
                          "y_lags": specs[kind].y_lags,
@@ -445,10 +445,9 @@ def _stage_ablate(ctx: RunContext):
     def compute():
         # The fit stage's design, bar and CV, so deltas are against the reported combined CV.
         designs, min_train = ctx.model_designs()
-        combined, results = panel_mod.ablate(ctx.panel_dataset(), ctx.model_specs()["combined"],
-                                             cfg.folds, min_train_rows=min_train,
-                                             design=designs["combined"],
-                                             combined=ctx.cv_report("combined"))
+        results = panel_mod.ablate(designs["combined"], ctx.model_specs()["combined"],
+                                   ctx.panel_dataset(), ctx.cv_report("combined"),
+                                   cfg.folds, min_train)
         with open(ctx.write("ablation.csv"), "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["cluster_id", "label", "district_id", "rmse_delta"])

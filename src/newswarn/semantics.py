@@ -90,20 +90,16 @@ class TransportPlan:
     cost: float
 
 
-def _phrase_tokens(phrase, emb: EmbeddingTable, skip_oov: bool) -> list[str]:
+def _phrase_tokens(phrase, emb: EmbeddingTable) -> list[str]:
+    """The phrase's in-vocabulary tokens; raises DataError when none is left."""
     toks = list(tokenize(phrase)) if isinstance(phrase, str) else [t.lower() for t in phrase]
     if not toks:
         raise DataError("empty phrase")
     if len(toks) > MAX_PHRASE_TOKENS:
         raise DataError(f"phrase {' '.join(toks)!r} longer than {MAX_PHRASE_TOKENS} tokens")
-    if skip_oov:
-        toks = [t for t in toks if t in emb]
-        if not toks:
-            raise DataError("phrase has no in-vocabulary token")
-    else:
-        for t in toks:
-            if t not in emb:
-                raise DataError(f"word {t!r} not in embedding vocabulary")
+    toks = [t for t in toks if t in emb]
+    if not toks:
+        raise DataError("phrase has no in-vocabulary token")
     return toks
 
 
@@ -126,9 +122,9 @@ def _solve_transport(cost: np.ndarray) -> tuple[float, np.ndarray]:
     return float((plan * cost).sum()), plan
 
 
-def transport_plan(a, b, emb: EmbeddingTable, skip_oov: bool = False) -> TransportPlan:
-    ta = _phrase_tokens(a, emb, skip_oov)
-    tb = _phrase_tokens(b, emb, skip_oov)
+def transport_plan(a, b, emb: EmbeddingTable) -> TransportPlan:
+    ta = _phrase_tokens(a, emb)
+    tb = _phrase_tokens(b, emb)
     va = np.stack([emb.get(t) for t in ta])
     vb = np.stack([emb.get(t) for t in tb])
     cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
@@ -136,9 +132,12 @@ def transport_plan(a, b, emb: EmbeddingTable, skip_oov: bool = False) -> Transpo
     return TransportPlan(tuple(ta), tuple(tb), plan, total)
 
 
-def wmd(a, b, emb: EmbeddingTable, skip_oov: bool = False) -> float:
-    """Word mover's distance between two 1..3-token phrases."""
-    return transport_plan(a, b, emb, skip_oov).cost
+def wmd(a, b, emb: EmbeddingTable) -> float:
+    """Word mover's distance between two 1..3-token phrases.
+
+    Out-of-vocabulary tokens are ignored; a phrase with none left raises DataError.
+    """
+    return transport_plan(a, b, emb).cost
 
 
 def enumerate_candidates(corpus, floor: int = 1000) -> list[str]:
@@ -150,8 +149,7 @@ def enumerate_candidates(corpus, floor: int = 1000) -> list[str]:
     return sorted(out)
 
 
-def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0,
-                 skip_oov: bool = True):
+def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0):
     """Candidates within WMD ``radius`` (strict) of any seed, tagged by nearest seed.
 
     Candidates identical to a seed are not expansions. Candidates or seeds
@@ -163,7 +161,7 @@ def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0,
     usable_seeds = []
     for s in sorted(seed_set):
         try:
-            _phrase_tokens(s, emb, skip_oov)
+            _phrase_tokens(s, emb)
             usable_seeds.append(s)
         except DataError:
             continue
@@ -178,7 +176,7 @@ def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0,
         best = None
         try:
             for s in usable_seeds:
-                d = wmd(cand, s, emb, skip_oov)
+                d = wmd(cand, s, emb)
                 if best is None or d < best[0]:
                     best = (d, s)
         except DataError:
@@ -202,18 +200,18 @@ class FeatureCluster:
     members: tuple[str, ...]
 
 
-def pairwise_distances(features, emb: EmbeddingTable, skip_oov: bool = True) -> np.ndarray:
+def pairwise_distances(features, emb: EmbeddingTable) -> np.ndarray:
     feats = [normalize_ngram(f) for f in features]
     k = len(feats)
     dist = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            dist[i, j] = dist[j, i] = wmd(feats[i], feats[j], emb, skip_oov)
+            dist[i, j] = dist[j, i] = wmd(feats[i], feats[j], emb)
     return dist
 
 
-def cluster_features(features, emb: EmbeddingTable, k: int = 12, labels=None,
-                     skip_oov: bool = True) -> list[FeatureCluster]:
+def cluster_features(features, emb: EmbeddingTable, k: int = 12,
+                     labels=None) -> list[FeatureCluster]:
     """Average-linkage agglomerative clustering on pairwise WMD.
 
     Deterministic given input order: merges the lowest-indexed pair among
@@ -222,7 +220,7 @@ def cluster_features(features, emb: EmbeddingTable, k: int = 12, labels=None,
     feats = [normalize_ngram(f) for f in features]
     if k < 1 or k > len(feats):
         raise DataError(f"cluster count {k} outside 1..{len(feats)}")
-    base = pairwise_distances(feats, emb, skip_oov)
+    base = pairwise_distances(feats, emb)
     clusters: list[list[int]] = [[i] for i in range(len(feats))]
 
     def avg_dist(a: list[int], b: list[int]) -> float:
@@ -287,10 +285,10 @@ def cluster_validation(clusters, factor_series) -> tuple[float, float]:
     )
 
 
-def similarity_edges(features, emb: EmbeddingTable, skip_oov: bool = True):
+def similarity_edges(features, emb: EmbeddingTable):
     """(feature_a, feature_b, distance) rows for external network layout."""
     feats = sorted(normalize_ngram(f) for f in features)
-    dist = pairwise_distances(feats, emb, skip_oov)
+    dist = pairwise_distances(feats, emb)
     return [
         (feats[i], feats[j], float(dist[i, j]))
         for i in range(len(feats))

@@ -360,9 +360,9 @@ class ScreeningRow:
     reason: str = ""
 
 
-def _panel_diff_order(series_by_district, max_d: int, max_lag, level: float) -> int | None:
+def _panel_diff_order(series_by_district, max_d: int, level: float) -> int | None:
     """Majority-vote differencing order across district factor series."""
-    votable = {k: s for k, s in series_by_district.items() if np.ptp(_as_values(s)) > 0.0}
+    votable = {k: s for k, s in series_by_district.items() if np.ptp(s.values) > 0.0}
     if not votable:
         return None
     current = dict(votable)
@@ -371,7 +371,7 @@ def _panel_diff_order(series_by_district, max_d: int, max_lag, level: float) -> 
         testable = 0
         for s in current.values():
             try:
-                result = adf_test(s, max_lag=max_lag, level=level)
+                result = adf_test(s, level=level)
             except (DataError, NumericalError):
                 continue
             testable += 1
@@ -379,8 +379,7 @@ def _panel_diff_order(series_by_district, max_d: int, max_lag, level: float) -> 
         if testable and passing * 2 >= testable:
             return d
         if d < max_d:
-            current = {k: (s.diff() if isinstance(s, Series) else np.diff(_as_values(s)))
-                       for k, s in current.items()}
+            current = {k: s.diff() for k, s in current.items()}
     return None
 
 
@@ -391,7 +390,6 @@ def select_features(
     n_max: int = 6,
     level: float = 0.01,
     adf_level: float = 0.05,
-    adf_max_lag: int | None = None,
     max_d: int = 2,
     mode: str = "pooled",
 ):
@@ -399,7 +397,7 @@ def select_features(
 
     ``factors_by_feature`` maps feature -> district -> Series at district
     level. Returns (retained, report): ``retained`` maps each surviving
-    feature to its transformed (differenced) district series, and ``report``
+    feature to its differencing order and Granger result, and ``report``
     lists one ScreeningRow per input feature.
     """
     if mode not in ("pooled", "per-district"):
@@ -409,18 +407,18 @@ def select_features(
     for feature in sorted(features):
         by_district = factors_by_feature.get(feature, {})
         series = {d: s for d, s in by_district.items() if d in ipc_by_district}
-        if not series or all(np.ptp(_as_values(s)) == 0.0 for s in series.values()):
+        if not series or all(np.ptp(s.values) == 0.0 for s in series.values()):
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, 0,
                                        False, "all-zero factor"))
             continue
-        d_order = _panel_diff_order(series, max_d, adf_max_lag, adf_level)
+        d_order = _panel_diff_order(series, max_d, adf_level)
         if d_order is None:
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, max_d,
                                        False, "non-stationary at max differencing"))
             continue
         y_by, x_by = {}, {}
         for dist, s in series.items():
-            x = s.diff(d_order) if isinstance(s, Series) else Series(0, _as_values(s)).diff(d_order)
+            x = s.diff(d_order)
             ipc = ipc_by_district[dist]
             t0 = max(x.start, ipc.start)
             t1 = min(x.end, ipc.end)
@@ -456,12 +454,7 @@ def select_features(
         report.append(ScreeningRow(feature, result.f_stat, result.p_value, result.n_lags,
                                    d_order, result.decision))
         if result.decision:
-            transformed = {}
-            for dist, s in series.items():
-                base = s if isinstance(s, Series) else Series(0, _as_values(s))
-                transformed[dist] = base.diff(d_order)
-            retained[feature] = {"diff_order": d_order, "result": result,
-                                 "series": transformed}
+            retained[feature] = {"diff_order": d_order, "result": result}
     return retained, report
 
 

@@ -17,7 +17,7 @@ from newswarn.months import parse_month, publication_months
 from newswarn.outbreak import (OutbreakEvent, ParetoPoint, classify, detect_outbreaks,
                                score, sweep_pareto, threshold_grid)
 from newswarn.panel import (ModelSpec, audit_no_lookahead, build_design,
-                            cross_validate_design, fit, lasso_cd, lasso_kkt_residual,
+                            cross_validate_design, fit_design, lasso_cd, lasso_kkt_residual,
                             validate_factors)
 from newswarn.pipeline import RunContext, min_train_rows, run_pipeline
 from newswarn.semantics import wmd
@@ -161,7 +161,7 @@ def test_criterion_4_ols_lasso_correctness():
     spec = ModelSpec(kind="combined")
     coef = planted_coefficients(panel, spec, rng)
     plant_adl_response(panel, spec, coef)
-    result = fit(spec, panel, on_collinear="prune")
+    result = fit_design(build_design(panel, spec), spec)
     fitted = result.coefficients()
     recovery_gap = max(
         abs(fitted[name] - value)

@@ -145,12 +145,12 @@ class TestScore:
         assert score(predicted, actual, window=1, grid=grid).matched == 1
 
 
-def oracle_front(preds, actual, window=0, period_grid=None, require_gap=True):
+def oracle_front(preds, actual, window=0, period_grid=None):
     """Brute force: classify every district at every (l, u) and score the union."""
     points = []
     for l in threshold_grid():
         for u in threshold_grid():
-            if require_gap and l >= u:
+            if l >= u:
                 continue
             predicted = []
             for name, (periods, vals) in sorted(preds.items()):
@@ -187,14 +187,12 @@ class TestPareto:
                 continue
             assert sweep_pareto(preds, actual) == oracle_front(preds, actual)
 
-    @pytest.mark.parametrize("nan_share, window, uneven, require_gap", [
-        pytest.param(0.15, 0, False, True, id="nan-gaps"),
-        pytest.param(0.0, 1, True, True, id="window1-uneven-grid"),
-        pytest.param(0.1, 2, True, True, id="window2-uneven-grid-nan"),
-        pytest.param(0.0, 0, False, False, id="no-gap-required"),
+    @pytest.mark.parametrize("nan_share, window, uneven", [
+        pytest.param(0.15, 0, False, id="nan-gaps"),
+        pytest.param(0.0, 1, True, id="window1-uneven-grid"),
+        pytest.param(0.1, 2, True, id="window2-uneven-grid-nan"),
     ])
-    def test_front_matches_oracle_off_the_defaults(self, nan_share, window, uneven,
-                                                    require_gap):
+    def test_front_matches_oracle_off_the_defaults(self, nan_share, window, uneven):
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 4:
@@ -203,9 +201,8 @@ class TestPareto:
             if not actual:
                 continue
             grid = periods if uneven else None
-            front = sweep_pareto(preds, actual, window=window, period_grid=grid,
-                                 require_gap=require_gap)
-            assert front == oracle_front(preds, actual, window, grid, require_gap)
+            front = sweep_pareto(preds, actual, window=window, period_grid=grid)
+            assert front == oracle_front(preds, actual, window, grid)
             checked += 1
 
     def test_perfect_predictions_reach_corner(self):
@@ -232,15 +229,6 @@ class TestPareto:
                 if i != j:
                     assert not (a.precision >= b.precision and a.recall >= b.recall
                                 and (a.precision > b.precision or a.recall > b.recall))
-
-
-def test_threshold_classifier_bounds():
-    from newswarn.outbreak import ThresholdClassifier
-    ThresholdClassifier(2.2, 3.1)
-    with pytest.raises(DataError):
-        ThresholdClassifier(0.5, 3.0)
-    with pytest.raises(DataError):
-        ThresholdClassifier(2.0, 5.5)
 
 
 class TestOperatingPoint:

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
 from newswarn.months import parse_month
-from newswarn.panel import (ModelSpec, audit_no_lookahead, build_design,
-                            build_design_row, ablate, cross_validate, fit,
+from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
+                            build_design, cross_validate_design, fit_design,
                             forward_fill_ipc, lasso_cd, lasso_kkt_residual,
                             load_panel_csv, month_folds, percentile_ranks,
                             spatial_average, validate_factors, write_predictions_csv)
@@ -14,6 +14,8 @@ from newswarn.series import Series
 
 from conftest import (grid_districts, make_gazetteer, make_panel,
                       plant_adl_response, planted_coefficients)
+
+BASELINE = ModelSpec(kind="baseline")
 
 
 class TestForwardFill:
@@ -94,12 +96,14 @@ class TestBuildDesign:
         panel = make_panel(n_districts=5)
         spec = ModelSpec(kind="combined")
         t = panel.start + 20
-        row, columns = build_design_row(panel, spec, "d00", t)
+        one = build_design(panel, spec, months=[t])
         design = build_design(panel, spec)
-        idx = design.rows.index(("d00", t))
-        assert np.allclose(row, design.X[idx])
-        with pytest.raises(DataError):
-            build_design_row(panel, spec, "d00", panel.start)
+        assert one.rows == tuple((d, t) for d in sorted(panel.districts))
+        assert one.columns == design.columns
+        assert np.array_equal(one.X[one.rows.index(("d00", t))],
+                              design.X[design.rows.index(("d00", t))])
+        with pytest.raises(DataError, match="no valid rows"):
+            build_design(panel, spec, months=[panel.start])
 
     def test_ablated_clusters_remove_columns(self):
         panel = make_panel(n_districts=5, features=("alpha", "beta", "gamma"),
@@ -254,7 +258,7 @@ class TestFit:
         spec = ModelSpec(kind="combined")
         coef = planted_coefficients(panel, spec, rng)
         plant_adl_response(panel, spec, coef)
-        result = fit(spec, panel, on_collinear="prune")
+        result = fit_design(build_design(panel, spec), spec)
         fitted = result.coefficients()
         for name, value in coef.items():
             if name.startswith("static"):
@@ -265,15 +269,22 @@ class TestFit:
 
     def test_statics_dropped_as_collinear_with_intercepts(self):
         panel = make_panel(n_districts=5)
-        result = fit(ModelSpec(kind="baseline"), panel, on_collinear="prune")
+        spec = ModelSpec(kind="baseline")
+        result = fit_design(build_design(panel, spec), spec)
         assert set(result.dropped) == {f"static[{s}]" for s in panel.static_names}
 
-    def test_error_mode_raises_on_collinearity(self):
-        panel = make_panel(n_districts=5)
-        with pytest.raises(NumericalError, match=r"static\[population\]") as caught:
-            fit(ModelSpec(kind="baseline"), panel, on_collinear="error")
-        columns = build_design(panel, ModelSpec(kind="baseline")).columns
-        assert "static[population]" in {columns[i].name for i in caught.value.columns}
+    def test_rank_failure_after_pruning_names_design_columns(self):
+        # _mgs_keep drops b = (a+b) - a, but keeps the tiny column, whose
+        # residual it judges against the column's own norm; ols then rejects
+        # the tiny column against R's largest diagonal.
+        rng = np.random.default_rng(35)
+        a, b, c = rng.normal(0, 1, (3, 40))
+        X = np.column_stack([np.ones(40), a, a + b, b, c * 1e-12])
+        columns = tuple(Column(name, "test") for name in ("const", "a", "a+b", "b", "tiny"))
+        design = DesignMatrix(X, rng.normal(0, 1, 40), columns, (), ())
+        with pytest.raises(NumericalError, match=r"\(tiny\)$") as caught:
+            fit_design(design, ModelSpec(kind="baseline"))
+        assert caught.value.columns == (4,)
 
 
 class TestLasso:
@@ -339,14 +350,14 @@ class TestLasso:
         panel = make_panel(n_districts=5, features=("alpha",))
         design = build_design(panel, ModelSpec(kind="combined"))
         with pytest.raises(NumericalError, match="within 1 sweeps") as caught:
-            fit(ModelSpec(kind="combined", lasso=0.01), panel)
+            fit_design(design, ModelSpec(kind="combined", lasso=0.01))
         named = str(caught.value).rsplit("(", 1)[-1].rstrip(")")
         assert named in {c.name for c in design.columns if c.group != "intercept"}
 
     def test_lasso_spec_through_fit(self):
         panel = make_panel(n_districts=5, features=("alpha",))
         spec = ModelSpec(kind="combined", lasso=1e6)
-        result = fit(spec, panel)
+        result = fit_design(build_design(panel, spec), spec)
         coefs = result.coefficients()
         news = [v for k, v in coefs.items() if k.startswith("news")]
         assert np.allclose(news, 0.0)
@@ -365,7 +376,7 @@ class TestCrossValidate:
         spec = ModelSpec(kind="combined")
         coef = planted_coefficients(panel, spec, rng)
         plant_adl_response(panel, spec, coef)
-        report = cross_validate(spec, panel, folds=8)
+        report = cross_validate_design(build_design(panel, spec), spec, panel, folds=8)
         scored = [r for r in report.fold_rmse if r is not None]
         assert scored and all(r == pytest.approx(0.0, abs=1e-6) for r in scored)
 
@@ -374,7 +385,7 @@ class TestCrossValidate:
         for d in list(panel.ipc):
             panel.ipc[d] = Series(panel.start,
                                   np.full(panel.end - panel.start + 1, 2.0))
-        report = cross_validate(ModelSpec(kind="baseline"), panel, folds=8)
+        report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
         scored = [r for r in report.fold_rmse if r is not None]
         assert scored and all(r == pytest.approx(0.0, abs=1e-8) for r in scored)
 
@@ -384,15 +395,16 @@ class TestCrossValidate:
         baseline = ModelSpec(kind="baseline")
         coef = planted_coefficients(panel, baseline, rng)
         plant_adl_response(panel, baseline, coef)
-        rep_base = cross_validate(baseline, panel, folds=8)
-        rep_comb = cross_validate(ModelSpec(kind="combined"), panel, folds=8)
+        combined = ModelSpec(kind="combined")
+        rep_base = cross_validate_design(build_design(panel, baseline), baseline, panel, folds=8)
+        rep_comb = cross_validate_design(build_design(panel, combined), combined, panel, folds=8)
         assert rep_comb.mean_rmse <= rep_base.mean_rmse + 1e-6
 
     def test_no_scored_folds_gives_each_fold_reason(self):
         panel = make_panel(n_districts=5, months=96)
         with pytest.raises(DataError, match="no scored folds") as caught:
-            cross_validate(ModelSpec(kind="baseline"), panel, folds=4,
-                           min_train_rows=10**6)
+            cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=4,
+                                  min_train_rows=10**6)
         message = str(caught.value)
         for fold in (2, 3, 4):
             assert f"fold {fold}: " in message
@@ -400,7 +412,7 @@ class TestCrossValidate:
 
     def test_predictions_only_after_training_window(self):
         panel = make_panel(n_districts=5, months=96)
-        report = cross_validate(ModelSpec(kind="baseline"), panel, folds=8)
+        report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
         blocks = month_folds(panel.start, panel.end, 8)
         for p in report.predictions:
             train_max = max(m for b in blocks[: p.fold - 1] for m in b)
@@ -408,12 +420,12 @@ class TestCrossValidate:
 
     def test_per_country_breakdown(self):
         panel = make_panel(n_districts=6, months=96, countries=2)
-        report = cross_validate(ModelSpec(kind="baseline"), panel, folds=8)
+        report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
         assert set(report.country_rmse) == {"AA", "AB"}
 
     def test_predictions_csv(self, tmp_path):
         panel = make_panel(n_districts=5, months=96)
-        report = cross_validate(ModelSpec(kind="baseline"), panel, folds=8)
+        report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
         path = tmp_path / "pred.csv"
         write_predictions_csv(path, {"baseline": report})
         header = path.read_text().splitlines()[0]
@@ -421,19 +433,24 @@ class TestCrossValidate:
 
 
 class TestAblate:
+    def combined_and_ablations(self, panel):
+        spec = ModelSpec(kind="combined")
+        design = build_design(panel, spec)
+        combined = cross_validate_design(design, spec, panel, folds=8)
+        return design, combined, ablate(design, spec, panel, combined, folds=8)
+
     def test_removing_all_clusters_reproduces_baseline(self):
         panel = make_panel(n_districts=5, months=96,
                            features=("alpha", "beta"), n_clusters=2)
-        combined, results = ablate(panel, ModelSpec(kind="combined"), folds=8)
+        design, _, results = self.combined_and_ablations(panel)
+        assert [r.cluster_id for r in results] == [1, 2]
         # removing every cluster by hand: design equals the baseline design
-        from newswarn.panel import DesignMatrix, cross_validate_design
-        spec = ModelSpec(kind="combined")
-        design = __import__("newswarn.panel", fromlist=["build_design"]).build_design(
-            panel, spec)
         keep = [i for i, c in enumerate(design.columns) if c.feature is None]
         stripped = design.subset_columns(keep)
+        spec = ModelSpec(kind="combined")
         rep_all_removed = cross_validate_design(stripped, spec, panel, folds=8)
-        rep_baseline = cross_validate(ModelSpec(kind="baseline"), panel, folds=8)
+        rep_baseline = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel,
+                                             folds=8)
         assert rep_all_removed.fold_rmse == rep_baseline.fold_rmse
         assert rep_all_removed.mean_rmse == rep_baseline.mean_rmse
 
@@ -445,7 +462,7 @@ class TestAblate:
             for loc, s in panel.factors["dead"][level].items():
                 panel.factors["dead"][level][loc] = Series(
                     s.start, np.zeros(len(s)))
-        combined, results = ablate(panel, ModelSpec(kind="combined"), folds=8)
+        _, _, results = self.combined_and_ablations(panel)
         by_cluster = {r.cluster_id: r for r in results}
         assert by_cluster[dead_cluster].mean_delta == pytest.approx(0.0, abs=1e-9)
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -399,9 +400,9 @@ class TestAblationBar:
         real_ablate = panel_mod.ablate
 
         def spy(*args, **kwargs):
-            combined, results = real_ablate(*args, **kwargs)
-            combined_inside_ablate.append(combined)
-            return combined, results
+            bound = inspect.signature(real_ablate).bind(*args, **kwargs)
+            combined_inside_ablate.append(bound.arguments["combined"])
+            return real_ablate(*args, **kwargs)
 
         monkeypatch.setattr(panel_mod, "ablate", spy)
         quiet_run(cfg, stages=["extract", "expand", "factors", "select", "fit", "ablate"])

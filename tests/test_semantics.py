@@ -132,12 +132,11 @@ class TestWmd:
                 assert d > 1e-9
 
     def test_oov_policy(self, toy_table):
-        with pytest.raises(DataError):
-            wmd("u missing", "p", toy_table)
-        # skip-OOV drops the token but both phrases must stay non-empty
-        assert wmd("u missing", "p", toy_table, skip_oov=True) == pytest.approx(3.0)
-        with pytest.raises(DataError):
-            wmd("missing", "p", toy_table, skip_oov=True)
+        # an out-of-vocabulary token is dropped, but both phrases must stay non-empty
+        assert wmd("u missing", "p", toy_table) == wmd("u", "p", toy_table)
+        assert wmd("u missing", "p", toy_table) == pytest.approx(3.0)
+        with pytest.raises(DataError, match="no in-vocabulary token"):
+            wmd("missing", "p", toy_table)
 
     def test_plan_marginals(self, toy_table):
         plan = transport_plan("u v", "p q far", toy_table)

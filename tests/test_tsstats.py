@@ -262,10 +262,9 @@ class TestScreening:
         retained, report = select_features(["trendy"], ipc, {"trendy": trended},
                                            max_d=2)
         if "trendy" in retained:
-            d_order = retained["trendy"]["diff_order"]
-            assert d_order == report[0].diff_order
-            some = next(iter(retained["trendy"]["series"].values()))
-            assert some.start == d_order
+            assert set(retained["trendy"]) == {"diff_order", "result"}
+            assert retained["trendy"]["diff_order"] == report[0].diff_order
+            assert retained["trendy"]["result"].x_diff_order == report[0].diff_order
 
     def test_per_district_mode_reaches_same_conclusion(self):
         rng = np.random.default_rng(26)
