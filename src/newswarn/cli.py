@@ -15,17 +15,6 @@ from .pipeline import STAGE_ORDER, run_pipeline
 from .synth import SyntheticSpec, generate_synthetic
 
 
-def _run(cfg_path, stages, strict=None, exclude_target_articles=None):
-    cfg = load_config(cfg_path)
-    if strict:
-        cfg.strict = True
-    if exclude_target_articles:
-        cfg.exclude_target_articles = True
-    summary = run_pipeline(cfg, stages)
-    for name, status in summary.items():
-        click.echo(f"{name}: {status}")
-
-
 def _guarded(fn):
     try:
         fn()
@@ -39,48 +28,26 @@ def main():
     """News-based food-crisis early warning pipeline."""
 
 
-_shared_options = [
-    click.option("--config", "cfg_path", required=True, type=click.Path(exists=True)),
-    click.option("--strict", is_flag=True, help="Fail on malformed corpus lines."),
-    click.option("--exclude-target-articles", is_flag=True,
-                 help="Drop articles containing a target keyword from the factors."),
-]
-
-
-def _with_shared(fn):
-    for opt in reversed(_shared_options):
-        fn = opt(fn)
-    return fn
-
-
 @main.command()
-@_with_shared
+@click.option("--config", "cfg_path", required=True, type=click.Path(exists=True))
+@click.option("--strict", is_flag=True, help="Fail on malformed corpus lines.")
+@click.option("--exclude-target-articles", is_flag=True,
+              help="Drop articles containing a target keyword from the factors.")
 @click.option("--stage", "stage", type=click.Choice(STAGE_ORDER), default=None,
               help="Run a single stage instead of the full pipeline.")
 def run(cfg_path, strict, exclude_target_articles, stage):
     """Run the pipeline (all stages, or one with --stage)."""
-    stages = [stage] if stage else None
-    _guarded(lambda: _run(cfg_path, stages, strict, exclude_target_articles))
 
+    def go():
+        cfg = load_config(cfg_path)
+        if strict:
+            cfg.strict = True
+        if exclude_target_articles:
+            cfg.exclude_target_articles = True
+        for name, status in run_pipeline(cfg, [stage] if stage else None).items():
+            click.echo(f"{name}: {status}")
 
-def _stage_command(name: str, help_text: str):
-    @main.command(name=name, help=help_text)
-    @_with_shared
-    def _cmd(cfg_path, strict, exclude_target_articles):
-        _guarded(lambda: _run(cfg_path, [name], strict, exclude_target_articles))
-
-    return _cmd
-
-
-_stage_command("extract", "Filter semantic frames and extract seed features.")
-_stage_command("expand", "Expand seeds with semantically close corpus n-grams.")
-_stage_command("factors", "Compute monthly news-factor series.")
-_stage_command("select", "Granger-screen factors and cluster the survivors.")
-_stage_command("fit", "Cross-validate the baseline, news, and combined models.")
-_stage_command("ablate", "Refit the combined model with each cluster removed.")
-_stage_command("classify", "Sweep outbreak classifiers and pick operating points.")
-_stage_command("validate", "Associate news factors with traditional indicators.")
-_stage_command("report", "Emit the CSV report bundle.")
+    _guarded(go)
 
 
 @main.command()

@@ -7,8 +7,9 @@ import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .frames import DEFAULT_CAUSAL_LINKS, DEFAULT_STOP_WORDS, DEFAULT_TARGET_KEYWORDS
+from .months import parse_month
 
 
 @dataclass
@@ -57,7 +58,12 @@ class PipelineConfig:
     lasso_compare: bool = True
 
     def validate(self) -> "PipelineConfig":
+        try:
+            window = parse_month(self.window_start), parse_month(self.window_end)
+        except DataError as exc:
+            raise ConfigError(f"bad corpus window: {exc}") from None
         checks = [
+            (window[0] <= window[1], "window_start must not be after window_end"),
             (self.wmd_radius > 0, "wmd_radius must be positive"),
             (self.ngram_floor >= 0, "ngram_floor must be non-negative"),
             (0 < self.granger_level < 1, "granger_level must be in (0, 1)"),

@@ -6,7 +6,8 @@ and tokens; it keeps no per-n-gram article sets. Counts come from scans of
 those: the 1..3-gram occurrences (``Corpus.ngram_occurrences``), and, for a
 list of features, the articles that co-mention a feature and a location
 (``news_factors``, ``feature_coverage``). A news factor is the monthly share
-of a country's articles that co-mention a text feature and a location.
+of a country's articles that co-mention a text feature and a location;
+``save_factors`` writes them as one feature x location x month array.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ import warnings
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -302,19 +301,38 @@ def feature_coverage(corpus: Corpus, features, gaz: Gazetteer, locations) -> lis
 
 
 @dataclass(frozen=True)
-class NewsFactorSeries:
-    """Monthly share of a country's articles co-mentioning feature and location."""
+class NewsFactors:
+    """Monthly share of a country's articles co-mentioning each feature and location.
 
-    feature: str
-    location_id: str
-    level: str
-    series: Series
-    zero_denominator_months: tuple[int, ...] = ()
+    ``values[f, i, t]`` is feature ``features[f]`` at ``locations[i]`` in month
+    ``start + t``. Locations are the sorted districts, then the sorted
+    provinces, then the sorted countries, and ``levels[i]`` names the level of
+    ``locations[i]``. ``zero_denominator[i, t]`` flags a month in which the
+    location's denominator counted no articles; its values are 0.
+    """
+
+    features: tuple[str, ...]
+    locations: tuple[str, ...]
+    levels: tuple[str, ...]
+    start: int
+    values: np.ndarray            # float64, feature x location x month
+    zero_denominator: np.ndarray  # bool, location x month
 
     def __post_init__(self):
-        v = self.series.values
-        if np.any(v < 0.0) or np.any(v > 1.0):
+        v, n_locs = self.values, len(self.locations)
+        if (v.dtype != np.float64 or v.ndim != 3 or v.shape[:2] != (len(self.features), n_locs)
+                or len(self.levels) != n_locs
+                or self.zero_denominator.shape != (n_locs, v.shape[2])):
+            raise DataError(f"news factors of dtype {v.dtype} and shape {v.shape} do not fit "
+                            f"{len(self.features)} features and {n_locs} locations")
+        if not np.all((v >= 0.0) & (v <= 1.0)):
             raise DataError("news factor proportions must lie in [0, 1]")
+
+    def at_level(self, feature: str, level: str) -> dict[str, Series]:
+        """{location: series} of ``feature`` at each location of ``level``, in location order."""
+        f = self.features.index(feature)
+        return {loc: Series(self.start, self.values[f, i])
+                for i, loc in enumerate(self.locations) if self.levels[i] == level}
 
 
 def news_factors(
@@ -324,7 +342,7 @@ def news_factors(
     exclude_targets: bool = False,
     target_keywords=None,
     denominator: str = "country",
-) -> tuple[list[NewsFactorSeries], list[str]]:
+) -> tuple[NewsFactors, list[str]]:
     """Monthly co-mention proportion of each feature at each gazetteer location.
 
     The numerator counts the month's articles that contain the feature and
@@ -337,9 +355,8 @@ def news_factors(
     articles containing a target keyword are removed from numerator and
     denominator.
 
-    Returns the series, by feature in the given order and then by location
-    (sorted districts, provinces, countries), and the features that occur in
-    no article, which get no series.
+    Returns the factors of the features that occur in some article, in the
+    given order, and the features that occur in no article.
     """
     if denominator not in ("country", "corpus"):
         raise DataError(f"unknown denominator scope {denominator!r}")
@@ -381,55 +398,54 @@ def news_factors(
     values = np.zeros(counts.shape)
     np.divide(counts, denom, out=values, where=denom > 0)
 
-    levels = [gaz.location_level(loc) for loc in locations]
-    zero_months = [tuple(w0 + int(t) for t in np.flatnonzero(d <= 0)) for d in denom]
-    series = [
-        NewsFactorSeries(feature=feature, location_id=loc, level=levels[i],
-                         series=Series(w0, values[f, i]),
-                         zero_denominator_months=zero_months[i])
-        for f, feature in enumerate(features) if f in found
-        for i, loc in enumerate(locations)
-    ]
-    return series, [feature for f, feature in enumerate(features) if f not in found]
+    present = [f for f in range(len(features)) if f in found]
+    factors = NewsFactors(
+        features=tuple(features[f] for f in present),
+        locations=tuple(locations),
+        levels=tuple(gaz.location_level(loc) for loc in locations),
+        start=w0,
+        values=values[present],
+        zero_denominator=denom <= 0,
+    )
+    return factors, [feature for f, feature in enumerate(features) if f not in found]
 
 
-def write_factors_csv(path, factors) -> None:
-    """Factors CSV with header feature,location_id,level,month,value."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "location_id", "level", "month", "value"])
-        month = cache(format_month)  # every series repeats the same months
-        for f in factors:
-            writer.writerows([f.feature, f.location_id, f.level, month(t), repr(v)]
-                             for t, v in f.series.items())
+def save_factors(values_path, labels_path, factors: NewsFactors) -> None:
+    """Write the values as ``.npy`` and the labels and empty-denominator months as JSON.
+
+    Neither file carries a timestamp, so equal factors give equal bytes.
+    """
+    with open(values_path, "wb") as fh:
+        np.save(fh, factors.values, allow_pickle=False)
+    labels = {
+        "features": list(factors.features),
+        "locations": list(factors.locations),
+        "levels": list(factors.levels),
+        "start": format_month(factors.start),
+        "zero_denominator": {
+            loc: [format_month(factors.start + int(t)) for t in np.flatnonzero(row)]
+            for loc, row in zip(factors.locations, factors.zero_denominator) if row.any()
+        },
+    }
+    with open(labels_path, "w", encoding="utf-8") as fh:
+        json.dump(labels, fh, indent=1)
+        fh.write("\n")
 
 
-def read_factors_csv(path) -> list[NewsFactorSeries]:
-    rows = defaultdict(list)
-    months_of: dict[str, int] = {}  # every (feature, location) repeats the same months
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        fields = itemgetter(*(header.index(c) for c in
-                              ("feature", "location_id", "level", "month", "value")))
-        for row in reader:
-            feature, loc, level, month, value = fields(row)
-            t = months_of.get(month)
-            if t is None:
-                t = months_of[month] = parse_month(month)
-            rows[(feature, loc, level)].append((t, float(value)))
-    out = []
-    for (feature, loc, level), pairs in rows.items():
-        pairs.sort()
-        months = [t for t, _ in pairs]
-        if months != list(range(months[0], months[0] + len(months))):
-            raise DataError(f"factor {feature!r}@{loc!r} has non-contiguous months")
-        out.append(
-            NewsFactorSeries(
-                feature=feature,
-                location_id=loc,
-                level=level,
-                series=Series(months[0], np.array([v for _, v in pairs])),
-            )
-        )
-    return out
+def load_factors(values_path, labels_path) -> NewsFactors:
+    """The factors ``save_factors`` wrote; DataError when the array does not fit the labels."""
+    try:
+        values = np.load(values_path, allow_pickle=False)
+        with open(labels_path, "r", encoding="utf-8") as fh:
+            labels = json.load(fh)
+        features, locations, levels = (tuple(labels[k]) for k in
+                                       ("features", "locations", "levels"))
+        start = parse_month(labels["start"])
+        empty = {loc: set(months) for loc, months in labels["zero_denominator"].items()}
+        n_months = values.shape[2] if values.ndim == 3 else 0
+    except (KeyError, TypeError, ValueError, AttributeError, EOFError) as exc:
+        raise DataError(f"bad news factors {values_path}, {labels_path}: {exc}") from None
+    months = [format_month(start + t) for t in range(n_months)]
+    zero = np.array([[m in empty.get(loc, ()) for m in months] for loc in locations],
+                    dtype=bool).reshape(len(locations), n_months)
+    return NewsFactors(features, locations, levels, start, values, zero)

@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .corpus import District, Gazetteer, STATIC_FACTOR_NAMES
+from .corpus import District, Gazetteer, NewsFactors, STATIC_FACTOR_NAMES
 from .errors import ConfigError, DataError, NumericalError
 from .months import DEFAULT_PUBLICATION_SCHEDULE, format_month, parse_month, publication_months
 from .series import Series
@@ -253,7 +253,7 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     return blocks
 
 
-def build_design(panel: PanelDataset, spec: ModelSpec, months=None) -> DesignMatrix:
+def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
     """Design matrix over all districts and months with complete lag coverage.
 
     Months lacking any required lag are skipped with an audit record naming
@@ -263,9 +263,6 @@ def build_design(panel: PanelDataset, spec: ModelSpec, months=None) -> DesignMat
     if unknown:
         raise ConfigError(f"ablated clusters {sorted(unknown)} do not exist")
     blocks = _design_blocks(panel, spec)
-    month_filter = None if months is None else set(months)
-    month_list = [t for t in range(panel.start, panel.end + 1)
-                  if month_filter is None or t in month_filter]
     parts, row_keys, skipped = [], [], []
 
     for d in sorted(panel.districts):
@@ -285,12 +282,12 @@ def build_design(panel: PanelDataset, spec: ModelSpec, months=None) -> DesignMat
                     t_hi, hi_label = src.end + min_off, label
         if len(sources) < len(blocks):
             continue
-        for t in month_list:
+        for t in range(panel.start, panel.end + 1):
             if t < t_lo:
                 skipped.append((d, t, f"lag unavailable ({lo_label})"))
             elif t > t_hi:
                 skipped.append((d, t, f"series ends ({hi_label})"))
-        M = np.array([t for t in month_list if t_lo <= t <= t_hi], dtype=int)
+        M = np.arange(t_lo, t_hi + 1)
         if not M.size:
             continue
         cells = []
@@ -759,7 +756,7 @@ def load_panel_csv(path, gaz: Gazetteer):
 def assemble_panel(
     gaz: Gazetteer,
     panel_path,
-    factor_series,
+    factors: NewsFactors,
     retained: dict[str, int],
     clusters: dict[str, int] | None = None,
     cluster_labels: dict[int, str] | None = None,
@@ -767,24 +764,19 @@ def assemble_panel(
 ) -> PanelDataset:
     """Build the modeling panel from file artifacts.
 
-    ``factor_series`` lists NewsFactorSeries at all levels for the retained
-    features; ``retained`` maps feature -> differencing order to apply before
-    modeling.
+    ``retained`` maps each retained feature of ``factors`` to the
+    differencing order to apply before modeling.
     """
     ipc, ipc_obs, traditional, (start, end) = load_panel_csv(panel_path, gaz)
     districts = {d: gaz.districts[d] for d in ipc}
     raw: dict[str, dict[str, dict[str, Series]]] = {}
-    for f in factor_series:
-        if f.feature not in retained:
-            continue
-        raw.setdefault(f.feature, {}).setdefault(f.level, {})[f.location_id] = f.series
     transformed: dict[str, dict[str, dict[str, Series]]] = {}
     for w, order_d in retained.items():
-        if w not in raw:
+        if w not in factors.features:
             raise DataError(f"retained feature {w!r} has no factor series")
-        transformed[w] = {}
-        for level, by_loc in raw[w].items():
-            transformed[w][level] = {loc: s.diff(order_d) for loc, s in by_loc.items()}
+        raw[w] = {level: factors.at_level(w, level) for level in dict.fromkeys(factors.levels)}
+        transformed[w] = {level: {loc: s.diff(order_d) for loc, s in by_loc.items()}
+                          for level, by_loc in raw[w].items()}
     return PanelDataset(
         districts=districts,
         start=start,

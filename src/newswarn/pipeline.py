@@ -27,7 +27,6 @@ from . import tsstats as tsstats_mod
 from .config import _PATH_KEYS, PipelineConfig
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month
-from .series import Series
 
 
 def file_sha256(path) -> str:
@@ -126,10 +125,10 @@ class RunContext:
         return self._memo("embeddings",
                           lambda: semantics_mod.load_embeddings(self.read("embeddings")))
 
-    def factors(self) -> list[corpus_mod.NewsFactorSeries]:
-        """``factors.csv``, parsed on first read: after the factors stage has written it."""
-        return self._memo("factors",
-                          lambda: corpus_mod.read_factors_csv(self.read("factors.csv")))
+    def factors(self) -> corpus_mod.NewsFactors:
+        """The factors stage's array and labels, loaded on first read."""
+        return self._memo("factors", lambda: corpus_mod.load_factors(
+            self.read("factors.npy"), self.read("factors.json")))
 
     def panel_dataset(self):
         def build():
@@ -342,7 +341,7 @@ def _stage_factors(ctx: RunContext):
             target_keywords=cfg.target_keywords,
             denominator=cfg.factor_denominator,
         )
-        corpus_mod.write_factors_csv(ctx.write("factors.csv"), factors)
+        corpus_mod.save_factors(ctx.write("factors.npy"), ctx.write("factors.json"), factors)
         skipped = [{"ngram": f, "reason": "absent from corpus"} for f in absent]
         _write_json(ctx.write("factors_skipped.json"), skipped)
 
@@ -358,10 +357,8 @@ def _stage_select(ctx: RunContext):
 
     def compute():
         ipc, _, _, _ = panel_mod.load_panel_csv(ctx.read("panel"), ctx.gazetteer())
-        by_feature: dict[str, dict[str, Series]] = {}
-        for f in ctx.factors():
-            if f.level == "district":
-                by_feature.setdefault(f.feature, {})[f.location_id] = f.series
+        factors = ctx.factors()
+        by_feature = {w: factors.at_level(w, "district") for w in factors.features}
         retained, report = tsstats_mod.select_features(
             sorted(by_feature), ipc, by_feature,
             n_max=cfg.factor_lags, level=cfg.granger_level,

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from newswarn.corpus import (District, Gazetteer, NewsFactorSeries, feature_coverage,
-                             match_locations, news_factors, read_corpus, read_factors_csv,
-                             write_factors_csv)
+from newswarn.corpus import (District, Gazetteer, NewsFactors, feature_coverage, load_factors,
+                             match_locations, news_factors, read_corpus, save_factors)
 from newswarn.errors import DataError
 from newswarn.months import format_month, parse_date, parse_month
 from newswarn.semantics import enumerate_candidates
-from newswarn.series import Series
 from newswarn.stemmer import stem_tokens
 from newswarn.textutil import iter_ngrams, normalize_ngram, tokenize
 
@@ -143,9 +141,7 @@ def oracle_factor(feature, loc, index, gaz, exclude_targets=False, target_keywor
             zero_months.append(t)
             continue
         values[t - w0] = co_by_month.get(t, 0) / denom
-    return NewsFactorSeries(feature=key, location_id=loc, level=level,
-                            series=Series(w0, values),
-                            zero_denominator_months=tuple(zero_months))
+    return key, loc, level, values.tobytes(), tuple(zero_months)
 
 
 def oracle_factors(index, features, gaz, **kwargs):
@@ -166,10 +162,21 @@ def oracle_coverage(index, features, locations):
     return [len(index.loc_postings.get(loc, set()) & with_features) for loc in locations]
 
 
+def records(factors):
+    """(feature, location, level, value bytes, empty months) of each factor series."""
+    return [
+        (w, loc, level, factors.values[f, i].tobytes(),
+         tuple(factors.start + int(t) for t in np.flatnonzero(factors.zero_denominator[i])))
+        for f, w in enumerate(factors.features)
+        for i, (loc, level) in enumerate(zip(factors.locations, factors.levels))
+    ]
+
+
 def factors_of(corpus, features, gaz, **kwargs):
     """news_factors' series keyed by (feature, location)."""
-    series, _ = news_factors(corpus, features, gaz, **kwargs)
-    return {(s.feature, s.location_id): s for s in series}
+    factors, _ = news_factors(corpus, features, gaz, **kwargs)
+    return {(w, loc): s for w in factors.features for level in ("district", "province", "country")
+            for loc, s in factors.at_level(w, level).items()}
 
 
 class TestIngest:
@@ -302,9 +309,10 @@ class TestNewsFactor:
     def test_direct_ratio(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
-        f = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
-        assert f.series.at(parse_month("2011-01")) == pytest.approx(0.4)
-        assert f.level == "district"
+        factors, _ = news_factors(corpus, ["drought"], gazetteer)
+        f = factors.at_level("drought", "district")["so-jam"]
+        assert f.at(parse_month("2011-01")) == pytest.approx(0.4)
+        assert list(factors.at_level("drought", "country")) == ["ET", "SO"]
 
     def test_exclude_targets_hand_count(self, tmp_path, gazetteer):
         # 4 co-mentions, 2 contain a target; 3 of 10 articles contain a target
@@ -313,22 +321,23 @@ class TestNewsFactor:
         corpus = read_corpus(path, ("2011-01", "2011-01"))
         f = factors_of(corpus, ["drought"], gazetteer, exclude_targets=True,
                        target_keywords=("famine",))[("drought", "so-jam")]
-        assert f.series.at(parse_month("2011-01")) == pytest.approx(2.0 / 7.0)
+        assert f.at(parse_month("2011-01")) == pytest.approx(2.0 / 7.0)
 
     def test_never_comentioned_all_zero(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
         f = factors_of(corpus, ["market"], gazetteer)[("market", "so-jam")]
-        assert np.all(f.series.values == 0.0)
+        assert np.all(f.values == 0.0)
 
     def test_unknown_feature_errors(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
         # corpus n-grams are canonical and have at most 3 tokens
         features = ["drought", "zeppelin", "Drought", "drought hits jamaame famine"]
-        series, absent = news_factors(corpus, features, gazetteer)
+        factors, absent = news_factors(corpus, features, gazetteer)
         assert absent == features[1:]
-        assert {s.feature for s in series} == {"drought"}
+        assert factors.features == ("drought",)
+        assert factors.values.shape == (1, len(factors.locations), 1)
         with pytest.raises(DataError, match="denominator"):
             news_factors(corpus, ["drought"], gazetteer, denominator="nowhere")
         with pytest.raises(DataError, match="target keywords"):
@@ -337,10 +346,11 @@ class TestNewsFactor:
     def test_zero_denominator_month_flagged(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-02"))
-        f = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
+        factors, _ = news_factors(corpus, ["drought"], gazetteer)
         feb = parse_month("2011-02")
-        assert f.series.at(feb) == 0.0
-        assert feb in f.zero_denominator_months
+        assert factors.at_level("drought", "district")["so-jam"].at(feb) == 0.0
+        jam = factors.locations.index("so-jam")
+        assert factors.zero_denominator[jam].tolist() == [False, True]
 
     def test_denominator_monotonicity(self, tmp_path, gazetteer):
         # Adding an SO-tagged article with no mentions weakly lowers the factor.
@@ -353,7 +363,7 @@ class TestNewsFactor:
         corpus2 = read_corpus(base, ("2011-01", "2011-01"))
         after = factors_of(corpus2, ["drought"], gazetteer)[("drought", "so-jam")]
         jan = parse_month("2011-01")
-        assert after.series.at(jan) <= before.series.at(jan)
+        assert after.at(jan) <= before.at(jan)
 
     def test_factor_values_within_unit_interval(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
@@ -362,7 +372,7 @@ class TestNewsFactor:
         for feature in ("drought", "famine", "market"):
             for loc in ("so-jam", "so-lower-juba", "SO"):
                 f = factors[(feature, loc)]
-                assert np.all((f.series.values >= 0) & (f.series.values <= 1))
+                assert np.all((f.values >= 0) & (f.values <= 1))
 
     def test_denominator_scope_switch(self, tmp_path, gazetteer):
         arts = [article(0, "2011-01-05", "drought hits Jamaame"),
@@ -375,8 +385,8 @@ class TestNewsFactor:
         country = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
         corpus_wide = factors_of(corpus, ["drought"], gazetteer,
                                  denominator="corpus")[("drought", "so-jam")]
-        assert country.series.at(jan) == pytest.approx(1 / 2)
-        assert corpus_wide.series.at(jan) == pytest.approx(1 / 4)
+        assert country.at(jan) == pytest.approx(1 / 2)
+        assert corpus_wide.at(jan) == pytest.approx(1 / 4)
 
     def test_untagged_mentions_stay_out_of_a_country_share(self, tmp_path, gazetteer):
         # Only the SO-tagged article counts toward so-jam's share of SO articles.
@@ -385,48 +395,65 @@ class TestNewsFactor:
         corpus = read_corpus(write_corpus(tmp_path / "c.jsonl", arts), ("2011-01", "2011-01"))
         jan = parse_month("2011-01")
         country = factors_of(corpus, ["jamaame"], gazetteer)
-        assert country[("jamaame", "so-jam")].series.at(jan) == 1.0
-        assert country[("jamaame", "ET")].series.at(jan) == 1.0
+        assert country[("jamaame", "so-jam")].at(jan) == 1.0
+        assert country[("jamaame", "ET")].at(jan) == 1.0
         corpus_wide = factors_of(corpus, ["jamaame"], gazetteer, denominator="corpus")
-        assert corpus_wide[("jamaame", "so-jam")].series.at(jan) == 1.0
+        assert corpus_wide[("jamaame", "so-jam")].at(jan) == 1.0
 
-    def test_factors_csv_round_trip(self, tmp_path, gazetteer):
+    def test_factors_round_trip(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
-        corpus = read_corpus(path, ("2011-01", "2011-01"))
-        by_key = factors_of(corpus, ["drought"], gazetteer)
-        factors = [by_key[("drought", loc)] for loc in ("so-jam", "SO")]
-        out = tmp_path / "factors.csv"
-        write_factors_csv(out, factors)
-        back = read_factors_csv(out)
-        assert {(f.feature, f.location_id, f.level) for f in back} == \
-               {("drought", "so-jam", "district"), ("drought", "SO", "country")}
-        by_loc = {f.location_id: f for f in back}
-        assert np.allclose(by_loc["so-jam"].series.values, factors[0].series.values)
+        corpus = read_corpus(path, ("2011-01", "2011-02"))
+        factors, _ = news_factors(corpus, ["drought", "famine"], gazetteer)
+        save_factors(tmp_path / "f.npy", tmp_path / "f.json", factors)
+        back = load_factors(tmp_path / "f.npy", tmp_path / "f.json")
+        assert (back.features, back.locations, back.levels, back.start) == \
+               (factors.features, factors.locations, factors.levels, factors.start)
+        assert back.values.tobytes() == factors.values.tobytes()
+        assert np.array_equal(back.zero_denominator, factors.zero_denominator)
+        labels = json.loads((tmp_path / "f.json").read_text())
+        assert labels["start"] == "2011-01"
+        so, et = ["2011-02"], ["2011-01", "2011-02"]  # every article is SO-tagged, in January
+        assert labels["zero_denominator"] == {
+            "so-jam": so, "so-kis": so, "so-lower-juba": so, "SO": so,
+            "et-gog": et, "et-maj": et, "et-gambela": et, "ET": et}
 
-    def test_factors_csv_round_trips_values_bit_for_bit(self, tmp_path):
+    def test_factors_round_trip_values_bit_for_bit(self, tmp_path):
         values = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1 / 3,
                            0.1 + 0.2, np.nextafter(1.0, 0.0), 1.0])
-        factors = [
-            NewsFactorSeries("drought", "so-jam", "district",
-                             Series(parse_month("2010-11"), values)),
-            NewsFactorSeries("flood", "SO", "country",
-                             Series(parse_month("2011-03"), values[::-1])),
-        ]
-        out = tmp_path / "factors.csv"
-        write_factors_csv(out, factors)
-        back = read_factors_csv(out)
-        assert [(f.feature, f.location_id, f.level, f.series.start) for f in back] == \
-               [(f.feature, f.location_id, f.level, f.series.start) for f in factors]
-        for got, want in zip(back, factors):
-            assert got.series.values.tobytes() == want.series.values.tobytes()
+        zero = np.zeros((2, values.size), dtype=bool)
+        zero[1, [0, 7]] = True
+        factors = NewsFactors(("drought", "flood"), ("so-jam", "SO"), ("district", "country"),
+                              parse_month("2010-11"), np.stack([[values, values[::-1]]] * 2),
+                              zero)
+        save_factors(tmp_path / "a.npy", tmp_path / "a.json", factors)
+        back = load_factors(tmp_path / "a.npy", tmp_path / "a.json")
+        assert back.values.tobytes() == factors.values.tobytes()
+        assert np.array_equal(back.zero_denominator, zero)
+        assert back.at_level("flood", "country")["SO"].start == parse_month("2010-11")
+        save_factors(tmp_path / "b.npy", tmp_path / "b.json", back)
+        for suffix in ("npy", "json"):
+            assert (tmp_path / f"a.{suffix}").read_bytes() == \
+                   (tmp_path / f"b.{suffix}").read_bytes()
 
-    def test_factors_csv_non_contiguous_months_rejected(self, tmp_path):
-        out = tmp_path / "factors.csv"
-        out.write_text("feature,location_id,level,month,value\n"
-                       "drought,so-jam,district,2011-01,0.5\n"
-                       "drought,so-jam,district,2011-03,0.25\n")
-        with pytest.raises(DataError, match="non-contiguous months"):
-            read_factors_csv(out)
+    def test_load_factors_rejects_an_array_that_does_not_fit_its_labels(self, tmp_path):
+        labels = tmp_path / "f.json"
+        labels.write_text(json.dumps({"features": ["drought"], "locations": ["so-jam", "SO"],
+                                      "levels": ["district", "country"], "start": "2011-01",
+                                      "zero_denominator": {}}))
+        values = tmp_path / "f.npy"
+        np.save(values, np.full((1, 2, 3), 0.5))
+        assert load_factors(values, labels).at_level("drought", "district")["so-jam"].end == \
+               parse_month("2011-03")
+        for bad, match in [(np.full((1, 3, 3), 0.5), "do not fit"),
+                           (np.full((1, 2), 0.5), "do not fit"),
+                           (np.full((1, 2, 3), 0.5, dtype=np.float32), "dtype float32"),
+                           (np.full((1, 2, 3), 1.5), r"\[0, 1\]")]:
+            np.save(values, bad)
+            with pytest.raises(DataError, match=match):
+                load_factors(values, labels)
+        values.write_bytes(b"not an array")
+        with pytest.raises(DataError, match="bad news factors"):
+            load_factors(values, labels)
 
 
 # ------------------------------------------------- property test against the oracle
@@ -501,12 +528,10 @@ def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, str
     want, want_absent = oracle_factors(index, features, gaz, **kwargs)
     got, got_absent = news_factors(corpus, features, gaz, **kwargs)
     assert got_absent == want_absent
-    assert [s.zero_denominator_months for s in got] == \
-           [s.zero_denominator_months for s in want]
-    assert all(parse_month("2011-03") in s.zero_denominator_months for s in got)
-    write_factors_csv(tmp_path / "got.csv", got)
-    write_factors_csv(tmp_path / "want.csv", want)
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert records(got) == want
+    assert all(parse_month("2011-03") in r[-1] for r in want)
+    save_factors(tmp_path / "f.npy", tmp_path / "f.json", got)
+    assert records(load_factors(tmp_path / "f.npy", tmp_path / "f.json")) == want
 
     locations = sorted(gaz.provinces) + sorted(gaz.districts) + ["SO", "ET", "KE", "XX"]
     assert feature_coverage(corpus, features, gaz, locations) == \

@@ -92,18 +92,14 @@ class TestBuildDesign:
         reasons = {r for _, m, r in design.skipped if m < panel.start + 18}
         assert reasons and all("lag" in r for r in reasons)
 
-    def test_single_row_interface(self):
-        panel = make_panel(n_districts=5)
+    def test_no_valid_rows_when_the_series_are_too_short(self):
+        # The phase lags reach 18 months back: 19 months give one row per district.
         spec = ModelSpec(kind="combined")
-        t = panel.start + 20
-        one = build_design(panel, spec, months=[t])
-        design = build_design(panel, spec)
-        assert one.rows == tuple((d, t) for d in sorted(panel.districts))
-        assert one.columns == design.columns
-        assert np.array_equal(one.X[one.rows.index(("d00", t))],
-                              design.X[design.rows.index(("d00", t))])
+        panel = make_panel(n_districts=5, months=19)
+        one = build_design(panel, spec)
+        assert one.rows == tuple((d, panel.end) for d in sorted(panel.districts))
         with pytest.raises(DataError, match="no valid rows"):
-            build_design(panel, spec, months=[panel.start])
+            build_design(make_panel(n_districts=5, months=18), spec)
 
     def test_ablated_clusters_remove_columns(self):
         panel = make_panel(n_districts=5, features=("alpha", "beta", "gamma"),

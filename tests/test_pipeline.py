@@ -20,6 +20,7 @@ from newswarn import panel as panel_mod
 from newswarn.cli import main as cli_main
 from newswarn.config import _PATH_KEYS, PipelineConfig, load_config, save_config
 from newswarn.errors import ConfigError
+from newswarn.months import format_month, parse_month
 from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
@@ -63,7 +64,8 @@ class TestFullRun:
     def test_expected_artifacts(self, run_dir):
         _, cfg, _ = run_dir
         out = Path(cfg.output)
-        for name in ("seeds.json", "expanded.json", "features.json", "factors.csv",
+        for name in ("seeds.json", "expanded.json", "features.json", "factors.npy",
+                     "factors.json",
                      "screening.csv", "retained.json", "clusters.json",
                      "cv_reports.json", "predictions.csv", "models.json",
                      "audit.json", "ablation.csv", "fronts.csv", "events.csv",
@@ -75,11 +77,19 @@ class TestFullRun:
                      "feature_edges.csv", "factor_percentiles.csv"):
             assert (report / name).exists(), name
 
-    def test_factor_csv_schema(self, run_dir):
+    def test_factor_array_layout(self, run_dir):
         _, cfg, _ = run_dir
-        with open(Path(cfg.output) / "factors.csv") as fh:
-            header = fh.readline().strip()
-        assert header == "feature,location_id,level,month,value"
+        out = Path(cfg.output)
+        values = np.load(out / "factors.npy", allow_pickle=False)
+        labels = json.loads((out / "factors.json").read_text())
+        features = sorted({r["ngram"] for r in json.loads((out / "features.json").read_text())})
+        absent = [r["ngram"] for r in json.loads((out / "factors_skipped.json").read_text())]
+        assert labels["features"] == [w for w in features if w not in absent]
+        assert labels["start"] == cfg.window_start
+        months = parse_month(cfg.window_end) - parse_month(cfg.window_start) + 1
+        assert values.dtype == np.float64
+        assert values.shape == (len(labels["features"]), len(labels["locations"]), months)
+        assert len(labels["levels"]) == len(labels["locations"])
 
     def test_audit_reports_no_lookahead_violations(self, run_dir):
         _, cfg, _ = run_dir
@@ -277,6 +287,40 @@ class TestFailureModes:
             PipelineConfig(granger_level=2.0).validate()
         with pytest.raises(ConfigError):
             PipelineConfig(grid_min=0.5).validate()
+        with pytest.raises(ConfigError, match="month out of range"):
+            PipelineConfig(window_start="2012-13").validate()
+        with pytest.raises(ConfigError, match="after window_end"):
+            PipelineConfig(window_start="2013-02", window_end="2013-01").validate()
+
+    @pytest.mark.parametrize("start, end", [("2012-13", "2014-12"), ("2014-02", "2014-01")])
+    def test_a_bad_corpus_window_fails_before_any_stage(self, tmp_path, start, end):
+        bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path)
+        cfg = load_config(bundle["config"])
+        save_config(bundle["config"], dataclasses.replace(cfg, window_start=start,
+                                                          window_end=end))
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(bundle["config"])])
+        assert result.exit_code == 1  # a config error, not a data error from expand
+        assert not (Path(cfg.output) / "manifests").exists()
+
+
+class TestFactorArtifact:
+    def test_the_zero_denominator_flag_survives_the_artifact(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path)
+        cfg = load_config(bundle["config"])
+        empty = format_month(parse_month(cfg.window_start) + 5)
+        lines = Path(cfg.corpus).read_text(encoding="utf-8").splitlines(keepends=True)
+        Path(cfg.corpus).write_text(
+            "".join(line for line in lines if not json.loads(line)["date"].startswith(empty)),
+            encoding="utf-8")
+        quiet_run(cfg, stages=["extract", "expand", "factors"])
+        ctx = RunContext(cfg=cfg, out=Path(cfg.output))
+        features = sorted({r["ngram"] for r in json.loads(ctx.read("features.json").read_text())})
+        want, _ = corpus_mod.news_factors(corpus_mod.read_corpus(cfg.corpus, ctx.window),
+                                          features, ctx.gazetteer())
+        got = ctx.factors()
+        assert want.zero_denominator[:, 5].all() and not want.zero_denominator[:, 4].any()
+        assert np.array_equal(got.zero_denominator, want.zero_denominator)
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestConfigFile:
@@ -418,7 +462,7 @@ class TestWorkDoneOnce:
         bundle = generate_synthetic(SyntheticSpec(**SMALL), seed=5, out_dir=out)
         cfg = load_config(bundle["config"])
         parses, cv_specs, corpus_reads = [], [], []
-        real_read = corpus_mod.read_factors_csv
+        real_read = corpus_mod.load_factors
         real_read_corpus = corpus_mod.read_corpus
         real_cv = panel_mod.cross_validate_design
 
@@ -435,7 +479,7 @@ class TestWorkDoneOnce:
             return real_cv(design, spec, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(corpus_mod, "read_factors_csv", count_read)
+            mp.setattr(corpus_mod, "load_factors", count_read)
             mp.setattr(corpus_mod, "read_corpus", count_read_corpus)
             mp.setattr(panel_mod, "cross_validate_design", count_cv)
             summary = quiet_run(cfg)
@@ -541,8 +585,10 @@ class TestCli:
                                           "--districts", "10", "--months", "60",
                                           "--decoys", "4"])
         assert result.exit_code == 0, result.output
-        result = runner.invoke(cli_main, ["extract", "--config", str(out / "config.ini")])
+        result = runner.invoke(cli_main, ["run", "--config", str(out / "config.ini"),
+                                          "--stage", "extract"])
         assert result.exit_code == 0, result.output
+        assert result.output == "extract: run\n"
         assert (out / "run" / "seeds.json").exists()
         result = runner.invoke(cli_main, ["run", "--config", str(out / "config.ini"),
                                           "--stage", "expand"])
@@ -564,12 +610,12 @@ class TestCli:
         with open(out / "corpus.jsonl", "a") as fh:
             fh.write("this is not json\n")
         runner = CliRunner()
-        result = runner.invoke(cli_main, ["expand", "--config", str(out / "config.ini"),
-                                          "--strict"])
+        expand = ["run", "--config", str(out / "config.ini"), "--stage", "expand", "--strict"]
+        result = runner.invoke(cli_main, expand)
         assert result.exit_code == 1  # extract outputs missing -> config error
-        runner.invoke(cli_main, ["extract", "--config", str(out / "config.ini")])
-        result = runner.invoke(cli_main, ["expand", "--config", str(out / "config.ini"),
-                                          "--strict"])
+        runner.invoke(cli_main, ["run", "--config", str(out / "config.ini"),
+                                 "--stage", "extract"])
+        result = runner.invoke(cli_main, expand)
         assert result.exit_code == 2
         failure = json.loads((out / "run" / "manifests" / "expand.error.json").read_text())
         assert failure["stage"] == "expand" and "error" in failure
