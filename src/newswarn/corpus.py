@@ -22,6 +22,7 @@ from itertools import chain
 
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import DataError
 from .months import format_month, parse_date, parse_month
 from .series import Series
@@ -134,15 +135,11 @@ def load_gazetteer(path) -> Gazetteer:
 
 
 def write_gazetteer(path, districts) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_GAZETTEER_HEADER)
-        for d in districts:
-            writer.writerow(
-                [d.district_id, d.name, "|".join(d.aliases), d.province_id, d.country,
-                 repr(d.lat), repr(d.lon)]
-                + [repr(d.statics[k]) for k in STATIC_FACTOR_NAMES]
-            )
+    write_csv(path, _GAZETTEER_HEADER, (
+        [d.district_id, d.name, "|".join(d.aliases), d.province_id, d.country, d.lat, d.lon]
+        + [d.statics[k] for k in STATIC_FACTOR_NAMES]
+        for d in districts
+    ))
 
 
 def match_locations(tokens, tags, gaz: Gazetteer) -> set[str]:

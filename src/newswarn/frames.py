@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .artifacts import write_json
 from .errors import DataError
 from .stemmer import stem_tokens
 from .textutil import contains_subsequence, iter_ngrams, normalize_ngram, tokenize
@@ -267,9 +268,7 @@ def save_seed_features(path, result: ExtractionResult) -> None:
         {"ngram": f.ngram, "provenance": list(f.provenance), "frame_count": f.frame_count}
         for f in result.feature_list()
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, rows)
 
 
 def load_seed_features(path) -> list[TextFeature]:

@@ -8,7 +8,6 @@ classifier through a lower/upper threshold pair (l, u).
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -137,8 +136,12 @@ def score(predicted, actual, window: int = 0, grid=None) -> Score:
 
 
 def threshold_grid(lo: float = 1.0, hi: float = 5.0, step: float = 0.1):
-    """Exact threshold ladder lo..hi at the given step (tenths by default)."""
-    n = int(round((hi - lo) / step))
+    """Exact threshold ladder from lo at the given step (tenths by default).
+
+    It ends at the last rung at or below hi, allowing 1e-9 of a step for float
+    error in ``(hi - lo) / step``.
+    """
+    n = math.floor((hi - lo) / step + 1e-9)
     return [round(lo + k * step, 10) for k in range(n + 1)]
 
 
@@ -217,22 +220,3 @@ def expert_baseline(projections_by_district, actual_events, window: int = 0,
         predicted.extend(detect_outbreaks(arr, periods, district))
     return score(predicted, actual_events, window, grid=period_grid)
 
-
-def write_events_csv(path, rows) -> None:
-    """Events CSV: district_id, period, kind, model, severity."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["district_id", "period", "kind", "model", "severity"])
-        for district, period, kind, model, severity in rows:
-            writer.writerow([district, period, kind, model, repr(float(severity))])
-
-
-def write_front_csv(path, fronts) -> None:
-    """Front CSV: l, u, precision, recall, model. ``fronts`` maps model -> points."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["l", "u", "precision", "recall", "model"])
-        for model in sorted(fronts):
-            for p in fronts[model]:
-                writer.writerow([repr(p.l), repr(p.u), repr(p.precision),
-                                 repr(p.recall), model])

@@ -723,21 +723,24 @@ def load_panel_csv(path, gaz: Gazetteer):
             raise DataError(f"panel {path} missing columns: {sorted(need - have)}")
         indicators = [k for k in TRADITIONAL_INDICATORS if k in have]
         for lineno, row in enumerate(reader, start=2):
-            d = row["district_id"]
-            if d not in gaz.districts:
-                raise DataError(f"{path}:{lineno}: unknown district {d!r}")
-            t = parse_month(row["month"])
-            months_seen.add(t)
-            phase_txt = (row.get("ipc_phase") or "").strip()
-            if phase_txt:
-                phase = float(phase_txt)
-                if phase != int(phase) or not 1 <= phase <= 5:
-                    raise DataError(f"{path}:{lineno}: IPC phase must be an integer 1..5")
-                ipc_obs.setdefault(d, {})[t] = phase
-            for k in indicators:
-                cell = (row.get(k) or "").strip()
-                if cell:
-                    trad_cells[k].setdefault(d, {})[t] = float(cell)
+            try:
+                d = row["district_id"]
+                if d not in gaz.districts:
+                    raise DataError(f"unknown district {d!r}")
+                t = parse_month(row["month"])
+                months_seen.add(t)
+                phase_txt = (row.get("ipc_phase") or "").strip()
+                if phase_txt:
+                    phase = float(phase_txt)
+                    if not (1 <= phase <= 5 and phase == int(phase)):  # nan, inf never reach int()
+                        raise DataError("IPC phase must be an integer 1..5")
+                    ipc_obs.setdefault(d, {})[t] = phase
+                for k in indicators:
+                    cell = (row.get(k) or "").strip()
+                    if cell:
+                        trad_cells[k].setdefault(d, {})[t] = float(cell)
+            except (DataError, ValueError, AttributeError) as exc:
+                raise DataError(f"{path}:{lineno}: bad panel row: {exc}") from None
     if not ipc_obs:
         raise DataError(f"panel {path} holds no IPC observations")
     start, end = min(months_seen), max(months_seen)
@@ -792,13 +795,3 @@ def assemble_panel(
         cluster_labels=dict(cluster_labels or {}),
     )
 
-
-def write_predictions_csv(path, reports: dict[str, CVReport]) -> None:
-    """Prediction CSV: district_id, month, y_true, y_pred, model."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["district_id", "month", "y_true", "y_pred", "model"])
-        for model in sorted(reports):
-            for p in reports[model].predictions:
-                writer.writerow([p.district, format_month(p.month), repr(p.y_true),
-                                 repr(p.y_pred), model])

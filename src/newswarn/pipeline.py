@@ -24,6 +24,7 @@ from . import outbreak as outbreak_mod
 from . import panel as panel_mod
 from . import semantics as semantics_mod
 from . import tsstats as tsstats_mod
+from .artifacts import write_csv, write_json
 from .config import _PATH_KEYS, PipelineConfig
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month
@@ -130,11 +131,15 @@ class RunContext:
         return self._memo("factors", lambda: corpus_mod.load_factors(
             self.read("factors.npy"), self.read("factors.json")))
 
+    def clusters(self) -> list[semantics_mod.FeatureCluster]:
+        return self._memo("clusters",
+                          lambda: semantics_mod.load_clusters(self.read("clusters.json")))
+
     def panel_dataset(self):
         def build():
             with open(self.read("retained.json"), "r", encoding="utf-8") as fh:
                 retained = json.load(fh)
-            clusters = semantics_mod.load_clusters(self.read("clusters.json"))
+            clusters = self.clusters()
             return panel_mod.assemble_panel(
                 self.gazetteer(), self.read("panel"), self.factors(),
                 {w: meta["diff_order"] for w, meta in retained.items()},
@@ -203,6 +208,19 @@ class RunContext:
 
         return self._memo("predictions", build)
 
+    def events(self) -> tuple[list, dict[str, list]]:
+        """``events.csv`` as (actual outbreak events, model -> predicted events)."""
+        actual, predicted = [], {}
+        with open(self.read("events.csv"), "r", encoding="utf-8", newline="") as fh:
+            for row in csv.DictReader(fh):
+                event = outbreak_mod.OutbreakEvent(row["district_id"], parse_month(row["period"]),
+                                                   float(row["severity"]))
+                if row["kind"] == "actual":
+                    actual.append(event)
+                else:
+                    predicted.setdefault(row["model"], []).append(event)
+        return actual, predicted
+
 
 def _up_to_date(ctx: RunContext, manifest: dict) -> bool:
     """Whether the recorded inputs still hash the same and the outputs are intact here.
@@ -255,12 +273,6 @@ def _execute_stage(ctx: RunContext, name: str, params: dict, compute):
     return "run"
 
 
-def _write_json(path, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) -> int:
     """Smallest training sample allowed in any fold, from the widest design.
 
@@ -311,7 +323,7 @@ def _stage_expand(ctx: RunContext):
         candidates = semantics_mod.enumerate_candidates(ctx.corpus(), cfg.ngram_floor)
         expanded = semantics_mod.expand_seeds(seeds, candidates, embeddings,
                                               radius=cfg.wmd_radius)
-        _write_json(ctx.write("expanded.json"), [
+        write_json(ctx.write("expanded.json"), [
             {"ngram": f.ngram, "nearest_seed": f.source_seed, "distance": f.distance}
             for f in expanded
         ])
@@ -322,7 +334,7 @@ def _stage_expand(ctx: RunContext):
             {"ngram": f.ngram, "provenance": list(f.provenance),
              "nearest_seed": f.source_seed, "distance": f.distance} for f in expanded
         ]
-        _write_json(ctx.write("features.json"), sorted(rows, key=lambda r: r["ngram"]))
+        write_json(ctx.write("features.json"), sorted(rows, key=lambda r: r["ngram"]))
 
     params = {"radius": cfg.wmd_radius, "floor": cfg.ngram_floor,
               "window": [cfg.window_start, cfg.window_end], "strict": cfg.strict}
@@ -343,7 +355,7 @@ def _stage_factors(ctx: RunContext):
         )
         corpus_mod.save_factors(ctx.write("factors.npy"), ctx.write("factors.json"), factors)
         skipped = [{"ngram": f, "reason": "absent from corpus"} for f in absent]
-        _write_json(ctx.write("factors_skipped.json"), skipped)
+        write_json(ctx.write("factors_skipped.json"), skipped)
 
     params = {"exclude_targets": cfg.exclude_target_articles,
               "targets": sorted(cfg.target_keywords),
@@ -364,8 +376,11 @@ def _stage_select(ctx: RunContext):
             n_max=cfg.factor_lags, level=cfg.granger_level,
             adf_level=cfg.adf_level, max_d=cfg.adf_max_d, mode=cfg.screening_mode,
         )
-        tsstats_mod.write_screening_csv(ctx.write("screening.csv"), report)
-        _write_json(ctx.write("retained.json"), {
+        write_csv(ctx.write("screening.csv"),
+                  ["feature", "F", "p", "lag_n", "differencing_d", "decision", "reason"],
+                  ([r.feature, r.f_stat, r.p_value, r.n_lags, r.diff_order, int(r.decision),
+                    r.reason] for r in report))
+        write_json(ctx.write("retained.json"), {
             w: {"diff_order": meta["diff_order"], "f_stat": meta["result"].f_stat,
                 "p_value": meta["result"].p_value, "n_lags": meta["result"].n_lags}
             for w, meta in retained.items()
@@ -401,7 +416,7 @@ def _stage_fit(ctx: RunContext):
             audits[name] = {"violations": violations, "rows": len(design.rows),
                             "skipped": len(design.skipped)}
             reports[name] = ctx.cv_report(name)
-        _write_json(ctx.write("cv_reports.json"), {
+        write_json(ctx.write("cv_reports.json"), {
             name: {
                 "fold_rmse": [r if r is None else float(r) for r in rep.fold_rmse],
                 "mean_rmse": rep.mean_rmse,
@@ -410,7 +425,10 @@ def _stage_fit(ctx: RunContext):
             }
             for name, rep in reports.items()
         })
-        panel_mod.write_predictions_csv(ctx.write("predictions.csv"), reports)
+        write_csv(ctx.write("predictions.csv"),
+                  ["district_id", "month", "y_true", "y_pred", "model"],
+                  ([p.district, format_month(p.month), p.y_true, p.y_pred, model]
+                   for model in sorted(reports) for p in reports[model].predictions))
         models = {}
         for kind in panel_mod.MODEL_KINDS:
             result = panel_mod.fit_design(designs[kind], specs[kind])
@@ -426,8 +444,8 @@ def _stage_fit(ctx: RunContext):
                 "fold_rmse": [r if r is None else float(r)
                               for r in reports[kind].fold_rmse],
             }
-        _write_json(ctx.write("models.json"), models)
-        _write_json(ctx.write("audit.json"), audits)
+        write_json(ctx.write("models.json"), models)
+        write_json(ctx.write("audit.json"), audits)
 
     params = {"folds": cfg.folds, "spatial": cfg.spatial,
               "lasso_compare": cfg.lasso_compare, "lasso_lambda": cfg.lasso_lambda,
@@ -445,13 +463,10 @@ def _stage_ablate(ctx: RunContext):
         results = panel_mod.ablate(designs["combined"], ctx.model_specs()["combined"],
                                    ctx.panel_dataset(), ctx.cv_report("combined"),
                                    cfg.folds, min_train)
-        with open(ctx.write("ablation.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cluster_id", "label", "district_id", "rmse_delta"])
-            for r in results:
-                writer.writerow([r.cluster_id, r.label, "ALL", repr(r.mean_delta)])
-                for d in sorted(r.district_delta):
-                    writer.writerow([r.cluster_id, r.label, d, repr(r.district_delta[d])])
+        write_csv(ctx.write("ablation.csv"),
+                  ["cluster_id", "label", "district_id", "rmse_delta"],
+                  ([r.cluster_id, r.label, d, delta] for r in results
+                   for d, delta in [("ALL", r.mean_delta), *sorted(r.district_delta.items())]))
 
     params = {"folds": cfg.folds, "y_lags": cfg.y_lags, "factor_lags": cfg.factor_lags,
               "delay": cfg.publication_delay, "spatial": cfg.spatial}
@@ -538,29 +553,34 @@ def _stage_classify(ctx: RunContext):
             points[model] = entry
         projections_path = ctx.read("projections", optional=True)
         if projections_path:
-            projections = _load_projections(projections_path, panel, actual_series)
+            projections = _load_projections(projections_path, actual_series)
             expert = outbreak_mod.expert_baseline(projections, actual_events,
                                                   cfg.match_window, period_grid=periods)
             points["expert"] = {"precision": expert.precision, "recall": expert.recall,
                                 "matched": expert.matched,
                                 "n_predicted": expert.n_predicted,
                                 "n_actual": expert.n_actual}
-        outbreak_mod.write_front_csv(ctx.write("fronts.csv"), fronts)
-        outbreak_mod.write_events_csv(ctx.write("events.csv"), event_rows)
-        _write_json(ctx.write("operating_points.json"), points)
+        write_csv(ctx.write("fronts.csv"), ["l", "u", "precision", "recall", "model"],
+                  ([p.l, p.u, p.precision, p.recall, model]
+                   for model in sorted(fronts) for p in fronts[model]))
+        write_csv(ctx.write("events.csv"), ["district_id", "period", "kind", "model", "severity"],
+                  event_rows)
+        write_json(ctx.write("operating_points.json"), points)
 
     params = {"grid": [cfg.grid_min, cfg.grid_max, cfg.grid_step],
               "precision_target": cfg.precision_target, "window": cfg.match_window}
     return _execute_stage(ctx, "classify", params, compute)
 
 
-def _load_projections(path, panel, actual_series):
+def _load_projections(path, actual_series):
     rows: dict[str, dict[int, float]] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.setdefault(row["district_id"], {})[parse_month(row["month"])] = float(
-                row["projected_phase"]
-            )
+        for lineno, row in enumerate(csv.DictReader(fh), start=2):
+            try:
+                rows.setdefault(row["district_id"], {})[parse_month(row["month"])] = float(
+                    row["projected_phase"])
+            except (DataError, KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise DataError(f"{path}:{lineno}: bad projections row: {exc}") from None
     out = {}
     for d, (periods, actual_vals) in actual_series.items():
         got = rows.get(d, {})
@@ -577,19 +597,16 @@ def _stage_validate(ctx: RunContext):
     def compute():
         panel = ctx.panel_dataset()
         rows, percentiles = panel_mod.validate_factors(panel)
-        with open(ctx.write("associations.csv"), "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["traditional_factor", "news_factor", "spearman_r",
-                             "n_districts"])
-            for r in rows:
-                writer.writerow([r.indicator, r.feature, repr(r.spearman_r), r.n_districts])
+        write_csv(ctx.write("associations.csv"),
+                  ["traditional_factor", "news_factor", "spearman_r", "n_districts"],
+                  ([r.indicator, r.feature, r.spearman_r, r.n_districts] for r in rows))
         pct_rows = []
         for kind, table in sorted(percentiles.items()):
             for name, by_district in sorted(table.items()):
                 for d, v in sorted(by_district.items()):
                     pct_rows.append({"kind": kind, "name": name, "district": d,
                                      "percentile": v})
-        _write_json(ctx.write("association_percentiles.json"), pct_rows)
+        write_json(ctx.write("association_percentiles.json"), pct_rows)
 
     return _execute_stage(ctx, "validate", {}, compute)
 

@@ -23,6 +23,7 @@ from functools import cache
 
 import numpy as np
 
+from .artifacts import write_json
 from .errors import DataError
 from .textutil import normalize_ngram, tokenize
 
@@ -301,9 +302,7 @@ def save_clusters(path, clusters) -> None:
         {"cluster_id": c.cluster_id, "label": c.label, "members": list(c.members)}
         for c in clusters
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(path, rows)
 
 
 def load_clusters(path) -> list[FeatureCluster]:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .artifacts import write_json
 from .config import PipelineConfig, save_config
 from .corpus import District, write_gazetteer
 from .errors import DataError
@@ -387,9 +388,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
         "base_phase": base_phase,
         "outbreaks": outbreaks,
     }
-    with open(out / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "truth.json", truth)
 
     cfg = PipelineConfig(
         corpus=str(out / "corpus.jsonl"),

@@ -11,7 +11,6 @@ values can be recomputed exactly from the reported residual sums of squares.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -456,15 +455,6 @@ def select_features(
         if result.decision:
             retained[feature] = {"diff_order": d_order, "result": result}
     return retained, report
-
-
-def write_screening_csv(path, report) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature", "F", "p", "lag_n", "differencing_d", "decision", "reason"])
-        for row in report:
-            writer.writerow([row.feature, repr(row.f_stat), repr(row.p_value),
-                             row.n_lags, row.diff_order, int(row.decision), row.reason])
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

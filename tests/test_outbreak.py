@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from newswarn.errors import DataError
 from newswarn.outbreak import (OutbreakEvent, ParetoPoint, classify, detect_outbreaks,
                                expert_baseline, pareto_filter, recall_at_precision,
-                               score, sweep_pareto, threshold_grid, write_events_csv,
-                               write_front_csv)
+                               score, sweep_pareto, threshold_grid)
 
 
 def brute_force_front(points):
@@ -231,6 +230,19 @@ class TestPareto:
                                 and (a.precision > b.precision or a.recall > b.recall))
 
 
+@pytest.mark.parametrize("lo, hi, step, n, last", [
+    (1.0, 5.0, 0.1, 41, 5.0),
+    (1.0, 5.0, 0.7, 6, 4.5),
+    (1.0, 5.0, 0.15, 27, 4.9),
+    (1.0, 4.0, 0.3, 11, 4.0),
+    (2.0, 3.0, 0.1, 11, 3.0),
+])
+def test_threshold_grid_ends_at_the_last_rung_inside_its_range(lo, hi, step, n, last):
+    grid = threshold_grid(lo, hi, step)
+    assert (grid[0], len(grid), grid[-1]) == (lo, n, last)
+    assert grid[-1] <= hi
+
+
 class TestOperatingPoint:
     def front(self):
         return [ParetoPoint(2.0, 3.5, 0.9, 0.5), ParetoPoint(2.2, 3.1, 0.8, 0.7),
@@ -307,14 +319,3 @@ def test_pareto_filter_invariants(raw):
     assert all((q.precision, q.recall) in keys for q in front)
     assert front == brute_force_front(points)
 
-
-def test_csv_writers(tmp_path):
-    events_path = tmp_path / "events.csv"
-    write_events_csv(events_path, [("d0", "2011-01", "actual", "", 3.0)])
-    assert events_path.read_text().splitlines()[0] == \
-        "district_id,period,kind,model,severity"
-    front_path = tmp_path / "front.csv"
-    write_front_csv(front_path, {"combined": [ParetoPoint(2.2, 3.1, 0.8, 0.7)]})
-    lines = front_path.read_text().splitlines()
-    assert lines[0] == "l,u,precision,recall,model"
-    assert "combined" in lines[1]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,8 @@ from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lo
                             build_design, cross_validate_design, fit_design,
                             forward_fill_ipc, lasso_cd, lasso_kkt_residual,
                             load_panel_csv, month_folds, percentile_ranks,
-                            spatial_average, validate_factors, write_predictions_csv)
+                            spatial_average, validate_factors)
+from newswarn.pipeline import _load_projections
 from newswarn.series import Series
 
 from conftest import (grid_districts, make_gazetteer, make_panel,
@@ -419,14 +422,6 @@ class TestCrossValidate:
         report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
         assert set(report.country_rmse) == {"AA", "AB"}
 
-    def test_predictions_csv(self, tmp_path):
-        panel = make_panel(n_districts=5, months=96)
-        report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
-        path = tmp_path / "pred.csv"
-        write_predictions_csv(path, {"baseline": report})
-        header = path.read_text().splitlines()[0]
-        assert header == "district_id,month,y_true,y_pred,model"
-
 
 class TestAblate:
     def combined_and_ablations(self, panel):
@@ -571,3 +566,21 @@ class TestPanelCsv:
         path.write_text("district_id,month,ipc_phase\nnowhere,2011-01,2\n")
         with pytest.raises(DataError, match="unknown district"):
             load_panel_csv(path, gaz)
+
+    @pytest.mark.parametrize("phase, indicator", [
+        ("x3", "0.5"), ("nan", "0.5"), ("inf", "0.5"), ("2", "n/a"),
+    ])
+    def test_malformed_cell_names_file_and_line(self, tmp_path, phase, indicator):
+        gaz = make_gazetteer()
+        path = tmp_path / "panel.csv"
+        path.write_text("district_id,month,ipc_phase,rain_mean\n"
+                        f"so-jam,2011-01,2,0.5\nso-jam,2011-02,{phase},{indicator}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: bad panel row")):
+            load_panel_csv(path, gaz)
+
+    @pytest.mark.parametrize("row", ["so-jam,2011-02,x", "so-jam,2011-2,3", "so-jam,2011-02"])
+    def test_malformed_projection_names_file_and_line(self, tmp_path, row):
+        path = tmp_path / "projections.csv"
+        path.write_text(f"district_id,month,projected_phase\nso-jam,2011-01,3\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}:3: bad projections row")):
+            _load_projections(path, {})

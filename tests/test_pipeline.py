@@ -77,6 +77,30 @@ class TestFullRun:
                      "feature_edges.csv", "factor_percentiles.csv"):
             assert (report / name).exists(), name
 
+    def test_csv_headers(self, run_dir):
+        _, cfg, _ = run_dir
+        out = Path(cfg.output)
+        headers = {
+            "screening.csv": "feature,F,p,lag_n,differencing_d,decision,reason",
+            "predictions.csv": "district_id,month,y_true,y_pred,model",
+            "ablation.csv": "cluster_id,label,district_id,rmse_delta",
+            "fronts.csv": "l,u,precision,recall,model",
+            "events.csv": "district_id,period,kind,model,severity",
+            "associations.csv": "traditional_factor,news_factor,spearman_r,n_districts",
+            "report/rmse_by_country.csv": "model,country,rmse",
+            "report/outbreak_counts.csv": "model,band,observed,predicted",
+            "report/episodes.csv": "district,event_start,month,series,value,value_sm3",
+            "report/cluster_correlation.csv": "intra_cluster_corr,inter_cluster_corr",
+            "report/coverage.csv": "province,articles_with_features,n_outbreaks,all_predicted",
+            "report/ablation_deltas.csv": "cluster_id,label,district_id,rmse_delta",
+            "report/feature_edges.csv": "feature_a,feature_b,distance",
+            "report/factor_percentiles.csv":
+                "feature,location_id,month,value,percentile,percentile_sm3",
+        }
+        assert {p.relative_to(out).as_posix() for p in out.rglob("*.csv")} == set(headers)
+        for name, header in headers.items():
+            assert (out / name).read_text(encoding="utf-8").splitlines()[0] == header, name
+
     def test_factor_array_layout(self, run_dir):
         _, cfg, _ = run_dir
         out = Path(cfg.output)
@@ -600,6 +624,19 @@ class TestCli:
         runner = CliRunner()
         result = runner.invoke(cli_main, ["run", "--config", str(bad)])
         assert result.exit_code == 1
+
+    def test_malformed_panel_cell_exits_2_naming_the_line(self, tmp_path):
+        out = tmp_path / "syn"
+        generate_synthetic(SyntheticSpec(**TINY), seed=2, out_dir=out)
+        lines = (out / "panel.csv").read_text().splitlines()
+        cells = lines[4].split(",")
+        lines[4] = ",".join(cells[:2] + ["x3"] + cells[3:])
+        (out / "panel.csv").write_text("\n".join(lines) + "\n")
+        result = CliRunner().invoke(cli_main, ["run", "--config", str(out / "config.ini"),
+                                               "--stage", "select"])
+        assert result.exit_code == 2
+        assert "panel.csv:5: bad panel row: could not convert string to float: 'x3'" \
+            in result.output
 
     def test_data_error_exit_code(self, tmp_path):
         out = tmp_path / "syn"

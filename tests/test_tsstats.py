@@ -8,7 +8,7 @@ from newswarn.series import Series
 from newswarn.tsstats import (AdfResult, _adf_critical, _aic, _granger_f, _nested_rss,
                               _panel_stack, adf_test, difference_until_stationary, f_sf,
                               fit_adl, granger_test, ols, panel_granger, select_features,
-                              select_lags_aic, spearman, write_screening_csv)
+                              select_lags_aic, spearman)
 
 
 class TestOls:
@@ -295,16 +295,6 @@ class TestScreening:
         retained, report = select_features(sorted(factors), ipc, factors, n_max=3)
         assert len(report) == 100
         assert len(retained) <= 5  # ~1 expected at the 1% level
-
-    def test_screening_csv(self, tmp_path):
-        rng = np.random.default_rng(23)
-        ipc, factors = self.build_panel(rng)
-        _, report = select_features(["planted"], ipc, {"planted": factors})
-        path = tmp_path / "screen.csv"
-        write_screening_csv(path, report)
-        text = path.read_text()
-        assert text.splitlines()[0] == "feature,F,p,lag_n,differencing_d,decision,reason"
-        assert "planted" in text
 
 
 class TestSpearman:
