@@ -12,7 +12,6 @@ of a country's articles that co-mention a text feature and a location;
 
 from __future__ import annotations
 
-import csv
 import json
 import warnings
 from array import array
@@ -22,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .artifacts import write_csv
+from .artifacts import read_csv, write_csv
 from .errors import DataError
 from .months import format_month, parse_date, parse_month
 from .series import Series
@@ -109,28 +108,27 @@ class Gazetteer:
 
 def load_gazetteer(path) -> Gazetteer:
     districts = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in _GAZETTEER_HEADER if c not in (reader.fieldnames or [])]
-        if missing:
-            raise DataError(f"gazetteer {path} missing columns: {missing}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                aliases = tuple(a for a in row["aliases"].split("|") if a)
-                districts.append(
-                    District(
-                        district_id=row["district_id"],
-                        name=row["name"],
-                        aliases=aliases,
-                        province_id=row["province_id"],
-                        country=row["country"],
-                        lat=float(row["lat"]),
-                        lon=float(row["lon"]),
-                        statics={k: float(row[k]) for k in STATIC_FACTOR_NAMES},
-                    )
+    header, rows = read_csv(path, "gazetteer")
+    missing = [c for c in _GAZETTEER_HEADER if c not in header]
+    if missing:
+        raise DataError(f"gazetteer {path} missing columns: {missing}")
+    for lineno, row in rows:
+        try:
+            aliases = tuple(a for a in row["aliases"].split("|") if a)
+            districts.append(
+                District(
+                    district_id=row["district_id"],
+                    name=row["name"],
+                    aliases=aliases,
+                    province_id=row["province_id"],
+                    country=row["country"],
+                    lat=float(row["lat"]),
+                    lon=float(row["lon"]),
+                    statics={k: float(row[k]) for k in STATIC_FACTOR_NAMES},
                 )
-            except (KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad gazetteer row: {exc}") from None
+            )
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad gazetteer row: {exc}") from None
     return Gazetteer(districts)
 
 

@@ -14,7 +14,6 @@ which is what makes the forecasts issuable three months ahead.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -22,11 +21,12 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
+from .artifacts import read_csv
 from .corpus import District, Gazetteer, NewsFactors, STATIC_FACTOR_NAMES
 from .errors import ConfigError, DataError, NumericalError
 from .months import DEFAULT_PUBLICATION_SCHEDULE, format_month, parse_month, publication_months
 from .series import Series
-from .tsstats import ols, spearman, _average_ranks
+from .tsstats import spearman, _average_ranks
 
 TRADITIONAL_INDICATORS = (
     "conflict_events", "conflict_fatalities", "price_index", "price_yoy",
@@ -165,11 +165,6 @@ class DesignMatrix:
     columns: tuple[Column, ...]
     rows: tuple[tuple[str, int], ...]      # (district, month) per row
     skipped: tuple[tuple[str, int, str], ...]
-
-    def subset_rows(self, idx) -> "DesignMatrix":
-        idx = np.asarray(idx, dtype=int)
-        return DesignMatrix(self.X[idx], self.y[idx], self.columns,
-                            tuple(self.rows[i] for i in idx), self.skipped)
 
     def subset_columns(self, idx) -> "DesignMatrix":
         idx = list(idx)
@@ -328,27 +323,30 @@ def audit_no_lookahead(design: DesignMatrix, horizon: int = 3):
     return violations, records
 
 
-def _mgs_keep(X: np.ndarray, tol: float = 1e-8) -> list[int]:
-    """Indices of a maximal independent column set, keeping earlier columns."""
+def _least_squares(X: np.ndarray, y: np.ndarray, tol: float = 1e-8):
+    """Least squares on a maximal independent set of ``X``'s columns, from one QR.
+
+    Column j is kept when its residual on the kept columns before it exceeds
+    ``tol`` times its own norm, so zero columns are dropped. R of ``[X, y]``
+    holds every inner product of those columns, so each pass re-factors only
+    R's kept columns (p + 1 rows) and drops the first column that fails; the
+    columns before it keep their residuals. Returns (kept, beta, rss).
+    """
     T, p = X.shape
-    Q = np.empty((p, T))
-    k = 0
-    keep = []
-    for j in range(p):
-        v = X[:, j].astype(float).copy()
-        norm0 = np.linalg.norm(v)
-        if norm0 == 0.0:
-            continue
-        for _ in range(2):  # re-orthogonalize for stability
-            if k:
-                v -= Q[:k].T @ (Q[:k] @ v)
-        norm1 = np.linalg.norm(v)
-        if norm1 <= tol * norm0:
-            continue
-        Q[k] = v / norm1
-        keep.append(j)
-        k += 1
-    return keep
+    R = np.zeros((p + 1, p + 1))  # zero rows below T: columns past the T-th have no residual
+    R[:min(T, p + 1)] = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    norms = np.linalg.norm(R[:, :p], axis=0)
+    kept = list(range(p))
+    while True:
+        F = np.linalg.qr(R[:, kept + [p]], mode="r")
+        bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= tol * norms[kept])
+        if not bad.size:
+            break
+        del kept[bad[0]]
+    k = len(kept)
+    if T <= k:
+        raise DataError(f"need more observations ({T}) than parameters ({k})")
+    return kept, np.linalg.solve(F[:k, :k], F[:k, k]), float(F[k, k] ** 2)
 
 
 @dataclass(frozen=True)
@@ -473,25 +471,17 @@ def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
 
 
 def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
-    """Fit ``spec`` on ``design``: the lasso, or OLS on ``_mgs_keep``'s columns.
+    """Fit ``spec`` on ``design``: the lasso, or OLS on ``_least_squares``'s columns.
 
-    OLS lists the columns it leaves out under ``dropped``. When ``ols`` still
-    rejects the pruned matrix, the error names the failing design columns.
+    OLS lists the columns it leaves out under ``dropped``.
     """
     X, y = design.X, design.y
     if spec.lasso is None:
-        keep = _mgs_keep(X)
-        try:
-            result = ols(X[:, keep], y)
-        except NumericalError as exc:
-            columns = [keep[i] for i in exc.columns]
-            names = [design.columns[i].name for i in columns]
-            raise NumericalError(f"rank-deficient design, collinear columns: {columns} "
-                                 f"({', '.join(names)})", columns) from None
-        kept = set(keep)
-        dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in kept)
-        return FitResult(spec=spec, columns=design.columns, kept=tuple(keep),
-                         beta=result.beta, dropped=dropped, rss=result.rss, nobs=result.nobs)
+        kept, beta, rss = _least_squares(X, y)
+        is_kept = set(kept)
+        dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in is_kept)
+        return FitResult(spec=spec, columns=design.columns, kept=tuple(kept), beta=beta,
+                         dropped=dropped, rss=rss, nobs=X.shape[0])
     penalized = np.array([c.group != "intercept" for c in design.columns])
     try:
         beta, rss, sweeps = lasso_cd(X, y, spec.lasso, penalized)
@@ -535,45 +525,44 @@ def month_folds(start: int, end: int, folds: int) -> list[list[int]]:
     return blocks
 
 
+def fold_rows(months: np.ndarray, block) -> tuple[np.ndarray, np.ndarray]:
+    """Row masks of the fold testing ``block``: train before its first month, test within it."""
+    return months < block[0], (months >= block[0]) & (months <= block[-1])
+
+
 def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset,
                           folds: int = 10, min_train_rows: int = 0) -> CVReport:
     """Expanding-window cross-validation: test fold i trains on folds 1..i-1."""
     blocks = month_folds(panel.start, panel.end, folds)
-    row_month = np.array([m for _, m in design.rows])
+    months = np.array([m for _, m in design.rows])
     fold_rmse: list = []
-    failed = []
     reasons = []
     predictions: list[PredictionRow] = []
     for i in range(1, folds):
-        train_months = {m for b in blocks[:i] for m in b}
-        test_months = set(blocks[i])
-        train_idx = np.nonzero(np.fromiter((m in train_months for m in row_month), bool,
-                                           count=row_month.size))[0]
-        test_idx = np.nonzero(np.fromiter((m in test_months for m in row_month), bool,
-                                          count=row_month.size))[0]
+        train, test = (np.flatnonzero(mask) for mask in fold_rows(months, blocks[i]))
         reason = None
-        if train_idx.size == 0 or test_idx.size == 0 or train_idx.size < min_train_rows:
-            reason = (f"{train_idx.size} training rows (need {max(min_train_rows, 1)}), "
-                      f"{test_idx.size} test rows")
+        if train.size == 0 or test.size == 0 or train.size < min_train_rows:
+            reason = (f"{train.size} training rows (need {max(min_train_rows, 1)}), "
+                      f"{test.size} test rows")
         else:
-            train = design.subset_rows(train_idx)
-            test = design.subset_rows(test_idx)
             try:
-                result = fit_design(train, spec)
+                # fitting reads no row keys, so the fold's design carries none
+                result = fit_design(DesignMatrix(design.X[train], design.y[train],
+                                                 design.columns, (), ()), spec)
             except (DataError, NumericalError) as exc:
                 reason = str(exc)
         if reason is not None:
             warnings.warn(f"fold {i + 1}: unusable training window ({reason}), "
                           "excluded from the average")
             fold_rmse.append(None)
-            failed.append(i + 1)
             reasons.append(f"fold {i + 1}: {reason}")
             continue
-        yhat = test.X[:, list(result.kept)] @ result.beta
-        err = yhat - test.y
+        yhat = design.X[test][:, list(result.kept)] @ result.beta
+        err = yhat - design.y[test]
         fold_rmse.append(float(np.sqrt(np.mean(err**2))))
-        for (d, t), yt, yp in zip(test.rows, test.y, yhat):
-            predictions.append(PredictionRow(d, t, float(yt), float(yp), i + 1))
+        for j, yp in zip(test, yhat):
+            d, t = design.rows[j]
+            predictions.append(PredictionRow(d, t, float(design.y[j]), float(yp), i + 1))
     valid = [r for r in fold_rmse if r is not None]
     if not valid:
         raise DataError("cross-validation produced no scored folds ("
@@ -594,7 +583,7 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
         country_rmse={c: _rmse(rows) for c, rows in sorted(by_country.items())},
         district_rmse={d: _rmse(rows) for d, rows in sorted(by_district.items())},
         predictions=tuple(predictions),
-        failed_folds=tuple(failed),
+        failed_folds=tuple(k + 2 for k, r in enumerate(fold_rmse) if r is None),
     )
 
 
@@ -715,32 +704,31 @@ def load_panel_csv(path, gaz: Gazetteer):
     ipc_obs: dict[str, dict[int, float]] = {}
     trad_cells: dict[str, dict[str, dict[int, float]]] = {k: {} for k in TRADITIONAL_INDICATORS}
     months_seen: set[int] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"district_id", "month", "ipc_phase"}
-        have = set(reader.fieldnames or ())
-        if not need <= have:
-            raise DataError(f"panel {path} missing columns: {sorted(need - have)}")
-        indicators = [k for k in TRADITIONAL_INDICATORS if k in have]
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                d = row["district_id"]
-                if d not in gaz.districts:
-                    raise DataError(f"unknown district {d!r}")
-                t = parse_month(row["month"])
-                months_seen.add(t)
-                phase_txt = (row.get("ipc_phase") or "").strip()
-                if phase_txt:
-                    phase = float(phase_txt)
-                    if not (1 <= phase <= 5 and phase == int(phase)):  # nan, inf never reach int()
-                        raise DataError("IPC phase must be an integer 1..5")
-                    ipc_obs.setdefault(d, {})[t] = phase
-                for k in indicators:
-                    cell = (row.get(k) or "").strip()
-                    if cell:
-                        trad_cells[k].setdefault(d, {})[t] = float(cell)
-            except (DataError, ValueError, AttributeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad panel row: {exc}") from None
+    header, rows = read_csv(path, "panel")
+    need = {"district_id", "month", "ipc_phase"}
+    have = set(header)
+    if not need <= have:
+        raise DataError(f"panel {path} missing columns: {sorted(need - have)}")
+    indicators = [k for k in TRADITIONAL_INDICATORS if k in have]
+    for lineno, row in rows:
+        try:
+            d = row["district_id"]
+            if d not in gaz.districts:
+                raise DataError(f"unknown district {d!r}")
+            t = parse_month(row["month"])
+            months_seen.add(t)
+            phase_txt = row["ipc_phase"].strip()
+            if phase_txt:
+                phase = float(phase_txt)
+                if not (1 <= phase <= 5 and phase == int(phase)):  # nan, inf never reach int()
+                    raise DataError("IPC phase must be an integer 1..5")
+                ipc_obs.setdefault(d, {})[t] = phase
+            for k in indicators:
+                cell = row[k].strip()
+                if cell:
+                    trad_cells[k].setdefault(d, {})[t] = float(cell)
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad panel row: {exc}") from None
     if not ipc_obs:
         raise DataError(f"panel {path} holds no IPC observations")
     start, end = min(months_seen), max(months_seen)

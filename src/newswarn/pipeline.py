@@ -10,7 +10,6 @@ timestamps; the config and its input files fully determine every emitted byte.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
@@ -24,7 +23,7 @@ from . import outbreak as outbreak_mod
 from . import panel as panel_mod
 from . import semantics as semantics_mod
 from . import tsstats as tsstats_mod
-from .artifacts import write_csv, write_json
+from .artifacts import read_csv, write_csv, write_json
 from .config import _PATH_KEYS, PipelineConfig
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month
@@ -199,11 +198,10 @@ class RunContext:
         """``predictions.csv`` as model -> (district, month) -> predicted phase."""
         def build():
             preds: dict[str, dict[tuple[str, int], float]] = {}
-            with open(self.read("predictions.csv"), "r", encoding="utf-8", newline="") as fh:
-                for row in csv.DictReader(fh):
-                    preds.setdefault(row["model"], {})[
-                        (row["district_id"], parse_month(row["month"]))
-                    ] = float(row["y_pred"])
+            for _, row in read_csv(self.read("predictions.csv"), "predictions")[1]:
+                preds.setdefault(row["model"], {})[
+                    (row["district_id"], parse_month(row["month"]))
+                ] = float(row["y_pred"])
             return preds
 
         return self._memo("predictions", build)
@@ -211,14 +209,13 @@ class RunContext:
     def events(self) -> tuple[list, dict[str, list]]:
         """``events.csv`` as (actual outbreak events, model -> predicted events)."""
         actual, predicted = [], {}
-        with open(self.read("events.csv"), "r", encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                event = outbreak_mod.OutbreakEvent(row["district_id"], parse_month(row["period"]),
-                                                   float(row["severity"]))
-                if row["kind"] == "actual":
-                    actual.append(event)
-                else:
-                    predicted.setdefault(row["model"], []).append(event)
+        for _, row in read_csv(self.read("events.csv"), "events")[1]:
+            event = outbreak_mod.OutbreakEvent(row["district_id"], parse_month(row["period"]),
+                                               float(row["severity"]))
+            if row["kind"] == "actual":
+                actual.append(event)
+            else:
+                predicted.setdefault(row["model"], []).append(event)
         return actual, predicted
 
 
@@ -284,11 +281,9 @@ def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) 
     """
     widest = max((len(d.columns) for d in designs), default=0)
     bar = int(rows_per_parameter * widest) + 1
-    blocks = panel_mod.month_folds(panel.start, panel.end, folds)
-    last_train = {m for b in blocks[:-1] for m in b}
-    cap = max(
-        (sum(1 for _, m in d.rows if m in last_train) for d in designs), default=0
-    )
+    last = panel_mod.month_folds(panel.start, panel.end, folds)[-1]
+    cap = max((int(panel_mod.fold_rows(np.array([m for _, m in d.rows]), last)[0].sum())
+               for d in designs), default=0)
     return min(bar, cap)
 
 
@@ -574,13 +569,12 @@ def _stage_classify(ctx: RunContext):
 
 def _load_projections(path, actual_series):
     rows: dict[str, dict[int, float]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        for lineno, row in enumerate(csv.DictReader(fh), start=2):
-            try:
-                rows.setdefault(row["district_id"], {})[parse_month(row["month"])] = float(
-                    row["projected_phase"])
-            except (DataError, KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise DataError(f"{path}:{lineno}: bad projections row: {exc}") from None
+    for lineno, row in read_csv(path, "projections")[1]:
+        try:
+            rows.setdefault(row["district_id"], {})[parse_month(row["month"])] = float(
+                row["projected_phase"])
+        except (DataError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad projections row: {exc}") from None
     out = {}
     for d, (periods, actual_vals) in actual_series.items():
         got = rows.get(d, {})

@@ -9,7 +9,6 @@ carry a 3-month trailing mean and are labeled as such.
 
 from __future__ import annotations
 
-import csv
 import json
 
 import numpy as np
@@ -17,7 +16,7 @@ import numpy as np
 from . import corpus as corpus_mod
 from . import outbreak as outbreak_mod
 from . import semantics as semantics_mod
-from .artifacts import write_csv
+from .artifacts import read_csv, write_csv
 from .months import format_month
 from .panel import MODEL_KINDS, percentile_ranks
 from .series import Series
@@ -156,9 +155,9 @@ def build_report(ctx) -> None:
               ["province", "articles_with_features", "n_outbreaks", "all_predicted"], coverage)
 
     # Per-cluster ablation deltas, as the ablate stage wrote them.
-    with open(ctx.read("ablation.csv"), "r", encoding="utf-8", newline="") as fh:
-        header, *rows = csv.reader(fh)
-    write_csv(ctx.write("report/ablation_deltas.csv"), header, rows)
+    header, rows = read_csv(ctx.read("ablation.csv"), "ablation")
+    write_csv(ctx.write("report/ablation_deltas.csv"), header,
+              (list(row.values()) for _, row in rows))
 
     # Feature-similarity edge list for external layout.
     edges = semantics_mod.similarity_edges(retained, ctx.embeddings()) if retained else []

@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from collections import Counter, defaultdict
 
@@ -269,6 +270,18 @@ class TestGazetteerInvariants:
                                          pasture_share=0.0))
         with pytest.raises(DataError, match="static"):
             Gazetteer([row])
+
+    @pytest.mark.parametrize("cut, cells", [(-1, 11), (None, 13)])
+    def test_row_of_the_wrong_width_names_file_line_and_counts(self, tmp_path, cut, cells):
+        from newswarn.corpus import load_gazetteer, write_gazetteer
+        path = tmp_path / "gazetteer.csv"
+        write_gazetteer(path, [self.base_row()])
+        header, row = path.read_text().splitlines()
+        row = ",".join(row.split(",")[:cut] if cut else row.split(",") + ["9"])
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:2: bad gazetteer row: {cells} cells, header has 12")):
+            load_gazetteer(path)
 
 
 class TestMatchLocations:

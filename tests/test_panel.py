@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from newswarn.errors import DataError, NumericalError
 from newswarn.months import parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
-                            build_design, cross_validate_design, fit_design,
-                            forward_fill_ipc, lasso_cd, lasso_kkt_residual,
+                            build_design, cross_validate_design, fit_design, fold_rows,
+                            forward_fill_ipc, _least_squares, lasso_cd, lasso_kkt_residual,
                             load_panel_csv, month_folds, percentile_ranks,
                             spatial_average, validate_factors)
-from newswarn.pipeline import _load_projections
+from newswarn.pipeline import _load_projections, min_train_rows
 from newswarn.series import Series
 
 from conftest import (grid_districts, make_gazetteer, make_panel,
@@ -272,18 +272,111 @@ class TestFit:
         result = fit_design(build_design(panel, spec), spec)
         assert set(result.dropped) == {f"static[{s}]" for s in panel.static_names}
 
-    def test_rank_failure_after_pruning_names_design_columns(self):
-        # _mgs_keep drops b = (a+b) - a, but keeps the tiny column, whose
-        # residual it judges against the column's own norm; ols then rejects
-        # the tiny column against R's largest diagonal.
+    def test_tiny_column_independent_of_the_rest_is_kept(self):
+        # b = (a+b) - a is dropped. The tiny column is judged against its own
+        # norm, so it is kept and fitted; no second rank test rejects it.
         rng = np.random.default_rng(35)
         a, b, c = rng.normal(0, 1, (3, 40))
         X = np.column_stack([np.ones(40), a, a + b, b, c * 1e-12])
+        y = rng.normal(0, 1, 40)
         columns = tuple(Column(name, "test") for name in ("const", "a", "a+b", "b", "tiny"))
-        design = DesignMatrix(X, rng.normal(0, 1, 40), columns, (), ())
-        with pytest.raises(NumericalError, match=r"\(tiny\)$") as caught:
-            fit_design(design, ModelSpec(kind="baseline"))
-        assert caught.value.columns == (4,)
+        result = fit_design(DesignMatrix(X, y, columns, (), ()), ModelSpec(kind="baseline"))
+        assert result.kept == (0, 1, 2, 4)
+        assert result.dropped == ("b",)
+        assert result.coefficients()["tiny"] != 0.0
+        assert _check_least_squares(X, y)
+
+
+def _greedy_keep(X, tol=1e-8):
+    """Column rule oracle: greedy Gram-Schmidt over the columns of ``X`` in order.
+
+    Column j is kept when its residual on the kept columns before it exceeds
+    ``tol`` times its own norm; zero columns are dropped.
+    """
+    T, p = X.shape
+    Q = np.empty((p, T))
+    k = 0
+    keep = []
+    for j in range(p):
+        v = X[:, j].astype(float).copy()
+        norm0 = np.linalg.norm(v)
+        if norm0 == 0.0:
+            continue
+        for _ in range(2):  # re-orthogonalize for stability
+            if k:
+                v -= Q[:k].T @ (Q[:k] @ v)
+        norm1 = np.linalg.norm(v)
+        if norm1 <= tol * norm0:
+            continue
+        Q[k] = v / norm1
+        keep.append(j)
+        k += 1
+    return keep
+
+
+def _check_least_squares(X, y) -> bool:
+    """``_least_squares`` keeps the oracle's columns and fits them as lstsq does.
+
+    Returns whether there were enough rows to fit the kept columns.
+    """
+    oracle = _greedy_keep(X)
+    if X.shape[0] <= len(oracle):
+        with pytest.raises(DataError, match="need more observations"):
+            _least_squares(X, y)
+        return False
+    kept, beta, rss = _least_squares(X, y)
+    assert kept == oracle
+    Xk = X[:, kept]
+    # lstsq's singular-value cutoff is not invariant to column scale, so it
+    # solves on unit-norm columns; the comparison is on that scale too
+    norms = np.linalg.norm(Xk, axis=0)
+    expected = np.linalg.lstsq(Xk / norms, y, rcond=None)[0]
+    scale = np.linalg.norm(y)
+    assert np.allclose(beta * norms, expected, rtol=1e-7, atol=1e-9 * scale)
+    resid = y - Xk @ beta
+    assert rss == pytest.approx(resid @ resid, rel=1e-7, abs=1e-20 * scale**2)
+    return True
+
+
+class TestColumnRule:
+    @pytest.mark.parametrize("kind", ["baseline", "news", "combined"])
+    @pytest.mark.parametrize("spatial", [False, True])
+    def test_panel_training_sets_match_greedy_gram_schmidt(self, kind, spatial):
+        panel = make_panel(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
+                           n_clusters=2)
+        spec = ModelSpec(kind=kind, spatial=spatial)
+        design = build_design(panel, spec)
+        column_sets = [list(range(len(design.columns)))]
+        if spec.uses_news:
+            column_sets += [[i for i, c in enumerate(design.columns)
+                             if c.feature is None or panel.clusters[c.feature] != cid]
+                            for cid in sorted(set(panel.clusters.values()))]
+        months = np.array([m for _, m in design.rows])
+        blocks = month_folds(panel.start, panel.end, 8)
+        trainings = [fold_rows(months, block)[0] for block in blocks[1:]]
+        trainings.append(np.ones(months.size, bool))
+        fitted = [_check_least_squares(design.X[train][:, cols], design.y[train])
+                  for cols in column_sets for train in trainings]
+        assert sum(fitted) >= 4 * len(column_sets)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_designs_match_greedy_gram_schmidt(self, seed):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(8, 60))
+        X = rng.normal(0, 1, (T, int(rng.integers(2, 12))))
+        X *= 10.0 ** rng.uniform(-12, 12, X.shape[1])
+        extras = []
+        for _ in range(int(rng.integers(1, 8))):
+            i, j = rng.integers(0, X.shape[1], 2)
+            extras.append(rng.choice([
+                np.zeros(T),                                   # zero column
+                X[:, i].copy(),                                # duplicate
+                X[:, i] - 2.5 * X[:, j],                       # exact combination
+                rng.normal(0, 1, T) * 10.0 ** rng.uniform(-12, 12),  # independent
+            ]))
+        X = np.column_stack([X, *extras])[:, rng.permutation(X.shape[1] + len(extras))]
+        y = X[:, :2] @ rng.normal(0, 1, 2) + rng.normal(0, 1, T)
+        _check_least_squares(X, y)
 
 
 class TestLasso:
@@ -408,6 +501,18 @@ class TestCrossValidate:
         for fold in (2, 3, 4):
             assert f"fold {fold}: " in message
         assert "need 1000000" in message
+
+    def test_min_train_rows_cap_is_the_last_fold_training_count(self):
+        panel = make_panel(n_districts=5, months=100)
+        blocks = month_folds(panel.start, panel.end, 8)
+        assert len(blocks[-1]) > len(blocks[0])  # the remainder joins the last block
+        design = build_design(panel, BASELINE)
+        cap = min_train_rows([design], panel, 8, rows_per_parameter=10**6)
+        report = cross_validate_design(design, BASELINE, panel, folds=8, min_train_rows=cap)
+        assert report.failed_folds == tuple(range(2, 8))  # only the last fold fits
+        with pytest.raises(DataError, match=re.escape(
+                f"fold 8: {cap} training rows (need {cap + 1})")):
+            cross_validate_design(design, BASELINE, panel, folds=8, min_train_rows=cap + 1)
 
     def test_predictions_only_after_training_window(self):
         panel = make_panel(n_districts=5, months=96)
@@ -578,9 +683,19 @@ class TestPanelCsv:
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad panel row")):
             load_panel_csv(path, gaz)
 
-    @pytest.mark.parametrize("row", ["so-jam,2011-02,x", "so-jam,2011-2,3", "so-jam,2011-02"])
+    @pytest.mark.parametrize("row", ["so-jam,2011-02,x", "so-jam,2011-2,3", "so-jam,2011-02",
+                                     "so-jam,2011-02,3,1"])
     def test_malformed_projection_names_file_and_line(self, tmp_path, row):
         path = tmp_path / "projections.csv"
         path.write_text(f"district_id,month,projected_phase\nso-jam,2011-01,3\n{row}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad projections row")):
             _load_projections(path, {})
+
+    @pytest.mark.parametrize("row, cells", [("so-jam,2011-02,2", 3), ("so-jam,2011-01,2,0.5,9", 5)])
+    def test_panel_row_of_the_wrong_width_names_file_line_and_counts(self, tmp_path, row, cells):
+        gaz = make_gazetteer()
+        path = tmp_path / "panel.csv"
+        path.write_text(f"district_id,month,ipc_phase,rain_mean\nso-jam,2011-01,2,0.5\n{row}\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:3: bad panel row: {cells} cells, header has 4")):
+            load_panel_csv(path, gaz)
