@@ -380,6 +380,11 @@ def _stage_select(ctx: RunContext):
                 "p_value": meta["result"].p_value, "n_lags": meta["result"].n_lags}
             for w, meta in retained.items()
         })
+        # report's coverage table reads this count, so rerunning report never parses the corpus.
+        provinces = sorted(ctx.gazetteer().provinces)
+        articles = corpus_mod.feature_coverage(ctx.corpus(), sorted(retained), ctx.gazetteer(),
+                                               provinces)
+        write_json(ctx.write("retained_coverage.json"), dict(zip(provinces, articles)))
         if retained:
             k = min(cfg.clusters, len(retained))
             clusters = semantics_mod.cluster_features(

@@ -1,10 +1,10 @@
 """Report bundle: the CSV tables a run emits for analysis and plotting.
 
 Per-country model errors, outbreak counts by severity, per-episode series
-extracts, cluster correlation, coverage splits, ablation deltas, and the
-feature-similarity edge list. Series values are emitted raw and
-percentile-transformed (rank/(N-1) within each series); smoothed columns
-carry a 3-month trailing mean and are labeled as such.
+extracts, cluster correlation, coverage splits, and the feature-similarity
+edge list. Series values are emitted raw and percentile-transformed
+(rank/(N-1) within each series); smoothed columns carry a 3-month trailing
+mean and are labeled as such.
 """
 
 from __future__ import annotations
@@ -13,10 +13,9 @@ import json
 
 import numpy as np
 
-from . import corpus as corpus_mod
 from . import outbreak as outbreak_mod
 from . import semantics as semantics_mod
-from .artifacts import read_csv, write_csv
+from .artifacts import write_csv
 from .months import format_month
 from .panel import MODEL_KINDS, percentile_ranks
 from .series import Series
@@ -70,6 +69,7 @@ def build_report(ctx) -> None:
     # Episode extracts: phase, predictions, and
     # cluster-aggregated factors (mean of member factors) around each outbreak.
     clusters = ctx.clusters()
+    start = ctx.factors().start  # every factor series spans the cube's months
     preds = {m: table for m, table in ctx.predictions().items() if m in MODEL_KINDS}
     episodes = []
     for event in actual_events:
@@ -93,14 +93,9 @@ def build_report(ctx) -> None:
                     member_series.append(s)
             if not member_series:
                 continue
-            lo = max(s.start for s in member_series)
-            hi = min(s.end for s in member_series)
-            if hi < lo:
-                continue
-            mean_vals = np.stack([s.window(lo, hi) for s in member_series]).mean(axis=0)
-            pct = percentile_ranks(mean_vals)
+            pct = percentile_ranks(np.stack([s.values for s in member_series]).mean(axis=0))
             rows[f"cluster_{cluster.cluster_id}_pct"] = {
-                lo + i: float(pct[i]) for i in range(pct.size) if t0 <= lo + i <= t1
+                start + i: float(pct[i]) for i in range(pct.size) if t0 <= start + i <= t1
             }
         for name in sorted(rows):
             months = sorted(rows[name])
@@ -116,14 +111,8 @@ def build_report(ctx) -> None:
     mean_factor: dict[str, Series] = {}
     for w in panel.feature_order:
         per = panel.factors_raw.get(w, {}).get("district", {})
-        if not per:
-            continue
-        lo = max(s.start for s in per.values())
-        hi = min(s.end for s in per.values())
-        if hi < lo:
-            continue
-        mean_factor[w] = Series(lo, np.stack(
-            [s.window(lo, hi) for s in per.values()]).mean(axis=0))
+        if per:
+            mean_factor[w] = Series(start, np.stack([s.values for s in per.values()]).mean(axis=0))
     correlation = []
     if clusters and mean_factor:
         usable = [
@@ -140,26 +129,21 @@ def build_report(ctx) -> None:
 
     # News coverage split by outbreak prediction success of
     # the combined model.
-    retained = list(panel.feature_order)
     combined_hits = {(d, a) for d, _, a in matched_by_model.get("combined", set())}
-    provinces = sorted({d.province_id for d in panel.districts.values()})
-    articles = corpus_mod.feature_coverage(ctx.corpus(), retained, ctx.gazetteer(), provinces)
+    with open(ctx.read("retained_coverage.json"), "r", encoding="utf-8") as fh:
+        articles = json.load(fh)  # the select stage's count, per gazetteer province
     coverage = []
-    for prov, n_articles in zip(provinces, articles):
+    for prov in sorted({d.province_id for d in panel.districts.values()}):
         events = [e for e in actual_events if panel.province_of(e.district) == prov]
         all_predicted = bool(events) and all(
             (e.district, e.start) in combined_hits for e in events
         )
-        coverage.append([prov, n_articles, len(events), int(all_predicted)])
+        coverage.append([prov, articles[prov], len(events), int(all_predicted)])
     write_csv(ctx.write("report/coverage.csv"),
               ["province", "articles_with_features", "n_outbreaks", "all_predicted"], coverage)
 
-    # Per-cluster ablation deltas, as the ablate stage wrote them.
-    header, rows = read_csv(ctx.read("ablation.csv"), "ablation")
-    write_csv(ctx.write("report/ablation_deltas.csv"), header,
-              (list(row.values()) for _, row in rows))
-
     # Feature-similarity edge list for external layout.
+    retained = list(panel.feature_order)
     edges = semantics_mod.similarity_edges(retained, ctx.embeddings()) if retained else []
     write_csv(ctx.write("report/feature_edges.csv"), ["feature_a", "feature_b", "distance"],
               edges)

@@ -66,15 +66,15 @@ class TestFullRun:
         out = Path(cfg.output)
         for name in ("seeds.json", "expanded.json", "features.json", "factors.npy",
                      "factors.json",
-                     "screening.csv", "retained.json", "clusters.json",
+                     "screening.csv", "retained.json", "retained_coverage.json", "clusters.json",
                      "cv_reports.json", "predictions.csv", "models.json",
                      "audit.json", "ablation.csv", "fronts.csv", "events.csv",
                      "operating_points.json", "associations.csv"):
             assert (out / name).exists(), name
         report = out / "report"
         for name in ("rmse_by_country.csv", "outbreak_counts.csv", "episodes.csv",
-                     "cluster_correlation.csv", "coverage.csv", "ablation_deltas.csv",
-                     "feature_edges.csv", "factor_percentiles.csv"):
+                     "cluster_correlation.csv", "coverage.csv", "feature_edges.csv",
+                     "factor_percentiles.csv"):
             assert (report / name).exists(), name
 
     def test_csv_headers(self, run_dir):
@@ -92,7 +92,6 @@ class TestFullRun:
             "report/episodes.csv": "district,event_start,month,series,value,value_sm3",
             "report/cluster_correlation.csv": "intra_cluster_corr,inter_cluster_corr",
             "report/coverage.csv": "province,articles_with_features,n_outbreaks,all_predicted",
-            "report/ablation_deltas.csv": "cluster_id,label,district_id,rmse_delta",
             "report/feature_edges.csv": "feature_a,feature_b,distance",
             "report/factor_percentiles.csv":
                 "feature,location_id,month,value,percentile,percentile_sm3",
@@ -158,6 +157,18 @@ class TestFullRun:
         with open(Path(cfg.output) / "report" / "coverage.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["province"] for r in rows} == set(gaz.provinces)
+
+    def test_report_coverage_counts_the_retained_features_in_a_fresh_parse(self, run_dir):
+        _, cfg, _ = run_dir
+        out = Path(cfg.output)
+        retained = sorted(json.loads((out / "retained.json").read_text()))
+        with open(out / "report" / "coverage.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        want = corpus_mod.feature_coverage(
+            corpus_mod.read_corpus(cfg.corpus, RunContext(cfg=cfg, out=out).window),
+            retained, corpus_mod.load_gazetteer(cfg.gazetteer), [r["province"] for r in rows])
+        assert retained and any(want)
+        assert [int(r["articles_with_features"]) for r in rows] == want
 
     def test_embedding_edit_reruns_report(self, run_dir):
         _, cfg, _ = run_dir
@@ -257,8 +268,24 @@ class TestDerivedManifests:
         assert quiet_run(moved) == {s: "cached" for s in STAGE_ORDER}
         with open(copy, "a", encoding="utf-8") as fh:
             fh.write("\n")
-        assert quiet_run(moved) == {s: "run" if s in ("expand", "factors", "report")
+        assert quiet_run(moved) == {s: "run" if s in ("expand", "factors", "select")
                                     else "cached" for s in STAGE_ORDER}
+
+    def test_a_precision_edit_reruns_classify_and_report_without_parsing_the_corpus(
+            self, tiny, monkeypatch):
+        corpus_reads = []
+        real_read_corpus = corpus_mod.read_corpus
+
+        def count_read_corpus(*args, **kwargs):
+            corpus_reads.append(args)
+            return real_read_corpus(*args, **kwargs)
+
+        monkeypatch.setattr(corpus_mod, "read_corpus", count_read_corpus)
+        edited = dataclasses.replace(tiny, precision_target=0.75)
+        assert quiet_run(edited) == {s: "run" if s in ("classify", "report") else "cached"
+                                     for s in STAGE_ORDER}
+        assert corpus_reads == []
+        assert "corpus" not in manifests(tiny.output)["report"]["inputs"]
 
     def test_unsetting_or_setting_an_optional_input_reruns_its_reader(self, tiny):
         # report reads events.csv, which the projections do not change
@@ -515,7 +542,7 @@ class TestWorkDoneOnce:
         assert len(parses) == 1
 
     def test_cold_run_parses_the_corpus_once(self, counted_run):
-        # expand, factors and report share one parse
+        # expand, factors and select share one parse
         _, _, corpus_reads = counted_run
         assert len(corpus_reads) == 1
 
