@@ -91,7 +91,6 @@ class PanelDataset:
     ipc_observed: dict[str, dict[int, float]]    # publication-month phases
     traditional: dict[str, dict[str, Series]]
     factors: dict[str, dict[str, dict[str, Series]]]      # feature -> level -> loc
-    factors_raw: dict[str, dict[str, dict[str, Series]]]
     feature_order: tuple[str, ...] = ()
     clusters: dict[str, int] = field(default_factory=dict)
     cluster_labels: dict[int, str] = field(default_factory=dict)
@@ -358,7 +357,6 @@ class FitResult:
     dropped: tuple[str, ...]
     rss: float
     nobs: int
-    sweeps: int = 0
 
     def coefficients(self) -> dict[str, float]:
         named = {self.columns[i].name: float(b) for i, b in zip(self.kept, self.beta)}
@@ -484,13 +482,13 @@ def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
                          dropped=dropped, rss=rss, nobs=X.shape[0])
     penalized = np.array([c.group != "intercept" for c in design.columns])
     try:
-        beta, rss, sweeps = lasso_cd(X, y, spec.lasso, penalized)
+        beta, rss, _ = lasso_cd(X, y, spec.lasso, penalized)
     except NumericalError as exc:
         names = [design.columns[i].name for i in exc.columns]
         raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
                              exc.columns) from None
     return FitResult(spec=spec, columns=design.columns, kept=tuple(range(X.shape[1])),
-                     beta=beta, dropped=(), rss=rss, nobs=X.shape[0], sweeps=sweeps)
+                     beta=beta, dropped=(), rss=rss, nobs=X.shape[0])
 
 
 @dataclass(frozen=True)
@@ -645,23 +643,23 @@ class AssociationRow:
     n_districts: int
 
 
-def validate_factors(panel: PanelDataset, min_districts: int = 3):
+def validate_factors(panel: PanelDataset, factors: NewsFactors, min_districts: int = 3):
     """Associate each traditional indicator with its best news factor.
 
-    Districts are summarized by each series' maximum monthly value; the best
-    factor maximizes Spearman correlation across districts. Returns
-    (association rows, percentile tables) where the percentile tables hold the
+    Districts are summarized by each series' maximum monthly value, the news
+    factors by their undifferenced shares in ``factors``; the best factor
+    maximizes Spearman correlation across districts. Returns (association
+    rows, percentile tables) where the percentile tables hold the
     rank-transformed district summaries for plotting.
     """
     district_ids = sorted(panel.districts)
     if len(district_ids) < min_districts:
         raise DataError(f"need at least {min_districts} districts")
-    news_summary: dict[str, dict[str, float]] = {}
+    col = {loc: i for i, loc in enumerate(factors.locations)}
+    news_summary = {}
     for w in panel.feature_order:
-        per = panel.factors_raw.get(w, {}).get("district", {})
-        summary = {d: float(np.max(per[d].values)) for d in district_ids if d in per}
-        if len(summary) >= min_districts:
-            news_summary[w] = summary
+        f = factors.features.index(w)
+        news_summary[w] = {d: float(factors.values[f, col[d]].max()) for d in district_ids}
     rows: list[AssociationRow] = []
     percentiles = {"traditional": {}, "news": {}}
     for k in TRADITIONAL_INDICATORS:
@@ -670,28 +668,25 @@ def validate_factors(panel: PanelDataset, min_districts: int = 3):
         if len(summary) < min_districts or np.ptp(list(summary.values())) == 0.0:
             warnings.warn(f"indicator {k!r}: constant or missing cross-section, skipped")
             continue
+        ds = sorted(summary)
+        a = [summary[d] for d in ds]
         best = None
         for w in sorted(news_summary):
-            common = sorted(set(summary) & set(news_summary[w]))
-            if len(common) < min_districts:
-                continue
-            a = [summary[d] for d in common]
-            b = [news_summary[w][d] for d in common]
+            b = [news_summary[w][d] for d in ds]
             if np.ptp(b) == 0.0:
                 continue
             r = spearman(a, b)
             if best is None or r > best[0] + 1e-12:
-                best = (r, w, len(common))
+                best = (r, w)
         if best is None:
             warnings.warn(f"indicator {k!r}: no comparable news factor")
             continue
         rows.append(AssociationRow(indicator=k, feature=best[1], spearman_r=best[0],
-                                   n_districts=best[2]))
-        ds = sorted(summary)
-        percentiles["traditional"][k] = dict(zip(ds, percentile_ranks([summary[d] for d in ds])))
+                                   n_districts=len(ds)))
+        percentiles["traditional"][k] = dict(zip(ds, percentile_ranks(a)))
         wsum = news_summary[best[1]]
-        ds = sorted(wsum)
-        percentiles["news"][best[1]] = dict(zip(ds, percentile_ranks([wsum[d] for d in ds])))
+        percentiles["news"][best[1]] = dict(zip(district_ids, percentile_ranks(
+            [wsum[d] for d in district_ids])))
     return rows, percentiles
 
 
@@ -760,14 +755,13 @@ def assemble_panel(
     """
     ipc, ipc_obs, traditional, (start, end) = load_panel_csv(panel_path, gaz)
     districts = {d: gaz.districts[d] for d in ipc}
-    raw: dict[str, dict[str, dict[str, Series]]] = {}
     transformed: dict[str, dict[str, dict[str, Series]]] = {}
     for w, order_d in retained.items():
         if w not in factors.features:
             raise DataError(f"retained feature {w!r} has no factor series")
-        raw[w] = {level: factors.at_level(w, level) for level in dict.fromkeys(factors.levels)}
-        transformed[w] = {level: {loc: s.diff(order_d) for loc, s in by_loc.items()}
-                          for level, by_loc in raw[w].items()}
+        transformed[w] = {level: {loc: s.diff(order_d)
+                                  for loc, s in factors.at_level(w, level).items()}
+                          for level in dict.fromkeys(factors.levels)}
     return PanelDataset(
         districts=districts,
         start=start,
@@ -777,7 +771,6 @@ def assemble_panel(
         ipc_observed=ipc_obs,
         traditional=traditional,
         factors=transformed,
-        factors_raw=raw,
         feature_order=tuple(sorted(retained)),
         clusters=dict(clusters or {}),
         cluster_labels=dict(cluster_labels or {}),

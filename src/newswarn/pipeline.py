@@ -594,8 +594,7 @@ def _load_projections(path, actual_series):
 
 def _stage_validate(ctx: RunContext):
     def compute():
-        panel = ctx.panel_dataset()
-        rows, percentiles = panel_mod.validate_factors(panel)
+        rows, percentiles = panel_mod.validate_factors(ctx.panel_dataset(), ctx.factors())
         write_csv(ctx.write("associations.csv"),
                   ["traditional_factor", "news_factor", "spearman_r", "n_districts"],
                   ([r.indicator, r.feature, r.spearman_r, r.n_districts] for r in rows))

@@ -18,7 +18,6 @@ from . import semantics as semantics_mod
 from .artifacts import write_csv
 from .months import format_month
 from .panel import MODEL_KINDS, percentile_ranks
-from .series import Series
 
 EPISODE_WINDOW = 8  # months either side of an outbreak start
 
@@ -69,7 +68,10 @@ def build_report(ctx) -> None:
     # Episode extracts: phase, predictions, and
     # cluster-aggregated factors (mean of member factors) around each outbreak.
     clusters = ctx.clusters()
-    start = ctx.factors().start  # every factor series spans the cube's months
+    factors = ctx.factors()
+    start = factors.start
+    row = {w: f for f, w in enumerate(factors.features)}
+    col = {loc: i for i, loc in enumerate(factors.locations)}
     preds = {m: table for m, table in ctx.predictions().items() if m in MODEL_KINDS}
     episodes = []
     for event in actual_events:
@@ -86,14 +88,8 @@ def build_report(ctx) -> None:
             if got:
                 rows[f"pred_{model}"] = got
         for cluster in clusters:
-            member_series = []
-            for w in cluster.members:
-                s = panel.factors_raw.get(w, {}).get("district", {}).get(d)
-                if s is not None:
-                    member_series.append(s)
-            if not member_series:
-                continue
-            pct = percentile_ranks(np.stack([s.values for s in member_series]).mean(axis=0))
+            members = factors.values[[row[w] for w in cluster.members], col[d]]
+            pct = percentile_ranks(members.mean(axis=0))
             rows[f"cluster_{cluster.cluster_id}_pct"] = {
                 start + i: float(pct[i]) for i in range(pct.size) if t0 <= start + i <= t1
             }
@@ -108,22 +104,12 @@ def build_report(ctx) -> None:
 
     # Correlations within vs across clusters, on the
     # cross-district mean factor series.
-    mean_factor: dict[str, Series] = {}
-    for w in panel.feature_order:
-        per = panel.factors_raw.get(w, {}).get("district", {})
-        if per:
-            mean_factor[w] = Series(start, np.stack([s.values for s in per.values()]).mean(axis=0))
+    districts = [i for i, level in enumerate(factors.levels) if level == "district"]
     correlation = []
-    if clusters and mean_factor:
-        usable = [
-            semantics_mod.FeatureCluster(
-                c.cluster_id, c.label,
-                tuple(m for m in c.members if m in mean_factor),
-            )
-            for c in clusters
-        ]
-        usable = [c for c in usable if c.members]
-        correlation.append(semantics_mod.cluster_validation(usable, mean_factor))
+    if clusters:
+        mean_factor = {w: factors.values[row[w], districts].mean(axis=0)
+                       for w in panel.feature_order}
+        correlation.append(semantics_mod.cluster_validation(clusters, mean_factor))
     write_csv(ctx.write("report/cluster_correlation.csv"),
               ["intra_cluster_corr", "inter_cluster_corr"], correlation)
 
@@ -151,13 +137,14 @@ def build_report(ctx) -> None:
     # Percentile-transformed country-level factor series.
     percentiles = []
     for w in retained:
-        by_country = panel.factors_raw.get(w, {}).get("country", {})
-        for loc in sorted(by_country):
-            s = by_country[loc]
-            pct = percentile_ranks(s.values)
+        for i, loc in enumerate(factors.locations):
+            if factors.levels[i] != "country":
+                continue
+            values = factors.values[row[w], i]
+            pct = percentile_ranks(values)
             smooth = trailing_mean(pct)
-            percentiles.extend([w, loc, format_month(t), v, pct[i], smooth[i]]
-                               for i, (t, v) in enumerate(s.items()))
+            percentiles.extend([w, loc, format_month(start + t), v, pct[t], smooth[t]]
+                               for t, v in enumerate(values))
     write_csv(ctx.write("report/factor_percentiles.csv"),
               ["feature", "location_id", "month", "value", "percentile", "percentile_sm3"],
               percentiles)

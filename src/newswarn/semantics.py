@@ -249,11 +249,10 @@ def cluster_features(features, emb: EmbeddingTable, k: int = 12,
 def cluster_validation(clusters, factor_series) -> tuple[float, float]:
     """Mean pairwise Pearson correlation within vs. across clusters.
 
-    ``factor_series`` maps feature n-gram to its monthly Series at a common
-    aggregation level. Constant series are excluded with a warning.
+    ``factor_series`` maps feature n-gram to its monthly values at a common
+    aggregation level, all over the same months. Constant series are excluded
+    with a warning.
     """
-    from .series import align
-
     assignment = {}
     for c in clusters:
         for f in c.members:
@@ -263,17 +262,14 @@ def cluster_validation(clusters, factor_series) -> tuple[float, float]:
         s = factor_series.get(f)
         if s is None:
             raise DataError(f"no factor series for clustered feature {f!r}")
-        if np.ptp(s.values) == 0.0:
+        if np.ptp(s) == 0.0:
             warnings.warn(f"constant factor series for {f!r} excluded from cluster validation")
             continue
         feats.append(f)
     intra, inter = [], []
     for i in range(len(feats)):
         for j in range(i + 1, len(feats)):
-            a, b, _ = align(factor_series[feats[i]], factor_series[feats[j]])
-            if np.ptp(a) == 0.0 or np.ptp(b) == 0.0:
-                continue
-            r = float(np.corrcoef(a, b)[0, 1])
+            r = float(np.corrcoef(factor_series[feats[i]], factor_series[feats[j]])[0, 1])
             if assignment[feats[i]] == assignment[feats[j]]:
                 intra.append(r)
             else:

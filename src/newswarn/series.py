@@ -60,16 +60,3 @@ class Series:
         if self.values.size <= d:
             raise DataError("series too short to difference")
         return Series(self.start + d, np.diff(self.values, n=d))
-
-    def items(self):
-        for i, v in enumerate(self.values):
-            yield self.start + i, float(v)
-
-
-def align(a: Series, b: Series) -> tuple[np.ndarray, np.ndarray, int]:
-    """Overlapping values of two series plus the common start month."""
-    t0 = max(a.start, b.start)
-    t1 = min(a.end, b.end)
-    if t1 < t0:
-        raise DataError("series do not overlap")
-    return a.window(t0, t1), b.window(t0, t1), t0

@@ -458,17 +458,15 @@ def select_features(
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size)
-    i = 0
-    sorted_v = v[order]
-    while i < v.size:
-        j = i
-        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """1-based ranks of ``v``, each run of equal values sharing its mean rank.
+
+    A run of ``c`` values ending at sorted position ``e`` (1-based) has mean rank
+    ``e - (c - 1) / 2``, a half-integer, so the result is exact. Callers pass
+    finite values (``Series`` and ``NewsFactors`` reject others): ``np.unique``
+    would merge NaNs into one run.
+    """
+    _, inv, cnt = np.unique(v, return_inverse=True, return_counts=True)
+    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
 
 
 def spearman(a, b) -> float:

@@ -54,6 +54,22 @@ def small_corpus(tmp_path):
     return read_corpus(path, ("2011-01", "2011-02"))
 
 
+def average_ranks_loop(v):
+    """1-based ranks of ``v``, ties averaged, by walking each run of equal sorted values."""
+    v = np.asarray(v, dtype=float)
+    order = np.argsort(v, kind="stable")
+    ranks = np.empty(v.size)
+    i = 0
+    sorted_v = v[order]
+    while i < v.size:
+        j = i
+        while j + 1 < v.size and sorted_v[j + 1] == sorted_v[i]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
 def embedding_table(**vectors):
     dim = len(next(iter(vectors.values())))
     table = {}
@@ -80,9 +96,19 @@ def grid_districts(n, countries=1, province_size=3):
     return out
 
 
-def make_panel(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
-               seed=0, start="2010-01", n_clusters=None, countries=1):
+def make_panel(**kwargs):
     """Random but well-formed PanelDataset for unit tests."""
+    return make_panel_and_factors(**kwargs)[0]
+
+
+def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
+                           seed=0, start="2010-01", n_clusters=None, countries=1):
+    """``make_panel``'s panel and the NewsFactors cube its factor series come from.
+
+    Every feature is retained undifferenced, so ``panel.factors`` holds the
+    cube's series as they are.
+    """
+    from newswarn.corpus import NewsFactors
     from newswarn.months import parse_month, publication_months
     from newswarn.panel import (PanelDataset, TRADITIONAL_INDICATORS,
                                 forward_fill_ipc)
@@ -106,29 +132,33 @@ def make_panel(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
         for k in TRADITIONAL_INDICATORS
     }
     features = tuple(features)
-    factors_raw = {}
-    for w in features:
-        by_level = {"district": {}, "province": {}, "country": {}}
-        for d, rec in districts.items():
-            by_level["district"][d] = Series(
-                t0, np.clip(rng.normal(0.05, 0.02, months), 0, 1))
-        for p in sorted({rec.province_id for rec in districts.values()}):
-            by_level["province"][p] = Series(
-                t0, np.clip(rng.normal(0.05, 0.02, months), 0, 1))
-        for c in sorted({rec.country for rec in districts.values()}):
-            by_level["country"][c] = Series(
-                t0, np.clip(rng.normal(0.05, 0.02, months), 0, 1))
-        factors_raw[w] = by_level
+    by_level = {
+        "district": sorted(districts),
+        "province": sorted({rec.province_id for rec in districts.values()}),
+        "country": sorted({rec.country for rec in districts.values()}),
+    }
+    locations = [loc for locs in by_level.values() for loc in locs]
+    values = np.empty((len(features), len(locations), months))
+    for f in range(len(features)):
+        for i in range(len(locations)):
+            values[f, i] = np.clip(rng.normal(0.05, 0.02, months), 0, 1)
+    cube = NewsFactors(
+        features=features, locations=tuple(locations),
+        levels=tuple(level for level, locs in by_level.items() for _ in locs),
+        start=t0, values=values,
+        zero_denominator=np.zeros((len(locations), months), dtype=bool),
+    )
     if n_clusters is None:
         n_clusters = len(features)
     clusters = {w: 1 + i % n_clusters for i, w in enumerate(features)}
-    return PanelDataset(
+    panel = PanelDataset(
         districts=districts, start=t0, end=t1, publication_months=pub,
         ipc=ipc, ipc_observed=ipc_obs, traditional=traditional,
-        factors=factors_raw, factors_raw=factors_raw,
+        factors={w: {level: cube.at_level(w, level) for level in by_level} for w in features},
         feature_order=features, clusters=clusters,
         cluster_labels={c: f"cluster-{c}" for c in set(clusters.values())},
     )
+    return panel, cube
 
 
 def plant_adl_response(panel, spec, coef, base=2.0):

@@ -26,7 +26,8 @@ from newswarn.synth import SyntheticSpec, generate_synthetic
 from newswarn.tsstats import (adf_test, difference_until_stationary, granger_test,
                               ols, select_lags_aic)
 
-from conftest import embedding_table, make_panel, plant_adl_response, planted_coefficients
+from conftest import (embedding_table, make_panel, make_panel_and_factors, plant_adl_response,
+                      planted_coefficients)
 from test_semantics import brute_force_wmd
 from test_outbreak import brute_force_front
 
@@ -349,7 +350,8 @@ def test_criterion_9_no_lookahead_audit(planted_run):
 
 
 def test_criterion_10_spearman_association_replica():
-    panel = make_panel(n_districts=50, features=("conflictish", "other"), seed=1010)
+    panel, factors = make_panel_and_factors(n_districts=50, features=("conflictish", "other"),
+                                            seed=1010)
     rng = np.random.default_rng(1011)
     months = panel.end - panel.start + 1
     for d in sorted(panel.districts):
@@ -360,8 +362,8 @@ def test_criterion_10_spearman_association_replica():
         news_peak = (level ** 1.3) / 10.0 + rng.normal(0, 0.02)
         fvals = np.abs(rng.normal(0, 0.002, months))
         fvals[rng.integers(0, months)] = float(np.clip(news_peak, 0.001, 1.0))
-        panel.factors_raw["conflictish"]["district"][d] = Series(panel.start, fvals)
-    rows, _ = validate_factors(panel)
+        factors.values[factors.features.index("conflictish"), factors.locations.index(d)] = fvals
+    rows, _ = validate_factors(panel, factors)
     row = next(r for r in rows if r.indicator == "conflict_fatalities")
     announce(
         10,

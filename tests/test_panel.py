@@ -15,7 +15,7 @@ from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lo
 from newswarn.pipeline import _load_projections, min_train_rows
 from newswarn.series import Series
 
-from conftest import (grid_districts, make_gazetteer, make_panel,
+from conftest import (grid_districts, make_gazetteer, make_panel, make_panel_and_factors,
                       plant_adl_response, planted_coefficients)
 
 BASELINE = ModelSpec(kind="baseline")
@@ -173,7 +173,7 @@ class TestSpatial:
         }
         panel = PanelDataset(districts=districts, start=0, end=1,
                              publication_months=(0,), ipc={}, ipc_observed={},
-                             traditional={}, factors={}, factors_raw={})
+                             traditional={}, factors={})
         assert set(panel.neighbors("center")) == {"north", "south", "east", "west"}
         assert "center" not in panel.neighbors("center")
         assert "faraway" not in panel.neighbors("center")
@@ -565,7 +565,7 @@ class TestAblate:
 
 class TestValidateFactors:
     def test_monotone_transform_selected_with_r1(self):
-        panel = make_panel(n_districts=10, features=("alpha", "beta"))
+        panel, factors = make_panel_and_factors(n_districts=10, features=("alpha", "beta"))
         rng = np.random.default_rng(34)
         months = panel.end - panel.start + 1
         for i, d in enumerate(sorted(panel.districts)):
@@ -575,23 +575,24 @@ class TestValidateFactors:
             panel.traditional["conflict_events"][d] = Series(panel.start, vals)
             fvals = np.zeros(months)
             fvals[rng.integers(0, months)] = peak / (1.0 + peak)  # monotone map
-            panel.factors_raw["alpha"]["district"][d] = Series(panel.start, fvals)
-        rows, percentiles = validate_factors(panel)
+            factors.values[factors.features.index("alpha"), factors.locations.index(d)] = fvals
+        rows, percentiles = validate_factors(panel, factors)
         row = next(r for r in rows if r.indicator == "conflict_events")
         assert row.feature == "alpha"
         assert row.spearman_r == pytest.approx(1.0)
         assert "conflict_events" in percentiles["traditional"]
 
     def test_independent_factors_stay_weak(self):
-        panel = make_panel(n_districts=50, features=("alpha", "beta"), seed=35)
-        rows, _ = validate_factors(panel)
+        panel, factors = make_panel_and_factors(n_districts=50, features=("alpha", "beta"),
+                                                seed=35)
+        rows, _ = validate_factors(panel, factors)
         assert rows and all(abs(r.spearman_r) < 0.5 for r in rows)
 
     def test_replica_threshold(self):
         # a news factor that is a noisy monotone transform of a traditional
         # factor across 50 districts must be picked up with high correlation
-        panel = make_panel(n_districts=50, features=("conflictish", "other"),
-                           seed=36)
+        panel, factors = make_panel_and_factors(n_districts=50,
+                                                features=("conflictish", "other"), seed=36)
         rng = np.random.default_rng(37)
         months = panel.end - panel.start + 1
         for i, d in enumerate(sorted(panel.districts)):
@@ -602,8 +603,9 @@ class TestValidateFactors:
             news_peak = (level ** 1.3) / 10.0 + rng.normal(0, 0.02)
             fvals = np.abs(rng.normal(0, 0.002, months))
             fvals[rng.integers(0, months)] = np.clip(news_peak, 0.001, 1.0)
-            panel.factors_raw["conflictish"]["district"][d] = Series(panel.start, fvals)
-        rows, _ = validate_factors(panel)
+            factors.values[factors.features.index("conflictish"),
+                           factors.locations.index(d)] = fvals
+        rows, _ = validate_factors(panel, factors)
         row = next(r for r in rows if r.indicator == "conflict_fatalities")
         assert row.feature == "conflictish"
         assert row.spearman_r >= 0.89

@@ -24,6 +24,8 @@ from newswarn.months import format_month, parse_month
 from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
+from conftest import average_ranks_loop
+
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60,
              countries=2)
 TINY = dict(districts=8, countries=1, province_size=4, months=48, decoys=4,
@@ -372,6 +374,120 @@ class TestFactorArtifact:
         assert want.zero_denominator[:, 5].all() and not want.zero_denominator[:, 4].any()
         assert np.array_equal(got.zero_denominator, want.zero_denominator)
         assert got.values.tobytes() == want.values.tobytes()
+
+
+def _mean_of(series):
+    return np.stack([s.values for s in series]).mean(axis=0)
+
+
+def _pct(values):
+    v = np.asarray(values, dtype=float)
+    return (average_ranks_loop(v) - 1.0) / (v.size - 1)
+
+
+def _sm3(v):
+    return np.array([np.mean(v[max(0, i - 2) : i + 1]) for i in range(v.size)])
+
+
+def _cells(*values):
+    return [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in values]
+
+
+class TestFactorSummariesOracle:
+    """The factor summaries of report and validate, recomputed from per-location Series.
+
+    Each table is rebuilt by stacking ``NewsFactors.at_level`` Series, with loop-walked
+    ranks, and must match the written file cell for cell, so every float bit for bit.
+    The run has outbreak events and clusters of several members, which the default
+    ``clusters = 12`` and the ``run_dir`` bundle lack.
+    """
+
+    @pytest.fixture(scope="class")
+    def ctx(self, tmp_path_factory):
+        spec = SyntheticSpec(districts=12, months=84, decoys=6, articles_per_country_month=50,
+                             countries=2, episode_start_prob=0.03)
+        bundle = generate_synthetic(spec, seed=3, out_dir=tmp_path_factory.mktemp("cube"))
+        cfg = dataclasses.replace(load_config(bundle["config"]), clusters=3)
+        quiet_run(cfg)
+        return RunContext(cfg=cfg, out=Path(cfg.output))
+
+    @staticmethod
+    def table(ctx, name):
+        with open(Path(ctx.cfg.output) / name, encoding="utf-8", newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    def test_cluster_rows_of_episodes(self, ctx):
+        from newswarn.report import EPISODE_WINDOW
+
+        factors, panel, clusters = ctx.factors(), ctx.panel_dataset(), ctx.clusters()
+        want = []
+        for event in ctx.events()[0]:
+            d = event.district
+            if d not in panel.ipc:
+                continue
+            for c in sorted(clusters, key=lambda c: f"cluster_{c.cluster_id}_pct"):
+                pct = _pct(_mean_of(factors.at_level(w, "district")[d] for w in c.members))
+                months = [t for t in range(event.start - EPISODE_WINDOW,
+                                           event.start + EPISODE_WINDOW + 1)
+                          if 0 <= t - factors.start < pct.size]
+                vals = np.array([pct[t - factors.start] for t in months])
+                smooth = _sm3(vals)
+                want.extend(_cells(d, format_month(event.start), format_month(t),
+                                   f"cluster_{c.cluster_id}_pct", vals[i], smooth[i])
+                            for i, t in enumerate(months))
+        got = [r for r in self.table(ctx, "report/episodes.csv") if r[3].startswith("cluster_")]
+        assert want and got == want
+
+    def test_cluster_correlation(self, ctx):
+        factors, panel, clusters = ctx.factors(), ctx.panel_dataset(), ctx.clusters()
+        mean = {w: _mean_of(factors.at_level(w, "district").values())
+                for w in panel.feature_order}
+        cluster_of = {w: c.cluster_id for c in clusters for w in c.members}
+        feats = [w for w in sorted(cluster_of) if np.ptp(mean[w]) > 0.0]
+        intra, inter = [], []
+        for i, a in enumerate(feats):
+            for b in feats[i + 1 :]:
+                r = float(np.corrcoef(mean[a], mean[b])[0, 1])
+                (intra if cluster_of[a] == cluster_of[b] else inter).append(r)
+        assert intra and inter
+        assert self.table(ctx, "report/cluster_correlation.csv") == [
+            _cells(float(np.mean(intra)), float(np.mean(inter)))]
+
+    def test_factor_percentiles(self, ctx):
+        factors, panel = ctx.factors(), ctx.panel_dataset()
+        want = []
+        for w in panel.feature_order:
+            for loc, s in sorted(factors.at_level(w, "country").items()):
+                pct = _pct(s.values)
+                smooth = _sm3(pct)
+                want.extend(_cells(w, loc, format_month(s.start + i), v, pct[i], smooth[i])
+                            for i, v in enumerate(s.values))
+        assert want and self.table(ctx, "report/factor_percentiles.csv") == want
+
+    def test_associations(self, ctx):
+        factors, panel = ctx.factors(), ctx.panel_dataset()
+        ds = sorted(panel.districts)
+        news = {w: {d: float(np.max(factors.at_level(w, "district")[d].values)) for d in ds}
+                for w in panel.feature_order}
+        want = []
+        for k in panel_mod.TRADITIONAL_INDICATORS:
+            per = panel.traditional.get(k, {})
+            summary = {d: float(np.max(per[d].values)) for d in ds if d in per}
+            if len(summary) < 3 or np.ptp(list(summary.values())) == 0.0:
+                continue
+            best = None
+            for w in sorted(news):
+                common = sorted(set(summary) & set(news[w]))
+                b = [news[w][d] for d in common]
+                if len(common) < 3 or np.ptp(b) == 0.0:
+                    continue
+                r = float(np.corrcoef(average_ranks_loop([summary[d] for d in common]),
+                                      average_ranks_loop(b))[0, 1])
+                if best is None or r > best[0] + 1e-12:
+                    best = (r, w, len(common))
+            if best is not None:
+                want.append(_cells(k, best[1], best[0], best[2]))
+        assert want and self.table(ctx, "associations.csv") == want
 
 
 class TestConfigFile:

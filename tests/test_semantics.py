@@ -9,7 +9,6 @@ from newswarn.frames import TextFeature
 from newswarn.semantics import (EmbeddingTable, cluster_features, cluster_validation,
                                 enumerate_candidates, expand_seeds, load_embeddings,
                                 pairwise_distances, similarity_edges, transport_plan, wmd)
-from newswarn.series import Series
 
 from conftest import embedding_table
 
@@ -303,7 +302,7 @@ class TestClusterValidation:
         return out
 
     def test_identical_series(self):
-        s = Series(0, np.array([1.0, 2.0, 3.0, 2.0]))
+        s = np.array([1.0, 2.0, 3.0, 2.0])
         clusters = self.clusters_of({1: ("a", "b"), 2: ("c",)})
         factors = {"a": s, "b": s, "c": s}
         intra, inter = cluster_validation(clusters, factors)
@@ -311,8 +310,8 @@ class TestClusterValidation:
         assert inter == pytest.approx(1.0)
 
     def test_orthogonal_blocks(self):
-        s1 = Series(0, np.array([0.0, 1.0, 0.0, -1.0] * 3))
-        s2 = Series(0, np.array([1.0, 0.0, -1.0, 0.0] * 3))
+        s1 = np.array([0.0, 1.0, 0.0, -1.0] * 3)
+        s2 = np.array([1.0, 0.0, -1.0, 0.0] * 3)
         clusters = self.clusters_of({1: ("a", "b"), 2: ("c", "d")})
         factors = {"a": s1, "b": s1, "c": s2, "d": s2}
         intra, inter = cluster_validation(clusters, factors)
@@ -328,9 +327,8 @@ class TestClusterValidation:
             "c": base2 + rng.normal(0, 0.3, 40),
             "d": base2 + rng.normal(0, 0.3, 40),
         }
-        factors = {k: Series(0, v) for k, v in series.items()}
         clusters = self.clusters_of({1: ("a", "b"), 2: ("c", "d")})
-        intra, inter = cluster_validation(clusters, factors)
+        intra, inter = cluster_validation(clusters, series)
         names = sorted(series)
         intra_ref, inter_ref = [], []
         for i in range(len(names)):
@@ -344,10 +342,10 @@ class TestClusterValidation:
     def test_constant_series_excluded_with_warning(self):
         clusters = self.clusters_of({1: ("a", "b"), 2: ("c", "d")})
         factors = {
-            "a": Series(0, np.array([1.0, 2.0, 3.0, 4.0])),
-            "b": Series(0, np.array([1.0, 2.0, 3.0, 4.1])),
-            "c": Series(0, np.array([5.0, 5.0, 5.0, 5.0])),
-            "d": Series(0, np.array([4.0, 3.0, 2.0, 1.0])),
+            "a": np.array([1.0, 2.0, 3.0, 4.0]),
+            "b": np.array([1.0, 2.0, 3.0, 4.1]),
+            "c": np.array([5.0, 5.0, 5.0, 5.0]),
+            "d": np.array([4.0, 3.0, 2.0, 1.0]),
         }
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

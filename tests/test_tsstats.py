@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
 from newswarn.series import Series
-from newswarn.tsstats import (AdfResult, _adf_critical, _aic, _granger_f, _nested_rss,
-                              _panel_stack, adf_test, difference_until_stationary, f_sf,
-                              fit_adl, granger_test, ols, panel_granger, select_features,
+from newswarn.tsstats import (AdfResult, _adf_critical, _aic, _average_ranks, _granger_f,
+                              _nested_rss, _panel_stack, adf_test, difference_until_stationary,
+                              f_sf, fit_adl, granger_test, ols, panel_granger, select_features,
                               select_lags_aic, spearman)
+
+from conftest import average_ranks_loop
 
 
 class TestOls:
@@ -295,6 +299,20 @@ class TestScreening:
         retained, report = select_features(sorted(factors), ipc, factors, n_max=3)
         assert len(report) == 100
         assert len(retained) <= 5  # ~1 expected at the 1% level
+
+
+class TestAverageRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 3.0])
+                    | st.floats(-1e6, 1e6), min_size=1, max_size=60))
+    def test_equals_the_loop_over_tied_runs_bit_for_bit(self, values):
+        # the sampled values force ties, and -0.0 ties with 0.0
+        v = np.array(values)
+        assert _average_ranks(v).tobytes() == average_ranks_loop(v).tobytes()
+
+    def test_ties_share_their_mean_rank(self):
+        got = _average_ranks(np.array([3.0, -0.0, 1.0, 0.0, 3.0, 3.0]))
+        assert got.tolist() == [5.0, 1.5, 3.0, 1.5, 5.0, 5.0]
 
 
 class TestSpearman:
