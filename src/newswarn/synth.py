@@ -19,9 +19,9 @@ import numpy as np
 from .artifacts import write_json
 from .config import PipelineConfig, save_config
 from .corpus import District, write_gazetteer
-from .errors import DataError
-from .months import (DEFAULT_PUBLICATION_SCHEDULE, format_month, month_of,
-                     parse_month, publication_months, year_of)
+from .errors import ConfigError, DataError
+from .months import (DEFAULT_PUBLICATION_SCHEDULE, format_month, parse_month,
+                     publication_months)
 from .outbreak import detect_outbreaks
 
 _SYLLABLES = ("ba", "do", "ka", "lu", "mi", "na", "po", "ra", "su", "ta", "ve", "zo")
@@ -30,6 +30,8 @@ _FILLER_SEEDS = (
     "market", "road", "minister", "meeting", "report", "village", "river",
     "school", "project", "border", "season", "harvest", "trade", "council",
 )
+
+_TARGETS = ("famine", "hunger", "starvation")
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,42 @@ class SyntheticSpec:
     embedding_dim: int = 8
     schedule: tuple = DEFAULT_PUBLICATION_SCHEDULE
 
+    def __post_init__(self):
+        for name in ("countries", "months", "province_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.districts < self.countries:
+            raise ConfigError(f"districts must be at least countries ({self.countries}), "
+                              f"got {self.districts}")
+        if self.undercover_province is not None:
+            layout = _layout(self)
+            provinces = {province for _, _, province in layout}
+            if self.undercover_province not in provinces:
+                raise ConfigError(f"undercover_province {self.undercover_province!r} names no "
+                                  f"generated province ({', '.join(sorted(provinces))})")
+            if not 0 <= self.undercover_weight < np.inf:
+                raise ConfigError("undercover_weight must be finite and non-negative, "
+                                  f"got {self.undercover_weight}")
+            reporting = {c for _, c, province in layout if province != self.undercover_province}
+            if self.undercover_weight == 0 and reporting != {c for _, c, _ in layout}:
+                raise ConfigError(f"undercover_weight 0 leaves a country whose districts all lie "
+                                  f"in {self.undercover_province} no district to report from")
+
+
+def _layout(spec: SyntheticSpec) -> list[tuple[int, str, str]]:
+    """(country index, country code, province id) of each district, in order.
+
+    Countries take ``districts // countries`` consecutive districts each, the
+    last one the remainder; provinces take ``province_size`` consecutive ones.
+    """
+    per_country = spec.districts // spec.countries
+    out = []
+    for i in range(spec.districts):
+        c_idx = min(i // per_country, spec.countries - 1)
+        country = f"A{chr(ord('A') + c_idx)}"
+        out.append((c_idx, country, f"{country}-P{i // spec.province_size:02d}"))
+    return out
+
 
 def _district_names(rng: np.random.Generator, count: int, reserved: set[str]) -> list[str]:
     names: list[str] = []
@@ -126,6 +164,69 @@ def _far_point(rng, dim, base_offset=60.0, jitter=3.0) -> np.ndarray:
     return v
 
 
+def _articles(rng, spec: SyntheticSpec, districts: list[District], z: dict, fillers: list[str]):
+    """Yield the corpus records in id order: month by month, country by country.
+
+    A ``(spec, seed)`` pair fixes every byte of the bundle, so these are the
+    draws, in order, of a loop that makes one scalar draw per choice
+    (``article_records_loop`` in the tests):
+    ``cdf.searchsorted(rng.random(), side="right")`` is ``rng.choice(n, p=w)``;
+    k scalar ``rng.integers(0, n)`` are the k draws of
+    ``rng.choice(fillers, size=k)``; and one ``rng.random(m)`` returns the m
+    mention and target-gate uniforms of m scalar calls.
+    """
+    n_planted = len(spec.planted)
+    words = ([p.ngram for p in spec.planted] + list(spec.extra_seeds)
+             + [f"decoy{i:02d}" for i in range(spec.decoys)])
+    n_fill = len(fillers)
+    by_country: dict[str, list[District]] = {}
+    for d in districts:
+        by_country.setdefault(d.country, []).append(d)
+    streams = []
+    for country, homes in by_country.items():
+        weights = np.array([spec.undercover_weight
+                            if spec.undercover_province == d.province_id else 1.0
+                            for d in homes])
+        cdf = (weights / weights.sum()).cumsum()
+        cdf /= cdf[-1]
+        # rates[h, j]: each word's mention probability in home h's month j
+        rates = np.empty((len(homes), spec.months, len(words)))
+        rates[:, :, n_planted:] = ([spec.mention_base] * len(spec.extra_seeds)
+                                   + [spec.decoy_mention] * spec.decoys)
+        for h, d in enumerate(homes):
+            for k, p in enumerate(spec.planted):
+                rates[h, :, k] = spec.mention_base + spec.mention_boost * z[(p.ngram, d.district_id)]
+        streams.append((country, homes, cdf, rates))
+
+    start = parse_month(spec.start)
+    article_id = 0
+    for j in range(spec.months):
+        month = format_month(start + j)
+        for country, homes, cdf, rates in streams:
+            for _ in range(int(rng.poisson(spec.articles_per_country_month))):
+                h = int(cdf.searchsorted(rng.random(), side="right"))
+                tokens = [fillers[rng.integers(0, n_fill)] for _ in range(rng.integers(2, 5))]
+                tokens.append(homes[h].name)
+                tokens += [fillers[rng.integers(0, n_fill)] for _ in range(rng.integers(1, 3))]
+                u = rng.random(len(words) + 1)
+                hit = (u[:-1] < rates[h, j]).nonzero()[0].tolist()
+                tokens += [words[i] for i in hit]
+                # planted words lead `words`: one is hit iff the first hit is one
+                if u[-1] < (0.25 if hit and hit[0] < n_planted else 0.03):
+                    tokens.append(_TARGETS[rng.integers(0, len(_TARGETS))])
+                if rng.integers(0, 2):
+                    tokens.append(fillers[rng.integers(0, n_fill)])
+                day = int(rng.integers(1, 28))
+                yield {
+                    "id": f"a{article_id:07d}",
+                    "date": f"{month}-{day:02d}",
+                    "source": f"wire-{int(rng.integers(0, 5))}",
+                    "countries": [country],
+                    "text": " ".join(tokens),
+                }
+                article_id += 1
+
+
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
     """Write the full synthetic input bundle; returns paths plus ground truth."""
     rng = np.random.default_rng(seed)
@@ -137,9 +238,8 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
 
     planted_names = [p.ngram for p in spec.planted]
     decoys = [f"decoy{i:02d}" for i in range(spec.decoys)]
-    targets = ("famine", "hunger", "starvation")
     effect_phrases = (("famine", "looms"), ("hunger", "worsens"), ("starvation", "feared"))
-    reserved = set(planted_names) | set(spec.extra_seeds) | set(decoys) | set(targets)
+    reserved = set(planted_names) | set(spec.extra_seeds) | set(decoys) | set(_TARGETS)
     reserved |= {t for ph in effect_phrases for t in ph}
 
     # Geography: countries -> provinces of `province_size` -> districts.
@@ -147,12 +247,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
     reserved |= set(names)
     fillers = _filler_vocab(rng, reserved)
     districts = []
-    country_codes = [f"A{chr(ord('A') + i)}" for i in range(spec.countries)]
-    per_country = spec.districts // spec.countries
-    for i in range(spec.districts):
-        c_idx = min(i // per_country, spec.countries - 1)
-        country = country_codes[c_idx]
-        province = f"{country}-P{i // spec.province_size:02d}"
+    for i, (c_idx, country, province) in enumerate(_layout(spec)):
         districts.append(
             District(
                 district_id=f"d{i:03d}",
@@ -258,51 +353,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
                 fh.write(f"{did},{format_month(t)},{proj}\n")
 
     # Article stream: mention rates follow the latent processes immediately.
-    by_country: dict[str, list[District]] = {}
-    for d in districts:
-        by_country.setdefault(d.country, []).append(d)
-    article_id = 0
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for j, t in enumerate(months):
-            for country in country_codes:
-                homes = by_country[country]
-                weights = np.array([
-                    spec.undercover_weight
-                    if spec.undercover_province == d.province_id else 1.0
-                    for d in homes
-                ])
-                weights = weights / weights.sum()
-                count = int(rng.poisson(spec.articles_per_country_month))
-                for _ in range(count):
-                    d = homes[int(rng.choice(len(homes), p=weights))]
-                    tokens = list(rng.choice(fillers, size=int(rng.integers(2, 5))))
-                    tokens.append(d.name)
-                    tokens.extend(rng.choice(fillers, size=int(rng.integers(1, 3))))
-                    mentioned_planted = False
-                    for p in spec.planted:
-                        rate = spec.mention_base + spec.mention_boost * z[(p.ngram, d.district_id)][j]
-                        if rng.random() < rate:
-                            tokens.append(p.ngram)
-                            mentioned_planted = True
-                    for extra in spec.extra_seeds:
-                        if rng.random() < spec.mention_base:
-                            tokens.append(extra)
-                    for g in decoys:
-                        if rng.random() < spec.decoy_mention:
-                            tokens.append(g)
-                    if rng.random() < (0.25 if mentioned_planted else 0.03):
-                        tokens.append(str(rng.choice(targets)))
-                    tokens.extend(rng.choice(fillers, size=int(rng.integers(0, 2))))
-                    day = int(rng.integers(1, 28))
-                    record = {
-                        "id": f"a{article_id:07d}",
-                        "date": f"{year_of(t):04d}-{month_of(t):02d}-{day:02d}",
-                        "source": f"wire-{int(rng.integers(0, 5))}",
-                        "countries": [country],
-                        "text": " ".join(tokens),
-                    }
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
-                    article_id += 1
+        for record in _articles(rng, spec, districts, z, fillers):
+            fh.write(encode(record) + "\n")
 
     # Frame files: well-formed causal frames for every seed, plus chaff that
     # must fail each filter.
@@ -361,7 +415,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
         vectors[g] = anchor + direction * rng.uniform(2.5, 5.5)
     far_words = (list(fillers) + [d.name for d in districts]
                  + [f"{d.name}shire" for d in districts]
-                 + list(targets) + [t for ph in effect_phrases for t in ph]
+                 + list(_TARGETS) + [t for ph in effect_phrases for t in ph]
                  + ["storm", "roads", "flooded"])
     for w in far_words:
         if w not in vectors:

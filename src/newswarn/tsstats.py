@@ -462,11 +462,17 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 
     A run of ``c`` values ending at sorted position ``e`` (1-based) has mean rank
     ``e - (c - 1) / 2``, a half-integer, so the result is exact. Callers pass
-    finite values (``Series`` and ``NewsFactors`` reject others): ``np.unique``
-    would merge NaNs into one run.
+    one or more finite values (``Series`` and ``NewsFactors`` reject others).
+    A stable argsort rather than ``np.unique``, whose first call pages in
+    numpy's quicksort (about 0.4 MiB of peak RSS in a bare interpreter).
     """
-    _, inv, cnt = np.unique(v, return_inverse=True, return_counts=True)
-    return (np.cumsum(cnt) - (cnt - 1) / 2.0)[inv]
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    last = np.flatnonzero(np.append(s[1:] != s[:-1], True))  # 0-based run ends
+    cnt = np.diff(last, prepend=-1)
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(last + 1 - (cnt - 1) / 2.0, cnt)
+    return ranks
 
 
 def spearman(a, b) -> float:

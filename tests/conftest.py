@@ -70,6 +70,61 @@ def average_ranks_loop(v):
     return ranks
 
 
+def article_records_loop(rng, spec, districts, z, fillers):
+    """The synthetic corpus records, drawing each article's values one call at a time.
+
+    The order of draws that ``synth._articles`` must keep: the planted, extra-seed
+    and decoy mentions and the target gate are one scalar ``rng.random()`` each.
+    """
+    from newswarn.months import month_of, parse_month, year_of
+
+    targets = ("famine", "hunger", "starvation")
+    decoys = [f"decoy{i:02d}" for i in range(spec.decoys)]
+    by_country = {}
+    for d in districts:
+        by_country.setdefault(d.country, []).append(d)
+    start = parse_month(spec.start)
+    article_id = 0
+    for j in range(spec.months):
+        t = start + j
+        for country, homes in by_country.items():
+            weights = np.array([
+                spec.undercover_weight if spec.undercover_province == d.province_id else 1.0
+                for d in homes
+            ])
+            weights = weights / weights.sum()
+            count = int(rng.poisson(spec.articles_per_country_month))
+            for _ in range(count):
+                d = homes[int(rng.choice(len(homes), p=weights))]
+                tokens = list(rng.choice(fillers, size=int(rng.integers(2, 5))))
+                tokens.append(d.name)
+                tokens.extend(rng.choice(fillers, size=int(rng.integers(1, 3))))
+                mentioned_planted = False
+                for p in spec.planted:
+                    rate = spec.mention_base + spec.mention_boost * z[(p.ngram, d.district_id)][j]
+                    if rng.random() < rate:
+                        tokens.append(p.ngram)
+                        mentioned_planted = True
+                for extra in spec.extra_seeds:
+                    if rng.random() < spec.mention_base:
+                        tokens.append(extra)
+                for g in decoys:
+                    if rng.random() < spec.decoy_mention:
+                        tokens.append(g)
+                if rng.random() < (0.25 if mentioned_planted else 0.03):
+                    tokens.append(str(rng.choice(targets)))
+                tokens.extend(rng.choice(fillers, size=int(rng.integers(0, 2))))
+                day = int(rng.integers(1, 28))
+                yield {
+                    "id": f"a{article_id:07d}",
+                    "date": f"{year_of(t):04d}-{month_of(t):02d}-{day:02d}",
+                    "source": f"wire-{int(rng.integers(0, 5))}",
+                    "countries": [country],
+                    "text": " ".join(tokens),
+                }
+                article_id += 1
+
+
 def embedding_table(**vectors):
     dim = len(next(iter(vectors.values())))
     table = {}

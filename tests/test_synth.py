@@ -4,14 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
-from newswarn.corpus import load_gazetteer
-from newswarn.errors import DataError
+from newswarn.cli import main as cli_main
+from newswarn.corpus import District, load_gazetteer
+from newswarn.errors import ConfigError, DataError
 from newswarn.frames import load_frames
 from newswarn.months import parse_month
 from newswarn.outbreak import detect_outbreaks
 from newswarn.semantics import load_embeddings, wmd
-from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
+from newswarn.synth import PlantedFeature, SyntheticSpec, _articles, _layout, generate_synthetic
+
+from conftest import article_records_loop
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60)
 
@@ -116,3 +120,60 @@ def test_planted_feature_validation():
         PlantedFeature("storm", lead=9, effect=1.0)
     with pytest.raises(DataError):
         PlantedFeature("storm", lead=2, effect=float("inf"))
+
+
+def _stream_inputs(spec, rng):
+    """Districts laid out as the generator lays them out, random episodes, fillers."""
+    districts = [District(f"d{i:03d}", f"town{i:03d}", (), province, country, 0.0, 0.0, {})
+                 for i, (_, country, province) in enumerate(_layout(spec))]
+    z = {(p.ngram, d.district_id): (rng.random(spec.months) < 0.3).astype(float)
+         for p in spec.planted for d in districts}
+    return districts, z, [f"word{i:03d}" for i in range(150)]
+
+
+@pytest.mark.parametrize("fields", [
+    SMALL,
+    dict(SMALL, months=24, countries=3),  # 10 districts: the last country takes 4
+    # a non-uniform choice of home district within country AA
+    dict(SMALL, months=24, countries=2, province_size=3, undercover_province="AA-P01",
+         undercover_weight=0.05),
+    dict(SMALL, months=24, extra_seeds=(), decoys=0),
+], ids=["small", "three-countries", "undercover", "planted-only"])
+def test_article_stream_keeps_the_loops_draws(fields):
+    spec = SyntheticSpec(**fields)
+    districts, z, fillers = _stream_inputs(spec, np.random.default_rng(11))
+    fast, slow = np.random.default_rng(5), np.random.default_rng(5)
+    got = list(_articles(fast, spec, districts, z, fillers))
+    want = list(article_records_loop(slow, spec, districts, z, fillers))
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert a == b
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("fields, field", [
+    (dict(districts=0, countries=1), "districts"),
+    (dict(districts=2, countries=4), "districts"),
+    (dict(countries=0), "countries"),
+    (dict(months=0), "months"),
+    (dict(province_size=0), "province_size"),
+    (dict(districts=10, countries=2, undercover_province="AB-P00"), "undercover_province"),
+    (dict(districts=10, countries=2, undercover_province="AA-P00", undercover_weight=-0.5),
+     "undercover_weight"),
+    (dict(districts=10, countries=2, undercover_province="AA-P00", undercover_weight=np.nan),
+     "undercover_weight"),
+    # AA-P00 holds all of AA's districts, so no AA article could be drawn
+    (dict(districts=10, countries=2, undercover_province="AA-P00", undercover_weight=0.0),
+     "undercover_weight"),
+])
+def test_bad_spec_raises_config_error_naming_the_field(fields, field):
+    with pytest.raises(ConfigError, match=f"^{field} "):
+        SyntheticSpec(**fields)
+
+
+def test_synth_cli_rejects_a_bad_spec(tmp_path):
+    result = CliRunner().invoke(cli_main, ["synth", "--out", str(tmp_path / "bad"),
+                                           "--districts", "0"])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: districts ")
+    assert not (tmp_path / "bad").exists()
