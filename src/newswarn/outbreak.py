@@ -3,7 +3,9 @@
 An outbreak starts at a publication period whose phase reaches 3 or more,
 stays there for the following period, and was at 2 or below the period
 before. A fitted model's real-valued phase forecasts become a binary
-classifier through a lower/upper threshold pair (l, u).
+classifier through a lower/upper threshold pair (l, u). Every series here is
+one value per period of the publication grid, and an event's ``start`` is its
+position on that grid.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .errors import DataError
 @dataclass(frozen=True)
 class OutbreakEvent:
     district: str
-    start: int  # period index or period month
+    start: int  # position on the publication grid
     severity: float
 
 
@@ -47,16 +49,13 @@ class Score:
         return None if self.n_actual == 0 else self.matched / self.n_actual
 
 
-def _start_table(values: np.ndarray, periods):
-    """(periods, t, before, after): every t whose window values[t-1..t+1] has no
-    NaN, with before = values[t-1] and after = min(values[t], values[t+1])."""
-    periods = list(range(values.size)) if periods is None else list(periods)
-    if len(periods) != values.size:
-        raise DataError("periods and values must have equal length")
+def _start_table(values: np.ndarray):
+    """(t, before, after): every t whose window values[t-1..t+1] has no NaN,
+    with before = values[t-1] and after = min(values[t], values[t+1])."""
     before = values[:-2]
     after = np.minimum(values[1:-1], values[2:])  # NaN propagates
     ok = ~(np.isnan(before) | np.isnan(after))
-    return periods, np.flatnonzero(ok) + 1, before[ok], after[ok]
+    return np.flatnonzero(ok) + 1, before[ok], after[ok]
 
 
 def _fires(before, after, l: float, u: float) -> np.ndarray:
@@ -64,47 +63,37 @@ def _fires(before, after, l: float, u: float) -> np.ndarray:
     return np.flatnonzero((before <= l) & (after >= u))
 
 
-def detect_outbreaks(phases, periods=None, district: str = "") -> list[OutbreakEvent]:
-    """Outbreak starts in a period-indexed phase series: ``classify(phases, 2, 3)``."""
-    events = classify(phases, 2.0, 3.0, periods, district)
+def detect_outbreaks(phases, district: str = "") -> list[OutbreakEvent]:
+    """Outbreak starts in a phase series: ``classify(phases, 2, 3)``."""
+    events = classify(phases, 2.0, 3.0, district)
     if np.size(phases) < 3:
         warnings.warn("phase series shorter than 3 periods; no outbreak detectable")
     return events
 
 
-def classify(predictions, l: float, u: float, periods=None,
-             district: str = "") -> list[OutbreakEvent]:
+def classify(predictions, l: float, u: float, district: str = "") -> list[OutbreakEvent]:
     """Predicted outbreak starts: pred(t+1) >= u, pred(t) >= u, pred(t-1) <= l.
 
     Severity is the maximum over the run of consecutive periods at u or more.
     """
     values = np.asarray(predictions, dtype=float)
-    periods, t, before, after = _start_table(values, periods)
+    t, before, after = _start_table(values)
     events = []
     for start in t[_fires(before, after, l, u)]:
         run_end = start + 1
         while run_end + 1 < values.size and values[run_end + 1] >= u:  # False on NaN
             run_end += 1
         severity = float(np.max(values[start : run_end + 1]))
-        events.append(OutbreakEvent(district=district, start=periods[start], severity=severity))
+        events.append(OutbreakEvent(district=district, start=int(start), severity=severity))
     return events
 
 
-def match_events(predicted, actual, window: int = 0, grid=None):
+def match_events(predicted, actual, window: int = 0):
     """One-to-one earliest-first pairs of (district, predicted start, actual start).
 
-    Events match when they share a district and their start periods differ by
-    at most ``window`` positions (0 = exact). When ``grid`` gives the ordered
-    publication periods, the gap counts grid steps rather than raw start
-    differences.
+    Events match when they share a district and their starts lie at most
+    ``window`` publication periods apart (0 = exact).
     """
-    pos = {p: i for i, p in enumerate(grid)} if grid is not None else None
-
-    def gap(p: int, a: int) -> int:
-        if pos is not None and p in pos and a in pos:
-            return pos[p] - pos[a]
-        return p - a
-
     by_district_pred: dict[str, list[int]] = {}
     by_district_act: dict[str, list[int]] = {}
     for e in predicted:
@@ -117,21 +106,21 @@ def match_events(predicted, actual, window: int = 0, grid=None):
         taken = [False] * len(preds)
         for a in sorted(by_district_act[district]):
             for i, p in enumerate(preds):
-                if not taken[i] and abs(gap(p, a)) <= window:
+                if not taken[i] and abs(p - a) <= window:
                     taken[i] = True
                     pairs.append((district, p, a))
                     break
     return pairs
 
 
-def score(predicted, actual, window: int = 0, grid=None) -> Score:
+def score(predicted, actual, window: int = 0) -> Score:
     """Precision/recall of predicted against actual outbreak starts.
 
     With no predicted events precision is undefined and reported as None.
     """
     predicted = list(predicted)
     actual = list(actual)
-    pairs = match_events(predicted, actual, window, grid)
+    pairs = match_events(predicted, actual, window)
     return Score(matched=len(pairs), n_predicted=len(predicted), n_actual=len(actual))
 
 
@@ -146,10 +135,11 @@ def threshold_grid(lo: float = 1.0, hi: float = 5.0, step: float = 0.1):
 
 
 def sweep_pareto(predictions_by_district, actual_events, grid=None,
-                 window: int = 0, period_grid=None) -> list[ParetoPoint]:
+                 window: int = 0) -> list[ParetoPoint]:
     """Pareto front of (precision, recall) over the (l, u) threshold grid.
 
-    ``predictions_by_district`` maps district -> (periods, values). Only
+    ``predictions_by_district`` maps district -> values, and ``grid`` lists
+    the threshold levels (``threshold_grid()`` by default). Only
     pairs with l < u describe a rise out of the pre-crisis band and are swept.
     Grid points predicting no events carry undefined precision and never
     reach the front. Among classifiers with identical scores the
@@ -158,9 +148,9 @@ def sweep_pareto(predictions_by_district, actual_events, grid=None,
     levels = grid if grid is not None else threshold_grid()
     # Every district's candidate starts, once; severity is not scored, so it stays NaN.
     candidates, before, after = [], [], []
-    for district, (periods, values) in sorted(predictions_by_district.items()):
-        periods, t, b, a = _start_table(np.asarray(values, dtype=float), periods)
-        candidates.extend(OutbreakEvent(district, periods[i], math.nan) for i in t)
+    for district, values in sorted(predictions_by_district.items()):
+        t, b, a = _start_table(np.asarray(values, dtype=float))
+        candidates.extend(OutbreakEvent(district, int(i), math.nan) for i in t)
         before.extend(b)
         after.extend(a)
     before, after = np.array(before), np.array(after)
@@ -170,7 +160,7 @@ def sweep_pareto(predictions_by_district, actual_events, grid=None,
             if l >= u:
                 continue
             predicted = [candidates[i] for i in _fires(before, after, l, u)]
-            s = score(predicted, actual_events, window, grid=period_grid)
+            s = score(predicted, actual_events, window)
             if s.precision is None or s.recall is None:
                 continue
             points.append(ParetoPoint(l=l, u=u, precision=s.precision, recall=s.recall))
@@ -209,14 +199,13 @@ def recall_at_precision(front, target: float = 0.80) -> tuple[float, float, floa
     return pick.l, pick.u, pick.recall
 
 
-def expert_baseline(projections_by_district, actual_events, window: int = 0,
-                    period_grid=None) -> Score:
-    """Score expert phase projections under the outbreak rule."""
+def expert_baseline(projections_by_district, actual_events, window: int = 0) -> Score:
+    """Score expert phase projections (district -> values) under the outbreak rule."""
     predicted = []
-    for district, (periods, values) in sorted(projections_by_district.items()):
+    for district, values in sorted(projections_by_district.items()):
         arr = np.asarray(values, dtype=float)
         if np.all(np.isnan(arr)):
             continue
-        predicted.extend(detect_outbreaks(arr, periods, district))
-    return score(predicted, actual_events, window, grid=period_grid)
+        predicted.extend(detect_outbreaks(arr, district))
+    return score(predicted, actual_events, window)
 

@@ -207,11 +207,19 @@ class RunContext:
         return self._memo("predictions", build)
 
     def events(self) -> tuple[list, dict[str, list]]:
-        """``events.csv`` as (actual outbreak events, model -> predicted events)."""
+        """``events.csv`` as (actual, model -> predicted) events, each month a grid position."""
+        position = {t: i for i, t in enumerate(self.panel_dataset().publication_months)}
+        path = self.read("events.csv")
         actual, predicted = [], {}
-        for _, row in read_csv(self.read("events.csv"), "events")[1]:
-            event = outbreak_mod.OutbreakEvent(row["district_id"], parse_month(row["period"]),
-                                               float(row["severity"]))
+        for lineno, row in read_csv(path, "events")[1]:
+            try:
+                month = parse_month(row["period"])
+                if month not in position:
+                    raise DataError(f"{row['period']} is not a publication month")
+                event = outbreak_mod.OutbreakEvent(row["district_id"], position[month],
+                                                   float(row["severity"]))
+            except (DataError, KeyError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: bad events row: {exc}") from None
             if row["kind"] == "actual":
                 actual.append(event)
             else:
@@ -474,12 +482,12 @@ def _stage_ablate(ctx: RunContext):
 
 
 def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
-    """Per-model period series, masked actual series, and the shared period grid."""
+    """Per-model district series, masked actual series, and the publication grid they follow."""
     preds = ctx.predictions()
     periods = list(panel.publication_months)
     model_names = [m for m in sorted(preds) if m in panel_mod.MODEL_KINDS]
-    series: dict[str, dict[str, tuple[list, np.ndarray]]] = {m: {} for m in model_names}
-    actual: dict[str, tuple[list, np.ndarray]] = {}
+    series: dict[str, dict[str, np.ndarray]] = {m: {} for m in model_names}
+    actual: dict[str, np.ndarray] = {}
     for d in sorted(panel.districts):
         covered = np.array([
             all((d, t) in preds[m] for m in model_names) for t in periods
@@ -488,13 +496,12 @@ def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
         actual_vals = np.array([
             obs.get(t, np.nan) if covered[i] else np.nan for i, t in enumerate(periods)
         ])
-        actual[d] = (periods, actual_vals)
+        actual[d] = actual_vals
         for m in model_names:
-            vals = np.array([
+            series[m][d] = np.array([
                 preds[m].get((d, t), np.nan) if covered[i] else np.nan
                 for i, t in enumerate(periods)
             ])
-            series[m][d] = (periods, vals)
     return series, actual, periods
 
 
@@ -505,57 +512,47 @@ def _stage_classify(ctx: RunContext):
         panel = ctx.panel_dataset()
         series, actual_series, periods = _prediction_series(ctx, panel)
         actual_events = []
-        for d, (ps, vals) in sorted(actual_series.items()):
-            actual_events.extend(outbreak_mod.detect_outbreaks(vals, ps, d))
-        grid = outbreak_mod.threshold_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step)
-        fronts = {}
-        points = {}
-        event_rows = [(e.district, format_month(e.start), "actual", "", e.severity)
-                      for e in actual_events]
-        for model, by_district in sorted(series.items()):
-            front = outbreak_mod.sweep_pareto(by_district, actual_events, grid=grid,
-                                              window=cfg.match_window, period_grid=periods)
-            fronts[model] = front
-            entry: dict = {"n_actual": len(actual_events)}
+        for d, vals in sorted(actual_series.items()):
+            actual_events.extend(outbreak_mod.detect_outbreaks(vals, d))
+        levels = outbreak_mod.threshold_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step)
+
+        def operating_point(by_district, actual):
+            """The Pareto front, and its (l, u, recall) at the precision target or the error."""
+            front = outbreak_mod.sweep_pareto(by_district, actual, levels, cfg.match_window)
             try:
                 l, u, recall = outbreak_mod.recall_at_precision(front, cfg.precision_target)
+            except DataError as exc:
+                return front, {"error": str(exc)}
+            return front, {"l": l, "u": u, "recall": recall}
+
+        fronts, points = {}, {}
+        event_rows = [(e.district, format_month(periods[e.start]), "actual", "", e.severity)
+                      for e in actual_events]
+        for model, by_district in sorted(series.items()):
+            fronts[model], entry = operating_point(by_district, actual_events)
+            entry["n_actual"] = len(actual_events)
+            if "error" not in entry:
                 predicted = []
-                for d, (ps, vals) in sorted(by_district.items()):
-                    predicted.extend(outbreak_mod.classify(vals, l, u, ps, d))
-                s = outbreak_mod.score(predicted, actual_events, cfg.match_window,
-                                       grid=periods)
-                entry.update({"l": l, "u": u, "recall": recall,
-                              "precision": s.precision, "matched": s.matched,
+                for d, vals in sorted(by_district.items()):
+                    predicted.extend(outbreak_mod.classify(vals, entry["l"], entry["u"], d))
+                s = outbreak_mod.score(predicted, actual_events, cfg.match_window)
+                entry.update({"precision": s.precision, "matched": s.matched,
                               "n_predicted": s.n_predicted})
                 event_rows.extend(
-                    (e.district, format_month(e.start), "predicted", model, e.severity)
+                    (e.district, format_month(periods[e.start]), "predicted", model, e.severity)
                     for e in predicted
                 )
-            except DataError as exc:
-                entry["error"] = str(exc)
-            per_country = {}
-            countries = sorted({panel.country_of(d) for d in by_district})
-            for country in countries:
-                sub = {d: s for d, s in by_district.items()
-                       if panel.country_of(d) == country}
-                sub_actual = [e for e in actual_events
-                              if panel.country_of(e.district) == country]
-                sub_front = outbreak_mod.sweep_pareto(sub, sub_actual, grid=grid,
-                                                      window=cfg.match_window,
-                                                      period_grid=periods)
-                try:
-                    l, u, recall = outbreak_mod.recall_at_precision(sub_front,
-                                                                    cfg.precision_target)
-                    per_country[country] = {"l": l, "u": u, "recall": recall}
-                except DataError as exc:
-                    per_country[country] = {"error": str(exc)}
-            entry["per_country"] = per_country
+            entry["per_country"] = {
+                country: operating_point(
+                    {d: v for d, v in by_district.items() if panel.country_of(d) == country},
+                    [e for e in actual_events if panel.country_of(e.district) == country])[1]
+                for country in sorted({panel.country_of(d) for d in by_district})
+            }
             points[model] = entry
         projections_path = ctx.read("projections", optional=True)
         if projections_path:
-            projections = _load_projections(projections_path, actual_series)
-            expert = outbreak_mod.expert_baseline(projections, actual_events,
-                                                  cfg.match_window, period_grid=periods)
+            projections = _load_projections(projections_path, actual_series, periods)
+            expert = outbreak_mod.expert_baseline(projections, actual_events, cfg.match_window)
             points["expert"] = {"precision": expert.precision, "recall": expert.recall,
                                 "matched": expert.matched,
                                 "n_predicted": expert.n_predicted,
@@ -572,7 +569,7 @@ def _stage_classify(ctx: RunContext):
     return _execute_stage(ctx, "classify", params, compute)
 
 
-def _load_projections(path, actual_series):
+def _load_projections(path, actual_series, periods):
     rows: dict[str, dict[int, float]] = {}
     for lineno, row in read_csv(path, "projections")[1]:
         try:
@@ -581,14 +578,13 @@ def _load_projections(path, actual_series):
         except (DataError, KeyError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad projections row: {exc}") from None
     out = {}
-    for d, (periods, actual_vals) in actual_series.items():
+    for d, actual_vals in actual_series.items():
         got = rows.get(d, {})
         # Mask projections to the same evaluation coverage as the models.
-        vals = np.array([
+        out[d] = np.array([
             got.get(t, np.nan) if not np.isnan(actual_vals[i]) else np.nan
             for i, t in enumerate(periods)
         ])
-        out[d] = (periods, vals)
     return out
 
 

@@ -36,7 +36,6 @@ def _severity_band(severity: float) -> str:
 def build_report(ctx) -> None:
     cfg = ctx.cfg
     panel = ctx.panel_dataset()
-    periods = list(panel.publication_months)
 
     # Cross-validated RMSE per model and country.
     with open(ctx.read("cv_reports.json"), "r", encoding="utf-8") as fh:
@@ -49,8 +48,7 @@ def build_report(ctx) -> None:
     # Observed vs predicted outbreak counts by severity band.
     actual_events, predicted_by_model = ctx.events()
     matched_by_model = {
-        model: set(outbreak_mod.match_events(events, actual_events, cfg.match_window,
-                                             grid=periods))
+        model: set(outbreak_mod.match_events(events, actual_events, cfg.match_window))
         for model, events in predicted_by_model.items()
     }
     counts = []
@@ -75,9 +73,9 @@ def build_report(ctx) -> None:
     preds = {m: table for m, table in ctx.predictions().items() if m in MODEL_KINDS}
     episodes = []
     for event in actual_events:
-        d = event.district
-        t0 = event.start - EPISODE_WINDOW
-        t1 = event.start + EPISODE_WINDOW
+        d, month = event.district, panel.publication_months[event.start]
+        t0 = month - EPISODE_WINDOW
+        t1 = month + EPISODE_WINDOW
         ipc = panel.ipc.get(d)
         if ipc is None:
             continue
@@ -97,7 +95,7 @@ def build_report(ctx) -> None:
             months = sorted(rows[name])
             vals = np.array([rows[name][t] for t in months])
             smooth = trailing_mean(vals)
-            episodes.extend([d, format_month(event.start), format_month(t), name, vals[i],
+            episodes.extend([d, format_month(month), format_month(t), name, vals[i],
                              smooth[i]] for i, t in enumerate(months))
     write_csv(ctx.write("report/episodes.csv"),
               ["district", "event_start", "month", "series", "value", "value_sm3"], episodes)

@@ -32,6 +32,7 @@ _FILLER_SEEDS = (
 )
 
 _TARGETS = ("famine", "hunger", "starvation")
+_SEED_DRAWS = 10_000  # draws per seed vector before the embedding space counts as full
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,8 @@ class SyntheticSpec:
         for name in ("countries", "months", "province_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.embedding_dim < 2:
+            raise ConfigError(f"embedding_dim must be at least 2, got {self.embedding_dim}")
         if self.districts < self.countries:
             raise ConfigError(f"districts must be at least countries ({self.countries}), "
                               f"got {self.districts}")
@@ -402,12 +405,16 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
     vectors: dict[str, np.ndarray] = {}
     seed_words = planted_names + list(spec.extra_seeds)
     for i, w in enumerate(seed_words):
-        while True:
+        for _ in range(_SEED_DRAWS):
             v = rng.normal(0, 1, dim)
             v = 20.0 * v / np.linalg.norm(v)
             if all(np.linalg.norm(v - vectors[u]) > 12.0 for u in seed_words[:i]):
                 vectors[w] = v
                 break
+        else:
+            raise ConfigError(f"embedding_dim {dim} has no room for {len(seed_words)} seed "
+                              f"vectors 12 apart on the radius-20 sphere (seed {i + 1} found "
+                              f"none in {_SEED_DRAWS} draws)")
     for i, g in enumerate(decoys):
         anchor = vectors[planted_names[i % len(planted_names)]]
         direction = rng.normal(0, 1, dim)
@@ -431,8 +438,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
     for d in districts:
         did = d.district_id
         phases = [true_phase[did][t - start] for t in pub_months]
-        for event in detect_outbreaks(phases, pub_months, district=did):
-            outbreaks.append({"district": did, "start_month": format_month(event.start),
+        for event in detect_outbreaks(phases, district=did):
+            outbreaks.append({"district": did,
+                              "start_month": format_month(pub_months[event.start]),
                               "severity": event.severity})
     truth = {
         "seed": seed,

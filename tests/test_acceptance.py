@@ -200,7 +200,7 @@ def test_criterion_5_pareto_oracle_equality():
             phases = rng.choice([1, 2, 2, 3, 3, 4], size=16).astype(float)
             actual.extend(detect_outbreaks(phases, district=name))
             noisy = np.clip(phases + rng.normal(0, 0.6, 16), 1, 5)
-            preds[name] = (list(range(16)), noisy)
+            preds[name] = noisy
         if not actual:
             continue
         panels += 1
@@ -210,8 +210,8 @@ def test_criterion_5_pareto_oracle_equality():
                 if l >= u:
                     continue
                 predicted = []
-                for name, (periods, vals) in sorted(preds.items()):
-                    predicted.extend(classify(vals, l, u, periods, name))
+                for name, vals in sorted(preds.items()):
+                    predicted.extend(classify(vals, l, u, name))
                 s = score(predicted, actual)
                 if s.precision is None or s.recall is None:
                     continue

@@ -60,10 +60,6 @@ class TestDetect:
         events = detect_outbreaks([2, 3, 3, nan, 5])
         assert [(e.start, e.severity) for e in events] == [(1, 3.0)]
 
-    def test_periods_carried_through(self):
-        events = detect_outbreaks([2, 3, 3], periods=[100, 103, 106], district="d1")
-        assert events == [OutbreakEvent("d1", 103, 3.0)]
-
 
 class TestClassify:
     def test_paper_style_thresholds(self):
@@ -137,14 +133,15 @@ class TestScore:
         assert s.matched == 1 and s.precision == pytest.approx(0.5)
 
     def test_window_matching_on_grid(self):
-        grid = [100, 103, 106, 110]
-        actual = [OutbreakEvent("d1", 103, 3.0)]
-        predicted = [OutbreakEvent("d1", 106, 3.0)]
-        assert score(predicted, actual, window=0, grid=grid).matched == 0
-        assert score(predicted, actual, window=1, grid=grid).matched == 1
+        # starts are grid positions, so the window counts publication periods
+        actual = [OutbreakEvent("d1", 1, 3.0)]
+        predicted = [OutbreakEvent("d1", 2, 3.0)]
+        assert score(predicted, actual, window=0).matched == 0
+        assert score(predicted, actual, window=1).matched == 1
+        assert score([OutbreakEvent("d1", 3, 3.0)], actual, window=1).matched == 0
 
 
-def oracle_front(preds, actual, window=0, period_grid=None):
+def oracle_front(preds, actual, window=0):
     """Brute force: classify every district at every (l, u) and score the union."""
     points = []
     for l in threshold_grid():
@@ -152,9 +149,9 @@ def oracle_front(preds, actual, window=0, period_grid=None):
             if l >= u:
                 continue
             predicted = []
-            for name, (periods, vals) in sorted(preds.items()):
-                predicted.extend(classify(vals, l, u, periods, name))
-            s = score(predicted, actual, window, grid=period_grid)
+            for name, vals in sorted(preds.items()):
+                predicted.extend(classify(vals, l, u, name))
+            s = score(predicted, actual, window)
             if s.precision is None or s.recall is None:
                 continue
             points.append(ParetoPoint(l, u, s.precision, s.recall))
@@ -162,20 +159,17 @@ def oracle_front(preds, actual, window=0, period_grid=None):
 
 
 class TestPareto:
-    def random_panel(self, rng, districts=8, periods=14, nan_share=0.0):
-        """``periods`` is a count (indices 0..n-1) or an explicit period list."""
-        periods = list(range(periods)) if isinstance(periods, int) else list(periods)
-        n = len(periods)
+    def random_panel(self, rng, districts=8, n=14, nan_share=0.0):
         preds = {}
         actual = []
         for d in range(districts):
             name = f"d{d}"
             phases = rng.choice([1, 2, 2, 3, 3, 4], size=n).astype(float)
-            actual.extend(detect_outbreaks(phases, periods, district=name))
+            actual.extend(detect_outbreaks(phases, district=name))
             noisy = np.clip(phases + rng.normal(0, 0.7, n), 1, 5)
             if nan_share:
                 noisy[rng.random(n) < nan_share] = np.nan
-            preds[name] = (periods, noisy)
+            preds[name] = noisy
         return preds, actual
 
     def test_front_matches_exhaustive_oracle(self):
@@ -186,33 +180,32 @@ class TestPareto:
                 continue
             assert sweep_pareto(preds, actual) == oracle_front(preds, actual)
 
-    @pytest.mark.parametrize("nan_share, window, uneven", [
-        pytest.param(0.15, 0, False, id="nan-gaps"),
-        pytest.param(0.0, 1, True, id="window1-uneven-grid"),
-        pytest.param(0.1, 2, True, id="window2-uneven-grid-nan"),
+    # The windows count grid positions, however unevenly the grid's months are spaced.
+    @pytest.mark.parametrize("nan_share, window", [
+        pytest.param(0.15, 0, id="nan-gaps"),
+        pytest.param(0.0, 1, id="window1-uneven-grid"),
+        pytest.param(0.1, 2, id="window2-uneven-grid-nan"),
     ])
-    def test_front_matches_oracle_off_the_defaults(self, nan_share, window, uneven):
+    def test_front_matches_oracle_off_the_defaults(self, nan_share, window):
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 4:
-            periods = np.cumsum(rng.choice([1, 3, 4, 6], size=14)).tolist() if uneven else 14
-            preds, actual = self.random_panel(rng, periods=periods, nan_share=nan_share)
+            preds, actual = self.random_panel(rng, nan_share=nan_share)
             if not actual:
                 continue
-            grid = periods if uneven else None
-            front = sweep_pareto(preds, actual, window=window, period_grid=grid)
-            assert front == oracle_front(preds, actual, window, grid)
+            front = sweep_pareto(preds, actual, window=window)
+            assert front == oracle_front(preds, actual, window)
             checked += 1
 
     def test_perfect_predictions_reach_corner(self):
         phases = np.array([2.0, 2.0, 3.0, 3.0, 2.0, 2.0, 4.0, 4.0, 1.0])
-        preds = {"d0": (list(range(9)), phases)}
+        preds = {"d0": phases}
         actual = detect_outbreaks(phases, district="d0")
         front = sweep_pareto(preds, actual)
         assert any(p.precision == 1.0 and p.recall == 1.0 for p in front)
 
     def test_constant_low_predictions_degenerate(self):
-        preds = {"d0": (list(range(8)), np.full(8, 2.0))}
+        preds = {"d0": np.full(8, 2.0)}
         actual = [OutbreakEvent("d0", 3, 3.0)]
         front = sweep_pareto(preds, actual)
         assert front == []
@@ -269,19 +262,19 @@ class TestExpertBaseline:
     def test_projections_equal_truth(self):
         phases = np.array([2.0, 3.0, 3.0, 2.0, 2.0, 3.0, 3.0])
         actual = detect_outbreaks(phases, district="d0")
-        s = expert_baseline({"d0": (list(range(7)), phases)}, actual)
+        s = expert_baseline({"d0": phases}, actual)
         assert (s.precision, s.recall) == (1.0, 1.0)
 
     def test_constant_two_recalls_nothing(self):
         actual = [OutbreakEvent("d0", 2, 3.0)]
-        s = expert_baseline({"d0": (list(range(7)), np.full(7, 2.0))}, actual)
+        s = expert_baseline({"d0": np.full(7, 2.0)}, actual)
         assert s.recall == 0.0
 
     def test_hand_counts(self):
         actual = [OutbreakEvent("d0", 1, 3.0), OutbreakEvent("d1", 4, 3.0)]
         projections = {
-            "d0": ([0, 1, 2, 3, 4, 5], np.array([2.0, 3, 3, 2, 2, 2])),   # hit
-            "d1": ([0, 1, 2, 3, 4, 5], np.array([2.0, 3, 3, 2, 2, 2])),   # miss + false
+            "d0": np.array([2.0, 3, 3, 2, 2, 2]),   # hit
+            "d1": np.array([2.0, 3, 3, 2, 2, 2]),   # miss + false
         }
         s = expert_baseline(projections, actual)
         assert s.matched == 1 and s.n_predicted == 2

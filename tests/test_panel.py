@@ -691,7 +691,7 @@ class TestPanelCsv:
         path = tmp_path / "projections.csv"
         path.write_text(f"district_id,month,projected_phase\nso-jam,2011-01,3\n{row}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad projections row")):
-            _load_projections(path, {})
+            _load_projections(path, {}, [])
 
     @pytest.mark.parametrize("row, cells", [("so-jam,2011-02,2", 3), ("so-jam,2011-01,2,0.5,9", 5)])
     def test_panel_row_of_the_wrong_width_names_file_line_and_counts(self, tmp_path, row, cells):

@@ -4,6 +4,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -17,9 +18,10 @@ from click.testing import CliRunner
 import newswarn
 from newswarn import corpus as corpus_mod
 from newswarn import panel as panel_mod
+from newswarn.artifacts import read_csv
 from newswarn.cli import main as cli_main
 from newswarn.config import _PATH_KEYS, PipelineConfig, load_config, save_config
-from newswarn.errors import ConfigError
+from newswarn.errors import ConfigError, DataError
 from newswarn.months import format_month, parse_month
 from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
@@ -393,23 +395,54 @@ def _cells(*values):
     return [repr(float(x)) if isinstance(x, (float, np.floating)) else str(x) for x in values]
 
 
+@pytest.fixture(scope="module")
+def ctx(tmp_path_factory):
+    """A finished run with outbreak events and clusters of several members.
+
+    The default ``clusters = 12`` and the ``run_dir`` bundle have neither.
+    """
+    spec = SyntheticSpec(districts=12, months=84, decoys=6, articles_per_country_month=50,
+                         countries=2, episode_start_prob=0.03)
+    bundle = generate_synthetic(spec, seed=3, out_dir=tmp_path_factory.mktemp("cube"))
+    cfg = dataclasses.replace(load_config(bundle["config"]), clusters=3)
+    quiet_run(cfg)
+    return RunContext(cfg=cfg, out=Path(cfg.output))
+
+
+class TestEventsFile:
+    def test_events_round_trip_through_grid_positions(self, ctx):
+        months = ctx.panel_dataset().publication_months
+        actual, predicted = ctx.events()
+        rows = read_csv(ctx.out / "events.csv", "events")[1]
+        assert actual and predicted
+        assert len(rows) == len(actual) + sum(map(len, predicted.values()))
+        in_row_order = {"": iter(actual), **{m: iter(e) for m, e in predicted.items()}}
+        for _, row in rows:
+            event = next(in_row_order[row["model"]])
+            assert (event.district, format_month(months[event.start]), event.severity) == (
+                row["district_id"], row["period"], float(row["severity"]))
+
+    @pytest.mark.parametrize("bad", ["off-grid", "2011-13"])
+    def test_a_bad_period_raises_naming_the_file_and_line(self, ctx, tmp_path, bad):
+        run = tmp_path / "run"
+        shutil.copytree(ctx.out, run)
+        months = ctx.panel_dataset().publication_months
+        if bad == "off-grid":
+            bad = format_month(next(t for t in range(months[0], months[-1]) if t not in months))
+        lines = (run / "events.csv").read_text(encoding="utf-8").splitlines(keepends=True)
+        cells = lines[3].split(",")
+        lines[3] = ",".join([cells[0], bad, *cells[2:]])
+        (run / "events.csv").write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(f"{run / 'events.csv'}:4: ") + ".*" + bad):
+            RunContext(cfg=ctx.cfg, out=run).events()
+
+
 class TestFactorSummariesOracle:
     """The factor summaries of report and validate, recomputed from per-location Series.
 
     Each table is rebuilt by stacking ``NewsFactors.at_level`` Series, with loop-walked
     ranks, and must match the written file cell for cell, so every float bit for bit.
-    The run has outbreak events and clusters of several members, which the default
-    ``clusters = 12`` and the ``run_dir`` bundle lack.
     """
-
-    @pytest.fixture(scope="class")
-    def ctx(self, tmp_path_factory):
-        spec = SyntheticSpec(districts=12, months=84, decoys=6, articles_per_country_month=50,
-                             countries=2, episode_start_prob=0.03)
-        bundle = generate_synthetic(spec, seed=3, out_dir=tmp_path_factory.mktemp("cube"))
-        cfg = dataclasses.replace(load_config(bundle["config"]), clusters=3)
-        quiet_run(cfg)
-        return RunContext(cfg=cfg, out=Path(cfg.output))
 
     @staticmethod
     def table(ctx, name):
@@ -422,17 +455,16 @@ class TestFactorSummariesOracle:
         factors, panel, clusters = ctx.factors(), ctx.panel_dataset(), ctx.clusters()
         want = []
         for event in ctx.events()[0]:
-            d = event.district
+            d, start = event.district, panel.publication_months[event.start]
             if d not in panel.ipc:
                 continue
             for c in sorted(clusters, key=lambda c: f"cluster_{c.cluster_id}_pct"):
                 pct = _pct(_mean_of(factors.at_level(w, "district")[d] for w in c.members))
-                months = [t for t in range(event.start - EPISODE_WINDOW,
-                                           event.start + EPISODE_WINDOW + 1)
+                months = [t for t in range(start - EPISODE_WINDOW, start + EPISODE_WINDOW + 1)
                           if 0 <= t - factors.start < pct.size]
                 vals = np.array([pct[t - factors.start] for t in months])
                 smooth = _sm3(vals)
-                want.extend(_cells(d, format_month(event.start), format_month(t),
+                want.extend(_cells(d, format_month(start), format_month(t),
                                    f"cluster_{c.cluster_id}_pct", vals[i], smooth[i])
                             for i, t in enumerate(months))
         got = [r for r in self.table(ctx, "report/episodes.csv") if r[3].startswith("cluster_")]

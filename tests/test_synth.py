@@ -93,7 +93,7 @@ def test_truth_outbreaks_match_published_phases(bundle):
     for d, obs in phases.items():
         periods = sorted(obs)
         values = [obs[t] for t in periods]
-        recomputed.extend((d, e.start) for e in detect_outbreaks(values, periods, d))
+        recomputed.extend((d, periods[e.start]) for e in detect_outbreaks(values, d))
     expected = {(o["district"], parse_month(o["start_month"]))
                 for o in bundle["truth"]["outbreaks"]}
     assert set(recomputed) == expected
@@ -165,10 +165,21 @@ def test_article_stream_keeps_the_loops_draws(fields):
     # AA-P00 holds all of AA's districts, so no AA article could be drawn
     (dict(districts=10, countries=2, undercover_province="AA-P00", undercover_weight=0.0),
      "undercover_weight"),
+    (dict(embedding_dim=0), "embedding_dim"),  # every seed vector is 0/0
+    (dict(embedding_dim=1), "embedding_dim"),  # only two seeds fit on a line
 ])
 def test_bad_spec_raises_config_error_naming_the_field(fields, field):
     with pytest.raises(ConfigError, match=f"^{field} "):
         SyntheticSpec(**fields)
+
+
+def test_seeds_that_cannot_lie_apart_raise_config_error(tmp_path):
+    # At most 10 seeds lie more than 12 apart on a circle of radius 20.
+    spec = SyntheticSpec(districts=2, countries=1, months=12, decoys=2,
+                         articles_per_country_month=5, embedding_dim=2,
+                         extra_seeds=tuple(f"extra{i}" for i in range(6)))
+    with pytest.raises(ConfigError, match="^embedding_dim 2 has no room for 11 seed vectors"):
+        generate_synthetic(spec, seed=1, out_dir=tmp_path)
 
 
 def test_synth_cli_rejects_a_bad_spec(tmp_path):
