@@ -1,13 +1,14 @@
 """News-corpus reading, gazetteer location matching, and news factors.
 
 The corpus file holds one JSON object per line: {id, date, source, countries,
-text}. ``read_corpus`` parses it once into per-article months, country tags
-and tokens; it keeps no per-n-gram article sets. Counts come from scans of
-those: the 1..3-gram occurrences (``Corpus.ngram_occurrences``), and, for a
-list of features, the articles that co-mention a feature and a location
-(``news_factors``, ``feature_coverage``). A news factor is the monthly share
-of a country's articles that co-mention a text feature and a location;
-``save_factors`` writes them as one feature x location x month array.
+text}. ``read_corpus`` parses it once into per-article months and country
+tags, a vocabulary, and one array of token ids; it keeps no per-n-gram
+article sets. Counts come from n-grams packed into integer keys: the 1..3-gram
+occurrences (``Corpus.ngram_counts``, by ``np.unique``), and, for a list of
+features, the articles that co-mention a feature and a location, found by a
+sorted-key lookup (``news_factors``, ``feature_coverage``). A news factor is
+the monthly share of a country's articles that co-mention a text feature and a
+location; ``save_factors`` writes them as one feature x location x month array.
 """
 
 from __future__ import annotations
@@ -15,9 +16,8 @@ from __future__ import annotations
 import json
 import warnings
 from array import array
-from collections import Counter, defaultdict
-from dataclasses import dataclass
-from itertools import chain
+from collections import defaultdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,7 +72,6 @@ class Gazetteer:
                     places[toks].update((d.district_id, d.province_id, d.country))
         # name tokens -> every district so named, with its province and country
         self.places: dict[tuple[str, ...], set[str]] = dict(places)
-        self.names_by_first = _by_first_token({name: name for name in places})
 
     def __len__(self):
         return len(self.districts)
@@ -140,35 +139,77 @@ def write_gazetteer(path, districts) -> None:
     ))
 
 
-def match_locations(tokens, tags, gaz: Gazetteer) -> set[str]:
-    """District ids named in ``tokens``, their provinces/countries, and the tag countries."""
-    out = set(tags)
-    for name in _contained(tokens, gaz.names_by_first):
-        out |= gaz.places[name]
-    return out
+# Packing three token ids into one int64 key needs V**3 + V**2 + V < 2**63.
+MAX_VOCABULARY = 2_097_151
 
 
 @dataclass(frozen=True)
 class Corpus:
-    """The in-window articles of a corpus file, in file order, as parallel lists."""
+    """The in-window articles of a corpus file, in file order, with integer-coded tokens.
+
+    Article ``a``'s tokens are ``token_ids[offsets[a]:offsets[a + 1]]``, and
+    id ``i`` is the word ``vocabulary[i]``; ids number the words in the order
+    the file first uses them. An n-gram of up to 3 tokens packs into one int64
+    key, ``(a·V + b)·V + c`` for a trigram over V words, shifted so that each
+    order has a range of its own: unigrams ``[0, V)``, bigrams ``[V, V + V²)``,
+    trigrams ``[V + V², V + V² + V³)``.
+    """
 
     window: tuple[int, int]
     months: np.ndarray                   # month index of each article (int64)
     country_tags: list[frozenset[str]]
-    tokens: list[tuple[str, ...]]
+    vocabulary: tuple[str, ...]
+    token_ids: np.ndarray                # int32, the articles' tokens end to end
+    offsets: np.ndarray                  # int64, len(self) + 1 article boundaries
     skipped_lines: int = 0
 
     def __len__(self):
-        return len(self.tokens)
+        return len(self.months)
 
-    @property
-    def ngram_occurrences(self) -> Counter:
-        """Occurrences of each contiguous 1..3-gram, space-joined; counted on every read."""
-        counts: Counter = Counter()
-        for toks in self.tokens:
-            counts.update([*toks, *[f"{a} {b}" for a, b in zip(toks, toks[1:])],
-                           *[f"{a} {b} {c}" for a, b, c in zip(toks, toks[1:], toks[2:])]])
-        return counts
+    def articles(self, lo: int, hi: int) -> "Corpus":
+        """Articles ``lo`` to ``hi - 1`` as a corpus of their own, over the same vocabulary."""
+        offsets = self.offsets[lo:hi + 1]
+        return replace(self, months=self.months[lo:hi], country_tags=self.country_tags[lo:hi],
+                       token_ids=self.token_ids[offsets[0]:offsets[-1]],
+                       offsets=offsets - offsets[0])
+
+    def pack(self, columns) -> np.ndarray:
+        """Keys of the n-grams whose k-th token ids are ``columns[k]``, n = len(columns) <= 3."""
+        v = len(self.vocabulary)
+        key = np.asarray(columns[0], dtype=np.int64)
+        for col in columns[1:]:
+            key = key * v + col
+        return key + sum(v ** k for k in range(1, len(columns)))
+
+    def ngram(self, key: int) -> str:
+        """The space-joined n-gram that ``pack`` maps to ``key``."""
+        v, n = len(self.vocabulary), 1
+        while key >= v ** n:
+            key -= v ** n
+            n += 1
+        ids = []
+        for _ in range(n):
+            key, i = divmod(key, v)
+            ids.append(i)
+        return " ".join(self.vocabulary[i] for i in reversed(ids))
+
+    def fits(self, span: int) -> np.ndarray:
+        """Whether the ``span`` tokens from each token position lie in one article."""
+        inside = np.ones(len(self.token_ids), dtype=bool)
+        tails = (self.offsets[1:, None] - np.arange(1, span)).ravel()
+        # A tail position before an article's start is a tail of an earlier article too.
+        inside[tails[tails >= 0]] = False
+        return inside
+
+    def keys_at(self, starts: np.ndarray, n: int) -> np.ndarray:
+        """Keys of the n-grams (n <= 3) that start at token positions ``starts``."""
+        return self.pack([self.token_ids[starts + k] for k in range(n)])
+
+    def ngram_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each distinct 1..3-gram's key, ascending, and its number of occurrences."""
+        counted = [np.unique(self.keys_at(np.flatnonzero(self.fits(n)), n), return_counts=True)
+                   for n in (1, 2, 3)]  # one order at a time: the key ranges ascend by order
+        return tuple(np.concatenate(parts) for parts in zip(*counted))
 
 
 def _parse_corpus_line(line: str, lineno: int) -> tuple[str, int, frozenset[str], tuple]:
@@ -197,8 +238,10 @@ def read_corpus(path, window, strict: bool = False) -> Corpus:
     ids: set[str] = set()
     months: list[int] = []
     tags_of: list[frozenset[str]] = []
-    tokens: list[tuple[str, ...]] = []
     tag_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct tag set
+    vocabulary: dict[str, int] = {}  # word -> id, in first-seen order
+    token_ids = array("i")
+    offsets = array("q", [0])
     skipped = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -220,79 +263,122 @@ def read_corpus(path, window, strict: bool = False) -> Corpus:
             ids.add(article_id)
             months.append(month)
             tags_of.append(tag_sets.setdefault(tags, tags))
-            tokens.append(toks)
-    if not tokens:
+            token_ids.extend([vocabulary.setdefault(t, len(vocabulary)) for t in toks])
+            offsets.append(len(token_ids))
+    if not months:
         raise DataError(f"no articles inside window [{format_month(w0)}, {format_month(w1)}]")
-    return Corpus((w0, w1), np.array(months, dtype=np.int64), tags_of, tokens, skipped)
+    if len(vocabulary) > MAX_VOCABULARY:
+        raise DataError(f"{path}: vocabulary of {len(vocabulary)} words exceeds "
+                        f"{MAX_VOCABULARY}, the most whose 3-grams fit int64 keys")
+    return Corpus((w0, w1), np.array(months, dtype=np.int64), tags_of, tuple(vocabulary),
+                  np.array(token_ids, dtype=np.int32), np.array(offsets, dtype=np.int64),
+                  skipped)
 
 
-def _by_first_token(phrases: dict) -> dict[str, list]:
-    """{key: token tuple} as {first token: [(key, tuple), ...]}; empty tuples are dropped."""
-    by_first: dict[str, list] = defaultdict(list)
-    for key, phrase in phrases.items():
+_BLOCK = 1 << 13  # articles scanned for co-mentions at once; bounds the working arrays
+
+
+def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The index ranges ``[lo[i], lo[i] + n[i])``, end to end."""
+    return np.repeat(lo - (np.cumsum(n) - n), n) + np.arange(n.sum())
+
+
+def _coded(corpus: Corpus, phrases) -> list[tuple[int, ...]]:
+    """Each token tuple's ids; () for one with a word outside the vocabulary."""
+    word_id = {w: i for i, w in enumerate(corpus.vocabulary)}
+    return [tuple(word_id[w] for w in p) if all(w in word_id for w in p) else ()
+            for p in phrases]
+
+
+def _phrase_hits(corpus: Corpus, phrases) -> tuple[np.ndarray, np.ndarray]:
+    """(article, phrase) index pairs, ascending and distinct, of the phrases each article holds.
+
+    ``phrases`` are token-id tuples (``_coded``), matched contiguously; an
+    empty one is contained nowhere. A phrase longer than 3 tokens is looked
+    up by its first 3 and then checked token by token.
+    """
+    by_length: dict[int, list[int]] = defaultdict(list)
+    for p, phrase in enumerate(phrases):
         if phrase:
-            by_first[phrase[0]].append((key, phrase))
-    return dict(by_first)
+            by_length[len(phrase)].append(p)
+    pairs = [np.zeros(0, dtype=np.int64)]
+    for n, members in sorted(by_length.items()):
+        coded = np.array([phrases[p] for p in members], dtype=np.int64)
+        wanted = corpus.pack(coded[:, :3].T)
+        order = np.argsort(wanted, kind="stable")
+        wanted = wanted[order]
+        first = np.zeros(len(corpus.vocabulary), dtype=bool)
+        first[coded[:, 0]] = True
+        starts = np.flatnonzero(corpus.fits(n) & first[corpus.token_ids])
+        keys = corpus.keys_at(starts, min(n, 3))
+        lo = np.searchsorted(wanted, keys, "left")
+        n_hits = np.searchsorted(wanted, keys, "right") - lo
+        found = np.flatnonzero(n_hits)
+        pos = np.repeat(starts[found], n_hits[found])
+        rows = order[_ranges(lo[found], n_hits[found])]
+        if n > 3:
+            whole = (corpus.token_ids[pos[:, None] + np.arange(3, n)] == coded[rows, 3:]).all(1)
+            pos, rows = pos[whole], rows[whole]
+        article = np.searchsorted(corpus.offsets, pos, "right") - 1
+        pairs.append(article * len(phrases) + np.array(members, dtype=np.int64)[rows])
+    return np.divmod(np.unique(np.concatenate(pairs)), len(phrases))
 
 
-def _contained(tokens, by_first: dict[str, list]) -> set:
-    """Keys of the phrases of ``by_first`` that occur contiguously in ``tokens``."""
-    found = set()
-    windows: dict[int, set] = {}  # n -> the n-token windows of ``tokens``
-    for tok in by_first.keys() & tokens:
-        for key, phrase in by_first[tok]:
-            n = len(phrase)
-            if n > 1 and n not in windows:
-                windows[n] = set(zip(*(tokens[k:] for k in range(n))))
-            if n == 1 or phrase in windows[n]:
-                found.add(key)
-    return found
+def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, locations):
+    """Per block of articles, (article, feature) and (article, location) index pairs.
 
-
-def _phrase_hits(token_lists, phrases):
-    """(index, indices of the phrases it contains) for each token list containing any."""
-    by_first = _by_first_token(dict(enumerate(phrases)))
-    for a, toks in enumerate(token_lists):
-        hits = _contained(toks, by_first)
-        if hits:
-            yield a, hits
-
-
-def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, loc_index: dict[str, int]):
-    """(article, features it contains, locations it names) for each article with a feature.
-
-    Features are indices into ``features``; a feature that is not a canonical
-    corpus n-gram (1..3 tokens, as ``Corpus.ngram_occurrences`` keys them) is
-    contained nowhere. Locations are indices into ``loc_index``; others the
-    article names are dropped.
+    The pairs of a block ascend and are distinct, and only articles with a
+    feature get location pairs. Features are indices into ``features``; a
+    feature that is not a canonical corpus n-gram (1..3 tokens, as
+    ``Corpus.ngram`` spells them) is contained nowhere. An article names the
+    district of each gazetteer name it holds, with the district's province
+    and country, and the countries it is tagged with. Locations are indices
+    into ``locations``; the others an article names are dropped.
     """
     phrases = []
     for f in features:
         toks = tokenize(f)
         phrases.append(toks if len(toks) <= 3 and " ".join(toks) == f else ())
-    for a, hits in _phrase_hits(corpus.tokens, phrases):
-        named = match_locations(corpus.tokens[a], corpus.country_tags[a], gaz)
-        yield a, hits, [loc_index[loc] for loc in named if loc in loc_index]
+    loc_index = {loc: i for i, loc in enumerate(locations)}
+    # one phrase per (gazetteer name, location it names)
+    named = [(name, loc_index[loc]) for name, locs in gaz.places.items()
+             for loc in sorted(locs) if loc in loc_index]
+    phrases = _coded(corpus, phrases + [name for name, _ in named])
+    named_loc = np.array([i for _, i in named], dtype=np.int64)
+    for a0 in range(0, len(corpus), _BLOCK):
+        block = corpus.articles(a0, a0 + _BLOCK)
+        articles, hits = _phrase_hits(block, phrases)
+        is_feature = hits < len(features)
+        fa, ff = articles[is_feature], hits[is_feature]
+        with_feature = np.zeros(len(block), dtype=bool)
+        with_feature[fa] = True
+        na, nl = articles[~is_feature], named_loc[hits[~is_feature] - len(features)]
+        tagged = [a * len(locations) + loc_index[c] for a in np.flatnonzero(with_feature).tolist()
+                  for c in block.country_tags[a] if c in loc_index]
+        located = np.unique(np.concatenate([(na * len(locations) + nl)[with_feature[na]],
+                                            np.array(tagged, dtype=np.int64)]))
+        la, li = np.divmod(located, len(locations))
+        yield a0 + fa, ff, a0 + la, li
 
 
 def target_flags(corpus: Corpus, target_keywords) -> np.ndarray:
     """Per article, whether it contains any target keyword, matched on Porter stems."""
-    stem_of = {t: porter_stem(t) for t in set(chain.from_iterable(corpus.tokens))}
-    stems = [tuple(map(stem_of.__getitem__, toks)) for toks in corpus.tokens]
+    stems: dict[str, int] = {}
+    stem_of = np.array([stems.setdefault(porter_stem(w), len(stems)) for w in corpus.vocabulary],
+                       dtype=np.int32)
+    stemmed = replace(corpus, vocabulary=tuple(stems), token_ids=stem_of[corpus.token_ids])
     keywords = [stem_tokens(tokenize(k)) for k in sorted(target_keywords)]
     flags = np.zeros(len(corpus), dtype=bool)
-    flags[[a for a, _ in _phrase_hits(stems, keywords)]] = True
+    flags[_phrase_hits(stemmed, _coded(stemmed, keywords))[0]] = True
     return flags
 
 
 def feature_coverage(corpus: Corpus, features, gaz: Gazetteer, locations) -> list[int]:
     """Per location, the number of articles naming it that contain any of ``features``."""
-    counts = [0] * len(locations)
-    for _, _, locs in _co_mentions(corpus, features, gaz,
-                                   {loc: i for i, loc in enumerate(locations)}):
-        for i in locs:
-            counts[i] += 1
-    return counts
+    counts = np.zeros(len(locations), dtype=np.int64)
+    for _, _, _, located in _co_mentions(corpus, features, gaz, locations):
+        counts += np.bincount(located, minlength=len(locations))
+    return counts.tolist()
 
 
 @dataclass(frozen=True)
@@ -341,7 +427,7 @@ def news_factors(
     """Monthly co-mention proportion of each feature at each gazetteer location.
 
     The numerator counts the month's articles that contain the feature and
-    name the location (``match_locations``). The denominator is the count of
+    name the location (``_co_mentions``). The denominator is the count of
     the month's articles tagged with the location's country ("country", the
     default) or all articles that month ("corpus"). With "country", the
     numerator counts only articles tagged with the location's country too, so
@@ -364,36 +450,43 @@ def news_factors(
     country_of = [gaz.location_country(loc) for loc in locations]
     w0, w1 = corpus.window
     n_months, n_locs = w1 - w0 + 1, len(locations)
-    month = (corpus.months - w0).tolist()
+    month = corpus.months - w0
+    if denominator == "country":
+        # article x country: whether the article is tagged with each gazetteer country
+        countries = sorted(set(country_of))
+        tag_sets: dict[frozenset[str], int] = {}
+        set_of = [tag_sets.setdefault(tags, len(tag_sets)) for tags in corpus.country_tags]
+        tagged = np.array([[c in tags for c in countries] for tags in tag_sets],
+                          dtype=bool).reshape(len(tag_sets), len(countries))[set_of]
+        loc_country = np.array([countries.index(c) for c in country_of], dtype=np.int64)
 
-    found: set[int] = set()
-    cells = array("q")  # flat (feature, location, month) index of each kept co-mention
-    for a, hits, locs in _co_mentions(corpus, features, gaz,
-                                      {loc: i for i, loc in enumerate(locations)}):
-        found |= hits
-        if keep[a]:
-            if denominator == "country":
-                locs = [i for i in locs if country_of[i] in corpus.country_tags[a]]
-            cells.extend([(f * n_locs + i) * n_months + month[a] for f in hits for i in locs])
-    counts = np.bincount(np.frombuffer(cells, dtype=np.int64),
-                         minlength=len(features) * n_locs * n_months)
+    found = np.zeros(len(features), dtype=bool)
+    counts = np.zeros(len(features) * n_locs * n_months, dtype=np.int64)
+    for fa, ff, la, li in _co_mentions(corpus, features, gaz, locations):
+        found[ff] = True
+        if denominator == "country":
+            own = tagged[la, loc_country[li]]
+            la, li = la[own], li[own]
+        fa, ff = fa[keep[fa]], ff[keep[fa]]
+        # every kept (article, feature) pair with every location the article names
+        lo = np.searchsorted(la, fa, "left")
+        n_named = np.searchsorted(la, fa, "right") - lo
+        cells = ((np.repeat(ff, n_named) * n_locs + li[_ranges(lo, n_named)]) * n_months
+                 + month[np.repeat(fa, n_named)])
+        counts += np.bincount(cells, minlength=counts.size)
     counts = counts.reshape(len(features), n_locs, n_months)
 
-    kept = np.flatnonzero(keep)
     if denominator == "corpus":
-        denom = np.tile(np.bincount(corpus.months[kept] - w0, minlength=n_months), (n_locs, 1))
+        denom = np.tile(np.bincount(month[keep], minlength=n_months), (n_locs, 1))
     else:
-        row = {c: i for i, c in enumerate(sorted(set(country_of)))}
-        tagged = [row[c] * n_months + month[a]
-                  for a in kept.tolist() for c in corpus.country_tags[a] if c in row]
-        totals = np.bincount(np.array(tagged, dtype=np.int64),
-                             minlength=len(row) * n_months).reshape(len(row), n_months)
-        denom = totals[[row[c] for c in country_of]]
+        a, c = np.nonzero(tagged & keep[:, None])
+        totals = np.bincount(c * n_months + month[a], minlength=len(countries) * n_months)
+        denom = totals.reshape(len(countries), n_months)[loc_country]
     # An integer count over an integer count, as Python's int / int would give it.
     values = np.zeros(counts.shape)
     np.divide(counts, denom, out=values, where=denom > 0)
 
-    present = [f for f in range(len(features)) if f in found]
+    present = np.flatnonzero(found).tolist()
     factors = NewsFactors(
         features=tuple(features[f] for f in present),
         locations=tuple(locations),
@@ -402,7 +495,7 @@ def news_factors(
         values=values[present],
         zero_denominator=denom <= 0,
     )
-    return factors, [feature for f, feature in enumerate(features) if f not in found]
+    return factors, [feature for f, feature in enumerate(features) if not found[f]]
 
 
 def save_factors(values_path, labels_path, factors: NewsFactors) -> None:

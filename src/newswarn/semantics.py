@@ -143,11 +143,9 @@ def wmd(a, b, emb: EmbeddingTable) -> float:
 
 def enumerate_candidates(corpus, floor: int = 1000) -> list[str]:
     """All corpus unigrams, plus bi/trigrams occurring strictly more than ``floor`` times."""
-    out = []
-    for gram, count in corpus.ngram_occurrences.items():
-        if " " not in gram or count > floor:
-            out.append(gram)
-    return sorted(out)
+    keys, counts = corpus.ngram_counts()
+    unigram = keys < len(corpus.vocabulary)  # a unigram's key is its token id
+    return sorted(map(corpus.ngram, keys[unigram | (counts > floor)].tolist()))
 
 
 def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0):

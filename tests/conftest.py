@@ -1,5 +1,6 @@
 import json
 import zlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ def write_corpus(path, articles):
 def article(i, date, text, countries=("SO",), source="wire"):
     return {"id": f"a{i:03d}", "date": date, "source": source,
             "countries": list(countries), "text": text}
+
+
+def article_tokens(corpus):
+    """Each article's tokens, as a tuple of words."""
+    words = [corpus.vocabulary[i] for i in corpus.token_ids.tolist()]
+    bounds = corpus.offsets.tolist()
+    return [tuple(words[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+def ngram_occurrences(corpus):
+    """Occurrences of each contiguous 1..3-gram of ``corpus``, space-joined."""
+    keys, counts = corpus.ngram_counts()
+    return Counter(dict(zip(map(corpus.ngram, keys.tolist()), counts.tolist())))
 
 
 @pytest.fixture

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from newswarn.corpus import (District, Gazetteer, NewsFactors, feature_coverage, load_factors,
-                             match_locations, news_factors, read_corpus, save_factors)
+from newswarn import corpus as corpus_mod
+from newswarn.corpus import (MAX_VOCABULARY, District, Gazetteer, NewsFactors, feature_coverage,
+                             load_factors, news_factors, read_corpus, save_factors)
 from newswarn.errors import DataError
 from newswarn.months import format_month, parse_date, parse_month
 from newswarn.semantics import enumerate_candidates
 from newswarn.stemmer import stem_tokens
 from newswarn.textutil import iter_ngrams, normalize_ngram, tokenize
 
-from conftest import article, make_gazetteer, write_corpus
+from conftest import article, article_tokens, make_gazetteer, ngram_occurrences, write_corpus
 
 
 # ------------------------------------------------------------------ oracle
@@ -195,7 +196,8 @@ class TestIngest:
         path = write_corpus(tmp_path / "c.jsonl", arts)
         corpus = read_corpus(path, ("2011-01", "2011-12"))
         assert len(corpus) == 1
-        assert corpus.tokens == [("inside", "the", "window")]
+        assert article_tokens(corpus) == [("inside", "the", "window")]
+        assert corpus.vocabulary == ("inside", "the", "window")
 
     def test_duplicate_id_strict_error(self, tmp_path):
         arts = [article(0, "2011-01-05", "one"), article(0, "2011-01-06", "two")]
@@ -234,8 +236,55 @@ class TestIngest:
         b = read_corpus(path, ("2011-01", "2011-02"))
         assert a.months.tolist() == b.months.tolist()
         assert a.country_tags == b.country_tags
-        assert a.tokens == b.tokens
-        assert a.ngram_occurrences == b.ngram_occurrences
+        assert a.vocabulary == b.vocabulary
+        assert a.token_ids.tobytes() == b.token_ids.tobytes()
+        assert a.offsets.tolist() == b.offsets.tolist()
+        assert article_tokens(a) == article_tokens(b)
+        assert ngram_occurrences(a) == ngram_occurrences(b)
+
+    def test_token_ids_follow_first_use_in_the_file(self, tmp_path):
+        # The out-of-window and the duplicate article add no word, and no id
+        # depends on the order of a set or on the hash seed.
+        arts = [article(0, "2011-01-05", "Zulu yankee, zulu!"),
+                article(1, "2012-06-05", "outside words"),
+                article(2, "2011-01-06", "x-ray yankee whiskey"),
+                article(2, "2011-01-07", "duplicate words"),
+                article(3, "2011-02-01", ""),
+                article(4, "2011-02-02", "whiskey alpha")]
+        path = write_corpus(tmp_path / "c.jsonl", arts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            corpus = read_corpus(path, ("2011-01", "2011-02"))
+        assert corpus.vocabulary == ("zulu", "yankee", "x", "ray", "whiskey", "alpha")
+        assert corpus.token_ids.dtype == np.int32
+        assert corpus.token_ids.tolist() == [0, 1, 0, 2, 3, 1, 4, 4, 5]
+        assert corpus.offsets.tolist() == [0, 3, 7, 7, 9]
+        assert article_tokens(corpus)[2] == ()
+
+    def test_ngram_keys_have_a_range_per_order(self, small_corpus):
+        v = len(small_corpus.vocabulary)
+        keys, counts = small_corpus.ngram_counts()
+        assert keys.dtype == np.int64 and np.all(np.diff(keys) > 0)
+        assert keys[keys < v].tolist() == list(range(v))
+        assert small_corpus.pack([[v - 1], [v - 1]]).tolist() == [v + v * v - 1]
+        assert small_corpus.pack([[0], [0], [0]]).tolist() == [v + v * v]
+        # no n-gram runs across two articles: "drought market day" is no trigram
+        assert counts.sum() == sum(max(0, len(t) - n + 1) for t in article_tokens(small_corpus)
+                                   for n in (1, 2, 3))
+        assert {small_corpus.ngram(k) for k in keys.tolist()} == {
+            " ".join(t[i : i + n]) for t in article_tokens(small_corpus)
+            for n in (1, 2, 3) for i in range(len(t) - n + 1)}
+
+    def test_a_vocabulary_too_large_for_int64_keys_is_rejected(self, tmp_path, monkeypatch):
+        # The largest V with V**3 + V**2 + V < 2**63; the check runs on a lowered bound.
+        v = MAX_VOCABULARY
+        assert v ** 3 + v ** 2 + v < 2 ** 63 <= (v + 1) ** 3
+        path = write_corpus(tmp_path / "c.jsonl", [article(0, "2011-01-05", "one two three")])
+        monkeypatch.setattr(corpus_mod, "MAX_VOCABULARY", 3)
+        assert read_corpus(path, ("2011-01", "2011-01")).vocabulary == ("one", "two", "three")
+        monkeypatch.setattr(corpus_mod, "MAX_VOCABULARY", 2)
+        with pytest.raises(DataError, match="vocabulary of 3 words exceeds 2"):
+            read_corpus(path, ("2011-01", "2011-01"))
 
 
 class TestGazetteerInvariants:
@@ -285,23 +334,28 @@ class TestGazetteerInvariants:
 
 
 class TestMatchLocations:
-    def locations(self, text, gazetteer, countries=("SO",)):
-        return match_locations(tokenize(text), frozenset(countries), gazetteer)
+    def locations(self, tmp_path, text, gazetteer, countries=("SO",)):
+        """The locations a one-article corpus names, read off its feature coverage."""
+        path = write_corpus(tmp_path / "c.jsonl", [article(0, "2011-01-05", text, countries)])
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        locations = sorted(gazetteer.districts) + sorted(gazetteer.provinces) + ["SO", "ET"]
+        counts = feature_coverage(corpus, [tokenize(text)[0]], gazetteer, locations)
+        return {loc for loc, n in zip(locations, counts) if n}
 
-    def test_district_implies_province_and_country(self, gazetteer):
-        assert self.locations("famine may return to Jamaame this year", gazetteer) == \
+    def test_district_implies_province_and_country(self, tmp_path, gazetteer):
+        assert self.locations(tmp_path, "famine may return to Jamaame this year", gazetteer) == \
             {"so-jam", "so-lower-juba", "SO"}
 
-    def test_no_names_falls_back_to_tags(self, gazetteer):
-        assert self.locations("nothing geographic here", gazetteer, ("ET",)) == {"ET"}
+    def test_no_names_falls_back_to_tags(self, tmp_path, gazetteer):
+        assert self.locations(tmp_path, "nothing geographic here", gazetteer, ("ET",)) == {"ET"}
 
-    def test_alias_match(self, gazetteer):
-        assert self.locations("drought reported around Majang highlands", gazetteer,
+    def test_alias_match(self, tmp_path, gazetteer):
+        assert self.locations(tmp_path, "drought reported around Majang highlands", gazetteer,
                               ("ET",)) == {"et-maj", "et-gambela", "ET"}
 
-    def test_whole_token_only(self, gazetteer):
+    def test_whole_token_only(self, tmp_path, gazetteer):
         # "gog" must not match inside "gogol"
-        assert self.locations("the gogol river floods", gazetteer) == {"SO"}
+        assert self.locations(tmp_path, "the gogol river floods", gazetteer) == {"SO"}
 
 
 class TestNewsFactor:
@@ -479,13 +533,15 @@ _MALFORMED = ("not json", "[1, 2]",
               '{"id": "m", "date": "2011-01-03", "countries": [], "text": "aa"}',
               '{"id": "m", "date": "2011-13-03", "countries": ["SO"], "text": "aa"}')
 _phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join)
+# Multi-token district aliases, and a text that holds a 4-token target keyword's stems.
 _COUNTRY_OF = {"jamaame": "SO", "kismayo": "SO", "majang": "ET", "gog": "ET",
-               "kismayo aa": "KE"}
+               "kismayo aa": "KE", "majang dry spell aa": "KE"}
+_UNITS = _WORDS + ("kismayo aa", "majang dry spell aa", "starving food crisis aa")
 
 
 @st.composite
 def _article(draw):
-    words = draw(st.lists(st.sampled_from(_WORDS + ("kismayo aa",)), min_size=2, max_size=12))
+    words = draw(st.lists(st.sampled_from(_UNITS), min_size=2, max_size=12))
     tags = set(draw(st.lists(st.sampled_from(["SO", "ET", "KE"]), min_size=1, max_size=2)))
     if draw(st.integers(0, 9)):  # mostly also tagged with the countries of the districts named
         tags |= {_COUNTRY_OF[w] for w in words if w in _COUNTRY_OF}
@@ -504,18 +560,25 @@ _line = st.one_of(st.sampled_from(_MALFORMED), st.just(""), *[_article()] * 6)
 @given(lines=st.lists(_line, min_size=4, max_size=16),
        features=st.lists(st.one_of(st.sampled_from(_WORDS), _phrase, st.just("zeppelin")),
                          min_size=2, max_size=6),
-       targets=st.lists(st.sampled_from(["famine", "food crisis", "starvation", "dry spell"]),
-                        min_size=1, max_size=3),  # "starvation" and "starving" share a stem
-       strict=st.booleans())
-def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, strict, exclude,
-                                         denominator):
+       # "starved" and "starving" share a stem, and "foods" and "food" another.
+       targets=st.lists(st.sampled_from(["famine", "food crisis", "starved", "dry spell",
+                                         "starved foods crisis aa"]),
+                        min_size=1, max_size=3),
+       strict=st.booleans(),
+       block=st.sampled_from([1, 3, corpus_mod._BLOCK]))  # articles per co-mention block
+def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, strict, block,
+                                         exclude, denominator):
     # The window 2011-01..2011-04 leaves out 2010-12 and 2011-05 and has no
     # dated article in 2011-03, so every example has a zero-denominator month.
-    # The two-token alias "kismayo aa" names a district of its own, beside Kismayo.
+    # The two-token alias "kismayo aa" names a district of its own, beside Kismayo, and
+    # the four-token alias "majang dry spell aa" one beside Majang.
+    statics = dict(population=1.0, area_km2=1.0, ruggedness=0.0, cropland_share=0.0,
+                   pasture_share=0.0)
     turkana = District("ke-tur", "Lokichar", ("kismayo aa",), "ke-turkana", "KE", 2.0, 35.0,
-                       dict(population=1.0, area_km2=1.0, ruggedness=0.0,
-                            cropland_share=0.0, pasture_share=0.0))
-    gaz = Gazetteer([*make_gazetteer().districts.values(), turkana])
+                       statics)
+    marsabit = District("ke-mar", "Laisamis", ("majang dry spell aa",), "ke-marsabit", "KE",
+                        2.3, 37.8, statics)
+    gaz = Gazetteer([*make_gazetteer().districts.values(), turkana, marsabit])
     path = tmp_path / "c.jsonl"
     path.write_text("\n".join(lines) + "\n")
     window = ("2011-01", "2011-04")
@@ -531,21 +594,24 @@ def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, str
         corpus = read_corpus(path, window, strict=strict)
     assert len(corpus) == len(index.articles)
     assert corpus.skipped_lines == index.skipped_lines
-    assert corpus.ngram_occurrences == index.ngram_occurrences
+    assert article_tokens(corpus) == [tokens for _, _, tokens in index.articles.values()]
+    assert ngram_occurrences(corpus) == index.ngram_occurrences
     for floor in (0, 1, 2):
-        assert enumerate_candidates(corpus, floor) == enumerate_candidates(index, floor)
+        assert enumerate_candidates(corpus, floor) == sorted(
+            gram for gram, n in index.ngram_occurrences.items() if " " not in gram or n > floor)
 
     features = sorted(set(features))
     kwargs = dict(exclude_targets=exclude, target_keywords=tuple(targets),
                   denominator=denominator)
     want, want_absent = oracle_factors(index, features, gaz, **kwargs)
-    got, got_absent = news_factors(corpus, features, gaz, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corpus_mod, "_BLOCK", block)
+        got, got_absent = news_factors(corpus, features, gaz, **kwargs)
+        locations = sorted(gaz.provinces) + sorted(gaz.districts) + ["SO", "ET", "KE", "XX"]
+        assert feature_coverage(corpus, features, gaz, locations) == \
+               oracle_coverage(index, features, locations)
     assert got_absent == want_absent
     assert records(got) == want
     assert all(parse_month("2011-03") in r[-1] for r in want)
     save_factors(tmp_path / "f.npy", tmp_path / "f.json", got)
     assert records(load_factors(tmp_path / "f.npy", tmp_path / "f.json")) == want
-
-    locations = sorted(gaz.provinces) + sorted(gaz.districts) + ["SO", "ET", "KE", "XX"]
-    assert feature_coverage(corpus, features, gaz, locations) == \
-           oracle_coverage(index, features, locations)

@@ -177,12 +177,12 @@ class TestCandidates:
         assert all(" " not in c for c in candidates)  # no bigram passes floor 10
 
     def test_strict_floor_boundary(self, tmp_path):
-        from conftest import article, write_corpus
+        from conftest import article, ngram_occurrences, write_corpus
         from newswarn.corpus import read_corpus
         arts = [article(i, "2011-01-05", "dry spell continues") for i in range(3)]
         path = write_corpus(tmp_path / "c.jsonl", arts)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
-        assert corpus.ngram_occurrences["dry spell"] == 3
+        assert ngram_occurrences(corpus)["dry spell"] == 3
         at_floor = enumerate_candidates(corpus, floor=3)
         above_floor = enumerate_candidates(corpus, floor=2)
         assert "dry spell" not in at_floor      # count == floor -> excluded
