@@ -24,7 +24,6 @@ import numpy as np
 from .artifacts import read_csv, write_csv
 from .errors import DataError
 from .months import format_month, parse_date, parse_month
-from .series import Series
 from .stemmer import porter_stem, stem_tokens
 from .textutil import tokenize
 
@@ -84,6 +83,11 @@ class Gazetteer:
     @property
     def countries(self) -> set[str]:
         return {d.country for d in self.districts.values()}
+
+    @property
+    def locations(self) -> list[str]:
+        """The sorted districts, then provinces, then countries: the rows of location arrays."""
+        return sorted(self.districts) + sorted(self.provinces) + sorted(self.countries)
 
     def location_level(self, loc: str) -> str:
         if loc in self.districts:
@@ -409,12 +413,6 @@ class NewsFactors:
         if not np.all((v >= 0.0) & (v <= 1.0)):
             raise DataError("news factor proportions must lie in [0, 1]")
 
-    def at_level(self, feature: str, level: str) -> dict[str, Series]:
-        """{location: series} of ``feature`` at each location of ``level``, in location order."""
-        f = self.features.index(feature)
-        return {loc: Series(self.start, self.values[f, i])
-                for i, loc in enumerate(self.locations) if self.levels[i] == level}
-
 
 def news_factors(
     corpus: Corpus,
@@ -446,7 +444,7 @@ def news_factors(
         if not target_keywords:
             raise DataError("exclude_targets requires target keywords")
         keep = ~target_flags(corpus, target_keywords)
-    locations = sorted(gaz.districts) + sorted(gaz.provinces) + sorted(gaz.countries)
+    locations = gaz.locations
     country_of = [gaz.location_country(loc) for loc in locations]
     w0, w1 = corpus.window
     n_months, n_locs = w1 - w0 + 1, len(locations)

@@ -25,8 +25,7 @@ from .artifacts import read_csv
 from .corpus import District, Gazetteer, NewsFactors, STATIC_FACTOR_NAMES
 from .errors import ConfigError, DataError, NumericalError
 from .months import DEFAULT_PUBLICATION_SCHEDULE, format_month, parse_month, publication_months
-from .series import Series
-from .tsstats import spearman, _average_ranks
+from .tsstats import diff_on_grid, spearman, _average_ranks
 
 TRADITIONAL_INDICATORS = (
     "conflict_events", "conflict_fatalities", "price_index", "price_yoy",
@@ -36,24 +35,16 @@ TRADITIONAL_INDICATORS = (
 MODEL_KINDS = ("baseline", "news", "combined")
 
 
-def forward_fill_ipc(observations, end: int | None = None) -> Series:
-    """Monthly series carrying the latest published phase at or before each month."""
+def forward_fill_ipc(observations, start: int, end: int) -> np.ndarray:
+    """Phase of each month start..end: the latest published at or before it, NaN before any."""
     obs = sorted(dict(observations).items())
     if not obs:
         raise DataError("no IPC observations to fill")
-    start = obs[0][0]
-    end = obs[-1][0] if end is None else end
-    if end < start:
-        raise DataError("fill end precedes first observation")
-    values = np.empty(end - start + 1)
-    pos = 0
-    current = obs[0][1]
-    for t in range(start, end + 1):
-        while pos < len(obs) and obs[pos][0] <= t:
-            current = obs[pos][1]
-            pos += 1
-        values[t - start] = current
-    return Series(start, values)
+    if obs[0][0] < start or obs[-1][0] > end:
+        raise DataError("IPC observations outside the fill range")
+    last = np.full(end - start + 1, -1)  # index of the latest observation, -1 before the first
+    last[[t - start for t, _ in obs]] = np.arange(len(obs))
+    return np.array([p for _, p in obs] + [np.nan])[np.maximum.accumulate(last)]
 
 
 @dataclass(frozen=True)
@@ -83,14 +74,25 @@ class ModelSpec:
 
 @dataclass
 class PanelDataset:
+    """The modeling panel: every series a location x month array on one month grid.
+
+    Row ``rows[loc]`` of an array is location loc and column j is month
+    ``grid_start + j``. NaN marks a month outside a series' coverage, and a row
+    all NaN a location without the series. Design rows run over
+    ``start``..``end``, the months of the panel file; the grid also spans the
+    news factors' months.
+    """
+
     districts: dict[str, District]
     start: int
     end: int
     publication_months: tuple[int, ...]
-    ipc: dict[str, Series]                       # forward-filled monthly phase
+    rows: dict[str, int]
+    grid_start: int
+    ipc: np.ndarray                              # forward-filled monthly phase
     ipc_observed: dict[str, dict[int, float]]    # publication-month phases
-    traditional: dict[str, dict[str, Series]]
-    factors: dict[str, dict[str, dict[str, Series]]]      # feature -> level -> loc
+    traditional: dict[str, np.ndarray]           # indicator -> values
+    factors: dict[str, np.ndarray]               # feature -> differenced news factor
     feature_order: tuple[str, ...] = ()
     clusters: dict[str, int] = field(default_factory=dict)
     cluster_labels: dict[int, str] = field(default_factory=dict)
@@ -131,22 +133,21 @@ def _haversine_km(lat1, lon1, lat2, lon2) -> float:
     return 2.0 * 6371.0088 * math.asin(min(1.0, math.sqrt(a)))
 
 
-def spatial_average(panel: PanelDataset, district_id: str, series_by_district,
-                    k: int = 4) -> Series | None:
-    """Unweighted mean over the series of those of the k nearest neighbours that have one.
+def spatial_average(panel: PanelDataset, district_id: str, values: np.ndarray,
+                    k: int = 4) -> np.ndarray:
+    """Unweighted mean of the rows of ``values`` of those of the k nearest neighbours that have one.
 
-    None when no neighbour has a series.
+    The mean holds values where every such row does, and is all NaN when no
+    neighbour has a series.
     """
-    series = [series_by_district[d] for d in panel.neighbors(district_id, k)
-              if d in series_by_district]
-    if not series:
-        return None
-    t0 = max(s.start for s in series)
-    t1 = min(s.end for s in series)
-    if t1 < t0:
+    rows = values[[panel.rows[d] for d in panel.neighbors(district_id, k)]]
+    rows = rows[np.isfinite(rows).any(axis=1)]
+    if not len(rows):
+        return np.full(values.shape[1], np.nan)
+    mean = rows.mean(axis=0)
+    if not np.isfinite(mean).any():
         raise DataError(f"neighbor series of {district_id!r} do not overlap")
-    stacked = np.stack([s.window(t0, t1) for s in series])
-    return Series(t0, stacked.mean(axis=0))
+    return mean
 
 
 @dataclass(frozen=True)
@@ -174,10 +175,11 @@ class DesignMatrix:
 class _Block(NamedTuple):
     """Adjacent design columns filled from one source per district.
 
-    ``source(d)`` gives district d's Series for a dated block, its row of
-    constants for an undated one (``span`` None), or None, which skips d with
-    the reason ``missing``. ``span`` is (label, max offset, min offset): a row
-    at month t needs the series to cover t - max offset .. t - min offset.
+    ``source(d)`` gives district d's row of the panel grid for a dated block,
+    where all NaN skips d with the reason ``missing``, or its row of constants
+    for an undated one (``span`` None). ``span`` is (label, max offset, min
+    offset): a row at month t needs the series to cover t - max offset .. t -
+    min offset.
     """
 
     columns: tuple[Column, ...]
@@ -209,17 +211,17 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     def undated(group, names, source):
         blocks.append(_Block(tuple(Column(f"{group}[{s}]", group) for s in names), source))
 
-    def at(by_loc, loc_of=lambda d: d):
-        return lambda d: by_loc.get(loc_of(d))
+    def at(values, loc_of=lambda d: d):
+        return lambda d: values[panel.rows[loc_of(d)]]
 
-    def around(by_district):
-        return lambda d: spatial_average(panel, d, by_district)
+    def around(values):
+        return lambda d: spatial_average(panel, d, values)
 
     undated("intercept", district_ids, lambda d: [float(d == e) for e in district_ids])
-    phase("y_lag", "ipc", lambda d: panel.ipc[d])
+    phase("y_lag", "ipc", at(panel.ipc))
     if spec.uses_traditional:
         for k in TRADITIONAL_INDICATORS:
-            lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional.get(k, {})),
+            lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
                    missing=f"missing traditional indicator {k}")
         undated("static", panel.static_names,
                 lambda d: [panel.districts[d].statics[s] for s in panel.static_names])
@@ -227,14 +229,14 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
         for w in features:
             for level, loc_of in locations.items():
                 lagged(f"news[{w},{level}", "news", f"news:{w}:{level}",
-                       at(panel.factors.get(w, {}).get(level, {}), loc_of), feature=w,
+                       at(panel.factors[w], loc_of), feature=w,
                        missing=f"missing news factor {w}@{level}")
     if spec.spatial:
         phase("sp_y", "sp_ipc", around(panel.ipc), missing="no neighbour has ipc")
         if spec.uses_traditional:
             for k in TRADITIONAL_INDICATORS:
                 lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
-                       around(panel.traditional.get(k, {})),
+                       around(panel.traditional[k]),
                        missing=f"no neighbour has traditional indicator {k}")
             undated("sp_static", panel.static_names, lambda d: [
                 float(np.mean([panel.districts[nd].statics[s] for nd in panel.neighbors(d)]))
@@ -242,7 +244,7 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
         if spec.uses_news:
             for w in features:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
-                       around(panel.factors.get(w, {}).get("district", {})), feature=w,
+                       around(panel.factors[w]), feature=w,
                        missing=f"no neighbour has news factor {w}@district")
     return blocks
 
@@ -250,30 +252,33 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
 def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
     """Design matrix over all districts and months with complete lag coverage.
 
-    Months lacking any required lag are skipped with an audit record naming
-    the blocking series.
+    Lags are sliced out of the panel's arrays. The first and last month with
+    a value of each dated block bound a district's rows, so every kept cell
+    is finite; months outside the bounds are skipped with an audit record
+    naming the block that set the bound.
     """
     unknown = spec.ablated_clusters - set(panel.clusters.values())
     if unknown:
         raise ConfigError(f"ablated clusters {sorted(unknown)} do not exist")
     blocks = _design_blocks(panel, spec)
     parts, row_keys, skipped = [], [], []
-
+    g0 = panel.grid_start
     for d in sorted(panel.districts):
         sources = []
         t_lo, t_hi, lo_label, hi_label = panel.start, panel.end, "ipc", "ipc"
         for b in blocks:
             src = b.source(d)
-            if src is None:
-                skipped.append((d, -1, b.missing))
-                break
-            sources.append(src)
             if b.span is not None:
+                covered = g0 + np.flatnonzero(np.isfinite(src))  # months with a value
+                if not covered.size:
+                    skipped.append((d, -1, b.missing))
+                    break
                 label, max_off, min_off = b.span
-                if src.start + max_off > t_lo:
-                    t_lo, lo_label = src.start + max_off, label
-                if src.end + min_off < t_hi:
-                    t_hi, hi_label = src.end + min_off, label
+                if covered[0] + max_off > t_lo:
+                    t_lo, lo_label = covered[0] + max_off, label
+                if covered[-1] + min_off < t_hi:
+                    t_hi, hi_label = covered[-1] + min_off, label
+            sources.append(src)
         if len(sources) < len(blocks):
             continue
         for t in range(panel.start, panel.end + 1):
@@ -290,9 +295,8 @@ def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
                 cells.append(np.broadcast_to(src, (M.size, len(b.columns))))
             else:
                 offsets = np.array([c.offset for c in b.columns], dtype=int)
-                cells.append(src.values[M[:, None] - offsets - src.start])
-        ipc = panel.ipc[d]
-        parts.append((np.hstack(cells), ipc.values[M - ipc.start]))
+                cells.append(src[M[:, None] - offsets - g0])
+        parts.append((np.hstack(cells), panel.ipc[panel.rows[d], M - g0]))
         row_keys.extend((d, int(t)) for t in M)
 
     if not parts:
@@ -663,8 +667,8 @@ def validate_factors(panel: PanelDataset, factors: NewsFactors, min_districts: i
     rows: list[AssociationRow] = []
     percentiles = {"traditional": {}, "news": {}}
     for k in TRADITIONAL_INDICATORS:
-        per = panel.traditional.get(k, {})
-        summary = {d: float(np.max(per[d].values)) for d in district_ids if d in per}
+        per = {d: panel.traditional[k][panel.rows[d]] for d in district_ids}
+        summary = {d: float(np.nanmax(v)) for d, v in per.items() if np.isfinite(v).any()}
         if len(summary) < min_districts or np.ptp(list(summary.values())) == 0.0:
             warnings.warn(f"indicator {k!r}: constant or missing cross-section, skipped")
             continue
@@ -694,7 +698,10 @@ def load_panel_csv(path, gaz: Gazetteer):
     """Read the district-month panel: IPC observations plus traditional indicators.
 
     The ipc_phase column is populated only at publication months; indicator
-    columns must cover a contiguous month range per district.
+    cells must be finite and cover a contiguous month range per district.
+    Returns (ipc, observations, traditional, (start, end)): the forward-filled
+    phase and each indicator are arrays of ``gaz.locations`` x months
+    start..end, NaN outside coverage.
     """
     ipc_obs: dict[str, dict[int, float]] = {}
     trad_cells: dict[str, dict[str, dict[int, float]]] = {k: {} for k in TRADITIONAL_INDICATORS}
@@ -721,55 +728,77 @@ def load_panel_csv(path, gaz: Gazetteer):
             for k in indicators:
                 cell = row[k].strip()
                 if cell:
-                    trad_cells[k].setdefault(d, {})[t] = float(cell)
+                    value = float(cell)
+                    if not math.isfinite(value):
+                        raise DataError(f"indicator {k} must be finite")
+                    trad_cells[k].setdefault(d, {})[t] = value
         except (DataError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad panel row: {exc}") from None
     if not ipc_obs:
         raise DataError(f"panel {path} holds no IPC observations")
     start, end = min(months_seen), max(months_seen)
-    ipc = {d: forward_fill_ipc(obs, end=end) for d, obs in ipc_obs.items()}
-    traditional: dict[str, dict[str, Series]] = {}
+    at = {loc: i for i, loc in enumerate(gaz.locations)}
+    shape = (len(at), end - start + 1)
+    ipc = np.full(shape, np.nan)
+    for d, obs in ipc_obs.items():
+        ipc[at[d]] = forward_fill_ipc(obs, start, end)
+    traditional = {}
     for k, per in trad_cells.items():
-        traditional[k] = {}
+        traditional[k] = np.full(shape, np.nan)
         for d, cells in per.items():
             ms = sorted(cells)
             if ms != list(range(ms[0], ms[0] + len(ms))):
                 raise DataError(f"indicator {k!r} for {d!r} is not contiguous")
-            traditional[k][d] = Series(ms[0], np.array([cells[m] for m in ms]))
+            traditional[k][at[d], ms[0] - start : ms[-1] - start + 1] = [cells[m] for m in ms]
     return ipc, ipc_obs, traditional, (start, end)
 
 
 def assemble_panel(
     gaz: Gazetteer,
-    panel_path,
+    panel_csv,
     factors: NewsFactors,
     retained: dict[str, int],
     clusters: dict[str, int] | None = None,
     cluster_labels: dict[int, str] | None = None,
     schedule=DEFAULT_PUBLICATION_SCHEDULE,
 ) -> PanelDataset:
-    """Build the modeling panel from file artifacts.
+    """Build the modeling panel from ``load_panel_csv``'s result and the news factors.
 
     ``retained`` maps each retained feature of ``factors`` to the
-    differencing order to apply before modeling.
+    differencing order to apply before modeling. The month grid spans the
+    panel file's months and the factors' months.
     """
-    ipc, ipc_obs, traditional, (start, end) = load_panel_csv(panel_path, gaz)
-    districts = {d: gaz.districts[d] for d in ipc}
-    transformed: dict[str, dict[str, dict[str, Series]]] = {}
+    ipc, ipc_obs, traditional, (start, end) = panel_csv
+    if list(factors.locations) != gaz.locations:
+        raise DataError("news factors' locations are not the gazetteer's")
+    n_cube = factors.values.shape[2]
+    g0 = min(start, factors.start)
+    g1 = max(end, factors.start + n_cube - 1)
+
+    def on_grid(values, first):
+        after = g1 - first - values.shape[-1] + 1
+        return np.pad(values, [(0, 0)] * (values.ndim - 1) + [(first - g0, after)],
+                      constant_values=np.nan)
+
+    cube = on_grid(factors.values, factors.start)
+    f_of = {w: f for f, w in enumerate(factors.features)}
+    transformed = {}
     for w, order_d in retained.items():
-        if w not in factors.features:
+        if w not in f_of:
             raise DataError(f"retained feature {w!r} has no factor series")
-        transformed[w] = {level: {loc: s.diff(order_d)
-                                  for loc, s in factors.at_level(w, level).items()}
-                          for level in dict.fromkeys(factors.levels)}
+        if n_cube <= order_d:
+            raise DataError("series too short to difference")
+        transformed[w] = diff_on_grid(cube[f_of[w]], order_d)
     return PanelDataset(
-        districts=districts,
+        districts={d: gaz.districts[d] for d in ipc_obs},
         start=start,
         end=end,
         publication_months=publication_months(start, end, schedule),
-        ipc=ipc,
+        rows={loc: i for i, loc in enumerate(factors.locations)},
+        grid_start=g0,
+        ipc=on_grid(ipc, start),
         ipc_observed=ipc_obs,
-        traditional=traditional,
+        traditional={k: on_grid(v, start) for k, v in traditional.items()},
         factors=transformed,
         feature_order=tuple(sorted(retained)),
         clusters=dict(clusters or {}),

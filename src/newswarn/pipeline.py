@@ -139,8 +139,9 @@ class RunContext:
             with open(self.read("retained.json"), "r", encoding="utf-8") as fh:
                 retained = json.load(fh)
             clusters = self.clusters()
+            gaz = self.gazetteer()
             return panel_mod.assemble_panel(
-                self.gazetteer(), self.read("panel"), self.factors(),
+                gaz, panel_mod.load_panel_csv(self.read("panel"), gaz), self.factors(),
                 {w: meta["diff_order"] for w, meta in retained.items()},
                 {m: c.cluster_id for c in clusters for m in c.members},
                 {c.cluster_id: c.label for c in clusters},
@@ -371,11 +372,12 @@ def _stage_select(ctx: RunContext):
     cfg = ctx.cfg
 
     def compute():
-        ipc, _, _, _ = panel_mod.load_panel_csv(ctx.read("panel"), ctx.gazetteer())
+        panel_csv = panel_mod.load_panel_csv(ctx.read("panel"), ctx.gazetteer())
         factors = ctx.factors()
-        by_feature = {w: factors.at_level(w, "district") for w in factors.features}
+        panel = panel_mod.assemble_panel(ctx.gazetteer(), panel_csv, factors,
+                                         dict.fromkeys(factors.features, 0))
         retained, report = tsstats_mod.select_features(
-            sorted(by_feature), ipc, by_feature,
+            panel.feature_order, panel.ipc, panel.factors,
             n_max=cfg.factor_lags, level=cfg.granger_level,
             adf_level=cfg.adf_level, max_d=cfg.adf_max_d, mode=cfg.screening_mode,
         )

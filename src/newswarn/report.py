@@ -76,11 +76,12 @@ def build_report(ctx) -> None:
         d, month = event.district, panel.publication_months[event.start]
         t0 = month - EPISODE_WINDOW
         t1 = month + EPISODE_WINDOW
-        ipc = panel.ipc.get(d)
-        if ipc is None:
+        if d not in panel.districts:
             continue
-        window = [t for t in range(t0, t1 + 1) if ipc.covers(t)]
-        rows: dict[str, dict[int, float]] = {"ipc": {t: ipc.at(t) for t in window}}
+        g0, ipc = panel.grid_start, panel.ipc[panel.rows[d]]
+        window = [t for t in range(max(t0, g0), t1 + 1)
+                  if t - g0 < ipc.size and np.isfinite(ipc[t - g0])]
+        rows: dict[str, dict[int, float]] = {"ipc": {t: float(ipc[t - g0]) for t in window}}
         for model, table in preds.items():
             got = {t: table[(d, t)] for t in window if (d, t) in table}
             if got:

@@ -18,7 +18,6 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericalError
-from .series import Series
 
 # MacKinnon (2010) response-surface coefficients for the constant-only
 # Dickey-Fuller regression: cv = b0 + b1/T + b2/T^2 + b3/T^3.
@@ -112,9 +111,18 @@ def _aic(rss: float, nobs: int, n_params: int) -> float:
 
 
 def _as_values(s) -> np.ndarray:
-    if isinstance(s, Series):
-        return np.asarray(s.values, dtype=float)
     return np.asarray(s, dtype=float).ravel()
+
+
+def diff_on_grid(values: np.ndarray, d: int) -> np.ndarray:
+    """The ``d``-th difference along the last (month) axis, NaN-padded in front.
+
+    Column j stays month j, so the result lies on the grid of ``values``.
+    """
+    if d == 0:
+        return values
+    pad = np.full(values.shape[:-1] + (d,), np.nan)
+    return np.concatenate([pad, np.diff(values, n=d, axis=-1)], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -177,7 +185,7 @@ def adf_test(s, max_lag: int | None = None, level: float = 0.05) -> AdfResult:
 def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
                                 level: float = 0.05):
     """Smallest differencing order at which the series passes the ADF test."""
-    current = s if isinstance(s, Series) else Series(0, _as_values(s))
+    current = _as_values(s)
     last = None
     for d in range(max_d + 1):
         result = adf_test(current, max_lag=max_lag, level=level)
@@ -185,7 +193,7 @@ def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
         if result.stationary:
             return current, d
         if d < max_d:
-            current = current.diff()
+            current = np.diff(current)
     raise NumericalError(
         f"series still non-stationary after {max_d} differences "
         f"(last ADF statistic {last.statistic:.4f} vs {last.critical_value:.4f})"
@@ -359,16 +367,15 @@ class ScreeningRow:
     reason: str = ""
 
 
-def _panel_diff_order(series_by_district, max_d: int, level: float) -> int | None:
-    """Majority-vote differencing order across district factor series."""
-    votable = {k: s for k, s in series_by_district.items() if np.ptp(s.values) > 0.0}
-    if not votable:
+def _panel_diff_order(series, max_d: int, level: float) -> int | None:
+    """Majority-vote differencing order across district factor series (1-d arrays)."""
+    current = [s for s in series if np.ptp(s) > 0.0]
+    if not current:
         return None
-    current = dict(votable)
     for d in range(max_d + 1):
         passing = 0
         testable = 0
-        for s in current.values():
+        for s in current:
             try:
                 result = adf_test(s, level=level)
             except (DataError, NumericalError):
@@ -378,13 +385,13 @@ def _panel_diff_order(series_by_district, max_d: int, level: float) -> int | Non
         if testable and passing * 2 >= testable:
             return d
         if d < max_d:
-            current = {k: s.diff() for k, s in current.items()}
+            current = [np.diff(s) for s in current]
     return None
 
 
 def select_features(
     features,
-    ipc_by_district,
+    ipc,
     factors_by_feature,
     n_max: int = 6,
     level: float = 0.01,
@@ -394,19 +401,24 @@ def select_features(
 ):
     """Granger screening of news factors against the forward-filled IPC phase.
 
-    ``factors_by_feature`` maps feature -> district -> Series at district
-    level. Returns (retained, report): ``retained`` maps each surviving
+    ``ipc`` and each ``factors_by_feature[feature]`` are location x month
+    arrays on one grid, NaN outside each row's run of covered months. A
+    location is screened when both its rows hold values, on the months where
+    both do. Returns (retained, report): ``retained`` maps each surviving
     feature to its differencing order and Granger result, and ``report``
     lists one ScreeningRow per input feature.
     """
     if mode not in ("pooled", "per-district"):
         raise DataError(f"unknown screening mode {mode!r}")
+    ipc = np.asarray(ipc, dtype=float)
+    has_ipc = np.isfinite(ipc)
     retained: dict[str, dict] = {}
     report: list[ScreeningRow] = []
     for feature in sorted(features):
-        by_district = factors_by_feature.get(feature, {})
-        series = {d: s for d, s in by_district.items() if d in ipc_by_district}
-        if not series or all(np.ptp(s.values) == 0.0 for s in series.values()):
+        x = np.asarray(factors_by_feature.get(feature, np.full(ipc.shape, np.nan)), dtype=float)
+        rows = np.flatnonzero(has_ipc.any(axis=1) & np.isfinite(x).any(axis=1))
+        series = [x[r][np.isfinite(x[r])] for r in rows]
+        if not series or all(np.ptp(s) == 0.0 for s in series):
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, 0,
                                        False, "all-zero factor"))
             continue
@@ -416,15 +428,12 @@ def select_features(
                                        False, "non-stationary at max differencing"))
             continue
         y_by, x_by = {}, {}
-        for dist, s in series.items():
-            x = s.diff(d_order)
-            ipc = ipc_by_district[dist]
-            t0 = max(x.start, ipc.start)
-            t1 = min(x.end, ipc.end)
-            if t1 - t0 + 1 <= 2 * n_max + 2:
+        for r, xd in zip(rows, diff_on_grid(x[rows], d_order)):
+            both = has_ipc[r] & np.isfinite(xd)
+            if both.sum() <= 2 * n_max + 2:
                 continue
-            y_by[dist] = ipc.window(t0, t1)
-            x_by[dist] = x.window(t0, t1)
+            y_by[r] = ipc[r, both]
+            x_by[r] = xd[both]
         if not y_by:
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, d_order,
                                        False, "insufficient aligned sample"))
@@ -462,7 +471,7 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
 
     A run of ``c`` values ending at sorted position ``e`` (1-based) has mean rank
     ``e - (c - 1) / 2``, a half-integer, so the result is exact. Callers pass
-    one or more finite values (``Series`` and ``NewsFactors`` reject others).
+    one or more finite values.
     A stable argsort rather than ``np.unique``, whose first call pages in
     numpy's quicksort (about 0.4 MiB of peak RSS in a bare interpreter).
     """

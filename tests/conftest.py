@@ -171,69 +171,78 @@ def make_panel(**kwargs):
 
 
 def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
-                           seed=0, start="2010-01", n_clusters=None, countries=1):
+                           seed=0, start="2010-01", n_clusters=None, countries=1, lead=0):
     """``make_panel``'s panel and the NewsFactors cube its factor series come from.
 
+    The cube opens ``lead`` months before the panel, and the month grid with it.
     Every feature is retained undifferenced, so ``panel.factors`` holds the
-    cube's series as they are.
+    cube's slices as they are.
     """
     from newswarn.corpus import NewsFactors
     from newswarn.months import parse_month, publication_months
     from newswarn.panel import (PanelDataset, TRADITIONAL_INDICATORS,
                                 forward_fill_ipc)
-    from newswarn.series import Series
 
     rng = np.random.default_rng(seed)
     t0 = parse_month(start)
     t1 = t0 + months - 1
     districts = {d.district_id: d for d in grid_districts(n_districts,
                                                           countries=countries)}
-    pub = publication_months(t0, t1)
-    ipc_obs = {}
-    ipc = {}
-    for d in districts:
-        phases = rng.choice([1, 2, 2, 3], size=len(pub)).astype(float)
-        obs = {t: float(p) for t, p in zip(pub, phases)}
-        ipc_obs[d] = obs
-        ipc[d] = forward_fill_ipc(obs, end=t1)
-    traditional = {
-        k: {d: Series(t0, rng.normal(0, 1, months)) for d in districts}
-        for k in TRADITIONAL_INDICATORS
-    }
-    features = tuple(features)
     by_level = {
         "district": sorted(districts),
         "province": sorted({rec.province_id for rec in districts.values()}),
         "country": sorted({rec.country for rec in districts.values()}),
     }
     locations = [loc for locs in by_level.values() for loc in locs]
-    values = np.empty((len(features), len(locations), months))
+    row = {loc: i for i, loc in enumerate(locations)}
+    pub = publication_months(t0, t1)
+    ipc_obs = {}
+    shape = (len(locations), lead + months)
+    ipc = np.full(shape, np.nan)
+    for d in districts:
+        phases = rng.choice([1, 2, 2, 3], size=len(pub)).astype(float)
+        obs = {t: float(p) for t, p in zip(pub, phases)}
+        ipc_obs[d] = obs
+        ipc[row[d], lead:] = forward_fill_ipc(obs, t0, t1)
+    traditional = {}
+    for k in TRADITIONAL_INDICATORS:
+        traditional[k] = np.full(shape, np.nan)
+        for d in districts:
+            traditional[k][row[d], lead:] = rng.normal(0, 1, months)
+    features = tuple(features)
+    values = np.empty((len(features),) + shape)
     for f in range(len(features)):
         for i in range(len(locations)):
-            values[f, i] = np.clip(rng.normal(0.05, 0.02, months), 0, 1)
+            values[f, i] = np.clip(rng.normal(0.05, 0.02, shape[1]), 0, 1)
     cube = NewsFactors(
         features=features, locations=tuple(locations),
         levels=tuple(level for level, locs in by_level.items() for _ in locs),
-        start=t0, values=values,
-        zero_denominator=np.zeros((len(locations), months), dtype=bool),
+        start=t0 - lead, values=values, zero_denominator=np.zeros(shape, dtype=bool),
     )
     if n_clusters is None:
         n_clusters = len(features)
     clusters = {w: 1 + i % n_clusters for i, w in enumerate(features)}
     panel = PanelDataset(
         districts=districts, start=t0, end=t1, publication_months=pub,
+        rows=row, grid_start=t0 - lead,
         ipc=ipc, ipc_observed=ipc_obs, traditional=traditional,
-        factors={w: {level: cube.at_level(w, level) for level in by_level} for w in features},
+        factors={w: values[f].copy() for f, w in enumerate(features)},
         feature_order=features, clusters=clusters,
         cluster_labels={c: f"cluster-{c}" for c in set(clusters.values())},
     )
     return panel, cube
 
 
+def panel_value(panel, values, loc, t):
+    """The value of ``values`` (a panel array) at ``loc`` in month ``t``; KeyError if uncovered."""
+    j = t - panel.grid_start
+    if not 0 <= j < values.shape[1] or not np.isfinite(values[panel.rows[loc], j]):
+        raise KeyError(f"{loc} has no value in month {t}")
+    return float(values[panel.rows[loc], j])
+
+
 def plant_adl_response(panel, spec, coef, base=2.0):
     """Rewrite panel.ipc so y follows the design relation exactly (no noise)."""
-    from newswarn.series import Series
-
     t0, t1 = panel.start, panel.end
     burn = 3 * spec.y_lags
     for d in sorted(panel.districts):
@@ -244,22 +253,133 @@ def plant_adl_response(panel, spec, coef, base=2.0):
             for m in range(1, spec.y_lags + 1):
                 val += coef.get(f"y_lag[m={m}]", 0.0) * y[t - 3 * m - t0]
             if spec.uses_traditional:
-                for k, per in panel.traditional.items():
-                    s = per[d]
+                for k, values in panel.traditional.items():
                     for n in range(1, spec.factor_lags + 1):
-                        val += coef.get(f"trad[{k},n={n}]", 0.0) * s.at(t - spec.delay - n)
+                        val += coef.get(f"trad[{k},n={n}]", 0.0) * \
+                            panel_value(panel, values, d, t - spec.delay - n)
                 for sname, sval in panel.districts[d].statics.items():
                     val += coef.get(f"static[{sname}]", 0.0) * sval
             if spec.uses_news:
                 for w in panel.feature_order:
                     for level, loc in (("district", d), ("province", prov),
                                        ("country", country)):
-                        s = panel.factors[w][level][loc]
                         for n in range(1, spec.factor_lags + 1):
                             val += coef.get(f"news[{w},{level},n={n}]", 0.0) * \
-                                s.at(t - spec.delay - n)
+                                panel_value(panel, panel.factors[w], loc, t - spec.delay - n)
             y[t - t0] = val
-        panel.ipc[d] = Series(t0, y)
+        panel.ipc[panel.rows[d], t0 - panel.grid_start : t1 - panel.grid_start + 1] = y
+
+
+def design_loop(panel, spec):
+    """``build_design``'s output rebuilt cell by cell: the reference builder.
+
+    Every cell is read from its array at month t - offset. A district is
+    skipped (month -1) at the first block none of whose months it covers. Else
+    each block's first and last covered month bound its rows: a bound moves,
+    and takes the block's label, only when it is stricter than the bound so
+    far, starting from the panel's months and the label ``ipc``. Months outside
+    the bounds are skipped as ``lag unavailable`` or ``series ends``.
+    """
+    from newswarn.panel import TRADITIONAL_INDICATORS, Column
+
+    g0, n_grid = panel.grid_start, panel.ipc.shape[1]
+    ds = sorted(panel.districts)
+    features = [w for w in panel.feature_order
+                if panel.clusters.get(w) not in spec.ablated_clusters]
+
+    seen = {}
+
+    def has(values, loc):
+        key = (id(values), loc)
+        if key not in seen:
+            seen[key] = any(np.isfinite(v) for v in values[panel.rows[loc]])
+        return seen[key]
+
+    def cell(values, loc, t):
+        return float(values[panel.rows[loc], t - g0]) if 0 <= t - g0 < n_grid else float("nan")
+
+    def at(values, loc_of=lambda d: d):
+        return lambda d, t: cell(values, loc_of(d), t) if has(values, loc_of(d)) else None
+
+    def around(values):
+        def mean(d, t):
+            cells = [cell(values, n, t) for n in panel.neighbors(d) if has(values, n)]
+            return sum(cells[1:], cells[0]) / len(cells) if cells else None
+        return mean
+
+    blocks = []  # (columns, source, span); undated sources give constants
+
+    def phase(group, label, source, missing=""):
+        cols = [Column(f"{group}[m={m}]", group, offset=3 * m) for m in range(1, spec.y_lags + 1)]
+        blocks.append((cols, source, (label, 3 * spec.y_lags, 0, missing)))
+
+    def lagged(name, group, label, source, missing, feature=None):
+        cols = [Column(f"{name},n={n}]", group, offset=spec.delay + n, feature=feature)
+                for n in range(1, spec.factor_lags + 1)]
+        span = (label, spec.delay + spec.factor_lags, spec.delay + 1, missing)
+        blocks.append((cols, source, span))
+
+    def undated(group, names, source):
+        blocks.append(([Column(f"{group}[{s}]", group) for s in names], source, None))
+
+    undated("intercept", ds, lambda d: [float(d == e) for e in ds])
+    phase("y_lag", "ipc", at(panel.ipc))
+    if spec.uses_traditional:
+        for k in TRADITIONAL_INDICATORS:
+            lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
+                   f"missing traditional indicator {k}")
+        undated("static", panel.static_names,
+                lambda d: [panel.districts[d].statics[s] for s in panel.static_names])
+    if spec.uses_news:
+        for w in features:
+            for level, loc_of in (("district", lambda d: d), ("province", panel.province_of),
+                                  ("country", panel.country_of)):
+                lagged(f"news[{w},{level}", "news", f"news:{w}:{level}",
+                       at(panel.factors[w], loc_of), f"missing news factor {w}@{level}", w)
+    if spec.spatial:
+        phase("sp_y", "sp_ipc", around(panel.ipc), "no neighbour has ipc")
+        if spec.uses_traditional:
+            for k in TRADITIONAL_INDICATORS:
+                lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
+                       around(panel.traditional[k]),
+                       f"no neighbour has traditional indicator {k}")
+            undated("sp_static", panel.static_names, lambda d: [
+                float(np.mean([panel.districts[n].statics[s] for n in panel.neighbors(d)]))
+                for s in panel.static_names])
+        if spec.uses_news:
+            for w in features:
+                lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}", around(panel.factors[w]),
+                       f"no neighbour has news factor {w}@district", w)
+
+    X, y, rows, skipped = [], [], [], []
+    for d in ds:
+        lo, hi = (panel.start, "ipc"), (panel.end, "ipc")
+        for _, source, span in blocks:
+            if span is None:
+                continue
+            label, max_off, min_off, missing = span
+            if source(d, g0) is None:
+                skipped.append((d, -1, missing))
+                break
+            covered = [t for t in range(g0, g0 + n_grid) if np.isfinite(source(d, t))]
+            if covered[0] + max_off > lo[0]:
+                lo = (covered[0] + max_off, label)
+            if covered[-1] + min_off < hi[0]:
+                hi = (covered[-1] + min_off, label)
+        else:
+            for t in range(panel.start, panel.end + 1):
+                if t < lo[0]:
+                    skipped.append((d, t, f"lag unavailable ({lo[1]})"))
+                elif t > hi[0]:
+                    skipped.append((d, t, f"series ends ({hi[1]})"))
+                else:
+                    X.append([v for cols, source, span in blocks for v in (
+                        source(d) if span is None else [source(d, t - c.offset) for c in cols])])
+                    y.append(cell(panel.ipc, d, t))
+                    rows.append((d, t))
+    columns = tuple(c for cols, _, _ in blocks for c in cols)
+    return np.array(X).reshape(len(rows), len(columns)), np.array(y), columns, tuple(rows), \
+        tuple(skipped)
 
 
 def planted_coefficients(panel, spec, rng, news_scale=1.0):

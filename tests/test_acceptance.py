@@ -21,7 +21,6 @@ from newswarn.panel import (ModelSpec, audit_no_lookahead, build_design,
                             validate_factors)
 from newswarn.pipeline import RunContext, min_train_rows, run_pipeline
 from newswarn.semantics import wmd
-from newswarn.series import Series
 from newswarn.synth import SyntheticSpec, generate_synthetic
 from newswarn.tsstats import (adf_test, difference_until_stationary, granger_test,
                               ols, select_lags_aic)
@@ -99,7 +98,7 @@ def test_criterion_2_granger_power_and_size():
 
     def run_procedure(y, x, n_max=4):
         xs, d = difference_until_stationary(x, max_d=2, max_lag=6)
-        xv = np.asarray(xs.values if isinstance(xs, Series) else xs)
+        xv = np.asarray(xs)
         yv = np.asarray(y)[-xv.size:]
         n = select_lags_aic(yv, xv, n_max)
         return granger_test(yv, xv, n, level=0.01, x_diff_order=d)
@@ -358,7 +357,7 @@ def test_criterion_10_spearman_association_replica():
         level = rng.uniform(0.5, 5.0)
         vals = np.abs(rng.normal(0, 0.2, months))
         vals[rng.integers(0, months)] = level
-        panel.traditional["conflict_fatalities"][d] = Series(panel.start, vals)
+        panel.traditional["conflict_fatalities"][panel.rows[d]] = vals
         news_peak = (level ** 1.3) / 10.0 + rng.normal(0, 0.02)
         fvals = np.abs(rng.normal(0, 0.002, months))
         fvals[rng.integers(0, months)] = float(np.clip(news_peak, 0.001, 1.0))

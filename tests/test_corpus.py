@@ -175,10 +175,10 @@ def records(factors):
 
 
 def factors_of(corpus, features, gaz, **kwargs):
-    """news_factors' series keyed by (feature, location)."""
+    """news_factors' monthly values keyed by (feature, location)."""
     factors, _ = news_factors(corpus, features, gaz, **kwargs)
-    return {(w, loc): s for w in factors.features for level in ("district", "province", "country")
-            for loc, s in factors.at_level(w, level).items()}
+    return {(w, loc): factors.values[f, i] for f, w in enumerate(factors.features)
+            for i, loc in enumerate(factors.locations)}
 
 
 class TestIngest:
@@ -377,9 +377,10 @@ class TestNewsFactor:
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
         factors, _ = news_factors(corpus, ["drought"], gazetteer)
-        f = factors.at_level("drought", "district")["so-jam"]
-        assert f.at(parse_month("2011-01")) == pytest.approx(0.4)
-        assert list(factors.at_level("drought", "country")) == ["ET", "SO"]
+        assert factors.start == parse_month("2011-01")
+        assert factors.values[0, factors.locations.index("so-jam"), 0] == pytest.approx(0.4)
+        assert [loc for loc, level in zip(factors.locations, factors.levels)
+                if level == "country"] == ["ET", "SO"]
 
     def test_exclude_targets_hand_count(self, tmp_path, gazetteer):
         # 4 co-mentions, 2 contain a target; 3 of 10 articles contain a target
@@ -388,13 +389,13 @@ class TestNewsFactor:
         corpus = read_corpus(path, ("2011-01", "2011-01"))
         f = factors_of(corpus, ["drought"], gazetteer, exclude_targets=True,
                        target_keywords=("famine",))[("drought", "so-jam")]
-        assert f.at(parse_month("2011-01")) == pytest.approx(2.0 / 7.0)
+        assert f.tolist() == [pytest.approx(2.0 / 7.0)]
 
     def test_never_comentioned_all_zero(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
         f = factors_of(corpus, ["market"], gazetteer)[("market", "so-jam")]
-        assert np.all(f.values == 0.0)
+        assert np.all(f == 0.0)
 
     def test_unknown_feature_errors(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
@@ -414,9 +415,8 @@ class TestNewsFactor:
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-02"))
         factors, _ = news_factors(corpus, ["drought"], gazetteer)
-        feb = parse_month("2011-02")
-        assert factors.at_level("drought", "district")["so-jam"].at(feb) == 0.0
         jam = factors.locations.index("so-jam")
+        assert factors.values[0, jam, 1] == 0.0  # 2011-02
         assert factors.zero_denominator[jam].tolist() == [False, True]
 
     def test_denominator_monotonicity(self, tmp_path, gazetteer):
@@ -429,8 +429,7 @@ class TestNewsFactor:
             fh.write(json.dumps(arts[0]) + "\n")
         corpus2 = read_corpus(base, ("2011-01", "2011-01"))
         after = factors_of(corpus2, ["drought"], gazetteer)[("drought", "so-jam")]
-        jan = parse_month("2011-01")
-        assert after.at(jan) <= before.at(jan)
+        assert after[0] <= before[0]
 
     def test_factor_values_within_unit_interval(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
@@ -439,7 +438,7 @@ class TestNewsFactor:
         for feature in ("drought", "famine", "market"):
             for loc in ("so-jam", "so-lower-juba", "SO"):
                 f = factors[(feature, loc)]
-                assert np.all((f.values >= 0) & (f.values <= 1))
+                assert np.all((f >= 0) & (f <= 1))
 
     def test_denominator_scope_switch(self, tmp_path, gazetteer):
         arts = [article(0, "2011-01-05", "drought hits Jamaame"),
@@ -448,24 +447,22 @@ class TestNewsFactor:
                  for i in range(2)]
         path = write_corpus(tmp_path / "c.jsonl", arts)
         corpus = read_corpus(path, ("2011-01", "2011-01"))
-        jan = parse_month("2011-01")
         country = factors_of(corpus, ["drought"], gazetteer)[("drought", "so-jam")]
         corpus_wide = factors_of(corpus, ["drought"], gazetteer,
                                  denominator="corpus")[("drought", "so-jam")]
-        assert country.at(jan) == pytest.approx(1 / 2)
-        assert corpus_wide.at(jan) == pytest.approx(1 / 4)
+        assert country[0] == pytest.approx(1 / 2)
+        assert corpus_wide[0] == pytest.approx(1 / 4)
 
     def test_untagged_mentions_stay_out_of_a_country_share(self, tmp_path, gazetteer):
         # Only the SO-tagged article counts toward so-jam's share of SO articles.
         arts = [article(0, "2011-01-05", "jamaame jamaame"),
                 article(1, "2011-01-06", "jamaame jamaame", countries=("ET",))]
         corpus = read_corpus(write_corpus(tmp_path / "c.jsonl", arts), ("2011-01", "2011-01"))
-        jan = parse_month("2011-01")
         country = factors_of(corpus, ["jamaame"], gazetteer)
-        assert country[("jamaame", "so-jam")].at(jan) == 1.0
-        assert country[("jamaame", "ET")].at(jan) == 1.0
+        assert country[("jamaame", "so-jam")][0] == 1.0
+        assert country[("jamaame", "ET")][0] == 1.0
         corpus_wide = factors_of(corpus, ["jamaame"], gazetteer, denominator="corpus")
-        assert corpus_wide[("jamaame", "so-jam")].at(jan) == 1.0
+        assert corpus_wide[("jamaame", "so-jam")][0] == 1.0
 
     def test_factors_round_trip(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
@@ -496,7 +493,7 @@ class TestNewsFactor:
         back = load_factors(tmp_path / "a.npy", tmp_path / "a.json")
         assert back.values.tobytes() == factors.values.tobytes()
         assert np.array_equal(back.zero_denominator, zero)
-        assert back.at_level("flood", "country")["SO"].start == parse_month("2010-11")
+        assert back.start == parse_month("2010-11")
         save_factors(tmp_path / "b.npy", tmp_path / "b.json", back)
         for suffix in ("npy", "json"):
             assert (tmp_path / f"a.{suffix}").read_bytes() == \
@@ -509,8 +506,8 @@ class TestNewsFactor:
                                       "zero_denominator": {}}))
         values = tmp_path / "f.npy"
         np.save(values, np.full((1, 2, 3), 0.5))
-        assert load_factors(values, labels).at_level("drought", "district")["so-jam"].end == \
-               parse_month("2011-03")
+        back = load_factors(values, labels)
+        assert back.start + back.values.shape[2] - 1 == parse_month("2011-03")
         for bad, match in [(np.full((1, 3, 3), 0.5), "do not fit"),
                            (np.full((1, 2), 0.5), "do not fit"),
                            (np.full((1, 2, 3), 0.5, dtype=np.float32), "dtype float32"),

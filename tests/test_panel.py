@@ -13,10 +13,11 @@ from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lo
                             load_panel_csv, month_folds, percentile_ranks,
                             spatial_average, validate_factors)
 from newswarn.pipeline import _load_projections, min_train_rows
-from newswarn.series import Series
+from newswarn.tsstats import diff_on_grid
 
-from conftest import (grid_districts, make_gazetteer, make_panel, make_panel_and_factors,
-                      plant_adl_response, planted_coefficients)
+from conftest import (design_loop, grid_districts, make_gazetteer, make_panel,
+                      make_panel_and_factors, panel_value, plant_adl_response,
+                      planted_coefficients)
 
 BASELINE = ModelSpec(kind="baseline")
 
@@ -24,36 +25,34 @@ BASELINE = ModelSpec(kind="baseline")
 class TestForwardFill:
     def test_definition_example(self):
         jan, apr, may = parse_month("2011-01"), parse_month("2011-04"), parse_month("2011-05")
-        s = forward_fill_ipc({jan: 2, apr: 3}, end=may)
-        assert s.at(parse_month("2011-02")) == 2
-        assert s.at(parse_month("2011-03")) == 2
-        assert s.at(apr) == 3
-        assert s.at(may) == 3
+        s = forward_fill_ipc({jan: 2, apr: 3}, jan, may)
+        assert s.tolist() == [2, 2, 2, 3, 3]
 
     def test_single_observation_constant_tail(self):
         jan = parse_month("2011-01")
-        s = forward_fill_ipc({jan: 4}, end=jan + 5)
-        assert np.all(s.values == 4.0)
+        s = forward_fill_ipc({jan: 4}, jan, jan + 5)
+        assert np.all(s == 4.0)
 
     def test_cadence_change(self):
         # quarterly through 2015 (Jan Apr Jul Oct), triannual after (Feb Jun Oct)
         obs = {parse_month("2015-10"): 2, parse_month("2016-02"): 3,
                parse_month("2016-06"): 2}
-        s = forward_fill_ipc(obs, end=parse_month("2016-07"))
-        assert s.at(parse_month("2015-12")) == 2
-        assert s.at(parse_month("2016-01")) == 2
-        assert s.at(parse_month("2016-02")) == 3
-        assert s.at(parse_month("2016-05")) == 3
-        assert s.at(parse_month("2016-06")) == 2
+        start = parse_month("2015-10")
+        s = forward_fill_ipc(obs, start, parse_month("2016-07"))
+        assert s[parse_month("2015-12") - start] == 2
+        assert s[parse_month("2016-01") - start] == 2
+        assert s[parse_month("2016-02") - start] == 3
+        assert s[parse_month("2016-05") - start] == 3
+        assert s[parse_month("2016-06") - start] == 2
 
     def test_months_before_first_absent(self):
         jan = parse_month("2011-01")
-        s = forward_fill_ipc({jan: 2}, end=jan + 2)
-        assert s.start == jan
+        s = forward_fill_ipc({jan: 2}, jan - 2, jan + 2)
+        assert np.isnan(s[:2]).all() and s[2:].tolist() == [2, 2, 2]
 
     def test_empty_errors(self):
         with pytest.raises(DataError):
-            forward_fill_ipc({})
+            forward_fill_ipc({}, 0, 1)
 
 
 class TestBuildDesign:
@@ -121,8 +120,8 @@ class TestBuildDesign:
 
     def test_shortened_indicator_named_at_both_ends(self):
         panel = make_panel(n_districts=5)
-        s = panel.traditional["price_index"]["d01"]
-        panel.traditional["price_index"]["d01"] = Series(s.start + 30, s.values[30:-5])
+        s = panel.traditional["price_index"][panel.rows["d01"]]
+        s[:30] = s[-5:] = np.nan
         design = build_design(panel, ModelSpec(kind="baseline"))
         reasons = {r for d, _, r in design.skipped if d == "d01"}
         assert reasons == {"lag unavailable (trad:price_index)",
@@ -135,7 +134,7 @@ class TestBuildDesign:
 
     def test_missing_news_factor_skips_the_district(self):
         panel = make_panel(n_districts=5, features=("alpha", "beta"))
-        del panel.factors["beta"]["district"]["d03"]
+        panel.factors["beta"][panel.rows["d03"]] = np.nan
         design = build_design(panel, ModelSpec(kind="news"))
         assert [s for s in design.skipped if s[0] == "d03"] == [
             ("d03", -1, "missing news factor beta@district")]
@@ -149,13 +148,100 @@ class TestBuildDesign:
         assert all(latest <= t - 3 for _, t, latest in records)
 
 
+def _without(get, loc_of):
+    """Mutation: the array ``get(panel)`` loses its row of ``loc_of(panel)``."""
+    def mutate(panel):
+        get(panel)[panel.rows[loc_of(panel)]] = np.nan
+    return mutate
+
+
+def _neighbours_without(get):
+    """Mutation: every neighbour of d00 loses its row of the array ``get(panel)``."""
+    def mutate(panel):
+        for n in panel.neighbors("d00"):
+            get(panel)[panel.rows[n]] = np.nan
+    return mutate
+
+
+def _shortened(get, head, tail):
+    """Mutation: d02's row of ``get(panel)`` opens ``head`` months late and ends ``tail`` early."""
+    def mutate(panel):
+        row = get(panel)[panel.rows["d02"]]
+        row[: panel.start - panel.grid_start + head] = np.nan
+        row[row.size - tail :] = np.nan
+    return mutate
+
+
+def _differenced(order):
+    """Mutation: every news factor is differenced ``order`` times on the grid."""
+    def mutate(panel):
+        for w in panel.feature_order:
+            panel.factors[w] = diff_on_grid(panel.factors[w], order)
+    return mutate
+
+
+SPATIAL_COMBINED = dict(kind="combined", spatial=True)
+DESIGN_CASES = [
+    *(pytest.param(dict(kind=k, spatial=sp), {}, None, id=f"{k}-spatial={sp}")
+      for k in ("baseline", "news", "combined") for sp in (False, True)),
+    pytest.param(SPATIAL_COMBINED, {}, _shortened(lambda p: p.traditional["rain_mean"], 30, 0),
+                 id="indicator-opens-late"),
+    pytest.param(SPATIAL_COMBINED, {}, _shortened(lambda p: p.factors["beta"], 0, 7),
+                 id="news-ends-early"),
+    pytest.param(SPATIAL_COMBINED, {}, _shortened(lambda p: p.ipc, 4, 2), id="ipc-shortened"),
+    pytest.param(SPATIAL_COMBINED, {}, _without(lambda p: p.traditional["ndvi_mean"],
+                                                lambda p: "d02"), id="missing-indicator"),
+    pytest.param(SPATIAL_COMBINED, {}, _without(lambda p: p.factors["beta"], lambda p: "d02"),
+                 id="missing-news-district"),
+    pytest.param(SPATIAL_COMBINED, {}, _without(lambda p: p.factors["alpha"],
+                                                lambda p: p.province_of("d02")),
+                 id="missing-news-province"),
+    pytest.param(SPATIAL_COMBINED, {}, _without(lambda p: p.factors["beta"],
+                                                lambda p: p.country_of("d05")),
+                 id="missing-news-country"),
+    pytest.param(SPATIAL_COMBINED, {}, _neighbours_without(lambda p: p.traditional["rain_mean"]),
+                 id="no-neighbour-indicator"),
+    pytest.param(SPATIAL_COMBINED, {}, _neighbours_without(lambda p: p.factors["alpha"]),
+                 id="no-neighbour-news"),
+    *(pytest.param(dict(kind="news", spatial=True, y_lags=1), {}, _differenced(d),
+                   id=f"diff-order-{d}") for d in (0, 1, 2)),
+    pytest.param(dict(kind="news", spatial=True, y_lags=1), dict(lead=10), _differenced(1),
+                 id="y_lags=1-news-before-start"),
+    pytest.param(dict(kind="combined", y_lags=1), dict(lead=3), None,
+                 id="y_lags=1-combined"),
+]
+
+
+class TestDesignReference:
+    @pytest.mark.parametrize("spec_kwargs, panel_kwargs, mutate", DESIGN_CASES)
+    def test_equals_the_reference_builder_bit_for_bit(self, spec_kwargs, panel_kwargs, mutate):
+        panel = make_panel(**dict(dict(n_districts=8, countries=2, months=48,
+                                       features=("alpha", "beta")), **panel_kwargs))
+        if mutate is not None:
+            mutate(panel)
+        spec = ModelSpec(**spec_kwargs)
+        design = build_design(panel, spec)
+        X, y, columns, rows, skipped = design_loop(panel, spec)
+        assert design.columns == columns
+        assert design.rows == rows
+        assert design.skipped == skipped
+        assert design.X.shape == X.shape and design.X.tobytes() == X.tobytes()
+        assert design.y.tobytes() == y.tobytes()
+
+    def test_news_lags_reach_before_the_panel(self):
+        panel = make_panel(n_districts=6, months=48, features=("alpha",), lead=10)
+        design = build_design(panel, ModelSpec(kind="news", y_lags=1))
+        first = min(t for _, t in design.rows)
+        assert first - 8 < panel.start  # the deepest news lag precedes the panel file
+        assert first == min(panel.publication_months) + 3
+
+
 class TestSpatial:
     def test_average_of_identical_series(self):
         panel = make_panel(n_districts=6)
-        s = Series(panel.start, np.linspace(0, 1, panel.end - panel.start + 1))
-        series = {d: s for d in panel.districts}
-        out = spatial_average(panel, "d00", series)
-        assert np.allclose(out.values, s.values)
+        s = np.linspace(0, 1, panel.end - panel.start + 1)
+        out = spatial_average(panel, "d00", np.tile(s, (len(panel.rows), 1)))
+        assert np.allclose(out, s)
 
     def test_hand_computed_neighbor_sets(self):
         from newswarn.corpus import District
@@ -171,8 +257,9 @@ class TestSpatial:
                                 cropland_share=0, pasture_share=0))
             for name, (lat, lon) in spots.items()
         }
-        panel = PanelDataset(districts=districts, start=0, end=1,
-                             publication_months=(0,), ipc={}, ipc_observed={},
+        panel = PanelDataset(districts=districts, start=0, end=1, publication_months=(0,),
+                             rows={d: i for i, d in enumerate(districts)}, grid_start=0,
+                             ipc=np.full((len(districts), 2), 2.0), ipc_observed={},
                              traditional={}, factors={})
         assert set(panel.neighbors("center")) == {"north", "south", "east", "west"}
         assert "center" not in panel.neighbors("center")
@@ -201,16 +288,16 @@ class TestSpatial:
         for i, (d, t) in enumerate(design.rows):
             sp = spatial_average(panel, d, panel.traditional["rain_mean"])
             for j, c in cols:
-                assert design.X[i, j] == sp.at(t - c.offset)
+                assert design.X[i, j] == sp[t - c.offset - panel.grid_start]
 
     @pytest.mark.parametrize("kind,drop,reason", [
         ("baseline", lambda p: p.traditional["rain_mean"], "traditional indicator rain_mean"),
-        ("news", lambda p: p.factors["beta"]["district"], "news factor beta@district"),
+        ("news", lambda p: p.factors["beta"], "news factor beta@district"),
     ], ids=["indicator", "news_factor"])
     def test_one_missing_series_skips_one_district_in_both_designs(self, kind, drop, reason):
         panel = make_panel(n_districts=6, features=("alpha", "beta"))
-        by_district = drop(panel)
-        del by_district["d03"]
+        values = drop(panel)
+        values[panel.rows["d03"]] = np.nan
         plain = build_design(panel, ModelSpec(kind=kind))
         spatial = build_design(panel, ModelSpec(kind=kind, spatial=True))
         for design in (plain, spatial):
@@ -223,23 +310,34 @@ class TestSpatial:
         near = [d for d in sorted(panel.districts) if "d03" in panel.neighbors(d)]
         assert near
         for i, (d, t) in enumerate(spatial.rows):
-            have = [n for n in panel.neighbors(d) if n in by_district]
+            have = [n for n in panel.neighbors(d) if n != "d03"]
             assert len(have) == (3 if d in near else 4)
             for j, c in cols:
-                assert spatial.X[i, j] == np.mean([by_district[n].at(t - c.offset)
+                assert spatial.X[i, j] == np.mean([panel_value(panel, values, n, t - c.offset)
                                                    for n in have])
 
     def test_no_neighbour_with_the_series_skips_with_reason(self):
         panel = make_panel(n_districts=6)
-        by_district = panel.traditional["rain_mean"]
+        values = panel.traditional["rain_mean"]
         for n in panel.neighbors("d00"):
-            del by_district[n]
+            values[panel.rows[n]] = np.nan
         spatial = build_design(panel, ModelSpec(kind="baseline", spatial=True))
         assert [s for s in spatial.skipped if s[0] == "d00"] == [
             ("d00", -1, "no neighbour has traditional indicator rain_mean")]
-        assert spatial_average(panel, "d00", by_district) is None
+        assert np.isnan(spatial_average(panel, "d00", values)).all()
         plain = build_design(panel, ModelSpec(kind="baseline"))
         assert {d for d, _ in plain.rows} == {d for d, _ in spatial.rows} | {"d00"}
+
+    def test_neighbours_that_do_not_overlap_raise(self):
+        panel = make_panel(n_districts=6)
+        values = panel.traditional["rain_mean"]
+        a, b = panel.neighbors("d00")[:2]
+        values[panel.rows[a], 40:] = np.nan
+        values[panel.rows[b], :40] = np.nan
+        with pytest.raises(DataError, match="neighbor series of 'd00' do not overlap"):
+            spatial_average(panel, "d00", values)
+        with pytest.raises(DataError, match="neighbor series of 'd00' do not overlap"):
+            build_design(panel, ModelSpec(kind="baseline", spatial=True))
 
     def test_spatial_design_appends_columns(self):
         panel = make_panel(n_districts=6, features=("alpha",))
@@ -474,9 +572,7 @@ class TestCrossValidate:
 
     def test_constant_phase_intercept_only_zero_rmse(self):
         panel = make_panel(n_districts=5, months=96)
-        for d in list(panel.ipc):
-            panel.ipc[d] = Series(panel.start,
-                                  np.full(panel.end - panel.start + 1, 2.0))
+        panel.ipc[[panel.rows[d] for d in panel.districts]] = 2.0
         report = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel, folds=8)
         scored = [r for r in report.fold_rmse if r is not None]
         assert scored and all(r == pytest.approx(0.0, abs=1e-8) for r in scored)
@@ -554,10 +650,7 @@ class TestAblate:
         panel = make_panel(n_districts=5, months=96,
                            features=("alpha", "dead"), n_clusters=2)
         dead_cluster = panel.clusters["dead"]
-        for level in panel.factors["dead"]:
-            for loc, s in panel.factors["dead"][level].items():
-                panel.factors["dead"][level][loc] = Series(
-                    s.start, np.zeros(len(s)))
+        panel.factors["dead"][:] = 0.0
         _, _, results = self.combined_and_ablations(panel)
         by_cluster = {r.cluster_id: r for r in results}
         assert by_cluster[dead_cluster].mean_delta == pytest.approx(0.0, abs=1e-9)
@@ -572,7 +665,7 @@ class TestValidateFactors:
             peak = 1.0 + i * 0.7 + rng.uniform(0, 0.1)
             vals = np.zeros(months)
             vals[rng.integers(0, months)] = peak
-            panel.traditional["conflict_events"][d] = Series(panel.start, vals)
+            panel.traditional["conflict_events"][panel.rows[d]] = vals
             fvals = np.zeros(months)
             fvals[rng.integers(0, months)] = peak / (1.0 + peak)  # monotone map
             factors.values[factors.features.index("alpha"), factors.locations.index(d)] = fvals
@@ -599,7 +692,7 @@ class TestValidateFactors:
             level = rng.uniform(0.5, 5.0)
             vals = np.abs(rng.normal(0, 0.2, months))
             vals[rng.integers(0, months)] = level
-            panel.traditional["conflict_fatalities"][d] = Series(panel.start, vals)
+            panel.traditional["conflict_fatalities"][panel.rows[d]] = vals
             news_peak = (level ** 1.3) / 10.0 + rng.normal(0, 0.02)
             fvals = np.abs(rng.normal(0, 0.002, months))
             fvals[rng.integers(0, months)] = np.clip(news_peak, 0.001, 1.0)
@@ -657,8 +750,9 @@ class TestPanelCsv:
         path = self.write_fixture(tmp_path, gaz)
         ipc, obs, trad, (start, end) = load_panel_csv(path, gaz)
         assert start == parse_month("2011-01") and end == parse_month("2011-04")
-        assert ipc["so-jam"].at(parse_month("2011-03")) == 2.0
-        assert trad["rain_mean"]["so-jam"].at(parse_month("2011-02")) == pytest.approx(0.2)
+        row = gaz.locations.index("so-jam")
+        assert ipc[row, 2] == 2.0
+        assert trad["rain_mean"][row, 1] == pytest.approx(0.2)
 
     def test_non_integer_phase_rejected(self, tmp_path):
         gaz = make_gazetteer()
@@ -676,6 +770,7 @@ class TestPanelCsv:
 
     @pytest.mark.parametrize("phase, indicator", [
         ("x3", "0.5"), ("nan", "0.5"), ("inf", "0.5"), ("2", "n/a"),
+        ("", "nan"), ("2", "inf"), ("2", "-inf"),  # NaN marks months a series does not cover
     ])
     def test_malformed_cell_names_file_and_line(self, tmp_path, phase, indicator):
         gaz = make_gazetteer()

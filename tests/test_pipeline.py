@@ -379,7 +379,17 @@ class TestFactorArtifact:
 
 
 def _mean_of(series):
-    return np.stack([s.values for s in series]).mean(axis=0)
+    return np.stack(list(series)).mean(axis=0)
+
+
+def _at_level(factors, feature, level):
+    """{location: monthly values} of ``feature`` at each location of ``level``, walked one by one."""
+    f = factors.features.index(feature)
+    out = {}
+    for i, loc in enumerate(factors.locations):
+        if factors.levels[i] == level:
+            out[loc] = np.array([float(v) for v in factors.values[f, i]])
+    return out
 
 
 def _pct(values):
@@ -438,10 +448,11 @@ class TestEventsFile:
 
 
 class TestFactorSummariesOracle:
-    """The factor summaries of report and validate, recomputed from per-location Series.
+    """The factor summaries of report and validate, recomputed from per-location rows.
 
-    Each table is rebuilt by stacking ``NewsFactors.at_level`` Series, with loop-walked
-    ranks, and must match the written file cell for cell, so every float bit for bit.
+    Each table is rebuilt by stacking per-location rows copied value by value out of
+    the factor cube, with loop-walked ranks, and must match the written file cell for
+    cell, so every float bit for bit.
     """
 
     @staticmethod
@@ -456,10 +467,10 @@ class TestFactorSummariesOracle:
         want = []
         for event in ctx.events()[0]:
             d, start = event.district, panel.publication_months[event.start]
-            if d not in panel.ipc:
+            if d not in panel.districts:
                 continue
             for c in sorted(clusters, key=lambda c: f"cluster_{c.cluster_id}_pct"):
-                pct = _pct(_mean_of(factors.at_level(w, "district")[d] for w in c.members))
+                pct = _pct(_mean_of(_at_level(factors, w, "district")[d] for w in c.members))
                 months = [t for t in range(start - EPISODE_WINDOW, start + EPISODE_WINDOW + 1)
                           if 0 <= t - factors.start < pct.size]
                 vals = np.array([pct[t - factors.start] for t in months])
@@ -472,7 +483,7 @@ class TestFactorSummariesOracle:
 
     def test_cluster_correlation(self, ctx):
         factors, panel, clusters = ctx.factors(), ctx.panel_dataset(), ctx.clusters()
-        mean = {w: _mean_of(factors.at_level(w, "district").values())
+        mean = {w: _mean_of(_at_level(factors, w, "district").values())
                 for w in panel.feature_order}
         cluster_of = {w: c.cluster_id for c in clusters for w in c.members}
         feats = [w for w in sorted(cluster_of) if np.ptp(mean[w]) > 0.0]
@@ -489,22 +500,23 @@ class TestFactorSummariesOracle:
         factors, panel = ctx.factors(), ctx.panel_dataset()
         want = []
         for w in panel.feature_order:
-            for loc, s in sorted(factors.at_level(w, "country").items()):
-                pct = _pct(s.values)
+            for loc, s in sorted(_at_level(factors, w, "country").items()):
+                pct = _pct(s)
                 smooth = _sm3(pct)
-                want.extend(_cells(w, loc, format_month(s.start + i), v, pct[i], smooth[i])
-                            for i, v in enumerate(s.values))
+                want.extend(_cells(w, loc, format_month(factors.start + i), v, pct[i], smooth[i])
+                            for i, v in enumerate(s))
         assert want and self.table(ctx, "report/factor_percentiles.csv") == want
 
     def test_associations(self, ctx):
         factors, panel = ctx.factors(), ctx.panel_dataset()
         ds = sorted(panel.districts)
-        news = {w: {d: float(np.max(factors.at_level(w, "district")[d].values)) for d in ds}
+        news = {w: {d: float(np.max(_at_level(factors, w, "district")[d])) for d in ds}
                 for w in panel.feature_order}
         want = []
         for k in panel_mod.TRADITIONAL_INDICATORS:
-            per = panel.traditional.get(k, {})
-            summary = {d: float(np.max(per[d].values)) for d in ds if d in per}
+            per = {d: [v for v in panel.traditional[k][panel.rows[d]] if np.isfinite(v)]
+                   for d in ds}
+            summary = {d: float(np.max(v)) for d, v in per.items() if v}
             if len(summary) < 3 or np.ptp(list(summary.values())) == 0.0:
                 continue
             best = None

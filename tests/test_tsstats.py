@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
-from newswarn.series import Series
 from newswarn.tsstats import (AdfResult, _adf_critical, _aic, _average_ranks, _granger_f,
                               _nested_rss, _panel_stack, adf_test, difference_until_stationary,
                               f_sf, fit_adl, granger_test, ols, panel_granger, select_features,
@@ -88,21 +87,21 @@ class TestAdf:
 class TestDifferencing:
     def test_stationary_unchanged(self):
         rng = np.random.default_rng(6)
-        s = Series(10, rng.normal(0, 1, 150))
+        s = rng.normal(0, 1, 150)
         out, d = difference_until_stationary(s)
         assert d == 0
-        assert out.start == 10 and np.allclose(out.values, s.values)
+        assert np.array_equal(out, s)
 
     def test_random_walk_needs_one(self):
         rng = np.random.default_rng(7)
-        s = Series(0, np.cumsum(rng.normal(0, 1, 200)))
+        s = np.cumsum(rng.normal(0, 1, 200))
         out, d = difference_until_stationary(s)
         assert d == 1
-        assert out.start == 1 and len(out) == 199
+        assert np.array_equal(out, np.diff(s))
 
     def test_linear_trend_removed(self):
         rng = np.random.default_rng(8)
-        s = Series(0, 0.5 * np.arange(200) + rng.normal(0, 1, 200))
+        s = 0.5 * np.arange(200) + rng.normal(0, 1, 200)
         _, d = difference_until_stationary(s)
         assert d == 1
 
@@ -228,17 +227,14 @@ class TestGranger:
 
 class TestScreening:
     def build_panel(self, rng, districts=6, T=120, cause=True):
-        ipc, factors = {}, {}
+        """District x month arrays of the phase and of a factor that leads it by 3 months."""
+        ipc, factors = np.zeros((districts, T)), np.zeros((districts, T))
         for d in range(districts):
-            key = f"d{d:02d}"
             z = (rng.random(T) < 0.1).astype(float)
             x = 0.02 + 0.1 * z + rng.normal(0, 0.005, T)
-            x = np.clip(x, 0, 1)
-            y = np.zeros(T)
+            factors[d] = np.clip(x, 0, 1)
             for t in range(3, T):
-                y[t] = 2.0 + (1.5 * z[t - 3] if cause else 0.0) + rng.normal(0, 0.2)
-            ipc[key] = Series(0, y)
-            factors[key] = Series(0, x)
+                ipc[d, t] = 2.0 + (1.5 * z[t - 3] if cause else 0.0) + rng.normal(0, 0.2)
         return ipc, factors
 
     def test_planted_feature_retained(self):
@@ -251,8 +247,7 @@ class TestScreening:
     def test_all_zero_rejected(self):
         rng = np.random.default_rng(21)
         ipc, _ = self.build_panel(rng)
-        zeros = {d: Series(0, np.zeros(120)) for d in ipc}
-        retained, report = select_features(["dead"], ipc, {"dead": zeros})
+        retained, report = select_features(["dead"], ipc, {"dead": np.zeros(ipc.shape)})
         assert retained == {}
         assert report[0].reason == "all-zero factor"
 
@@ -260,9 +255,8 @@ class TestScreening:
         rng = np.random.default_rng(22)
         ipc, factors = self.build_panel(rng)
         # a trending factor forces differencing; the stored series must carry d
-        trended = {d: Series(0, np.cumsum(np.abs(rng.normal(0.2, 0.05, 120))) / 100
-                             + s.values)
-                   for d, s in factors.items()}
+        trended = np.array([np.cumsum(np.abs(rng.normal(0.2, 0.05, 120))) / 100 + s
+                            for s in factors])
         retained, report = select_features(["trendy"], ipc, {"trendy": trended},
                                            max_d=2)
         if "trendy" in retained:
@@ -277,23 +271,29 @@ class TestScreening:
                                            mode="per-district")
         assert "planted" in retained
         with pytest.raises(DataError):
-            select_features([], {}, {}, mode="sideways")
+            select_features([], np.zeros((0, 0)), {}, mode="sideways")
+
+    def test_rows_align_on_the_months_both_series_cover(self):
+        rng = np.random.default_rng(27)
+        ipc, factors = self.build_panel(rng, T=130)
+        ipc[:, :2] = np.nan                      # the phase starts later
+        factors[:, :4] = factors[:, -6:] = np.nan  # the factor covers fewer months
+        ipc[2] = np.nan                           # a location without the phase
+        trimmed = select_features(["planted"], np.delete(ipc, 2, axis=0)[:, 4:-6],
+                                  {"planted": np.delete(factors, 2, axis=0)[:, 4:-6]})
+        assert select_features(["planted"], ipc, {"planted": factors}) == trimmed
 
     def test_pure_noise_set_retains_about_one_percent(self):
         rng = np.random.default_rng(25)
         districts = [f"d{d:02d}" for d in range(6)]
         T = 100
-        ipc = {}
-        for d in districts:
-            y = np.zeros(T)
+        ipc = np.zeros((len(districts), T))
+        for y in ipc:
             for t in range(1, T):
                 y[t] = 2.0 + 0.3 * (y[t - 1] - 2.0) + rng.normal(0, 0.3)
-            ipc[d] = Series(0, y)
         factors = {
-            f"noise{i:03d}": {
-                d: Series(0, np.clip(rng.normal(0.03, 0.01, T), 0, 1))
-                for d in districts
-            }
+            f"noise{i:03d}": np.array([np.clip(rng.normal(0.03, 0.01, T), 0, 1)
+                                       for _ in districts])
             for i in range(100)
         }
         retained, report = select_features(sorted(factors), ipc, factors, n_max=3)
