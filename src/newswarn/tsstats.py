@@ -1,9 +1,11 @@
 """Time-series statistics for factor screening.
 
-Ordinary least squares with rank diagnostics, augmented Dickey-Fuller
-stationarity testing with AIC lag selection, distributed-lag fitting,
-Granger-causality F-tests (single pair and pooled district panel), and
-Spearman rank correlation.
+Augmented Dickey-Fuller stationarity testing with AIC lag selection,
+distributed-lag fitting, Granger-causality F-tests (single pair and pooled
+district panel), and Spearman rank correlation.
+
+Every screening regression reads its RSS values, and the ADF its t-ratio,
+from one triangular factor R of ``[X, y]`` (``_r_factor``).
 
 All information criteria use AIC = T * ln(RSS / T) + 2 * p so that reported
 values can be recomputed exactly from the reported residual sums of squares.
@@ -38,76 +40,53 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     return float(special.betainc(d2 / 2.0, d1 / 2.0, x))
 
 
-@dataclass(frozen=True)
-class OLSFit:
-    beta: np.ndarray
-    rss: float
-    cov: np.ndarray
-    nobs: int
+def _r_factor(X, y, sizes) -> np.ndarray:
+    """R of ``[X, y]``, once each column prefix ``X[:, :k]``, k in ``sizes``, passes the rank rule.
 
-    @property
-    def dof(self) -> int:
-        return self.nobs - self.beta.size
-
-
-def ols(X, y, rcond: float = 1e-10) -> OLSFit:
-    """Least squares via QR decomposition.
-
-    Raises NumericalError naming (by index, also in its ``columns``) the
-    columns that are numerically collinear with earlier ones.
+    The rule: more rows than k, and no R diagonal entry of the prefix at most
+    1e-10 of the prefix's largest. The first prefix that fails raises,
+    naming (by index, also in ``columns``) the columns collinear with earlier ones.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if X.ndim != 2:
-        raise DataError("design matrix must be 2-d")
-    T, p = X.shape
-    if y.size != T:
-        raise DataError(f"response length {y.size} != design rows {T}")
-    if T <= p:
-        raise DataError(f"need more observations ({T}) than parameters ({p})")
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    scale = diag.max() if diag.size else 0.0
-    bad = [int(i) for i in np.nonzero(diag <= rcond * max(scale, 1e-300))[0]]
-    if bad:
-        raise NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
-    beta = np.linalg.solve(R, Q.T @ y)
-    resid = y - X @ beta
-    rss = float(resid @ resid)
-    rinv = np.linalg.solve(R, np.eye(p))
-    sigma2 = rss / (T - p)
-    cov = sigma2 * (rinv @ rinv.T)
-    return OLSFit(beta=beta, rss=rss, cov=cov, nobs=T)
-
-
-def _nested_rss(X, y, sizes, rcond: float = 1e-10) -> list[float]:
-    """RSS of the least-squares fit of ``y`` on each column prefix ``X[:, :k]``.
-
-    One QR of ``[X, y]`` serves every prefix in ``sizes`` (ascending): the
-    residual of the fit on the first k columns is the part of ``y`` beyond the
-    first k rows of R, so RSS_k is the sum of squares of the y-column of R
-    from row k down. Each prefix gets ``ols``'s checks, in order, and the
-    first one that fails raises the error ``ols`` would raise on it.
-    """
-    X = np.asarray(X, dtype=float)
-    T = X.shape[0]
+    T = len(y)
     R = np.linalg.qr(np.column_stack([X, y]), mode="r")
     diag = np.abs(np.diag(R))
-    tail = np.cumsum(R[::-1, -1] ** 2)[::-1]  # tail[k] = sum of R[k:, -1] ** 2
-    out = []
     for k in sizes:
         if T <= k:
             raise DataError(f"need more observations ({T}) than parameters ({k})")
         d = diag[:k]
-        bad = [int(i) for i in np.nonzero(d <= rcond * max(d.max(), 1e-300))[0]]
+        bad = [int(i) for i in np.nonzero(d <= 1e-10 * max(d.max(), 1e-300))[0]]
         if bad:
             raise NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
-        out.append(float(tail[k]))
-    return out
+    return R
+
+
+def _nested_rss(X, y, sizes) -> list[float]:
+    """RSS of the least-squares fit of ``y`` on each column prefix ``X[:, :k]``, k in ``sizes``.
+
+    The residual of the fit on the first k columns is the part of ``y`` beyond the
+    first k rows of R, so RSS_k is the sum of squares of R's y-column from row k down.
+    """
+    R = _r_factor(X, y, sizes)
+    tail = np.cumsum(R[::-1, -1] ** 2)[::-1]  # tail[k] = sum of R[k:, -1] ** 2
+    return [float(tail[k]) for k in sizes]
 
 
 def _aic(rss: float, nobs: int, n_params: int) -> float:
     return nobs * math.log(max(rss, 1e-300) / nobs) + 2.0 * n_params
+
+
+def _aic_order(rss, nobs: int, sizes) -> int:
+    """Index of the first minimum AIC over fits of ``sizes`` parameters with RSS ``rss``.
+
+    A later fit wins only when its AIC is lower by more than 1e-12, so rounding
+    noise never moves the choice past an equally good smaller model.
+    """
+    aics = [_aic(r, nobs, k) for r, k in zip(rss, sizes)]
+    best = 0
+    for i, a in enumerate(aics):
+        if a < aics[best] - 1e-12:
+            best = i
+    return best
 
 
 def _as_values(s) -> np.ndarray:
@@ -166,37 +145,35 @@ def adf_test(s, max_lag: int | None = None, level: float = 0.05) -> AdfResult:
 
     # Lag order k is the first k + 2 columns of the max_lag design.
     X, resp = design(max_lag, max_lag)
-    rss = _nested_rss(X, resp, range(2, max_lag + 3))
-    best_k, best_aic = 0, np.inf
-    for k in range(max_lag + 1):
-        a = _aic(rss[k], resp.size, k + 2)
-        if a < best_aic - 1e-12:
-            best_aic, best_k = a, k
-    fit = ols(*design(best_k, best_k))
-    se = math.sqrt(max(fit.cov[1, 1], 0.0))
-    if se == 0.0:
+    sizes = range(2, max_lag + 3)
+    k = _aic_order(_nested_rss(X, resp, sizes), resp.size, sizes)
+    # Refit order k with the lagged level last: its coefficient is R[p-1, p] / R[p-1, p-1]
+    # and its standard error sigma / |R[p-1, p-1]|, with sigma^2 = R[p, p]^2 / (T - p).
+    X, resp = design(k, k)
+    p = k + 2
+    R = _r_factor(X[:, [0, *range(2, p), 1]], resp, [p])
+    sigma = abs(R[p, p]) / math.sqrt(resp.size - p)
+    if sigma == 0.0:
         raise NumericalError("degenerate ADF regression")
-    stat = float(fit.beta[1] / se)
-    cv = _adf_critical(level, fit.nobs)
-    return AdfResult(statistic=stat, stationary=stat < cv, lag=best_k,
-                     nobs=fit.nobs, critical_value=cv, level=level)
+    stat = float(np.sign(R[p - 1, p - 1]) * R[p - 1, p] / sigma)
+    cv = _adf_critical(level, resp.size)
+    return AdfResult(statistic=stat, stationary=stat < cv, lag=k,
+                     nobs=resp.size, critical_value=cv, level=level)
 
 
 def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
                                 level: float = 0.05):
     """Smallest differencing order at which the series passes the ADF test."""
     current = _as_values(s)
-    last = None
     for d in range(max_d + 1):
         result = adf_test(current, max_lag=max_lag, level=level)
-        last = result
         if result.stationary:
             return current, d
         if d < max_d:
             current = np.diff(current)
     raise NumericalError(
         f"series still non-stationary after {max_d} differences "
-        f"(last ADF statistic {last.statistic:.4f} vs {last.critical_value:.4f})"
+        f"(last ADF statistic {result.statistic:.4f} vs {result.critical_value:.4f})"
     )
 
 
@@ -238,6 +215,7 @@ def _lag_pairs(n: int) -> list[int]:
 
 
 def fit_adl(y, x, n: int, t0: int | None = None) -> ADLFit:
+    """One distributed-lag fit by ``np.linalg.lstsq``, after the rank rule of the nested search."""
     ya, xa = _as_values(y), _as_values(x)
     if ya.size != xa.size:
         raise DataError("series must be aligned to a common sample")
@@ -245,9 +223,11 @@ def fit_adl(y, x, n: int, t0: int | None = None) -> ADLFit:
     if t0 < n:
         raise DataError(f"alignment start {t0} shorter than lag order {n}")
     X, resp = _adl_design(ya, xa, n, t0)
-    fit = ols(X, resp)
-    return ADLFit(coefficients=fit.beta, rss=fit.rss, nobs=fit.nobs,
-                  aic=_aic(fit.rss, fit.nobs, 2 * n + 1), n_lags=n)
+    _r_factor(X, resp, [X.shape[1]])
+    beta = np.linalg.lstsq(X, resp, rcond=None)[0]
+    rss = float(np.sum((resp - X @ beta) ** 2))
+    return ADLFit(coefficients=beta, rss=rss, nobs=resp.size,
+                  aic=_aic(rss, resp.size, 2 * n + 1), n_lags=n)
 
 
 def select_lags_aic(y, x, n_max: int) -> int:
@@ -259,13 +239,8 @@ def select_lags_aic(y, x, n_max: int) -> int:
         raise DataError(f"length {ya.size} insufficient for n_max={n_max}")
     X, resp = _adl_design(ya, xa, n_max, n_max)
     X = X[:, [0] + [1 + c for c in _lag_pairs(n_max)]]
-    rss = _nested_rss(X, resp, [2 * n + 1 for n in range(1, n_max + 1)])
-    best_n, best_aic = None, np.inf
-    for n in range(1, n_max + 1):
-        a = _aic(rss[n - 1], resp.size, 2 * n + 1)
-        if a < best_aic - 1e-12:
-            best_aic, best_n = a, n
-    return best_n
+    sizes = [2 * n + 1 for n in range(1, n_max + 1)]
+    return 1 + _aic_order(_nested_rss(X, resp, sizes), resp.size, sizes)
 
 
 @dataclass(frozen=True)
@@ -303,34 +278,27 @@ def granger_test(y, x, n: int, level: float = 0.01, x_diff_order: int = 0) -> Gr
     ya, xa = _as_values(y), _as_values(x)
     if ya.size != xa.size:
         raise DataError("series must be aligned to a common sample")
-    X_u, resp = _adl_design(ya, xa, n, n)
-    fit_u = ols(X_u, resp)
-    fit_r = ols(X_u[:, : n + 1], resp)
-    T = resp.size
-    return _granger_f(fit_r.rss, fit_u.rss, n, T - 2 * n - 1, level, n, x_diff_order)
+    # The restricted fit (no x lags) is the first n + 1 columns of the unrestricted one.
+    X, resp = _adl_design(ya, xa, n, n)
+    rss_r, rss_u = _nested_rss(X, resp, [n + 1, 2 * n + 1])
+    return _granger_f(rss_r, rss_u, n, resp.size - 2 * n - 1, level, n, x_diff_order)
 
 
 def _panel_stack(y_by, x_by, n: int, t0: int):
     """Stacked district designs with district-intercept dummies."""
-    keys = sorted(y_by)
-    blocks_X, blocks_y, owners = [], [], []
-    for key in keys:
+    blocks_X, blocks_y = [], []
+    for key in sorted(y_by):
         ya, xa = _as_values(y_by[key]), _as_values(x_by[key])
         if ya.size != xa.size or ya.size <= t0:
             continue
         X, resp = _adl_design(ya, xa, n, t0)
         blocks_X.append(X[:, 1:])  # drop the per-block constant
         blocks_y.append(resp)
-        owners.extend([key] * resp.size)
     if not blocks_X:
         raise DataError("no district has enough aligned observations")
-    used = sorted(set(owners))
-    dummies = np.zeros((len(owners), len(used)))
-    pos = {k: i for i, k in enumerate(used)}
-    for r, k in enumerate(owners):
-        dummies[r, pos[k]] = 1.0
-    X = np.column_stack([dummies, np.vstack(blocks_X)])
-    return X, np.concatenate(blocks_y), len(used)
+    n_d = len(blocks_y)
+    dummies = np.repeat(np.eye(n_d), [b.size for b in blocks_y], axis=0)
+    return np.column_stack([dummies, np.vstack(blocks_X)]), np.concatenate(blocks_y), n_d
 
 
 def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
@@ -342,18 +310,11 @@ def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
     if not orders:
         raise DataError("panel too short for any candidate lag order")
     X = X[:, list(range(n_d)) + [n_d + c for c in _lag_pairs(n_max)]]
-    rss = _nested_rss(X[:, : n_d + 2 * orders[-1]], resp, [n_d + 2 * n for n in orders])
-    best_n, best_aic = None, np.inf
-    for n, r in zip(orders, rss):
-        a = _aic(r, resp.size, n_d + 2 * n)
-        if a < best_aic - 1e-12:
-            best_aic, best_n = a, n
-    n = best_n
+    sizes = [n_d + 2 * n for n in orders]
+    n = orders[_aic_order(_nested_rss(X[:, : sizes[-1]], resp, sizes), resp.size, sizes)]
     X, resp, n_d = _panel_stack(y_by, x_by, n, n)
-    fit_u = ols(X, resp)
-    fit_r = ols(X[:, : n_d + n], resp)
-    dof = resp.size - n_d - 2 * n
-    return _granger_f(fit_r.rss, fit_u.rss, n, dof, level, n, x_diff_order)
+    rss_r, rss_u = _nested_rss(X, resp, [n_d + n, n_d + 2 * n])
+    return _granger_f(rss_r, rss_u, n, resp.size - n_d - 2 * n, level, n, x_diff_order)
 
 
 @dataclass(frozen=True)

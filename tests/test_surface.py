@@ -9,6 +9,9 @@ used.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import newswarn
@@ -20,7 +23,7 @@ ORACLES = {
     ("panel", "lasso_kkt_residual"):
         "criterion 4 and TestLasso measure lasso_cd's optimality with it",
     ("tsstats", "fit_adl"):
-        "one fit per lag order, the oracle that select_lags_aic's nested-QR search must match",
+        "one lstsq fit per lag order, the oracle that select_lags_aic's nested search must match",
     ("tsstats", "difference_until_stationary"):
         "criterion 2's per-series differencing procedure for Granger power and size",
 }
@@ -114,3 +117,13 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert [key for key in unused if key not in ORACLES] == [], \
         f"public names with no caller in {PACKAGE.name}: {unused}"
     assert set(ORACLES) <= set(unused), "an allowlisted oracle has a caller or is gone"
+
+
+def test_the_pipeline_does_not_import_scipy_linalg():
+    # scipy.linalg costs about 6.5 MiB of peak RSS; numpy's QR and lstsq serve every fit
+    code = ("import sys, newswarn.cli, newswarn.pipeline, newswarn.report; "
+            "print('scipy.linalg' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert out.stdout.strip() == "False"
