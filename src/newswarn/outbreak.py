@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
+
+_PAIR_BLOCK = 4096  # (l, u) cells per sweep_pareto block, bounding its pair x candidate masks
 
 
 @dataclass(frozen=True)
@@ -50,17 +53,14 @@ class Score:
 
 
 def _start_table(values: np.ndarray):
-    """(t, before, after): every t whose window values[t-1..t+1] has no NaN,
-    with before = values[t-1] and after = min(values[t], values[t+1])."""
-    before = values[:-2]
-    after = np.minimum(values[1:-1], values[2:])  # NaN propagates
+    """(index, before, after) of each t on the last axis whose values[..., t-1..t+1] has no
+    NaN: index is (leading axes' indices..., t) in row-major order, before = values[..., t-1]
+    and after = min(values[..., t], values[..., t+1])."""
+    before = values[..., :-2]
+    after = np.minimum(values[..., 1:-1], values[..., 2:])  # NaN propagates
     ok = ~(np.isnan(before) | np.isnan(after))
-    return np.flatnonzero(ok) + 1, before[ok], after[ok]
-
-
-def _fires(before, after, l: float, u: float) -> np.ndarray:
-    """Positions in a start table where an event starts under thresholds (l, u)."""
-    return np.flatnonzero((before <= l) & (after >= u))
+    *rows, t = np.nonzero(ok)
+    return (*rows, t + 1), before[ok], after[ok]
 
 
 def detect_outbreaks(phases, district: str = "") -> list[OutbreakEvent]:
@@ -77,9 +77,9 @@ def classify(predictions, l: float, u: float, district: str = "") -> list[Outbre
     Severity is the maximum over the run of consecutive periods at u or more.
     """
     values = np.asarray(predictions, dtype=float)
-    t, before, after = _start_table(values)
+    (t,), before, after = _start_table(values)
     events = []
-    for start in t[_fires(before, after, l, u)]:
+    for start in t[(before <= l) & (after >= u)]:
         run_end = start + 1
         while run_end + 1 < values.size and values[run_end + 1] >= u:  # False on NaN
             run_end += 1
@@ -88,29 +88,37 @@ def classify(predictions, l: float, u: float, district: str = "") -> list[Outbre
     return events
 
 
+def _greedy_match(fired, candidates, actual, window: int) -> np.ndarray:
+    """Earliest-first one-to-one matching, for every row of ``fired`` at once.
+
+    ``candidates`` is a sorted list of (district, start), and ``fired`` (rows x candidates)
+    says which ones each row predicts. Each of the sorted actual (district, start) in turn
+    takes the earliest fired candidate of its district still free and at most ``window``
+    positions away. Returns (rows x actual) candidate indices, -1 where one is unmatched.
+    """
+    free = fired.copy()  # fired and not yet matched
+    matched = np.full((fired.shape[0], len(actual)), -1)
+    for k, (d, a) in enumerate(actual):
+        lo = bisect_left(candidates, (d, a - window))
+        hi = bisect_right(candidates, (d, a + window))
+        if lo < hi:
+            rows = np.flatnonzero(free[:, lo:hi].any(axis=1))
+            pick = lo + free[rows, lo:hi].argmax(axis=1)
+            matched[rows, k] = pick
+            free[rows, pick] = False
+    return matched
+
+
 def match_events(predicted, actual, window: int = 0):
     """One-to-one earliest-first pairs of (district, predicted start, actual start).
 
     Events match when they share a district and their starts lie at most
     ``window`` publication periods apart (0 = exact).
     """
-    by_district_pred: dict[str, list[int]] = {}
-    by_district_act: dict[str, list[int]] = {}
-    for e in predicted:
-        by_district_pred.setdefault(e.district, []).append(e.start)
-    for e in actual:
-        by_district_act.setdefault(e.district, []).append(e.start)
-    pairs = []
-    for district in sorted(by_district_act):
-        preds = sorted(by_district_pred.get(district, []))
-        taken = [False] * len(preds)
-        for a in sorted(by_district_act[district]):
-            for i, p in enumerate(preds):
-                if not taken[i] and abs(p - a) <= window:
-                    taken[i] = True
-                    pairs.append((district, p, a))
-                    break
-    return pairs
+    candidates = sorted((e.district, e.start) for e in predicted)
+    actual = sorted((e.district, e.start) for e in actual)
+    hit = _greedy_match(np.ones((1, len(candidates)), dtype=bool), candidates, actual, window)
+    return [(d, candidates[i][1], a) for (d, a), i in zip(actual, hit[0].tolist()) if i >= 0]
 
 
 def score(predicted, actual, window: int = 0) -> Score:
@@ -138,51 +146,47 @@ def sweep_pareto(predictions_by_district, actual_events, grid=None,
                  window: int = 0) -> list[ParetoPoint]:
     """Pareto front of (precision, recall) over the (l, u) threshold grid.
 
-    ``predictions_by_district`` maps district -> values, and ``grid`` lists
-    the threshold levels (``threshold_grid()`` by default). Only
+    ``predictions_by_district`` maps district -> values, all of one length, and
+    ``grid`` lists the threshold levels (``threshold_grid()`` by default). Only
     pairs with l < u describe a rise out of the pre-crisis band and are swept.
     Grid points predicting no events carry undefined precision and never
     reach the front. Among classifiers with identical scores the
     lexicographically smallest (l, u) survives; the front is sorted by recall.
     """
-    levels = grid if grid is not None else threshold_grid()
-    # Every district's candidate starts, once; severity is not scored, so it stays NaN.
-    candidates, before, after = [], [], []
-    for district, values in sorted(predictions_by_district.items()):
-        t, b, a = _start_table(np.asarray(values, dtype=float))
-        candidates.extend(OutbreakEvent(district, int(i), math.nan) for i in t)
-        before.extend(b)
-        after.extend(a)
-    before, after = np.array(before), np.array(after)
+    levels = list(grid if grid is not None else threshold_grid())
+    names = sorted(predictions_by_district)
+    table = np.array([predictions_by_district[d] for d in names], dtype=float, ndmin=2)
+    (row, t), before, after = _start_table(table)
+    candidates = [(names[i], s) for i, s in zip(row.tolist(), t.tolist())]
+    actual = sorted((e.district, e.start) for e in actual_events)
+    # Every (l, u) with l < u, in (l, u) order, _PAIR_BLOCK cells of the levels' square at a time.
+    lv, n = np.array(levels, dtype=float), len(levels)
     points = []
-    for l in levels:
-        for u in levels:
-            if l >= u:
-                continue
-            predicted = [candidates[i] for i in _fires(before, after, l, u)]
-            s = score(predicted, actual_events, window)
-            if s.precision is None or s.recall is None:
-                continue
-            points.append(ParetoPoint(l=l, u=u, precision=s.precision, recall=s.recall))
+    for p0 in range(0, n * n, _PAIR_BLOCK):
+        li, ui = np.divmod(np.arange(p0, min(p0 + _PAIR_BLOCK, n * n)), n)
+        keep = lv[li] < lv[ui]
+        li, ui = li[keep], ui[keep]
+        fired = (before <= lv[li, None]) & (after >= lv[ui, None])
+        matched = (_greedy_match(fired, candidates, actual, window) >= 0).sum(axis=1)
+        for a, b, m, k in zip(li.tolist(), ui.tolist(), matched.tolist(),
+                              fired.sum(axis=1).tolist()):
+            if k and actual:
+                points.append(ParetoPoint(l=levels[a], u=levels[b], precision=m / k,
+                                          recall=m / len(actual)))
     return pareto_filter(points)
 
 
 def pareto_filter(points) -> list[ParetoPoint]:
-    """Non-dominated subset via a recall-ordered sweep."""
-    dedup: dict[tuple[float, float], ParetoPoint] = {}
-    for p in points:
-        key = (p.precision, p.recall)
-        prior = dedup.get(key)
-        if prior is None or (p.l, p.u) < (prior.l, prior.u):
-            dedup[key] = p
-    ordered = sorted(dedup.values(), key=lambda p: (-p.recall, -p.precision, p.l, p.u))
-    front = []
-    best_precision = -np.inf
-    for p in ordered:
-        if p.precision > best_precision:
+    """Non-dominated subset, sorted by recall, via a recall-ordered sweep.
+
+    Of points with equal (precision, recall), the smallest (l, u) sorts first
+    and is the only one kept.
+    """
+    front: list[ParetoPoint] = []
+    for p in sorted(points, key=lambda p: (-p.recall, -p.precision, p.l, p.u)):
+        if not front or p.precision > front[-1].precision:
             front.append(p)
-            best_precision = p.precision
-    return sorted(front, key=lambda p: p.recall)
+    return front[::-1]
 
 
 def recall_at_precision(front, target: float = 0.80) -> tuple[float, float, float]:
@@ -203,9 +207,6 @@ def expert_baseline(projections_by_district, actual_events, window: int = 0) -> 
     """Score expert phase projections (district -> values) under the outbreak rule."""
     predicted = []
     for district, values in sorted(projections_by_district.items()):
-        arr = np.asarray(values, dtype=float)
-        if np.all(np.isnan(arr)):
-            continue
-        predicted.extend(detect_outbreaks(arr, district))
+        predicted.extend(detect_outbreaks(values, district))
     return score(predicted, actual_events, window)
 

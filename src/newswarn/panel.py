@@ -90,7 +90,7 @@ class PanelDataset:
     rows: dict[str, int]
     grid_start: int
     ipc: np.ndarray                              # forward-filled monthly phase
-    ipc_observed: dict[str, dict[int, float]]    # publication-month phases
+    ipc_observed: np.ndarray                     # published phase, NaN between publications
     traditional: dict[str, np.ndarray]           # indicator -> values
     factors: dict[str, np.ndarray]               # feature -> differenced news factor
     feature_order: tuple[str, ...] = ()
@@ -699,9 +699,9 @@ def load_panel_csv(path, gaz: Gazetteer):
 
     The ipc_phase column is populated only at publication months; indicator
     cells must be finite and cover a contiguous month range per district.
-    Returns (ipc, observations, traditional, (start, end)): the forward-filled
-    phase and each indicator are arrays of ``gaz.locations`` x months
-    start..end, NaN outside coverage.
+    Returns (ipc, observed, traditional, (start, end)): the forward-filled
+    phase, the published phase and each indicator are arrays of
+    ``gaz.locations`` x months start..end, NaN outside coverage.
     """
     ipc_obs: dict[str, dict[int, float]] = {}
     trad_cells: dict[str, dict[str, dict[int, float]]] = {k: {} for k in TRADITIONAL_INDICATORS}
@@ -739,9 +739,10 @@ def load_panel_csv(path, gaz: Gazetteer):
     start, end = min(months_seen), max(months_seen)
     at = {loc: i for i, loc in enumerate(gaz.locations)}
     shape = (len(at), end - start + 1)
-    ipc = np.full(shape, np.nan)
+    ipc, observed = np.full(shape, np.nan), np.full(shape, np.nan)
     for d, obs in ipc_obs.items():
         ipc[at[d]] = forward_fill_ipc(obs, start, end)
+        observed[at[d], [t - start for t in obs]] = list(obs.values())
     traditional = {}
     for k, per in trad_cells.items():
         traditional[k] = np.full(shape, np.nan)
@@ -750,7 +751,7 @@ def load_panel_csv(path, gaz: Gazetteer):
             if ms != list(range(ms[0], ms[0] + len(ms))):
                 raise DataError(f"indicator {k!r} for {d!r} is not contiguous")
             traditional[k][at[d], ms[0] - start : ms[-1] - start + 1] = [cells[m] for m in ms]
-    return ipc, ipc_obs, traditional, (start, end)
+    return ipc, observed, traditional, (start, end)
 
 
 def assemble_panel(
@@ -768,7 +769,7 @@ def assemble_panel(
     differencing order to apply before modeling. The month grid spans the
     panel file's months and the factors' months.
     """
-    ipc, ipc_obs, traditional, (start, end) = panel_csv
+    ipc, observed, traditional, (start, end) = panel_csv
     if list(factors.locations) != gaz.locations:
         raise DataError("news factors' locations are not the gazetteer's")
     n_cube = factors.values.shape[2]
@@ -790,14 +791,15 @@ def assemble_panel(
             raise DataError("series too short to difference")
         transformed[w] = diff_on_grid(cube[f_of[w]], order_d)
     return PanelDataset(
-        districts={d: gaz.districts[d] for d in ipc_obs},
+        districts={d: gaz.districts[d] for d, has in
+                   zip(gaz.locations, np.isfinite(observed).any(axis=1)) if has},
         start=start,
         end=end,
         publication_months=publication_months(start, end, schedule),
         rows={loc: i for i, loc in enumerate(factors.locations)},
         grid_start=g0,
         ipc=on_grid(ipc, start),
-        ipc_observed=ipc_obs,
+        ipc_observed=on_grid(observed, start),
         traditional={k: on_grid(v, start) for k, v in traditional.items()},
         factors=transformed,
         feature_order=tuple(sorted(retained)),

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -195,17 +196,11 @@ class RunContext:
 
         return self._memo(("cv", name), build)
 
-    def predictions(self) -> dict[str, dict[tuple[str, int], float]]:
-        """``predictions.csv`` as model -> (district, month) -> predicted phase."""
-        def build():
-            preds: dict[str, dict[tuple[str, int], float]] = {}
-            for _, row in read_csv(self.read("predictions.csv"), "predictions")[1]:
-                preds.setdefault(row["model"], {})[
-                    (row["district_id"], parse_month(row["month"]))
-                ] = float(row["y_pred"])
-            return preds
-
-        return self._memo("predictions", build)
+    def predictions(self) -> dict[str, np.ndarray]:
+        """``predictions.csv`` as model -> predicted phase on the panel's grid, NaN where none."""
+        return self._memo("predictions", lambda: dict(_read_grid(
+            self.read("predictions.csv"), "predictions", "y_pred", self.panel_dataset(),
+            by="model")))
 
     def events(self) -> tuple[list, dict[str, list]]:
         """``events.csv`` as (actual, model -> predicted) events, each month a grid position."""
@@ -483,28 +478,41 @@ def _stage_ablate(ctx: RunContext):
     return _execute_stage(ctx, "ablate", params, compute)
 
 
-def _prediction_series(ctx: RunContext, panel) -> tuple[dict, dict, list]:
-    """Per-model district series, masked actual series, and the publication grid they follow."""
-    preds = ctx.predictions()
-    periods = list(panel.publication_months)
-    model_names = [m for m in sorted(preds) if m in panel_mod.MODEL_KINDS]
-    series: dict[str, dict[str, np.ndarray]] = {m: {} for m in model_names}
-    actual: dict[str, np.ndarray] = {}
-    for d in sorted(panel.districts):
-        covered = np.array([
-            all((d, t) in preds[m] for m in model_names) for t in periods
-        ])
-        obs = panel.ipc_observed.get(d, {})
-        actual_vals = np.array([
-            obs.get(t, np.nan) if covered[i] else np.nan for i, t in enumerate(periods)
-        ])
-        actual[d] = actual_vals
-        for m in model_names:
-            series[m][d] = np.array([
-                preds[m].get((d, t), np.nan) if covered[i] else np.nan
-                for i, t in enumerate(periods)
-            ])
-    return series, actual, periods
+def _read_grid(path, kind: str, column: str, panel, by: str = "") -> dict[str, np.ndarray]:
+    """A CSV's ``column`` on the panel's grid, one array shaped like ``panel.ipc``
+    per value of column ``by`` (all under "" without one), NaN where no row gives a value.
+
+    Rows off the grid are ignored; a malformed row raises DataError naming file and line.
+    """
+    grids = defaultdict(lambda: np.full(panel.ipc.shape, np.nan))
+    for lineno, row in read_csv(path, kind)[1]:
+        try:
+            i, j = panel.rows.get(row["district_id"]), parse_month(row["month"]) - panel.grid_start
+            key, value = row[by] if by else "", float(row[column])
+        except (DataError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad {kind} row: {exc}") from None
+        if i is not None and 0 <= j < panel.ipc.shape[1]:
+            grids[key][i, j] = value
+    return grids
+
+
+def _publication_rows(panel, grid: np.ndarray) -> np.ndarray:
+    """The sorted districts' rows of a panel-grid array, at the publication months."""
+    return grid[np.ix_([panel.rows[d] for d in sorted(panel.districts)],
+                       [t - panel.grid_start for t in panel.publication_months])]
+
+
+def _prediction_series(ctx: RunContext, panel) -> tuple[list, dict, np.ndarray]:
+    """Sorted districts, and each model's and the published phase's rows of them.
+
+    Rows hold the publication months, NaN wherever any model lacks a prediction.
+    """
+    series = {m: _publication_rows(panel, grid) for m, grid in sorted(ctx.predictions().items())
+              if m in panel_mod.MODEL_KINDS}
+    covered = np.all([np.isfinite(v) for v in series.values()], axis=0)
+    series = {m: np.where(covered, v, np.nan) for m, v in series.items()}
+    return sorted(panel.districts), series, np.where(
+        covered, _publication_rows(panel, panel.ipc_observed), np.nan)
 
 
 def _stage_classify(ctx: RunContext):
@@ -512,9 +520,10 @@ def _stage_classify(ctx: RunContext):
 
     def compute():
         panel = ctx.panel_dataset()
-        series, actual_series, periods = _prediction_series(ctx, panel)
+        periods = panel.publication_months
+        districts, series, actual = _prediction_series(ctx, panel)
         actual_events = []
-        for d, vals in sorted(actual_series.items()):
+        for d, vals in zip(districts, actual):
             actual_events.extend(outbreak_mod.detect_outbreaks(vals, d))
         levels = outbreak_mod.threshold_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step)
 
@@ -530,7 +539,8 @@ def _stage_classify(ctx: RunContext):
         fronts, points = {}, {}
         event_rows = [(e.district, format_month(periods[e.start]), "actual", "", e.severity)
                       for e in actual_events]
-        for model, by_district in sorted(series.items()):
+        for model, rows in series.items():
+            by_district = dict(zip(districts, rows))
             fronts[model], entry = operating_point(by_district, actual_events)
             entry["n_actual"] = len(actual_events)
             if "error" not in entry:
@@ -538,8 +548,7 @@ def _stage_classify(ctx: RunContext):
                 for d, vals in sorted(by_district.items()):
                     predicted.extend(outbreak_mod.classify(vals, entry["l"], entry["u"], d))
                 s = outbreak_mod.score(predicted, actual_events, cfg.match_window)
-                entry.update({"precision": s.precision, "matched": s.matched,
-                              "n_predicted": s.n_predicted})
+                entry.update(asdict(s), precision=s.precision)
                 event_rows.extend(
                     (e.district, format_month(periods[e.start]), "predicted", model, e.severity)
                     for e in predicted
@@ -553,12 +562,13 @@ def _stage_classify(ctx: RunContext):
             points[model] = entry
         projections_path = ctx.read("projections", optional=True)
         if projections_path:
-            projections = _load_projections(projections_path, actual_series, periods)
-            expert = outbreak_mod.expert_baseline(projections, actual_events, cfg.match_window)
-            points["expert"] = {"precision": expert.precision, "recall": expert.recall,
-                                "matched": expert.matched,
-                                "n_predicted": expert.n_predicted,
-                                "n_actual": expert.n_actual}
+            grid = _read_grid(projections_path, "projections", "projected_phase", panel)[""]
+            # Scored on the models' evaluation cells, as the actual outbreaks are.
+            projections = np.where(np.isnan(actual), np.nan, _publication_rows(panel, grid))
+            expert = outbreak_mod.expert_baseline(dict(zip(districts, projections)),
+                                                  actual_events, cfg.match_window)
+            points["expert"] = {**asdict(expert), "precision": expert.precision,
+                                "recall": expert.recall}
         write_csv(ctx.write("fronts.csv"), ["l", "u", "precision", "recall", "model"],
                   ([p.l, p.u, p.precision, p.recall, model]
                    for model in sorted(fronts) for p in fronts[model]))
@@ -569,25 +579,6 @@ def _stage_classify(ctx: RunContext):
     params = {"grid": [cfg.grid_min, cfg.grid_max, cfg.grid_step],
               "precision_target": cfg.precision_target, "window": cfg.match_window}
     return _execute_stage(ctx, "classify", params, compute)
-
-
-def _load_projections(path, actual_series, periods):
-    rows: dict[str, dict[int, float]] = {}
-    for lineno, row in read_csv(path, "projections")[1]:
-        try:
-            rows.setdefault(row["district_id"], {})[parse_month(row["month"])] = float(
-                row["projected_phase"])
-        except (DataError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad projections row: {exc}") from None
-    out = {}
-    for d, actual_vals in actual_series.items():
-        got = rows.get(d, {})
-        # Mask projections to the same evaluation coverage as the models.
-        out[d] = np.array([
-            got.get(t, np.nan) if not np.isnan(actual_vals[i]) else np.nan
-            for i, t in enumerate(periods)
-        ])
-    return out
 
 
 def _stage_validate(ctx: RunContext):

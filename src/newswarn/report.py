@@ -47,8 +47,9 @@ def build_report(ctx) -> None:
 
     # Observed vs predicted outbreak counts by severity band.
     actual_events, predicted_by_model = ctx.events()
-    matched_by_model = {
-        model: set(outbreak_mod.match_events(events, actual_events, cfg.match_window))
+    hits_by_model = {  # (district, start) of each actual outbreak a model's events match
+        model: {(d, a) for d, _, a in
+                outbreak_mod.match_events(events, actual_events, cfg.match_window)}
         for model, events in predicted_by_model.items()
     }
     counts = []
@@ -57,8 +58,7 @@ def build_report(ctx) -> None:
                    if band == "all" or _severity_band(e.severity) == band]
         counts.append(["observed", band, len(in_band), len(in_band)])
         for model in sorted(predicted_by_model):
-            hits = {(d, a) for d, _, a in matched_by_model[model]}
-            n = sum(1 for e in in_band if (e.district, e.start) in hits)
+            n = sum(1 for e in in_band if (e.district, e.start) in hits_by_model[model])
             counts.append([model, band, len(in_band), n])
     write_csv(ctx.write("report/outbreak_counts.csv"),
               ["model", "band", "observed", "predicted"], counts)
@@ -70,7 +70,8 @@ def build_report(ctx) -> None:
     start = factors.start
     row = {w: f for f, w in enumerate(factors.features)}
     col = {loc: i for i, loc in enumerate(factors.locations)}
-    preds = {m: table for m, table in ctx.predictions().items() if m in MODEL_KINDS}
+    preds = {m: grid for m, grid in ctx.predictions().items() if m in MODEL_KINDS}
+    g0 = panel.grid_start
     episodes = []
     for event in actual_events:
         d, month = event.district, panel.publication_months[event.start]
@@ -78,23 +79,22 @@ def build_report(ctx) -> None:
         t1 = month + EPISODE_WINDOW
         if d not in panel.districts:
             continue
-        g0, ipc = panel.grid_start, panel.ipc[panel.rows[d]]
-        window = [t for t in range(max(t0, g0), t1 + 1)
-                  if t - g0 < ipc.size and np.isfinite(ipc[t - g0])]
-        rows: dict[str, dict[int, float]] = {"ipc": {t: float(ipc[t - g0]) for t in window}}
-        for model, table in preds.items():
-            got = {t: table[(d, t)] for t in window if (d, t) in table}
-            if got:
-                rows[f"pred_{model}"] = got
+        # Series as (months, values): the window's months with a phase, and the models'
+        # predictions among them.
+        r, j0 = panel.rows[d], max(t0 - g0, 0)
+        cols = j0 + np.flatnonzero(np.isfinite(panel.ipc[r, j0 : t1 - g0 + 1]))
+        rows = {"ipc": (g0 + cols, panel.ipc[r, cols])}
+        for model, grid in preds.items():
+            have = cols[np.isfinite(grid[r, cols])]
+            if have.size:
+                rows[f"pred_{model}"] = (g0 + have, grid[r, have])
+        span = np.arange(max(t0 - start, 0), min(t1 - start + 1, factors.values.shape[2]))
         for cluster in clusters:
             members = factors.values[[row[w] for w in cluster.members], col[d]]
             pct = percentile_ranks(members.mean(axis=0))
-            rows[f"cluster_{cluster.cluster_id}_pct"] = {
-                start + i: float(pct[i]) for i in range(pct.size) if t0 <= start + i <= t1
-            }
+            rows[f"cluster_{cluster.cluster_id}_pct"] = (start + span, pct[span])
         for name in sorted(rows):
-            months = sorted(rows[name])
-            vals = np.array([rows[name][t] for t in months])
+            months, vals = rows[name]
             smooth = trailing_mean(vals)
             episodes.extend([d, format_month(month), format_month(t), name, vals[i],
                              smooth[i]] for i, t in enumerate(months))
@@ -114,7 +114,7 @@ def build_report(ctx) -> None:
 
     # News coverage split by outbreak prediction success of
     # the combined model.
-    combined_hits = {(d, a) for d, _, a in matched_by_model.get("combined", set())}
+    combined_hits = hits_by_model.get("combined", set())
     with open(ctx.read("retained_coverage.json"), "r", encoding="utf-8") as fh:
         articles = json.load(fh)  # the select stage's count, per gazetteer province
     coverage = []

@@ -367,7 +367,9 @@ def select_features(
     location is screened when both its rows hold values, on the months where
     both do. Returns (retained, report): ``retained`` maps each surviving
     feature to its differencing order and Granger result, and ``report``
-    lists one ScreeningRow per input feature.
+    lists one ScreeningRow per input feature. In ``per-district`` mode a feature is kept
+    when at least half the locations pass alone; its row carries the F and p of the one
+    with the largest F, and the vote (``"3 of 8 districts significant"``) as its reason.
     """
     if mode not in ("pooled", "per-district"):
         raise DataError(f"unknown screening mode {mode!r}")
@@ -399,6 +401,7 @@ def select_features(
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, d_order,
                                        False, "insufficient aligned sample"))
             continue
+        reason = ""
         try:
             if mode == "pooled":
                 result = panel_granger(y_by, x_by, n_max=n_max, level=level,
@@ -410,6 +413,7 @@ def select_features(
                     results.append(granger_test(y_by[dist], x_by[dist], n, level=level,
                                                 x_diff_order=d_order))
                 n_sig = sum(r.decision for r in results)
+                reason = f"{n_sig} of {len(results)} districts significant"
                 best = max(results, key=lambda r: r.f_stat)
                 result = GrangerResult(
                     f_stat=best.f_stat, df_num=best.df_num, df_den=best.df_den,
@@ -421,7 +425,7 @@ def select_features(
                                        False, f"test failed: {exc}"))
             continue
         report.append(ScreeningRow(feature, result.f_stat, result.p_value, result.n_lags,
-                                   d_order, result.decision))
+                                   d_order, result.decision, reason))
         if result.decision:
             retained[feature] = {"diff_order": d_order, "result": result}
     return retained, report

@@ -196,14 +196,12 @@ def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", 
     locations = [loc for locs in by_level.values() for loc in locs]
     row = {loc: i for i, loc in enumerate(locations)}
     pub = publication_months(t0, t1)
-    ipc_obs = {}
     shape = (len(locations), lead + months)
-    ipc = np.full(shape, np.nan)
+    ipc, ipc_obs = np.full(shape, np.nan), np.full(shape, np.nan)
     for d in districts:
         phases = rng.choice([1, 2, 2, 3], size=len(pub)).astype(float)
-        obs = {t: float(p) for t, p in zip(pub, phases)}
-        ipc_obs[d] = obs
-        ipc[row[d], lead:] = forward_fill_ipc(obs, t0, t1)
+        ipc_obs[row[d], [lead + t - t0 for t in pub]] = phases
+        ipc[row[d], lead:] = forward_fill_ipc(dict(zip(pub, phases)), t0, t1)
     traditional = {}
     for k in TRADITIONAL_INDICATORS:
         traditional[k] = np.full(shape, np.nan)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newswarn import outbreak
 from newswarn.errors import DataError
 from newswarn.outbreak import (OutbreakEvent, ParetoPoint, classify, detect_outbreaks,
-                               expert_baseline, pareto_filter, recall_at_precision,
-                               score, sweep_pareto, threshold_grid)
+                               expert_baseline, match_events, pareto_filter,
+                               recall_at_precision, score, sweep_pareto, threshold_grid)
 
 
 def brute_force_front(points):
@@ -140,12 +141,26 @@ class TestScore:
         assert score(predicted, actual, window=1).matched == 1
         assert score([OutbreakEvent("d1", 3, 3.0)], actual, window=1).matched == 0
 
+    @pytest.mark.parametrize("predicted, actual, pairs", [
+        # The earlier actual start takes the one prediction both windows reach.
+        ([3], [2, 3], [("d1", 3, 2)]),
+        # The earliest free prediction in reach is taken, not the exact one.
+        ([2, 3], [3], [("d1", 2, 3)]),
+        ([2, 3, 4], [3, 4], [("d1", 2, 3), ("d1", 3, 4)]),
+    ])
+    def test_overlapping_windows_pair_earliest_first(self, predicted, actual, pairs):
+        def events(starts):
+            return [OutbreakEvent("d1", t, 3.0) for t in starts]
 
-def oracle_front(preds, actual, window=0):
+        assert match_events(events(predicted), events(actual), window=1) == pairs
+
+
+def oracle_front(preds, actual, window=0, grid=None):
     """Brute force: classify every district at every (l, u) and score the union."""
+    levels = threshold_grid() if grid is None else grid
     points = []
-    for l in threshold_grid():
-        for u in threshold_grid():
+    for l in levels:
+        for u in levels:
             if l >= u:
                 continue
             predicted = []
@@ -181,20 +196,25 @@ class TestPareto:
             assert sweep_pareto(preds, actual) == oracle_front(preds, actual)
 
     # The windows count grid positions, however unevenly the grid's months are spaced.
-    @pytest.mark.parametrize("nan_share, window", [
-        pytest.param(0.15, 0, id="nan-gaps"),
-        pytest.param(0.0, 1, id="window1-uneven-grid"),
-        pytest.param(0.1, 2, id="window2-uneven-grid-nan"),
+    @pytest.mark.parametrize("nan_share, window, block, grid", [
+        pytest.param(0.15, 0, None, None, id="nan-gaps"),
+        pytest.param(0.0, 1, None, None, id="window1-uneven-grid"),
+        pytest.param(0.1, 2, None, None, id="window2-uneven-grid-nan"),
+        # 17 levels, so 289 cells of the (l, u) square in 58 blocks, some with no l < u pair.
+        pytest.param(0.1, 1, 5, threshold_grid(1.0, 5.0, 0.25), id="blocks-of-5-cells"),
     ])
-    def test_front_matches_oracle_off_the_defaults(self, nan_share, window):
+    def test_front_matches_oracle_off_the_defaults(self, monkeypatch, nan_share, window,
+                                                   block, grid):
+        if block is not None:
+            monkeypatch.setattr(outbreak, "_PAIR_BLOCK", block)
         rng = np.random.default_rng(11)
         checked = 0
         while checked < 4:
             preds, actual = self.random_panel(rng, nan_share=nan_share)
             if not actual:
                 continue
-            front = sweep_pareto(preds, actual, window=window)
-            assert front == oracle_front(preds, actual, window)
+            front = sweep_pareto(preds, actual, grid, window)
+            assert front == oracle_front(preds, actual, window, grid)
             checked += 1
 
     def test_perfect_predictions_reach_corner(self):

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
-from newswarn.months import parse_month
+from newswarn.months import format_month, parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
                             build_design, cross_validate_design, fit_design, fold_rows,
                             forward_fill_ipc, _least_squares, lasso_cd, lasso_kkt_residual,
                             load_panel_csv, month_folds, percentile_ranks,
                             spatial_average, validate_factors)
-from newswarn.pipeline import _load_projections, min_train_rows
+from newswarn.pipeline import _read_grid, min_train_rows
 from newswarn.tsstats import diff_on_grid
 
 from conftest import (design_loop, grid_districts, make_gazetteer, make_panel,
@@ -259,7 +259,8 @@ class TestSpatial:
         }
         panel = PanelDataset(districts=districts, start=0, end=1, publication_months=(0,),
                              rows={d: i for i, d in enumerate(districts)}, grid_start=0,
-                             ipc=np.full((len(districts), 2), 2.0), ipc_observed={},
+                             ipc=np.full((len(districts), 2), 2.0),
+                             ipc_observed=np.full((len(districts), 2), np.nan),
                              traditional={}, factors={})
         assert set(panel.neighbors("center")) == {"north", "south", "east", "west"}
         assert "center" not in panel.neighbors("center")
@@ -785,7 +786,20 @@ class TestPanelCsv:
         path = tmp_path / "projections.csv"
         path.write_text(f"district_id,month,projected_phase\nso-jam,2011-01,3\n{row}\n")
         with pytest.raises(DataError, match=re.escape(f"{path}:3: bad projections row")):
-            _load_projections(path, {}, [])
+            _read_grid(path, "projections", "projected_phase", make_panel(n_districts=4))
+
+    def test_rows_off_the_grid_are_ignored(self, tmp_path):
+        panel = make_panel(n_districts=4)
+        d, t = sorted(panel.districts)[1], panel.start + 2
+        path = tmp_path / "projections.csv"
+        path.write_text("district_id,month,projected_phase\n"
+                        f"{d},{format_month(t)},3\nnowhere,{format_month(t)},4\n"
+                        f"{d},{format_month(panel.grid_start - 1)},4\n")
+        grid = _read_grid(path, "projections", "projected_phase", panel)[""]
+        assert grid.shape == panel.ipc.shape
+        assert np.flatnonzero(np.isfinite(grid)).tolist() == [
+            np.ravel_multi_index((panel.rows[d], t - panel.grid_start), grid.shape)]
+        assert grid[panel.rows[d], t - panel.grid_start] == 3.0
 
     @pytest.mark.parametrize("row, cells", [("so-jam,2011-02,2", 3), ("so-jam,2011-01,2,0.5,9", 5)])
     def test_panel_row_of_the_wrong_width_names_file_line_and_counts(self, tmp_path, row, cells):

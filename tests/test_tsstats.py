@@ -259,6 +259,18 @@ class TestScreening:
         with pytest.raises(DataError):
             select_features([], np.zeros((0, 0)), {}, mode="sideways")
 
+    def test_per_district_row_names_its_vote(self):
+        # One causal district among five without a link: its F and p fill the row,
+        # yet the vote fails, and the reason says so.
+        rng = np.random.default_rng(28)
+        ipc, factors = self.build_panel(rng, districts=6, T=140, cause=False)
+        ipc[:1], factors[:1] = self.build_panel(rng, districts=1, T=140)
+        retained, report = select_features(["one"], ipc, {"one": factors},
+                                           mode="per-district")
+        assert retained == {}
+        assert report[0].p_value < 0.01 and not report[0].decision
+        assert report[0].reason == "1 of 6 districts significant"
+
     def test_rows_align_on_the_months_both_series_cover(self):
         rng = np.random.default_rng(27)
         ipc, factors = self.build_panel(rng, T=130)
