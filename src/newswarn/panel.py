@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -51,7 +51,6 @@ def forward_fill_ipc(observations, start: int, end: int) -> np.ndarray:
 class ModelSpec:
     kind: str = "combined"
     spatial: bool = False
-    ablated_clusters: frozenset[int] = frozenset()
     lasso: float | None = None
     y_lags: int = 6          # quarterly lags of the phase: t-3m, m=1..y_lags
     factor_lags: int = 6     # monthly lags: t-delay-n, n=1..factor_lags
@@ -191,8 +190,6 @@ class _Block(NamedTuple):
 def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     """The blocks of ``spec``'s design, in column order."""
     district_ids = sorted(panel.districts)
-    features = [w for w in panel.feature_order
-                if panel.clusters.get(w) not in spec.ablated_clusters]
     locations = {"district": lambda d: d, "province": panel.province_of,
                  "country": panel.country_of}
     blocks: list[_Block] = []
@@ -226,7 +223,7 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
         undated("static", panel.static_names,
                 lambda d: [panel.districts[d].statics[s] for s in panel.static_names])
     if spec.uses_news:
-        for w in features:
+        for w in panel.feature_order:
             for level, loc_of in locations.items():
                 lagged(f"news[{w},{level}", "news", f"news:{w}:{level}",
                        at(panel.factors[w], loc_of), feature=w,
@@ -242,7 +239,7 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
                 float(np.mean([panel.districts[nd].statics[s] for nd in panel.neighbors(d)]))
                 for s in panel.static_names])
         if spec.uses_news:
-            for w in features:
+            for w in panel.feature_order:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
                        around(panel.factors[w]), feature=w,
                        missing=f"no neighbour has news factor {w}@district")
@@ -257,9 +254,6 @@ def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
     is finite; months outside the bounds are skipped with an audit record
     naming the block that set the bound.
     """
-    unknown = spec.ablated_clusters - set(panel.clusters.values())
-    if unknown:
-        raise ConfigError(f"ablated clusters {sorted(unknown)} do not exist")
     blocks = _design_blocks(panel, spec)
     parts, row_keys, skipped = [], [], []
     g0 = panel.grid_start
@@ -606,15 +600,12 @@ def ablate(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset, combined:
     ``min_train_rows``. Ablated designs are column subsets of ``design``, so
     removing every cluster reproduces the baseline column set exactly.
     """
-    if spec.ablated_clusters:
-        raise ConfigError("pass a spec without pre-ablated clusters")
     results = []
     for cid in sorted(set(panel.clusters.values())):
         keep = [i for i, c in enumerate(design.columns)
                 if c.feature is None or panel.clusters.get(c.feature) != cid]
         sub = design.subset_columns(keep)
-        sub_spec = replace(spec, ablated_clusters=frozenset({cid}))
-        report = cross_validate_design(sub, sub_spec, panel, folds,
+        report = cross_validate_design(sub, spec, panel, folds,
                                        min_train_rows=min_train_rows)
         deltas = {
             d: report.district_rmse[d] - combined.district_rmse[d]

@@ -22,11 +22,15 @@ from .panel import MODEL_KINDS, percentile_ranks
 EPISODE_WINDOW = 8  # months either side of an outbreak start
 
 
-def trailing_mean(values: np.ndarray, width: int = 3) -> np.ndarray:
-    out = np.empty(values.size)
-    for i in range(values.size):
-        out[i] = float(np.mean(values[max(0, i - width + 1) : i + 1]))
-    return out
+def trailing_mean(values: np.ndarray) -> np.ndarray:
+    """3-month trailing mean; the first two months average the months so far.
+
+    Each window is summed from 0.0 in month order, as ``np.mean`` sums it, so
+    every value equals ``np.mean`` of its window bit for bit, -0.0 included.
+    """
+    v = np.asarray(values, dtype=float)
+    return np.concatenate([0.0 + v[:1], (0.0 + v[:1] + v[1:2]) / 2,
+                           (0.0 + v[:-2] + v[1:-1] + v[2:]) / 3])
 
 
 def _severity_band(severity: float) -> str:

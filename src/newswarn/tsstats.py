@@ -1,8 +1,8 @@
 """Time-series statistics for factor screening.
 
-Augmented Dickey-Fuller stationarity testing with AIC lag selection,
-distributed-lag fitting, Granger-causality F-tests (single pair and pooled
-district panel), and Spearman rank correlation.
+Augmented Dickey-Fuller stationarity testing with AIC lag selection, the
+Granger-causality F-test of a district panel (``panel_granger``, which also
+tests one district alone), and Spearman rank correlation.
 
 Every screening regression reads its RSS values, and the ADF its t-ratio,
 from one triangular factor R of ``[X, y]`` (``_r_factor``).
@@ -14,7 +14,7 @@ values can be recomputed exactly from the reported residual sums of squares.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -177,25 +177,6 @@ def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
     )
 
 
-@dataclass(frozen=True)
-class ADLFit:
-    """One distributed-lag regression y_t ~ const + y-lags + x-lags."""
-
-    coefficients: np.ndarray  # [a0, a_1..a_n, b_1..b_n]
-    rss: float
-    nobs: int
-    aic: float
-    n_lags: int
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.coefficients[1 : 1 + self.n_lags]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.coefficients[1 + self.n_lags :]
-
-
 def _adl_design(y: np.ndarray, x: np.ndarray, n: int, t0: int):
     cols = [np.ones(y.size - t0)]
     for i in range(1, n + 1):
@@ -212,35 +193,6 @@ def _lag_pairs(n: int) -> list[int]:
     so one ``_nested_rss`` serves an AIC search over the order.
     """
     return [c for i in range(n) for c in (i, n + i)]
-
-
-def fit_adl(y, x, n: int, t0: int | None = None) -> ADLFit:
-    """One distributed-lag fit by ``np.linalg.lstsq``, after the rank rule of the nested search."""
-    ya, xa = _as_values(y), _as_values(x)
-    if ya.size != xa.size:
-        raise DataError("series must be aligned to a common sample")
-    t0 = n if t0 is None else t0
-    if t0 < n:
-        raise DataError(f"alignment start {t0} shorter than lag order {n}")
-    X, resp = _adl_design(ya, xa, n, t0)
-    _r_factor(X, resp, [X.shape[1]])
-    beta = np.linalg.lstsq(X, resp, rcond=None)[0]
-    rss = float(np.sum((resp - X @ beta) ** 2))
-    return ADLFit(coefficients=beta, rss=rss, nobs=resp.size,
-                  aic=_aic(rss, resp.size, 2 * n + 1), n_lags=n)
-
-
-def select_lags_aic(y, x, n_max: int) -> int:
-    """Lag order minimizing AIC over n = 1..n_max on the common sample."""
-    ya, xa = _as_values(y), _as_values(x)
-    if ya.size != xa.size:
-        raise DataError("series must be aligned to a common sample")
-    if ya.size <= 2 * n_max + 2:
-        raise DataError(f"length {ya.size} insufficient for n_max={n_max}")
-    X, resp = _adl_design(ya, xa, n_max, n_max)
-    X = X[:, [0] + [1 + c for c in _lag_pairs(n_max)]]
-    sizes = [2 * n + 1 for n in range(1, n_max + 1)]
-    return 1 + _aic_order(_nested_rss(X, resp, sizes), resp.size, sizes)
 
 
 @dataclass(frozen=True)
@@ -269,21 +221,6 @@ def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
                          decision=p < level, n_lags=n, x_diff_order=d)
 
 
-def granger_test(y, x, n: int, level: float = 0.01, x_diff_order: int = 0) -> GrangerResult:
-    """F-test of the x-lag block in the distributed-lag regression.
-
-    ``x`` must already be stationary (difference beforehand); both series are
-    aligned to a common sample.
-    """
-    ya, xa = _as_values(y), _as_values(x)
-    if ya.size != xa.size:
-        raise DataError("series must be aligned to a common sample")
-    # The restricted fit (no x lags) is the first n + 1 columns of the unrestricted one.
-    X, resp = _adl_design(ya, xa, n, n)
-    rss_r, rss_u = _nested_rss(X, resp, [n + 1, 2 * n + 1])
-    return _granger_f(rss_r, rss_u, n, resp.size - 2 * n - 1, level, n, x_diff_order)
-
-
 def _panel_stack(y_by, x_by, n: int, t0: int):
     """Stacked district designs with district-intercept dummies."""
     blocks_X, blocks_y = [], []
@@ -303,7 +240,11 @@ def _panel_stack(y_by, x_by, n: int, t0: int):
 
 def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
                   x_diff_order: int = 0) -> GrangerResult:
-    """Pooled Granger test: district fixed intercepts, shared lag slopes."""
+    """Pooled Granger test: district fixed intercepts, shared lag slopes.
+
+    The lag order minimises AIC over 1..n_max on the rows from t0 = n_max. With
+    one district the design is ``[1, y_1..y_n, x_1..x_n]``, the single-pair test.
+    """
     X, resp, n_d = _panel_stack(y_by, x_by, n_max, n_max)
     # Every order shares the rows from t0 = n_max; orders wider than they allow are skipped.
     orders = [n for n in range(1, n_max + 1) if resp.size > n_d + 2 * n]
@@ -367,9 +308,11 @@ def select_features(
     location is screened when both its rows hold values, on the months where
     both do. Returns (retained, report): ``retained`` maps each surviving
     feature to its differencing order and Granger result, and ``report``
-    lists one ScreeningRow per input feature. In ``per-district`` mode a feature is kept
-    when at least half the locations pass alone; its row carries the F and p of the one
-    with the largest F, and the vote (``"3 of 8 districts significant"``) as its reason.
+    lists one ScreeningRow per input feature. In ``per-district`` mode each location
+    is tested alone by ``panel_granger``, and a feature is kept when at least half the
+    tested locations pass; a location whose test raises is left out of the vote. The
+    row carries the F and p of the location with the largest F, and the vote
+    (``"3 of 8 districts significant"``) as its reason.
     """
     if mode not in ("pooled", "per-district"):
         raise DataError(f"unknown screening mode {mode!r}")
@@ -407,19 +350,20 @@ def select_features(
                 result = panel_granger(y_by, x_by, n_max=n_max, level=level,
                                        x_diff_order=d_order)
             else:
-                results = []
+                results, errors = [], []
                 for dist in sorted(y_by):
-                    n = select_lags_aic(y_by[dist], x_by[dist], n_max)
-                    results.append(granger_test(y_by[dist], x_by[dist], n, level=level,
-                                                x_diff_order=d_order))
+                    try:
+                        results.append(panel_granger({dist: y_by[dist]}, {dist: x_by[dist]},
+                                                     n_max=n_max, level=level,
+                                                     x_diff_order=d_order))
+                    except (DataError, NumericalError) as exc:
+                        errors.append(exc)
+                if not results:
+                    raise errors[0]
                 n_sig = sum(r.decision for r in results)
                 reason = f"{n_sig} of {len(results)} districts significant"
-                best = max(results, key=lambda r: r.f_stat)
-                result = GrangerResult(
-                    f_stat=best.f_stat, df_num=best.df_num, df_den=best.df_den,
-                    p_value=best.p_value, decision=n_sig * 2 >= len(results),
-                    n_lags=best.n_lags, x_diff_order=d_order,
-                )
+                result = replace(max(results, key=lambda r: r.f_stat),
+                                 decision=n_sig * 2 >= len(results))
         except (DataError, NumericalError) as exc:
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, d_order,
                                        False, f"test failed: {exc}"))

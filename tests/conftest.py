@@ -282,8 +282,7 @@ def design_loop(panel, spec):
 
     g0, n_grid = panel.grid_start, panel.ipc.shape[1]
     ds = sorted(panel.districts)
-    features = [w for w in panel.feature_order
-                if panel.clusters.get(w) not in spec.ablated_clusters]
+    features = panel.feature_order
 
     seen = {}
 

@@ -22,8 +22,7 @@ from newswarn.panel import (ModelSpec, audit_no_lookahead, build_design,
 from newswarn.pipeline import RunContext, min_train_rows, run_pipeline
 from newswarn.semantics import wmd
 from newswarn.synth import SyntheticSpec, generate_synthetic
-from newswarn.tsstats import (adf_test, difference_until_stationary, granger_test,
-                              select_lags_aic)
+from newswarn.tsstats import adf_test, difference_until_stationary, panel_granger
 
 from conftest import (embedding_table, make_panel, make_panel_and_factors, plant_adl_response,
                       planted_coefficients)
@@ -100,8 +99,7 @@ def test_criterion_2_granger_power_and_size():
         xs, d = difference_until_stationary(x, max_d=2, max_lag=6)
         xv = np.asarray(xs)
         yv = np.asarray(y)[-xv.size:]
-        n = select_lags_aic(yv, xv, n_max)
-        return granger_test(yv, xv, n, level=0.01, x_diff_order=d)
+        return panel_granger({0: yv}, {0: xv}, n_max=n_max, level=0.01, x_diff_order=d)
 
     detected = 0
     power_reps = 200

@@ -103,21 +103,6 @@ class TestBuildDesign:
         with pytest.raises(DataError, match="no valid rows"):
             build_design(make_panel(n_districts=5, months=18), spec)
 
-    def test_ablated_clusters_remove_columns(self):
-        panel = make_panel(n_districts=5, features=("alpha", "beta", "gamma"),
-                           n_clusters=3)
-        spec = ModelSpec(kind="combined", ablated_clusters=frozenset({1}))
-        design = build_design(panel, spec)
-        ablated_features = {w for w, c in panel.clusters.items() if c == 1}
-        assert not any(c.feature in ablated_features for c in design.columns)
-
-    def test_unknown_ablated_cluster_rejected(self):
-        from newswarn.errors import ConfigError
-        panel = make_panel(n_districts=5, features=("alpha",), n_clusters=1)
-        spec = ModelSpec(kind="combined", ablated_clusters=frozenset({99}))
-        with pytest.raises(ConfigError, match="99"):
-            build_design(panel, spec)
-
     def test_shortened_indicator_named_at_both_ends(self):
         panel = make_panel(n_districts=5)
         s = panel.traditional["price_index"][panel.rows["d01"]]

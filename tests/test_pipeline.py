@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import shutil
@@ -14,6 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import newswarn
 from newswarn import corpus as corpus_mod
@@ -24,6 +27,7 @@ from newswarn.config import _PATH_KEYS, PipelineConfig, load_config, save_config
 from newswarn.errors import ConfigError, DataError
 from newswarn.months import format_month, parse_month
 from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
+from newswarn.report import trailing_mean
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
 from conftest import average_ranks_loop
@@ -447,6 +451,17 @@ class TestEventsFile:
             RunContext(cfg=ctx.cfg, out=run).events()
 
 
+class TestTrailingMean:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.sampled_from([-0.0, 0.0, 0.1, math.nan, math.inf, -math.inf, 5e-324])
+                    | st.floats(allow_nan=False), max_size=12))
+    def test_equals_the_window_loop_bit_for_bit(self, values):
+        # the sampled values force -0.0 sums, NaN, infinities and underflow
+        v = np.array(values, dtype=float)
+        with np.errstate(all="ignore"):
+            assert trailing_mean(v).tobytes() == _sm3(v).tobytes()
+
+
 class TestFactorSummariesOracle:
     """The factor summaries of report and validate, recomputed from per-location rows.
 
@@ -672,7 +687,7 @@ class TestWorkDoneOnce:
         out = tmp_path_factory.mktemp("once")
         bundle = generate_synthetic(SyntheticSpec(**SMALL), seed=5, out_dir=out)
         cfg = load_config(bundle["config"])
-        parses, cv_specs, corpus_reads = [], [], []
+        parses, cv_calls, corpus_reads = [], [], []
         real_read = corpus_mod.load_factors
         real_read_corpus = corpus_mod.read_corpus
         real_cv = panel_mod.cross_validate_design
@@ -686,7 +701,7 @@ class TestWorkDoneOnce:
             return real_read_corpus(*args, **kwargs)
 
         def count_cv(design, spec, *args, **kwargs):
-            cv_specs.append(spec)
+            cv_calls.append((spec, len(design.columns)))
             return real_cv(design, spec, *args, **kwargs)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -695,7 +710,7 @@ class TestWorkDoneOnce:
             mp.setattr(panel_mod, "cross_validate_design", count_cv)
             summary = quiet_run(cfg)
         assert summary == {s: "run" for s in STAGE_ORDER}
-        return parses, cv_specs, corpus_reads
+        return parses, cv_calls, corpus_reads
 
     def test_cold_run_parses_factors_once(self, counted_run):
         parses, _, _ = counted_run
@@ -707,10 +722,14 @@ class TestWorkDoneOnce:
         assert len(corpus_reads) == 1
 
     def test_ablate_reuses_the_combined_cv_of_fit(self, counted_run):
-        _, cv_specs, _ = counted_run
-        unablated = [s for s in cv_specs if not s.ablated_clusters]
-        assert sorted(s.kind for s in unablated) == sorted(panel_mod.MODEL_KINDS)
-        assert any(s.ablated_clusters for s in cv_specs)
+        # ablation designs drop a cluster's columns, so they are narrower than their spec's
+        _, cv_calls, _ = counted_run
+        widest = {}
+        for spec, width in cv_calls:
+            widest[spec] = max(widest.get(spec, 0), width)
+        full = [spec for spec, width in cv_calls if width == widest[spec]]
+        assert sorted(s.kind for s in full) == sorted(panel_mod.MODEL_KINDS)
+        assert any(width < widest[spec] for spec, width in cv_calls)
 
     def test_lasso_variants_share_their_ols_twins_designs(self, tmp_path, monkeypatch):
         bundle = generate_synthetic(

@@ -22,8 +22,6 @@ PACKAGE = Path(newswarn.__file__).parent
 ORACLES = {
     ("panel", "lasso_kkt_residual"):
         "criterion 4 and TestLasso measure lasso_cd's optimality with it",
-    ("tsstats", "fit_adl"):
-        "one lstsq fit per lag order, the oracle that select_lags_aic's nested search must match",
     ("tsstats", "difference_until_stationary"):
         "criterion 2's per-series differencing procedure for Granger power and size",
 }

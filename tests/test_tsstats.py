@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
-from newswarn.tsstats import (AdfResult, _adf_critical, _aic, _aic_order, _average_ranks,
-                              _granger_f, _nested_rss, _panel_stack, _r_factor, adf_test,
-                              difference_until_stationary, f_sf, fit_adl, granger_test,
-                              panel_granger, select_features, select_lags_aic, spearman)
+from newswarn.tsstats import (AdfResult, _adf_critical, _adl_design, _aic, _aic_order,
+                              _average_ranks, _granger_f, _nested_rss, _panel_stack, _r_factor,
+                              adf_test, difference_until_stationary, f_sf, panel_granger,
+                              select_features, spearman)
 
 from conftest import average_ranks_loop
 
@@ -105,6 +105,16 @@ class TestDifferencing:
             assert (d == 0) == passes
 
 
+def granger_one(y, x, n_max):
+    """``panel_granger`` on one district: the single-pair test."""
+    return panel_granger({"d": y}, {"d": x}, n_max=n_max)
+
+
+def lag_coefficients(y, x, n):
+    """The x-lag coefficients b_1..b_n of the order-n fit ``[1, y_1..y_n, x_1..x_n]``."""
+    return lstsq_fit(*_adl_design(y, x, n, n))[0][1 + n :]
+
+
 class TestLagSelection:
     def simulate_lag2(self, rng, T=200, noise=0.01, effect=0.8):
         x = rng.normal(0, 1, T)
@@ -116,10 +126,9 @@ class TestLagSelection:
     def test_planted_lag_two(self):
         rng = np.random.default_rng(11)
         y, x = self.simulate_lag2(rng)
-        n = select_lags_aic(y, x, n_max=5)
+        n = granger_one(y, x, n_max=5).n_lags
         assert n >= 2
-        fit = fit_adl(y, x, n)
-        assert fit.b[1] == pytest.approx(0.8, abs=0.05)
+        assert lag_coefficients(y, x, n)[1] == pytest.approx(0.8, abs=0.05)
 
     def test_pure_noise_x_small_coefficients(self):
         rng = np.random.default_rng(12)
@@ -128,26 +137,28 @@ class TestLagSelection:
         y = np.zeros(T)
         for t in range(1, T):
             y[t] = 0.5 * y[t - 1] + rng.normal(0, 1)
-        n = select_lags_aic(y, x, n_max=4)
-        fit = fit_adl(y, x, n)
-        assert np.abs(fit.b).max() < 0.2
+        n = granger_one(y, x, n_max=4).n_lags
+        assert np.abs(lag_coefficients(y, x, n)).max() < 0.2
 
     def test_single_candidate(self):
         rng = np.random.default_rng(13)
         y, x = rng.normal(0, 1, 50), rng.normal(0, 1, 50)
-        assert select_lags_aic(y, x, n_max=1) == 1
+        assert granger_one(y, x, n_max=1).n_lags == 1
 
     def test_aic_recomputable_from_rss(self):
         rng = np.random.default_rng(14)
         y, x = self.simulate_lag2(rng, noise=0.5)
         for n in range(1, 5):
-            fit = fit_adl(y, x, n)
-            expected = fit.nobs * math.log(max(fit.rss, 1e-300) / fit.nobs) + 2 * (2 * n + 1)
-            assert fit.aic == expected
+            X, resp = _adl_design(y, x, n, n)
+            rss = lstsq_fit(X, resp)[1]
+            expected = resp.size * math.log(max(rss, 1e-300) / resp.size) + 2 * (2 * n + 1)
+            assert _aic(rss, resp.size, 2 * n + 1) == expected
 
     def test_insufficient_length_errors(self):
-        with pytest.raises(DataError):
-            select_lags_aic(np.ones(10), np.ones(10), n_max=6)
+        # 9 months leave 3 rows from t0 = 6, too few for order 1's 3 parameters
+        rng = np.random.default_rng(15)
+        with pytest.raises(DataError, match="too short for any candidate lag order"):
+            granger_one(rng.normal(0, 1, 9), rng.normal(0, 1, 9), n_max=6)
 
 
 class TestGranger:
@@ -158,8 +169,7 @@ class TestGranger:
         y = np.zeros(T)
         for t in range(2, T):
             y[t] = 0.5 * y[t - 1] + 0.8 * x[t - 2] + rng.normal(0, 1)
-        n = select_lags_aic(y, x, n_max=4)
-        result = granger_test(y, x, n)
+        result = granger_one(y, x, n_max=4)
         assert result.decision and result.p_value < 0.01
 
     def test_null_rejection_rate_near_level(self):
@@ -172,8 +182,7 @@ class TestGranger:
             y = np.zeros(T)
             for t in range(1, T):
                 y[t] = 0.5 * y[t - 1] + rng.normal(0, 1)
-            n = select_lags_aic(y, x, n_max=3)
-            rejections += granger_test(y, x, n).decision
+            rejections += granger_one(y, x, n_max=3).decision
         assert rejections / reps <= 0.06
 
     def test_perfect_predictor_huge_f(self):
@@ -182,7 +191,7 @@ class TestGranger:
         y = np.roll(x, 1)  # x leads y by one step exactly
         y[0] = 0.0
         y = y + rng.normal(0, 1e-6, 200)
-        result = granger_test(y, x, 1)
+        result = granger_one(y, x, n_max=1)
         assert result.decision and result.f_stat > 1e6
 
     def test_affine_invariance_of_f(self):
@@ -192,9 +201,10 @@ class TestGranger:
         y = np.zeros(T)
         for t in range(2, T):
             y[t] = 0.4 * y[t - 1] + 0.5 * x[t - 1] + rng.normal(0, 1)
-        f1 = granger_test(y, x, 2).f_stat
-        f2 = granger_test(y, 7.0 - 3.0 * x, 2).f_stat
-        assert f1 == pytest.approx(f2, rel=1e-8)
+        r1 = granger_one(y, x, n_max=2)
+        r2 = granger_one(y, 7.0 - 3.0 * x, n_max=2)
+        assert r1.n_lags == r2.n_lags
+        assert r1.f_stat == pytest.approx(r2.f_stat, rel=1e-8)
 
     def test_panel_granger_pools_districts(self):
         rng = np.random.default_rng(19)
@@ -270,6 +280,27 @@ class TestScreening:
         assert retained == {}
         assert report[0].p_value < 0.01 and not report[0].decision
         assert report[0].reason == "1 of 6 districts significant"
+
+    def test_per_district_vote_leaves_out_an_untestable_district(self):
+        # A feature never mentioned in one district has a constant factor there, so
+        # that district's own test is rank-deficient; the other five still vote.
+        rng = np.random.default_rng(26)
+        ipc, factors = self.build_panel(rng, districts=6, T=140)
+        factors[2] = 0.0
+        retained, report = select_features(["planted"], ipc, {"planted": factors},
+                                           mode="per-district")
+        assert "planted" in retained
+        assert report[0].reason == "5 of 5 districts significant"
+
+    def test_per_district_row_fails_when_every_district_fails(self):
+        # A factor equal to the phase repeats the phase's lags in every district.
+        rng = np.random.default_rng(29)
+        ipc, _ = self.build_panel(rng, districts=3, T=100)
+        retained, report = select_features(["echo"], ipc, {"echo": ipc.copy()},
+                                           mode="per-district")
+        assert retained == {}
+        assert report[0].reason.startswith(
+            "test failed: rank-deficient design, collinear columns:")
 
     def test_rows_align_on_the_months_both_series_cover(self):
         rng = np.random.default_rng(27)
@@ -398,15 +429,6 @@ def oracle_adf(s, max_lag=None, level=0.05):
                      critical_value=cv, level=level)
 
 
-def oracle_select_lags(y, x, n_max):
-    best_n, best_aic = None, np.inf
-    for n in range(1, n_max + 1):
-        fit = fit_adl(y, x, n, t0=n_max)
-        if fit.aic < best_aic - 1e-12:
-            best_aic, best_n = fit.aic, n
-    return best_n
-
-
 def oracle_panel_granger(y_by, x_by, n_max=6, level=0.01):
     best_n, best_aic = None, np.inf
     for n in range(1, n_max + 1):
@@ -471,18 +493,6 @@ class TestNestedSearch:
                            oracle_adf(x, max_lag=3, level=0.01), ADF_INEXACT)
 
     @pytest.mark.parametrize("kind", ["walk", "noise"])
-    def test_select_lags_matches_oracle(self, kind):
-        rng = np.random.default_rng(34 if kind == "walk" else 35)
-        for _ in range(40):
-            T = int(rng.integers(20, 120))
-            x = random_series(rng, kind, T)
-            y = np.zeros(T)
-            for t in range(2, T):
-                y[t] = 0.5 * y[t - 1] + 0.3 * x[t - 2] + rng.normal(0, 1)
-            n_max = int(rng.integers(1, 6))
-            assert select_lags_aic(y, x, n_max) == oracle_select_lags(y, x, n_max)
-
-    @pytest.mark.parametrize("kind", ["walk", "noise"])
     def test_panel_granger_matches_oracle(self, kind):
         rng = np.random.default_rng(36 if kind == "walk" else 37)
         for _ in range(20):
@@ -498,6 +508,17 @@ class TestNestedSearch:
             n_max = int(rng.integers(1, 7))
             assert_matches(panel_granger(y_by, x_by, n_max),
                            oracle_panel_granger(y_by, x_by, n_max), GRANGER_INEXACT)
+        # single districts, the inputs of per-district screening
+        rng = np.random.default_rng(34 if kind == "walk" else 35)
+        for _ in range(40):
+            T = int(rng.integers(20, 120))
+            x = random_series(rng, kind, T)
+            y = np.zeros(T)
+            for t in range(2, T):
+                y[t] = 0.5 * y[t - 1] + 0.3 * x[t - 2] + rng.normal(0, 1)
+            n_max = int(rng.integers(1, 6))
+            assert_matches(granger_one(y, x, n_max),
+                           oracle_panel_granger({"d": y}, {"d": x}, n_max), GRANGER_INEXACT)
 
     def test_constant_factor_district_raises_as_oracle(self):
         rng = np.random.default_rng(38)
@@ -506,8 +527,6 @@ class TestNestedSearch:
         expected = error_text(oracle_panel_granger, y_by, x_by, 3)
         assert expected is not None and expected[0] == "NumericalError"
         assert error_text(panel_granger, y_by, x_by, 3) == expected
-        assert (error_text(select_lags_aic, y_by["d0"], x_by["d0"], 3)
-                == error_text(oracle_select_lags, y_by["d0"], x_by["d0"], 3))
 
     def test_short_panel_skips_the_widest_orders(self):
         # 2 districts x 7 rows from t0 = 8 fit order n only if 14 > 2 + 2n, so
