@@ -429,6 +429,17 @@ def oracle_adf(s, max_lag=None, level=0.05):
                      critical_value=cv, level=level)
 
 
+def oracle_select_lags(y, x, n_max):
+    """The AIC order of one (y, x) pair, every order fit from t0 = n_max."""
+    best_n, best_aic = None, np.inf
+    for n in range(1, n_max + 1):
+        X, resp = _adl_design(y, x, n, n_max)
+        a = _aic(lstsq_fit(X, resp)[1], resp.size, 2 * n + 1)
+        if a < best_aic - 1e-12:
+            best_aic, best_n = a, n
+    return best_n
+
+
 def oracle_panel_granger(y_by, x_by, n_max=6, level=0.01):
     best_n, best_aic = None, np.inf
     for n in range(1, n_max + 1):
@@ -493,6 +504,22 @@ class TestNestedSearch:
                            oracle_adf(x, max_lag=3, level=0.01), ADF_INEXACT)
 
     @pytest.mark.parametrize("kind", ["walk", "noise"])
+    def test_select_lags_matches_oracle(self, kind):
+        # single districts, the inputs of per-district screening
+        rng = np.random.default_rng(34 if kind == "walk" else 35)
+        for _ in range(40):
+            T = int(rng.integers(20, 120))
+            x = random_series(rng, kind, T)
+            y = np.zeros(T)
+            for t in range(2, T):
+                y[t] = 0.5 * y[t - 1] + 0.3 * x[t - 2] + rng.normal(0, 1)
+            n_max = int(rng.integers(1, 6))
+            result = granger_one(y, x, n_max)
+            assert result.n_lags == oracle_select_lags(y, x, n_max)
+            assert_matches(result, oracle_panel_granger({"d": y}, {"d": x}, n_max),
+                           GRANGER_INEXACT)
+
+    @pytest.mark.parametrize("kind", ["walk", "noise"])
     def test_panel_granger_matches_oracle(self, kind):
         rng = np.random.default_rng(36 if kind == "walk" else 37)
         for _ in range(20):
@@ -508,17 +535,6 @@ class TestNestedSearch:
             n_max = int(rng.integers(1, 7))
             assert_matches(panel_granger(y_by, x_by, n_max),
                            oracle_panel_granger(y_by, x_by, n_max), GRANGER_INEXACT)
-        # single districts, the inputs of per-district screening
-        rng = np.random.default_rng(34 if kind == "walk" else 35)
-        for _ in range(40):
-            T = int(rng.integers(20, 120))
-            x = random_series(rng, kind, T)
-            y = np.zeros(T)
-            for t in range(2, T):
-                y[t] = 0.5 * y[t - 1] + 0.3 * x[t - 2] + rng.normal(0, 1)
-            n_max = int(rng.integers(1, 6))
-            assert_matches(granger_one(y, x, n_max),
-                           oracle_panel_granger({"d": y}, {"d": x}, n_max), GRANGER_INEXACT)
 
     def test_constant_factor_district_raises_as_oracle(self):
         rng = np.random.default_rng(38)
