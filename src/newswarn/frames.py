@@ -69,39 +69,9 @@ class Constituent:
 class SemanticFrame:
     frame_label: str
     constituents: tuple[Constituent, ...]
-    doc_id: str = ""
-    sentence_index: int = 0
-    provenance: str = "news"
-    link_source: str | None = None  # set by filter_frames: "label" or "constituent"
 
     def with_role(self, role: str):
         return tuple(c for c in self.constituents if c.role == role)
-
-
-@dataclass(frozen=True)
-class TargetLexicon:
-    keywords: tuple[str, ...] = DEFAULT_TARGET_KEYWORDS
-
-    def __post_init__(self):
-        if not self.keywords:
-            raise DataError("target lexicon is empty")
-
-    @property
-    def stem_sequences(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(stem_tokens(tokenize(k)) for k in self.keywords)
-
-
-@dataclass(frozen=True)
-class CausalLinkSet:
-    links: tuple[str, ...] = DEFAULT_CAUSAL_LINKS
-
-    def __post_init__(self):
-        if not self.links:
-            raise DataError("causal link set is empty")
-
-    @property
-    def token_sequences(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(tokenize(l) for l in self.links)
 
 
 @dataclass(frozen=True)
@@ -123,44 +93,35 @@ def has_cause_and_effect(frame: SemanticFrame) -> bool:
     return "cause" in roles and "effect" in roles
 
 
-def effect_mentions_target(frame: SemanticFrame, targets: TargetLexicon) -> bool:
-    sequences = targets.stem_sequences
+def effect_mentions_target(frame: SemanticFrame, target_stems) -> bool:
+    """Whether an effect constituent holds a target keyword's stem sequence."""
     for c in frame.with_role("effect"):
         stems = stem_tokens(c.tokens)
-        if any(contains_subsequence(stems, seq) for seq in sequences):
+        if any(contains_subsequence(stems, seq) for seq in target_stems):
             return True
     return False
 
 
-def causal_link_match(frame: SemanticFrame, links: CausalLinkSet) -> str | None:
-    """Where a causal-link trigger fired: frame label, constituent, or None."""
+def causal_link_match(frame: SemanticFrame, link_tokens) -> str | None:
+    """Where a causal-link token sequence fired: "label", "constituent", or None."""
     label_tokens = tokenize(frame.frame_label)
-    sequences = links.token_sequences
-    if any(contains_subsequence(label_tokens, seq) for seq in sequences):
+    if any(contains_subsequence(label_tokens, seq) for seq in link_tokens):
         return "label"
     for c in frame.constituents:
-        if any(contains_subsequence(c.tokens, seq) for seq in sequences):
+        if any(contains_subsequence(c.tokens, seq) for seq in link_tokens):
             return "constituent"
     return None
 
 
-def filter_frames(frames, targets: TargetLexicon, links: CausalLinkSet):
+def filter_frames(frames, target_stems, link_tokens):
     """Frames passing all three causal filters, in input order.
 
-    Retained frames carry ``link_source`` recording whether the causal link
-    matched the frame label or a constituent.
+    ``target_stems`` are the target keywords as Porter-stem sequences and
+    ``link_tokens`` the causal-link triggers as token sequences.
     """
-    out = []
-    for f in frames:
-        if not has_cause_and_effect(f):
-            continue
-        if not effect_mentions_target(f, targets):
-            continue
-        fired = causal_link_match(f, links)
-        if fired is None:
-            continue
-        out.append(replace(f, link_source=fired))
-    return out
+    return [f for f in frames
+            if has_cause_and_effect(f) and effect_mentions_target(f, target_stems)
+            and causal_link_match(f, link_tokens) is not None]
 
 
 def extract_ngrams(frame: SemanticFrame, stop_words=DEFAULT_STOP_WORDS) -> set[str]:
@@ -189,13 +150,7 @@ def load_frames(path) -> list[SemanticFrame]:
                     Constituent(role=str(c["role"]).lower(), tokens=tuple(c["tokens"]))
                     for c in obj["constituents"]
                 )
-                frame = SemanticFrame(
-                    frame_label=obj["frame_label"],
-                    constituents=constituents,
-                    doc_id=str(obj.get("doc_id", "")),
-                    sentence_index=int(obj.get("sentence_index", 0)),
-                    provenance=str(obj.get("provenance", "news")),
-                )
+                frame = SemanticFrame(frame_label=obj["frame_label"], constituents=constituents)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise DataError(f"{path}:{lineno}: bad frame record: {exc}") from None
             if not frame.constituents:
@@ -207,18 +162,13 @@ def load_frames(path) -> list[SemanticFrame]:
 @dataclass
 class ExtractionResult:
     features: dict[str, TextFeature] = field(default_factory=dict)
-    news_frames_kept: int = 0
-    study_frames_kept: int = 0
-
-    def feature_list(self) -> list[TextFeature]:
-        return [self.features[k] for k in sorted(self.features)]
 
 
 def run_extraction(
     news_path,
     study_path=None,
-    targets: TargetLexicon | None = None,
-    links: CausalLinkSet | None = None,
+    target_keywords=DEFAULT_TARGET_KEYWORDS,
+    causal_links=DEFAULT_CAUSAL_LINKS,
     stop_words=DEFAULT_STOP_WORDS,
     stem_dedup: bool = False,
 ) -> ExtractionResult:
@@ -227,8 +177,8 @@ def run_extraction(
     Features keep their surface forms; with ``stem_dedup`` n-grams sharing a
     Porter-stem sequence collapse onto the first surface form seen.
     """
-    targets = targets or TargetLexicon()
-    links = links or CausalLinkSet()
+    target_stems = tuple(stem_tokens(tokenize(k)) for k in target_keywords)
+    link_tokens = tuple(tokenize(link) for link in causal_links)
     result = ExtractionResult()
     stem_key: dict[tuple[str, ...], str] = {}
 
@@ -237,12 +187,7 @@ def run_extraction(
             continue
         if not Path(path).exists():
             raise DataError(f"frame file not found: {path}")
-        kept = filter_frames(load_frames(path), targets, links)
-        if provenance == "frame-news":
-            result.news_frames_kept = len(kept)
-        else:
-            result.study_frames_kept = len(kept)
-        for frame in kept:
+        for frame in filter_frames(load_frames(path), target_stems, link_tokens):
             for gram in sorted(extract_ngrams(frame, stop_words)):
                 ngram = normalize_ngram(gram)
                 if stem_dedup:
@@ -266,7 +211,7 @@ def run_extraction(
 def save_seed_features(path, result: ExtractionResult) -> None:
     rows = [
         {"ngram": f.ngram, "provenance": list(f.provenance), "frame_count": f.frame_count}
-        for f in result.feature_list()
+        for _, f in sorted(result.features.items())
     ]
     write_json(path, rows)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import read_csv
 from .corpus import District, Gazetteer, NewsFactors, STATIC_FACTOR_NAMES
 from .errors import ConfigError, DataError, NumericalError
-from .months import DEFAULT_PUBLICATION_SCHEDULE, format_month, parse_month, publication_months
+from .months import DEFAULT_PUBLICATION_SCHEDULE, parse_month, publication_months
 from .tsstats import diff_on_grid, spearman, _average_ranks
 
 TRADITIONAL_INDICATORS = (
@@ -301,23 +301,13 @@ def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
                         rows=tuple(row_keys), skipped=tuple(skipped))
 
 
-def audit_no_lookahead(design: DesignMatrix, horizon: int = 3):
-    """Check every dated regressor sits at least ``horizon`` months in the past.
+def audit_no_lookahead(design: DesignMatrix, horizon: int = 3) -> list[str]:
+    """Names of the dated regressors fewer than ``horizon`` months in the past.
 
-    Returns (violations, records): offending column names, and one
-    (district, month, latest regressor month) record per design row.
+    A row's newest regressor sits the smallest dated offset before it, so a
+    row fails exactly when some column does.
     """
-    violations = [c.name for c in design.columns
-                  if c.offset is not None and c.offset < horizon]
-    min_offset = min((c.offset for c in design.columns if c.offset is not None),
-                     default=None)
-    records = []
-    for d, t in design.rows:
-        latest = None if min_offset is None else t - min_offset
-        records.append((d, t, latest))
-        if latest is not None and latest > t - horizon:
-            violations.append(f"row {d}@{format_month(t)}")
-    return violations, records
+    return [c.name for c in design.columns if c.offset is not None and c.offset < horizon]
 
 
 def _least_squares(X: np.ndarray, y: np.ndarray, tol: float = 1e-8):
@@ -348,7 +338,6 @@ def _least_squares(X: np.ndarray, y: np.ndarray, tol: float = 1e-8):
 
 @dataclass(frozen=True)
 class FitResult:
-    spec: ModelSpec
     columns: tuple[Column, ...]
     kept: tuple[int, ...]
     beta: np.ndarray
@@ -476,7 +465,7 @@ def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
         kept, beta, rss = _least_squares(X, y)
         is_kept = set(kept)
         dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in is_kept)
-        return FitResult(spec=spec, columns=design.columns, kept=tuple(kept), beta=beta,
+        return FitResult(columns=design.columns, kept=tuple(kept), beta=beta,
                          dropped=dropped, rss=rss, nobs=X.shape[0])
     penalized = np.array([c.group != "intercept" for c in design.columns])
     try:
@@ -485,7 +474,7 @@ def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
         names = [design.columns[i].name for i in exc.columns]
         raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
                              exc.columns) from None
-    return FitResult(spec=spec, columns=design.columns, kept=tuple(range(X.shape[1])),
+    return FitResult(columns=design.columns, kept=tuple(range(X.shape[1])),
                      beta=beta, dropped=(), rss=rss, nobs=X.shape[0])
 
 
@@ -505,7 +494,6 @@ class CVReport:
     country_rmse: dict[str, float]
     district_rmse: dict[str, float]
     predictions: tuple[PredictionRow, ...]
-    failed_folds: tuple[int, ...] = ()
 
 
 def month_folds(start: int, end: int, folds: int) -> list[list[int]]:
@@ -579,7 +567,6 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
         country_rmse={c: _rmse(rows) for c, rows in sorted(by_country.items())},
         district_rmse={d: _rmse(rows) for d, rows in sorted(by_district.items())},
         predictions=tuple(predictions),
-        failed_folds=tuple(k + 2 for k, r in enumerate(fold_rmse) if r is None),
     )
 
 
@@ -587,7 +574,6 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
 class AblationResult:
     cluster_id: int
     label: str
-    report: CVReport
     mean_delta: float
     district_delta: dict[str, float]
 
@@ -615,7 +601,6 @@ def ablate(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset, combined:
         results.append(AblationResult(
             cluster_id=cid,
             label=panel.cluster_labels.get(cid, f"cluster-{cid}"),
-            report=report,
             mean_delta=report.mean_rmse - combined.mean_rmse,
             district_delta=deltas,
         ))
@@ -650,11 +635,11 @@ def validate_factors(panel: PanelDataset, factors: NewsFactors, min_districts: i
     district_ids = sorted(panel.districts)
     if len(district_ids) < min_districts:
         raise DataError(f"need at least {min_districts} districts")
-    col = {loc: i for i, loc in enumerate(factors.locations)}
     news_summary = {}
     for w in panel.feature_order:
         f = factors.features.index(w)
-        news_summary[w] = {d: float(factors.values[f, col[d]].max()) for d in district_ids}
+        news_summary[w] = {d: float(factors.values[f, panel.rows[d]].max())
+                           for d in district_ids}
     rows: list[AssociationRow] = []
     percentiles = {"traditional": {}, "news": {}}
     for k in TRADITIONAL_INDICATORS:

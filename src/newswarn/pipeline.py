@@ -135,14 +135,18 @@ class RunContext:
         return self._memo("clusters",
                           lambda: semantics_mod.load_clusters(self.read("clusters.json")))
 
+    def panel_csv(self):
+        """``load_panel_csv``'s parse of the panel file, shared by select and the panel."""
+        return self._memo("panel_csv", lambda: panel_mod.load_panel_csv(
+            self.read("panel"), self.gazetteer()))
+
     def panel_dataset(self):
         def build():
             with open(self.read("retained.json"), "r", encoding="utf-8") as fh:
                 retained = json.load(fh)
             clusters = self.clusters()
-            gaz = self.gazetteer()
             return panel_mod.assemble_panel(
-                gaz, panel_mod.load_panel_csv(self.read("panel"), gaz), self.factors(),
+                self.gazetteer(), self.panel_csv(), self.factors(),
                 {w: meta["diff_order"] for w, meta in retained.items()},
                 {m: c.cluster_id for c in clusters for m in c.members},
                 {c.cluster_id: c.label for c in clusters},
@@ -301,8 +305,8 @@ def _stage_extract(ctx: RunContext):
         result = frames_mod.run_extraction(
             ctx.read("frames_news"),
             ctx.read("frames_study", optional=True),
-            frames_mod.TargetLexicon(cfg.target_keywords),
-            frames_mod.CausalLinkSet(cfg.causal_links),
+            cfg.target_keywords,
+            cfg.causal_links,
             cfg.stop_words,
             stem_dedup=cfg.stem_dedup,
         )
@@ -367,7 +371,7 @@ def _stage_select(ctx: RunContext):
     cfg = ctx.cfg
 
     def compute():
-        panel_csv = panel_mod.load_panel_csv(ctx.read("panel"), ctx.gazetteer())
+        panel_csv = ctx.panel_csv()  # before the factors, so a bad panel row fails first
         factors = ctx.factors()
         panel = panel_mod.assemble_panel(ctx.gazetteer(), panel_csv, factors,
                                          dict.fromkeys(factors.features, 0))
@@ -417,8 +421,8 @@ def _stage_fit(ctx: RunContext):
         audits = {}
         for name in sorted(specs):
             design = designs[name]
-            violations, _ = panel_mod.audit_no_lookahead(design)
-            audits[name] = {"violations": violations, "rows": len(design.rows),
+            audits[name] = {"violations": panel_mod.audit_no_lookahead(design),
+                            "rows": len(design.rows),
                             "skipped": len(design.skipped)}
             reports[name] = ctx.cv_report(name)
         write_json(ctx.write("cv_reports.json"), {

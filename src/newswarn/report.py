@@ -73,7 +73,6 @@ def build_report(ctx) -> None:
     factors = ctx.factors()
     start = factors.start
     row = {w: f for f, w in enumerate(factors.features)}
-    col = {loc: i for i, loc in enumerate(factors.locations)}
     preds = {m: grid for m, grid in ctx.predictions().items() if m in MODEL_KINDS}
     g0 = panel.grid_start
     episodes = []
@@ -94,7 +93,7 @@ def build_report(ctx) -> None:
                 rows[f"pred_{model}"] = (g0 + have, grid[r, have])
         span = np.arange(max(t0 - start, 0), min(t1 - start + 1, factors.values.shape[2]))
         for cluster in clusters:
-            members = factors.values[[row[w] for w in cluster.members], col[d]]
+            members = factors.values[[row[w] for w in cluster.members], r]
             pct = percentile_ranks(members.mean(axis=0))
             rows[f"cluster_{cluster.cluster_id}_pct"] = (start + span, pct[span])
         for name in sorted(rows):

@@ -85,8 +85,6 @@ def load_embeddings(path) -> EmbeddingTable:
 class TransportPlan:
     """Token-level flow matrix between two phrases; marginals uniform."""
 
-    source_tokens: tuple[str, ...]
-    target_tokens: tuple[str, ...]
     flows: np.ndarray
     cost: float
 
@@ -130,7 +128,7 @@ def transport_plan(a, b, emb: EmbeddingTable) -> TransportPlan:
     vb = np.stack([emb.get(t) for t in tb])
     cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
     total, plan = _solve_transport(cost)
-    return TransportPlan(tuple(ta), tuple(tb), plan, total)
+    return TransportPlan(plan, total)
 
 
 def wmd(a, b, emb: EmbeddingTable) -> float:

@@ -198,8 +198,6 @@ def _lag_pairs(n: int) -> list[int]:
 @dataclass(frozen=True)
 class GrangerResult:
     f_stat: float
-    df_num: int
-    df_den: int
     p_value: float
     decision: bool
     n_lags: int
@@ -217,8 +215,8 @@ def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
         raise NumericalError("non-finite Granger F statistic")
     f = max(f, 0.0)
     p = f_sf(f, q, dof)
-    return GrangerResult(f_stat=float(f), df_num=q, df_den=dof, p_value=p,
-                         decision=p < level, n_lags=n, x_diff_order=d)
+    return GrangerResult(f_stat=float(f), p_value=p, decision=p < level, n_lags=n,
+                         x_diff_order=d)
 
 
 def _panel_stack(y_by, x_by, n: int, t0: int):

@@ -332,12 +332,11 @@ def test_criterion_9_no_lookahead_audit(planted_run):
         spec = ModelSpec(kind=kind, y_lags=cfg.y_lags, factor_lags=cfg.factor_lags,
                          delay=cfg.publication_delay)
         design = build_design(panel, spec)
-        violations, records = audit_no_lookahead(design, horizon=3)
-        clean = clean and not violations
-        total_rows += len(records)
-        for _, t, latest in records:
-            margin = t - latest
-            worst_margin = margin if worst_margin is None else min(worst_margin, margin)
+        clean = clean and not audit_no_lookahead(design, horizon=3)
+        total_rows += len(design.rows)
+        # every row's newest regressor sits the design's smallest dated offset before it
+        margin = min(c.offset for c in design.columns if c.offset is not None)
+        worst_margin = margin if worst_margin is None else min(worst_margin, margin)
     announce(
         9,
         stage_clean and clean,

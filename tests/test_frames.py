@@ -4,13 +4,15 @@ import json
 import pytest
 
 from newswarn.errors import DataError
-from newswarn.frames import (CausalLinkSet, Constituent, SemanticFrame, TargetLexicon,
-                             causal_link_match, effect_mentions_target, extract_ngrams,
-                             filter_frames, has_cause_and_effect, load_frames,
-                             run_extraction, save_seed_features, load_seed_features)
+from newswarn.frames import (Constituent, SemanticFrame, causal_link_match,
+                             effect_mentions_target, extract_ngrams, filter_frames,
+                             has_cause_and_effect, load_frames, run_extraction,
+                             save_seed_features, load_seed_features)
+from newswarn.stemmer import stem_tokens
+from newswarn.textutil import tokenize
 
 
-def frame(cause=None, effect=None, label="Causation", extra=None, provenance="news"):
+def frame(cause=None, effect=None, label="Causation", extra=None):
     constituents = []
     if cause is not None:
         constituents.append(Constituent("cause", tuple(cause.split())))
@@ -18,20 +20,20 @@ def frame(cause=None, effect=None, label="Causation", extra=None, provenance="ne
         constituents.append(Constituent("effect", tuple(effect.split())))
     if extra is not None:
         constituents.append(Constituent("connective", tuple(extra.split())))
-    return SemanticFrame(frame_label=label, constituents=tuple(constituents),
-                         provenance=provenance)
+    return SemanticFrame(frame_label=label, constituents=tuple(constituents))
 
 
-TARGETS = TargetLexicon(("famine", "food insecurity"))
-LINKS = CausalLinkSet(("cause", "due to", "lead to"))
+KEYWORDS = ("famine", "food insecurity")
+LINK_PHRASES = ("cause", "due to", "lead to")
+TARGETS = tuple(stem_tokens(tokenize(k)) for k in KEYWORDS)
+LINKS = tuple(tokenize(link) for link in LINK_PHRASES)
 
 
 class TestFilters:
     def test_full_causal_frame_retained(self):
         f = frame(cause="floods and pests", effect="famine may return", label="cause")
-        kept = filter_frames([f], TARGETS, LINKS)
-        assert len(kept) == 1
-        assert kept[0].link_source == "label"
+        assert filter_frames([f], TARGETS, LINKS) == [f]
+        assert causal_link_match(f, LINKS) == "label"
 
     def test_missing_effect_dropped(self):
         f = frame(cause="floods and pests", label="cause")
@@ -48,8 +50,8 @@ class TestFilters:
     def test_link_in_constituent_counts(self):
         f = frame(cause="floods", effect="famine may return", label="Description",
                   extra="due to")
-        kept = filter_frames([f], TARGETS, LINKS)
-        assert len(kept) == 1 and kept[0].link_source == "constituent"
+        assert filter_frames([f], TARGETS, LINKS) == [f]
+        assert causal_link_match(f, LINKS) == "constituent"
 
     def test_target_matched_on_stems(self):
         # "famines" stems to "famin", like "famine".
@@ -128,15 +130,15 @@ class TestNgrams:
 
 
 class TestExtraction:
-    def write_frames(self, path, frames):
+    def write_frames(self, path, frames, provenance="news"):
         with open(path, "w", encoding="utf-8") as fh:
-            for f in frames:
+            for i, f in enumerate(frames):
                 fh.write(json.dumps({
-                    "doc_id": f.doc_id, "sentence_index": f.sentence_index,
+                    "doc_id": f"doc{i}", "sentence_index": 0,
                     "frame_label": f.frame_label,
                     "constituents": [{"role": c.role, "tokens": list(c.tokens)}
                                      for c in f.constituents],
-                    "provenance": f.provenance,
+                    "provenance": provenance,
                 }) + "\n")
         return path
 
@@ -149,8 +151,8 @@ class TestExtraction:
             frame(cause="conflict", effect="famine looms", label="lead to"),
         ]
         path = self.write_frames(tmp_path / "news.jsonl", frames)
-        result = run_extraction(path, None, TARGETS, LINKS)
-        assert result.news_frames_kept == 2
+        assert len(filter_frames(load_frames(path), TARGETS, LINKS)) == 2
+        result = run_extraction(path, None, KEYWORDS, LINK_PHRASES)
         features = set(result.features)
         assert "drought" in features and "conflict" in features
         assert "pests" not in features and "locusts" not in features
@@ -161,8 +163,8 @@ class TestExtraction:
                                         label="cause")])
         study = self.write_frames(tmp_path / "study.jsonl",
                                   [frame(cause="drought", effect="famine risk",
-                                         label="cause", provenance="study")])
-        result = run_extraction(news, study, TARGETS, LINKS)
+                                         label="cause")], provenance="study")
+        result = run_extraction(news, study, KEYWORDS, LINK_PHRASES)
         feat = result.features["drought"]
         assert set(feat.provenance) == {"frame-news", "frame-study"}
 
@@ -172,13 +174,13 @@ class TestExtraction:
                                         label="cause")])
         study = tmp_path / "study.jsonl"
         study.write_text("")
-        result = run_extraction(news, study, TARGETS, LINKS)
-        assert result.study_frames_kept == 0
+        assert filter_frames(load_frames(study), TARGETS, LINKS) == []
+        result = run_extraction(news, study, KEYWORDS, LINK_PHRASES)
         assert "drought" in result.features
 
     def test_missing_file_fatal(self, tmp_path):
         with pytest.raises(DataError):
-            run_extraction(tmp_path / "absent.jsonl", None, TARGETS, LINKS)
+            run_extraction(tmp_path / "absent.jsonl", None, KEYWORDS, LINK_PHRASES)
 
     def test_bad_record_reports_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -186,14 +188,24 @@ class TestExtraction:
         with pytest.raises(DataError, match=":1"):
             load_frames(path)
 
+    def test_unread_record_keys_are_ignored(self, tmp_path):
+        path = tmp_path / "news.jsonl"
+        path.write_text(json.dumps({
+            "doc_id": 3, "sentence_index": "first", "provenance": None,
+            "frame_label": "cause",
+            "constituents": [{"role": "Cause", "tokens": ["drought"]}],
+        }) + "\n")
+        assert load_frames(path) == [
+            SemanticFrame("cause", (Constituent("cause", ("drought",)),))]
+
     def test_stem_dedup_collapses_inflections(self, tmp_path):
         news = self.write_frames(tmp_path / "news.jsonl", [
             frame(cause="flood", effect="famine feared", label="cause"),
             frame(cause="floods", effect="famine risk", label="cause"),
         ])
-        plain = run_extraction(news, None, TARGETS, LINKS)
+        plain = run_extraction(news, None, KEYWORDS, LINK_PHRASES)
         assert {"flood", "floods"} <= set(plain.features)
-        deduped = run_extraction(news, None, TARGETS, LINKS, stem_dedup=True)
+        deduped = run_extraction(news, None, KEYWORDS, LINK_PHRASES, stem_dedup=True)
         assert "flood" in deduped.features and "floods" not in deduped.features
         assert deduped.features["flood"].frame_count == 2
 
@@ -201,7 +213,7 @@ class TestExtraction:
         news = self.write_frames(tmp_path / "news.jsonl",
                                  [frame(cause="drought", effect="famine feared",
                                         label="cause")])
-        result = run_extraction(news, None, TARGETS, LINKS)
+        result = run_extraction(news, None, KEYWORDS, LINK_PHRASES)
         out = tmp_path / "seeds.json"
         save_seed_features(out, result)
         back = load_seed_features(out)

@@ -578,8 +578,7 @@ class TestMovedBundle:
         assert Path(cfg.output) == (moved / "run").resolve()
 
 
-class TestHashSeed:
-    SCRIPT = """
+RUN_SCRIPT = """
 import dataclasses, sys, warnings
 from newswarn.config import load_config
 from newswarn.pipeline import run_pipeline
@@ -590,21 +589,46 @@ warnings.simplefilter("ignore")
 run_pipeline(cfg)
 """
 
+
+def bundle_files_per_env(bundle, spec, envs):
+    """Every file of a seed-3 bundle and its run, made in a fresh interpreter per env.
+
+    Each run uses the same directory, so even the manifests must match.
+    """
+    src = str(Path(newswarn.__file__).resolve().parent.parent)
+    outputs = []
+    for overrides in envs:
+        env = dict(os.environ, **overrides,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", RUN_SCRIPT.format(spec=spec), str(bundle)],
+                       env=env, check=True, timeout=300)
+        outputs.append({p.relative_to(bundle).as_posix(): p.read_bytes()
+                        for p in sorted(bundle.rglob("*")) if p.is_file()})
+        shutil.rmtree(bundle)
+    return outputs
+
+
+class TestHashSeed:
     def test_outputs_do_not_depend_on_the_hash_seed(self, tmp_path):
-        # Both runs use the same directory, so even the manifests must match.
-        bundle = tmp_path / "bundle"
-        src = str(Path(newswarn.__file__).resolve().parent.parent)
-        outputs = []
-        for seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=seed,
-                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-c", self.SCRIPT.format(spec=SMALL), str(bundle)],
-                           env=env, check=True, timeout=300)
-            outputs.append({p.relative_to(bundle).as_posix(): p.read_bytes()
-                            for p in sorted(bundle.rglob("*")) if p.is_file()})
-            shutil.rmtree(bundle)
-        first, second = outputs
+        first, second = bundle_files_per_env(
+            tmp_path / "bundle", SMALL, [{"PYTHONHASHSEED": "1"}, {"PYTHONHASHSEED": "2"}])
         assert "run/report/coverage.csv" in first
+        assert sorted(first) == sorted(second)
+        assert [name for name in first if first[name] != second[name]] == []
+
+
+class TestBlasThreads:
+    # A resume-sized bundle (8 districts x 60 months) ran byte-identical under 1 and 2
+    # threads even without the pin, so this one is news_volume-sized.
+    NEWS_VOLUME = dict(districts=16, countries=1, province_size=4, months=72,
+                       articles_per_country_month=250, embedding_dim=16)
+
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        first, second = bundle_files_per_env(tmp_path / "bundle", self.NEWS_VOLUME, [
+            {var: threads for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                      "MKL_NUM_THREADS")}
+            for threads in ("1", "2")])
+        assert "run/models.json" in first
         assert sorted(first) == sorted(second)
         assert [name for name in first if first[name] != second[name]] == []
 

@@ -5,7 +5,8 @@ never takes. The scan uses ``ast`` alone: a reference is a load of the bare
 name in its own module (outside its own definition, and not shadowed by a
 local of an enclosing function), ``module.name`` through an imported module,
 or an import of the name. Decorated functions (the click commands) count as
-used.
+used. Likewise every dataclass or NamedTuple field is read somewhere in the
+package, so a result carries nothing that no stage looks at.
 """
 
 import ast
@@ -115,6 +116,53 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert [key for key in unused if key not in ORACLES] == [], \
         f"public names with no caller in {PACKAGE.name}: {unused}"
     assert set(ORACLES) <= set(unused), "an allowlisted oracle has a caller or is gone"
+
+
+# Record fields that only tests read, and why each is kept.
+READ_BY_TESTS = {
+    ("AdfResult", "lag"): "the ADF oracle comparison checks the AIC lag order",
+    ("AdfResult", "level"): "the ADF oracle comparison checks the level a decision used",
+    ("GrangerResult", "x_diff_order"): "screening tests check the order a feature was tested at",
+    ("PredictionRow", "fold"): "CV tests check each prediction follows its fold's training",
+    ("EmbeddingTable", "dim"): "the embedding tests check the dimension the header declares",
+    ("TransportPlan", "flows"): "the WMD tests check the plan's uniform marginals",
+    ("Corpus", "skipped_lines"): "the corpus tests count malformed lines, for a run log",
+}
+# Config keys are read by name (getattr, asdict and the INI writer).
+READ_BY_NAME = {"PipelineConfig"}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Whether ``cls`` is decorated as a dataclass or subclasses NamedTuple."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    return (any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            or any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases))
+
+
+def unread_fields() -> list[tuple[str, str]]:
+    """(class, field) of each record field that no package code loads as an attribute.
+
+    A load inside the record's own methods counts: a cache or a property read
+    there is a use. Names are matched alone, whatever object they are read from.
+    """
+    fields, loads = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        fields += [(cls.name, stmt.target.id) for cls in tree.body
+                   if isinstance(cls, ast.ClassDef) and _is_record(cls)
+                   for stmt in cls.body
+                   if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+        loads |= {node.attr for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [(cls, name) for cls, name in fields
+            if cls not in READ_BY_NAME and name not in loads]
+
+
+def test_every_record_field_is_read_in_the_package():
+    unread = unread_fields()
+    assert [key for key in unread if key not in READ_BY_TESTS] == [], \
+        f"record fields no package code reads: {unread}"
+    assert set(READ_BY_TESTS) <= set(unread), "an allowlisted field is read or is gone"
 
 
 def test_the_pipeline_does_not_import_scipy_linalg():
