@@ -172,7 +172,8 @@ class RunContext:
         """Design of every model spec, and the CV bar they all share (``min_train_rows``).
 
         ``build_design`` ignores ``spec.lasso``, so a ``*_lasso`` spec shares the
-        design object of its OLS twin.
+        design object of its OLS twin. A design with a regressor that
+        ``audit_no_lookahead`` flags raises DataError, so no look-ahead fit is scored.
         """
         def build():
             panel = self.panel_dataset()
@@ -183,6 +184,12 @@ class RunContext:
                 if key not in built:
                     built[key] = panel_mod.build_design(panel, spec)
                 designs[name] = built[key]
+                ahead = panel_mod.audit_no_lookahead(designs[name])
+                if ahead:
+                    raise DataError(
+                        f"{name}: the design looks ahead with publication_delay = "
+                        f"{self.cfg.publication_delay}: {', '.join(ahead[:3])}"
+                        f"{f' and {len(ahead) - 3} more' if len(ahead) > 3 else ''}")
             return designs, min_train_rows(designs.values(), panel, self.cfg.folds)
 
         return self._memo("designs", build)

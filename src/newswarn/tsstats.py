@@ -5,7 +5,9 @@ Granger-causality F-test of a district panel (``panel_granger``, which also
 tests one district alone), and Spearman rank correlation.
 
 Every screening regression reads its RSS values, and the ADF its t-ratio,
-from one triangular factor R of ``[X, y]`` (``_r_factor``).
+from one triangular factor R of its design with the response last
+(``_r_factors``). The ADF vote factors the designs of all a feature's district
+series of one length in one batched QR (``_adf_stack``).
 
 All information criteria use AIC = T * ln(RSS / T) + 2 * p so that reported
 values can be recomputed exactly from the reported residual sums of squares.
@@ -40,34 +42,55 @@ def f_sf(f: float, d1: float, d2: float) -> float:
     return float(special.betainc(d2 / 2.0, d1 / 2.0, x))
 
 
-def _r_factor(X, y, sizes) -> np.ndarray:
-    """R of ``[X, y]``, once each column prefix ``X[:, :k]``, k in ``sizes``, passes the rank rule.
+def _r_factors(M, sizes):
+    """R of each matrix of the stack ``M`` (..., T, columns), the response last, and its rank rule.
 
-    The rule: more rows than k, and no R diagonal entry of the prefix at most
-    1e-10 of the prefix's largest. The first prefix that fails raises,
-    naming (by index, also in ``columns``) the columns collinear with earlier ones.
+    The rule, for each column prefix ``M[..., :k]``, k in ``sizes``: more rows than
+    k, and no R diagonal entry of the prefix at most 1e-10 of the prefix's
+    largest. Returns R and, per matrix, None when every prefix passes, else the
+    error of the first that fails, naming (by index, also in ``columns``) the
+    columns collinear with earlier ones.
     """
-    T = len(y)
-    R = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    diag = np.abs(np.diag(R))
-    for k in sizes:
-        if T <= k:
-            raise DataError(f"need more observations ({T}) than parameters ({k})")
-        d = diag[:k]
-        bad = [int(i) for i in np.nonzero(d <= 1e-10 * max(d.max(), 1e-300))[0]]
-        if bad:
-            raise NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
+    R = np.linalg.qr(M, mode="r")
+    T = M.shape[-2]
+    sizes = list(sizes)
+    wide = [k for k in sizes if T <= k]
+    checked = sizes[: sizes.index(wide[0])] if wide else sizes
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1)).reshape(-1, R.shape[-2])
+    at = np.array(checked, dtype=int) - 1
+    # a prefix fails when its smallest diagonal entry is at most 1e-10 of its largest
+    fails = (np.minimum.accumulate(diag, axis=1)[:, at]
+             <= 1e-10 * np.maximum(np.maximum.accumulate(diag, axis=1)[:, at], 1e-300))
+    errors = [DataError(f"need more observations ({T}) than parameters ({wide[0]})")
+              if wide else None] * len(diag)
+    for i in np.flatnonzero(fails.any(axis=1)):
+        d = diag[i, : checked[int(fails[i].argmax())]]
+        bad = [int(j) for j in np.nonzero(d <= 1e-10 * max(d.max(), 1e-300))[0]]
+        errors[i] = NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
+    return R, errors
+
+
+def _r_factor(M, sizes) -> np.ndarray:
+    """R of the matrix ``M``, the response last, once it passes ``_r_factors``' rank rule."""
+    R, [error] = _r_factors(M, sizes)
+    if error is not None:
+        raise error
     return R
 
 
-def _nested_rss(X, y, sizes) -> list[float]:
-    """RSS of the least-squares fit of ``y`` on each column prefix ``X[:, :k]``, k in ``sizes``.
+def _tail_rss(R) -> np.ndarray:
+    """RSS of the fit of the response (R's last column) on each column prefix, by prefix width.
 
-    The residual of the fit on the first k columns is the part of ``y`` beyond the
-    first k rows of R, so RSS_k is the sum of squares of R's y-column from row k down.
+    The residual of the fit on the first k columns is the part of the response
+    beyond the first k rows of R, so RSS_k is the sum of squares of R's last
+    column from row k down. Works on a stack of factors along the last axis.
     """
-    R = _r_factor(X, y, sizes)
-    tail = np.cumsum(R[::-1, -1] ** 2)[::-1]  # tail[k] = sum of R[k:, -1] ** 2
+    return np.cumsum(R[..., ::-1, -1] ** 2, axis=-1)[..., ::-1]
+
+
+def _nested_rss(M, sizes) -> list[float]:
+    """RSS of the fit of ``M``'s last column on each column prefix ``M[:, :k]``, k in ``sizes``."""
+    tail = _tail_rss(_r_factor(M, sizes))
     return [float(tail[k]) for k in sizes]
 
 
@@ -121,44 +144,74 @@ def _adf_critical(level: float, nobs: int) -> float:
     return b[0] + b[1] / nobs + b[2] / nobs**2 + b[3] / nobs**3
 
 
+def _adf_stack(X: np.ndarray, max_lag: int | None = None, level: float = 0.05) -> list:
+    """``adf_test`` of each row of ``X`` (series x T): its AdfResult, or the error it raises.
+
+    The rows share T and so every design's shape: one batched QR factors all
+    rows' max-lag designs for the AIC search, and one more each chosen order's
+    refits.
+    """
+    B, T = X.shape
+    if max_lag is None:
+        max_lag = min(int(math.ceil(12.0 * (T / 100.0) ** 0.25)), max(T - 13, 0))
+    if T < 12 + max_lag:
+        return [DataError(f"series of length {T} too short for ADF with max_lag={max_lag}")] * B
+    out = [NumericalError("degenerate series: constant input to ADF test") if flat else None
+           for flat in np.ptp(X, axis=1) == 0.0]
+    dy = np.diff(X, axis=1)
+
+    def design(rows, k: int, level_at: int):
+        """Order-k designs of ``rows`` from t = k + 1: 1, x_{t-1} in column ``level_at``,
+        dy_{t-1}..dy_{t-k} in order in the other columns, and the response dy_t last."""
+        D = np.empty((len(rows), T - 1 - k, k + 3))
+        D[..., 0] = 1.0
+        D[..., level_at] = X[rows, k : T - 1]
+        for i, c in enumerate([c for c in range(1, k + 2) if c != level_at], 1):
+            D[..., c] = dy[rows, k - i : T - 1 - i]
+        D[..., -1] = dy[rows, k:]
+        return D
+
+    # Lag order k is the first k + 2 columns of the max_lag design.
+    live = [b for b in range(B) if out[b] is None]
+    sizes = range(2, max_lag + 3)
+    R, errors = _r_factors(design(live, max_lag, 1), sizes)
+    by_order: dict[int, list[int]] = {}
+    for b, error, tail in zip(live, errors, _tail_rss(R)):
+        if error is not None:
+            out[b] = error
+        else:
+            k = _aic_order(tail[2 : max_lag + 3].tolist(), T - 1 - max_lag, sizes)
+            by_order.setdefault(k, []).append(b)
+    # Refit order k with the lagged level last: its coefficient is R[p-1, p] / R[p-1, p-1]
+    # and its standard error sigma / |R[p-1, p-1]|, with sigma^2 = R[p, p]^2 / (T - p).
+    for k, rows in by_order.items():
+        p, nobs = k + 2, T - 1 - k
+        R, errors = _r_factors(design(rows, k, p - 1), [p])
+        for b, error, r in zip(rows, errors, R):
+            sigma = abs(r[p, p]) / math.sqrt(nobs - p)
+            if error is None and sigma == 0.0:
+                error = NumericalError("degenerate ADF regression")
+            if error is not None:
+                out[b] = error
+                continue
+            stat = float(np.sign(r[p - 1, p - 1]) * r[p - 1, p] / sigma)
+            cv = _adf_critical(level, nobs)
+            out[b] = AdfResult(statistic=stat, stationary=stat < cv, lag=k,
+                               nobs=nobs, critical_value=cv, level=level)
+    return out
+
+
 def adf_test(s, max_lag: int | None = None, level: float = 0.05) -> AdfResult:
     """Augmented Dickey-Fuller test with constant, lag order selected by AIC.
 
     The statistic is the t-ratio on the lagged level; the series is flagged
     stationary when it falls below the MacKinnon critical value at ``level``.
+    The one-series case of ``_adf_stack``.
     """
-    x = _as_values(s)
-    T = x.size
-    if max_lag is None:
-        max_lag = min(int(math.ceil(12.0 * (T / 100.0) ** 0.25)), max(T - 13, 0))
-    if T < 12 + max_lag:
-        raise DataError(f"series of length {T} too short for ADF with max_lag={max_lag}")
-    if np.ptp(x) == 0.0:
-        raise NumericalError("degenerate series: constant input to ADF test")
-    dy = np.diff(x)
-
-    def design(k: int, j0: int):
-        cols = [np.ones(dy.size - j0), x[j0 : x.size - 1]]
-        for i in range(1, k + 1):
-            cols.append(dy[j0 - i : dy.size - i])
-        return np.column_stack(cols), dy[j0:]
-
-    # Lag order k is the first k + 2 columns of the max_lag design.
-    X, resp = design(max_lag, max_lag)
-    sizes = range(2, max_lag + 3)
-    k = _aic_order(_nested_rss(X, resp, sizes), resp.size, sizes)
-    # Refit order k with the lagged level last: its coefficient is R[p-1, p] / R[p-1, p-1]
-    # and its standard error sigma / |R[p-1, p-1]|, with sigma^2 = R[p, p]^2 / (T - p).
-    X, resp = design(k, k)
-    p = k + 2
-    R = _r_factor(X[:, [0, *range(2, p), 1]], resp, [p])
-    sigma = abs(R[p, p]) / math.sqrt(resp.size - p)
-    if sigma == 0.0:
-        raise NumericalError("degenerate ADF regression")
-    stat = float(np.sign(R[p - 1, p - 1]) * R[p - 1, p] / sigma)
-    cv = _adf_critical(level, resp.size)
-    return AdfResult(statistic=stat, stationary=stat < cv, lag=k,
-                     nobs=resp.size, critical_value=cv, level=level)
+    [result] = _adf_stack(_as_values(s)[None], max_lag, level)
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
@@ -175,24 +228,6 @@ def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
         f"series still non-stationary after {max_d} differences "
         f"(last ADF statistic {result.statistic:.4f} vs {result.critical_value:.4f})"
     )
-
-
-def _adl_design(y: np.ndarray, x: np.ndarray, n: int, t0: int):
-    cols = [np.ones(y.size - t0)]
-    for i in range(1, n + 1):
-        cols.append(y[t0 - i : y.size - i])
-    for i in range(1, n + 1):
-        cols.append(x[t0 - i : x.size - i])
-    return np.column_stack(cols), y[t0:]
-
-
-def _lag_pairs(n: int) -> list[int]:
-    """Positions of an order-n lag block ``[y_1..y_n, x_1..x_n]`` in (y_i, x_i) order.
-
-    In that order the lag blocks of every order m <= n are column prefixes,
-    so one ``_nested_rss`` serves an AIC search over the order.
-    """
-    return [c for i in range(n) for c in (i, n + i)]
 
 
 @dataclass(frozen=True)
@@ -219,21 +254,33 @@ def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
                          x_diff_order=d)
 
 
-def _panel_stack(y_by, x_by, n: int, t0: int):
-    """Stacked district designs with district-intercept dummies."""
-    blocks_X, blocks_y = [], []
-    for key in sorted(y_by):
-        ya, xa = _as_values(y_by[key]), _as_values(x_by[key])
-        if ya.size != xa.size or ya.size <= t0:
-            continue
-        X, resp = _adl_design(ya, xa, n, t0)
-        blocks_X.append(X[:, 1:])  # drop the per-block constant
-        blocks_y.append(resp)
-    if not blocks_X:
+def _panel_stack(y_by, x_by, n: int, t0: int, paired: bool = False):
+    """The pooled design ``[dummies, lags, y]`` of the district rows from t0, and n_d.
+
+    Districts go in sorted key order, each with its intercept dummy column (n_d
+    in all); one whose series differ in length or are no longer than t0 is
+    skipped. The lags are ``y_1..y_n, x_1..x_n``, or ``y_1, x_1, ..., y_n, x_n``
+    when ``paired``: in that order the lag blocks of every order m <= n are
+    column prefixes, so one ``_nested_rss`` serves an AIC search over the order.
+    """
+    pairs = [(_as_values(y_by[key]), _as_values(x_by[key])) for key in sorted(y_by)]
+    pairs = [(ya, xa) for ya, xa in pairs if ya.size == xa.size > t0]
+    if not pairs:
         raise DataError("no district has enough aligned observations")
-    n_d = len(blocks_y)
-    dummies = np.repeat(np.eye(n_d), [b.size for b in blocks_y], axis=0)
-    return np.column_stack([dummies, np.vstack(blocks_X)]), np.concatenate(blocks_y), n_d
+    n_d, sizes = len(pairs), np.array([ya.size for ya, _ in pairs])
+    ys, xs = np.concatenate([ya for ya, _ in pairs]), np.concatenate([xa for _, xa in pairs])
+    # each district's months from t0 on, as positions in the concatenated series
+    month = np.arange(ys.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    at = np.flatnonzero(month >= t0)
+    lags = at[:, None] - np.arange(1, n + 1)  # row t holds months t-1, ..., t-n
+    M = np.zeros((at.size, n_d + 2 * n + 1))
+    M[np.arange(at.size), np.repeat(np.arange(n_d), sizes - t0)] = 1.0
+    if paired:
+        M[:, n_d : n_d + 2 * n : 2], M[:, n_d + 1 : n_d + 2 * n : 2] = ys[lags], xs[lags]
+    else:
+        M[:, n_d : n_d + n], M[:, n_d + n : n_d + 2 * n] = ys[lags], xs[lags]
+    M[:, -1] = ys[at]
+    return M, n_d
 
 
 def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
@@ -243,17 +290,18 @@ def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
     The lag order minimises AIC over 1..n_max on the rows from t0 = n_max. With
     one district the design is ``[1, y_1..y_n, x_1..x_n]``, the single-pair test.
     """
-    X, resp, n_d = _panel_stack(y_by, x_by, n_max, n_max)
+    M, n_d = _panel_stack(y_by, x_by, n_max, n_max, paired=True)
     # Every order shares the rows from t0 = n_max; orders wider than they allow are skipped.
-    orders = [n for n in range(1, n_max + 1) if resp.size > n_d + 2 * n]
+    orders = [n for n in range(1, n_max + 1) if len(M) > n_d + 2 * n]
     if not orders:
         raise DataError("panel too short for any candidate lag order")
-    X = X[:, list(range(n_d)) + [n_d + c for c in _lag_pairs(n_max)]]
+    if orders[-1] < n_max:
+        M, n_d = _panel_stack(y_by, x_by, orders[-1], n_max, paired=True)
     sizes = [n_d + 2 * n for n in orders]
-    n = orders[_aic_order(_nested_rss(X[:, : sizes[-1]], resp, sizes), resp.size, sizes)]
-    X, resp, n_d = _panel_stack(y_by, x_by, n, n)
-    rss_r, rss_u = _nested_rss(X, resp, [n_d + n, n_d + 2 * n])
-    return _granger_f(rss_r, rss_u, n, resp.size - n_d - 2 * n, level, n, x_diff_order)
+    n = orders[_aic_order(_nested_rss(M, sizes), len(M), sizes)]
+    M, n_d = _panel_stack(y_by, x_by, n, n)
+    rss_r, rss_u = _nested_rss(M, [n_d + n, n_d + 2 * n])
+    return _granger_f(rss_r, rss_u, n, len(M) - n_d - 2 * n, level, n, x_diff_order)
 
 
 @dataclass(frozen=True)
@@ -268,24 +316,23 @@ class ScreeningRow:
 
 
 def _panel_diff_order(series, max_d: int, level: float) -> int | None:
-    """Majority-vote differencing order across district factor series (1-d arrays)."""
-    current = [s for s in series if np.ptp(s) > 0.0]
-    if not current:
-        return None
+    """Majority-vote differencing order across district factor series (1-d arrays).
+
+    Constant series take no part. The series of each length are tested as one
+    stack (``_adf_stack``), and a series whose test raises is left out of the vote.
+    """
+    by_length: dict[int, list[np.ndarray]] = {}
+    for s in series:
+        if np.ptp(s) > 0.0:
+            by_length.setdefault(s.size, []).append(s)
+    stacks = [np.array(group) for group in by_length.values()]
     for d in range(max_d + 1):
-        passing = 0
-        testable = 0
-        for s in current:
-            try:
-                result = adf_test(s, level=level)
-            except (DataError, NumericalError):
-                continue
-            testable += 1
-            passing += result.stationary
-        if testable and passing * 2 >= testable:
+        votes = [r.stationary for X in stacks for r in _adf_stack(X, level=level)
+                 if isinstance(r, AdfResult)]
+        if votes and sum(votes) * 2 >= len(votes):
             return d
         if d < max_d:
-            current = [np.diff(s) for s in current]
+            stacks = [np.diff(X, axis=1) for X in stacks]
     return None
 
 

@@ -1,12 +1,16 @@
 import json
+import math
 import zlib
 from collections import Counter
 
+# newswarn before numpy: importing newswarn pins BLAS to one thread, and the pin
+# holds only while numpy is not yet loaded, so in-process tests compute as the
+# command line does.
+from newswarn.corpus import District, Gazetteer, read_corpus  # isort: skip
+from newswarn.semantics import EmbeddingTable  # isort: skip
+
 import numpy as np
 import pytest
-
-from newswarn.corpus import District, Gazetteer, read_corpus
-from newswarn.semantics import EmbeddingTable
 
 
 def make_gazetteer():
@@ -399,3 +403,98 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
         else:
             coef[c.name] = 0.0
     return coef
+
+
+def adl_design(y, x, n, t0):
+    """The single-pair design ``[1, y_1..y_n, x_1..x_n]`` of the rows from t0, and its response."""
+    cols = [np.ones(y.size - t0)]
+    for i in range(1, n + 1):
+        cols.append(y[t0 - i : y.size - i])
+    for i in range(1, n + 1):
+        cols.append(x[t0 - i : x.size - i])
+    return np.column_stack(cols), y[t0:]
+
+
+def panel_stack_loop(y_by, x_by, n, t0):
+    """Stacked district designs with intercept dummies, by ``column_stack``: the reference stack.
+
+    Returns ``(X, resp, n_d)``, X's lag columns ``y_1..y_n, x_1..x_n``.
+    """
+    from newswarn.errors import DataError
+
+    blocks_X, blocks_y = [], []
+    for key in sorted(y_by):
+        ya, xa = np.asarray(y_by[key], dtype=float), np.asarray(x_by[key], dtype=float)
+        if ya.size != xa.size or ya.size <= t0:
+            continue
+        X, resp = adl_design(ya, xa, n, t0)
+        blocks_X.append(X[:, 1:])  # drop the per-block constant
+        blocks_y.append(resp)
+    if not blocks_X:
+        raise DataError("no district has enough aligned observations")
+    n_d = len(blocks_y)
+    dummies = np.repeat(np.eye(n_d), [b.size for b in blocks_y], axis=0)
+    return np.column_stack([dummies, np.vstack(blocks_X)]), np.concatenate(blocks_y), n_d
+
+
+def adf_loop(s, max_lag=None, level=0.05):
+    """The ADF test of one series, each design built by ``column_stack``: the reference ADF.
+
+    Each order's fit is one single-matrix QR, the rank rule that of ``_r_factor``.
+    """
+    from newswarn.errors import DataError, NumericalError
+    from newswarn.tsstats import (AdfResult, _adf_critical, _aic_order, _nested_rss,
+                                  _r_factor)
+
+    x = np.asarray(s, dtype=float).ravel()
+    T = x.size
+    if max_lag is None:
+        max_lag = min(int(math.ceil(12.0 * (T / 100.0) ** 0.25)), max(T - 13, 0))
+    if T < 12 + max_lag:
+        raise DataError(f"series of length {T} too short for ADF with max_lag={max_lag}")
+    if np.ptp(x) == 0.0:
+        raise NumericalError("degenerate series: constant input to ADF test")
+    dy = np.diff(x)
+
+    def design(k, j0):
+        cols = [np.ones(dy.size - j0), x[j0 : x.size - 1]]
+        for i in range(1, k + 1):
+            cols.append(dy[j0 - i : dy.size - i])
+        return np.column_stack(cols), dy[j0:]
+
+    X, resp = design(max_lag, max_lag)
+    sizes = range(2, max_lag + 3)
+    k = _aic_order(_nested_rss(np.column_stack([X, resp]), sizes), resp.size, sizes)
+    X, resp = design(k, k)
+    p = k + 2
+    R = _r_factor(np.column_stack([X[:, [0, *range(2, p), 1]], resp]), [p])
+    sigma = abs(R[p, p]) / math.sqrt(resp.size - p)
+    if sigma == 0.0:
+        raise NumericalError("degenerate ADF regression")
+    stat = float(np.sign(R[p - 1, p - 1]) * R[p - 1, p] / sigma)
+    cv = _adf_critical(level, resp.size)
+    return AdfResult(statistic=stat, stationary=stat < cv, lag=k,
+                     nobs=resp.size, critical_value=cv, level=level)
+
+
+def panel_diff_order_loop(series, max_d, level):
+    """The majority-vote differencing order, one ``adf_loop`` per series: the reference vote."""
+    from newswarn.errors import DataError, NumericalError
+
+    current = [s for s in series if np.ptp(s) > 0.0]
+    if not current:
+        return None
+    for d in range(max_d + 1):
+        passing = testable = 0
+        for s in current:
+            try:
+                result = adf_loop(s, level=level)
+            except (DataError, NumericalError):
+                continue
+            testable += 1
+            passing += result.stationary
+        if testable and passing * 2 >= testable:
+            return d
+        if d < max_d:
+            current = [np.diff(s) for s in current]
+    return None

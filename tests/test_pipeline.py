@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import inspect
@@ -351,6 +352,21 @@ class TestFailureModes:
         with pytest.raises(ConfigError, match="after window_end"):
             PipelineConfig(window_start="2013-02", window_end="2013-01").validate()
 
+    def test_a_design_that_looks_ahead_fails_fit_before_any_cv(self, tmp_path, monkeypatch):
+        # With no publication delay the newest regressors are 1 month old, under
+        # the 3-month horizon of audit_no_lookahead.
+        bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path)
+        cfg = dataclasses.replace(load_config(bundle["config"]), publication_delay=0)
+        quiet_run(cfg, stages=["extract", "expand", "factors", "select"])
+        cv_calls = []
+        monkeypatch.setattr(panel_mod, "cross_validate_design",
+                            lambda *args, **kwargs: cv_calls.append(args))
+        with pytest.raises(DataError, match=r"^baseline: the design looks ahead with "
+                           r"publication_delay = 0: trad\[\w+,n=1\], "):
+            quiet_run(cfg, stages=["fit"])
+        assert cv_calls == []
+        assert not (Path(cfg.output) / "cv_reports.json").exists()
+
     @pytest.mark.parametrize("start, end", [("2012-13", "2014-12"), ("2014-02", "2014-01")])
     def test_a_bad_corpus_window_fails_before_any_stage(self, tmp_path, start, end):
         bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path)
@@ -631,6 +647,19 @@ class TestBlasThreads:
         assert "run/models.json" in first
         assert sorted(first) == sorted(second)
         assert [name for name in first if first[name] != second[name]] == []
+
+    def test_this_process_runs_blas_on_one_thread(self):
+        # conftest imports newswarn before numpy, so the pin reaches in-process tests.
+        # On one core OpenBLAS starts one thread anyway, so there this cannot tell.
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
+        if not libs:
+            pytest.skip("numpy carries no bundled OpenBLAS")
+        get_threads = getattr(ctypes.CDLL(str(libs[0])),
+                              "scipy_openblas_get_num_threads64_", None)
+        if get_threads is None:
+            pytest.skip("the bundled OpenBLAS does not report its thread count")
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        assert get_threads() == 1
 
 
 class TestNullSimulation:

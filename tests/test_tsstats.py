@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
-from newswarn.tsstats import (AdfResult, _adf_critical, _adl_design, _aic, _aic_order,
-                              _average_ranks, _granger_f, _nested_rss, _panel_stack, _r_factor,
-                              adf_test, difference_until_stationary, f_sf, panel_granger,
-                              select_features, spearman)
+from newswarn.tsstats import (AdfResult, _adf_critical, _adf_stack, _aic, _aic_order,
+                              _average_ranks, _granger_f, _nested_rss, _panel_diff_order,
+                              _panel_stack, _r_factor, adf_test, difference_until_stationary,
+                              f_sf, panel_granger, select_features, spearman)
 
-from conftest import average_ranks_loop
+from conftest import (adf_loop, adl_design, average_ranks_loop, make_panel, panel_diff_order_loop,
+                      panel_stack_loop)
 
 
 class TestOls:
@@ -24,11 +25,11 @@ class TestOls:
         # an exact copy, and a copy within the 1e-10 tolerance
         for twin in (x, x + 1e-12 * rng.normal(0, 1, 30)):
             X = np.column_stack([np.ones(30), x, twin])
-            assert error_text(_nested_rss, X, y, [3]) == (
+            assert error_text(_nested_rss, np.column_stack([X, y]), [3]) == (
                 "NumericalError", "rank-deficient design, collinear columns: [2]")
 
     def test_more_params_than_rows_rejected(self):
-        assert error_text(_nested_rss, np.ones((3, 4)), np.ones(3), [4]) == (
+        assert error_text(_nested_rss, np.ones((3, 5)), [4]) == (
             "DataError", "need more observations (3) than parameters (4)")
 
 
@@ -112,7 +113,7 @@ def granger_one(y, x, n_max):
 
 def lag_coefficients(y, x, n):
     """The x-lag coefficients b_1..b_n of the order-n fit ``[1, y_1..y_n, x_1..x_n]``."""
-    return lstsq_fit(*_adl_design(y, x, n, n))[0][1 + n :]
+    return lstsq_fit(*adl_design(y, x, n, n))[0][1 + n :]
 
 
 class TestLagSelection:
@@ -149,7 +150,7 @@ class TestLagSelection:
         rng = np.random.default_rng(14)
         y, x = self.simulate_lag2(rng, noise=0.5)
         for n in range(1, 5):
-            X, resp = _adl_design(y, x, n, n)
+            X, resp = adl_design(y, x, n, n)
             rss = lstsq_fit(X, resp)[1]
             expected = resp.size * math.log(max(rss, 1e-300) / resp.size) + 2 * (2 * n + 1)
             assert _aic(rss, resp.size, 2 * n + 1) == expected
@@ -382,7 +383,7 @@ class TestSpearman:
 
 def lstsq_fit(X, y):
     """Coefficients, RSS and (X'X)^-1 from lstsq and the normal equations, after the rank rule."""
-    _r_factor(X, y, [X.shape[1]])
+    _r_factor(np.column_stack([X, y]), [X.shape[1]])
     beta = np.linalg.lstsq(X, y, rcond=None)[0]
     resid = y - X @ beta
     return beta, float(resid @ resid), np.linalg.inv(X.T @ X)
@@ -433,7 +434,7 @@ def oracle_select_lags(y, x, n_max):
     """The AIC order of one (y, x) pair, every order fit from t0 = n_max."""
     best_n, best_aic = None, np.inf
     for n in range(1, n_max + 1):
-        X, resp = _adl_design(y, x, n, n_max)
+        X, resp = adl_design(y, x, n, n_max)
         a = _aic(lstsq_fit(X, resp)[1], resp.size, 2 * n + 1)
         if a < best_aic - 1e-12:
             best_aic, best_n = a, n
@@ -443,7 +444,7 @@ def oracle_select_lags(y, x, n_max):
 def oracle_panel_granger(y_by, x_by, n_max=6, level=0.01):
     best_n, best_aic = None, np.inf
     for n in range(1, n_max + 1):
-        X, resp, n_d = _panel_stack(y_by, x_by, n, n_max)
+        X, resp, n_d = panel_stack_loop(y_by, x_by, n, n_max)
         if resp.size <= n_d + 2 * n:
             continue
         a = _aic(lstsq_fit(X, resp)[1], resp.size, n_d + 2 * n)
@@ -452,7 +453,7 @@ def oracle_panel_granger(y_by, x_by, n_max=6, level=0.01):
     if best_n is None:
         raise DataError("panel too short for any candidate lag order")
     n = best_n
-    X, resp, n_d = _panel_stack(y_by, x_by, n, n)
+    X, resp, n_d = panel_stack_loop(y_by, x_by, n, n)
     rss_u = lstsq_fit(X, resp)[1]
     rss_r = lstsq_fit(X[:, : n_d + n], resp)[1]
     return _granger_f(rss_r, rss_u, n, resp.size - n_d - 2 * n, level, n, 0)
@@ -476,7 +477,7 @@ class TestNestedSearch:
         rng = np.random.default_rng(30)
         X = np.column_stack([np.ones(60), rng.normal(0, 1, (60, 7))])
         y = X[:, :3] @ np.array([1.0, -2.0, 0.5]) + rng.normal(0, 0.3, 60)
-        rss = _nested_rss(X, y, range(1, 9))
+        rss = _nested_rss(np.column_stack([X, y]), range(1, 9))
         for k, r in zip(range(1, 9), rss):
             assert r == pytest.approx(lstsq_fit(X[:, :k], y)[1], rel=1e-10)
 
@@ -486,12 +487,13 @@ class TestNestedSearch:
         X[:, 3] = X[:, 1]
         y = rng.normal(0, 1, 40)
         # prefixes before the duplicate pass; the first that holds it fails, naming it
-        assert len(_nested_rss(X, y, [1, 2, 3])) == 3
-        assert error_text(_nested_rss, X, y, [2, 3, 4, 5]) == (
+        M = np.column_stack([X, y])
+        assert len(_nested_rss(M, [1, 2, 3])) == 3
+        assert error_text(_nested_rss, M, [2, 3, 4, 5]) == (
             "NumericalError", "rank-deficient design, collinear columns: [3]")
 
     def test_too_few_rows_raises_as_ols(self):
-        assert error_text(_nested_rss, np.ones((4, 5)), np.ones(4), [4]) == (
+        assert error_text(_nested_rss, np.ones((4, 6)), [4]) == (
             "DataError", "need more observations (4) than parameters (4)")
 
     @pytest.mark.parametrize("kind", ["walk", "noise"])
@@ -558,3 +560,128 @@ class TestNestedSearch:
         assert error_text(panel_granger, tiny_y, tiny_x, 3) == error_text(
             oracle_panel_granger, tiny_y, tiny_x, 3) == (
             "DataError", "panel too short for any candidate lag order")
+
+
+# ---- the stacked paths against their one-series loops, bit for bit
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and text of the error it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (DataError, NumericalError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def as_outcome(result):
+    return (type(result).__name__, str(result)) if isinstance(result, Exception) else result
+
+
+def mixed_series(rng, T):
+    """One series of each kind the screen meets, and four that make ADF raise."""
+    e = rng.normal(0, 1, T)
+    trend = 0.3 * np.arange(T)
+    return np.array([
+        np.cumsum(e),                                    # random walk
+        e,                                               # noise
+        trend + np.cumsum(rng.normal(0, 0.1, T)),        # trending
+        (rng.random(T) < 0.08).astype(float),            # sparse 0/1
+        np.round(np.cumsum(e) / 3),                      # rounded
+        np.full(T, 0.25),                                # constant: degenerate series
+        np.diff(np.append(trend, T * 0.3)),              # a trend once differenced: constant
+        trend,                                           # constant differences: rank-deficient
+    ])
+
+
+class TestStackedAdf:
+    @pytest.mark.parametrize("T", [14, 25, 60, 66, 97, 130])
+    def test_each_row_equals_the_loop_oracle(self, T):
+        rng = np.random.default_rng(40 + T)
+        X = mixed_series(rng, T)
+        for max_lag, level in [(None, 0.05), (None, 0.01), (2, 0.10)]:
+            got = [as_outcome(r) for r in _adf_stack(X, max_lag, level)]
+            assert got == [outcome(adf_loop, x, max_lag, level) for x in X]
+        assert {r[1].split(":")[0] for r in got if isinstance(r, tuple)} == {
+            "degenerate series", "rank-deficient design, collinear columns"}
+
+    def test_a_short_stack_raises_for_every_row(self):
+        rng = np.random.default_rng(41)
+        X = mixed_series(rng, 16)
+        got = [as_outcome(r) for r in _adf_stack(X, max_lag=5)]
+        assert got == [outcome(adf_loop, x, 5) for x in X] == [
+            ("DataError", "series of length 16 too short for ADF with max_lag=5")] * len(X)
+
+    def test_random_rows_equal_the_loop_oracle(self):
+        rng = np.random.default_rng(42)
+        for _ in range(30):
+            T, rows = int(rng.integers(14, 131)), int(rng.integers(1, 20))
+            X = rng.normal(0, 1, (rows, T))
+            X[rng.random(rows) < 0.3] = np.cumsum(X[:1], axis=1)
+            X[rng.random(rows) < 0.2] = 1.0
+            assert [as_outcome(r) for r in _adf_stack(X)] == [outcome(adf_loop, x) for x in X]
+
+    def test_adf_test_is_the_one_row_case(self):
+        rng = np.random.default_rng(43)
+        for x in mixed_series(rng, 70):
+            assert outcome(adf_test, x) == outcome(adf_loop, x)
+            assert outcome(adf_test, x, 4, 0.01) == outcome(adf_loop, x, 4, 0.01)
+
+    def test_vote_equals_the_loop_vote(self):
+        # Districts of one feature may cover different months, so a vote mixes lengths.
+        rng = np.random.default_rng(44)
+        for _ in range(25):
+            series = []
+            for _ in range(int(rng.integers(1, 12))):
+                T = int(rng.choice([30, 45, 66]))
+                kind = int(rng.integers(0, 4))
+                series.append(mixed_series(rng, T)[kind] if kind < 3 else
+                              0.02 * np.arange(T) + rng.normal(0, 1e-3, T))
+            for max_d, level in [(2, 0.05), (1, 0.01)]:
+                assert _panel_diff_order(series, max_d, level) == \
+                    panel_diff_order_loop(series, max_d, level)
+        assert _panel_diff_order([np.ones(40)], 2, 0.05) is None
+
+
+class TestPanelStack:
+    def panel(self, rng):
+        lengths = [40, 25, 7, 33, 12]  # 7 is too short for t0 = 8
+        y_by = {f"d{i}": rng.normal(0, 1, T) for i, T in enumerate(lengths)}
+        x_by = {f"d{i}": rng.normal(0, 1, T) for i, T in enumerate(lengths)}
+        x_by["d3"] = x_by["d3"][:-1]  # ragged: skipped
+        return y_by, x_by
+
+    @pytest.mark.parametrize("n, t0", [(1, 1), (3, 3), (3, 8), (6, 8)])
+    def test_equals_the_column_stack_form(self, n, t0):
+        y_by, x_by = self.panel(np.random.default_rng(45))
+        X, resp, n_d = panel_stack_loop(y_by, x_by, n, t0)
+        expected = np.column_stack([X, resp])
+        M, m_d = _panel_stack(y_by, x_by, n, t0)
+        assert m_d == n_d and M.shape == expected.shape and (M == expected).all()
+        pairs = [n_d + c for i in range(n) for c in (i, n + i)]
+        M, _ = _panel_stack(y_by, x_by, n, t0, paired=True)
+        assert (M == expected[:, [*range(n_d), *pairs, -1]]).all()
+
+    def test_no_usable_district_raises(self):
+        with pytest.raises(DataError, match="no district has enough aligned observations"):
+            _panel_stack({"d0": np.ones(5)}, {"d0": np.ones(5)}, 2, 5)
+
+
+class TestScreeningWork:
+    def test_qr_calls_grow_with_features_not_districts(self, monkeypatch):
+        # Per feature and vote round one QR factors every district's ADF design,
+        # and one more each lag order chosen; the pooled Granger test adds two.
+        panel = make_panel(n_districts=24, months=72, features=("alpha", "beta"), seed=3)
+        shapes = []
+        real_qr = np.linalg.qr
+
+        def counted_qr(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counted_qr)
+        retained, report = select_features(panel.feature_order, panel.ipc, panel.factors)
+        assert [row.diff_order for row in report] == [0, 0]
+        max_lag = 11  # the default for 72 months
+        per_feature = 1 + (max_lag + 1) + 2
+        assert len(shapes) <= len(report) * per_feature < 2 * 24 * len(report)
+        assert sum(len(s) == 3 and s[0] == 24 for s in shapes) == len(report)
