@@ -10,13 +10,13 @@ the 1..3-grams of the surviving cause/effect constituents.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .artifacts import write_json
 from .errors import DataError
 from .stemmer import stem_tokens
-from .textutil import contains_subsequence, iter_ngrams, normalize_ngram, tokenize
+from .textutil import MAX_NGRAM, contains_subsequence, iter_ngrams, normalize_ngram, tokenize
 
 # Editable defaults. The 13 target keywords and the 41 causal-link triggers
 # are configuration, not constants of the method; override via PipelineConfig.
@@ -84,8 +84,8 @@ class TextFeature:
 
     def __post_init__(self):
         n = len(self.ngram.split())
-        if not 1 <= n <= 3:
-            raise DataError(f"feature {self.ngram!r} must have 1-3 tokens")
+        if not 1 <= n <= MAX_NGRAM:
+            raise DataError(f"feature {self.ngram!r} must have 1-{MAX_NGRAM} tokens")
 
 
 def has_cause_and_effect(frame: SemanticFrame) -> bool:
@@ -130,7 +130,7 @@ def extract_ngrams(frame: SemanticFrame, stop_words=DEFAULT_STOP_WORDS) -> set[s
     for role in ("cause", "effect"):
         for c in frame.with_role(role):
             toks = tuple(t for tok in c.tokens for t in tokenize(tok))
-            for gram in iter_ngrams(toks, 3):
+            for gram in iter_ngrams(toks):
                 if all(t in stop_words for t in gram):
                     continue
                 grams.add(" ".join(gram))
@@ -161,7 +161,7 @@ def load_frames(path) -> list[SemanticFrame]:
 
 @dataclass
 class ExtractionResult:
-    features: dict[str, TextFeature] = field(default_factory=dict)
+    features: dict[str, TextFeature]
 
 
 def run_extraction(
@@ -179,7 +179,7 @@ def run_extraction(
     """
     target_stems = tuple(stem_tokens(tokenize(k)) for k in target_keywords)
     link_tokens = tuple(tokenize(link) for link in causal_links)
-    result = ExtractionResult()
+    result = ExtractionResult({})
     stem_key: dict[tuple[str, ...], str] = {}
 
     for path, provenance in ((news_path, "frame-news"), (study_path, "frame-study")):

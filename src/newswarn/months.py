@@ -11,7 +11,7 @@ _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 # IPC publication cadence: quarterly through 2015, three times a year after.
 # Entries are (first calendar year the cadence applies, months of year).
-DEFAULT_PUBLICATION_SCHEDULE = ((1, (1, 4, 7, 10)), (2016, (2, 6, 10)))
+PUBLICATION_SCHEDULE = ((1, (1, 4, 7, 10)), (2016, (2, 6, 10)))
 
 
 def month_index(year: int, month: int) -> int:
@@ -48,12 +48,12 @@ def format_month(index: int) -> str:
     return f"{year_of(index):04d}-{month_of(index):02d}"
 
 
-def publication_months(start: int, end: int, schedule=DEFAULT_PUBLICATION_SCHEDULE):
-    """Publication months within [start, end] under a cadence schedule."""
+def publication_months(start: int, end: int):
+    """Publication months within [start, end] under the IPC cadence."""
     out = []
     for t in range(start, end + 1):
         months = ()
-        for first_year, cadence in schedule:
+        for first_year, cadence in PUBLICATION_SCHEDULE:
             if year_of(t) >= first_year:
                 months = cadence
         if month_of(t) in months:

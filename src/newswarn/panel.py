@@ -24,7 +24,7 @@ import numpy as np
 from .artifacts import read_csv
 from .corpus import District, Gazetteer, NewsFactors, STATIC_FACTOR_NAMES
 from .errors import ConfigError, DataError, NumericalError
-from .months import DEFAULT_PUBLICATION_SCHEDULE, parse_month, publication_months
+from .months import parse_month, publication_months
 from .tsstats import diff_on_grid, spearman, _average_ranks
 
 TRADITIONAL_INDICATORS = (
@@ -33,6 +33,12 @@ TRADITIONAL_INDICATORS = (
 )
 
 MODEL_KINDS = ("baseline", "news", "combined")
+
+NEIGHBORS = 4          # districts a spatial average is taken over
+HORIZON = 3            # months ahead a forecast is issued
+RANK_TOL = 1e-8        # relative residual below which ``_least_squares`` drops a column
+LASSO_TOL = 1e-7       # largest final-sweep change at which ``lasso_cd`` has converged
+MIN_DISTRICTS = 3      # districts ``validate_factors`` needs in a cross-section
 
 
 def forward_fill_ipc(observations, start: int, end: int) -> np.ndarray:
@@ -95,7 +101,6 @@ class PanelDataset:
     feature_order: tuple[str, ...] = ()
     clusters: dict[str, int] = field(default_factory=dict)
     cluster_labels: dict[int, str] = field(default_factory=dict)
-    static_names: tuple[str, ...] = STATIC_FACTOR_NAMES
     _neighbor_cache: dict = field(default_factory=dict, repr=False)
 
     def country_of(self, district_id: str) -> str:
@@ -104,10 +109,9 @@ class PanelDataset:
     def province_of(self, district_id: str) -> str:
         return self.districts[district_id].province_id
 
-    def neighbors(self, district_id: str, k: int = 4) -> tuple[str, ...]:
-        """The k nearest other districts by great-circle centroid distance."""
-        key = (district_id, k)
-        cached = self._neighbor_cache.get(key)
+    def neighbors(self, district_id: str) -> tuple[str, ...]:
+        """The ``NEIGHBORS`` nearest other districts by great-circle centroid distance."""
+        cached = self._neighbor_cache.get(district_id)
         if cached is not None:
             return cached
         home = self.districts[district_id]
@@ -116,11 +120,12 @@ class PanelDataset:
             if other_id == district_id:
                 continue
             ranked.append((_haversine_km(home.lat, home.lon, other.lat, other.lon), other_id))
-        if len(ranked) < k:
-            raise DataError(f"district {district_id!r} has fewer than {k} potential neighbors")
+        if len(ranked) < NEIGHBORS:
+            raise DataError(f"district {district_id!r} has fewer than {NEIGHBORS} "
+                            "potential neighbors")
         ranked.sort()
-        out = tuple(d for _, d in ranked[:k])
-        self._neighbor_cache[key] = out
+        out = tuple(d for _, d in ranked[:NEIGHBORS])
+        self._neighbor_cache[district_id] = out
         return out
 
 
@@ -132,14 +137,13 @@ def _haversine_km(lat1, lon1, lat2, lon2) -> float:
     return 2.0 * 6371.0088 * math.asin(min(1.0, math.sqrt(a)))
 
 
-def spatial_average(panel: PanelDataset, district_id: str, values: np.ndarray,
-                    k: int = 4) -> np.ndarray:
-    """Unweighted mean of the rows of ``values`` of those of the k nearest neighbours that have one.
+def spatial_average(panel: PanelDataset, district_id: str, values: np.ndarray) -> np.ndarray:
+    """Unweighted mean of the rows of ``values`` of those of the nearest neighbours that have one.
 
     The mean holds values where every such row does, and is all NaN when no
     neighbour has a series.
     """
-    rows = values[[panel.rows[d] for d in panel.neighbors(district_id, k)]]
+    rows = values[[panel.rows[d] for d in panel.neighbors(district_id)]]
     rows = rows[np.isfinite(rows).any(axis=1)]
     if not len(rows):
         return np.full(values.shape[1], np.nan)
@@ -220,8 +224,8 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
         for k in TRADITIONAL_INDICATORS:
             lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
                    missing=f"missing traditional indicator {k}")
-        undated("static", panel.static_names,
-                lambda d: [panel.districts[d].statics[s] for s in panel.static_names])
+        undated("static", STATIC_FACTOR_NAMES,
+                lambda d: [panel.districts[d].statics[s] for s in STATIC_FACTOR_NAMES])
     if spec.uses_news:
         for w in panel.feature_order:
             for level, loc_of in locations.items():
@@ -235,9 +239,9 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
                 lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
                        around(panel.traditional[k]),
                        missing=f"no neighbour has traditional indicator {k}")
-            undated("sp_static", panel.static_names, lambda d: [
+            undated("sp_static", STATIC_FACTOR_NAMES, lambda d: [
                 float(np.mean([panel.districts[nd].statics[s] for nd in panel.neighbors(d)]))
-                for s in panel.static_names])
+                for s in STATIC_FACTOR_NAMES])
         if spec.uses_news:
             for w in panel.feature_order:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
@@ -301,20 +305,20 @@ def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
                         rows=tuple(row_keys), skipped=tuple(skipped))
 
 
-def audit_no_lookahead(design: DesignMatrix, horizon: int = 3) -> list[str]:
-    """Names of the dated regressors fewer than ``horizon`` months in the past.
+def audit_no_lookahead(design: DesignMatrix) -> list[str]:
+    """Names of the dated regressors fewer than ``HORIZON`` months in the past.
 
     A row's newest regressor sits the smallest dated offset before it, so a
     row fails exactly when some column does.
     """
-    return [c.name for c in design.columns if c.offset is not None and c.offset < horizon]
+    return [c.name for c in design.columns if c.offset is not None and c.offset < HORIZON]
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray, tol: float = 1e-8):
+def _least_squares(X: np.ndarray, y: np.ndarray):
     """Least squares on a maximal independent set of ``X``'s columns, from one QR.
 
     Column j is kept when its residual on the kept columns before it exceeds
-    ``tol`` times its own norm, so zero columns are dropped. R of ``[X, y]``
+    ``RANK_TOL`` times its own norm, so zero columns are dropped. R of ``[X, y]``
     holds every inner product of those columns, so each pass re-factors only
     R's kept columns (p + 1 rows) and drops the first column that fails; the
     columns before it keep their residuals. Returns (kept, beta, rss).
@@ -326,7 +330,7 @@ def _least_squares(X: np.ndarray, y: np.ndarray, tol: float = 1e-8):
     kept = list(range(p))
     while True:
         F = np.linalg.qr(R[:, kept + [p]], mode="r")
-        bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= tol * norms[kept])
+        bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= RANK_TOL * norms[kept])
         if not bad.size:
             break
         del kept[bad[0]]
@@ -368,8 +372,7 @@ def _lasso_scale(X: np.ndarray, penalized: np.ndarray) -> np.ndarray:
     return scale
 
 
-def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
-             max_sweeps: int = 100000):
+def lasso_cd(X, y, lam: float, penalized, max_sweeps: int = 100000):
     """Cyclic coordinate descent for (1/2N)*RSS + lam*sum_penalized |beta_std|.
 
     Penalized columns are divided by their standard deviation (not centered);
@@ -379,7 +382,7 @@ def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
     descent runs on the penalized coordinates alone, and the unpenalized
     coefficients are then the least-squares fit to what remains. This is the
     same minimizer. A penalized column inside the span of the unpenalized ones
-    gets coefficient 0. ``tol`` bounds the largest change of a penalized
+    gets coefficient 0. ``LASSO_TOL`` bounds the largest change of a penalized
     coordinate, on the standardized scale, in the final sweep.
 
     Returns (beta, rss, sweeps). Raises NumericalError after ``max_sweeps``
@@ -421,7 +424,7 @@ def lasso_cd(X, y, lam: float, penalized, tol: float = 1e-7,
                 b[j] = new
                 if abs(delta) > max_delta:
                     max_delta, worst = abs(delta), j
-        if max_delta <= tol:
+        if max_delta <= LASSO_TOL:
             beta = np.zeros(p)
             beta[pen] = b
             if free.size:
@@ -623,7 +626,7 @@ class AssociationRow:
     n_districts: int
 
 
-def validate_factors(panel: PanelDataset, factors: NewsFactors, min_districts: int = 3):
+def validate_factors(panel: PanelDataset, factors: NewsFactors):
     """Associate each traditional indicator with its best news factor.
 
     Districts are summarized by each series' maximum monthly value, the news
@@ -633,8 +636,8 @@ def validate_factors(panel: PanelDataset, factors: NewsFactors, min_districts: i
     rank-transformed district summaries for plotting.
     """
     district_ids = sorted(panel.districts)
-    if len(district_ids) < min_districts:
-        raise DataError(f"need at least {min_districts} districts")
+    if len(district_ids) < MIN_DISTRICTS:
+        raise DataError(f"need at least {MIN_DISTRICTS} districts")
     news_summary = {}
     for w in panel.feature_order:
         f = factors.features.index(w)
@@ -645,7 +648,7 @@ def validate_factors(panel: PanelDataset, factors: NewsFactors, min_districts: i
     for k in TRADITIONAL_INDICATORS:
         per = {d: panel.traditional[k][panel.rows[d]] for d in district_ids}
         summary = {d: float(np.nanmax(v)) for d, v in per.items() if np.isfinite(v).any()}
-        if len(summary) < min_districts or np.ptp(list(summary.values())) == 0.0:
+        if len(summary) < MIN_DISTRICTS or np.ptp(list(summary.values())) == 0.0:
             warnings.warn(f"indicator {k!r}: constant or missing cross-section, skipped")
             continue
         ds = sorted(summary)
@@ -737,7 +740,6 @@ def assemble_panel(
     retained: dict[str, int],
     clusters: dict[str, int] | None = None,
     cluster_labels: dict[int, str] | None = None,
-    schedule=DEFAULT_PUBLICATION_SCHEDULE,
 ) -> PanelDataset:
     """Build the modeling panel from ``load_panel_csv``'s result and the news factors.
 
@@ -771,7 +773,7 @@ def assemble_panel(
                    zip(gaz.locations, np.isfinite(observed).any(axis=1)) if has},
         start=start,
         end=end,
-        publication_months=publication_months(start, end, schedule),
+        publication_months=publication_months(start, end),
         rows={loc: i for i, loc in enumerate(factors.locations)},
         grid_start=g0,
         ipc=on_grid(ipc, start),

@@ -25,9 +25,7 @@ import numpy as np
 
 from .artifacts import write_json
 from .errors import DataError
-from .textutil import normalize_ngram, tokenize
-
-MAX_PHRASE_TOKENS = 3
+from .textutil import MAX_NGRAM, normalize_ngram, tokenize
 
 
 @dataclass(frozen=True)
@@ -81,25 +79,20 @@ def load_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 
-@dataclass(frozen=True)
-class TransportPlan:
-    """Token-level flow matrix between two phrases; marginals uniform."""
+def _phrase_vectors(phrase, emb: EmbeddingTable) -> np.ndarray:
+    """The embeddings of the phrase's in-vocabulary tokens, one row each.
 
-    flows: np.ndarray
-    cost: float
-
-
-def _phrase_tokens(phrase, emb: EmbeddingTable) -> list[str]:
-    """The phrase's in-vocabulary tokens; raises DataError when none is left."""
+    Raises DataError when none is left.
+    """
     toks = list(tokenize(phrase)) if isinstance(phrase, str) else [t.lower() for t in phrase]
     if not toks:
         raise DataError("empty phrase")
-    if len(toks) > MAX_PHRASE_TOKENS:
-        raise DataError(f"phrase {' '.join(toks)!r} longer than {MAX_PHRASE_TOKENS} tokens")
+    if len(toks) > MAX_NGRAM:
+        raise DataError(f"phrase {' '.join(toks)!r} longer than {MAX_NGRAM} tokens")
     toks = [t for t in toks if t in emb]
     if not toks:
         raise DataError("phrase has no in-vocabulary token")
-    return toks
+    return np.stack([emb.get(t) for t in toks])
 
 
 @cache
@@ -121,14 +114,9 @@ def _solve_transport(cost: np.ndarray) -> tuple[float, np.ndarray]:
     return float((plan * cost).sum()), plan
 
 
-def transport_plan(a, b, emb: EmbeddingTable) -> TransportPlan:
-    ta = _phrase_tokens(a, emb)
-    tb = _phrase_tokens(b, emb)
-    va = np.stack([emb.get(t) for t in ta])
-    vb = np.stack([emb.get(t) for t in tb])
-    cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
-    total, plan = _solve_transport(cost)
-    return TransportPlan(plan, total)
+def _transport_cost(va: np.ndarray, vb: np.ndarray) -> float:
+    """Word mover's distance between two phrases given as ``_phrase_vectors``."""
+    return _solve_transport(np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2))[0]
 
 
 def wmd(a, b, emb: EmbeddingTable) -> float:
@@ -136,7 +124,7 @@ def wmd(a, b, emb: EmbeddingTable) -> float:
 
     Out-of-vocabulary tokens are ignored; a phrase with none left raises DataError.
     """
-    return transport_plan(a, b, emb).cost
+    return _transport_cost(_phrase_vectors(a, emb), _phrase_vectors(b, emb))
 
 
 def enumerate_candidates(corpus, floor: int = 1000) -> list[str]:
@@ -150,36 +138,34 @@ def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0):
     """Candidates within WMD ``radius`` (strict) of any seed, tagged by nearest seed.
 
     Candidates identical to a seed are not expansions. Candidates or seeds
-    with no in-vocabulary token are skipped (counted, warned once).
+    with no in-vocabulary token are skipped (counted, warned once). Each phrase
+    is embedded once; a tie goes to the first seed in sorted order.
     """
     from .frames import TextFeature
 
     seed_set = {normalize_ngram(s if isinstance(s, str) else s.ngram) for s in seeds}
-    usable_seeds = []
+    seed_vectors = []
     for s in sorted(seed_set):
         try:
-            _phrase_tokens(s, emb)
-            usable_seeds.append(s)
+            seed_vectors.append((s, _phrase_vectors(s, emb)))
         except DataError:
             continue
-    if not usable_seeds:
+    if not seed_vectors:
         raise DataError("no seed has embedding coverage")
-    dropped = len(seed_set) - len(usable_seeds)
+    dropped = len(seed_set) - len(seed_vectors)
     skipped_candidates = 0
     out = []
     for cand in sorted(normalize_ngram(c) for c in candidates):
         if cand in seed_set:
             continue
-        best = None
         try:
-            for s in usable_seeds:
-                d = wmd(cand, s, emb)
-                if best is None or d < best[0]:
-                    best = (d, s)
+            vc = _phrase_vectors(cand, emb)
         except DataError:
             skipped_candidates += 1
             continue
-        if best is not None and best[0] < radius:
+        best = min(((_transport_cost(vc, vs), s) for s, vs in seed_vectors),
+                   key=lambda pair: pair[0])
+        if best[0] < radius:
             out.append(TextFeature(ngram=cand, provenance=("expanded",),
                                    source_seed=best[1], distance=best[0]))
     if dropped or skipped_candidates:

@@ -20,9 +20,9 @@ from .artifacts import write_json
 from .config import PipelineConfig, save_config
 from .corpus import District, write_gazetteer
 from .errors import ConfigError, DataError
-from .months import (DEFAULT_PUBLICATION_SCHEDULE, format_month, parse_month,
-                     publication_months)
+from .months import format_month, parse_month, publication_months
 from .outbreak import detect_outbreaks
+from .panel import TRADITIONAL_INDICATORS
 
 _SYLLABLES = ("ba", "do", "ka", "lu", "mi", "na", "po", "ra", "su", "ta", "ve", "zo")
 
@@ -31,8 +31,16 @@ _FILLER_SEEDS = (
     "school", "project", "border", "season", "harvest", "trade", "council",
 )
 
+_FILLER_COUNT = 150
 _TARGETS = ("famine", "hunger", "starvation")
 _SEED_DRAWS = 10_000  # draws per seed vector before the embedding space counts as full
+
+START = "2010-01"        # first month of every bundle
+DECOY_MENTION = 0.10     # a decoy word's mention probability in each article
+EPISODE_LEN = (6, 9)     # shortest and longest risk episode, in months
+REFRACTORY = 10          # months after an episode before the next can start
+INDICATOR_DELAY = 3      # months by which the traditional indicators trail the latents
+INDICATOR_NOISE = 0.4    # sd of the indicators' noise
 
 
 @dataclass(frozen=True)
@@ -61,7 +69,6 @@ DEFAULT_PLANTED = (
 class SyntheticSpec:
     districts: int = 40
     months: int = 120
-    start: str = "2010-01"
     countries: int = 4
     province_size: int = 5
     planted: tuple[PlantedFeature, ...] = DEFAULT_PLANTED
@@ -70,18 +77,12 @@ class SyntheticSpec:
     articles_per_country_month: int = 200
     mention_base: float = 0.01
     mention_boost: float = 0.88
-    decoy_mention: float = 0.10
     episode_start_prob: float = 0.015
-    episode_len: tuple[int, int] = (6, 9)
-    refractory: int = 10
-    indicator_delay: int = 3
-    indicator_noise: float = 0.4
     phase_noise: float = 0.10
     projection_flip: float = 0.30
     undercover_province: str | None = None
     undercover_weight: float = 0.15
     embedding_dim: int = 8
-    schedule: tuple = DEFAULT_PUBLICATION_SCHEDULE
 
     def __post_init__(self):
         for name in ("countries", "months", "province_size"):
@@ -133,14 +134,14 @@ def _district_names(rng: np.random.Generator, count: int, reserved: set[str]) ->
     return names
 
 
-def _filler_vocab(rng: np.random.Generator, reserved: set[str], count: int = 150) -> list[str]:
+def _filler_vocab(rng: np.random.Generator, reserved: set[str]) -> list[str]:
     vocab = []
     seen = set(reserved)
     for stem in _FILLER_SEEDS:
         if stem not in seen:
             vocab.append(stem)
             seen.add(stem)
-    while len(vocab) < count:
+    while len(vocab) < _FILLER_COUNT:
         word = "".join(rng.choice(_SYLLABLES, size=2)) + str(rng.integers(10, 99))
         if word not in seen:
             seen.add(word)
@@ -148,22 +149,23 @@ def _filler_vocab(rng: np.random.Generator, reserved: set[str], count: int = 150
     return vocab
 
 
-def _episode_process(rng, months, start_prob, len_range, refractory) -> np.ndarray:
+def _episode_process(rng, months, start_prob) -> np.ndarray:
     z = np.zeros(months)
     t = 0
     while t < months:
         if rng.random() < start_prob:
-            length = int(rng.integers(len_range[0], len_range[1] + 1))
+            length = int(rng.integers(EPISODE_LEN[0], EPISODE_LEN[1] + 1))
             z[t : t + length] = 1.0
-            t += length + refractory
+            t += length + REFRACTORY
         else:
             t += 1
     return z
 
 
-def _far_point(rng, dim, base_offset=60.0, jitter=3.0) -> np.ndarray:
-    v = rng.normal(0.0, jitter, size=dim)
-    v[0] += base_offset
+def _far_point(rng, dim) -> np.ndarray:
+    """A point of the distant cloud: sd 3 about 60 along the first axis, 0 along the rest."""
+    v = rng.normal(0.0, 3.0, size=dim)
+    v[0] += 60.0
     return v
 
 
@@ -195,13 +197,13 @@ def _articles(rng, spec: SyntheticSpec, districts: list[District], z: dict, fill
         # rates[h, j]: each word's mention probability in home h's month j
         rates = np.empty((len(homes), spec.months, len(words)))
         rates[:, :, n_planted:] = ([spec.mention_base] * len(spec.extra_seeds)
-                                   + [spec.decoy_mention] * spec.decoys)
+                                   + [DECOY_MENTION] * spec.decoys)
         for h, d in enumerate(homes):
             for k, p in enumerate(spec.planted):
                 rates[h, :, k] = spec.mention_base + spec.mention_boost * z[(p.ngram, d.district_id)]
         streams.append((country, homes, cdf, rates))
 
-    start = parse_month(spec.start)
+    start = parse_month(START)
     article_id = 0
     for j in range(spec.months):
         month = format_month(start + j)
@@ -235,9 +237,9 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
     rng = np.random.default_rng(seed)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    start = parse_month(spec.start)
+    start = parse_month(START)
     months = list(range(start, start + spec.months))
-    pub_months = publication_months(months[0], months[-1], spec.schedule)
+    pub_months = publication_months(months[0], months[-1])
 
     planted_names = [p.ngram for p in spec.planted]
     decoys = [f"decoy{i:02d}" for i in range(spec.decoys)]
@@ -273,9 +275,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
 
     # Latent risk episodes and the resulting monthly phase per district.
     z = {
-        (p.ngram, d.district_id): _episode_process(
-            rng, spec.months, spec.episode_start_prob, spec.episode_len, spec.refractory
-        )
+        (p.ngram, d.district_id): _episode_process(rng, spec.months, spec.episode_start_prob)
         for p in spec.planted
         for d in districts
     }
@@ -295,15 +295,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
         true_phase[d.district_id] = np.clip(np.round(latent), 1, 5)
 
     # Traditional indicators: delayed, noisy views of the same latents.
-    delay = spec.indicator_delay
-    noise = spec.indicator_noise
-
     def delayed(name: str, d: str) -> np.ndarray:
         zi = z.get((name, d))
         if zi is None:
             return np.zeros(spec.months)
         shifted = np.zeros(spec.months)
-        shifted[delay:] = zi[: spec.months - delay]
+        shifted[INDICATOR_DELAY:] = zi[: spec.months - INDICATOR_DELAY]
         return shifted
 
     indicator_rows: dict[str, dict[str, np.ndarray]] = {}
@@ -312,12 +309,12 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
         conflict = delayed("conflict", did)
         drought = delayed("drought", did)
         pests = delayed("pests", did)
-        e = lambda: rng.normal(0, noise, spec.months)
+        e = lambda: rng.normal(0, INDICATOR_NOISE, spec.months)
         indicator_rows[did] = {
             "conflict_events": np.abs(6.0 * conflict + e()),
             "conflict_fatalities": np.abs(3.0 * conflict + e()),
             "price_index": 4.6 + 0.05 * np.cumsum(rng.normal(0, 0.02, spec.months)),
-            "price_yoy": rng.normal(0, noise, spec.months),
+            "price_yoy": rng.normal(0, INDICATOR_NOISE, spec.months),
             "evapotranspiration": 1.0 + 1.5 * drought + e(),
             "rain_mean": 1.0 - 1.2 * drought + e(),
             "rain_deviation": -1.5 * drought + e(),
@@ -328,18 +325,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
     # Panel CSV: phases only at publication months, indicators monthly.
     pub_set = set(pub_months)
     with open(out / "panel.csv", "w", encoding="utf-8", newline="") as fh:
-        header = ["district_id", "month", "ipc_phase"] + [
-            "conflict_events", "conflict_fatalities", "price_index", "price_yoy",
-            "evapotranspiration", "rain_mean", "rain_deviation", "ndvi_mean",
-            "ndvi_deviation",
-        ]
+        header = ("district_id", "month", "ipc_phase") + TRADITIONAL_INDICATORS
         fh.write(",".join(header) + "\n")
         for d in districts:
             did = d.district_id
             for j, t in enumerate(months):
                 phase = str(int(true_phase[did][j])) if t in pub_set else ""
                 cells = [did, format_month(t), phase] + [
-                    repr(float(indicator_rows[did][k][j])) for k in header[3:]
+                    repr(float(indicator_rows[did][k][j])) for k in TRADITIONAL_INDICATORS
                 ]
                 fh.write(",".join(cells) + "\n")
 
@@ -363,10 +356,10 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
 
     # Frame files: well-formed causal frames for every seed, plus chaff that
     # must fail each filter.
-    def frame_line(cause_tokens, effect_tokens, label, provenance, doc, link=("due", "to")):
+    def frame_line(cause_tokens, effect_tokens, label, provenance, doc):
         constituents = [
             {"role": "cause", "tokens": list(cause_tokens)},
-            {"role": "connective", "tokens": list(link)},
+            {"role": "connective", "tokens": ["due", "to"]},
             {"role": "effect", "tokens": list(effect_tokens)},
         ]
         return json.dumps(

@@ -6,6 +6,8 @@ import re
 
 _TOKEN = re.compile(r"[a-z0-9]+")
 
+MAX_NGRAM = 3  # tokens in the longest text feature
+
 
 def tokenize(text: str) -> tuple[str, ...]:
     """Lowercase, strip punctuation, split on whitespace."""
@@ -21,10 +23,10 @@ def normalize_ngram(ngram) -> str:
     return " ".join(toks)
 
 
-def iter_ngrams(tokens, n_max: int = 3):
-    """All contiguous 1..n_max-grams of a token sequence, as tuples."""
+def iter_ngrams(tokens):
+    """All contiguous 1..MAX_NGRAM-grams of a token sequence, as tuples."""
     toks = tuple(tokens)
-    for n in range(1, n_max + 1):
+    for n in range(1, MAX_NGRAM + 1):
         for i in range(len(toks) - n + 1):
             yield toks[i : i + n]
 

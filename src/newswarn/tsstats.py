@@ -354,10 +354,10 @@ def select_features(
     both do. Returns (retained, report): ``retained`` maps each surviving
     feature to its differencing order and Granger result, and ``report``
     lists one ScreeningRow per input feature. In ``per-district`` mode each location
-    is tested alone by ``panel_granger``, and a feature is kept when at least half the
-    tested locations pass; a location whose test raises is left out of the vote. The
-    row carries the F and p of the location with the largest F, and the vote
-    (``"3 of 8 districts significant"``) as its reason.
+    with an aligned sample is tested alone by ``panel_granger``, and a feature is kept
+    when at least half of those locations pass; a location whose test raises counts as
+    not significant. The row carries the F and p of the location with the largest F,
+    and the vote (``"3 of 8 districts significant"``) as its reason.
     """
     if mode not in ("pooled", "per-district"):
         raise DataError(f"unknown screening mode {mode!r}")
@@ -406,9 +406,9 @@ def select_features(
                 if not results:
                     raise errors[0]
                 n_sig = sum(r.decision for r in results)
-                reason = f"{n_sig} of {len(results)} districts significant"
+                reason = f"{n_sig} of {len(y_by)} districts significant"
                 result = replace(max(results, key=lambda r: r.f_stat),
-                                 decision=n_sig * 2 >= len(results))
+                                 decision=n_sig * 2 >= len(y_by))
         except (DataError, NumericalError) as exc:
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, d_order,
                                        False, f"test failed: {exc}"))

@@ -6,7 +6,7 @@ from collections import Counter
 # newswarn before numpy: importing newswarn pins BLAS to one thread, and the pin
 # holds only while numpy is not yet loaded, so in-process tests compute as the
 # command line does.
-from newswarn.corpus import District, Gazetteer, read_corpus  # isort: skip
+from newswarn.corpus import STATIC_FACTOR_NAMES, District, Gazetteer, read_corpus  # isort: skip
 from newswarn.semantics import EmbeddingTable  # isort: skip
 
 import numpy as np
@@ -95,13 +95,14 @@ def article_records_loop(rng, spec, districts, z, fillers):
     and decoy mentions and the target gate are one scalar ``rng.random()`` each.
     """
     from newswarn.months import month_of, parse_month, year_of
+    from newswarn.synth import DECOY_MENTION, START
 
     targets = ("famine", "hunger", "starvation")
     decoys = [f"decoy{i:02d}" for i in range(spec.decoys)]
     by_country = {}
     for d in districts:
         by_country.setdefault(d.country, []).append(d)
-    start = parse_month(spec.start)
+    start = parse_month(START)
     article_id = 0
     for j in range(spec.months):
         t = start + j
@@ -127,7 +128,7 @@ def article_records_loop(rng, spec, districts, z, fillers):
                     if rng.random() < spec.mention_base:
                         tokens.append(extra)
                 for g in decoys:
-                    if rng.random() < spec.decoy_mention:
+                    if rng.random() < DECOY_MENTION:
                         tokens.append(g)
                 if rng.random() < (0.25 if mentioned_planted else 0.03):
                     tokens.append(str(rng.choice(targets)))
@@ -329,8 +330,8 @@ def design_loop(panel, spec):
         for k in TRADITIONAL_INDICATORS:
             lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
                    f"missing traditional indicator {k}")
-        undated("static", panel.static_names,
-                lambda d: [panel.districts[d].statics[s] for s in panel.static_names])
+        undated("static", STATIC_FACTOR_NAMES,
+                lambda d: [panel.districts[d].statics[s] for s in STATIC_FACTOR_NAMES])
     if spec.uses_news:
         for w in features:
             for level, loc_of in (("district", lambda d: d), ("province", panel.province_of),
@@ -344,9 +345,9 @@ def design_loop(panel, spec):
                 lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
                        around(panel.traditional[k]),
                        f"no neighbour has traditional indicator {k}")
-            undated("sp_static", panel.static_names, lambda d: [
+            undated("sp_static", STATIC_FACTOR_NAMES, lambda d: [
                 float(np.mean([panel.districts[n].statics[s] for n in panel.neighbors(d)]))
-                for s in panel.static_names])
+                for s in STATIC_FACTOR_NAMES])
         if spec.uses_news:
             for w in features:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}", around(panel.factors[w]),

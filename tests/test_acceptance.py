@@ -332,7 +332,7 @@ def test_criterion_9_no_lookahead_audit(planted_run):
         spec = ModelSpec(kind=kind, y_lags=cfg.y_lags, factor_lags=cfg.factor_lags,
                          delay=cfg.publication_delay)
         design = build_design(panel, spec)
-        clean = clean and not audit_no_lookahead(design, horizon=3)
+        clean = clean and not audit_no_lookahead(design)
         total_rows += len(design.rows)
         # every row's newest regressor sits the design's smallest dated offset before it
         margin = min(c.offset for c in design.columns if c.offset is not None)

@@ -43,7 +43,7 @@ class OracleIndex:
         self.by_month[month].append(aid)
         for loc in oracle_locations(tokens, tags, gaz):
             self.loc_postings[loc].add(aid)
-        for gram in iter_ngrams(tokens, 3):
+        for gram in iter_ngrams(tokens):
             key = " ".join(gram)
             self.ngram_occurrences[key] += 1
             self.ngram_postings[key].add(aid)

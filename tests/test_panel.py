@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newswarn.corpus import STATIC_FACTOR_NAMES
 from newswarn.errors import DataError, NumericalError
 from newswarn.months import format_month, parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
@@ -260,7 +261,7 @@ class TestSpatial:
         design = build_design(panel, ModelSpec(kind="baseline", spatial=True))
         names = [c.name for c in design.columns]
         for i, (d, _) in enumerate(design.rows):
-            for s in panel.static_names:
+            for s in STATIC_FACTOR_NAMES:
                 expected = np.mean([panel.districts[n].statics[s] for n in panel.neighbors(d)])
                 assert design.X[i, names.index(f"sp_static[{s}]")] == expected
 
@@ -353,7 +354,7 @@ class TestFit:
         panel = make_panel(n_districts=5)
         spec = ModelSpec(kind="baseline")
         result = fit_design(build_design(panel, spec), spec)
-        assert set(result.dropped) == {f"static[{s}]" for s in panel.static_names}
+        assert set(result.dropped) == {f"static[{s}]" for s in STATIC_FACTOR_NAMES}
 
     def test_tiny_column_independent_of_the_rest_is_kept(self):
         # b = (a+b) - a is dropped. The tiny column is judged against its own

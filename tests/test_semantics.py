@@ -6,9 +6,9 @@ import pytest
 
 from newswarn.errors import DataError
 from newswarn.frames import TextFeature
-from newswarn.semantics import (EmbeddingTable, cluster_features, cluster_validation,
-                                enumerate_candidates, expand_seeds, load_embeddings,
-                                pairwise_distances, similarity_edges, transport_plan, wmd)
+from newswarn.semantics import (EmbeddingTable, _solve_transport, cluster_features,
+                                cluster_validation, enumerate_candidates, expand_seeds,
+                                load_embeddings, pairwise_distances, similarity_edges, wmd)
 
 from conftest import embedding_table
 
@@ -138,12 +138,15 @@ class TestWmd:
             wmd("missing", "p", toy_table)
 
     def test_plan_marginals(self, toy_table):
-        plan = transport_plan("u v", "p q far", toy_table)
-        assert plan.flows.shape == (2, 3)
-        assert np.allclose(plan.flows.sum(axis=1), 1 / 2)
-        assert np.allclose(plan.flows.sum(axis=0), 1 / 3)
-        assert np.all(plan.flows >= 0)
-        assert plan.flows.sum() == pytest.approx(1.0)
+        va = np.stack([toy_table.get(t) for t in ("u", "v")])
+        vb = np.stack([toy_table.get(t) for t in ("p", "q", "far")])
+        cost, plan = _solve_transport(np.linalg.norm(va[:, None] - vb[None], axis=2))
+        assert plan.shape == (2, 3)
+        assert np.allclose(plan.sum(axis=1), 1 / 2)
+        assert np.allclose(plan.sum(axis=0), 1 / 3)
+        assert np.all(plan >= 0)
+        assert plan.sum() == pytest.approx(1.0)
+        assert cost == wmd("u v", "p q far", toy_table)
 
 
 class TestLoadEmbeddings:

@@ -125,7 +125,6 @@ READ_BY_TESTS = {
     ("GrangerResult", "x_diff_order"): "screening tests check the order a feature was tested at",
     ("PredictionRow", "fold"): "CV tests check each prediction follows its fold's training",
     ("EmbeddingTable", "dim"): "the embedding tests check the dimension the header declares",
-    ("TransportPlan", "flows"): "the WMD tests check the plan's uniform marginals",
     ("Corpus", "skipped_lines"): "the corpus tests count malformed lines, for a run log",
 }
 # Config keys are read by name (getattr, asdict and the INI writer).
@@ -173,3 +172,138 @@ def test_the_pipeline_does_not_import_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+# Defaults that no call in the package, the tests or the benchmark sets, and why each is kept.
+UNSET_DEFAULTS = {
+    "difference_until_stationary(level)":
+        "criterion 2's oracle procedure, kept whole beside the code it checks",
+}
+SCANNED = (PACKAGE, PACKAGE.parents[1] / "tests", PACKAGE.parents[1] / "perfbench")
+
+
+def _signatures(tree):
+    """(call name, label format, positional parameters, defaulted parameters) of each definition.
+
+    A record's call name is its class and its parameters are its fields; a
+    method's positional parameters leave out ``self``. Decorated functions
+    (the click commands) are left out, as are ``PipelineConfig`` and fields
+    named with a leading underscore.
+    """
+    out = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name not in READ_BY_NAME:
+                if _is_record(child):
+                    fields = [s for s in child.body if isinstance(s, ast.AnnAssign)
+                              and isinstance(s.target, ast.Name)]
+                    out.append((child.name, child.name + ".{}", [s.target.id for s in fields],
+                                [s.target.id for s in fields if s.value is not None
+                                 and not s.target.id.startswith("_")]))
+                visit(child)
+            elif isinstance(child, ast.FunctionDef):
+                if any(not (isinstance(d, ast.Name) and d.id == "cache")
+                       for d in child.decorator_list):
+                    continue
+                a = child.args
+                positional = [p.arg for p in a.posonlyargs + a.args]
+                defaulted = positional[len(positional) - len(a.defaults):]
+                defaulted += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                if isinstance(node, ast.ClassDef):
+                    positional = positional[1:]
+                    name, label = ((node.name, node.name) if child.name == "__init__"
+                                   else (child.name, f"{node.name}.{child.name}"))
+                else:
+                    name = label = child.name
+                out.append((name, label + "({})", positional, defaulted))
+                visit(child)
+
+    visit(tree)
+    return out
+
+
+def _keys(node, dicts) -> set[str]:
+    """Keys of a dict display, a ``dict(...)`` call, or a name bound to either."""
+    if isinstance(node, ast.Name):
+        return dicts.get(node.id, set())
+    if isinstance(node, ast.Dict):
+        return set().union(*[_keys(v, dicts) if k is None else {getattr(k, "value", None)}
+                             for k, v in zip(node.keys, node.values)])
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "dict":
+        return set().union(*[_keys(a, dicts) for a in node.args],
+                           *[{k.arg} if k.arg else _keys(k.value, dicts)
+                             for k in node.keywords])
+    return set()
+
+
+def _calls(tree):
+    """(callee name, positional count, keyword names, forwarding function) of each call.
+
+    ``**name`` passes the keys of the dict displays bound to that name in the
+    file. Inside ``def f(..., **kw)``, a call ``g(..., **kw)`` forwards to g the
+    keywords that f's callers pass, so its forwarding function is f.
+    """
+    dicts: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            dicts.setdefault(node.targets[0].id, set()).update(_keys(node.value, {}))
+    out = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                positional = next((i for i, a in enumerate(child.args)
+                                   if isinstance(a, ast.Starred)), len(child.args))
+                keywords, via = set(), None
+                for k in child.keywords:
+                    if k.arg is not None:
+                        keywords.add(k.arg)
+                    elif (fn is not None and fn.args.kwarg is not None
+                          and isinstance(k.value, ast.Name) and k.value.id == fn.args.kwarg.arg):
+                        via = fn.name
+                    else:
+                        keywords |= _keys(k.value, dicts)
+                out.append((name, positional, keywords, via))
+            visit(child, child if isinstance(child, ast.FunctionDef) else fn)
+
+    visit(tree, None)
+    return out
+
+
+def unset_defaults() -> list[str]:
+    """Each defaulted parameter or record field that no call passes a value."""
+    signatures = [sig for path in sorted(PACKAGE.glob("*.py"))
+                  for sig in _signatures(ast.parse(path.read_text(encoding="utf-8")))]
+    calls = [call for root in SCANNED for path in sorted(root.glob("*.py"))
+             for call in _calls(ast.parse(path.read_text(encoding="utf-8")))]
+    passed: dict[str, set[tuple[int, frozenset]]] = {}
+    for name, positional, keywords, _ in calls:
+        passed.setdefault(name, set()).add((positional, frozenset(keywords)))
+    forwards = {(via, name) for name, _, _, via in calls if via is not None}
+    while True:
+        size = sum(map(len, passed.values()))
+        for via, name in forwards:
+            passed.setdefault(name, set()).update((0, k) for _, k in passed.get(via, ()))
+        if sum(map(len, passed.values())) == size:
+            break
+    # dataclasses.replace sets fields by name, whatever record it copies
+    replaced = set().union(*[k for _, k in passed.get("replace", ())])
+    unset = []
+    for name, label, positional, defaulted in signatures:
+        for p in defaulted:
+            i = positional.index(p) if p in positional else len(positional)
+            if not any(n > i or p in k for n, k in passed.get(name, ())) and not (
+                    label.endswith(".{}") and p in replaced):
+                unset.append(label.format(p))
+    return unset
+
+
+def test_every_default_is_set_somewhere():
+    # A default that every caller leaves alone is a constant: it belongs where it is read.
+    unset = unset_defaults()
+    assert [key for key in unset if key not in UNSET_DEFAULTS] == [], \
+        f"defaults no call in {', '.join(p.name for p in SCANNED)} sets: {unset}"
+    assert set(UNSET_DEFAULTS) <= set(unset), "an allowlisted default is set or is gone"

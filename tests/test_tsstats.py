@@ -282,16 +282,28 @@ class TestScreening:
         assert report[0].p_value < 0.01 and not report[0].decision
         assert report[0].reason == "1 of 6 districts significant"
 
-    def test_per_district_vote_leaves_out_an_untestable_district(self):
+    def test_per_district_vote_counts_an_untestable_district_as_not_significant(self):
         # A feature never mentioned in one district has a constant factor there, so
-        # that district's own test is rank-deficient; the other five still vote.
+        # that district's own test is rank-deficient; it votes no, the other five yes.
         rng = np.random.default_rng(26)
         ipc, factors = self.build_panel(rng, districts=6, T=140)
         factors[2] = 0.0
         retained, report = select_features(["planted"], ipc, {"planted": factors},
                                            mode="per-district")
         assert "planted" in retained
-        assert report[0].reason == "5 of 5 districts significant"
+        assert report[0].reason == "5 of 6 districts significant"
+
+    def test_per_district_vote_is_not_decided_by_one_testable_district(self):
+        # Significant in its one testable district and constant in the other five:
+        # the five untestable districts vote no, so one test cannot keep the feature.
+        rng = np.random.default_rng(26)
+        ipc, factors = self.build_panel(rng, districts=6, T=140)
+        factors[1:] = 0.0
+        retained, report = select_features(["lonely"], ipc, {"lonely": factors},
+                                           mode="per-district")
+        assert report[0].p_value < 0.01
+        assert retained == {} and not report[0].decision
+        assert report[0].reason == "1 of 6 districts significant"
 
     def test_per_district_row_fails_when_every_district_fails(self):
         # A factor equal to the phase repeats the phase's lags in every district.
