@@ -21,19 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv
+from .artifacts import read_csv
 from .errors import DataError
 from .months import format_month, parse_date, parse_month
 from .stemmer import porter_stem, stem_tokens
 from .textutil import tokenize
 
-STATIC_FACTOR_NAMES = ("population", "area_km2", "ruggedness", "cropland_share", "pasture_share")
-
-_GAZETTEER_HEADER = [
-    "district_id", "name", "aliases", "province_id", "country",
-    "lat", "lon", "population", "area_km2", "ruggedness",
-    "cropland_share", "pasture_share",
-]
+GAZETTEER_COLUMNS = ("district_id", "name", "aliases", "province_id", "country", "lat", "lon")
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,6 @@ class District:
     country: str
     lat: float
     lon: float
-    statics: dict[str, float]
 
 
 class Gazetteer:
@@ -61,9 +54,6 @@ class Gazetteer:
                 raise DataError(f"district {d.district_id!r} has invalid centroid")
             if not d.province_id or not d.country:
                 raise DataError(f"district {d.district_id!r} missing province or country")
-            for v in d.statics.values():
-                if not np.isfinite(v):
-                    raise DataError(f"district {d.district_id!r} has non-finite static factor")
             self.districts[d.district_id] = d
             for name in (d.name, *d.aliases):
                 toks = tokenize(name)
@@ -110,9 +100,10 @@ class Gazetteer:
 
 
 def load_gazetteer(path) -> Gazetteer:
+    """Read the district register; columns beyond ``GAZETTEER_COLUMNS`` are ignored."""
     districts = []
     header, rows = read_csv(path, "gazetteer")
-    missing = [c for c in _GAZETTEER_HEADER if c not in header]
+    missing = [c for c in GAZETTEER_COLUMNS if c not in header]
     if missing:
         raise DataError(f"gazetteer {path} missing columns: {missing}")
     for lineno, row in rows:
@@ -127,20 +118,11 @@ def load_gazetteer(path) -> Gazetteer:
                     country=row["country"],
                     lat=float(row["lat"]),
                     lon=float(row["lon"]),
-                    statics={k: float(row[k]) for k in STATIC_FACTOR_NAMES},
                 )
             )
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: bad gazetteer row: {exc}") from None
     return Gazetteer(districts)
-
-
-def write_gazetteer(path, districts) -> None:
-    write_csv(path, _GAZETTEER_HEADER, (
-        [d.district_id, d.name, "|".join(d.aliases), d.province_id, d.country, d.lat, d.lon]
-        + [d.statics[k] for k in STATIC_FACTOR_NAMES]
-        for d in districts
-    ))
 
 
 # Packing three token ids into one int64 key needs V**3 + V**2 + V < 2**63.

@@ -1,12 +1,12 @@
 """District-month panel assembly and distributed-lag forecasting.
 
 The design of the phase regression: district intercepts, six quarterly lags
-of the forward-filled phase, six monthly lags (behind a two-month publication
-delay) of each traditional indicator and of each retained news factor at
-district, province, and country level, plus time-invariant district factors.
-Baseline, news-based, and combined variants differ only in which blocks they
-keep; the spatial variant appends averages over those of the four nearest
-neighbours that have each series.
+of the forward-filled phase, and six monthly lags (behind a two-month
+publication delay) of each traditional indicator and of each retained news
+factor at district, province, and country level. Baseline, news-based, and
+combined variants differ only in which blocks they keep; the spatial variant
+appends averages over those of the four nearest neighbours that have each
+series. Each model and ablation is an index set of one design's columns.
 
 Every dated regressor sits at least three months behind the predicted month,
 which is what makes the forecasts issuable three months ahead.
@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .artifacts import read_csv
-from .corpus import District, Gazetteer, NewsFactors, STATIC_FACTOR_NAMES
+from .corpus import District, Gazetteer, NewsFactors
 from .errors import ConfigError, DataError, NumericalError
 from .months import parse_month, publication_months
 from .tsstats import diff_on_grid, spearman, _average_ranks
@@ -163,16 +163,19 @@ class Column:
 
 @dataclass(frozen=True)
 class DesignMatrix:
+    """One model's design: its ``columns`` are the columns ``cols`` of ``X``.
+
+    Every model with these rows shares ``X``, ``y``, ``rows`` and ``_windows``,
+    the R factor of ``[X, y]`` per training window; ``skipped`` is its own.
+    """
+
     X: np.ndarray
     y: np.ndarray
     columns: tuple[Column, ...]
     rows: tuple[tuple[str, int], ...]      # (district, month) per row
     skipped: tuple[tuple[str, int, str], ...]
-
-    def subset_columns(self, idx) -> "DesignMatrix":
-        idx = list(idx)
-        return DesignMatrix(self.X[:, idx], self.y, tuple(self.columns[i] for i in idx),
-                            self.rows, self.skipped)
+    cols: tuple[int, ...]
+    _windows: dict = field(default_factory=dict, repr=False)
 
 
 class _Block(NamedTuple):
@@ -209,23 +212,19 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
         span = (label, spec.delay + spec.factor_lags, spec.delay + 1)
         blocks.append(_Block(cols, source, span, missing))
 
-    def undated(group, names, source):
-        blocks.append(_Block(tuple(Column(f"{group}[{s}]", group) for s in names), source))
-
     def at(values, loc_of=lambda d: d):
         return lambda d: values[panel.rows[loc_of(d)]]
 
     def around(values):
         return lambda d: spatial_average(panel, d, values)
 
-    undated("intercept", district_ids, lambda d: [float(d == e) for e in district_ids])
+    blocks.append(_Block(tuple(Column(f"intercept[{d}]", "intercept") for d in district_ids),
+                         lambda d: [float(d == e) for e in district_ids]))
     phase("y_lag", "ipc", at(panel.ipc))
     if spec.uses_traditional:
         for k in TRADITIONAL_INDICATORS:
             lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
                    missing=f"missing traditional indicator {k}")
-        undated("static", STATIC_FACTOR_NAMES,
-                lambda d: [panel.districts[d].statics[s] for s in STATIC_FACTOR_NAMES])
     if spec.uses_news:
         for w in panel.feature_order:
             for level, loc_of in locations.items():
@@ -239,9 +238,6 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
                 lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
                        around(panel.traditional[k]),
                        missing=f"no neighbour has traditional indicator {k}")
-            undated("sp_static", STATIC_FACTOR_NAMES, lambda d: [
-                float(np.mean([panel.districts[nd].statics[s] for nd in panel.neighbors(d)]))
-                for s in STATIC_FACTOR_NAMES])
         if spec.uses_news:
             for w in panel.feature_order:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
@@ -250,59 +246,88 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     return blocks
 
 
-def build_design(panel: PanelDataset, spec: ModelSpec) -> DesignMatrix:
-    """Design matrix over all districts and months with complete lag coverage.
+def _row_bounds(panel: PanelDataset, blocks: list[_Block]):
+    """({district: (first month, last month)}, skip records) of the rows ``blocks`` cover.
 
-    Lags are sliced out of the panel's arrays. The first and last month with
-    a value of each dated block bound a district's rows, so every kept cell
-    is finite; months outside the bounds are skipped with an audit record
-    naming the block that set the bound.
+    The first and last month with a value of each dated block bound a
+    district's rows, so every kept cell is finite; months outside the bounds
+    are skipped with an audit record naming the block that set the bound.
     """
-    blocks = _design_blocks(panel, spec)
-    parts, row_keys, skipped = [], [], []
+    ranges, skipped = {}, []
     g0 = panel.grid_start
     for d in sorted(panel.districts):
-        sources = []
         t_lo, t_hi, lo_label, hi_label = panel.start, panel.end, "ipc", "ipc"
-        for b in blocks:
-            src = b.source(d)
-            if b.span is not None:
-                covered = g0 + np.flatnonzero(np.isfinite(src))  # months with a value
-                if not covered.size:
-                    skipped.append((d, -1, b.missing))
-                    break
-                label, max_off, min_off = b.span
-                if covered[0] + max_off > t_lo:
-                    t_lo, lo_label = covered[0] + max_off, label
-                if covered[-1] + min_off < t_hi:
-                    t_hi, hi_label = covered[-1] + min_off, label
-            sources.append(src)
-        if len(sources) < len(blocks):
-            continue
-        for t in range(panel.start, panel.end + 1):
-            if t < t_lo:
-                skipped.append((d, t, f"lag unavailable ({lo_label})"))
-            elif t > t_hi:
-                skipped.append((d, t, f"series ends ({hi_label})"))
+        for b in (b for b in blocks if b.span is not None):
+            covered = g0 + np.flatnonzero(np.isfinite(b.source(d)))  # months with a value
+            if not covered.size:
+                skipped.append((d, -1, b.missing))
+                break
+            label, max_off, min_off = b.span
+            if covered[0] + max_off > t_lo:
+                t_lo, lo_label = covered[0] + max_off, label
+            if covered[-1] + min_off < t_hi:
+                t_hi, hi_label = covered[-1] + min_off, label
+        else:
+            skipped += [(d, t, f"lag unavailable ({lo_label})")
+                        for t in range(panel.start, min(t_lo, panel.end + 1))]
+            skipped += [(d, t, f"series ends ({hi_label})")
+                        for t in range(max(t_lo, t_hi + 1), panel.end + 1)]
+            ranges[d] = (t_lo, t_hi)
+    return ranges, skipped
+
+
+def build_design(panel: PanelDataset, *specs: ModelSpec) -> DesignMatrix:
+    """Design matrix of every column of ``specs``, on the months ``_row_bounds`` gives them all.
+
+    Lags are sliced out of the panel's arrays. The specs share their lags, and
+    each keeps its column order: the blocks keep the widest design's.
+    """
+    wanted = {b.columns for s in specs for b in _design_blocks(panel, s)}
+    widest = replace(specs[0], kind="combined", spatial=any(s.spatial for s in specs))
+    blocks = [b for b in _design_blocks(panel, widest) if b.columns in wanted]
+    ranges, skipped = _row_bounds(panel, blocks)
+    parts, row_keys = [], []
+    g0 = panel.grid_start
+    for d, (t_lo, t_hi) in ranges.items():
         M = np.arange(t_lo, t_hi + 1)
-        if not M.size:
-            continue
         cells = []
-        for b, src in zip(blocks, sources):
+        for b in blocks:
             if b.span is None:
-                cells.append(np.broadcast_to(src, (M.size, len(b.columns))))
+                cells.append(np.broadcast_to(b.source(d), (M.size, len(b.columns))))
             else:
                 offsets = np.array([c.offset for c in b.columns], dtype=int)
-                cells.append(src[M[:, None] - offsets - g0])
+                cells.append(b.source(d)[M[:, None] - offsets - g0])
         parts.append((np.hstack(cells), panel.ipc[panel.rows[d], M - g0]))
         row_keys.extend((d, int(t)) for t in M)
 
-    if not parts:
+    if not row_keys:
         raise DataError("design matrix has no valid rows")
     X = np.vstack([x for x, _ in parts])
     y = np.concatenate([v for _, v in parts])
-    return DesignMatrix(X=X, y=y, columns=tuple(c for b in blocks for c in b.columns),
-                        rows=tuple(row_keys), skipped=tuple(skipped))
+    columns = tuple(c for b in blocks for c in b.columns)
+    return DesignMatrix(X=X, y=y, columns=columns, rows=tuple(row_keys),
+                        skipped=tuple(skipped), cols=tuple(range(len(columns))))
+
+
+def model_designs(panel: PanelDataset, specs: dict[str, ModelSpec]) -> dict[str, DesignMatrix]:
+    """Each spec's design: its columns of one ``build_design`` per set of rows.
+
+    Specs are grouped by ``_row_bounds``, before any cell is filled; a
+    ``*_lasso`` spec shares the design of its OLS twin.
+    """
+    groups, views = {}, {}
+    for spec in dict.fromkeys(replace(s, lasso=None) for _, s in sorted(specs.items())):
+        ranges, skipped = _row_bounds(panel, _design_blocks(panel, spec))
+        rows = tuple((d, lo, hi) for d, (lo, hi) in ranges.items() if lo <= hi)
+        groups.setdefault(rows, {})[spec] = tuple(skipped)
+    for group in groups.values():
+        design = build_design(panel, *group)
+        at = {c: j for j, c in enumerate(design.columns)}
+        for spec, skipped in group.items():
+            columns = tuple(c for b in _design_blocks(panel, spec) for c in b.columns)
+            views[spec] = replace(design, columns=columns, cols=tuple(at[c] for c in columns),
+                                  skipped=skipped)
+    return {name: views[replace(spec, lasso=None)] for name, spec in specs.items()}
 
 
 def audit_no_lookahead(design: DesignMatrix) -> list[str]:
@@ -314,29 +339,28 @@ def audit_no_lookahead(design: DesignMatrix) -> list[str]:
     return [c.name for c in design.columns if c.offset is not None and c.offset < HORIZON]
 
 
-def _least_squares(X: np.ndarray, y: np.ndarray):
-    """Least squares on a maximal independent set of ``X``'s columns, from one QR.
+def _least_squares(R: np.ndarray, cols, nobs: int):
+    """Least squares of y on a maximal independent set of the columns ``cols`` of X.
 
-    Column j is kept when its residual on the kept columns before it exceeds
-    ``RANK_TOL`` times its own norm, so zero columns are dropped. R of ``[X, y]``
-    holds every inner product of those columns, so each pass re-factors only
-    R's kept columns (p + 1 rows) and drops the first column that fails; the
-    columns before it keep their residuals. Returns (kept, beta, rss).
+    ``R`` is the R factor of ``[X, y]`` over ``nobs`` rows, square: rows past
+    ``nobs`` are zero, so columns past the ``nobs``-th have no residual. Column
+    ``cols[j]`` is kept when its residual on the kept columns before it exceeds
+    ``RANK_TOL`` times its own norm, so zero columns are dropped. R holds every
+    inner product of X's columns, so each pass re-factors only R's kept columns
+    and y's, and drops the first column that fails; the columns before it keep
+    their residuals. Returns (kept positions in ``cols``, beta, rss).
     """
-    T, p = X.shape
-    R = np.zeros((p + 1, p + 1))  # zero rows below T: columns past the T-th have no residual
-    R[:min(T, p + 1)] = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    norms = np.linalg.norm(R[:, :p], axis=0)
-    kept = list(range(p))
+    norms = np.linalg.norm(R[:, cols], axis=0)
+    kept = list(range(len(cols)))
     while True:
-        F = np.linalg.qr(R[:, kept + [p]], mode="r")
+        F = np.linalg.qr(R[:, [cols[j] for j in kept] + [-1]], mode="r")
         bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= RANK_TOL * norms[kept])
         if not bad.size:
             break
         del kept[bad[0]]
     k = len(kept)
-    if T <= k:
-        raise DataError(f"need more observations ({T}) than parameters ({k})")
+    if nobs <= k:
+        raise DataError(f"need more observations ({nobs}) than parameters ({k})")
     return kept, np.linalg.solve(F[:k, :k], F[:k, k]), float(F[k, k] ** 2)
 
 
@@ -458,27 +482,38 @@ def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
     return worst
 
 
-def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
-    """Fit ``spec`` on ``design``: the lasso, or OLS on ``_least_squares``'s columns.
+def _fit(design: DesignMatrix, spec: ModelSpec, window, train) -> FitResult:
+    """Fit ``spec`` on the design's rows ``train``, its training window ``window``.
 
-    OLS lists the columns it leaves out under ``dropped``.
+    OLS reads the model's columns from the window's R factor, which every
+    model on the design's rows shares, and lists the columns it leaves out
+    under ``dropped``. The lasso reads the columns themselves.
     """
-    X, y = design.X, design.y
+    y = design.y[train]
     if spec.lasso is None:
-        kept, beta, rss = _least_squares(X, y)
-        is_kept = set(kept)
-        dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in is_kept)
-        return FitResult(columns=design.columns, kept=tuple(kept), beta=beta,
-                         dropped=dropped, rss=rss, nobs=X.shape[0])
-    penalized = np.array([c.group != "intercept" for c in design.columns])
-    try:
-        beta, rss, _ = lasso_cd(X, y, spec.lasso, penalized)
-    except NumericalError as exc:
-        names = [design.columns[i].name for i in exc.columns]
-        raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
-                             exc.columns) from None
-    return FitResult(columns=design.columns, kept=tuple(range(X.shape[1])),
-                     beta=beta, dropped=(), rss=rss, nobs=X.shape[0])
+        if window not in design._windows:
+            XY = np.column_stack([design.X[train], y])
+            design._windows[window] = R = np.zeros((XY.shape[1],) * 2)
+            R[:min(XY.shape)] = np.linalg.qr(XY, mode="r")
+        kept, beta, rss = _least_squares(design._windows[window], design.cols, y.size)
+    else:
+        penalized = np.array([c.group != "intercept" for c in design.columns])
+        try:
+            beta, rss, _ = lasso_cd(design.X[train][:, design.cols], y, spec.lasso, penalized)
+        except NumericalError as exc:
+            names = [design.columns[i].name for i in exc.columns]
+            raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
+                                 exc.columns) from None
+        kept = range(len(design.columns))
+    is_kept = set(kept)
+    dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in is_kept)
+    return FitResult(columns=design.columns, kept=tuple(kept), beta=beta,
+                     dropped=dropped, rss=rss, nobs=y.size)
+
+
+def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
+    """Fit ``spec`` on every row of ``design``: the lasso, or OLS on ``_least_squares``' columns."""
+    return _fit(design, spec, None, slice(None))
 
 
 @dataclass(frozen=True)
@@ -533,9 +568,7 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
                       f"{test.size} test rows")
         else:
             try:
-                # fitting reads no row keys, so the fold's design carries none
-                result = fit_design(DesignMatrix(design.X[train], design.y[train],
-                                                 design.columns, (), ()), spec)
+                result = _fit(design, spec, blocks[i][0], train)
             except (DataError, NumericalError) as exc:
                 reason = str(exc)
         if reason is not None:
@@ -544,7 +577,7 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
             fold_rmse.append(None)
             reasons.append(f"fold {i + 1}: {reason}")
             continue
-        yhat = design.X[test][:, list(result.kept)] @ result.beta
+        yhat = design.X[test][:, [design.cols[k] for k in result.kept]] @ result.beta
         err = yhat - design.y[test]
         fold_rmse.append(float(np.sqrt(np.mean(err**2))))
         for j, yp in zip(test, yhat):
@@ -586,14 +619,16 @@ def ablate(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset, combined:
     """Refit with each news-factor cluster removed; report RMSE increases.
 
     ``design`` is ``spec``'s design and ``combined`` its CV report at
-    ``min_train_rows``. Ablated designs are column subsets of ``design``, so
-    removing every cluster reproduces the baseline column set exactly.
+    ``min_train_rows``. An ablated design is an index set of ``design``'s
+    columns and fits from the same R factors, so removing every cluster
+    reproduces the baseline column set exactly.
     """
     results = []
     for cid in sorted(set(panel.clusters.values())):
         keep = [i for i, c in enumerate(design.columns)
                 if c.feature is None or panel.clusters.get(c.feature) != cid]
-        sub = design.subset_columns(keep)
+        sub = replace(design, columns=tuple(design.columns[i] for i in keep),
+                      cols=tuple(design.cols[i] for i in keep))
         report = cross_validate_design(sub, spec, panel, folds,
                                        min_train_rows=min_train_rows)
         deltas = {

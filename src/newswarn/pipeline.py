@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import defaultdict
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -169,22 +169,16 @@ class RunContext:
         return specs
 
     def model_designs(self) -> tuple[dict[str, panel_mod.DesignMatrix], int]:
-        """Design of every model spec, and the CV bar they all share (``min_train_rows``).
+        """Design of every model spec (``panel.model_designs``), and the CV bar they all share.
 
-        ``build_design`` ignores ``spec.lasso``, so a ``*_lasso`` spec shares the
-        design object of its OLS twin. A design with a regressor that
-        ``audit_no_lookahead`` flags raises DataError, so no look-ahead fit is scored.
+        A design with a regressor that ``audit_no_lookahead`` flags raises
+        DataError, so no look-ahead fit is scored.
         """
         def build():
             panel = self.panel_dataset()
-            built: dict[panel_mod.ModelSpec, panel_mod.DesignMatrix] = {}
-            designs = {}
-            for name, spec in sorted(self.model_specs().items()):
-                key = replace(spec, lasso=None)
-                if key not in built:
-                    built[key] = panel_mod.build_design(panel, spec)
-                designs[name] = built[key]
-                ahead = panel_mod.audit_no_lookahead(designs[name])
+            designs = panel_mod.model_designs(panel, self.model_specs())
+            for name, design in sorted(designs.items()):
+                ahead = panel_mod.audit_no_lookahead(design)
                 if ahead:
                     raise DataError(
                         f"{name}: the design looks ahead with publication_delay = "
@@ -286,7 +280,7 @@ def _execute_stage(ctx: RunContext, name: str, params: dict, compute):
 
 
 def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) -> int:
-    """Smallest training sample allowed in any fold, from the widest design.
+    """Smallest training sample allowed in any fold, from the model with the most columns.
 
     Expanding-window folds whose training sample is thinner than a few rows
     per parameter produce wild extrapolations; they are skipped for every
@@ -435,6 +429,7 @@ def _stage_fit(ctx: RunContext):
         write_json(ctx.write("cv_reports.json"), {
             name: {
                 "fold_rmse": [r if r is None else float(r) for r in rep.fold_rmse],
+                "folds_scored": sum(r is not None for r in rep.fold_rmse),
                 "mean_rmse": rep.mean_rmse,
                 "country_rmse": rep.country_rmse,
                 "district_rmse": rep.district_rmse,

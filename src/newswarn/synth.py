@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import write_json
+from .artifacts import write_csv, write_json
 from .config import PipelineConfig, save_config
-from .corpus import District, write_gazetteer
+from .corpus import GAZETTEER_COLUMNS, District
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month, publication_months
 from .outbreak import detect_outbreaks
@@ -262,16 +262,16 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
                 country=country,
                 lat=0.5 * (i // 8),
                 lon=0.5 * (i % 8) + 10.0 * c_idx,
-                statics={
-                    "population": float(np.round(rng.uniform(5e4, 5e5))),
-                    "area_km2": float(np.round(rng.uniform(500, 5000))),
-                    "ruggedness": float(np.round(rng.uniform(0, 1), 4)),
-                    "cropland_share": float(np.round(rng.uniform(0.1, 0.7), 4)),
-                    "pasture_share": float(np.round(rng.uniform(0.05, 0.5), 4)),
-                },
             )
         )
-    write_gazetteer(out / "gazetteer.csv", districts)
+    # Five time-invariant district columns, drawn row by row as the file is
+    # written. load_gazetteer ignores them: district intercepts absorb them.
+    write_csv(out / "gazetteer.csv", [*GAZETTEER_COLUMNS, "population", "area_km2",
+                                      "ruggedness", "cropland_share", "pasture_share"], (
+        [d.district_id, d.name, "|".join(d.aliases), d.province_id, d.country, d.lat, d.lon,
+         np.round(rng.uniform(5e4, 5e5)), np.round(rng.uniform(500, 5000)),
+         np.round(rng.uniform(0, 1), 4), np.round(rng.uniform(0.1, 0.7), 4),
+         np.round(rng.uniform(0.05, 0.5), 4)] for d in districts))
 
     # Latent risk episodes and the resulting monthly phase per district.
     z = {

@@ -6,7 +6,7 @@ from collections import Counter
 # newswarn before numpy: importing newswarn pins BLAS to one thread, and the pin
 # holds only while numpy is not yet loaded, so in-process tests compute as the
 # command line does.
-from newswarn.corpus import STATIC_FACTOR_NAMES, District, Gazetteer, read_corpus  # isort: skip
+from newswarn.corpus import District, Gazetteer, read_corpus  # isort: skip
 from newswarn.semantics import EmbeddingTable  # isort: skip
 
 import numpy as np
@@ -15,18 +15,10 @@ import pytest
 
 def make_gazetteer():
     rows = [
-        District("so-jam", "Jamaame", (), "so-lower-juba", "SO", 0.07, 42.75,
-                 dict(population=120000, area_km2=4800, ruggedness=0.1,
-                      cropland_share=0.3, pasture_share=0.4)),
-        District("so-kis", "Kismayo", ("chisimayu",), "so-lower-juba", "SO", -0.36, 42.55,
-                 dict(population=180000, area_km2=5200, ruggedness=0.2,
-                      cropland_share=0.2, pasture_share=0.5)),
-        District("et-maj", "Godere", ("Majang",), "et-gambela", "ET", 7.3, 35.1,
-                 dict(population=90000, area_km2=2100, ruggedness=0.6,
-                      cropland_share=0.5, pasture_share=0.1)),
-        District("et-gog", "Gog", (), "et-gambela", "ET", 7.5, 34.7,
-                 dict(population=60000, area_km2=1800, ruggedness=0.5,
-                      cropland_share=0.4, pasture_share=0.2)),
+        District("so-jam", "Jamaame", (), "so-lower-juba", "SO", 0.07, 42.75),
+        District("so-kis", "Kismayo", ("chisimayu",), "so-lower-juba", "SO", -0.36, 42.55),
+        District("et-maj", "Godere", ("Majang",), "et-gambela", "ET", 7.3, 35.1),
+        District("et-gog", "Gog", (), "et-gambela", "ET", 7.5, 34.7),
     ]
     return Gazetteer(rows)
 
@@ -163,9 +155,6 @@ def grid_districts(n, countries=1, province_size=3):
         out.append(District(
             f"d{i:02d}", f"town{i:02d}", (), f"{country}-P{i // province_size}",
             country, 0.5 * (i // 5), 0.5 * (i % 5) + 8.0 * c,
-            dict(population=1e5 + 1000 * i, area_km2=1000.0 + 10 * i,
-                 ruggedness=0.1 * (i % 7), cropland_share=0.2 + 0.01 * (i % 30),
-                 pasture_share=0.1 + 0.01 * (i % 20)),
         ))
     return out
 
@@ -260,8 +249,6 @@ def plant_adl_response(panel, spec, coef, base=2.0):
                     for n in range(1, spec.factor_lags + 1):
                         val += coef.get(f"trad[{k},n={n}]", 0.0) * \
                             panel_value(panel, values, d, t - spec.delay - n)
-                for sname, sval in panel.districts[d].statics.items():
-                    val += coef.get(f"static[{sname}]", 0.0) * sval
             if spec.uses_news:
                 for w in panel.feature_order:
                     for level, loc in (("district", d), ("province", prov),
@@ -330,8 +317,6 @@ def design_loop(panel, spec):
         for k in TRADITIONAL_INDICATORS:
             lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
                    f"missing traditional indicator {k}")
-        undated("static", STATIC_FACTOR_NAMES,
-                lambda d: [panel.districts[d].statics[s] for s in STATIC_FACTOR_NAMES])
     if spec.uses_news:
         for w in features:
             for level, loc_of in (("district", lambda d: d), ("province", panel.province_of),
@@ -345,9 +330,6 @@ def design_loop(panel, spec):
                 lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
                        around(panel.traditional[k]),
                        f"no neighbour has traditional indicator {k}")
-            undated("sp_static", STATIC_FACTOR_NAMES, lambda d: [
-                float(np.mean([panel.districts[n].statics[s] for n in panel.neighbors(d)]))
-                for s in STATIC_FACTOR_NAMES])
         if spec.uses_news:
             for w in features:
                 lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}", around(panel.factors[w]),
@@ -385,7 +367,7 @@ def design_loop(panel, spec):
 
 
 def planted_coefficients(panel, spec, rng, news_scale=1.0):
-    """A stable coefficient vector keyed by design column names; statics 0."""
+    """A stable coefficient vector keyed by design column names."""
     from newswarn.panel import build_design
 
     columns = build_design(panel, spec).columns
@@ -397,8 +379,6 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
             coef[c.name] = 0.04
         elif c.group == "traditional":
             coef[c.name] = float(rng.normal(0, 0.02))
-        elif c.group == "static":
-            coef[c.name] = 0.0
         elif c.group == "news":
             coef[c.name] = float(rng.normal(0, 0.2)) * news_scale
         else:

@@ -291,11 +291,19 @@ class TestGazetteerInvariants:
     def base_row(self, **overrides):
         from newswarn.corpus import District
         fields = dict(district_id="x1", name="Xtown", aliases=(), province_id="p1",
-                      country="SO", lat=1.0, lon=2.0,
-                      statics=dict(population=1.0, area_km2=1.0, ruggedness=0.0,
-                                   cropland_share=0.0, pasture_share=0.0))
+                      country="SO", lat=1.0, lon=2.0)
         fields.update(overrides)
         return District(**fields)
+
+    @staticmethod
+    def write(path, districts, statics=()):
+        """A gazetteer file of ``districts``, each row followed by the cells ``statics``."""
+        from newswarn.artifacts import write_csv
+        from newswarn.corpus import GAZETTEER_COLUMNS
+        names = ["population", "area_km2", "ruggedness", "cropland_share", "pasture_share"]
+        write_csv(path, [*GAZETTEER_COLUMNS, *names[:len(statics)]], (
+            [d.district_id, d.name, "|".join(d.aliases), d.province_id, d.country, d.lat, d.lon,
+             *statics] for d in districts))
 
     def test_duplicate_district_id(self):
         from newswarn.corpus import Gazetteer
@@ -312,19 +320,22 @@ class TestGazetteerInvariants:
         with pytest.raises(DataError, match="province"):
             Gazetteer([self.base_row(province_id="")])
 
-    def test_non_finite_static(self):
-        from newswarn.corpus import Gazetteer
-        row = self.base_row(statics=dict(population=float("nan"), area_km2=1.0,
-                                         ruggedness=0.0, cropland_share=0.0,
-                                         pasture_share=0.0))
-        with pytest.raises(DataError, match="static"):
-            Gazetteer([row])
+    def test_static_columns_are_optional_and_ignored(self, tmp_path):
+        # District statics would lie in the span of every model's district
+        # intercepts, so the reader takes the location columns alone.
+        from newswarn.corpus import load_gazetteer
+        rows = [self.base_row(), self.base_row(district_id="x2", name="Ytown", aliases=("yy",))]
+        self.write(tmp_path / "with.csv", rows, [float("nan"), 1.0, 0.0, 0.0, 0.0])
+        self.write(tmp_path / "without.csv", rows)
+        with_statics = load_gazetteer(tmp_path / "with.csv")
+        assert with_statics.districts == load_gazetteer(tmp_path / "without.csv").districts
+        assert list(with_statics.districts.values()) == rows
 
     @pytest.mark.parametrize("cut, cells", [(-1, 11), (None, 13)])
     def test_row_of_the_wrong_width_names_file_line_and_counts(self, tmp_path, cut, cells):
-        from newswarn.corpus import load_gazetteer, write_gazetteer
+        from newswarn.corpus import load_gazetteer
         path = tmp_path / "gazetteer.csv"
-        write_gazetteer(path, [self.base_row()])
+        self.write(path, [self.base_row()], [1.0, 1.0, 0.0, 0.0, 0.0])
         header, row = path.read_text().splitlines()
         row = ",".join(row.split(",")[:cut] if cut else row.split(",") + ["9"])
         path.write_text(f"{header}\n{row}\n")
@@ -569,12 +580,9 @@ def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, str
     # dated article in 2011-03, so every example has a zero-denominator month.
     # The two-token alias "kismayo aa" names a district of its own, beside Kismayo, and
     # the four-token alias "majang dry spell aa" one beside Majang.
-    statics = dict(population=1.0, area_km2=1.0, ruggedness=0.0, cropland_share=0.0,
-                   pasture_share=0.0)
-    turkana = District("ke-tur", "Lokichar", ("kismayo aa",), "ke-turkana", "KE", 2.0, 35.0,
-                       statics)
+    turkana = District("ke-tur", "Lokichar", ("kismayo aa",), "ke-turkana", "KE", 2.0, 35.0)
     marsabit = District("ke-mar", "Laisamis", ("majang dry spell aa",), "ke-marsabit", "KE",
-                        2.3, 37.8, statics)
+                        2.3, 37.8)
     gaz = Gazetteer([*make_gazetteer().districts.values(), turkana, marsabit])
     path = tmp_path / "c.jsonl"
     path.write_text("\n".join(lines) + "\n")

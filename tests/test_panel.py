@@ -1,18 +1,18 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from newswarn.corpus import STATIC_FACTOR_NAMES
 from newswarn.errors import DataError, NumericalError
 from newswarn.months import format_month, parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
                             build_design, cross_validate_design, fit_design, fold_rows,
-                            forward_fill_ipc, _least_squares, lasso_cd, lasso_kkt_residual,
-                            load_panel_csv, month_folds, percentile_ranks,
-                            spatial_average, validate_factors)
+                            forward_fill_ipc, _least_squares, lasso_cd,
+                            lasso_kkt_residual, load_panel_csv, model_designs, month_folds,
+                            percentile_ranks, spatial_average, validate_factors)
 from newswarn.pipeline import _read_grid, min_train_rows
 from newswarn.tsstats import diff_on_grid
 
@@ -60,7 +60,7 @@ class TestBuildDesign:
     def test_combined_column_count_three_features(self):
         panel = make_panel(n_districts=5, features=("alpha", "beta", "gamma"))
         design = build_design(panel, ModelSpec(kind="combined"))
-        expected = 5 + 6 + 9 * 6 + 5 + 3 * 18
+        expected = 5 + 6 + 9 * 6 + 3 * 18
         assert design.X.shape[1] == expected
         assert len(design.columns) == expected
 
@@ -68,13 +68,13 @@ class TestBuildDesign:
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="baseline"))
         assert all(c.group != "news" for c in design.columns)
-        assert design.X.shape[1] == 5 + 6 + 54 + 5
+        assert design.X.shape[1] == 5 + 6 + 54
 
     def test_news_has_no_traditional_columns(self):
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="news"))
         groups = {c.group for c in design.columns}
-        assert "traditional" not in groups and "static" not in groups
+        assert "traditional" not in groups
 
     def test_column_blocks_disjoint_and_combined_is_union(self):
         panel = make_panel(n_districts=5)
@@ -237,9 +237,7 @@ class TestSpatial:
             "east": (0.0, 1.0), "west": (0.0, -1.0), "faraway": (20.0, 20.0),
         }
         districts = {
-            name: District(name, name, (), "p0", "AA", lat, lon,
-                           dict(population=1, area_km2=1, ruggedness=0,
-                                cropland_share=0, pasture_share=0))
+            name: District(name, name, (), "p0", "AA", lat, lon)
             for name, (lat, lon) in spots.items()
         }
         panel = PanelDataset(districts=districts, start=0, end=1, publication_months=(0,),
@@ -255,15 +253,6 @@ class TestSpatial:
         panel = make_panel(n_districts=3)
         with pytest.raises(DataError):
             panel.neighbors("d00")
-
-    def test_spatial_static_is_neighbour_mean(self):
-        panel = make_panel(n_districts=6, features=("alpha",))
-        design = build_design(panel, ModelSpec(kind="baseline", spatial=True))
-        names = [c.name for c in design.columns]
-        for i, (d, _) in enumerate(design.rows):
-            for s in STATIC_FACTOR_NAMES:
-                expected = np.mean([panel.districts[n].statics[s] for n in panel.neighbors(d)])
-                assert design.X[i, names.index(f"sp_static[{s}]")] == expected
 
     def test_spatial_indicator_read_at_column_offset(self):
         panel = make_panel(n_districts=6, features=("alpha",))
@@ -330,7 +319,7 @@ class TestSpatial:
         plain = build_design(panel, ModelSpec(kind="combined"))
         spatial = build_design(panel, ModelSpec(kind="combined", spatial=True))
         extra = spatial.X.shape[1] - plain.X.shape[1]
-        assert extra == 6 + 54 + 5 + 1 * 6
+        assert extra == 6 + 54 + 1 * 6
         assert any(c.group == "sp_news" for c in spatial.columns)
 
 
@@ -344,17 +333,8 @@ class TestFit:
         result = fit_design(build_design(panel, spec), spec)
         fitted = result.coefficients()
         for name, value in coef.items():
-            if name.startswith("static"):
-                assert fitted[name] == 0.0  # dropped as collinear, truly zero
-            else:
-                assert fitted[name] == pytest.approx(value, abs=1e-6)
+            assert fitted[name] == pytest.approx(value, abs=1e-6)
         assert result.rss <= 1e-10
-
-    def test_statics_dropped_as_collinear_with_intercepts(self):
-        panel = make_panel(n_districts=5)
-        spec = ModelSpec(kind="baseline")
-        result = fit_design(build_design(panel, spec), spec)
-        assert set(result.dropped) == {f"static[{s}]" for s in STATIC_FACTOR_NAMES}
 
     def test_tiny_column_independent_of_the_rest_is_kept(self):
         # b = (a+b) - a is dropped. The tiny column is judged against its own
@@ -364,7 +344,8 @@ class TestFit:
         X = np.column_stack([np.ones(40), a, a + b, b, c * 1e-12])
         y = rng.normal(0, 1, 40)
         columns = tuple(Column(name, "test") for name in ("const", "a", "a+b", "b", "tiny"))
-        result = fit_design(DesignMatrix(X, y, columns, (), ()), ModelSpec(kind="baseline"))
+        result = fit_design(DesignMatrix(X, y, columns, (), (), tuple(range(5))),
+                            ModelSpec(kind="baseline"))
         assert result.kept == (0, 1, 2, 4)
         assert result.dropped == ("b",)
         assert result.coefficients()["tiny"] != 0.0
@@ -398,17 +379,29 @@ def _greedy_keep(X, tol=1e-8):
     return keep
 
 
+def r_factor(X, y):
+    """R of ``[X, y]``, square: zero rows below the T-th, as a design's training window has."""
+    R = np.zeros((X.shape[1] + 1,) * 2)
+    R[:min(X.shape[0], X.shape[1] + 1)] = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    return R
+
+
+def matrix_least_squares(X, y):
+    """The fit of every column of ``X`` from the R factor of ``[X, y]`` alone, per matrix."""
+    return _least_squares(r_factor(X, y), range(X.shape[1]), X.shape[0])
+
+
 def _check_least_squares(X, y) -> bool:
-    """``_least_squares`` keeps the oracle's columns and fits them as lstsq does.
+    """``matrix_least_squares`` keeps the oracle's columns and fits them as lstsq does.
 
     Returns whether there were enough rows to fit the kept columns.
     """
     oracle = _greedy_keep(X)
     if X.shape[0] <= len(oracle):
         with pytest.raises(DataError, match="need more observations"):
-            _least_squares(X, y)
+            matrix_least_squares(X, y)
         return False
-    kept, beta, rss = _least_squares(X, y)
+    kept, beta, rss = matrix_least_squares(X, y)
     assert kept == oracle
     Xk = X[:, kept]
     # lstsq's singular-value cutoff is not invariant to column scale, so it
@@ -461,6 +454,130 @@ class TestColumnRule:
         X = np.column_stack([X, *extras])[:, rng.permutation(X.shape[1] + len(extras))]
         y = X[:, :2] @ rng.normal(0, 1, 2) + rng.normal(0, 1, T)
         _check_least_squares(X, y)
+
+
+class TestColumnSetFit:
+    """A fit of an index set of columns from the R factor of every column of ``[X, y]``."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_per_matrix_fit(self, seed):
+        rng = np.random.default_rng(seed)
+        T = int(rng.integers(4, 40))
+        base = rng.normal(0, 1, (T, int(rng.integers(2, 10))))
+        columns = list(base.T)
+        for _ in range(int(rng.integers(2, 7))):
+            a = columns[int(rng.integers(0, len(columns)))]
+            columns.append(rng.choice([
+                np.zeros(T),                                  # zero column
+                a.copy(),                                     # duplicate
+                a + 1e-12 * rng.normal(0, 1, T),              # 1e-12 from another
+                rng.normal(0, 1, T),                          # independent
+            ]))
+        X = np.column_stack(columns)[:, rng.permutation(len(columns))]
+        y = X[:, :2] @ rng.normal(0, 1, 2) + rng.normal(0, 1, T)
+        R = r_factor(X, y)  # T <= p gives zero rows below the T-th
+        fitted = 0
+        for size in [1] + rng.integers(1, X.shape[1] + 1, 7).tolist():
+            cols = sorted(rng.choice(X.shape[1], size, replace=False).tolist())
+            try:
+                expected = matrix_least_squares(X[:, cols], y)
+            except DataError as exc:
+                with pytest.raises(DataError, match=re.escape(str(exc))):
+                    _least_squares(R, cols, T)
+                continue
+            kept, beta, rss = _least_squares(R, cols, T)
+            assert kept == expected[0]
+            assert np.allclose(beta, expected[1], rtol=1e-9, atol=0)
+            assert rss == pytest.approx(expected[2], rel=1e-9, abs=1e-24 * (y @ y))
+            fitted += 1
+        assert fitted
+
+    def test_every_model_and_ablation_reads_one_r_per_training_window(self, monkeypatch):
+        panel = make_panel(n_districts=5, months=96, features=("alpha", "beta"), n_clusters=2)
+        specs = {k: ModelSpec(kind=k) for k in ("baseline", "news", "combined")}
+        designs = model_designs(panel, specs)
+        factored = []
+        real_qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda M, mode: factored.append(M.shape)
+                            or real_qr(M, mode=mode))
+        reports = {k: cross_validate_design(designs[k], s, panel, folds=8)
+                   for k, s in specs.items()}
+        ablate(designs["combined"], specs["combined"], panel, reports["combined"], folds=8)
+        for k in specs:
+            fit_design(designs[k], specs[k])
+        months = np.array([m for _, m in designs["combined"].rows])
+        windows = [b[0] for b in month_folds(panel.start, panel.end, 8)[1:]
+                   if (months < b[0]).any()]
+        assert sum(r is not None for r in reports["combined"].fold_rmse) >= 4
+        # one QR of [X, y] per fold with training rows, and one of every row for
+        # the full fits; every other QR re-factors a window's R
+        width = len(designs["combined"].columns) + 1  # a window's R is width x width
+        assert [n for n, _ in factored if n != width] == [
+            int((months < t).sum()) for t in windows] + [months.size]
+        assert {p for n, p in factored if n != width} == {width}
+        assert designs["combined"]._windows is designs["baseline"]._windows
+
+
+class TestRowSets:
+    """Specs whose rows differ get designs of their own; the others share one."""
+
+    def late_news(self):
+        # news factor alpha opens 30 months into the panel, so designs with news
+        # columns start later than the baseline's
+        panel = make_panel(n_districts=6, months=96, features=("alpha", "beta"), n_clusters=2)
+        panel.factors["alpha"][:, : panel.start - panel.grid_start + 30] = np.nan
+        return panel
+
+    def test_a_later_news_factor_makes_a_second_design(self, monkeypatch):
+        import newswarn.panel as panel_module
+        panel = self.late_news()
+        specs = {f"{k}{sfx}": ModelSpec(kind=k, lasso=lam)
+                 for k in ("baseline", "news", "combined")
+                 for sfx, lam in (("", None), ("_lasso", 0.01))}
+        built = []
+        real = panel_module.build_design
+        monkeypatch.setattr(panel_module, "build_design",
+                            lambda panel, *specs: built.append(specs) or real(panel, *specs))
+        designs = model_designs(panel, specs)
+        assert sorted(sorted(s.kind for s in group) for group in built) == [
+            ["baseline"], ["combined", "news"]]
+        assert designs["news"].X is designs["combined"].X
+        assert designs["baseline"].X is not designs["combined"].X
+        assert len(designs["combined"].rows) < len(designs["baseline"].rows)
+        for kind in ("baseline", "news", "combined"):
+            assert designs[f"{kind}_lasso"] is designs[kind]
+
+    @pytest.mark.parametrize("kind", ["baseline", "news", "combined"])
+    @pytest.mark.parametrize("lasso", [None, 0.01])
+    def test_each_model_fits_as_on_its_own_design(self, kind, lasso):
+        # A spec's own design fits from the R factor of its own matrix, as each
+        # model did when every model had a design of its own.
+        panel = self.late_news()
+        specs = {k: ModelSpec(kind=k, lasso=lasso) for k in ("baseline", "news", "combined")}
+        shared = model_designs(panel, specs)[kind]
+        own = build_design(panel, specs[kind])
+        assert (shared.columns, shared.rows, shared.skipped) == (own.columns, own.rows,
+                                                                  own.skipped)
+        with pytest.warns(UserWarning, match="unusable training window"):
+            got = cross_validate_design(shared, specs[kind], panel, folds=8, min_train_rows=150)
+            expected = cross_validate_design(own, specs[kind], panel, folds=8,
+                                             min_train_rows=150)
+        assert [r is None for r in got.fold_rmse] == [r is None for r in expected.fold_rmse]
+        assert sum(r is not None for r in got.fold_rmse) >= 2
+        assert np.allclose([r for r in got.fold_rmse if r is not None],
+                           [r for r in expected.fold_rmse if r is not None], rtol=1e-9, atol=0)
+        assert [(p.district, p.month, p.fold) for p in got.predictions] == [
+            (p.district, p.month, p.fold) for p in expected.predictions]
+        assert np.allclose([p.y_pred for p in got.predictions],
+                           [p.y_pred for p in expected.predictions], rtol=1e-9, atol=0)
+        fit, reference = fit_design(shared, specs[kind]), fit_design(own, specs[kind])
+        assert (fit.kept, fit.dropped, fit.nobs) == (reference.kept, reference.dropped,
+                                                     reference.nobs)
+        assert np.allclose(fit.beta, reference.beta, rtol=1e-9, atol=1e-12)
+        if kind == "baseline" or lasso is not None:
+            # a design of one, or the lasso reading the columns: the same arithmetic
+            assert got == expected
+            assert fit.beta.tobytes() == reference.beta.tobytes()
 
 
 class TestLasso:
@@ -622,13 +739,18 @@ class TestAblate:
                            features=("alpha", "beta"), n_clusters=2)
         design, _, results = self.combined_and_ablations(panel)
         assert [r.cluster_id for r in results] == [1, 2]
-        # removing every cluster by hand: design equals the baseline design
-        keep = [i for i, c in enumerate(design.columns) if c.feature is None]
-        stripped = design.subset_columns(keep)
+        # removing every cluster by hand leaves the baseline's columns; on the
+        # baseline's design, which shares the combined rows, they fit from the same R
         spec = ModelSpec(kind="combined")
+        designs = model_designs(panel, {"baseline": BASELINE, "combined": spec})
+        keep = [k for k, c in enumerate(design.columns) if c.feature is None]
+        combined = designs["combined"]
+        assert combined.columns == design.columns
+        stripped = replace(combined, columns=tuple(combined.columns[k] for k in keep),
+                           cols=tuple(combined.cols[k] for k in keep))
+        assert stripped.columns == designs["baseline"].columns
         rep_all_removed = cross_validate_design(stripped, spec, panel, folds=8)
-        rep_baseline = cross_validate_design(build_design(panel, BASELINE), BASELINE, panel,
-                                             folds=8)
+        rep_baseline = cross_validate_design(designs["baseline"], BASELINE, panel, folds=8)
         assert rep_all_removed.fold_rmse == rep_baseline.fold_rmse
         assert rep_all_removed.mean_rmse == rep_baseline.mean_rmse
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import newswarn
 from newswarn import corpus as corpus_mod
 from newswarn import panel as panel_mod
-from newswarn.artifacts import read_csv
+from newswarn.artifacts import read_csv, write_csv
 from newswarn.cli import main as cli_main
 from newswarn.config import _PATH_KEYS, PipelineConfig, load_config, save_config
 from newswarn.errors import ConfigError, DataError
@@ -220,7 +220,9 @@ class TestFullRun:
         first, *rest = gaz.districts.values()
         aliased = dataclasses.replace(first, aliases=first.aliases + ("unheardof",))
         try:
-            corpus_mod.write_gazetteer(cfg.gazetteer, [aliased, *rest])
+            write_csv(cfg.gazetteer, corpus_mod.GAZETTEER_COLUMNS, (
+                [d.district_id, d.name, "|".join(d.aliases), d.province_id, d.country,
+                 d.lat, d.lon] for d in [aliased, *rest]))
             summary = quiet_run(cfg)
         finally:
             Path(cfg.gazetteer).write_bytes(original)
@@ -234,6 +236,20 @@ class TestFullRun:
         combined = models["combined"]["coefficients"]
         assert any(k.startswith("news[") for k in combined)
         assert any(k.startswith("intercept[") for k in combined)
+
+    def test_no_design_column_or_model_entry_is_a_district_static(self, run_dir):
+        # A time-invariant district column lies in the span of the district
+        # intercepts, so every OLS fit would drop it; no design has one.
+        _, cfg, _ = run_dir
+        panel = RunContext(cfg=cfg, out=Path(cfg.output)).panel_dataset()
+        names = [c.name for sp in (False, True) for kind in panel_mod.MODEL_KINDS
+                 for c in panel_mod.build_design(panel, panel_mod.ModelSpec(
+                     kind=kind, spatial=sp, y_lags=cfg.y_lags, factor_lags=cfg.factor_lags,
+                     delay=cfg.publication_delay)).columns]
+        assert names and not [n for n in names if "static[" in n]
+        models = json.loads((Path(cfg.output) / "models.json").read_text())
+        entries = [n for m in models.values() for n in [*m["coefficients"], *m["dropped"]]]
+        assert entries and not [n for n in entries if "static[" in n]
 
 
 class TestDerivedManifests:
@@ -740,10 +756,11 @@ class TestWorkDoneOnce:
         out = tmp_path_factory.mktemp("once")
         bundle = generate_synthetic(SyntheticSpec(**SMALL), seed=5, out_dir=out)
         cfg = load_config(bundle["config"])
-        parses, cv_calls, corpus_reads = [], [], []
+        parses, cv_calls, corpus_reads, builds = [], [], [], []
         real_read = corpus_mod.load_factors
         real_read_corpus = corpus_mod.read_corpus
         real_cv = panel_mod.cross_validate_design
+        real_build = panel_mod.build_design
 
         def count_read(*args, **kwargs):
             parses.append(args)
@@ -757,26 +774,37 @@ class TestWorkDoneOnce:
             cv_calls.append((spec, len(design.columns)))
             return real_cv(design, spec, *args, **kwargs)
 
+        def count_build(panel, *specs):
+            builds.append(specs)
+            return real_build(panel, *specs)
+
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(corpus_mod, "load_factors", count_read)
             mp.setattr(corpus_mod, "read_corpus", count_read_corpus)
             mp.setattr(panel_mod, "cross_validate_design", count_cv)
+            mp.setattr(panel_mod, "build_design", count_build)
             summary = quiet_run(cfg)
         assert summary == {s: "run" for s in STAGE_ORDER}
-        return parses, cv_calls, corpus_reads
+        return parses, cv_calls, corpus_reads, builds
 
     def test_cold_run_parses_factors_once(self, counted_run):
-        parses, _, _ = counted_run
+        parses, _, _, _ = counted_run
         assert len(parses) == 1
 
     def test_cold_run_parses_the_corpus_once(self, counted_run):
         # expand, factors and select share one parse
-        _, _, corpus_reads = counted_run
+        _, _, corpus_reads, _ = counted_run
         assert len(corpus_reads) == 1
+
+    def test_cold_run_builds_one_design(self, counted_run):
+        # every model spec covers the same rows here, so all are columns of one design
+        _, _, _, builds = counted_run
+        assert len(builds) == 1
+        assert sorted(s.kind for s in builds[0]) == sorted(panel_mod.MODEL_KINDS)
 
     def test_ablate_reuses_the_combined_cv_of_fit(self, counted_run):
         # ablation designs drop a cluster's columns, so they are narrower than their spec's
-        _, cv_calls, _ = counted_run
+        _, cv_calls, _, _ = counted_run
         widest = {}
         for spec, width in cv_calls:
             widest[spec] = max(widest.get(spec, 0), width)
@@ -799,18 +827,37 @@ class TestWorkDoneOnce:
         built = []
         real_build = panel_mod.build_design
 
-        def count_build(panel, spec, *args, **kwargs):
-            built.append((spec.kind, spec.spatial))
-            return real_build(panel, spec, *args, **kwargs)
+        def count_build(panel, *specs):
+            built.append(sorted((s.kind, s.spatial, s.lasso) for s in specs))
+            return real_build(panel, *specs)
 
         monkeypatch.setattr(panel_mod, "build_design", count_build)
         assert quiet_run(cfg, stages=["fit"]) == {"fit": "run"}
-        assert sorted(built) == sorted({(k, sp) for k in panel_mod.MODEL_KINDS
-                                        for sp in (False, True)})
+        # one design, built once for the six OLS specs, serves all nine models
+        assert built == [sorted((k, sp, None) for k in panel_mod.MODEL_KINDS
+                                for sp in (False, True))]
         ctx = RunContext(cfg=cfg, out=Path(cfg.output))
         designs, _ = ctx.model_designs()
         for kind in panel_mod.MODEL_KINDS:
             assert designs[f"{kind}_lasso"] is designs[kind]
+        assert len({id(d.X) for d in designs.values()}) == 1
+
+
+class TestFoldsScored:
+    def test_a_resume_sized_panel_scores_one_fold(self, tmp_path):
+        # 8 districts over 60 months: the bar of 4 rows per column of the
+        # widest design leaves only the last of the 9 folds to score
+        bundle = generate_synthetic(
+            SyntheticSpec(districts=8, countries=1, province_size=4, months=60,
+                          articles_per_country_month=150, embedding_dim=16),
+            seed=7, out_dir=tmp_path)
+        cfg = load_config(bundle["config"])
+        quiet_run(cfg, stages=["extract", "expand", "factors", "select", "fit"])
+        cv = json.loads((Path(cfg.output) / "cv_reports.json").read_text())
+        assert set(cv) == set(panel_mod.MODEL_KINDS)
+        for report in cv.values():
+            assert report["folds_scored"] == sum(r is not None for r in report["fold_rmse"])
+            assert report["folds_scored"] == 1
 
 
 class TestZeroNoiseConstruction:

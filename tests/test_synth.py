@@ -126,7 +126,7 @@ def test_planted_feature_validation():
 
 def _stream_inputs(spec, rng):
     """Districts laid out as the generator lays them out, random episodes, fillers."""
-    districts = [District(f"d{i:03d}", f"town{i:03d}", (), province, country, 0.0, 0.0, {})
+    districts = [District(f"d{i:03d}", f"town{i:03d}", (), province, country, 0.0, 0.0)
                  for i, (_, country, province) in enumerate(_layout(spec))]
     z = {(p.ngram, d.district_id): (rng.random(spec.months) < 0.3).astype(float)
          for p in spec.planted for d in districts}
