@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
 
+from .corpus import DENOMINATORS
 from .errors import ConfigError, DataError
 from .frames import DEFAULT_CAUSAL_LINKS, DEFAULT_STOP_WORDS, DEFAULT_TARGET_KEYWORDS
 from .months import parse_month
+from .tsstats import _ADF_CRIT_CONST, SCREENING_MODES
 
 
 @dataclass
@@ -67,7 +70,8 @@ class PipelineConfig:
             (self.wmd_radius > 0, "wmd_radius must be positive"),
             (self.ngram_floor >= 0, "ngram_floor must be non-negative"),
             (0 < self.granger_level < 1, "granger_level must be in (0, 1)"),
-            (self.adf_level in (0.01, 0.05, 0.10), "adf_level must be 0.01, 0.05 or 0.10"),
+            (self.adf_level in _ADF_CRIT_CONST,
+             f"adf_level must be one of {', '.join(map(str, _ADF_CRIT_CONST))}"),
             (self.adf_max_d >= 0, "adf_max_d must be non-negative"),
             (self.factor_lags >= 1 and self.y_lags >= 1, "lag orders must be at least 1"),
             (self.publication_delay >= 0, "publication_delay must be non-negative"),
@@ -78,8 +82,8 @@ class PipelineConfig:
             (self.clusters >= 1, "clusters must be at least 1"),
             (self.lasso_lambda >= 0, "lasso_lambda must be non-negative"),
             (self.match_window >= 0, "match_window must be non-negative"),
-            (self.screening_mode in ("pooled", "per-district"), "bad screening_mode"),
-            (self.factor_denominator in ("country", "corpus"), "bad factor_denominator"),
+            (self.screening_mode in SCREENING_MODES, "bad screening_mode"),
+            (self.factor_denominator in DENOMINATORS, "bad factor_denominator"),
             (bool(self.target_keywords), "target_keywords must be non-empty"),
             (bool(self.causal_links), "causal_links must be non-empty"),
         ]
@@ -91,46 +95,41 @@ class PipelineConfig:
 
 _PATH_KEYS = ("corpus", "frames_news", "frames_study", "embeddings", "gazetteer",
               "panel", "projections", "output")
-_LIST_KEYS = ("target_keywords", "causal_links", "cluster_labels")
-_BOOL_KEYS = ("strict", "exclude_target_articles", "spatial", "lasso_compare",
-              "stem_dedup")
-_INT_KEYS = ("ngram_floor", "adf_max_d", "factor_lags", "y_lags", "publication_delay",
-             "folds", "clusters", "match_window")
-_FLOAT_KEYS = ("wmd_radius", "granger_level", "adf_level", "grid_min", "grid_max",
-               "grid_step", "precision_target", "lasso_lambda")
-
-
-def _split_list(text: str) -> tuple[str, ...]:
-    return tuple(x.strip() for x in text.split(",") if x.strip())
+# The type each key is read and written as: its annotation, ``tuple[str, ...]`` as tuple.
+_KINDS = {key: typing.get_origin(hint) or hint
+          for key, hint in typing.get_type_hints(PipelineConfig).items()}
 
 
 def load_config(path) -> PipelineConfig:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    """Read a config file; each key may sit in any section, but only once."""
+    # [DEFAULT] is one more section, and a % is a character like any other.
+    parser = configparser.ConfigParser(default_section="", interpolation=None)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     cfg = PipelineConfig()
     base = Path(path).resolve().parent
-    known = {f.name for f in fields(PipelineConfig)}
+    seen = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if key not in known:
+            if key not in _KINDS:
                 raise ConfigError(f"unknown config key {key!r} in [{section}]")
+            if key in seen:
+                raise ConfigError(f"config key {key!r} is given in [{seen[key]}] and [{section}]")
+            seen[key] = section
+            kind = _KINDS[key]
             try:
-                if key in _BOOL_KEYS:
-                    value = parser.getboolean(section, key)
-                elif key in _INT_KEYS:
-                    value = int(raw)
-                elif key in _FLOAT_KEYS:
-                    value = float(raw)
-                elif key in _LIST_KEYS:
-                    value = _split_list(raw)
-                elif key == "stop_words":
-                    value = frozenset(_split_list(raw))
-                elif key in _PATH_KEYS:
+                if key in _PATH_KEYS:
                     value = str(base / raw) if raw and not Path(raw).is_absolute() else raw
+                elif kind is bool:
+                    value = parser.getboolean(section, key)
+                elif kind in (tuple, frozenset):
+                    value = kind(x.strip() for x in raw.split(",") if x.strip())
                 else:
-                    value = raw
+                    value = kind(raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for {key!r}: {exc}") from None
             setattr(cfg, key, value)
@@ -141,28 +140,23 @@ def save_config(path, cfg: PipelineConfig) -> None:
     """Write ``cfg`` with its paths relative to the config file's directory.
 
     ``load_config`` resolves them against that directory again, so a bundle
-    keeps working after its directory is moved.
+    keeps working after its directory is moved. Every other key is written as
+    its field's type reads back.
     """
-    parser = configparser.ConfigParser()
     base = Path(path).resolve().parent
 
-    def path_value(p: str) -> str:
-        return os.path.relpath(Path(p).resolve(), base) if p else p
+    def text(key: str) -> str:
+        value, kind = getattr(cfg, key), _KINDS[key]
+        if key in _PATH_KEYS:
+            return os.path.relpath(Path(value).resolve(), base) if value else value
+        if kind in (tuple, frozenset):
+            return ", ".join(sorted(value) if kind is frozenset else value)
+        if kind is bool:
+            return str(value).lower()
+        return repr(value) if kind is float else str(value)
 
-    parser["paths"] = {k: path_value(getattr(cfg, k)) for k in _PATH_KEYS}
-    parser["window"] = {"window_start": cfg.window_start, "window_end": cfg.window_end}
-    parser["lexicon"] = {
-        "target_keywords": ", ".join(cfg.target_keywords),
-        "causal_links": ", ".join(cfg.causal_links),
-        "stop_words": ", ".join(sorted(cfg.stop_words)),
-        "cluster_labels": ", ".join(cfg.cluster_labels),
-    }
-    parser["thresholds"] = {
-        **{k: repr(getattr(cfg, k)) for k in _FLOAT_KEYS},
-        **{k: str(getattr(cfg, k)) for k in _INT_KEYS},
-        "screening_mode": cfg.screening_mode,
-        "factor_denominator": cfg.factor_denominator,
-    }
-    parser["run"] = {k: str(getattr(cfg, k)).lower() for k in _BOOL_KEYS}
+    parser = configparser.ConfigParser(interpolation=None)
+    parser["paths"] = {k: text(k) for k in _PATH_KEYS}
+    parser["settings"] = {k: text(k) for k in _KINDS if k not in _PATH_KEYS}
     with open(path, "w", encoding="utf-8") as fh:
         parser.write(fh)

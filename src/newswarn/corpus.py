@@ -396,6 +396,9 @@ class NewsFactors:
             raise DataError("news factor proportions must lie in [0, 1]")
 
 
+DENOMINATORS = ("country", "corpus")  # the articles a location's monthly share is of
+
+
 def news_factors(
     corpus: Corpus,
     features,
@@ -419,7 +422,7 @@ def news_factors(
     Returns the factors of the features that occur in some article, in the
     given order, and the features that occur in no article.
     """
-    if denominator not in ("country", "corpus"):
+    if denominator not in DENOMINATORS:
         raise DataError(f"unknown denominator scope {denominator!r}")
     keep = np.ones(len(corpus), dtype=bool)
     if exclude_targets:

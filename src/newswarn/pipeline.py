@@ -1,10 +1,11 @@
 """Stage orchestration with content-hash manifests.
 
-Each stage declares its parameters; its input and output files are the ones
-it opened through ``RunContext.read`` and ``RunContext.write``. A stage is
-skipped on rerun when its parameters are unchanged, every file it read still
-has the recorded hash, and its outputs are intact, so deleting any downstream
-output and resuming reproduces it bit-identically. Manifests carry no
+Each stage lists the config keys its outputs depend on (``_STAGES``); its
+manifest records them by name as its parameters. Its input and output files
+are the ones it opened through ``RunContext.read`` and ``RunContext.write``.
+A stage is skipped on rerun when its parameters are unchanged, every file it
+read still has the recorded hash, and its outputs are intact, so deleting any
+downstream output and resuming reproduces it bit-identically. Manifests carry no
 timestamps; the config and its input files fully determine every emitted byte.
 """
 
@@ -28,6 +29,7 @@ from .artifacts import read_csv, write_csv, write_json
 from .config import _PATH_KEYS, PipelineConfig
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month
+from .report import build_report
 
 
 def file_sha256(path) -> str:
@@ -245,7 +247,15 @@ def _up_to_date(ctx: RunContext, manifest: dict) -> bool:
     )
 
 
-def _execute_stage(ctx: RunContext, name: str, params: dict, compute):
+def _execute_stage(ctx: RunContext, name: str):
+    """Run stage ``name`` unless its manifest shows it up to date; "run" or "cached".
+
+    Its params are the config keys ``_STAGES`` lists for it, under their own
+    names; a frozenset is written sorted, and JSON writes a tuple as a list.
+    """
+    body, keys = _STAGES[name]
+    params = {k: sorted(v) if isinstance(v, frozenset) else v
+              for k in keys for v in [getattr(ctx.cfg, k)]}
     manifest_dir = ctx.out / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = manifest_dir / f"{name}.json"
@@ -257,7 +267,7 @@ def _execute_stage(ctx: RunContext, name: str, params: dict, compute):
             return "cached"
     ctx._reads, ctx._writes = {}, set()
     try:
-        compute()
+        body(ctx)
     except _MissingInput:
         raise
     except Exception as exc:
@@ -301,187 +311,144 @@ def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) 
 
 def _stage_extract(ctx: RunContext):
     cfg = ctx.cfg
-
-    def compute():
-        result = frames_mod.run_extraction(
-            ctx.read("frames_news"),
-            ctx.read("frames_study", optional=True),
-            cfg.target_keywords,
-            cfg.causal_links,
-            cfg.stop_words,
-            stem_dedup=cfg.stem_dedup,
-        )
-        frames_mod.save_seed_features(ctx.write("seeds.json"), result)
-
-    params = {"targets": sorted(cfg.target_keywords), "links": sorted(cfg.causal_links),
-              "stop_words": sorted(cfg.stop_words), "stem_dedup": cfg.stem_dedup}
-    return _execute_stage(ctx, "extract", params, compute)
+    result = frames_mod.run_extraction(
+        ctx.read("frames_news"),
+        ctx.read("frames_study", optional=True),
+        cfg.target_keywords,
+        cfg.causal_links,
+        cfg.stop_words,
+        stem_dedup=cfg.stem_dedup,
+    )
+    frames_mod.save_seed_features(ctx.write("seeds.json"), result)
 
 
 def _stage_expand(ctx: RunContext):
     cfg = ctx.cfg
-
-    def compute():
-        seeds = frames_mod.load_seed_features(ctx.read("seeds.json"))
-        embeddings = ctx.embeddings()  # before the corpus parse, so a missing file fails fast
-        candidates = semantics_mod.enumerate_candidates(ctx.corpus(), cfg.ngram_floor)
-        expanded = semantics_mod.expand_seeds(seeds, candidates, embeddings,
-                                              radius=cfg.wmd_radius)
-        write_json(ctx.write("expanded.json"), [
-            {"ngram": f.ngram, "nearest_seed": f.source_seed, "distance": f.distance}
-            for f in expanded
-        ])
-        rows = [
-            {"ngram": f.ngram, "provenance": list(f.provenance),
-             "frame_count": f.frame_count} for f in seeds
-        ] + [
-            {"ngram": f.ngram, "provenance": list(f.provenance),
-             "nearest_seed": f.source_seed, "distance": f.distance} for f in expanded
-        ]
-        write_json(ctx.write("features.json"), sorted(rows, key=lambda r: r["ngram"]))
-
-    params = {"radius": cfg.wmd_radius, "floor": cfg.ngram_floor,
-              "window": [cfg.window_start, cfg.window_end], "strict": cfg.strict}
-    return _execute_stage(ctx, "expand", params, compute)
+    seeds = frames_mod.load_seed_features(ctx.read("seeds.json"))
+    embeddings = ctx.embeddings()  # before the corpus parse, so a missing file fails fast
+    candidates = semantics_mod.enumerate_candidates(ctx.corpus(), cfg.ngram_floor)
+    expanded = semantics_mod.expand_seeds(seeds, candidates, embeddings,
+                                          radius=cfg.wmd_radius)
+    write_json(ctx.write("expanded.json"), [
+        {"ngram": f.ngram, "nearest_seed": f.source_seed, "distance": f.distance}
+        for f in expanded
+    ])
+    rows = [
+        {"ngram": f.ngram, "provenance": list(f.provenance),
+         "frame_count": f.frame_count} for f in seeds
+    ] + [
+        {"ngram": f.ngram, "provenance": list(f.provenance),
+         "nearest_seed": f.source_seed, "distance": f.distance} for f in expanded
+    ]
+    write_json(ctx.write("features.json"), sorted(rows, key=lambda r: r["ngram"]))
 
 
 def _stage_factors(ctx: RunContext):
     cfg = ctx.cfg
-
-    def compute():
-        with open(ctx.read("features.json"), "r", encoding="utf-8") as fh:
-            features = sorted({row["ngram"] for row in json.load(fh)})
-        factors, absent = corpus_mod.news_factors(
-            ctx.corpus(), features, ctx.gazetteer(),
-            exclude_targets=cfg.exclude_target_articles,
-            target_keywords=cfg.target_keywords,
-            denominator=cfg.factor_denominator,
-        )
-        corpus_mod.save_factors(ctx.write("factors.npy"), ctx.write("factors.json"), factors)
-        skipped = [{"ngram": f, "reason": "absent from corpus"} for f in absent]
-        write_json(ctx.write("factors_skipped.json"), skipped)
-
-    params = {"exclude_targets": cfg.exclude_target_articles,
-              "targets": sorted(cfg.target_keywords),
-              "denominator": cfg.factor_denominator,
-              "window": [cfg.window_start, cfg.window_end]}
-    return _execute_stage(ctx, "factors", params, compute)
+    with open(ctx.read("features.json"), "r", encoding="utf-8") as fh:
+        features = sorted({row["ngram"] for row in json.load(fh)})
+    factors, absent = corpus_mod.news_factors(
+        ctx.corpus(), features, ctx.gazetteer(),
+        exclude_targets=cfg.exclude_target_articles,
+        target_keywords=cfg.target_keywords,
+        denominator=cfg.factor_denominator,
+    )
+    corpus_mod.save_factors(ctx.write("factors.npy"), ctx.write("factors.json"), factors)
+    skipped = [{"ngram": f, "reason": "absent from corpus"} for f in absent]
+    write_json(ctx.write("factors_skipped.json"), skipped)
 
 
 def _stage_select(ctx: RunContext):
     cfg = ctx.cfg
-
-    def compute():
-        panel_csv = ctx.panel_csv()  # before the factors, so a bad panel row fails first
-        factors = ctx.factors()
-        panel = panel_mod.assemble_panel(ctx.gazetteer(), panel_csv, factors,
-                                         dict.fromkeys(factors.features, 0))
-        retained, report = tsstats_mod.select_features(
-            panel.feature_order, panel.ipc, panel.factors,
-            n_max=cfg.factor_lags, level=cfg.granger_level,
-            adf_level=cfg.adf_level, max_d=cfg.adf_max_d, mode=cfg.screening_mode,
+    panel_csv = ctx.panel_csv()  # before the factors, so a bad panel row fails first
+    factors = ctx.factors()
+    panel = panel_mod.assemble_panel(ctx.gazetteer(), panel_csv, factors,
+                                     dict.fromkeys(factors.features, 0))
+    retained, report = tsstats_mod.select_features(
+        panel.feature_order, panel.ipc, panel.factors,
+        n_max=cfg.factor_lags, level=cfg.granger_level,
+        adf_level=cfg.adf_level, max_d=cfg.adf_max_d, mode=cfg.screening_mode,
+    )
+    write_csv(ctx.write("screening.csv"),
+              ["feature", "F", "p", "lag_n", "differencing_d", "decision", "reason"],
+              ([r.feature, r.f_stat, r.p_value, r.n_lags, r.diff_order, int(r.decision),
+                r.reason] for r in report))
+    write_json(ctx.write("retained.json"), {
+        w: {"diff_order": meta["diff_order"], "f_stat": meta["result"].f_stat,
+            "p_value": meta["result"].p_value, "n_lags": meta["result"].n_lags}
+        for w, meta in retained.items()
+    })
+    # report's coverage table reads this count, so rerunning report never parses the corpus.
+    provinces = sorted(ctx.gazetteer().provinces)
+    articles = corpus_mod.feature_coverage(ctx.corpus(), sorted(retained), ctx.gazetteer(),
+                                           provinces)
+    write_json(ctx.write("retained_coverage.json"), dict(zip(provinces, articles)))
+    if retained:
+        k = min(cfg.clusters, len(retained))
+        clusters = semantics_mod.cluster_features(
+            sorted(retained), ctx.embeddings(), k=k,
+            labels=list(cfg.cluster_labels) or None,
         )
-        write_csv(ctx.write("screening.csv"),
-                  ["feature", "F", "p", "lag_n", "differencing_d", "decision", "reason"],
-                  ([r.feature, r.f_stat, r.p_value, r.n_lags, r.diff_order, int(r.decision),
-                    r.reason] for r in report))
-        write_json(ctx.write("retained.json"), {
-            w: {"diff_order": meta["diff_order"], "f_stat": meta["result"].f_stat,
-                "p_value": meta["result"].p_value, "n_lags": meta["result"].n_lags}
-            for w, meta in retained.items()
-        })
-        # report's coverage table reads this count, so rerunning report never parses the corpus.
-        provinces = sorted(ctx.gazetteer().provinces)
-        articles = corpus_mod.feature_coverage(ctx.corpus(), sorted(retained), ctx.gazetteer(),
-                                               provinces)
-        write_json(ctx.write("retained_coverage.json"), dict(zip(provinces, articles)))
-        if retained:
-            k = min(cfg.clusters, len(retained))
-            clusters = semantics_mod.cluster_features(
-                sorted(retained), ctx.embeddings(), k=k,
-                labels=list(cfg.cluster_labels) or None,
-            )
-        else:
-            clusters = []
-        semantics_mod.save_clusters(ctx.write("clusters.json"), clusters)
-
-    params = {"n_max": cfg.factor_lags, "level": cfg.granger_level,
-              "adf_level": cfg.adf_level, "max_d": cfg.adf_max_d,
-              "mode": cfg.screening_mode, "clusters": cfg.clusters,
-              "cluster_labels": list(cfg.cluster_labels)}
-    return _execute_stage(ctx, "select", params, compute)
+    else:
+        clusters = []
+    semantics_mod.save_clusters(ctx.write("clusters.json"), clusters)
 
 
 def _stage_fit(ctx: RunContext):
-    cfg = ctx.cfg
-
-    def compute():
-        specs = ctx.model_specs()
-        designs, _ = ctx.model_designs()
-        reports = {}
-        audits = {}
-        for name in sorted(specs):
-            design = designs[name]
-            audits[name] = {"violations": panel_mod.audit_no_lookahead(design),
-                            "rows": len(design.rows),
-                            "skipped": len(design.skipped)}
-            reports[name] = ctx.cv_report(name)
-        write_json(ctx.write("cv_reports.json"), {
-            name: {
-                "fold_rmse": [r if r is None else float(r) for r in rep.fold_rmse],
-                "folds_scored": sum(r is not None for r in rep.fold_rmse),
-                "mean_rmse": rep.mean_rmse,
-                "country_rmse": rep.country_rmse,
-                "district_rmse": rep.district_rmse,
-            }
-            for name, rep in reports.items()
-        })
-        write_csv(ctx.write("predictions.csv"),
-                  ["district_id", "month", "y_true", "y_pred", "model"],
-                  ([p.district, format_month(p.month), p.y_true, p.y_pred, model]
-                   for model in sorted(reports) for p in reports[model].predictions))
-        models = {}
-        for kind in panel_mod.MODEL_KINDS:
-            result = panel_mod.fit_design(designs[kind], specs[kind])
-            models[kind] = {
-                "spec": {"kind": kind, "spatial": specs[kind].spatial,
-                         "y_lags": specs[kind].y_lags,
-                         "factor_lags": specs[kind].factor_lags,
-                         "delay": specs[kind].delay},
-                "coefficients": result.coefficients(),
-                "dropped": list(result.dropped),
-                "rss": result.rss,
-                "nobs": result.nobs,
-                "fold_rmse": [r if r is None else float(r)
-                              for r in reports[kind].fold_rmse],
-            }
-        write_json(ctx.write("models.json"), models)
-        write_json(ctx.write("audit.json"), audits)
-
-    params = {"folds": cfg.folds, "spatial": cfg.spatial,
-              "lasso_compare": cfg.lasso_compare, "lasso_lambda": cfg.lasso_lambda,
-              "y_lags": cfg.y_lags, "factor_lags": cfg.factor_lags,
-              "delay": cfg.publication_delay}
-    return _execute_stage(ctx, "fit", params, compute)
+    specs = ctx.model_specs()
+    designs, _ = ctx.model_designs()
+    reports = {}
+    audits = {}
+    for name in sorted(specs):
+        design = designs[name]
+        audits[name] = {"violations": panel_mod.audit_no_lookahead(design),
+                        "rows": len(design.rows),
+                        "skipped": len(design.skipped)}
+        reports[name] = ctx.cv_report(name)
+    write_json(ctx.write("cv_reports.json"), {
+        name: {
+            "fold_rmse": [r if r is None else float(r) for r in rep.fold_rmse],
+            "folds_scored": sum(r is not None for r in rep.fold_rmse),
+            "mean_rmse": rep.mean_rmse,
+            "country_rmse": rep.country_rmse,
+            "district_rmse": rep.district_rmse,
+        }
+        for name, rep in reports.items()
+    })
+    write_csv(ctx.write("predictions.csv"),
+              ["district_id", "month", "y_true", "y_pred", "model"],
+              ([p.district, format_month(p.month), p.y_true, p.y_pred, model]
+               for model in sorted(reports) for p in reports[model].predictions))
+    models = {}
+    for kind in panel_mod.MODEL_KINDS:
+        result = panel_mod.fit_design(designs[kind], specs[kind])
+        models[kind] = {
+            "spec": {"kind": kind, "spatial": specs[kind].spatial,
+                     "y_lags": specs[kind].y_lags,
+                     "factor_lags": specs[kind].factor_lags,
+                     "delay": specs[kind].delay},
+            "coefficients": result.coefficients(),
+            "dropped": list(result.dropped),
+            "rss": result.rss,
+            "nobs": result.nobs,
+            "fold_rmse": [r if r is None else float(r)
+                          for r in reports[kind].fold_rmse],
+        }
+    write_json(ctx.write("models.json"), models)
+    write_json(ctx.write("audit.json"), audits)
 
 
 def _stage_ablate(ctx: RunContext):
     cfg = ctx.cfg
-
-    def compute():
-        # The fit stage's design, bar and CV, so deltas are against the reported combined CV.
-        designs, min_train = ctx.model_designs()
-        results = panel_mod.ablate(designs["combined"], ctx.model_specs()["combined"],
-                                   ctx.panel_dataset(), ctx.cv_report("combined"),
-                                   cfg.folds, min_train)
-        write_csv(ctx.write("ablation.csv"),
-                  ["cluster_id", "label", "district_id", "rmse_delta"],
-                  ([r.cluster_id, r.label, d, delta] for r in results
-                   for d, delta in [("ALL", r.mean_delta), *sorted(r.district_delta.items())]))
-
-    params = {"folds": cfg.folds, "y_lags": cfg.y_lags, "factor_lags": cfg.factor_lags,
-              "delay": cfg.publication_delay, "spatial": cfg.spatial}
-    return _execute_stage(ctx, "ablate", params, compute)
+    # The fit stage's design, bar and CV, so deltas are against the reported combined CV.
+    designs, min_train = ctx.model_designs()
+    results = panel_mod.ablate(designs["combined"], ctx.model_specs()["combined"],
+                               ctx.panel_dataset(), ctx.cv_report("combined"),
+                               cfg.folds, min_train)
+    write_csv(ctx.write("ablation.csv"),
+              ["cluster_id", "label", "district_id", "rmse_delta"],
+              ([r.cluster_id, r.label, d, delta] for r in results
+               for d, delta in [("ALL", r.mean_delta), *sorted(r.district_delta.items())]))
 
 
 def _read_grid(path, kind: str, column: str, panel, by: str = "") -> dict[str, np.ndarray]:
@@ -523,107 +490,106 @@ def _prediction_series(ctx: RunContext, panel) -> tuple[list, dict, np.ndarray]:
 
 def _stage_classify(ctx: RunContext):
     cfg = ctx.cfg
+    panel = ctx.panel_dataset()
+    periods = panel.publication_months
+    districts, series, actual = _prediction_series(ctx, panel)
+    actual_events = []
+    for d, vals in zip(districts, actual):
+        actual_events.extend(outbreak_mod.detect_outbreaks(vals, d))
+    levels = outbreak_mod.threshold_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step)
 
-    def compute():
-        panel = ctx.panel_dataset()
-        periods = panel.publication_months
-        districts, series, actual = _prediction_series(ctx, panel)
-        actual_events = []
-        for d, vals in zip(districts, actual):
-            actual_events.extend(outbreak_mod.detect_outbreaks(vals, d))
-        levels = outbreak_mod.threshold_grid(cfg.grid_min, cfg.grid_max, cfg.grid_step)
+    def operating_point(by_district, actual):
+        """The Pareto front, and its (l, u, recall) at the precision target or the error."""
+        front = outbreak_mod.sweep_pareto(by_district, actual, levels, cfg.match_window)
+        try:
+            l, u, recall = outbreak_mod.recall_at_precision(front, cfg.precision_target)
+        except DataError as exc:
+            return front, {"error": str(exc)}
+        return front, {"l": l, "u": u, "recall": recall}
 
-        def operating_point(by_district, actual):
-            """The Pareto front, and its (l, u, recall) at the precision target or the error."""
-            front = outbreak_mod.sweep_pareto(by_district, actual, levels, cfg.match_window)
-            try:
-                l, u, recall = outbreak_mod.recall_at_precision(front, cfg.precision_target)
-            except DataError as exc:
-                return front, {"error": str(exc)}
-            return front, {"l": l, "u": u, "recall": recall}
-
-        fronts, points = {}, {}
-        event_rows = [(e.district, format_month(periods[e.start]), "actual", "", e.severity)
-                      for e in actual_events]
-        for model, rows in series.items():
-            by_district = dict(zip(districts, rows))
-            fronts[model], entry = operating_point(by_district, actual_events)
-            entry["n_actual"] = len(actual_events)
-            if "error" not in entry:
-                predicted = []
-                for d, vals in sorted(by_district.items()):
-                    predicted.extend(outbreak_mod.classify(vals, entry["l"], entry["u"], d))
-                s = outbreak_mod.score(predicted, actual_events, cfg.match_window)
-                entry.update(asdict(s), precision=s.precision)
-                event_rows.extend(
-                    (e.district, format_month(periods[e.start]), "predicted", model, e.severity)
-                    for e in predicted
-                )
-            entry["per_country"] = {
-                country: operating_point(
-                    {d: v for d, v in by_district.items() if panel.country_of(d) == country},
-                    [e for e in actual_events if panel.country_of(e.district) == country])[1]
-                for country in sorted({panel.country_of(d) for d in by_district})
-            }
-            points[model] = entry
-        projections_path = ctx.read("projections", optional=True)
-        if projections_path:
-            grid = _read_grid(projections_path, "projections", "projected_phase", panel)[""]
-            # Scored on the models' evaluation cells, as the actual outbreaks are.
-            projections = np.where(np.isnan(actual), np.nan, _publication_rows(panel, grid))
-            expert = outbreak_mod.expert_baseline(dict(zip(districts, projections)),
-                                                  actual_events, cfg.match_window)
-            points["expert"] = {**asdict(expert), "precision": expert.precision,
-                                "recall": expert.recall}
-        write_csv(ctx.write("fronts.csv"), ["l", "u", "precision", "recall", "model"],
-                  ([p.l, p.u, p.precision, p.recall, model]
-                   for model in sorted(fronts) for p in fronts[model]))
-        write_csv(ctx.write("events.csv"), ["district_id", "period", "kind", "model", "severity"],
-                  event_rows)
-        write_json(ctx.write("operating_points.json"), points)
-
-    params = {"grid": [cfg.grid_min, cfg.grid_max, cfg.grid_step],
-              "precision_target": cfg.precision_target, "window": cfg.match_window}
-    return _execute_stage(ctx, "classify", params, compute)
+    fronts, points = {}, {}
+    event_rows = [(e.district, format_month(periods[e.start]), "actual", "", e.severity)
+                  for e in actual_events]
+    for model, rows in series.items():
+        by_district = dict(zip(districts, rows))
+        fronts[model], entry = operating_point(by_district, actual_events)
+        entry["n_actual"] = len(actual_events)
+        if "error" not in entry:
+            predicted = []
+            for d, vals in sorted(by_district.items()):
+                predicted.extend(outbreak_mod.classify(vals, entry["l"], entry["u"], d))
+            s = outbreak_mod.score(predicted, actual_events, cfg.match_window)
+            entry.update(asdict(s), precision=s.precision)
+            event_rows.extend(
+                (e.district, format_month(periods[e.start]), "predicted", model, e.severity)
+                for e in predicted
+            )
+        entry["per_country"] = {
+            country: operating_point(
+                {d: v for d, v in by_district.items() if panel.country_of(d) == country},
+                [e for e in actual_events if panel.country_of(e.district) == country])[1]
+            for country in sorted({panel.country_of(d) for d in by_district})
+        }
+        points[model] = entry
+    projections_path = ctx.read("projections", optional=True)
+    if projections_path:
+        grid = _read_grid(projections_path, "projections", "projected_phase", panel)[""]
+        # Scored on the models' evaluation cells, as the actual outbreaks are.
+        projections = np.where(np.isnan(actual), np.nan, _publication_rows(panel, grid))
+        expert = outbreak_mod.expert_baseline(dict(zip(districts, projections)),
+                                              actual_events, cfg.match_window)
+        points["expert"] = {**asdict(expert), "precision": expert.precision,
+                            "recall": expert.recall}
+    write_csv(ctx.write("fronts.csv"), ["l", "u", "precision", "recall", "model"],
+              ([p.l, p.u, p.precision, p.recall, model]
+               for model in sorted(fronts) for p in fronts[model]))
+    write_csv(ctx.write("events.csv"), ["district_id", "period", "kind", "model", "severity"],
+              event_rows)
+    write_json(ctx.write("operating_points.json"), points)
 
 
 def _stage_validate(ctx: RunContext):
-    def compute():
-        rows, percentiles = panel_mod.validate_factors(ctx.panel_dataset(), ctx.factors())
-        write_csv(ctx.write("associations.csv"),
-                  ["traditional_factor", "news_factor", "spearman_r", "n_districts"],
-                  ([r.indicator, r.feature, r.spearman_r, r.n_districts] for r in rows))
-        pct_rows = []
-        for kind, table in sorted(percentiles.items()):
-            for name, by_district in sorted(table.items()):
-                for d, v in sorted(by_district.items()):
-                    pct_rows.append({"kind": kind, "name": name, "district": d,
-                                     "percentile": v})
-        write_json(ctx.write("association_percentiles.json"), pct_rows)
-
-    return _execute_stage(ctx, "validate", {}, compute)
+    rows, percentiles = panel_mod.validate_factors(ctx.panel_dataset(), ctx.factors())
+    write_csv(ctx.write("associations.csv"),
+              ["traditional_factor", "news_factor", "spearman_r", "n_districts"],
+              ([r.indicator, r.feature, r.spearman_r, r.n_districts] for r in rows))
+    pct_rows = []
+    for kind, table in sorted(percentiles.items()):
+        for name, by_district in sorted(table.items()):
+            for d, v in sorted(by_district.items()):
+                pct_rows.append({"kind": kind, "name": name, "district": d,
+                                 "percentile": v})
+    write_json(ctx.write("association_percentiles.json"), pct_rows)
 
 
 def _stage_report(ctx: RunContext):
-    from .report import build_report
-
-    params = {"precision_target": ctx.cfg.precision_target,
-              "match_window": ctx.cfg.match_window}
-    return _execute_stage(ctx, "report", params, lambda: build_report(ctx))
+    build_report(ctx)  # looked up as the stage runs, so a patched build_report is the one run
 
 
-_STAGE_FUNCS = {
-    "extract": _stage_extract,
-    "expand": _stage_expand,
-    "factors": _stage_factors,
-    "select": _stage_select,
-    "fit": _stage_fit,
-    "ablate": _stage_ablate,
-    "classify": _stage_classify,
-    "validate": _stage_validate,
-    "report": _stage_report,
+_CORPUS_KEYS = ("window_start", "window_end", "strict")  # ctx.corpus()
+# ctx.model_designs() builds the designs of every model spec, the lasso twins' too.
+_MODEL_KEYS = ("y_lags", "factor_lags", "publication_delay", "spatial", "lasso_compare",
+               "lasso_lambda", "folds")
+# Each stage's body, and the config keys its outputs depend on: its manifest's params.
+_STAGES = {
+    "extract": (_stage_extract, ("target_keywords", "causal_links", "stop_words",
+                                 "stem_dedup")),
+    "expand": (_stage_expand, ("ngram_floor", "wmd_radius", *_CORPUS_KEYS)),
+    "factors": (_stage_factors, ("exclude_target_articles", "target_keywords",
+                                 "factor_denominator", *_CORPUS_KEYS)),
+    "select": (_stage_select, ("factor_lags", "granger_level", "adf_level", "adf_max_d",
+                               "screening_mode", "clusters", "cluster_labels", *_CORPUS_KEYS)),
+    "fit": (_stage_fit, _MODEL_KEYS),
+    "ablate": (_stage_ablate, _MODEL_KEYS),
+    "classify": (_stage_classify, ("grid_min", "grid_max", "grid_step", "match_window",
+                                   "precision_target")),
+    "validate": (_stage_validate, ()),
+    # report never reads precision_target. perfbench's resume gate expects a precision
+    # edit to rerun report, so the key stays until that gate changes (ROADMAP item 5).
+    "report": (_stage_report, ("match_window", "precision_target")),
 }
-STAGE_ORDER = tuple(_STAGE_FUNCS)
+_STAGE_FUNCS = {name: lambda ctx, name=name: _execute_stage(ctx, name) for name in _STAGES}
+STAGE_ORDER = tuple(_STAGES)
 
 
 def run_pipeline(cfg: PipelineConfig, stages=None) -> dict[str, str]:

@@ -336,6 +336,9 @@ def _panel_diff_order(series, max_d: int, level: float) -> int | None:
     return None
 
 
+SCREENING_MODES = ("pooled", "per-district")
+
+
 def select_features(
     features,
     ipc,
@@ -359,7 +362,7 @@ def select_features(
     not significant. The row carries the F and p of the location with the largest F,
     and the vote (``"3 of 8 districts significant"``) as its reason.
     """
-    if mode not in ("pooled", "per-district"):
+    if mode not in SCREENING_MODES:
         raise DataError(f"unknown screening mode {mode!r}")
     ipc = np.asarray(ipc, dtype=float)
     has_ipc = np.isfinite(ipc)

@@ -16,12 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import newswarn
 from newswarn import corpus as corpus_mod
 from newswarn import panel as panel_mod
+from newswarn import pipeline
 from newswarn.artifacts import read_csv, write_csv
 from newswarn.cli import main as cli_main
 from newswarn.config import _PATH_KEYS, PipelineConfig, load_config, save_config
@@ -337,6 +338,85 @@ class TestDerivedManifests:
         assert quiet_run(copied) == {s: "cached" for s in STAGE_ORDER}
 
 
+FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
+# Keys a stage lists but does not read, and why each is listed.
+UNREAD_KEYS = {
+    ("report", "precision_target"):
+        "perfbench's resume gate expects a precision edit to rerun report (ROADMAP item 5)",
+}
+
+
+class _RecordingConfig(PipelineConfig):
+    """A config that adds the name of each field read to ``log`` while ``log`` is a set."""
+
+    log = None
+
+    def __getattribute__(self, name):
+        log = object.__getattribute__(self, "log")
+        if log is not None and name in FIELDS:
+            log.add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.fixture(scope="module")
+def stage_reads(tmp_path_factory):
+    """A finished run, and the config keys other than paths that each stage's body reads.
+
+    Each stage reruns alone in a fresh context, so the corpus, designs and CV it
+    uses are built inside it. Spatial, lasso and target exclusion are on and the
+    optional inputs are set, so every branch that reads a key runs. Paths are
+    left out: ``RunContext.read`` hashes their files.
+    """
+    bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3,
+                                out_dir=tmp_path_factory.mktemp("reads"))
+    cfg = dataclasses.replace(load_config(bundle["config"]), spatial=True,
+                              lasso_compare=True, exclude_target_articles=True)
+    assert cfg.frames_study and cfg.projections
+    quiet_run(cfg)
+    recording = _RecordingConfig(**dataclasses.asdict(cfg))
+    reads = {}
+    for stage, (body, keys) in pipeline._STAGES.items():
+        reads[stage] = set()
+
+        def recorded(ctx, body=body, log=reads[stage]):
+            recording.log = log  # not while the params are hashed
+            try:
+                body(ctx)
+            finally:
+                recording.log = None
+
+        (Path(cfg.output) / "manifests" / f"{stage}.json").unlink()
+        with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            mp.setitem(pipeline._STAGES, stage, (recorded, keys))
+            ctx = RunContext(cfg=recording, out=Path(cfg.output))
+            assert pipeline._STAGE_FUNCS[stage](ctx) == "run"
+        reads[stage] -= set(_PATH_KEYS)
+    return cfg, reads
+
+
+class TestStageKeys:
+    def test_each_stage_lists_the_keys_it_reads(self, stage_reads):
+        _, reads = stage_reads
+        unread = set()
+        for stage, (_, keys) in pipeline._STAGES.items():
+            assert reads[stage] <= set(keys), (stage, "reads", reads[stage] - set(keys))
+            unread |= {(stage, key) for key in set(keys) - reads[stage]}
+        assert unread == set(UNREAD_KEYS)
+
+    def test_manifests_record_the_listed_keys_by_name(self, stage_reads):
+        cfg, _ = stage_reads
+        as_json = {tuple: list, frozenset: sorted}
+        for stage, manifest in manifests(cfg.output).items():
+            assert manifest["params"] == {
+                key: as_json.get(type(value), lambda v: v)(value)
+                for key in pipeline._STAGES[stage][1] for value in [getattr(cfg, key)]}, stage
+
+    def test_every_key_but_the_paths_is_listed_by_some_stage(self):
+        listed = {key for _, keys in pipeline._STAGES.values() for key in keys}
+        assert listed == set(FIELDS) - set(_PATH_KEYS)
+
+
 class TestFailureModes:
     def test_missing_embeddings_fails_expand_with_config_error(self, tmp_path):
         bundle = generate_synthetic(
@@ -487,11 +567,17 @@ class TestTrailingMean:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.sampled_from([-0.0, 0.0, 0.1, math.nan, math.inf, -math.inf, 5e-324])
                     | st.floats(allow_nan=False), max_size=12))
+    @example([-0.0] * 8 + [math.inf, -math.inf, math.nan])
     def test_equals_the_window_loop_bit_for_bit(self, values):
-        # the sampled values force -0.0 sums, NaN, infinities and underflow
+        # The sampled values force -0.0 sums, NaN, infinities and underflow. A NaN's
+        # sign bit depends on how it arose and prints as nan either way, so each NaN is
+        # compared as one canonical NaN: positions still match, and every other value
+        # bit for bit.
         v = np.array(values, dtype=float)
         with np.errstate(all="ignore"):
-            assert trailing_mean(v).tobytes() == _sm3(v).tobytes()
+            got, want = trailing_mean(v), _sm3(v)
+        canonical = [np.where(np.isnan(a), np.nan, a).tobytes() for a in (got, want)]
+        assert canonical[0] == canonical[1]
 
 
 class TestFactorSummariesOracle:
@@ -598,6 +684,36 @@ class TestConfigFile:
         path.write_text("[thresholds]\nwarp_factor = 9\n")
         with pytest.raises(ConfigError, match="warp_factor"):
             load_config(path)
+
+    def test_every_field_round_trips(self, tmp_path):
+        # Every field at a value of its type other than its default.
+        changed = {bool: lambda v: not v, int: lambda v: v + 3, float: lambda v: v / 2 + 0.01,
+                   tuple: lambda v: ("drought", "50% price rise"),
+                   frozenset: lambda v: frozenset({"of", "zebra"})}
+        defaults = dataclasses.asdict(PipelineConfig())
+        values = {k: str(tmp_path / "in" / k) if k in _PATH_KEYS else changed[type(v)](v)
+                  for k, v in defaults.items() if k in _PATH_KEYS or not isinstance(v, str)}
+        cfg = PipelineConfig(**{**values, "adf_level": 0.01, "grid_min": 1.5},
+                             window_start="2010-01", window_end="2019-12",
+                             screening_mode="per-district", factor_denominator="corpus")
+        assert not [k for k, v in defaults.items() if getattr(cfg.validate(), k) == v]
+        save_config(tmp_path / "cfg.ini", cfg)
+        assert load_config(tmp_path / "cfg.ini") == cfg
+
+    @pytest.mark.parametrize("text", ["[settings]\nfolds = 5\n\n[thresholds]\nfolds = 7\n",
+                                      "[DEFAULT]\nfolds = 5\n\n[settings]\nfolds = 7\n",
+                                      "[settings]\nfolds = 5\nfolds = 7\n"])
+    def test_a_key_given_twice_is_rejected(self, tmp_path, text):
+        path = tmp_path / "cfg.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="'folds'"):
+            load_config(path)
+
+    def test_a_default_section_is_read_once_like_any_other(self, tmp_path):
+        path = tmp_path / "cfg.ini"
+        path.write_text("[DEFAULT]\nfolds = 5\n\n[a]\nclusters = 3\n\n[b]\ny_lags = 4\n")
+        cfg = load_config(path)
+        assert (cfg.folds, cfg.clusters, cfg.y_lags) == (5, 3, 4)
 
 
 class TestMovedBundle:
