@@ -566,7 +566,7 @@ def _stage_report(ctx: RunContext):
     build_report(ctx)  # looked up as the stage runs, so a patched build_report is the one run
 
 
-_CORPUS_KEYS = ("window_start", "window_end", "strict")  # ctx.corpus()
+_CORPUS_KEYS = ("window_start", "window_end", "strict")  # read by ctx.corpus()
 # ctx.model_designs() builds the designs of every model spec, the lasso twins' too.
 _MODEL_KEYS = ("y_lags", "factor_lags", "publication_delay", "spatial", "lasso_compare",
                "lasso_lambda", "folds")
