@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, NumericalError
 
@@ -31,15 +30,56 @@ _ADF_CRIT_CONST = {
     0.10: (-2.56677, -1.5384, -2.809, 0.0),
 }
 
+_BETA_FRACTION_TERMS = 10_000  # the cap on the continued fraction's terms in ``f_sf``
+_STIRLING = ((1 / 12, 1), (-1 / 360, 3), (1 / 1260, 5), (-1 / 1680, 7))
+
 
 def f_sf(f: float, d1: float, d2: float) -> float:
-    """Upper tail of the F(d1, d2) distribution via the regularized beta function."""
+    """Upper tail of the F(d1, d2) distribution, I_x(d2/2, d1/2) with x = d2 / (d2 + d1 f):
+    x^a (1-x)^b / (a B(a, b)), formed in log space, times a continued fraction (Numerical
+    Recipes §6.4), or by symmetry 1 - I_{1-x}(b, a) when x >= (a+1)/(a+b+2)."""
     if not np.isfinite(f):
         raise NumericalError("non-finite F statistic")
     if f <= 0.0:
         return 1.0
-    x = d2 / (d2 + d1 * f)
-    return float(special.betainc(d2 / 2.0, d1 / 2.0, x))
+    x = d2 / (d2 + d1 * float(f))
+    a, b = d2 / 2.0, d1 / 2.0
+    if flip := x >= (a + 1.0) / (a + b + 2.0):
+        a, b, x = b, a, 1.0 - x
+    fraction = _beta_fraction(a, b, x)
+    if fraction is None:
+        raise NumericalError(f"f_sf({f}, {d1}, {d2}): the incomplete-beta continued fraction "
+                             f"did not converge in {_BETA_FRACTION_TERMS} terms")
+    tail = 0.0 if x == 0.0 else fraction * math.exp(
+        a * math.log(x) + b * math.log1p(-x) - math.log(a) - _log_beta(a, b))
+    return 1.0 - tail if flip else tail
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float | None:
+    """The continued fraction of I_x(a, b) by the modified Lentz method; None if unconverged."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 - (a + b) * x / (a + 1.0)
+    h = d = 1.0 / (d if abs(d) > tiny else tiny)
+    for m in range(1, _BETA_FRACTION_TERMS + 1):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0))):
+            d, c = 1.0 + num * d, 1.0 + num / c
+            d, c = 1.0 / (d if abs(d) > tiny else tiny), (c if abs(c) > tiny else tiny)
+            h *= c * d
+        if abs(c * d - 1.0) <= 2.3e-16:  # double epsilon
+            return h
+    return None
+
+
+def _log_beta(a: float, b: float) -> float:
+    """ln B(a, b); past 30, the larger argument's two ln Γ terms, which cancel in rounding,
+    are differenced through Stirling's series (``_STIRLING``: coefficient, power of 1/z)."""
+    small, big = sorted((a, b))
+    if big < 30.0:
+        return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+    return (math.lgamma(small) - (big - 0.5) * math.log1p(small / big)
+            - small * math.log(big + small) + small
+            + sum(c / big**k - c / (big + small)**k for c, k in _STIRLING))
 
 
 def _r_factors(M, sizes):

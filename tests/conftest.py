@@ -12,6 +12,10 @@ from newswarn.semantics import EmbeddingTable  # isort: skip
 import numpy as np
 import pytest
 
+# The smallest SyntheticSpec on which every stage runs.
+TINY = dict(districts=8, countries=1, province_size=4, months=48, decoys=4,
+            articles_per_country_month=40, embedding_dim=16)
+
 
 def make_gazetteer():
     rows = [

@@ -32,12 +32,10 @@ from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.report import trailing_mean
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
-from conftest import average_ranks_loop
+from conftest import TINY, average_ranks_loop
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60,
              countries=2)
-TINY = dict(districts=8, countries=1, province_size=4, months=48, decoys=4,
-            articles_per_country_month=40, embedding_dim=16)
 
 
 def digest(path):

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import newswarn
 
+from conftest import TINY
+
 PACKAGE = Path(newswarn.__file__).parent
 
 # Test oracles kept in the package beside the code they check.
@@ -172,6 +174,27 @@ def test_the_pipeline_does_not_import_scipy_linalg():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_a_cold_run_in_either_screening_mode_loads_no_scipy(tmp_path):
+    # importing scipy.special costs about 26 MiB of peak RSS; the F tail is computed in
+    # tsstats, and a lazy import inside a stage would show only after a run
+    code = f"""
+import sys, newswarn.cli
+from newswarn.config import load_config
+from newswarn.pipeline import run_pipeline
+from newswarn.synth import SyntheticSpec, generate_synthetic
+cfg = load_config(generate_synthetic(SyntheticSpec(**{TINY!r}), 3, sys.argv[1])["config"])
+for mode in ("pooled", "per-district"):
+    cfg.screening_mode, cfg.output = mode, sys.argv[1] + "/run_" + mode
+    run_pipeline(cfg)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "run_per-district" / "screening.csv").is_file()
 
 
 # Defaults that no call in the package, the tests or the benchmark sets, and why each is kept.

@@ -1,16 +1,19 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newswarn import tsstats
 from newswarn.errors import DataError, NumericalError
 from newswarn.tsstats import (AdfResult, _adf_critical, _adf_stack, _aic, _aic_order,
-                              _average_ranks, _granger_f, _nested_rss, _panel_diff_order,
-                              _panel_stack, _r_factor, adf_test, difference_until_stationary,
-                              f_sf, panel_granger, select_features, spearman)
+                              _average_ranks, _granger_f, _log_beta, _nested_rss,
+                              _panel_diff_order, _panel_stack, _r_factor, adf_test,
+                              difference_until_stationary, f_sf, panel_granger, select_features,
+                              spearman)
 
 from conftest import (adf_loop, adl_design, average_ranks_loop, make_panel, panel_diff_order_loop,
                       panel_stack_loop)
@@ -48,6 +51,65 @@ def test_f_sf_against_known_values():
     # F(2, 10): P(F > 4.102821) ~= 0.05
     assert f_sf(4.102821, 2, 10) == pytest.approx(0.05, abs=1e-4)
     assert f_sf(0.0, 3, 7) == 1.0
+
+
+# Numerator dofs 1..24 against residual dofs up to 10,000, among them the screens' own: a
+# seed-7 news_volume district (53), news_volume pooled (1,028), the acceptance bundle pooled
+# (4,508) and an 80-district, 8-country bundle pooled (9,028).
+F_SF_QS = range(1, 25)
+F_SF_DOFS = (1, 2, 3, 5, 10, 53, 100, 287, 1_028, 4_508, 9_028, 9_068, 10_000)
+F_SF_FS = np.logspace(-8, 4, 121)  # p from about 1 down past 1e-300
+
+
+class TestFSf:
+    def test_matches_scipy_betainc(self):
+        special = pytest.importorskip("scipy.special")
+        for q in F_SF_QS:
+            for dof in F_SF_DOFS:
+                ours = [f_sf(float(f), q, dof) for f in F_SF_FS]
+                ref = special.betainc(dof / 2, q / 2, dof / (dof + q * F_SF_FS))
+                # atol acts only below 1e-280, where betainc itself loses digits: at
+                # p = 1.8e-295 it is 4e-7 off the exact value, f_sf 5e-13
+                np.testing.assert_allclose(ours, ref, rtol=1e-10, atol=1e-290,
+                                           err_msg=f"q={q} dof={dof}")
+
+    def test_log_beta_matches_the_product_form(self):
+        # B(a, n) = (n-1)! / (a (a+1) ... (a+n-1)) for whole n. ln Γ(5000) rounds at about
+        # 4e-12, so the three-lgamma form misses this by 2.5e-11 and f_sf's rtol with it
+        for a in (0.5, 1.0, 7.5, 29.5, 30.0, 143.5, 514.0, 2_254.0, 4_534.0, 5_000.0, 12_345.5):
+            for n in range(1, 13):
+                exact = math.lgamma(n) - math.fsum(math.log(a + k) for k in range(n))
+                assert _log_beta(a, n) == pytest.approx(exact, rel=0, abs=1e-13), (a, n)
+                assert _log_beta(n, a) == _log_beta(a, n)
+
+    def test_zero_f_has_tail_one(self):
+        assert [f_sf(0.0, q, dof) for q in (1, 24) for dof in (1, 10_000)] == [1.0] * 4
+
+    @pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+    def test_non_finite_f_raises(self, f):
+        with pytest.raises(NumericalError, match="non-finite F statistic"):
+            f_sf(f, 2, 50)
+
+    def test_huge_f_underflows_to_zero_or_subnormal(self):
+        for f in (1e10, 1e300, sys.float_info.max):
+            for q in (1, 24):
+                for dof in (100, 10_000):
+                    p = f_sf(f, q, dof)
+                    assert 0.0 <= p < sys.float_info.min, (f, q, dof, p)
+
+    def test_in_the_unit_interval_and_non_increasing_in_f(self):
+        for q in F_SF_QS:
+            for dof in F_SF_DOFS:
+                p = np.array([f_sf(float(f), q, dof) for f in F_SF_FS])
+                assert ((p >= 0.0) & (p <= 1.0)).all(), (q, dof)
+                assert (np.diff(p) <= 0.0).all(), (q, dof)
+
+    def test_an_unconverged_fraction_raises(self, monkeypatch):
+        monkeypatch.setattr(tsstats, "_BETA_FRACTION_TERMS", 2)
+        with pytest.raises(NumericalError) as info:
+            f_sf(1.5, 3, 4_508)
+        assert str(info.value) == ("f_sf(1.5, 3, 4508): the incomplete-beta continued "
+                                   "fraction did not converge in 2 terms")
 
 
 class TestAdf:
