@@ -101,28 +101,17 @@ class Gazetteer:
 
 def load_gazetteer(path) -> Gazetteer:
     """Read the district register; columns beyond ``GAZETTEER_COLUMNS`` are ignored."""
-    districts = []
-    header, rows = read_csv(path, "gazetteer")
-    missing = [c for c in GAZETTEER_COLUMNS if c not in header]
+    table = read_csv(path, "gazetteer")
+    missing = [c for c in GAZETTEER_COLUMNS if c not in table.header]
     if missing:
         raise DataError(f"gazetteer {path} missing columns: {missing}")
-    for lineno, row in rows:
-        try:
-            aliases = tuple(a for a in row["aliases"].split("|") if a)
-            districts.append(
-                District(
-                    district_id=row["district_id"],
-                    name=row["name"],
-                    aliases=aliases,
-                    province_id=row["province_id"],
-                    country=row["country"],
-                    lat=float(row["lat"]),
-                    lon=float(row["lon"]),
-                )
-            )
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: bad gazetteer row: {exc}") from None
-    return Gazetteer(districts)
+    cols = table.columns
+    lat = table.parse(cols["lat"], float, table.rows)
+    lon = table.parse(cols["lon"], float, table.rows)
+    table.check()
+    aliases = [tuple(a for a in text.split("|") if a) for text in cols["aliases"]]
+    return Gazetteer(map(District, cols["district_id"], cols["name"], aliases,
+                         cols["province_id"], cols["country"], lat, lon))
 
 
 # Packing three token ids into one int64 key needs V**3 + V**2 + V < 2**63.

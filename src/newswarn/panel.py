@@ -14,6 +14,7 @@ which is what makes the forecasts issuable three months ahead.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -41,16 +42,19 @@ LASSO_TOL = 1e-7       # largest final-sweep change at which ``lasso_cd`` has co
 MIN_DISTRICTS = 3      # districts ``validate_factors`` needs in a cross-section
 
 
-def forward_fill_ipc(observations, start: int, end: int) -> np.ndarray:
-    """Phase of each month start..end: the latest published at or before it, NaN before any."""
-    obs = sorted(dict(observations).items())
-    if not obs:
+def forward_fill_ipc(observed: np.ndarray) -> np.ndarray:
+    """Each month's phase: the latest published at or before it, NaN before any.
+
+    ``observed`` holds the published phases along its last axis, months in
+    order, and NaN in every other month.
+    """
+    published = ~np.isnan(observed)
+    if not published.any():
         raise DataError("no IPC observations to fill")
-    if obs[0][0] < start or obs[-1][0] > end:
-        raise DataError("IPC observations outside the fill range")
-    last = np.full(end - start + 1, -1)  # index of the latest observation, -1 before the first
-    last[[t - start for t, _ in obs]] = np.arange(len(obs))
-    return np.array([p for _, p in obs] + [np.nan])[np.maximum.accumulate(last)]
+    # the month of the latest publication at or before each month, -1 before the first
+    last = np.maximum.accumulate(np.where(published, np.arange(observed.shape[-1]), -1), axis=-1)
+    filled = np.take_along_axis(observed, np.maximum(last, 0), axis=-1)
+    return np.where(last < 0, np.nan, filled)
 
 
 @dataclass(frozen=True)
@@ -712,60 +716,67 @@ def load_panel_csv(path, gaz: Gazetteer):
     """Read the district-month panel: IPC observations plus traditional indicators.
 
     The ipc_phase column is populated only at publication months; indicator
-    cells must be finite and cover a contiguous month range per district.
-    Returns (ipc, observed, traditional, (start, end)): the forward-filled
-    phase, the published phase and each indicator are arrays of
-    ``gaz.locations`` x months start..end, NaN outside coverage.
+    cells must be finite and cover a contiguous month range per district, and
+    no two rows may share a district and month. Returns (ipc, observed,
+    traditional, (start, end)): the forward-filled phase, the published phase
+    and each indicator are arrays of ``gaz.locations`` x months start..end,
+    NaN outside coverage.
     """
-    ipc_obs: dict[str, dict[int, float]] = {}
-    trad_cells: dict[str, dict[str, dict[int, float]]] = {k: {} for k in TRADITIONAL_INDICATORS}
-    months_seen: set[int] = set()
-    header, rows = read_csv(path, "panel")
-    need = {"district_id", "month", "ipc_phase"}
-    have = set(header)
-    if not need <= have:
-        raise DataError(f"panel {path} missing columns: {sorted(need - have)}")
-    indicators = [k for k in TRADITIONAL_INDICATORS if k in have]
-    for lineno, row in rows:
-        try:
-            d = row["district_id"]
-            if d not in gaz.districts:
-                raise DataError(f"unknown district {d!r}")
-            t = parse_month(row["month"])
-            months_seen.add(t)
-            phase_txt = row["ipc_phase"].strip()
-            if phase_txt:
-                phase = float(phase_txt)
-                if not (1 <= phase <= 5 and phase == int(phase)):  # nan, inf never reach int()
-                    raise DataError("IPC phase must be an integer 1..5")
-                ipc_obs.setdefault(d, {})[t] = phase
-            for k in indicators:
-                cell = row[k].strip()
-                if cell:
-                    value = float(cell)
-                    if not math.isfinite(value):
-                        raise DataError(f"indicator {k} must be finite")
-                    trad_cells[k].setdefault(d, {})[t] = value
-        except (DataError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad panel row: {exc}") from None
-    if not ipc_obs:
+    table = read_csv(path, "panel")
+    missing = {"district_id", "month", "ipc_phase"} - set(table.header)
+    if missing:
+        raise DataError(f"panel {path} missing columns: {sorted(missing)}")
+    districts, months = table.columns["district_id"], table.columns["month"]
+    unknown = [d for d in dict.fromkeys(districts) if d not in gaz.districts]
+    if unknown:
+        table.fail(districts.index(unknown[0]), DataError(f"unknown district {unknown[0]!r}"))
+    month_of = table.parse_distinct(months, parse_month)
+    cells = {}  # column -> (rows with a value, the values)
+    for k in ("ipc_phase", *(k for k in TRADITIONAL_INDICATORS if k in table.columns)):
+        text = list(map(str.strip, table.columns[k]))
+        rows = list(itertools.compress(range(len(text)), text))  # a blank cell holds no value
+        values = np.array(table.parse(itertools.compress(text, text), float, rows), dtype=float)
+        rows = np.array(rows[:len(values)], dtype=int)
+        if k == "ipc_phase":
+            bad = ~((values >= 1) & (values <= 5) & (values == np.trunc(values)))
+            error = "IPC phase must be an integer 1..5"
+        else:
+            bad = ~np.isfinite(values)
+            error = f"indicator {k} must be finite"
+        if bad.any():
+            table.fail(rows[bad.argmax()], DataError(error))
+        cells[k] = rows, values
+    table.check()
+    if not len(cells["ipc_phase"][0]):
         raise DataError(f"panel {path} holds no IPC observations")
-    start, end = min(months_seen), max(months_seen)
+    start, end = min(month_of.values()), max(month_of.values())
     at = {loc: i for i, loc in enumerate(gaz.locations)}
     shape = (len(at), end - start + 1)
-    ipc, observed = np.full(shape, np.nan), np.full(shape, np.nan)
-    for d, obs in ipc_obs.items():
-        ipc[at[d]] = forward_fill_ipc(obs, start, end)
-        observed[at[d], [t - start for t in obs]] = list(obs.values())
+    i = np.fromiter(map(at.__getitem__, districts), int, len(districts))
+    j = np.fromiter(map(month_of.__getitem__, months), int, len(months)) - start
+    cell = (i * shape[1] + j).tolist()
+    first_row = dict(zip(cell[::-1], range(len(cell) - 1, -1, -1)))
+    if len(first_row) < len(cell):
+        r = next(r for r, c in enumerate(cell) if first_row[c] != r)
+        raise DataError(f"{path}:{table.lines[r]}: bad panel row: {districts[r]} "
+                        f"{months[r]} is already on line {table.lines[first_row[cell[r]]]}")
+
+    def on_grid(rows, values):
+        grid = np.full(shape, np.nan)
+        grid[i[rows], j[rows]] = values
+        return grid
+
+    observed = on_grid(*cells["ipc_phase"])
     traditional = {}
-    for k, per in trad_cells.items():
-        traditional[k] = np.full(shape, np.nan)
-        for d, cells in per.items():
-            ms = sorted(cells)
-            if ms != list(range(ms[0], ms[0] + len(ms))):
-                raise DataError(f"indicator {k!r} for {d!r} is not contiguous")
-            traditional[k][at[d], ms[0] - start : ms[-1] - start + 1] = [cells[m] for m in ms]
-    return ipc, observed, traditional, (start, end)
+    for k in TRADITIONAL_INDICATORS:
+        traditional[k] = on_grid(*cells[k]) if k in cells else np.full(shape, np.nan)
+        given = ~np.isnan(traditional[k])
+        gapped = (np.diff(given, axis=1, prepend=False) & given).sum(axis=1) > 1  # > 1 run
+        if gapped.any():
+            rows = cells[k][0]
+            d = districts[rows[gapped[i[rows]]][0]]  # in order of first use
+            raise DataError(f"indicator {k!r} for {d!r} is not contiguous")
+    return forward_fill_ipc(observed), observed, traditional, (start, end)
 
 
 def assemble_panel(

@@ -12,6 +12,7 @@ timestamps; the config and its input files fully determine every emitted byte.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections import defaultdict
 from dataclasses import asdict, dataclass, field
@@ -63,6 +64,7 @@ class RunContext:
     _reads: dict = field(default_factory=dict)  # name -> sha256, or None for an unset key
     _writes: set = field(default_factory=set)
     _memos: dict = field(default_factory=dict)  # key -> (value, the reads that built it)
+    _digests: dict = field(default_factory=dict)  # path -> sha256, hashed once per run
 
     @property
     def window(self) -> tuple[int, int]:
@@ -89,7 +91,7 @@ class RunContext:
         if not path.is_file():
             raise _MissingInput(f"{name} file not found: {path}")
         if name not in self._reads:
-            self._reads[name] = file_sha256(path)
+            self._reads[name] = self._digest(path)
         return path
 
     def write(self, name: str) -> Path:
@@ -97,7 +99,19 @@ class RunContext:
         path = self.out / name
         path.parent.mkdir(parents=True, exist_ok=True)
         self._writes.add(path)
+        self._digests.pop(path, None)
         return path
+
+    def _digest(self, path: Path) -> str:
+        """``file_sha256`` of ``path``, hashed on its first use in the run.
+
+        ``write`` and the end of the writing stage drop a path's digest, so
+        what a stage writes is hashed again. A file edited by anything else
+        while the run goes on keeps the digest it had; the next run sees the edit.
+        """
+        if path not in self._digests:
+            self._digests[path] = file_sha256(path)
+        return self._digests[path]
 
     def _memo(self, key, build):
         """``build()``, once per context. The files it read join every caller's reads.
@@ -212,21 +226,23 @@ class RunContext:
     def events(self) -> tuple[list, dict[str, list]]:
         """``events.csv`` as (actual, model -> predicted) events, each month a grid position."""
         position = {t: i for i, t in enumerate(self.panel_dataset().publication_months)}
-        path = self.read("events.csv")
+        table = read_csv(self.read("events.csv"), "events")
+        periods = table.cells("period")
+        month_of = table.parse_distinct(periods, parse_month)
+        off = [p for p, t in month_of.items() if t not in position]
+        if off:
+            table.fail(periods.index(off[0]), DataError(f"{off[0]} is not a publication month"))
+        districts = table.cells("district_id")
+        severities = table.parse(table.cells("severity"), float, table.rows)
+        table.check()
+        events = list(map(outbreak_mod.OutbreakEvent, districts,
+                          [position[month_of[p]] for p in periods], severities))
         actual, predicted = [], {}
-        for lineno, row in read_csv(path, "events")[1]:
-            try:
-                month = parse_month(row["period"])
-                if month not in position:
-                    raise DataError(f"{row['period']} is not a publication month")
-                event = outbreak_mod.OutbreakEvent(row["district_id"], position[month],
-                                                   float(row["severity"]))
-            except (DataError, KeyError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: bad events row: {exc}") from None
-            if row["kind"] == "actual":
+        for event, kind, model in zip(events, table.columns["kind"], table.columns["model"]):
+            if kind == "actual":
                 actual.append(event)
             else:
-                predicted.setdefault(row["model"], []).append(event)
+                predicted.setdefault(model, []).append(event)
         return actual, predicted
 
 
@@ -239,12 +255,13 @@ def _up_to_date(ctx: RunContext, manifest: dict) -> bool:
     """
     for name, digest in manifest.get("inputs", {}).items():
         path = ctx._path(name)
-        if digest != (file_sha256(path) if path is not None and path.is_file() else None):
+        if digest != (ctx._digest(path) if path is not None and path.is_file() else None):
             return False
-    return all(
-        Path(p).is_relative_to(ctx.out) and Path(p).is_file() and file_sha256(p) == digest
-        for p, digest in manifest.get("outputs", {}).items()
-    )
+    for p, digest in manifest.get("outputs", {}).items():
+        path = Path(p)
+        if not (path.is_relative_to(ctx.out) and path.is_file() and ctx._digest(path) == digest):
+            return False
+    return True
 
 
 def _execute_stage(ctx: RunContext, name: str):
@@ -276,12 +293,15 @@ def _execute_stage(ctx: RunContext, name: str):
         with open(manifest_dir / f"{name}.error.json", "w", encoding="utf-8") as fh:
             json.dump(failure, fh, indent=1, sort_keys=True)
         raise
+    finally:  # the body may have read a file it then rewrote
+        for path in ctx._writes:
+            ctx._digests.pop(path, None)
     manifest = {
         "stage": name,
         "params_hash": phash,
         "params": params,
         "inputs": ctx._reads,
-        "outputs": {str(p): file_sha256(p) for p in sorted(ctx._writes)},
+        "outputs": {str(p): ctx._digest(p) for p in sorted(ctx._writes)},
     }
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -455,18 +475,27 @@ def _read_grid(path, kind: str, column: str, panel, by: str = "") -> dict[str, n
     """A CSV's ``column`` on the panel's grid, one array shaped like ``panel.ipc``
     per value of column ``by`` (all under "" without one), NaN where no row gives a value.
 
-    Rows off the grid are ignored; a malformed row raises DataError naming file and line.
+    Rows off the grid are ignored, and of two rows for one cell the later counts;
+    a malformed row raises DataError naming file and line.
     """
-    grids = defaultdict(lambda: np.full(panel.ipc.shape, np.nan))
-    for lineno, row in read_csv(path, kind)[1]:
-        try:
-            i, j = panel.rows.get(row["district_id"]), parse_month(row["month"]) - panel.grid_start
-            key, value = row[by] if by else "", float(row[column])
-        except (DataError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad {kind} row: {exc}") from None
-        if i is not None and 0 <= j < panel.ipc.shape[1]:
-            grids[key][i, j] = value
-    return grids
+    table = read_csv(path, kind)
+    districts, months = table.cells("district_id"), table.cells("month")
+    month_of = table.parse_distinct(months, parse_month)
+    keys = table.cells(by) if by else ("",) * len(table.lines)
+    values = np.array(table.parse(table.cells(column), float, table.rows))
+    table.check()
+    shape = panel.ipc.shape
+    i = np.fromiter(map(panel.rows.get, districts, itertools.repeat(-1)), int, len(districts))
+    j = np.fromiter(map(month_of.__getitem__, months), int, len(months)) - panel.grid_start
+    rows = np.flatnonzero((i >= 0) & (j >= 0) & (j < shape[1])).tolist()
+    keys = list(map(keys.__getitem__, rows))
+    index = {key: g for g, key in enumerate(dict.fromkeys(keys))}  # by first row on the grid
+    cells = np.ravel_multi_index((np.fromiter(map(index.__getitem__, keys), int, len(keys)),
+                                  i[rows], j[rows]), (len(index), *shape))
+    last = dict(zip(cells.tolist(), rows))  # each cell's last row
+    grids = np.full((len(index), *shape), np.nan)
+    grids.reshape(-1)[list(last)] = values[list(last.values())]
+    return defaultdict(lambda: np.full(shape, np.nan), zip(index, grids))
 
 
 def _publication_rows(panel, grid: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cache
@@ -47,8 +48,11 @@ class EmbeddingTable:
 
 
 def load_embeddings(path) -> EmbeddingTable:
-    """Parse a word2vec-style text file ("V D" header, then word + D floats)."""
-    vectors: dict[str, np.ndarray] = {}
+    """Parse a word2vec-style text file ("V D" header, then word + D floats).
+
+    The first malformed line raises DataError naming it. A word given again
+    keeps its last vector, with a warning at each repeat before that line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -57,23 +61,36 @@ def load_embeddings(path) -> EmbeddingTable:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise DataError(f"{path}:1: expected integer 'V D' header") from None
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.split()
-            if not parts:
-                continue
-            word = parts[0]
-            if len(parts) - 1 != dim:
-                raise DataError(f"{path}:{lineno}: expected {dim} values, found {len(parts) - 1}")
-            try:
-                vec = np.array([float(x) for x in parts[1:]])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite vector component")
-            if word in vectors:
-                warnings.warn(f"{path}:{lineno}: duplicate word {word!r}, keeping last")
-            vec.flags.writeable = False
-            vectors[word] = vec
+        split = list(map(str.split, fh.read().split("\n")))
+    given = list(map(bool, split))  # blank lines are skipped
+    rows = list(itertools.compress(split, given))
+    lines = list(itertools.compress(itertools.count(2), given))
+    # Each check reads only the rows before the previous check's failure, so the
+    # last failure found is the first malformed row.
+    stop, error = len(rows), ""
+    wrong = np.fromiter(map(len, rows), int, len(rows)) != dim + 1
+    if wrong.any():
+        stop = int(wrong.argmax())
+        error = f"expected {dim} values, found {len(rows[stop]) - 1}"
+    values: list[float] = []
+    try:  # list.extend keeps what the map yielded before it raised
+        values.extend(map(float, itertools.chain.from_iterable(
+            map(operator.itemgetter(slice(1, None)), rows[:stop]))))
+    except ValueError:
+        stop, error = len(values) // dim, "non-numeric vector component"
+    vecs = np.array(values[:stop * dim], dtype=float).reshape(stop, max(dim, 0))
+    finite = np.isfinite(vecs).all(axis=1)
+    if not finite.all():
+        stop, error = int(finite.argmin()), "non-finite vector component"
+    words = list(map(operator.itemgetter(0), rows[:stop]))
+    first = dict(zip(words[::-1], range(stop - 1, -1, -1)))  # each word's first row
+    for r in np.flatnonzero(np.fromiter(map(first.__getitem__, words), int, stop)
+                            != np.arange(stop)):
+        warnings.warn(f"{path}:{lines[r]}: duplicate word {words[r]!r}, keeping last")
+    if error:
+        raise DataError(f"{path}:{lines[stop]}: {error}")
+    vecs.flags.writeable = False
+    vectors = dict(zip(words, vecs))  # a repeated word keeps its first place and last vector
     if len(vectors) != count:
         warnings.warn(f"{path}: header declares {count} words, parsed {len(vectors)}")
     return EmbeddingTable(vectors=vectors, dim=dim)

@@ -195,11 +195,11 @@ def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", 
     row = {loc: i for i, loc in enumerate(locations)}
     pub = publication_months(t0, t1)
     shape = (len(locations), lead + months)
-    ipc, ipc_obs = np.full(shape, np.nan), np.full(shape, np.nan)
+    ipc_obs = np.full(shape, np.nan)
     for d in districts:
         phases = rng.choice([1, 2, 2, 3], size=len(pub)).astype(float)
         ipc_obs[row[d], [lead + t - t0 for t in pub]] = phases
-        ipc[row[d], lead:] = forward_fill_ipc(dict(zip(pub, phases)), t0, t1)
+    ipc = forward_fill_ipc(ipc_obs)
     traditional = {}
     for k in TRADITIONAL_INDICATORS:
         traditional[k] = np.full(shape, np.nan)
@@ -483,3 +483,137 @@ def panel_diff_order_loop(series, max_d, level):
         if d < max_d:
             current = [np.diff(s) for s in current]
     return None
+
+
+def load_panel_csv_loop(path, gaz):
+    """The row-by-row panel reader that ``panel.load_panel_csv`` replaced: its oracle.
+
+    A later row for the same district and month overwrites an earlier one.
+    """
+    import csv
+    from newswarn.errors import DataError
+    from newswarn.months import parse_month
+    from newswarn.panel import TRADITIONAL_INDICATORS
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [(reader.line_num, cells) for cells in reader if cells]
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise DataError(f"{path}:{line}: bad panel row: "
+                            f"{len(cells)} cells, header has {len(header)}")
+    need = {"district_id", "month", "ipc_phase"}
+    if not need <= set(header):
+        raise DataError(f"panel {path} missing columns: {sorted(need - set(header))}")
+    indicators = [k for k in TRADITIONAL_INDICATORS if k in header]
+    ipc_obs, months_seen = {}, set()
+    trad_cells = {k: {} for k in TRADITIONAL_INDICATORS}
+    for lineno, cells in rows:
+        row = dict(zip(header, cells))
+        try:
+            d = row["district_id"]
+            if d not in gaz.districts:
+                raise DataError(f"unknown district {d!r}")
+            t = parse_month(row["month"])
+            months_seen.add(t)
+            phase_txt = row["ipc_phase"].strip()
+            if phase_txt:
+                phase = float(phase_txt)
+                if not (1 <= phase <= 5 and phase == int(phase)):
+                    raise DataError("IPC phase must be an integer 1..5")
+                ipc_obs.setdefault(d, {})[t] = phase
+            for k in indicators:
+                cell = row[k].strip()
+                if cell:
+                    value = float(cell)
+                    if not math.isfinite(value):
+                        raise DataError(f"indicator {k} must be finite")
+                    trad_cells[k].setdefault(d, {})[t] = value
+        except (DataError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad panel row: {exc}") from None
+    if not ipc_obs:
+        raise DataError(f"panel {path} holds no IPC observations")
+    start, end = min(months_seen), max(months_seen)
+    at = {loc: i for i, loc in enumerate(gaz.locations)}
+    shape = (len(at), end - start + 1)
+    ipc, observed = np.full(shape, np.nan), np.full(shape, np.nan)
+    for d, obs in ipc_obs.items():
+        phase = np.nan
+        for t in range(start, end + 1):
+            phase = obs.get(t, phase)
+            ipc[at[d], t - start] = phase
+        observed[at[d], [t - start for t in obs]] = list(obs.values())
+    traditional = {}
+    for k, per in trad_cells.items():
+        traditional[k] = np.full(shape, np.nan)
+        for d, cells in per.items():
+            ms = sorted(cells)
+            if ms != list(range(ms[0], ms[0] + len(ms))):
+                raise DataError(f"indicator {k!r} for {d!r} is not contiguous")
+            traditional[k][at[d], ms[0] - start : ms[-1] - start + 1] = [cells[m] for m in ms]
+    return ipc, observed, traditional, (start, end)
+
+
+def load_embeddings_loop(path):
+    """The line-by-line reader that ``semantics.load_embeddings`` replaced: its oracle."""
+    import warnings
+    from newswarn.errors import DataError
+
+    vectors = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().split()
+        if len(header) != 2:
+            raise DataError(f"{path}:1: expected 'V D' header")
+        try:
+            count, dim = int(header[0]), int(header[1])
+        except ValueError:
+            raise DataError(f"{path}:1: expected integer 'V D' header") from None
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.split()
+            if not parts:
+                continue
+            word = parts[0]
+            if len(parts) - 1 != dim:
+                raise DataError(f"{path}:{lineno}: expected {dim} values, found {len(parts) - 1}")
+            try:
+                vec = np.array([float(x) for x in parts[1:]])
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: non-numeric vector component") from None
+            if not np.all(np.isfinite(vec)):
+                raise DataError(f"{path}:{lineno}: non-finite vector component")
+            if word in vectors:
+                warnings.warn(f"{path}:{lineno}: duplicate word {word!r}, keeping last")
+            vec.flags.writeable = False
+            vectors[word] = vec
+    if len(vectors) != count:
+        warnings.warn(f"{path}: header declares {count} words, parsed {len(vectors)}")
+    return EmbeddingTable(vectors=vectors, dim=dim)
+
+
+def read_grid_loop(path, kind, column, panel, by=""):
+    """The row-by-row grid reader that ``pipeline._read_grid`` replaced: its oracle."""
+    import csv
+    from collections import defaultdict
+    from newswarn.errors import DataError
+    from newswarn.months import parse_month
+
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = [(reader.line_num, cells) for cells in reader if cells]
+    for line, cells in rows:
+        if len(cells) != len(header):
+            raise DataError(f"{path}:{line}: bad {kind} row: "
+                            f"{len(cells)} cells, header has {len(header)}")
+    grids = defaultdict(lambda: np.full(panel.ipc.shape, np.nan))
+    for lineno, cells in rows:
+        row = dict(zip(header, cells))
+        try:
+            i, j = panel.rows.get(row["district_id"]), parse_month(row["month"]) - panel.grid_start
+            key, value = row[by] if by else "", float(row[column])
+        except (DataError, KeyError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: bad {kind} row: {exc}") from None
+        if i is not None and 0 <= j < panel.ipc.shape[1]:
+            grids[key][i, j] = value
+    return grids

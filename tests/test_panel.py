@@ -1,37 +1,46 @@
+import csv
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from newswarn.errors import DataError, NumericalError
 from newswarn.months import format_month, parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
                             build_design, cross_validate_design, fit_design, fold_rows,
-                            forward_fill_ipc, _least_squares, lasso_cd,
+                            TRADITIONAL_INDICATORS, forward_fill_ipc, _least_squares, lasso_cd,
                             lasso_kkt_residual, load_panel_csv, model_designs, month_folds,
                             percentile_ranks, spatial_average, validate_factors)
 from newswarn.pipeline import _read_grid, min_train_rows
 from newswarn.tsstats import diff_on_grid
 
-from conftest import (design_loop, grid_districts, make_gazetteer, make_panel,
-                      make_panel_and_factors, panel_value, plant_adl_response,
-                      planted_coefficients)
+from conftest import (design_loop, grid_districts, load_panel_csv_loop, make_gazetteer,
+                      make_panel, make_panel_and_factors, panel_value, plant_adl_response,
+                      planted_coefficients, read_grid_loop)
 
 BASELINE = ModelSpec(kind="baseline")
+
+
+def _published(observations, start, end):
+    """A one-district observed-phase row for months start..end."""
+    row = np.full((1, end - start + 1), np.nan)
+    for t, phase in observations.items():
+        row[0, t - start] = phase
+    return row
 
 
 class TestForwardFill:
     def test_definition_example(self):
         jan, apr, may = parse_month("2011-01"), parse_month("2011-04"), parse_month("2011-05")
-        s = forward_fill_ipc({jan: 2, apr: 3}, jan, may)
+        s = forward_fill_ipc(_published({jan: 2, apr: 3}, jan, may))[0]
         assert s.tolist() == [2, 2, 2, 3, 3]
 
     def test_single_observation_constant_tail(self):
         jan = parse_month("2011-01")
-        s = forward_fill_ipc({jan: 4}, jan, jan + 5)
+        s = forward_fill_ipc(_published({jan: 4}, jan, jan + 5))
         assert np.all(s == 4.0)
 
     def test_cadence_change(self):
@@ -39,7 +48,7 @@ class TestForwardFill:
         obs = {parse_month("2015-10"): 2, parse_month("2016-02"): 3,
                parse_month("2016-06"): 2}
         start = parse_month("2015-10")
-        s = forward_fill_ipc(obs, start, parse_month("2016-07"))
+        s = forward_fill_ipc(_published(obs, start, parse_month("2016-07")))[0]
         assert s[parse_month("2015-12") - start] == 2
         assert s[parse_month("2016-01") - start] == 2
         assert s[parse_month("2016-02") - start] == 3
@@ -48,12 +57,22 @@ class TestForwardFill:
 
     def test_months_before_first_absent(self):
         jan = parse_month("2011-01")
-        s = forward_fill_ipc({jan: 2}, jan - 2, jan + 2)
+        s = forward_fill_ipc(_published({jan: 2}, jan - 2, jan + 2))[0]
         assert np.isnan(s[:2]).all() and s[2:].tolist() == [2, 2, 2]
 
     def test_empty_errors(self):
         with pytest.raises(DataError):
-            forward_fill_ipc({}, 0, 1)
+            forward_fill_ipc(np.full((2, 3), np.nan))
+
+    def test_rows_fill_independently(self):
+        jan = parse_month("2011-01")
+        both = np.vstack([_published({jan + 1: 3}, jan, jan + 3),
+                          np.full((1, 4), np.nan),
+                          _published({jan: 1, jan + 2: 5}, jan, jan + 3)])
+        s = forward_fill_ipc(both)
+        assert np.isnan(s[0, 0]) and s[0, 1:].tolist() == [3, 3, 3]
+        assert np.isnan(s[1]).all()
+        assert s[2].tolist() == [1, 1, 5, 5]
 
 
 class TestBuildDesign:
@@ -917,3 +936,163 @@ class TestPanelCsv:
         with pytest.raises(DataError, match=re.escape(
                 f"{path}:3: bad panel row: {cells} cells, header has 4")):
             load_panel_csv(path, gaz)
+
+
+def _write_rows(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _panel_outcome(load, path, gaz):
+    """The reader's arrays as bytes, or the text of the DataError it raised."""
+    try:
+        ipc, observed, traditional, span = load(path, gaz)
+    except DataError as exc:
+        return str(exc)
+    return (ipc.tobytes(), observed.tobytes(), span,
+            {k: v.tobytes() for k, v in traditional.items()})
+
+
+@st.composite
+def panel_tables(draw, gap=False):
+    """A panel: blank phases, indicator series shorter than the panel at either end, a
+    random subset of the indicator columns and perhaps an extra one, rows in any order.
+    The first district's first month publishes a phase. With ``gap``, the first
+    district's first indicator misses one month inside its series; else it is well-formed.
+    """
+    districts = draw(st.lists(st.sampled_from(sorted(make_gazetteer().districts)),
+                              min_size=1, max_size=4, unique=True))
+    n_months = draw(st.integers(3 if gap else 1, 10))
+    start = parse_month("2015-09") + draw(st.integers(0, 8))
+    indicators = draw(st.lists(st.sampled_from(TRADITIONAL_INDICATORS), min_size=int(gap),
+                               max_size=4, unique=True))
+    hole = draw(st.integers(1, n_months - 2)) if gap else None
+    extra = draw(st.booleans())
+    header = ["district_id", "month", "ipc_phase", *indicators] + (["notes"] if extra else [])
+    rows = []
+    for d in districts:
+        spans = [sorted(draw(st.lists(st.integers(0, n_months), min_size=2, max_size=2)))
+                 for _ in indicators]
+        for m in range(n_months):
+            phase = "2" if not rows else draw(st.sampled_from(["", "", "1", "3", "5", " 4 ",
+                                                               "2.0"]))
+            cells = [d, format_month(start + m), phase]
+            cells += [repr(draw(st.floats(allow_nan=False, allow_infinity=False, width=32)))
+                      if a <= m < b else draw(st.sampled_from(["", " "])) for a, b in spans]
+            if m == hole and d == districts[0]:
+                cells[3] = ""
+            rows.append(cells + ([draw(st.sampled_from(["", "x", "a, b"]))] if extra else []))
+    return header, draw(st.permutations(rows))
+
+
+# Cells no well-formed panel holds, by column; none of them names a real district or month.
+BAD_CELLS = {
+    "district_id": ["nowhere", "so-lower-juba", ""],
+    "month": ["2011-13", "2011-2", "", "x"],
+    "ipc_phase": ["x3", "nan", "inf", "2.5", "0", "6"],
+    "indicator": ["n/a", "nan", "inf", "-inf", ""],
+}
+
+
+class TestPanelReaderOracle:
+    """``load_panel_csv`` against the row-by-row reader it replaced (``conftest``)."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=panel_tables())
+    def test_well_formed_panels_give_bit_identical_arrays(self, tmp_path, table):
+        gaz, path = make_gazetteer(), tmp_path / "panel.csv"
+        _write_rows(path, *table)
+        expected = _panel_outcome(load_panel_csv_loop, path, gaz)
+        assert not isinstance(expected, str), expected
+        assert _panel_outcome(load_panel_csv, path, gaz) == expected
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), gap=st.booleans())
+    def test_corrupted_panels_fail_with_the_row_loops_text(self, tmp_path, data, gap):
+        header, rows = data.draw(panel_tables(gap=gap))
+        rows = [list(r) for r in rows]
+        for _ in range(data.draw(st.integers(0 if gap else 1, 3))):
+            r = data.draw(st.integers(0, len(rows) - 1))
+            c = data.draw(st.integers(0, len(header)))
+            if c == len(header):  # a short or a long row
+                rows[r] = rows[r][:-1] if data.draw(st.booleans()) else rows[r] + ["1"]
+            elif c < len(rows[r]) and header[c] != "notes":
+                column = header[c] if c < 3 else "indicator"
+                rows[r][c] = data.draw(st.sampled_from(BAD_CELLS[column]))
+        gaz, path = make_gazetteer(), tmp_path / "panel.csv"
+        _write_rows(path, header, rows)
+        assert _panel_outcome(load_panel_csv, path, gaz) == _panel_outcome(
+            load_panel_csv_loop, path, gaz)
+
+    @pytest.mark.parametrize("rows", [
+        *[f"so-jam,2011-02,{phase},{indicator}" for phase, indicator in [
+            ("x3", "0.5"), ("nan", "0.5"), ("inf", "0.5"), ("2", "n/a"), ("", "nan"),
+            ("2", "inf"), ("2", "-inf")]],
+        "nowhere,2011-02,2,0.5",           # unknown district
+        "so-jam,2011-13,2,0.5",            # bad month
+        "so-jam,2011-02,2,\nso-jam,2011-03,2,0.5",  # an indicator gap
+        "so-jam,2011-02,2",                # short row
+        "so-jam,2011-02,x3,0.5\nnowhere,2011-03,2,0.5",  # the first failing row wins
+        "so-jam,2011-02,2,0.5\nnowhere,2011-03,x3,n/a",  # and its first failing cell
+        "so-jam,2011-02,2,n/a\nso-jam,2011-2,3,0.5",
+        "et-gog,2011-02,,0.5\net-gog,2011-04,,0.5\nso-jam,2011-02,2,\nso-jam,2011-03,2,0.5",
+    ])
+    def test_each_malformed_panel_fails_with_the_row_loops_text(self, tmp_path, rows):
+        gaz, path = make_gazetteer(), tmp_path / "panel.csv"
+        path.write_text(f"district_id,month,ipc_phase,rain_mean\nso-jam,2011-01,2,0.5\n{rows}\n")
+        expected = _panel_outcome(load_panel_csv_loop, path, gaz)
+        assert isinstance(expected, str)
+        assert _panel_outcome(load_panel_csv, path, gaz) == expected
+
+    def test_a_repeated_district_month_fails_naming_both_lines(self, tmp_path):
+        gaz, path = make_gazetteer(), tmp_path / "panel.csv"
+        path.write_text("district_id,month,ipc_phase,rain_mean\nso-jam,2011-01,2,0.5\n"
+                        "so-jam,2011-02,,0.6\nso-kis,2011-01,3,0.5\nso-jam,2011-01,3,0.7\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}:5: bad panel row: so-jam 2011-01 is already on line 2")):
+            load_panel_csv(path, gaz)
+
+
+def _grid_outcome(read, path, panel, by):
+    try:
+        grids = read(path, "predictions", "y_pred", panel, by=by)
+    except DataError as exc:
+        return str(exc)
+    return [(key, grid.tobytes()) for key, grid in grids.items()]
+
+
+class TestGridReaderOracle:
+    """``_read_grid`` against the row-by-row reader it replaced (``conftest``)."""
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), by=st.sampled_from(["", "model"]), corrupt=st.booleans())
+    def test_rows_on_and_off_the_grid_and_repeats(self, tmp_path, data, by, corrupt):
+        panel = make_panel(n_districts=4, months=12)
+        places = sorted(panel.rows) + ["nowhere"]
+        months = range(panel.grid_start - 2, panel.grid_start + panel.ipc.shape[1] + 2)
+        rows = data.draw(st.lists(st.tuples(
+            st.sampled_from(places), st.sampled_from(months),
+            st.floats(allow_nan=False, width=32), st.sampled_from(["news", "baseline"])),
+            max_size=30))
+        cells = [[d, format_month(t), repr(v), m] for d, t, v, m in rows]
+        if corrupt and cells:
+            r, c = data.draw(st.integers(0, len(cells) - 1)), data.draw(st.integers(1, 2))
+            cells[r][c] = data.draw(st.sampled_from(["x", "", "2011-13"]))
+        path = tmp_path / "predictions.csv"
+        _write_rows(path, ["district_id", "month", "y_pred", "model"], cells)
+        assert _grid_outcome(_read_grid, path, panel, by) == _grid_outcome(
+            read_grid_loop, path, panel, by)
+
+    @pytest.mark.parametrize("header", ["district_id,month,y_pred", "district_id,y_pred,model",
+                                        "month,y_pred,model", "district_id,month,model"])
+    def test_a_missing_column_fails_at_the_first_row_as_the_row_loop_did(self, tmp_path,
+                                                                         header):
+        panel = make_panel(n_districts=4, months=12)
+        path = tmp_path / "predictions.csv"
+        path.write_text(f"{header}\n{sorted(panel.districts)[0]},2011-13,0.5\n")
+        expected = _grid_outcome(read_grid_loop, path, panel, "model")
+        assert isinstance(expected, str)
+        assert _grid_outcome(_read_grid, path, panel, "model") == expected

@@ -336,6 +336,77 @@ class TestDerivedManifests:
         assert quiet_run(copied) == {s: "cached" for s in STAGE_ORDER}
 
 
+class TestDigestMemo:
+    """Each run hashes a file once, and never serves a digest its bytes no longer have."""
+
+    @pytest.fixture
+    def bundle(self, tmp_path):
+        return load_config(generate_synthetic(SyntheticSpec(**TINY), seed=3,
+                                              out_dir=tmp_path / "bundle")["config"])
+
+    def test_a_panel_cell_edit_reruns_the_panel_readers_as_a_fresh_run(self, bundle, tmp_path):
+        assert quiet_run(bundle) == {s: "run" for s in STAGE_ORDER}
+        lines = Path(bundle.panel).read_text(encoding="utf-8").splitlines(keepends=True)
+        header = lines[0].rstrip("\n").split(",")
+        cells = lines[1].rstrip("\n").split(",")
+        k = header.index("rain_mean")
+        cells[k] = repr(float(cells[k]) + 0.5)
+        lines[1] = ",".join(cells) + "\n"
+        Path(bundle.panel).write_text("".join(lines), encoding="utf-8")
+        readers = {s for s, m in manifests(bundle.output).items() if "panel" in m["inputs"]}
+        assert {"select", "fit", "ablate", "classify", "validate", "report"} <= readers
+        assert quiet_run(bundle) == {s: "run" if s in readers else "cached" for s in STAGE_ORDER}
+        fresh = dataclasses.replace(bundle, output=str(tmp_path / "fresh"))
+        assert quiet_run(fresh) == {s: "run" for s in STAGE_ORDER}
+        run = sorted(p.relative_to(bundle.output) for p in Path(bundle.output).rglob("*")
+                     if p.is_file() and p.parent.name != "manifests")
+        assert run == sorted(p.relative_to(fresh.output) for p in Path(fresh.output).rglob("*")
+                             if p.is_file() and p.parent.name != "manifests")
+        for rel in run:
+            assert digest(Path(bundle.output) / rel) == digest(Path(fresh.output) / rel), rel
+        assert quiet_run(bundle) == {s: "cached" for s in STAGE_ORDER}
+
+    def test_a_same_size_rewrite_with_the_old_mtime_records_the_new_digest(
+            self, bundle, monkeypatch):
+        def body(ctx):
+            path = ctx.write("probe.txt")
+            path.write_text("first", encoding="utf-8")
+            ctx.read("probe.txt")  # the run now holds the first bytes' digest
+            before = path.stat()
+            path.write_text("later", encoding="utf-8")
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+            assert path.stat().st_size == before.st_size
+
+        monkeypatch.setitem(pipeline._STAGES, "validate", (body, ()))
+        assert quiet_run(bundle, ["validate"]) == {"validate": "run"}
+        path = Path(bundle.output) / "probe.txt"
+        manifest = json.loads((Path(bundle.output) / "manifests" / "validate.json").read_text())
+        assert manifest["outputs"] == {str(path): digest(path)}
+
+    def test_write_drops_the_digest_of_the_path_it_hands_out(self, bundle):
+        ctx = RunContext(cfg=bundle, out=Path(bundle.output))
+        path = ctx.write("probe.txt")
+        path.write_text("first", encoding="utf-8")
+        first = ctx._digest(path)
+        before = path.stat()
+        ctx.write("probe.txt").write_text("later", encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert ctx._digest(path) == digest(path) != first
+
+    def test_a_cold_run_and_a_resumed_edit_hash_each_file_once(self, bundle, monkeypatch):
+        hashed = []
+        real = pipeline.file_sha256
+        monkeypatch.setattr(pipeline, "file_sha256", lambda p: hashed.append(str(p)) or real(p))
+        assert quiet_run(bundle) == {s: "run" for s in STAGE_ORDER}
+        assert hashed and len(hashed) == len(set(hashed))
+        hashed.clear()
+        edited = dataclasses.replace(bundle, precision_target=0.75)
+        assert quiet_run(edited) == {s: "run" if s in ("classify", "report") else "cached"
+                                     for s in STAGE_ORDER}
+        assert sorted(hashed) == sorted(set(hashed))
+        assert str(Path(bundle.corpus)) in hashed
+
+
 FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
 # Keys a stage lists but does not read, and why each is listed.
 UNREAD_KEYS = {
@@ -537,14 +608,16 @@ class TestEventsFile:
     def test_events_round_trip_through_grid_positions(self, ctx):
         months = ctx.panel_dataset().publication_months
         actual, predicted = ctx.events()
-        rows = read_csv(ctx.out / "events.csv", "events")[1]
+        columns = read_csv(ctx.out / "events.csv", "events").columns
         assert actual and predicted
-        assert len(rows) == len(actual) + sum(map(len, predicted.values()))
+        assert len(columns["model"]) == len(actual) + sum(map(len, predicted.values()))
         in_row_order = {"": iter(actual), **{m: iter(e) for m, e in predicted.items()}}
-        for _, row in rows:
-            event = next(in_row_order[row["model"]])
+        for model, district, period, severity in zip(
+                columns["model"], columns["district_id"], columns["period"],
+                columns["severity"]):
+            event = next(in_row_order[model])
             assert (event.district, format_month(months[event.start]), event.severity) == (
-                row["district_id"], row["period"], float(row["severity"]))
+                district, period, float(severity))
 
     @pytest.mark.parametrize("bad", ["off-grid", "2011-13"])
     def test_a_bad_period_raises_naming_the_file_and_line(self, ctx, tmp_path, bad):

@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from newswarn.errors import DataError
 from newswarn.frames import TextFeature
@@ -10,7 +12,7 @@ from newswarn.semantics import (EmbeddingTable, _solve_transport, cluster_featur
                                 cluster_validation, enumerate_candidates, expand_seeds,
                                 load_embeddings, pairwise_distances, similarity_edges, wmd)
 
-from conftest import embedding_table
+from conftest import embedding_table, load_embeddings_loop
 
 
 def brute_force_wmd(a_tokens, b_tokens, table: EmbeddingTable) -> float:
@@ -171,6 +173,67 @@ class TestLoadEmbeddings:
             table = load_embeddings(path)
         assert table.get("alpha")[0] == 2.0
         assert any("duplicate" in str(w.message) for w in caught)
+
+
+def _embedding_outcome(load, path):
+    """The table's words, dim and vector bytes, or the DataError's text; and the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            table = load(path)
+            result = (table.dim, [(w, v.tobytes(), v.flags.writeable)
+                                  for w, v in table.vectors.items()])
+        except DataError as exc:
+            result = str(exc)
+    return result, [str(w.message) for w in caught]
+
+
+class TestEmbeddingReaderOracle:
+    """``load_embeddings`` against the line-by-line reader it replaced (``conftest``)."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(dim=st.integers(0, 4), data=st.data(), blank=st.booleans(),
+           miscount=st.integers(-1, 1), corrupt=st.sampled_from(
+               [None, "short", "long", "x3", "nan", "inf", "-inf"]))
+    def test_files_read_as_the_line_loop_read_them(self, tmp_path, dim, data, blank, miscount,
+                                                   corrupt):
+        words = data.draw(st.lists(st.sampled_from(["a", "b", "c", "dd", "e1"]), max_size=8))
+        lines = [" ".join([w] + [repr(data.draw(st.floats(allow_nan=False,
+                                                           allow_infinity=False)))
+                                 for _ in range(dim)]) for w in words]
+        if corrupt and lines:
+            r = data.draw(st.integers(0, len(lines) - 1))
+            parts = lines[r].split()
+            if corrupt == "short" and dim:
+                parts = parts[:-1]
+            elif corrupt == "long":
+                parts.append("1.0")
+            elif dim and corrupt not in ("short", "long"):
+                parts[data.draw(st.integers(1, dim))] = corrupt
+            lines[r] = " ".join(parts)
+        if blank and lines:
+            lines.insert(data.draw(st.integers(0, len(lines))), "  ")
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{len(set(words)) + miscount} {dim}\n" + "\n".join(lines) + "\n")
+        assert _embedding_outcome(load_embeddings, path) == _embedding_outcome(
+            load_embeddings_loop, path)
+
+    @pytest.mark.parametrize("text", [
+        "2 3\nalpha 1.0 2.0 3.0\nbeta 1.0 2.0\n",          # wrong width
+        "2 2\nalpha 1.0 2.0\nbeta 1.0 x\n",                # non-numeric
+        "2 2\nalpha 1.0 2.0\nbeta 1.0 nan\n",              # non-finite
+        "2 1\nalpha 1.0\n\nalpha 2.0\n",                   # a repeat, after a blank line
+        "3 1\nalpha 1.0\nalpha 2.0\nalpha inf\n",          # a repeat before the error
+        "5 1\nalpha 1.0\nbeta 2.0\n",                      # the count warning
+        "2 2\nalpha 1.0 x\nbeta 1.0\n",                    # non-numeric before a short row
+        "2 2\nalpha 1.0 inf\nbeta x 1.0\n",                # non-finite before non-numeric
+    ])
+    def test_each_case_reads_as_the_line_loop_read_it(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        assert _embedding_outcome(load_embeddings, path) == _embedding_outcome(
+            load_embeddings_loop, path)
 
 
 class TestCandidates:
