@@ -103,8 +103,6 @@ class PanelDataset:
     traditional: dict[str, np.ndarray]           # indicator -> values
     factors: dict[str, np.ndarray]               # feature -> differenced news factor
     feature_order: tuple[str, ...] = ()
-    clusters: dict[str, int] = field(default_factory=dict)
-    cluster_labels: dict[int, str] = field(default_factory=dict)
     _neighbor_cache: dict = field(default_factory=dict, repr=False)
 
     def country_of(self, district_id: str) -> str:
@@ -619,18 +617,17 @@ class AblationResult:
 
 
 def ablate(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset, combined: CVReport,
-           folds: int = 10, min_train_rows: int = 0) -> list[AblationResult]:
+           clusters, folds: int = 10, min_train_rows: int = 0) -> list[AblationResult]:
     """Refit with each news-factor cluster removed; report RMSE increases.
 
     ``design`` is ``spec``'s design and ``combined`` its CV report at
-    ``min_train_rows``. An ablated design is an index set of ``design``'s
-    columns and fits from the same R factors, so removing every cluster
-    reproduces the baseline column set exactly.
+    ``min_train_rows``; ``clusters`` are ``FeatureCluster`` records. An ablated
+    design is an index set of ``design``'s columns and fits from the same R
+    factors, so removing every cluster reproduces the baseline column set exactly.
     """
     results = []
-    for cid in sorted(set(panel.clusters.values())):
-        keep = [i for i, c in enumerate(design.columns)
-                if c.feature is None or panel.clusters.get(c.feature) != cid]
+    for cluster in clusters:
+        keep = [i for i, c in enumerate(design.columns) if c.feature not in cluster.members]
         sub = replace(design, columns=tuple(design.columns[i] for i in keep),
                       cols=tuple(design.cols[i] for i in keep))
         report = cross_validate_design(sub, spec, panel, folds,
@@ -641,8 +638,8 @@ def ablate(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset, combined:
             if d in report.district_rmse
         }
         results.append(AblationResult(
-            cluster_id=cid,
-            label=panel.cluster_labels.get(cid, f"cluster-{cid}"),
+            cluster_id=cluster.cluster_id,
+            label=cluster.label,
             mean_delta=report.mean_rmse - combined.mean_rmse,
             district_delta=deltas,
         ))
@@ -784,8 +781,6 @@ def assemble_panel(
     panel_csv,
     factors: NewsFactors,
     retained: dict[str, int],
-    clusters: dict[str, int] | None = None,
-    cluster_labels: dict[int, str] | None = None,
 ) -> PanelDataset:
     """Build the modeling panel from ``load_panel_csv``'s result and the news factors.
 
@@ -827,7 +822,5 @@ def assemble_panel(
         traditional={k: on_grid(v, start) for k, v in traditional.items()},
         factors=transformed,
         feature_order=tuple(sorted(retained)),
-        clusters=dict(clusters or {}),
-        cluster_labels=dict(cluster_labels or {}),
     )
 

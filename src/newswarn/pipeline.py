@@ -1,10 +1,10 @@
 """Stage orchestration with content-hash manifests.
 
-Each stage lists the config keys its outputs depend on (``_STAGES``); its
-manifest records them by name as its parameters. Its input and output files
-are the ones it opened through ``RunContext.read`` and ``RunContext.write``.
-A stage is skipped on rerun when its parameters are unchanged, every file it
-read still has the recorded hash, and its outputs are intact, so deleting any
+A stage's manifest records what its body read and wrote as it ran: the config
+keys it read through ``RunContext.cfg`` are its parameters, by name, and its
+files are the ones it opened through ``RunContext.read`` and ``write``. A stage
+is skipped on rerun when the keys it read keep their values, every file it read
+still has the recorded hash, and its outputs are intact, so deleting any
 downstream output and resuming reproduces it bit-identically. Manifests carry no
 timestamps; the config and its input files fully determine every emitted byte.
 """
@@ -27,7 +27,7 @@ from . import panel as panel_mod
 from . import semantics as semantics_mod
 from . import tsstats as tsstats_mod
 from .artifacts import read_csv, write_csv, write_json
-from .config import _PATH_KEYS, PipelineConfig
+from .config import _KINDS, _PATH_KEYS, PipelineConfig
 from .errors import ConfigError, DataError
 from .months import format_month, parse_month
 from .report import build_report
@@ -41,12 +41,30 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def _params_hash(params: dict) -> str:
-    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
+_KEYS = frozenset(_KINDS) - frozenset(_PATH_KEYS)  # what a manifest's params may name
+
+
+def _params(cfg, keys) -> tuple[dict, str]:
+    """The values of ``keys`` in ``cfg`` as a manifest records them, and their hash."""
+    params = {k: sorted(v) if isinstance(v, frozenset) else v
+              for k in sorted(keys) for v in [getattr(cfg, k)]}
+    return params, hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
 
 class _MissingInput(ConfigError):
     """A file a stage reads is not named by the config or does not exist."""
+
+
+class _KeyLog:
+    """A config as stage code sees it: each key of ``_KEYS`` read joins the set ``keys``."""
+
+    def __init__(self, cfg):
+        self._cfg, self.keys = cfg, set()
+
+    def __getattr__(self, name):
+        if name in _KEYS:
+            self.keys.add(name)
+        return getattr(self._cfg, name)
 
 
 @dataclass
@@ -55,16 +73,20 @@ class RunContext:
 
     Stages open files only through ``read`` and ``write``. The names they
     pass are config path keys (``corpus``, ``panel``, ...) or files of the
-    run directory (``seeds.json``, ``report/coverage.csv``), and the stage's
-    manifest is built from what was recorded.
+    run directory (``seeds.json``, ``report/coverage.csv``). They read config
+    keys through ``cfg``, which records each one but the paths, whose files
+    ``read`` hashes. The stage's manifest is built from what was recorded.
     """
 
-    cfg: PipelineConfig
+    cfg: PipelineConfig  # wrapped in a _KeyLog on construction
     out: Path
     _reads: dict = field(default_factory=dict)  # name -> sha256, or None for an unset key
     _writes: set = field(default_factory=set)
-    _memos: dict = field(default_factory=dict)  # key -> (value, the reads that built it)
+    _memos: dict = field(default_factory=dict)  # key -> (value, the reads and keys that built it)
     _digests: dict = field(default_factory=dict)  # path -> sha256, hashed once per run
+
+    def __post_init__(self):
+        self.cfg = _KeyLog(self.cfg)
 
     @property
     def window(self) -> tuple[int, int]:
@@ -114,20 +136,21 @@ class RunContext:
         return self._digests[path]
 
     def _memo(self, key, build):
-        """``build()``, once per context. The files it read join every caller's reads.
-
-        They join the running stage's reads even when ``build`` fails, so the
-        stage's error file lists them.
+        """``build()``, once per context. The files and config keys it read join every caller's,
+        the running stage's even when ``build`` fails, so its error file lists the files.
         """
         if key not in self._memos:
-            outer, self._reads = self._reads, {}
+            outer_reads, outer_keys = self._reads, self.cfg.keys
+            self._reads, self.cfg.keys = {}, set()
             try:
-                self._memos[key] = build(), self._reads
+                self._memos[key] = build(), self._reads, self.cfg.keys
             finally:
-                outer.update(self._reads)
-                self._reads = outer
-        value, reads = self._memos[key]
+                outer_reads.update(self._reads)
+                outer_keys.update(self.cfg.keys)
+                self._reads, self.cfg.keys = outer_reads, outer_keys
+        value, reads, keys = self._memos[key]
         self._reads.update(reads)
+        self.cfg.keys.update(keys)
         return value
 
     def gazetteer(self):
@@ -160,13 +183,9 @@ class RunContext:
         def build():
             with open(self.read("retained.json"), "r", encoding="utf-8") as fh:
                 retained = json.load(fh)
-            clusters = self.clusters()
             return panel_mod.assemble_panel(
                 self.gazetteer(), self.panel_csv(), self.factors(),
-                {w: meta["diff_order"] for w, meta in retained.items()},
-                {m: c.cluster_id for c in clusters for m in c.members},
-                {c.cluster_id: c.label for c in clusters},
-            )
+                {w: meta["diff_order"] for w, meta in retained.items()})
 
         return self._memo("panel", build)
 
@@ -232,13 +251,13 @@ class RunContext:
         off = [p for p, t in month_of.items() if t not in position]
         if off:
             table.fail(periods.index(off[0]), DataError(f"{off[0]} is not a publication month"))
-        districts = table.cells("district_id")
+        districts, kinds, models = map(table.cells, ("district_id", "kind", "model"))
         severities = table.parse(table.cells("severity"), float, table.rows)
         table.check()
         events = list(map(outbreak_mod.OutbreakEvent, districts,
                           [position[month_of[p]] for p in periods], severities))
         actual, predicted = [], {}
-        for event, kind, model in zip(events, table.columns["kind"], table.columns["model"]):
+        for event, kind, model in zip(events, kinds, models):
             if kind == "actual":
                 actual.append(event)
             else:
@@ -247,12 +266,18 @@ class RunContext:
 
 
 def _up_to_date(ctx: RunContext, manifest: dict) -> bool:
-    """Whether the recorded inputs still hash the same and the outputs are intact here.
+    """Whether the recorded params and inputs are unchanged and the outputs intact here.
 
-    Inputs are looked up again under the current config and output directory.
-    Outputs must lie under the current output directory, so a copied run
-    directory is never cached against the original's files.
+    The params are the current values of the keys the manifest lists; a key
+    the config no longer has fails the check. Inputs are looked up again
+    under the current config and output directory. Outputs must lie under
+    the current output directory, so a copied run directory is never cached
+    against the original's files.
     """
+    listed = manifest.get("params", {})
+    if not (listed.keys() <= _KEYS
+            and manifest.get("params_hash") == _params(ctx.cfg, listed)[1]):
+        return False
     for name, digest in manifest.get("inputs", {}).items():
         path = ctx._path(name)
         if digest != (ctx._digest(path) if path is not None and path.is_file() else None):
@@ -267,44 +292,37 @@ def _up_to_date(ctx: RunContext, manifest: dict) -> bool:
 def _execute_stage(ctx: RunContext, name: str):
     """Run stage ``name`` unless its manifest shows it up to date; "run" or "cached".
 
-    Its params are the config keys ``_STAGES`` lists for it, under their own
-    names; a frozenset is written sorted, and JSON writes a tuple as a list.
+    Its params are the config keys its body read, under their own names.
     """
-    body, keys = _STAGES[name]
-    params = {k: sorted(v) if isinstance(v, frozenset) else v
-              for k in keys for v in [getattr(ctx.cfg, k)]}
     manifest_dir = ctx.out / "manifests"
     manifest_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = manifest_dir / f"{name}.json"
-    phash = _params_hash(params)
     if manifest_path.exists():
         with open(manifest_path, "r", encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("params_hash") == phash and _up_to_date(ctx, manifest):
+        if _up_to_date(ctx, manifest):
             return "cached"
-    ctx._reads, ctx._writes = {}, set()
+    ctx._reads, ctx._writes, ctx.cfg.keys = {}, set(), set()
     try:
-        body(ctx)
+        _STAGES[name](ctx)
     except _MissingInput:
         raise
     except Exception as exc:
-        failure = {"stage": name, "error": f"{type(exc).__name__}: {exc}",
-                   "inputs": ctx._reads, "params_hash": phash}
-        with open(manifest_dir / f"{name}.error.json", "w", encoding="utf-8") as fh:
-            json.dump(failure, fh, indent=1, sort_keys=True)
+        write_json(manifest_dir / f"{name}.error.json", {
+            "stage": name, "error": f"{type(exc).__name__}: {exc}", "inputs": ctx._reads,
+            "params_hash": _params(ctx.cfg, ctx.cfg.keys)[1]})
         raise
     finally:  # the body may have read a file it then rewrote
         for path in ctx._writes:
             ctx._digests.pop(path, None)
-    manifest = {
+    params, phash = _params(ctx.cfg, ctx.cfg.keys)
+    write_json(manifest_path, {
         "stage": name,
         "params_hash": phash,
         "params": params,
         "inputs": ctx._reads,
         "outputs": {str(p): ctx._digest(p) for p in sorted(ctx._writes)},
-    }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=1, sort_keys=True)
+    })
     (manifest_dir / f"{name}.error.json").unlink(missing_ok=True)
     return "run"
 
@@ -464,7 +482,7 @@ def _stage_ablate(ctx: RunContext):
     designs, min_train = ctx.model_designs()
     results = panel_mod.ablate(designs["combined"], ctx.model_specs()["combined"],
                                ctx.panel_dataset(), ctx.cv_report("combined"),
-                               cfg.folds, min_train)
+                               ctx.clusters(), cfg.folds, min_train)
     write_csv(ctx.write("ablation.csv"),
               ["cluster_id", "label", "district_id", "rmse_delta"],
               ([r.cluster_id, r.label, d, delta] for r in results
@@ -592,31 +610,16 @@ def _stage_validate(ctx: RunContext):
 
 
 def _stage_report(ctx: RunContext):
+    # No table uses precision_target. It is read so that a precision edit reruns report, as
+    # perfbench's resume gate expects until ROADMAP item 5's coupled benchmark change.
+    ctx.cfg.precision_target
     build_report(ctx)  # looked up as the stage runs, so a patched build_report is the one run
 
 
-_CORPUS_KEYS = ("window_start", "window_end", "strict")  # read by ctx.corpus()
-# ctx.model_designs() builds the designs of every model spec, the lasso twins' too.
-_MODEL_KEYS = ("y_lags", "factor_lags", "publication_delay", "spatial", "lasso_compare",
-               "lasso_lambda", "folds")
-# Each stage's body, and the config keys its outputs depend on: its manifest's params.
-_STAGES = {
-    "extract": (_stage_extract, ("target_keywords", "causal_links", "stop_words",
-                                 "stem_dedup")),
-    "expand": (_stage_expand, ("ngram_floor", "wmd_radius", *_CORPUS_KEYS)),
-    "factors": (_stage_factors, ("exclude_target_articles", "target_keywords",
-                                 "factor_denominator", *_CORPUS_KEYS)),
-    "select": (_stage_select, ("factor_lags", "granger_level", "adf_level", "adf_max_d",
-                               "screening_mode", "clusters", "cluster_labels", *_CORPUS_KEYS)),
-    "fit": (_stage_fit, _MODEL_KEYS),
-    "ablate": (_stage_ablate, _MODEL_KEYS),
-    "classify": (_stage_classify, ("grid_min", "grid_max", "grid_step", "match_window",
-                                   "precision_target")),
-    "validate": (_stage_validate, ()),
-    # report never reads precision_target. perfbench's resume gate expects a precision
-    # edit to rerun report, so the key stays until that gate changes (ROADMAP item 5).
-    "report": (_stage_report, ("match_window", "precision_target")),
-}
+_STAGES = dict(  # each stage's body, in run order
+    extract=_stage_extract, expand=_stage_expand, factors=_stage_factors, select=_stage_select,
+    fit=_stage_fit, ablate=_stage_ablate, classify=_stage_classify, validate=_stage_validate,
+    report=_stage_report)
 _STAGE_FUNCS = {name: lambda ctx, name=name: _execute_stage(ctx, name) for name in _STAGES}
 STAGE_ORDER = tuple(_STAGES)
 

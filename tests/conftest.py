@@ -169,7 +169,7 @@ def make_panel(**kwargs):
 
 
 def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
-                           seed=0, start="2010-01", n_clusters=None, countries=1, lead=0):
+                           seed=0, start="2010-01", countries=1, lead=0):
     """``make_panel``'s panel and the NewsFactors cube its factor series come from.
 
     The cube opens ``lead`` months before the panel, and the month grid with it.
@@ -215,18 +215,22 @@ def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", 
         levels=tuple(level for level, locs in by_level.items() for _ in locs),
         start=t0 - lead, values=values, zero_denominator=np.zeros(shape, dtype=bool),
     )
-    if n_clusters is None:
-        n_clusters = len(features)
-    clusters = {w: 1 + i % n_clusters for i, w in enumerate(features)}
     panel = PanelDataset(
         districts=districts, start=t0, end=t1, publication_months=pub,
         rows=row, grid_start=t0 - lead,
         ipc=ipc, ipc_observed=ipc_obs, traditional=traditional,
         factors={w: values[f].copy() for f, w in enumerate(features)},
-        feature_order=features, clusters=clusters,
-        cluster_labels={c: f"cluster-{c}" for c in set(clusters.values())},
+        feature_order=features,
     )
     return panel, cube
+
+
+def feature_clusters(features, n_clusters):
+    """Clusters 1..n_clusters, cluster k holding every n_clusters-th feature from the k-th."""
+    from newswarn.semantics import FeatureCluster
+
+    return [FeatureCluster(k, f"cluster-{k}", tuple(features[k - 1::n_clusters]))
+            for k in range(1, n_clusters + 1)]
 
 
 def panel_value(panel, values, loc, t):

@@ -17,9 +17,9 @@ from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lo
 from newswarn.pipeline import _read_grid, min_train_rows
 from newswarn.tsstats import diff_on_grid
 
-from conftest import (design_loop, grid_districts, load_panel_csv_loop, make_gazetteer,
-                      make_panel, make_panel_and_factors, panel_value, plant_adl_response,
-                      planted_coefficients, read_grid_loop)
+from conftest import (design_loop, feature_clusters, grid_districts, load_panel_csv_loop,
+                      make_gazetteer, make_panel, make_panel_and_factors, panel_value,
+                      plant_adl_response, planted_coefficients, read_grid_loop)
 
 BASELINE = ModelSpec(kind="baseline")
 
@@ -438,15 +438,15 @@ class TestColumnRule:
     @pytest.mark.parametrize("kind", ["baseline", "news", "combined"])
     @pytest.mark.parametrize("spatial", [False, True])
     def test_panel_training_sets_match_greedy_gram_schmidt(self, kind, spatial):
-        panel = make_panel(n_districts=6, months=96, features=("alpha", "beta", "gamma"),
-                           n_clusters=2)
+        features = ("alpha", "beta", "gamma")
+        panel = make_panel(n_districts=6, months=96, features=features)
         spec = ModelSpec(kind=kind, spatial=spatial)
         design = build_design(panel, spec)
         column_sets = [list(range(len(design.columns)))]
         if spec.uses_news:
             column_sets += [[i for i, c in enumerate(design.columns)
-                             if c.feature is None or panel.clusters[c.feature] != cid]
-                            for cid in sorted(set(panel.clusters.values()))]
+                             if c.feature not in cluster.members]
+                            for cluster in feature_clusters(features, 2)]
         months = np.array([m for _, m in design.rows])
         blocks = month_folds(panel.start, panel.end, 8)
         trainings = [fold_rows(months, block)[0] for block in blocks[1:]]
@@ -512,7 +512,7 @@ class TestColumnSetFit:
         assert fitted
 
     def test_every_model_and_ablation_reads_one_r_per_training_window(self, monkeypatch):
-        panel = make_panel(n_districts=5, months=96, features=("alpha", "beta"), n_clusters=2)
+        panel = make_panel(n_districts=5, months=96, features=("alpha", "beta"))
         specs = {k: ModelSpec(kind=k) for k in ("baseline", "news", "combined")}
         designs = model_designs(panel, specs)
         factored = []
@@ -521,7 +521,8 @@ class TestColumnSetFit:
                             or real_qr(M, mode=mode))
         reports = {k: cross_validate_design(designs[k], s, panel, folds=8)
                    for k, s in specs.items()}
-        ablate(designs["combined"], specs["combined"], panel, reports["combined"], folds=8)
+        ablate(designs["combined"], specs["combined"], panel, reports["combined"],
+               feature_clusters(("alpha", "beta"), 2), folds=8)
         for k in specs:
             fit_design(designs[k], specs[k])
         months = np.array([m for _, m in designs["combined"].rows])
@@ -543,7 +544,7 @@ class TestRowSets:
     def late_news(self):
         # news factor alpha opens 30 months into the panel, so designs with news
         # columns start later than the baseline's
-        panel = make_panel(n_districts=6, months=96, features=("alpha", "beta"), n_clusters=2)
+        panel = make_panel(n_districts=6, months=96, features=("alpha", "beta"))
         panel.factors["alpha"][:, : panel.start - panel.grid_start + 30] = np.nan
         return panel
 
@@ -747,16 +748,16 @@ class TestCrossValidate:
 
 
 class TestAblate:
-    def combined_and_ablations(self, panel):
+    def combined_and_ablations(self, panel, clusters):
         spec = ModelSpec(kind="combined")
         design = build_design(panel, spec)
         combined = cross_validate_design(design, spec, panel, folds=8)
-        return design, combined, ablate(design, spec, panel, combined, folds=8)
+        return design, combined, ablate(design, spec, panel, combined, clusters, folds=8)
 
     def test_removing_all_clusters_reproduces_baseline(self):
-        panel = make_panel(n_districts=5, months=96,
-                           features=("alpha", "beta"), n_clusters=2)
-        design, _, results = self.combined_and_ablations(panel)
+        panel = make_panel(n_districts=5, months=96, features=("alpha", "beta"))
+        design, _, results = self.combined_and_ablations(
+            panel, feature_clusters(("alpha", "beta"), 2))
         assert [r.cluster_id for r in results] == [1, 2]
         # removing every cluster by hand leaves the baseline's columns; on the
         # baseline's design, which shares the combined rows, they fit from the same R
@@ -774,11 +775,11 @@ class TestAblate:
         assert rep_all_removed.mean_rmse == rep_baseline.mean_rmse
 
     def test_zero_factor_cluster_has_no_effect(self):
-        panel = make_panel(n_districts=5, months=96,
-                           features=("alpha", "dead"), n_clusters=2)
-        dead_cluster = panel.clusters["dead"]
+        panel = make_panel(n_districts=5, months=96, features=("alpha", "dead"))
+        clusters = feature_clusters(("alpha", "dead"), 2)
+        [dead_cluster] = [c.cluster_id for c in clusters if "dead" in c.members]
         panel.factors["dead"][:] = 0.0
-        _, _, results = self.combined_and_ablations(panel)
+        _, _, results = self.combined_and_ablations(panel, clusters)
         by_cluster = {r.cluster_id: r for r in results}
         assert by_cluster[dead_cluster].mean_delta == pytest.approx(0.0, abs=1e-9)
 

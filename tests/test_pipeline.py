@@ -201,15 +201,19 @@ class TestFullRun:
         for old, new in zip(before, after):
             assert float(new["distance"]) == pytest.approx(2.0 * float(old["distance"]))
 
-    def test_cluster_label_edit_reruns_select(self, run_dir):
+    def test_cluster_label_edit_reruns_select_and_the_clusters_readers(self, run_dir):
         _, cfg, _ = run_dir
         clusters = Path(cfg.output) / "clusters.json"
         relabeled = dataclasses.replace(cfg, cluster_labels=("drought-and-prices",))
         try:
-            assert quiet_run(relabeled, ["select"]) == {"select": "run"}
+            assert quiet_run(relabeled) == {
+                s: "run" if s in ("select", "ablate", "report") else "cached"
+                for s in STAGE_ORDER}
             assert json.loads(clusters.read_text())[0]["label"] == "drought-and-prices"
+            ablation = read_csv(Path(cfg.output) / "ablation.csv", "ablation")
+            assert ablation.columns["label"][0] == "drought-and-prices"
         finally:
-            quiet_run(cfg, ["select"])
+            quiet_run(cfg)
 
     def test_gazetteer_edit_keeps_expand_cached(self, run_dir):
         # expand reads the corpus without the gazetteer; factors matches locations
@@ -264,7 +268,8 @@ class TestDerivedManifests:
         keys = sorted(set().union(*listed.values()) & set(_PATH_KEYS))
         assert keys == ["corpus", "embeddings", "frames_news", "frames_study", "gazetteer",
                         "panel", "projections"]
-        assert listed["ablate"] == listed["fit"]  # the designs both use, built once
+        # ablate reads the designs fit built, and the clusters, which only it and report read
+        assert listed["ablate"] == listed["fit"] | {"clusters.json"}
         for key in keys:
             # A blank last line changes the file's hash but nothing its readers parse,
             # so a stage that reruns rewrites the same outputs and later stages stay cached.
@@ -281,7 +286,8 @@ class TestDerivedManifests:
                     if name not in _PATH_KEYS}
             assert read <= written, stage
             written |= set(manifest["outputs"])
-        assert "clusters.json" in recorded["validate"]["inputs"]
+        assert [s for s, m in recorded.items() if "clusters.json" in m["inputs"]] == \
+            ["ablate", "report"]
         assert not {"fronts.csv", "operating_points.json"} & set(recorded["report"]["inputs"])
 
     def test_a_byte_identical_corpus_elsewhere_keeps_its_readers_cached(self, tiny, tmp_path):
@@ -377,7 +383,7 @@ class TestDigestMemo:
             os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
             assert path.stat().st_size == before.st_size
 
-        monkeypatch.setitem(pipeline._STAGES, "validate", (body, ()))
+        monkeypatch.setitem(pipeline._STAGES, "validate", body)
         assert quiet_run(bundle, ["validate"]) == {"validate": "run"}
         path = Path(bundle.output) / "probe.txt"
         manifest = json.loads((Path(bundle.output) / "manifests" / "validate.json").read_text())
@@ -408,11 +414,16 @@ class TestDigestMemo:
 
 
 FIELDS = tuple(f.name for f in dataclasses.fields(PipelineConfig))
-# Keys a stage lists but does not read, and why each is listed.
-UNREAD_KEYS = {
-    ("report", "precision_target"):
-        "perfbench's resume gate expects a precision edit to rerun report (ROADMAP item 5)",
-}
+AS_JSON = {tuple: list, frozenset: sorted}
+
+
+def params_of(cfg, keys):
+    """The params a manifest records for ``keys``."""
+    return {k: AS_JSON.get(type(v), lambda v: v)(v) for k in keys for v in [getattr(cfg, k)]}
+
+
+def params_hash(params):
+    return hashlib.sha256(json.dumps(params, sort_keys=True).encode()).hexdigest()
 
 
 class _RecordingConfig(PipelineConfig):
@@ -444,7 +455,7 @@ def stage_reads(tmp_path_factory):
     quiet_run(cfg)
     recording = _RecordingConfig(**dataclasses.asdict(cfg))
     reads = {}
-    for stage, (body, keys) in pipeline._STAGES.items():
+    for stage, body in pipeline._STAGES.items():
         reads[stage] = set()
 
         def recorded(ctx, body=body, log=reads[stage]):
@@ -457,33 +468,79 @@ def stage_reads(tmp_path_factory):
         (Path(cfg.output) / "manifests" / f"{stage}.json").unlink()
         with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            mp.setitem(pipeline._STAGES, stage, (recorded, keys))
+            mp.setitem(pipeline._STAGES, stage, recorded)
             ctx = RunContext(cfg=recording, out=Path(cfg.output))
             assert pipeline._STAGE_FUNCS[stage](ctx) == "run"
         reads[stage] -= set(_PATH_KEYS)
     return cfg, reads
 
 
-class TestStageKeys:
-    def test_each_stage_lists_the_keys_it_reads(self, stage_reads):
-        _, reads = stage_reads
-        unread = set()
-        for stage, (_, keys) in pipeline._STAGES.items():
-            assert reads[stage] <= set(keys), (stage, "reads", reads[stage] - set(keys))
-            unread |= {(stage, key) for key in set(keys) - reads[stage]}
-        assert unread == set(UNREAD_KEYS)
+class TestRecordedKeys:
+    """A manifest's params are the config keys its stage read, recorded as it read them."""
 
-    def test_manifests_record_the_listed_keys_by_name(self, stage_reads):
-        cfg, _ = stage_reads
-        as_json = {tuple: list, frozenset: sorted}
+    def test_each_manifest_lists_exactly_the_keys_its_body_read(self, stage_reads):
+        cfg, reads = stage_reads
         for stage, manifest in manifests(cfg.output).items():
-            assert manifest["params"] == {
-                key: as_json.get(type(value), lambda v: v)(value)
-                for key in pipeline._STAGES[stage][1] for value in [getattr(cfg, key)]}, stage
+            params = params_of(cfg, reads[stage])
+            assert manifest["params"] == params, stage
+            assert manifest["params_hash"] == params_hash(params), stage
 
-    def test_every_key_but_the_paths_is_listed_by_some_stage(self):
-        listed = {key for _, keys in pipeline._STAGES.values() for key in keys}
-        assert listed == set(FIELDS) - set(_PATH_KEYS)
+    def test_every_key_but_the_paths_is_recorded_by_some_stage(self, stage_reads):
+        cfg, _ = stage_reads
+        recorded = {key for m in manifests(cfg.output).values() for key in m["params"]}
+        assert recorded == set(FIELDS) - set(_PATH_KEYS)
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path / "bundle")
+        cfg = load_config(bundle["config"])
+        assert not cfg.lasso_compare
+        assert quiet_run(cfg) == {s: "run" for s in STAGE_ORDER}
+        return cfg
+
+    def test_a_lasso_lambda_edit_reruns_the_fits_only_when_lasso_is_on(self, tiny):
+        edited = dataclasses.replace(tiny, lasso_lambda=2 * tiny.lasso_lambda)
+        assert quiet_run(edited) == {s: "cached" for s in STAGE_ORDER}
+        assert "lasso_lambda" not in manifests(tiny.output)["fit"]["params"]
+        lasso = dataclasses.replace(tiny, lasso_compare=True)
+        quiet_run(lasso)
+        summary = quiet_run(dataclasses.replace(lasso, lasso_lambda=2 * tiny.lasso_lambda))
+        # classify and report read predictions.csv, which holds the lasso models' predictions
+        assert summary == {s: "run" if s in ("fit", "ablate", "classify", "report")
+                           else "cached" for s in STAGE_ORDER}
+
+    def test_an_older_manifest_listing_an_unread_key_stays_cached(self, tiny):
+        path = Path(tiny.output) / "manifests" / "fit.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"]["lasso_lambda"] = tiny.lasso_lambda
+        manifest["params_hash"] = params_hash(manifest["params"])
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        assert quiet_run(tiny) == {s: "cached" for s in STAGE_ORDER}
+        edited = dataclasses.replace(tiny, lasso_lambda=2 * tiny.lasso_lambda)
+        assert quiet_run(edited) == {s: "run" if s == "fit" else "cached" for s in STAGE_ORDER}
+        assert "lasso_lambda" not in manifests(tiny.output)["fit"]["params"]
+        assert quiet_run(edited) == {s: "cached" for s in STAGE_ORDER}
+
+    def test_a_listed_key_the_config_no_longer_has_reruns_the_stage(self, tiny):
+        path = Path(tiny.output) / "manifests" / "classify.json"
+        manifest = json.loads(path.read_text())
+        manifest["params"]["retired_key"] = 1
+        manifest["params_hash"] = params_hash(manifest["params"])
+        path.write_text(json.dumps(manifest, indent=1, sort_keys=True))
+        assert quiet_run(tiny) == {s: "run" if s == "classify" else "cached"
+                                   for s in STAGE_ORDER}
+        assert "retired_key" not in manifests(tiny.output)["classify"]["params"]
+
+    def test_a_loader_built_before_the_stage_still_adds_its_keys(self, tiny):
+        listed = manifests(tiny.output)["select"]["params"]
+        assert {"window_start", "window_end", "strict"} <= set(listed)
+        ctx = RunContext(cfg=tiny, out=Path(tiny.output))
+        ctx.corpus()
+        (Path(tiny.output) / "manifests" / "select.json").unlink()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert pipeline._STAGE_FUNCS["select"](ctx) == "run"
+        assert manifests(tiny.output)["select"]["params"] == listed
 
 
 class TestFailureModes:
@@ -632,6 +689,19 @@ class TestEventsFile:
         (run / "events.csv").write_text("".join(lines), encoding="utf-8")
         with pytest.raises(DataError, match=re.escape(f"{run / 'events.csv'}:4: ") + ".*" + bad):
             RunContext(cfg=ctx.cfg, out=run).events()
+
+    def test_a_missing_model_column_raises_naming_the_file_and_line(self, ctx, tmp_path):
+        run = tmp_path / "run"
+        shutil.copytree(ctx.out, run)
+        table = read_csv(run / "events.csv", "events")
+        kept = [c for c in table.header if c != "model"]
+        write_csv(run / "events.csv", kept, zip(*map(table.columns.get, kept)))
+        with pytest.raises(DataError, match=re.escape(
+                f"{run / 'events.csv'}:2: bad events row: 'model'")) as raised:
+            RunContext(cfg=ctx.cfg, out=run).events()
+        assert raised.value.exit_code == 2
+        write_csv(run / "events.csv", kept, [])
+        assert RunContext(cfg=ctx.cfg, out=run).events() == ([], {})
 
 
 class TestTrailingMean:
