@@ -1,23 +1,27 @@
 """News-corpus reading, gazetteer location matching, and news factors.
 
 The corpus file holds one JSON object per line: {id, date, source, countries,
-text}. ``read_corpus`` parses it once into per-article months and country
-tags, a vocabulary, and one array of token ids; it keeps no per-n-gram
-article sets. Counts come from n-grams packed into integer keys: the 1..3-gram
-occurrences (``Corpus.ngram_counts``, by ``np.unique``), and, for a list of
-features, the articles that co-mention a feature and a location, found by a
-sorted-key lookup (``news_factors``, ``feature_coverage``). A news factor is
-the monthly share of a country's articles that co-mention a text feature and a
-location; ``save_factors`` writes them as one feature x location x month array.
+text}. ``read_corpus`` parses it once, line by line, into per-article months
+and country tags, a vocabulary, and one array of token ids, tokenizing
+``_TEXT_BLOCK`` articles' texts at a time; it keeps no per-n-gram article sets.
+Counts come from n-grams packed into integer keys: the 1..3-gram occurrences
+(``Corpus.ngram_counts``, by ``np.unique``), and, for a list of features, the
+articles that co-mention a feature and a location, found by a sorted-key
+lookup into per-block article x phrase masks (``news_factors``,
+``feature_coverage``). A news factor is the monthly share of a country's
+articles that co-mention a text feature and a location; ``save_factors``
+writes them as one feature x location x month array.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import re
 import warnings
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .artifacts import read_csv
 from .errors import DataError
 from .months import format_month, parse_date, parse_month
 from .stemmer import porter_stem, stem_tokens
-from .textutil import tokenize
+from .textutil import TOKEN, tokenize
 
 GAZETTEER_COLUMNS = ("district_id", "name", "aliases", "province_id", "country", "lat", "lon")
 
@@ -148,6 +152,13 @@ class Corpus:
                        token_ids=self.token_ids[offsets[0]:offsets[-1]],
                        offsets=offsets - offsets[0])
 
+    @cached_property
+    def tag_sets(self) -> tuple[list[frozenset[str]], np.ndarray]:
+        """The distinct country-tag sets, in first-use order, and each article's index in them."""
+        sets: dict[frozenset[str], int] = {}
+        set_of = [sets.setdefault(tags, len(sets)) for tags in self.country_tags]
+        return list(sets), np.array(set_of, dtype=np.int64)
+
     def pack(self, columns) -> np.ndarray:
         """Keys of the n-grams whose k-th token ids are ``columns[k]``, n = len(columns) <= 3."""
         v = len(self.vocabulary)
@@ -187,16 +198,56 @@ class Corpus:
         return tuple(np.concatenate(parts) for parts in zip(*counted))
 
 
-def _parse_corpus_line(line: str, lineno: int) -> tuple[str, int, frozenset[str], tuple]:
+_scan_json = json.JSONDecoder().scan_once
+
+
+def _parse_corpus_line(line: str, lineno: int) -> tuple[str, int, frozenset[str], str]:
+    """A stripped corpus line's id, month, country tags and text; DataError naming the line.
+
+    Each line is parsed alone: lines joined into one JSON document could pair
+    the halves of two malformed lines into valid objects.
+    """
     try:
-        obj = json.loads(line)
+        try:
+            obj, end = _scan_json(line, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(line):
+            obj = json.loads(line)  # fails too, with json's own message for the line
         month = parse_date(obj["date"])
-        tags = frozenset(str(c).upper() for c in obj["countries"])
+        countries = obj["countries"]
+        if not isinstance(countries, list):
+            raise DataError(f"countries {countries!r} is not a list")
+        tags = frozenset(str(c).upper() for c in countries)
         if not tags:
             raise DataError("empty country tags")
-        return str(obj["id"]), month, tags, tokenize(str(obj["text"]))
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError, DataError) as exc:
+        return str(obj["id"]), month, tags, str(obj["text"])
+    except (KeyError, TypeError, ValueError, DataError) as exc:
         raise DataError(f"line {lineno}: malformed article: {exc}") from None
+
+
+_TEXT_BLOCK = 1 << 9  # articles whose texts are tokenized at once; bounds the token lists
+_TOKEN_OR_NUL = re.compile(TOKEN + "|\0")
+
+
+def _token_ids(texts: list[str], vocabulary: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The texts' token ids end to end and each text's token count, as ``tokenize`` splits them.
+
+    One ``lower`` and ``findall`` tokenize the texts joined by NUL, which no
+    token holds; when a text holds a NUL of its own, each text is tokenized
+    alone. New words get the next ids of ``vocabulary``, in first-use order.
+    """
+    joined = "\0".join(texts)
+    if joined.count("\0") == len(texts) - 1:
+        toks = _TOKEN_OR_NUL.findall(joined.lower())
+    else:
+        toks = [t for text in texts for t in ("\0", *tokenize(text))][1:]
+    new = [t for t in dict.fromkeys(toks) if t not in vocabulary and t != "\0"]
+    vocabulary.update(zip(new, range(len(vocabulary), len(vocabulary) + len(new))))
+    ids = np.fromiter(map(vocabulary.get, toks, itertools.repeat(-1)), np.int32, len(toks))
+    nul = np.flatnonzero(ids < 0)
+    ends = np.append(nul - np.arange(len(nul)), len(ids) - len(nul))
+    return ids[ids >= 0], np.diff(ends, prepend=0)
 
 
 def read_corpus(path, window, strict: bool = False) -> Corpus:
@@ -204,7 +255,8 @@ def read_corpus(path, window, strict: bool = False) -> Corpus:
 
     ``window`` is an inclusive (start, end) pair of month indices or
     "YYYY-MM" strings. In strict mode malformed lines and duplicate ids are
-    fatal; otherwise they are skipped with a warning and counted.
+    fatal; otherwise they are skipped with a warning and counted. Lines are
+    parsed one by one, and the texts of ``_TEXT_BLOCK`` articles tokenized at once.
     """
     w0 = parse_month(window[0]) if isinstance(window[0], str) else int(window[0])
     w1 = parse_month(window[1]) if isinstance(window[1], str) else int(window[1])
@@ -215,16 +267,24 @@ def read_corpus(path, window, strict: bool = False) -> Corpus:
     tags_of: list[frozenset[str]] = []
     tag_sets: dict[frozenset[str], frozenset[str]] = {}  # one object per distinct tag set
     vocabulary: dict[str, int] = {}  # word -> id, in first-seen order
-    token_ids = array("i")
-    offsets = array("q", [0])
+    texts: list[str] = []  # of the articles not yet tokenized
+    token_ids: list[np.ndarray] = []
+    counts = [np.zeros(1, dtype=np.int64)]  # tokens per article, after a 0 for the offsets
     skipped = 0
+
+    def tokenize_texts():
+        ids_of_block, counts_of_block = _token_ids(texts, vocabulary)
+        token_ids.append(ids_of_block)
+        counts.append(counts_of_block)
+        texts.clear()
+
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                article_id, month, tags, toks = _parse_corpus_line(line, lineno)
+                article_id, month, tags, text = _parse_corpus_line(line, lineno)
                 if not (w0 <= month <= w1):
                     continue
                 if article_id in ids:
@@ -238,16 +298,18 @@ def read_corpus(path, window, strict: bool = False) -> Corpus:
             ids.add(article_id)
             months.append(month)
             tags_of.append(tag_sets.setdefault(tags, tags))
-            token_ids.extend([vocabulary.setdefault(t, len(vocabulary)) for t in toks])
-            offsets.append(len(token_ids))
+            texts.append(text)
+            if len(texts) == _TEXT_BLOCK:
+                tokenize_texts()
     if not months:
         raise DataError(f"no articles inside window [{format_month(w0)}, {format_month(w1)}]")
+    if texts:
+        tokenize_texts()
     if len(vocabulary) > MAX_VOCABULARY:
         raise DataError(f"{path}: vocabulary of {len(vocabulary)} words exceeds "
                         f"{MAX_VOCABULARY}, the most whose 3-grams fit int64 keys")
     return Corpus((w0, w1), np.array(months, dtype=np.int64), tags_of, tuple(vocabulary),
-                  np.array(token_ids, dtype=np.int32), np.array(offsets, dtype=np.int64),
-                  skipped)
+                  np.concatenate(token_ids), np.cumsum(np.concatenate(counts)), skipped)
 
 
 _BLOCK = 1 << 13  # articles scanned for co-mentions at once; bounds the working arrays
@@ -265,8 +327,8 @@ def _coded(corpus: Corpus, phrases) -> list[tuple[int, ...]]:
             for p in phrases]
 
 
-def _phrase_hits(corpus: Corpus, phrases) -> tuple[np.ndarray, np.ndarray]:
-    """(article, phrase) index pairs, ascending and distinct, of the phrases each article holds.
+def _phrase_hits(corpus: Corpus, phrases) -> np.ndarray:
+    """Article x phrase mask: whether each article holds each phrase.
 
     ``phrases`` are token-id tuples (``_coded``), matched contiguously; an
     empty one is contained nowhere. A phrase longer than 3 tokens is looked
@@ -276,7 +338,7 @@ def _phrase_hits(corpus: Corpus, phrases) -> tuple[np.ndarray, np.ndarray]:
     for p, phrase in enumerate(phrases):
         if phrase:
             by_length[len(phrase)].append(p)
-    pairs = [np.zeros(0, dtype=np.int64)]
+    hits = np.zeros((len(corpus), len(phrases)), dtype=bool)
     for n, members in sorted(by_length.items()):
         coded = np.array([phrases[p] for p in members], dtype=np.int64)
         wanted = corpus.pack(coded[:, :3].T)
@@ -294,21 +356,27 @@ def _phrase_hits(corpus: Corpus, phrases) -> tuple[np.ndarray, np.ndarray]:
         if n > 3:
             whole = (corpus.token_ids[pos[:, None] + np.arange(3, n)] == coded[rows, 3:]).all(1)
             pos, rows = pos[whole], rows[whole]
-        article = np.searchsorted(corpus.offsets, pos, "right") - 1
-        pairs.append(article * len(phrases) + np.array(members, dtype=np.int64)[rows])
-    return np.divmod(np.unique(np.concatenate(pairs)), len(phrases))
+        hits[np.searchsorted(corpus.offsets, pos, "right") - 1, np.array(members)[rows]] = True
+    return hits
+
+
+def _blocks(corpus: Corpus):
+    """Each ``_BLOCK`` articles as a corpus of their own, after the index of the first."""
+    for a0 in range(0, len(corpus), _BLOCK):
+        yield a0, corpus.articles(a0, a0 + _BLOCK)
 
 
 def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, locations):
     """Per block of articles, (article, feature) and (article, location) index pairs.
 
-    The pairs of a block ascend and are distinct, and only articles with a
-    feature get location pairs. Features are indices into ``features``; a
-    feature that is not a canonical corpus n-gram (1..3 tokens, as
-    ``Corpus.ngram`` spells them) is contained nowhere. An article names the
-    district of each gazetteer name it holds, with the district's province
-    and country, and the countries it is tagged with. Locations are indices
-    into ``locations``; the others an article names are dropped.
+    The pairs of a block ascend and are distinct (``np.nonzero`` of a block's
+    masks), and only articles with a feature get location pairs. Features are
+    indices into ``features``; a feature that is not a canonical corpus n-gram
+    (1..3 tokens, as ``Corpus.ngram`` spells them) is contained nowhere. An
+    article names the district of each gazetteer name it holds, with the
+    district's province and country, and the countries it is tagged with.
+    Locations are indices into ``locations``; the others an article names are
+    dropped.
     """
     phrases = []
     for f in features:
@@ -320,19 +388,19 @@ def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, locations):
              for loc in sorted(locs) if loc in loc_index]
     phrases = _coded(corpus, phrases + [name for name, _ in named])
     named_loc = np.array([i for _, i in named], dtype=np.int64)
-    for a0 in range(0, len(corpus), _BLOCK):
-        block = corpus.articles(a0, a0 + _BLOCK)
-        articles, hits = _phrase_hits(block, phrases)
-        is_feature = hits < len(features)
-        fa, ff = articles[is_feature], hits[is_feature]
-        with_feature = np.zeros(len(block), dtype=bool)
-        with_feature[fa] = True
-        na, nl = articles[~is_feature], named_loc[hits[~is_feature] - len(features)]
-        tagged = [a * len(locations) + loc_index[c] for a in np.flatnonzero(with_feature).tolist()
-                  for c in block.country_tags[a] if c in loc_index]
-        located = np.unique(np.concatenate([(na * len(locations) + nl)[with_feature[na]],
-                                            np.array(tagged, dtype=np.int64)]))
-        la, li = np.divmod(located, len(locations))
+    tag_sets, set_of = corpus.tag_sets
+    # distinct tag set x location: whether the set tags the location
+    tagged = np.array([[loc in tags for loc in locations] for tags in tag_sets],
+                      dtype=bool).reshape(len(tag_sets), len(locations))
+    n_features = len(features)
+    for a0, block in _blocks(corpus):
+        hits = _phrase_hits(block, phrases)
+        with_feature = hits[:, :n_features].any(axis=1)
+        located = tagged[set_of[a0:a0 + len(block)]] & with_feature[:, None]
+        na, nn = np.nonzero(hits[:, n_features:] & with_feature[:, None])
+        located[na, named_loc[nn]] = True
+        fa, ff = np.nonzero(hits[:, :n_features])
+        la, li = np.nonzero(located)
         yield a0 + fa, ff, a0 + la, li
 
 
@@ -342,9 +410,10 @@ def target_flags(corpus: Corpus, target_keywords) -> np.ndarray:
     stem_of = np.array([stems.setdefault(porter_stem(w), len(stems)) for w in corpus.vocabulary],
                        dtype=np.int32)
     stemmed = replace(corpus, vocabulary=tuple(stems), token_ids=stem_of[corpus.token_ids])
-    keywords = [stem_tokens(tokenize(k)) for k in sorted(target_keywords)]
+    keywords = _coded(stemmed, [stem_tokens(tokenize(k)) for k in sorted(target_keywords)])
     flags = np.zeros(len(corpus), dtype=bool)
-    flags[_phrase_hits(stemmed, _coded(stemmed, keywords))[0]] = True
+    for a0, block in _blocks(stemmed):
+        flags[a0:a0 + len(block)] = _phrase_hits(block, keywords).any(axis=1)
     return flags
 
 
@@ -426,8 +495,7 @@ def news_factors(
     if denominator == "country":
         # article x country: whether the article is tagged with each gazetteer country
         countries = sorted(set(country_of))
-        tag_sets: dict[frozenset[str], int] = {}
-        set_of = [tag_sets.setdefault(tags, len(tag_sets)) for tags in corpus.country_tags]
+        tag_sets, set_of = corpus.tag_sets
         tagged = np.array([[c in tags for c in countries] for tags in tag_sets],
                           dtype=bool).reshape(len(tag_sets), len(countries))[set_of]
         loc_country = np.array([countries.index(c) for c in country_of], dtype=np.int64)

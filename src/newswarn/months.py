@@ -29,6 +29,8 @@ def parse_month(text: str) -> int:
 
 def parse_date(text: str) -> int:
     """Month index of a YYYY-MM-DD date."""
+    if not isinstance(text, str):
+        raise DataError(f"bad date {text!r}: not a string")
     try:
         d = datetime.date.fromisoformat(text.strip())
     except ValueError as exc:

@@ -7,7 +7,10 @@ L/m times and each target token L/n times, L = lcm(m, n) <= 6, gives L units
 of mass 1/L on each side. An optimal plan then exists that moves each unit
 whole (Birkhoff-von Neumann: the doubly stochastic matrices are the convex hull
 of the permutations), so the transport optimum is an L x L assignment. As
-L! <= 720, the solver scores every permutation at once;
+L! <= 720, the solver scores every permutation of every problem in a stack of
+one (m, n) shape at once. ``expand_seeds`` solves all its (candidate, seed)
+pairs so, one stack per shape, split where a stack's largest working array
+would pass ``_STACK_ELEMENTS`` floats; ``wmd`` solves a stack of one.
 ``scipy.optimize.linear_sum_assignment`` gives the same optimum, but importing
 it adds about 23 MiB to the process.
 """
@@ -119,21 +122,35 @@ def _permutations(L: int) -> np.ndarray:
     return perms
 
 
-def _solve_transport(cost: np.ndarray) -> tuple[float, np.ndarray]:
-    """Exact uniform-marginal transport as an assignment on replicated tokens."""
-    m, n = cost.shape
+def _solve_transport(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact uniform-marginal transport of each matrix of the stack ``cost`` (B x m x n).
+
+    Each is solved as an assignment on replicated tokens. Returns the B
+    optimal costs and the B x m x n plans.
+    """
+    B, m, n = cost.shape
     L = math.lcm(m, n)
     rows, perms = np.arange(L), _permutations(L)
-    big = np.repeat(np.repeat(cost, L // m, axis=0), L // n, axis=1)
-    cols = perms[np.argmin(big[rows, perms].sum(axis=1))]
-    plan = np.zeros((m, n))
-    np.add.at(plan, (rows // (L // m), cols // (L // n)), 1.0 / L)
-    return float((plan * cost).sum()), plan
+    big = np.repeat(np.repeat(cost, L // m, axis=1), L // n, axis=2)
+    cols = perms[np.argmin(big[:, rows, perms].sum(axis=2), axis=1)]
+    plan = np.zeros((B, m, n))
+    np.add.at(plan, (np.arange(B)[:, None], rows // (L // m), cols // (L // n)), 1.0 / L)
+    return (plan * cost).reshape(B, m * n).sum(axis=1), plan
 
 
-def _transport_cost(va: np.ndarray, vb: np.ndarray) -> float:
-    """Word mover's distance between two phrases given as ``_phrase_vectors``."""
-    return _solve_transport(np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2))[0]
+_STACK_ELEMENTS = 1 << 17  # float64 elements in the largest working array of one stacked solve
+
+
+def _stack_rows(m: int, n: int, dim: int) -> int:
+    """How many transport problems of m and n tokens in ``dim`` dimensions to solve as one stack."""
+    L = math.lcm(m, n)
+    return max(1, _STACK_ELEMENTS // max(math.factorial(L) * L, m * n * dim))
+
+
+def _transport_cost(va: np.ndarray, vb: np.ndarray) -> np.ndarray:
+    """Word mover's distance between the phrases of the stacks ``va`` (B x m x dim) and
+    ``vb`` (B x n x dim), row by row, each phrase given as ``_phrase_vectors``."""
+    return _solve_transport(np.linalg.norm(va[:, :, None, :] - vb[:, None, :, :], axis=3))[0]
 
 
 def wmd(a, b, emb: EmbeddingTable) -> float:
@@ -141,7 +158,15 @@ def wmd(a, b, emb: EmbeddingTable) -> float:
 
     Out-of-vocabulary tokens are ignored; a phrase with none left raises DataError.
     """
-    return _transport_cost(_phrase_vectors(a, emb), _phrase_vectors(b, emb))
+    return float(_transport_cost(_phrase_vectors(a, emb)[None], _phrase_vectors(b, emb)[None])[0])
+
+
+def _by_token_count(vectors) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per token count, the indices of the ``_phrase_vectors`` arrays with it and their stack."""
+    groups: dict[int, list[int]] = {}
+    for i, v in enumerate(vectors):
+        groups.setdefault(len(v), []).append(i)
+    return {k: (np.array(ix), np.stack([vectors[i] for i in ix])) for k, ix in groups.items()}
 
 
 def enumerate_candidates(corpus, floor: int = 1000) -> list[str]:
@@ -161,30 +186,42 @@ def expand_seeds(seeds, candidates, emb: EmbeddingTable, radius: float = 6.0):
     from .frames import TextFeature
 
     seed_set = {normalize_ngram(s if isinstance(s, str) else s.ngram) for s in seeds}
-    seed_vectors = []
+    seed_names, seed_vectors = [], []
     for s in sorted(seed_set):
         try:
-            seed_vectors.append((s, _phrase_vectors(s, emb)))
+            seed_vectors.append(_phrase_vectors(s, emb))
         except DataError:
             continue
+        seed_names.append(s)
     if not seed_vectors:
         raise DataError("no seed has embedding coverage")
     dropped = len(seed_set) - len(seed_vectors)
     skipped_candidates = 0
-    out = []
+    names, vectors = [], []
     for cand in sorted(normalize_ngram(c) for c in candidates):
         if cand in seed_set:
             continue
         try:
-            vc = _phrase_vectors(cand, emb)
+            vectors.append(_phrase_vectors(cand, emb))
         except DataError:
             skipped_candidates += 1
             continue
-        best = min(((_transport_cost(vc, vs), s) for s, vs in seed_vectors),
-                   key=lambda pair: pair[0])
-        if best[0] < radius:
+        names.append(cand)
+    # candidate x seed distances; the pairs of each (m, n) token-count shape are solved in stacks
+    dist = np.empty((len(vectors), len(seed_vectors)))
+    seed_groups = _by_token_count(seed_vectors)
+    for m, (ci, cv) in _by_token_count(vectors).items():
+        for n, (si, sv) in seed_groups.items():
+            pairs, step = len(ci) * len(si), _stack_rows(m, n, cv.shape[2])
+            for lo in range(0, pairs, step):
+                a, b = np.divmod(np.arange(lo, min(lo + step, pairs)), len(si))
+                dist[ci[a], si[b]] = _transport_cost(cv[a], sv[b])
+    nearest = dist.argmin(axis=1)
+    out = []
+    for cand, s, d in zip(names, nearest.tolist(), dist[np.arange(len(names)), nearest].tolist()):
+        if d < radius:
             out.append(TextFeature(ngram=cand, provenance=("expanded",),
-                                   source_seed=best[1], distance=best[0]))
+                                   source_seed=seed_names[s], distance=d))
     if dropped or skipped_candidates:
         warnings.warn(
             f"expansion skipped {dropped} seeds and {skipped_candidates} candidates "

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import re
 
-_TOKEN = re.compile(r"[a-z0-9]+")
+TOKEN = r"[a-z0-9]+"  # the pattern of a token in lowercased text
+_TOKEN = re.compile(TOKEN)
 
 MAX_NGRAM = 3  # tokens in the longest text feature
 

@@ -6,8 +6,9 @@ tests one district alone), and Spearman rank correlation.
 
 Every screening regression reads its RSS values, and the ADF its t-ratio,
 from one triangular factor R of its design with the response last
-(``_r_factors``). The ADF vote factors the designs of all a feature's district
-series of one length in one batched QR (``_adf_stack``).
+(``_r_factors``). The ADF vote of ``select_features`` factors the designs of
+every feature's district series of one length, up to ``_ADF_CHUNK`` at a
+time, in one batched QR (``_adf_stack``).
 
 All information criteria use AIC = T * ln(RSS / T) + 2 * p so that reported
 values can be recomputed exactly from the reported residual sums of squares.
@@ -355,25 +356,42 @@ class ScreeningRow:
     reason: str = ""
 
 
-def _panel_diff_order(series, max_d: int, level: float) -> int | None:
-    """Majority-vote differencing order across district factor series (1-d arrays).
+_ADF_CHUNK = 128  # series per ``_adf_stack`` call of the vote; bounds the stacked designs
 
-    Constant series take no part. The series of each length are tested as one
-    stack (``_adf_stack``), and a series whose test raises is left out of the vote.
+
+def _panel_diff_orders(features, max_d: int, level: float) -> list[int | None]:
+    """Majority-vote differencing order of each feature's district factor series (1-d arrays).
+
+    Constant series take no part. At each order, the series of every feature
+    still undecided are tested together, up to ``_ADF_CHUNK`` of one length
+    in one ``_adf_stack``, and a series whose test raises is left out of its
+    feature's vote. A feature undecided after ``max_d`` differences gets None.
     """
-    by_length: dict[int, list[np.ndarray]] = {}
-    for s in series:
-        if np.ptp(s) > 0.0:
-            by_length.setdefault(s.size, []).append(s)
-    stacks = [np.array(group) for group in by_length.values()]
+    by_length: dict[int, list[tuple[int, np.ndarray]]] = {}
+    for f, series in enumerate(features):
+        for s in series:
+            if np.ptp(s) > 0.0:
+                by_length.setdefault(s.size, []).append((f, s))
+    # per length, the feature of each row and the rows as one array
+    stacks = [(np.array([f for f, _ in rows]), np.array([s for _, s in rows]))
+              for rows in by_length.values()]
+    orders: list[int | None] = [None] * len(features)
+    undecided = np.ones(len(features), dtype=bool)
     for d in range(max_d + 1):
-        votes = [r.stationary for X in stacks for r in _adf_stack(X, level=level)
-                 if isinstance(r, AdfResult)]
-        if votes and sum(votes) * 2 >= len(votes):
-            return d
+        votes, stationary = np.zeros(len(features), dtype=int), np.zeros(len(features), dtype=int)
+        for owner, X in stacks:
+            for lo in range(0, len(X), _ADF_CHUNK):
+                for f, r in zip(owner[lo:lo + _ADF_CHUNK].tolist(),
+                                _adf_stack(X[lo:lo + _ADF_CHUNK], level=level)):
+                    if isinstance(r, AdfResult):
+                        votes[f] += 1
+                        stationary[f] += r.stationary
+        for f in np.flatnonzero((votes > 0) & (stationary * 2 >= votes)).tolist():
+            orders[f], undecided[f] = d, False
         if d < max_d:
-            stacks = [np.diff(X, axis=1) for X in stacks]
-    return None
+            stacks = [(owner[keep], np.diff(X[keep], axis=1)) for owner, X in stacks
+                      if (keep := undecided[owner]).any()]
+    return orders
 
 
 SCREENING_MODES = ("pooled", "per-district")
@@ -408,15 +426,17 @@ def select_features(
     has_ipc = np.isfinite(ipc)
     retained: dict[str, dict] = {}
     report: list[ScreeningRow] = []
+    screened = []  # (feature, factor array, screened rows, their series), in feature order
     for feature in sorted(features):
         x = np.asarray(factors_by_feature.get(feature, np.full(ipc.shape, np.nan)), dtype=float)
         rows = np.flatnonzero(has_ipc.any(axis=1) & np.isfinite(x).any(axis=1))
-        series = [x[r][np.isfinite(x[r])] for r in rows]
+        screened.append((feature, x, rows, [x[r][np.isfinite(x[r])] for r in rows]))
+    orders = _panel_diff_orders([series for *_, series in screened], max_d, adf_level)
+    for (feature, x, rows, series), d_order in zip(screened, orders):
         if not series or all(np.ptp(s) == 0.0 for s in series):
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, 0,
                                        False, "all-zero factor"))
             continue
-        d_order = _panel_diff_order(series, max_d, adf_level)
         if d_order is None:
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, max_d,
                                        False, "non-stationary at max differencing"))

@@ -94,6 +94,8 @@ def oracle_ingest(path, window, gaz, strict=False):
                 try:
                     obj = json.loads(line)
                     month = parse_date(obj["date"])
+                    if not isinstance(obj["countries"], list):
+                        raise DataError(f"countries {obj['countries']!r} is not a list")
                     tags = frozenset(str(c).upper() for c in obj["countries"])
                     if not tags:
                         raise DataError("empty country tags")
@@ -222,6 +224,58 @@ class TestIngest:
             fh.write("not json at all\n")
         with pytest.raises(DataError, match="line 2"):
             read_corpus(path, ("2011-01", "2011-02"), strict=True)
+
+    def test_a_non_string_date_or_string_countries_is_a_malformed_article(self, tmp_path):
+        # A string of countries is no list of tags: "SO" is not the tags {"S", "O"}.
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([
+            json.dumps(article(0, "2011-01-05", "ok")),
+            '{"id": "b", "date": 20110103, "countries": ["SO"], "text": "aa"}',
+            '{"id": "c", "date": "2011-01-03", "countries": "SO", "text": "aa"}']) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = read_corpus(path, ("2011-01", "2011-01"))
+        assert len(corpus) == 1 and corpus.skipped_lines == 2
+        assert [str(w.message).split(f"{path}: ")[1] for w in caught] == [
+            "line 2: malformed article: bad date 20110103: not a string (skipped)",
+            "line 3: malformed article: countries 'SO' is not a list (skipped)"]
+        with pytest.raises(DataError, match="line 2: malformed article: bad date 20110103"):
+            read_corpus(path, ("2011-01", "2011-01"), strict=True)
+
+    def test_each_line_is_parsed_alone(self, tmp_path):
+        # Joined by commas into one JSON array, the first two lines would parse as two
+        # objects; alone, each is malformed, as is a line with data after its object.
+        halves = ['{"a": "x', 'y"}, {"id": "x"}']
+        assert json.loads("[" + ",".join(halves) + "]") == [{"a": "x,y"}, {"id": "x"}]
+        good = json.dumps(article(0, "2011-01-05", "ok"))
+        trailing = json.dumps(article(1, "2011-01-06", "more")) + ' {"id": "y"}'
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join([*halves, good, trailing]) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            corpus = read_corpus(path, ("2011-01", "2011-01"))
+        assert len(corpus) == 1 and corpus.skipped_lines == 3
+        messages = [str(w.message).split(f"{path}: ")[1] for w in caught]
+        assert [m.split(": malformed article: ")[0] for m in messages] == \
+            ["line 1", "line 2", "line 4"]
+        assert messages[2].startswith("line 4: malformed article: Extra data: line 1 column")
+        with pytest.raises(DataError, match="line 1: malformed article: Unterminated string"):
+            read_corpus(path, ("2011-01", "2011-01"), strict=True)
+
+    @pytest.mark.parametrize("block", [1, 2, corpus_mod._TEXT_BLOCK])
+    def test_blocks_tokenize_as_each_article_alone(self, tmp_path, monkeypatch, block):
+        # A NUL inside a text is no article boundary, and letters whose lowercase is
+        # ASCII (dotted capital I, the Kelvin sign) are tokenized as alone.
+        texts = ["Jamaame\nFAMINE looms", "dry\x00spell near \u212aISMAYO", "\u0130stanbul \u0130I",
+                 "", "ok\u212a, caf\u00e9 \u00c9T\u00c9 42", "x\x00", "\x00", "plain words here"]
+        path = write_corpus(tmp_path / "c.jsonl",
+                            [article(i, "2011-01-05", text) for i, text in enumerate(texts)])
+        monkeypatch.setattr(corpus_mod, "_TEXT_BLOCK", block)
+        corpus = read_corpus(path, ("2011-01", "2011-01"))
+        assert article_tokens(corpus) == [tokenize(text) for text in texts]
+        assert corpus.offsets.tolist() == np.cumsum([0, *map(len, map(tokenize, texts))]).tolist()
+        assert ("kismayo" in corpus.vocabulary and "i" in corpus.vocabulary
+                and "\x00" not in corpus.vocabulary)
 
     def test_empty_window_errors(self, tmp_path):
         path = write_corpus(tmp_path / "c.jsonl", [article(0, "2011-01-05", "x")])
@@ -537,6 +591,8 @@ _WORDS = ("jamaame", "kismayo", "majang", "gog", "dry", "spell", "famine", "star
           "food", "crisis", "aa")
 _MALFORMED = ("not json", "[1, 2]",
               '{"id": "m", "countries": ["SO"], "text": "aa"}',
+              '{"id": "m", "date": 20110103, "countries": ["SO"], "text": "aa"}',
+              '{"id": "m", "date": "2011-01-03", "countries": "SO", "text": "aa"}',
               '{"date": "2011-01-03", "countries": ["SO"], "text": "aa"}',
               '{"id": "m", "date": "2011-01-03", "countries": [], "text": "aa"}',
               '{"id": "m", "date": "2011-13-03", "countries": ["SO"], "text": "aa"}')
@@ -544,7 +600,10 @@ _phrase = st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join
 # Multi-token district aliases, and a text that holds a 4-token target keyword's stems.
 _COUNTRY_OF = {"jamaame": "SO", "kismayo": "SO", "majang": "ET", "gog": "ET",
                "kismayo aa": "KE", "majang dry spell aa": "KE"}
-_UNITS = _WORDS + ("kismayo aa", "majang dry spell aa", "starving food crisis aa")
+# Texts with a newline or a NUL, and letters whose lowercase is ASCII: "\u212aismayo" (the
+# Kelvin sign) tokenizes to "kismayo", and "FAM\u0130NE" (a dotted capital I) to "fami ne".
+_UNITS = _WORDS + ("kismayo aa", "majang dry spell aa", "starving food crisis aa",
+                   "dry\nspell", "\x00", "famine\x00crisis", "\u212aismayo", "FAM\u0130NE")
 
 
 @st.composite
@@ -573,9 +632,10 @@ _line = st.one_of(st.sampled_from(_MALFORMED), st.just(""), *[_article()] * 6)
                                          "starved foods crisis aa"]),
                         min_size=1, max_size=3),
        strict=st.booleans(),
-       block=st.sampled_from([1, 3, corpus_mod._BLOCK]))  # articles per co-mention block
-def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, strict, block,
-                                         exclude, denominator):
+       # articles per tokenizing and co-mention block
+       block=st.sampled_from([1, 3, corpus_mod._BLOCK]))
+def test_counts_match_posting_set_oracle(tmp_path, monkeypatch, lines, features, targets, strict,
+                                         block, exclude, denominator):
     # The window 2011-01..2011-04 leaves out 2010-12 and 2011-05 and has no
     # dated article in 2011-03, so every example has a zero-denominator month.
     # The two-token alias "kismayo aa" names a district of its own, beside Kismayo, and
@@ -587,6 +647,8 @@ def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, str
     path = tmp_path / "c.jsonl"
     path.write_text("\n".join(lines) + "\n")
     window = ("2011-01", "2011-04")
+    monkeypatch.setattr(corpus_mod, "_TEXT_BLOCK", block)
+    monkeypatch.setattr(corpus_mod, "_BLOCK", block)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
@@ -609,12 +671,10 @@ def test_counts_match_posting_set_oracle(tmp_path, lines, features, targets, str
     kwargs = dict(exclude_targets=exclude, target_keywords=tuple(targets),
                   denominator=denominator)
     want, want_absent = oracle_factors(index, features, gaz, **kwargs)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(corpus_mod, "_BLOCK", block)
-        got, got_absent = news_factors(corpus, features, gaz, **kwargs)
-        locations = sorted(gaz.provinces) + sorted(gaz.districts) + ["SO", "ET", "KE", "XX"]
-        assert feature_coverage(corpus, features, gaz, locations) == \
-               oracle_coverage(index, features, locations)
+    got, got_absent = news_factors(corpus, features, gaz, **kwargs)
+    locations = sorted(gaz.provinces) + sorted(gaz.districts) + ["SO", "ET", "KE", "XX"]
+    assert feature_coverage(corpus, features, gaz, locations) == \
+           oracle_coverage(index, features, locations)
     assert got_absent == want_absent
     assert records(got) == want
     assert all(parse_month("2011-03") in r[-1] for r in want)

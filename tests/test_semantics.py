@@ -6,6 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from newswarn import semantics
 from newswarn.errors import DataError
 from newswarn.frames import TextFeature
 from newswarn.semantics import (EmbeddingTable, _solve_transport, cluster_features,
@@ -142,7 +143,7 @@ class TestWmd:
     def test_plan_marginals(self, toy_table):
         va = np.stack([toy_table.get(t) for t in ("u", "v")])
         vb = np.stack([toy_table.get(t) for t in ("p", "q", "far")])
-        cost, plan = _solve_transport(np.linalg.norm(va[:, None] - vb[None], axis=2))
+        [cost], [plan] = _solve_transport(np.linalg.norm(va[:, None] - vb[None], axis=2)[None])
         assert plan.shape == (2, 3)
         assert np.allclose(plan.sum(axis=1), 1 / 2)
         assert np.allclose(plan.sum(axis=0), 1 / 3)
@@ -308,6 +309,39 @@ class TestExpansion:
             got = {f.ngram for f in expand_seeds(seeds, candidates, table, radius=radius)}
             assert previous <= got
             previous = got
+
+
+    def test_distances_equal_wmd_exactly(self, monkeypatch):
+        # Every (candidate, seed) pair is solved in a stack of its (m, n) shape, and small
+        # stacks split the pairs of one shape into several; each distance is still wmd's.
+        monkeypatch.setattr(semantics, "_STACK_ELEMENTS", 200)
+        rng = np.random.default_rng(17)
+        words = [f"w{i}" for i in range(12)]
+        for dim in (16, 3):
+            table = embedding_table(**{w: rng.normal(0, 2, dim) for w in words})
+            vocab = words + ["oov", "missing"]  # out-of-vocabulary tokens, dropped by wmd
+            phrase = lambda: " ".join(rng.choice(vocab, size=int(rng.integers(1, 4))))
+            seeds = {phrase() for _ in range(7)}
+            candidates = [phrase() for _ in range(60)]
+            covered = sorted(s for s in seeds if set(s.split()) - {"oov", "missing"})
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                got = expand_seeds(seeds, candidates, table, radius=math.inf)
+            assert got and {f.ngram for f in got} <= set(candidates) - seeds
+            for f in got:
+                nearest = [wmd(f.ngram, s, table) for s in covered]
+                assert f.distance == wmd(f.ngram, f.source_seed, table) == min(nearest)
+                assert f.source_seed == covered[nearest.index(min(nearest))]
+
+    def test_a_tie_goes_to_the_first_seed_in_sorted_order(self):
+        # "c" is exactly 1 from "beta", from "gamma" and (as the mean of two unit costs)
+        # from the two-token "alpha delta", whose pairs are solved in a stack of their own.
+        table = embedding_table(c=(0.0, 0.0), alpha=(1.0, 0.0), delta=(-1.0, 0.0),
+                                beta=(0.0, 1.0), gamma=(0.0, -1.0))
+        for seeds in (["gamma", "beta", "alpha delta"], ["gamma", "beta"]):
+            [got] = expand_seeds(seeds, ["c"], table, radius=2.0)
+            assert got.distance == 1.0
+            assert got.source_seed == sorted(seeds)[0]
 
 
 class TestClustering:

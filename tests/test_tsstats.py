@@ -11,7 +11,7 @@ from newswarn import tsstats
 from newswarn.errors import DataError, NumericalError
 from newswarn.tsstats import (AdfResult, _adf_critical, _adf_stack, _aic, _aic_order,
                               _average_ranks, _granger_f, _log_beta, _nested_rss,
-                              _panel_diff_order, _panel_stack, _r_factor, adf_test,
+                              _panel_diff_orders, _panel_stack, _r_factor, adf_test,
                               difference_until_stationary, f_sf, panel_granger, select_features,
                               spearman)
 
@@ -711,9 +711,47 @@ class TestStackedAdf:
                 series.append(mixed_series(rng, T)[kind] if kind < 3 else
                               0.02 * np.arange(T) + rng.normal(0, 1e-3, T))
             for max_d, level in [(2, 0.05), (1, 0.01)]:
-                assert _panel_diff_order(series, max_d, level) == \
-                    panel_diff_order_loop(series, max_d, level)
-        assert _panel_diff_order([np.ones(40)], 2, 0.05) is None
+                assert _panel_diff_orders([series], max_d, level) == \
+                    [panel_diff_order_loop(series, max_d, level)]
+        assert _panel_diff_orders([[np.ones(40)]], 2, 0.05) == [None]
+
+
+    def test_the_all_feature_vote_equals_one_stack_per_feature(self, monkeypatch):
+        # Features whose districts cover different months, with constant series mixed in,
+        # and votes decided at orders 0, 1 and 2 or not at all; chunks of 5 series split
+        # the stacks of one length between features.
+        def per_feature(series, max_d, level):
+            """The vote one feature at a time: one ``_adf_stack`` per series length."""
+            by_length = {}
+            for s in series:
+                if np.ptp(s) > 0.0:
+                    by_length.setdefault(s.size, []).append(s)
+            stacks = [np.array(group) for group in by_length.values()]
+            for d in range(max_d + 1):
+                votes = [r.stationary for X in stacks for r in _adf_stack(X, level=level)
+                         if isinstance(r, AdfResult)]
+                if votes and sum(votes) * 2 >= len(votes):
+                    return d
+                stacks = [np.diff(X, axis=1) for X in stacks]
+            return None
+
+        rng = np.random.default_rng(45)
+        integrate = {0: lambda e: e, 1: np.cumsum,
+                     2: lambda e: np.cumsum(np.cumsum(e)),
+                     None: lambda e: np.cumsum(np.cumsum(np.cumsum(e)))}
+        features = []
+        for kind in [0, 1, 2, None] * 3:
+            series = [integrate[kind](rng.normal(0, 1, int(rng.choice([40, 55, 72]))))
+                      for _ in range(int(rng.integers(2, 7)))]
+            features.append(series + [np.full(55, 0.5)] * int(rng.integers(0, 2)))
+        features += [[np.zeros(72), np.full(40, 3.0)], []]  # all constant, and no series
+        want = [per_feature(series, 2, 0.05) for series in features]
+        assert {0, 1, 2, None} <= set(want)
+        assert _panel_diff_orders(features, 2, 0.05) == want
+        monkeypatch.setattr(tsstats, "_ADF_CHUNK", 5)
+        assert _panel_diff_orders(features, 2, 0.05) == want
+        assert _panel_diff_orders(features, 1, 0.01) == [per_feature(s, 1, 0.01)
+                                                         for s in features]
 
 
 class TestPanelStack:
@@ -742,8 +780,8 @@ class TestPanelStack:
 
 class TestScreeningWork:
     def test_qr_calls_grow_with_features_not_districts(self, monkeypatch):
-        # Per feature and vote round one QR factors every district's ADF design,
-        # and one more each lag order chosen; the pooled Granger test adds two.
+        # Per vote round one QR factors every feature's district ADF designs,
+        # and one more each lag order chosen; each pooled Granger test adds two.
         panel = make_panel(n_districts=24, months=72, features=("alpha", "beta"), seed=3)
         shapes = []
         real_qr = np.linalg.qr
@@ -756,6 +794,5 @@ class TestScreeningWork:
         retained, report = select_features(panel.feature_order, panel.ipc, panel.factors)
         assert [row.diff_order for row in report] == [0, 0]
         max_lag = 11  # the default for 72 months
-        per_feature = 1 + (max_lag + 1) + 2
-        assert len(shapes) <= len(report) * per_feature < 2 * 24 * len(report)
-        assert sum(len(s) == 3 and s[0] == 24 for s in shapes) == len(report)
+        assert len(shapes) <= 1 + (max_lag + 1) + 2 * len(report) < 2 * 24 * len(report)
+        assert sum(len(s) == 3 and s[0] == 24 * len(report) for s in shapes) == 1
