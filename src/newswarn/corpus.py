@@ -233,15 +233,12 @@ _TOKEN_OR_NUL = re.compile(TOKEN + "|\0")
 def _token_ids(texts: list[str], vocabulary: dict[str, int]) -> tuple[np.ndarray, np.ndarray]:
     """The texts' token ids end to end and each text's token count, as ``tokenize`` splits them.
 
-    One ``lower`` and ``findall`` tokenize the texts joined by NUL, which no
-    token holds; when a text holds a NUL of its own, each text is tokenized
-    alone. New words get the next ids of ``vocabulary``, in first-use order.
+    One ``lower`` and ``findall`` tokenize the texts joined by NUL. A NUL of a
+    text's own becomes a space first: neither is a token character, and
+    ``lower`` treats both alike, so only the separators remain NULs. New words
+    get the next ids of ``vocabulary``, in first-use order.
     """
-    joined = "\0".join(texts)
-    if joined.count("\0") == len(texts) - 1:
-        toks = _TOKEN_OR_NUL.findall(joined.lower())
-    else:
-        toks = [t for text in texts for t in ("\0", *tokenize(text))][1:]
+    toks = _TOKEN_OR_NUL.findall("\0".join(t.replace("\0", " ") for t in texts).lower())
     new = [t for t in dict.fromkeys(toks) if t not in vocabulary and t != "\0"]
     vocabulary.update(zip(new, range(len(vocabulary), len(vocabulary) + len(new))))
     ids = np.fromiter(map(vocabulary.get, toks, itertools.repeat(-1)), np.int32, len(toks))
@@ -312,7 +309,8 @@ def read_corpus(path, window, strict: bool = False) -> Corpus:
                   np.concatenate(token_ids), np.cumsum(np.concatenate(counts)), skipped)
 
 
-_BLOCK = 1 << 13  # articles scanned for co-mentions at once; bounds the working arrays
+_BLOCK = 1 << 13  # most articles scanned for co-mentions at once
+_BLOCK_CELLS = 1 << 22  # most cells of a block's article x phrase mask; bounds its masks
 
 
 def _ranges(lo: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -360,10 +358,15 @@ def _phrase_hits(corpus: Corpus, phrases) -> np.ndarray:
     return hits
 
 
-def _blocks(corpus: Corpus):
-    """Each ``_BLOCK`` articles as a corpus of their own, after the index of the first."""
-    for a0 in range(0, len(corpus), _BLOCK):
-        yield a0, corpus.articles(a0, a0 + _BLOCK)
+def _blocks(corpus: Corpus, width: int):
+    """Blocks of articles as corpora of their own, each after the index of its first article.
+
+    A block holds ``_BLOCK`` articles, or fewer when its masks, ``width``
+    cells per article, would exceed ``_BLOCK_CELLS`` cells.
+    """
+    size = max(1, min(_BLOCK, _BLOCK_CELLS // max(1, width)))
+    for a0 in range(0, len(corpus), size):
+        yield a0, corpus.articles(a0, a0 + size)
 
 
 def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, locations):
@@ -393,12 +396,13 @@ def _co_mentions(corpus: Corpus, features, gaz: Gazetteer, locations):
     tagged = np.array([[loc in tags for loc in locations] for tags in tag_sets],
                       dtype=bool).reshape(len(tag_sets), len(locations))
     n_features = len(features)
-    for a0, block in _blocks(corpus):
+    for a0, block in _blocks(corpus, len(phrases) + len(locations)):
         hits = _phrase_hits(block, phrases)
         with_feature = hits[:, :n_features].any(axis=1)
         located = tagged[set_of[a0:a0 + len(block)]] & with_feature[:, None]
-        na, nn = np.nonzero(hits[:, n_features:] & with_feature[:, None])
-        located[na, named_loc[nn]] = True
+        na, nn = np.nonzero(hits[:, n_features:])
+        named_here = with_feature[na]
+        located[na[named_here], named_loc[nn[named_here]]] = True
         fa, ff = np.nonzero(hits[:, :n_features])
         la, li = np.nonzero(located)
         yield a0 + fa, ff, a0 + la, li
@@ -412,7 +416,7 @@ def target_flags(corpus: Corpus, target_keywords) -> np.ndarray:
     stemmed = replace(corpus, vocabulary=tuple(stems), token_ids=stem_of[corpus.token_ids])
     keywords = _coded(stemmed, [stem_tokens(tokenize(k)) for k in sorted(target_keywords)])
     flags = np.zeros(len(corpus), dtype=bool)
-    for a0, block in _blocks(stemmed):
+    for a0, block in _blocks(stemmed, len(keywords)):
         flags[a0:a0 + len(block)] = _phrase_hits(block, keywords).any(axis=1)
     return flags
 

@@ -529,6 +529,38 @@ class TestNewsFactor:
         corpus_wide = factors_of(corpus, ["jamaame"], gazetteer, denominator="corpus")
         assert corpus_wide[("jamaame", "so-jam")][0] == 1.0
 
+    def test_a_large_gazetteer_shrinks_the_block_not_the_counts(self, tmp_path, monkeypatch):
+        # 2,000 districts with an alias each: a block's mask rows are over 6,000 cells
+        # wide, so the 2,500 articles are scanned in several blocks of under 8,192.
+        gaz = Gazetteer([District(f"so-d{d:04d}", f"town{d}", (f"alias{d}",), f"so-p{d % 40}",
+                                  "SO", 0.0, 42.0) for d in range(2000)])
+        named = {i: {f"so-d{i % 2000:04d}", f"so-d{7 * i % 2000:04d}"} for i in range(2500)}
+        arts = [article(i, "2011-01-05", f"famine near town{i % 2000} and alias{7 * i % 2000}"
+                        if i % 3 else f"drought near town{i % 2000}") for i in range(2500)]
+        corpus = read_corpus(write_corpus(tmp_path / "c.jsonl", arts), ("2011-01", "2011-01"))
+        locations = sorted(gaz.districts) + sorted(gaz.provinces) + ["SO"]
+        blocks, seen = corpus_mod._blocks, []
+
+        def spy(corpus, width):
+            for a0, block in blocks(corpus, width):
+                seen.append(len(block) * width)
+                yield a0, block
+
+        monkeypatch.setattr(corpus_mod, "_blocks", spy)
+        coverage = feature_coverage(corpus, ["famine"], gaz, locations)
+        assert len(seen) > 1 and max(seen) <= corpus_mod._BLOCK_CELLS
+        want = Counter(loc for i, ds in named.items() if i % 3
+                       for loc in ds | {gaz.districts[d].province_id for d in ds})
+        assert coverage[:-1] == [want[loc] for loc in locations[:-1]]
+        assert coverage[-1] == sum(1 for i in range(2500) if i % 3)
+        factors = factors_of(corpus, ["famine", "drought"], gaz)
+        monkeypatch.setattr(corpus_mod, "_BLOCK_CELLS", 1 << 40)
+        seen.clear()
+        assert feature_coverage(corpus, ["famine"], gaz, locations) == coverage
+        assert len(seen) == 1
+        whole = factors_of(corpus, ["famine", "drought"], gaz)
+        assert all(whole[key].tobytes() == values.tobytes() for key, values in factors.items())
+
     def test_factors_round_trip(self, tmp_path, gazetteer):
         path = self.build(tmp_path, gazetteer)
         corpus = read_corpus(path, ("2011-01", "2011-02"))

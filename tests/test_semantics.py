@@ -16,6 +16,20 @@ from newswarn.semantics import (EmbeddingTable, _solve_transport, cluster_featur
 from conftest import embedding_table, load_embeddings_loop
 
 
+def pairwise_wmd(a, b, table: EmbeddingTable) -> float:
+    """wmd as one 2-D assignment on replicated tokens, the per-pair solve the stacks replaced."""
+    va, vb = semantics._phrase_vectors(a, table), semantics._phrase_vectors(b, table)
+    cost = np.linalg.norm(va[:, None, :] - vb[None, :, :], axis=2)
+    m, n = cost.shape
+    L = math.lcm(m, n)
+    rows, perms = np.arange(L), semantics._permutations(L)
+    big = np.repeat(np.repeat(cost, L // m, axis=0), L // n, axis=1)
+    cols = perms[np.argmin(big[rows, perms].sum(axis=1))]
+    plan = np.zeros((m, n))
+    np.add.at(plan, (rows // (L // m), cols // (L // n)), 1.0 / L)
+    return float((plan * cost).sum())
+
+
 def brute_force_wmd(a_tokens, b_tokens, table: EmbeddingTable) -> float:
     """Exhaustive minimum over the lattice of transport plans.
 
@@ -311,9 +325,10 @@ class TestExpansion:
             previous = got
 
 
-    def test_distances_equal_wmd_exactly(self, monkeypatch):
+    def test_distances_equal_the_pairwise_solve_exactly(self, monkeypatch):
         # Every (candidate, seed) pair is solved in a stack of its (m, n) shape, and small
-        # stacks split the pairs of one shape into several; each distance is still wmd's.
+        # stacks split the pairs of one shape into several; each distance is still that of
+        # a 2-D solve of the pair alone, bit for bit.
         monkeypatch.setattr(semantics, "_STACK_ELEMENTS", 200)
         rng = np.random.default_rng(17)
         words = [f"w{i}" for i in range(12)]
@@ -324,13 +339,24 @@ class TestExpansion:
             seeds = {phrase() for _ in range(7)}
             candidates = [phrase() for _ in range(60)]
             covered = sorted(s for s in seeds if set(s.split()) - {"oov", "missing"})
+            kept = [c for c in candidates if set(c.split()) - {"oov", "missing"}]
+            want = {(c, s): pairwise_wmd(c, s, table) for c in kept for s in covered}
+            assert all(wmd(c, s, table) == d for (c, s), d in want.items())
+            by_shape = {}
+            for c, s in want:
+                va, vb = (semantics._phrase_vectors(p, table) for p in (c, s))
+                by_shape.setdefault((len(va), len(vb)), []).append(((c, s), va, vb))
+            for pairs in by_shape.values():
+                keys, va, vb = zip(*pairs)
+                stacked = semantics._transport_cost(np.stack(va), np.stack(vb))
+                assert stacked.tolist() == [want[k] for k in keys]
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 got = expand_seeds(seeds, candidates, table, radius=math.inf)
-            assert got and {f.ngram for f in got} <= set(candidates) - seeds
+            assert {f.ngram for f in got} == set(kept) - seeds
             for f in got:
-                nearest = [wmd(f.ngram, s, table) for s in covered]
-                assert f.distance == wmd(f.ngram, f.source_seed, table) == min(nearest)
+                nearest = [want[f.ngram, s] for s in covered]
+                assert f.distance == min(nearest)
                 assert f.source_seed == covered[nearest.index(min(nearest))]
 
     def test_a_tie_goes_to_the_first_seed_in_sorted_order(self):
