@@ -19,7 +19,7 @@ import itertools
 import json
 import re
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -50,6 +50,7 @@ class Gazetteer:
 
     def __init__(self, districts):
         self.districts: dict[str, District] = {}
+        self.provinces: dict[str, str] = {}  # province_id -> country
         places: dict[tuple[str, ...], set[str]] = defaultdict(set)
         for d in districts:
             if d.district_id in self.districts:
@@ -58,6 +59,9 @@ class Gazetteer:
                 raise DataError(f"district {d.district_id!r} has invalid centroid")
             if not d.province_id or not d.country:
                 raise DataError(f"district {d.district_id!r} missing province or country")
+            if (country := self.provinces.setdefault(d.province_id, d.country)) != d.country:
+                raise DataError(f"province {d.province_id!r} lies in two countries, "
+                                f"{country!r} and {d.country!r}")
             self.districts[d.district_id] = d
             for name in (d.name, *d.aliases):
                 toks = tokenize(name)
@@ -65,23 +69,16 @@ class Gazetteer:
                     places[toks].update((d.district_id, d.province_id, d.country))
         # name tokens -> every district so named, with its province and country
         self.places: dict[tuple[str, ...], set[str]] = dict(places)
+        self.countries: set[str] = set(self.provinces.values())
+        # the sorted districts, then provinces, then countries: the rows of location arrays
+        self.locations: list[str] = (sorted(self.districts) + sorted(self.provinces)
+                                     + sorted(self.countries))
+        if shared := [loc for loc, n in Counter(self.locations).items() if n > 1]:
+            raise DataError(f"location id {shared[0]!r} is used at more than one level "
+                            "(district, province, country)")
 
     def __len__(self):
         return len(self.districts)
-
-    @property
-    def provinces(self) -> dict[str, str]:
-        """province_id -> country"""
-        return {d.province_id: d.country for d in self.districts.values()}
-
-    @property
-    def countries(self) -> set[str]:
-        return {d.country for d in self.districts.values()}
-
-    @property
-    def locations(self) -> list[str]:
-        """The sorted districts, then provinces, then countries: the rows of location arrays."""
-        return sorted(self.districts) + sorted(self.provinces) + sorted(self.countries)
 
     def location_level(self, loc: str) -> str:
         if loc in self.districts:
@@ -95,9 +92,8 @@ class Gazetteer:
     def location_country(self, loc: str) -> str:
         if loc in self.districts:
             return self.districts[loc].country
-        provs = self.provinces
-        if loc in provs:
-            return provs[loc]
+        if loc in self.provinces:
+            return self.provinces[loc]
         if loc in self.countries:
             return loc
         raise DataError(f"unknown location {loc!r}")

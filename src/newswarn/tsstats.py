@@ -336,8 +336,8 @@ def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
     orders = [n for n in range(1, n_max + 1) if len(M) > n_d + 2 * n]
     if not orders:
         raise DataError("panel too short for any candidate lag order")
-    if orders[-1] < n_max:
-        M, n_d = _panel_stack(y_by, x_by, orders[-1], n_max, paired=True)
+    if orders[-1] < n_max:  # the narrower paired stack: the wider one's lag prefix and y
+        M = M[:, [*range(n_d + 2 * orders[-1]), -1]]
     sizes = [n_d + 2 * n for n in orders]
     n = orders[_aic_order(_nested_rss(M, sizes), len(M), sizes)]
     M, n_d = _panel_stack(y_by, x_by, n, n)
@@ -452,30 +452,23 @@ def select_features(
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, d_order,
                                        False, "insufficient aligned sample"))
             continue
-        reason = ""
-        try:
-            if mode == "pooled":
-                result = panel_granger(y_by, x_by, n_max=n_max, level=level,
-                                       x_diff_order=d_order)
-            else:
-                results, errors = [], []
-                for dist in sorted(y_by):
-                    try:
-                        results.append(panel_granger({dist: y_by[dist]}, {dist: x_by[dist]},
-                                                     n_max=n_max, level=level,
-                                                     x_diff_order=d_order))
-                    except (DataError, NumericalError) as exc:
-                        errors.append(exc)
-                if not results:
-                    raise errors[0]
-                n_sig = sum(r.decision for r in results)
-                reason = f"{n_sig} of {len(y_by)} districts significant"
-                result = replace(max(results, key=lambda r: r.f_stat),
-                                 decision=n_sig * 2 >= len(y_by))
-        except (DataError, NumericalError) as exc:
+        groups = [sorted(y_by)] if mode == "pooled" else [[dist] for dist in sorted(y_by)]
+        results, errors = [], []
+        for group in groups:
+            try:
+                results.append(panel_granger({k: y_by[k] for k in group},
+                                             {k: x_by[k] for k in group}, n_max=n_max,
+                                             level=level, x_diff_order=d_order))
+            except (DataError, NumericalError) as exc:
+                errors.append(exc)
+        if not results:
             report.append(ScreeningRow(feature, float("nan"), float("nan"), 0, d_order,
-                                       False, f"test failed: {exc}"))
+                                       False, f"test failed: {errors[0]}"))
             continue
+        n_sig = sum(r.decision for r in results)
+        reason = "" if mode == "pooled" else f"{n_sig} of {len(groups)} districts significant"
+        result = replace(max(results, key=lambda r: r.f_stat),
+                         decision=n_sig * 2 >= len(groups))
         report.append(ScreeningRow(feature, result.f_stat, result.p_value, result.n_lags,
                                    d_order, result.decision, reason))
         if result.decision:

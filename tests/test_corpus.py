@@ -374,6 +374,23 @@ class TestGazetteerInvariants:
         with pytest.raises(DataError, match="province"):
             Gazetteer([self.base_row(province_id="")])
 
+    @pytest.mark.parametrize("field, shared", [("district_id", "p1"), ("district_id", "SO"),
+                                               ("province_id", "SO")])
+    def test_an_id_shared_across_levels_is_rejected(self, tmp_path, field, shared):
+        # Location arrays map ids to rows, so a shared id would send two locations to one row.
+        from newswarn.corpus import load_gazetteer
+        self.write(tmp_path / "gazetteer.csv", [self.base_row(**{field: shared})])
+        with pytest.raises(DataError, match=f"location id '{shared}' is used at more than one "
+                                            "level") as caught:
+            load_gazetteer(tmp_path / "gazetteer.csv")
+        assert caught.value.exit_code == 2
+
+    def test_a_province_in_two_countries_is_rejected(self):
+        from newswarn.corpus import Gazetteer
+        with pytest.raises(DataError, match="province 'p1' lies in two countries, 'SO' and 'KE'"):
+            Gazetteer([self.base_row(), self.base_row(district_id="x2", name="Ytown",
+                                                      country="KE")])
+
     def test_static_columns_are_optional_and_ignored(self, tmp_path):
         # District statics would lie in the span of every model's district
         # intercepts, so the reader takes the location columns alone.

@@ -290,6 +290,14 @@ class TestDerivedManifests:
             ["ablate", "report"]
         assert not {"fronts.csv", "operating_points.json"} & set(recorded["report"]["inputs"])
 
+    def test_every_run_file_is_an_output_of_exactly_one_manifest(self, tiny):
+        # A stage rerun is checked by comparing its manifest, which covers only what it lists.
+        run = Path(tiny.output)
+        listed = [p for m in manifests(tiny.output).values() for p in m["outputs"]]
+        files = [str(p) for p in run.rglob("*")
+                 if p.is_file() and p.relative_to(run).parts[0] != "manifests"]
+        assert sorted(listed) == sorted(files)
+
     def test_a_byte_identical_corpus_elsewhere_keeps_its_readers_cached(self, tiny, tmp_path):
         copy = tmp_path / "elsewhere" / "corpus.jsonl"
         copy.parent.mkdir()

@@ -772,6 +772,10 @@ class TestPanelStack:
         pairs = [n_d + c for i in range(n) for c in (i, n + i)]
         M, _ = _panel_stack(y_by, x_by, n, t0, paired=True)
         assert (M == expected[:, [*range(n_d), *pairs, -1]]).all()
+        # a narrower order at the same t0 is a column slice of the wider paired stack
+        for m in range(1, n):
+            narrow, _ = _panel_stack(y_by, x_by, m, t0, paired=True)
+            assert (narrow == M[:, [*range(n_d + 2 * m), -1]]).all()
 
     def test_no_usable_district_raises(self):
         with pytest.raises(DataError, match="no district has enough aligned observations"):
