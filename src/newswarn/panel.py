@@ -341,16 +341,12 @@ def audit_no_lookahead(design: DesignMatrix) -> list[str]:
     return [c.name for c in design.columns if c.offset is not None and c.offset < HORIZON]
 
 
-def _least_squares(R: np.ndarray, cols, nobs: int):
-    """Least squares of y on a maximal independent set of the columns ``cols`` of X.
+def _independent(R: np.ndarray, cols):
+    """(kept positions in ``cols``, R factor of [X's kept columns, y]) from ``R``, that of [X, y].
 
-    ``R`` is the R factor of ``[X, y]`` over ``nobs`` rows, square: rows past
-    ``nobs`` are zero, so columns past the ``nobs``-th have no residual. Column
-    ``cols[j]`` is kept when its residual on the kept columns before it exceeds
-    ``RANK_TOL`` times its own norm, so zero columns are dropped. R holds every
-    inner product of X's columns, so each pass re-factors only R's kept columns
-    and y's, and drops the first column that fails; the columns before it keep
-    their residuals. Returns (kept positions in ``cols``, beta, rss).
+    Column ``cols[j]`` is kept when its residual on the kept columns before it
+    exceeds ``RANK_TOL`` times its own norm, so zero columns are dropped. Each
+    pass re-factors R's kept columns and y's, and drops the first that fails.
     """
     norms = np.linalg.norm(R[:, cols], axis=0)
     kept = list(range(len(cols)))
@@ -358,8 +354,17 @@ def _least_squares(R: np.ndarray, cols, nobs: int):
         F = np.linalg.qr(R[:, [cols[j] for j in kept] + [-1]], mode="r")
         bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= RANK_TOL * norms[kept])
         if not bad.size:
-            break
+            return kept, F
         del kept[bad[0]]
+
+
+def _least_squares(R: np.ndarray, cols, nobs: int):
+    """(kept positions in ``cols``, beta, rss) of y on ``_independent``'s columns of ``cols``.
+
+    ``R`` is the R factor of ``[X, y]`` over ``nobs`` rows, square: rows past
+    ``nobs`` are zero, so columns past the ``nobs``-th have no residual.
+    """
+    kept, F = _independent(R, cols)
     k = len(kept)
     if nobs <= k:
         raise DataError(f"need more observations ({nobs}) than parameters ({k})")
@@ -392,24 +397,24 @@ def soft_threshold(rho: float, lam: float) -> float:
 
 def _lasso_scale(X: np.ndarray, penalized: np.ndarray) -> np.ndarray:
     """Column scales of the lasso objective: a penalized column's sd, else 1."""
-    scale = np.ones(X.shape[1])
     sd = X.std(axis=0)
-    scale[penalized & (sd > 0)] = sd[penalized & (sd > 0)]
-    return scale
+    return np.where(penalized & (sd > 0), sd, 1.0)
 
 
-def lasso_cd(X, y, lam: float, penalized, max_sweeps: int = 100000):
+def lasso_cd(R, scale, lam: float, penalized, nobs: int, max_sweeps: int = 100000):
     """Cyclic coordinate descent for (1/2N)*RSS + lam*sum_penalized |beta_std|.
 
-    Penalized columns are divided by their standard deviation (not centered);
-    the returned coefficients are on the original scale. Unpenalized
-    coordinates are profiled out: ``y`` and the scaled penalized columns are
-    projected onto the orthogonal complement of the unpenalized columns,
-    descent runs on the penalized coordinates alone, and the unpenalized
-    coefficients are then the least-squares fit to what remains. This is the
-    same minimizer. A penalized column inside the span of the unpenalized ones
-    gets coefficient 0. ``LASSO_TOL`` bounds the largest change of a penalized
-    coordinate, on the standardized scale, in the final sweep.
+    ``R`` is the model's columns, then y's, of an R factor of [X, y] over
+    ``nobs`` rows, and ``scale`` is ``_lasso_scale`` of X. Penalized columns are
+    divided by their sd (not centered); the coefficients returned are on the
+    original scale. One QR of the scaled [unpenalized columns ``_independent``
+    keeps, penalized, y] leaves below the unpenalized block the R factor of
+    the penalized columns and y profiled on them. Descent runs on its Gram
+    matrix (covariance updates; Friedman, Hastie & Tibshirani 2010, sec. 2.2),
+    and one triangular solve gives the unpenalized coefficients: the same
+    minimizer. Dropped and in-span columns get 0. ``LASSO_TOL`` bounds the
+    largest change of a penalized coordinate, on the standardized scale, in
+    the final sweep.
 
     Returns (beta, rss, sweeps). Raises NumericalError after ``max_sweeps``
     sweeps, naming the last largest change and its column index, which is
@@ -417,46 +422,37 @@ def lasso_cd(X, y, lam: float, penalized, max_sweeps: int = 100000):
     """
     if max_sweeps < 1:
         raise ConfigError("max_sweeps must be at least 1")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    N, p = X.shape
     penalized = np.asarray(penalized, dtype=bool)
-    scale = _lasso_scale(X, penalized)
-    Xs = X / scale
-    pen = np.flatnonzero(penalized)
-    free = np.flatnonzero(~penalized)
-    Z = Xs[:, pen]
-    r = y.copy()
-    if free.size:
-        U, s, _ = np.linalg.svd(Xs[:, free], full_matrices=False)
-        U = U[:, s > s[0] * max(N, free.size) * np.finfo(float).eps]
-        Z = Z - U @ (U.T @ Z)
-        r -= U @ (U.T @ r)
-    col_sq = (Z * Z).sum(axis=0) / N
-    # columns the projection left at rounding level lie in the unpenalized span
-    col_sq[col_sq <= 1e-16 * (Xs[:, pen] ** 2).sum(axis=0) / N] = 0.0
+    pen, free = np.flatnonzero(penalized), np.flatnonzero(~penalized)
+    free = free[_independent(R, free)[0]]
+    k = free.size
+    order = [*free, *pen, -1]
+    M = R[:, order] / np.append(scale[order[:-1]], 1.0)
+    F = np.linalg.qr(M, mode="r")
+    Z, r = F[k:, k:-1], F[k:, -1]
+    gram, grad = Z.T @ Z / nobs, Z.T @ r / nobs
+    col_sq = np.diag(gram).copy()
+    # columns the profiling left at rounding level lie in the unpenalized span
+    col_sq[col_sq <= 1e-16 * (M[:, k:-1] ** 2).sum(axis=0) / nobs] = 0.0
     b = np.zeros(pen.size)
     for sweep in range(1, max_sweeps + 1):
         max_delta, worst = 0.0, -1
         for j in range(pen.size):
             if col_sq[j] == 0.0:
                 continue
-            zj = Z[:, j]
-            rho = (zj @ r) / N + col_sq[j] * b[j]
+            rho = grad[j] + col_sq[j] * b[j]
             new = soft_threshold(rho, lam) / col_sq[j]
             delta = new - b[j]
             if delta != 0.0:
-                r -= zj * delta
+                grad -= gram[:, j] * delta
                 b[j] = new
                 if abs(delta) > max_delta:
                     max_delta, worst = abs(delta), j
         if max_delta <= LASSO_TOL:
-            beta = np.zeros(p)
+            beta = np.zeros(scale.size)
             beta[pen] = b
-            if free.size:
-                partial = y - Xs[:, pen] @ b
-                beta[free] = np.linalg.lstsq(Xs[:, free], partial, rcond=None)[0]
-            resid = y - Xs @ beta
+            beta[free] = np.linalg.solve(F[:k, :k], F[:k, -1] - F[:k, k:-1] @ b)
+            resid = r - Z @ b
             return beta / scale, float(resid @ resid), sweep
     raise NumericalError(f"lasso did not converge within {max_sweeps} sweeps: "
                          f"last largest change {max_delta:.3g} at column [{pen[worst]}]",
@@ -487,21 +483,24 @@ def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
 def _fit(design: DesignMatrix, spec: ModelSpec, window, train) -> FitResult:
     """Fit ``spec`` on the design's rows ``train``, its training window ``window``.
 
-    OLS reads the model's columns from the window's R factor, which every
-    model on the design's rows shares, and lists the columns it leaves out
-    under ``dropped``. The lasso reads the columns themselves.
+    OLS and the lasso both read the model's columns of the window's R factor,
+    which every model on the design's rows shares. OLS lists the columns it
+    leaves out under ``dropped``; the lasso gives them coefficient 0.
     """
     y = design.y[train]
+    if window not in design._windows:
+        XY = np.column_stack([design.X[train], y])
+        design._windows[window] = R = np.zeros((XY.shape[1],) * 2)
+        R[:min(XY.shape)] = np.linalg.qr(XY, mode="r")
+    R = design._windows[window]
     if spec.lasso is None:
-        if window not in design._windows:
-            XY = np.column_stack([design.X[train], y])
-            design._windows[window] = R = np.zeros((XY.shape[1],) * 2)
-            R[:min(XY.shape)] = np.linalg.qr(XY, mode="r")
-        kept, beta, rss = _least_squares(design._windows[window], design.cols, y.size)
+        kept, beta, rss = _least_squares(R, design.cols, y.size)
     else:
         penalized = np.array([c.group != "intercept" for c in design.columns])
+        scale = _lasso_scale(design.X[train][:, design.cols], penalized)
         try:
-            beta, rss, _ = lasso_cd(design.X[train][:, design.cols], y, spec.lasso, penalized)
+            beta, rss, _ = lasso_cd(R[:, [*design.cols, -1]], scale, spec.lasso, penalized,
+                                    y.size)
         except NumericalError as exc:
             names = [design.columns[i].name for i in exc.columns]
             raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
@@ -514,7 +513,7 @@ def _fit(design: DesignMatrix, spec: ModelSpec, window, train) -> FitResult:
 
 
 def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
-    """Fit ``spec`` on every row of ``design``: the lasso, or OLS on ``_least_squares``' columns."""
+    """Fit ``spec`` on every row of ``design``, OLS or lasso, from the R factor of all its rows."""
     return _fit(design, spec, None, slice(None))
 
 

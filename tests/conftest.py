@@ -394,6 +394,76 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
     return coef
 
 
+def lasso_r(X, y, lam, penalized, **kwargs):
+    """``panel.lasso_cd`` as ``panel._fit`` calls it: on the R factor of one QR of [X, y]."""
+    from newswarn import panel
+
+    X, penalized = np.asarray(X, dtype=float), np.asarray(penalized, dtype=bool)
+    R = np.linalg.qr(np.column_stack([X, y]), mode="r")
+    return panel.lasso_cd(R, panel._lasso_scale(X, penalized), lam, penalized, len(y),
+                          **kwargs)
+
+
+def lasso_rows(X, y, lam, penalized, max_sweeps=100000):
+    """The lasso of ``panel.lasso_cd`` on the rows of X: the reference route.
+
+    The scaled penalized columns and y are projected off the unpenalized
+    columns with an SVD (whose own eps cut drops a zero column), descent
+    updates an N-row residual, and the unpenalized coefficients are the
+    least-squares fit to what the penalized ones leave. Returns (beta, rss,
+    sweeps) as ``lasso_cd`` does.
+    """
+    from newswarn.errors import ConfigError, NumericalError
+    from newswarn.panel import LASSO_TOL, _lasso_scale, soft_threshold
+
+    if max_sweeps < 1:
+        raise ConfigError("max_sweeps must be at least 1")
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    N, p = X.shape
+    penalized = np.asarray(penalized, dtype=bool)
+    scale = _lasso_scale(X, penalized)
+    Xs = X / scale
+    pen = np.flatnonzero(penalized)
+    free = np.flatnonzero(~penalized)
+    Z = Xs[:, pen]
+    r = y.copy()
+    if free.size:
+        U, s, _ = np.linalg.svd(Xs[:, free], full_matrices=False)
+        U = U[:, s > s[0] * max(N, free.size) * np.finfo(float).eps]
+        Z = Z - U @ (U.T @ Z)
+        r -= U @ (U.T @ r)
+    col_sq = (Z * Z).sum(axis=0) / N
+    # columns the projection left at rounding level lie in the unpenalized span
+    col_sq[col_sq <= 1e-16 * (Xs[:, pen] ** 2).sum(axis=0) / N] = 0.0
+    b = np.zeros(pen.size)
+    for sweep in range(1, max_sweeps + 1):
+        max_delta, worst = 0.0, -1
+        for j in range(pen.size):
+            if col_sq[j] == 0.0:
+                continue
+            zj = Z[:, j]
+            rho = (zj @ r) / N + col_sq[j] * b[j]
+            new = soft_threshold(rho, lam) / col_sq[j]
+            delta = new - b[j]
+            if delta != 0.0:
+                r -= zj * delta
+                b[j] = new
+                if abs(delta) > max_delta:
+                    max_delta, worst = abs(delta), j
+        if max_delta <= LASSO_TOL:
+            beta = np.zeros(p)
+            beta[pen] = b
+            if free.size:
+                partial = y - Xs[:, pen] @ b
+                beta[free] = np.linalg.lstsq(Xs[:, free], partial, rcond=None)[0]
+            resid = y - Xs @ beta
+            return beta / scale, float(resid @ resid), sweep
+    raise NumericalError(f"lasso did not converge within {max_sweeps} sweeps: "
+                         f"last largest change {max_delta:.3g} at column [{pen[worst]}]",
+                         [int(pen[worst])])
+
+
 def adl_design(y, x, n, t0):
     """The single-pair design ``[1, y_1..y_n, x_1..x_n]`` of the rows from t0, and its response."""
     cols = [np.ones(y.size - t0)]

@@ -11,15 +11,15 @@ from newswarn.errors import DataError, NumericalError
 from newswarn.months import format_month, parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
                             build_design, cross_validate_design, fit_design, fold_rows,
-                            TRADITIONAL_INDICATORS, forward_fill_ipc, _least_squares, lasso_cd,
+                            TRADITIONAL_INDICATORS, forward_fill_ipc, _fit, _least_squares,
                             lasso_kkt_residual, load_panel_csv, model_designs, month_folds,
                             percentile_ranks, spatial_average, validate_factors)
 from newswarn.pipeline import _read_grid, min_train_rows
 from newswarn.tsstats import diff_on_grid
 
-from conftest import (design_loop, feature_clusters, grid_districts, load_panel_csv_loop,
-                      make_gazetteer, make_panel, make_panel_and_factors, panel_value,
-                      plant_adl_response, planted_coefficients, read_grid_loop)
+from conftest import (design_loop, feature_clusters, grid_districts, lasso_r, lasso_rows,
+                      load_panel_csv_loop, make_gazetteer, make_panel, make_panel_and_factors,
+                      panel_value, plant_adl_response, planted_coefficients, read_grid_loop)
 
 BASELINE = ModelSpec(kind="baseline")
 
@@ -594,8 +594,8 @@ class TestRowSets:
         assert (fit.kept, fit.dropped, fit.nobs) == (reference.kept, reference.dropped,
                                                      reference.nobs)
         assert np.allclose(fit.beta, reference.beta, rtol=1e-9, atol=1e-12)
-        if kind == "baseline" or lasso is not None:
-            # a design of one, or the lasso reading the columns: the same arithmetic
+        if kind == "baseline":
+            # a design of one: the same arithmetic
             assert got == expected
             assert fit.beta.tobytes() == reference.beta.tobytes()
 
@@ -610,32 +610,32 @@ class TestLasso:
 
     def test_lambda_zero_equals_ols(self):
         X, y = self.fixture()
-        beta, _, _ = lasso_cd(X, y, 0.0, np.ones(X.shape[1], bool))
+        beta, _, _ = lasso_r(X, y, 0.0, np.ones(X.shape[1], bool))
         assert np.allclose(beta, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-6)
 
     def test_kkt_residual_small(self):
         X, y = self.fixture()
         penalized = np.ones(X.shape[1], bool)
         for lam in (0.01, 0.1, 0.5):
-            beta, _, _ = lasso_cd(X, y, lam, penalized)
+            beta, _, _ = lasso_r(X, y, lam, penalized)
             assert lasso_kkt_residual(X, y, beta, lam, penalized) <= 1e-5
 
     def test_huge_lambda_zeroes_penalized(self):
         X, y = self.fixture()
         penalized = np.array([False, True, True, True, True])
-        beta, _, _ = lasso_cd(X, y, 1e6, penalized)
+        beta, _, _ = lasso_r(X, y, 1e6, penalized)
         assert np.allclose(beta[1:], 0.0)
         assert abs(beta[0]) > 0  # unpenalized coordinate still fits
 
     def test_nonconvergence_raises(self):
         X, y = self.fixture()
         with pytest.raises(NumericalError):
-            lasso_cd(X, y, 0.0, np.ones(X.shape[1], bool), max_sweeps=1)
+            lasso_r(X, y, 0.0, np.ones(X.shape[1], bool), max_sweeps=1)
 
-    def test_level_column_and_static_beside_unpenalized_intercepts(self):
+    def level_and_static(self):
         # A price-index-like level (mean 4.6, sd 0.005) is nearly parallel to
         # the district intercepts once scaled to unit sd, and the static is
-        # exactly in their span; both used to stall coordinate descent.
+        # exactly in their span.
         rng = np.random.default_rng(34)
         districts, months = 6, 40
         n = districts * months
@@ -647,12 +647,83 @@ class TestLasso:
         X = np.column_stack([intercepts, level, regressor, static])
         y = (rng.normal(0, 1, districts)[district] + 40.0 * (level - 4.6)
              + 0.8 * regressor + rng.normal(0, 0.1, n))
-        penalized = np.array([False] * districts + [True, True, True])
+        return X, y, np.array([False] * districts + [True, True, True])
+
+    def empty_district(self, seed=35, districts=5, months=30):
+        # intercepts for districts 0..4 and three regressors; district 2 has
+        # no rows, so its intercept is a zero column, as in an early CV fold
+        rng = np.random.default_rng(seed)
+        district = np.repeat([d for d in range(districts) if d != 2], months)
+        intercepts = (district[:, None] == np.arange(districts)).astype(float)
+        regressors = rng.normal(0, 1, (district.size, 3))
+        y = (rng.normal(0, 1, districts)[district] + regressors @ [1.0, -0.5, 0.0]
+             + rng.normal(0, 0.2, district.size))
+        return (np.column_stack([intercepts, regressors]), y,
+                np.array([False] * districts + [True] * 3))
+
+    def test_level_column_and_static_beside_unpenalized_intercepts(self):
+        # The level and the in-span static both used to stall coordinate descent.
+        X, y, penalized = self.level_and_static()
         lam = 0.01
-        beta, _, sweeps = lasso_cd(X, y, lam, penalized, max_sweeps=10000)
+        beta, _, sweeps = lasso_r(X, y, lam, penalized, max_sweeps=10000)
         assert sweeps < 10000
         assert lasso_kkt_residual(X, y, beta, lam, penalized) <= 1e-5
         assert beta[-1] == 0.0
+
+    @pytest.mark.parametrize("case", ["plain", "level_and_static", "empty_district"])
+    def test_the_r_route_equals_the_row_route(self, case):
+        # lasso_cd on an R factor against the row route it replaced: the same
+        # sweeps, the same coefficients and RSS to rounding, zero where the
+        # intercepts' span or an empty district leaves nothing to fit
+        if case == "plain":
+            X, y = self.fixture()
+            fits = [(X, y, np.ones(X.shape[1], bool), lam) for lam in (0.0, 0.01, 0.1, 0.5)]
+        else:
+            fits = [(*getattr(self, case)(), lam) for lam in (0.01, 0.1)]
+        for X, y, penalized, lam in fits:
+            beta, rss, sweeps = lasso_r(X, y, lam, penalized)
+            beta_rows, rss_rows, sweeps_rows = lasso_rows(X, y, lam, penalized)
+            assert sweeps == sweeps_rows
+            assert np.max(np.abs(beta - beta_rows)) <= 1e-10 * np.max(np.abs(beta_rows))
+            assert rss == pytest.approx(rss_rows, rel=1e-12, abs=0)
+            assert lasso_kkt_residual(X, y, beta, lam, penalized) <= 1e-5
+            if case == "level_and_static":
+                assert beta[-1] == 0.0
+            if case == "empty_district":
+                assert beta[2] == 0.0
+
+    def test_each_cv_fold_equals_the_row_route(self):
+        # District d00's news factor opens 40 months in, so the early folds
+        # train on no row of d00 and its intercept column is zero there.
+        panel = make_panel(n_districts=6, months=96, features=("alpha", "beta"))
+        panel.factors["alpha"][panel.rows["d00"], : panel.start - panel.grid_start + 40] = np.nan
+        spec = ModelSpec(kind="combined", lasso=0.01)
+        design = build_design(panel, spec)
+        penalized = np.array([c.group != "intercept" for c in design.columns])
+        months = np.array([t for _, t in design.rows])
+        first_d00 = min(t for d, t in design.rows if d == "d00")
+        with pytest.warns(UserWarning, match="unusable training window"):
+            report = cross_validate_design(design, spec, panel, folds=8)
+        blocks = month_folds(panel.start, panel.end, 8)
+        statuses, empty_scored = [], 0
+        for i in range(1, 8):
+            train, test = (np.flatnonzero(m) for m in fold_rows(months, blocks[i]))
+            if not (train.size and test.size):
+                statuses.append(False)
+                continue
+            try:
+                expected = lasso_rows(design.X[train][:, design.cols], design.y[train], 0.01,
+                                      penalized)[0]
+            except NumericalError:
+                statuses.append(False)
+                continue
+            statuses.append(True)
+            got = _fit(design, spec, blocks[i][0], train)
+            assert got.kept == tuple(range(len(design.columns)))
+            assert np.max(np.abs(got.beta - expected)) <= 1e-10 * np.max(np.abs(expected))
+            empty_scored += blocks[i][0] <= first_d00
+        assert statuses == [r is not None for r in report.fold_rmse]
+        assert empty_scored >= 1
 
     def test_nonconvergence_in_fit_names_the_column(self, monkeypatch):
         import newswarn.panel as panel_module
