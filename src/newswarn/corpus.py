@@ -492,21 +492,21 @@ def news_factors(
     w0, w1 = corpus.window
     n_months, n_locs = w1 - w0 + 1, len(locations)
     month = corpus.months - w0
-    if denominator == "country":
-        # article x country: whether the article is tagged with each gazetteer country
-        countries = sorted(set(country_of))
-        tag_sets, set_of = corpus.tag_sets
-        tagged = np.array([[c in tags for c in countries] for tags in tag_sets],
-                          dtype=bool).reshape(len(tag_sets), len(countries))[set_of]
-        loc_country = np.array([countries.index(c) for c in country_of], dtype=np.int64)
+    # article x scope: whether the article counts toward each location scope, one per
+    # gazetteer country ("country") or one that every article counts toward ("corpus")
+    scope_of = country_of if denominator == "country" else [None] * n_locs
+    scopes = sorted(set(scope_of))
+    tag_sets, set_of = corpus.tag_sets
+    in_scope = np.array([[s is None or s in tags for s in scopes] for tags in tag_sets],
+                        dtype=bool).reshape(len(tag_sets), len(scopes))[set_of]
+    loc_scope = np.array([scopes.index(s) for s in scope_of], dtype=np.int64)
 
     found = np.zeros(len(features), dtype=bool)
     counts = np.zeros(len(features) * n_locs * n_months, dtype=np.int64)
     for fa, ff, la, li in _co_mentions(corpus, features, gaz, locations):
         found[ff] = True
-        if denominator == "country":
-            own = tagged[la, loc_country[li]]
-            la, li = la[own], li[own]
+        own = in_scope[la, loc_scope[li]]
+        la, li = la[own], li[own]
         fa, ff = fa[keep[fa]], ff[keep[fa]]
         # every kept (article, feature) pair with every location the article names
         lo = np.searchsorted(la, fa, "left")
@@ -516,12 +516,9 @@ def news_factors(
         counts += np.bincount(cells, minlength=counts.size)
     counts = counts.reshape(len(features), n_locs, n_months)
 
-    if denominator == "corpus":
-        denom = np.tile(np.bincount(month[keep], minlength=n_months), (n_locs, 1))
-    else:
-        a, c = np.nonzero(tagged & keep[:, None])
-        totals = np.bincount(c * n_months + month[a], minlength=len(countries) * n_months)
-        denom = totals.reshape(len(countries), n_months)[loc_country]
+    a, c = np.nonzero(in_scope & keep[:, None])
+    totals = np.bincount(c * n_months + month[a], minlength=len(scopes) * n_months)
+    denom = totals.reshape(len(scopes), n_months)[loc_scope]
     # An integer count over an integer count, as Python's int / int would give it.
     values = np.zeros(counts.shape)
     np.divide(counts, denom, out=values, where=denom > 0)

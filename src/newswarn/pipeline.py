@@ -421,15 +421,6 @@ def _stage_select(ctx: RunContext):
     articles = corpus_mod.feature_coverage(ctx.corpus(), sorted(retained), ctx.gazetteer(),
                                            provinces)
     write_json(ctx.write("retained_coverage.json"), dict(zip(provinces, articles)))
-    if retained:
-        k = min(cfg.clusters, len(retained))
-        clusters = semantics_mod.cluster_features(
-            sorted(retained), ctx.embeddings(), k=k,
-            labels=list(cfg.cluster_labels) or None,
-        )
-    else:
-        clusters = []
-    semantics_mod.save_clusters(ctx.write("clusters.json"), clusters)
 
 
 def _stage_fit(ctx: RunContext):
@@ -478,11 +469,16 @@ def _stage_fit(ctx: RunContext):
 
 def _stage_ablate(ctx: RunContext):
     cfg = ctx.cfg
+    retained = ctx.panel_dataset().feature_order
+    clusters = semantics_mod.cluster_features(
+        retained, ctx.embeddings(), k=min(cfg.clusters, len(retained)),
+        labels=list(cfg.cluster_labels) or None) if retained else []
+    semantics_mod.save_clusters(ctx.write("clusters.json"), clusters)
     # The fit stage's design, bar and CV, so deltas are against the reported combined CV.
     designs, min_train = ctx.model_designs()
     results = panel_mod.ablate(designs["combined"], ctx.model_specs()["combined"],
                                ctx.panel_dataset(), ctx.cv_report("combined"),
-                               ctx.clusters(), cfg.folds, min_train)
+                               clusters, cfg.folds, min_train)
     write_csv(ctx.write("ablation.csv"),
               ["cluster_id", "label", "district_id", "rmse_delta"],
               ([r.cluster_id, r.label, d, delta] for r in results

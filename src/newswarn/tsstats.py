@@ -295,14 +295,13 @@ def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
                          x_diff_order=d)
 
 
-def _panel_stack(y_by, x_by, n: int, t0: int, paired: bool = False):
-    """The pooled design ``[dummies, lags, y]`` of the district rows from t0, and n_d.
+def _panel_stack(y_by, x_by, n: int, t0: int):
+    """The pooled design ``[dummies, y_1, x_1, ..., y_n, x_n, y]`` of the rows from t0, and n_d.
 
     Districts go in sorted key order, each with its intercept dummy column (n_d
     in all); one whose series differ in length or are no longer than t0 is
-    skipped. The lags are ``y_1..y_n, x_1..x_n``, or ``y_1, x_1, ..., y_n, x_n``
-    when ``paired``: in that order the lag blocks of every order m <= n are
-    column prefixes, so one ``_nested_rss`` serves an AIC search over the order.
+    skipped. The lag blocks of every order m <= n are column prefixes, so one
+    ``_nested_rss`` serves an AIC search over the order.
     """
     pairs = [(_as_values(y_by[key]), _as_values(x_by[key])) for key in sorted(y_by)]
     pairs = [(ya, xa) for ya, xa in pairs if ya.size == xa.size > t0]
@@ -316,10 +315,7 @@ def _panel_stack(y_by, x_by, n: int, t0: int, paired: bool = False):
     lags = at[:, None] - np.arange(1, n + 1)  # row t holds months t-1, ..., t-n
     M = np.zeros((at.size, n_d + 2 * n + 1))
     M[np.arange(at.size), np.repeat(np.arange(n_d), sizes - t0)] = 1.0
-    if paired:
-        M[:, n_d : n_d + 2 * n : 2], M[:, n_d + 1 : n_d + 2 * n : 2] = ys[lags], xs[lags]
-    else:
-        M[:, n_d : n_d + n], M[:, n_d + n : n_d + 2 * n] = ys[lags], xs[lags]
+    M[:, n_d : n_d + 2 * n : 2], M[:, n_d + 1 : n_d + 2 * n : 2] = ys[lags], xs[lags]
     M[:, -1] = ys[at]
     return M, n_d
 
@@ -331,16 +327,18 @@ def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
     The lag order minimises AIC over 1..n_max on the rows from t0 = n_max. With
     one district the design is ``[1, y_1..y_n, x_1..x_n]``, the single-pair test.
     """
-    M, n_d = _panel_stack(y_by, x_by, n_max, n_max, paired=True)
+    M, n_d = _panel_stack(y_by, x_by, n_max, n_max)
     # Every order shares the rows from t0 = n_max; orders wider than they allow are skipped.
     orders = [n for n in range(1, n_max + 1) if len(M) > n_d + 2 * n]
     if not orders:
         raise DataError("panel too short for any candidate lag order")
-    if orders[-1] < n_max:  # the narrower paired stack: the wider one's lag prefix and y
+    if orders[-1] < n_max:  # the narrower stack: the wider one's lag prefix and y
         M = M[:, [*range(n_d + 2 * orders[-1]), -1]]
     sizes = [n_d + 2 * n for n in orders]
     n = orders[_aic_order(_nested_rss(M, sizes), len(M), sizes)]
+    # the F-test's columns are [dummies, y lags, x lags, y], so the restricted fit is a prefix
     M, n_d = _panel_stack(y_by, x_by, n, n)
+    M = M[:, [*range(n_d), *range(n_d, n_d + 2 * n, 2), *range(n_d + 1, n_d + 2 * n, 2), -1]]
     rss_r, rss_u = _nested_rss(M, [n_d + n, n_d + 2 * n])
     return _granger_f(rss_r, rss_u, n, len(M) - n_d - 2 * n, level, n, x_diff_order)
 

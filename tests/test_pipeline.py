@@ -145,7 +145,8 @@ class TestFullRun:
         before = digest(target)
         target.unlink()
         summary = quiet_run(cfg)
-        assert summary["select"] == "run"
+        # ablate writes the clusters again byte for byte, so report, their reader, stays cached
+        assert summary == {s: "run" if s == "ablate" else "cached" for s in STAGE_ORDER}
         assert digest(target) == before
 
     def test_operating_points_structure(self, run_dir):
@@ -201,14 +202,13 @@ class TestFullRun:
         for old, new in zip(before, after):
             assert float(new["distance"]) == pytest.approx(2.0 * float(old["distance"]))
 
-    def test_cluster_label_edit_reruns_select_and_the_clusters_readers(self, run_dir):
+    def test_cluster_label_edit_reruns_only_ablate_and_report(self, run_dir):
         _, cfg, _ = run_dir
         clusters = Path(cfg.output) / "clusters.json"
         relabeled = dataclasses.replace(cfg, cluster_labels=("drought-and-prices",))
         try:
             assert quiet_run(relabeled) == {
-                s: "run" if s in ("select", "ablate", "report") else "cached"
-                for s in STAGE_ORDER}
+                s: "run" if s in ("ablate", "report") else "cached" for s in STAGE_ORDER}
             assert json.loads(clusters.read_text())[0]["label"] == "drought-and-prices"
             ablation = read_csv(Path(cfg.output) / "ablation.csv", "ablation")
             assert ablation.columns["label"][0] == "drought-and-prices"
@@ -268,8 +268,8 @@ class TestDerivedManifests:
         keys = sorted(set().union(*listed.values()) & set(_PATH_KEYS))
         assert keys == ["corpus", "embeddings", "frames_news", "frames_study", "gazetteer",
                         "panel", "projections"]
-        # ablate reads the designs fit built, and the clusters, which only it and report read
-        assert listed["ablate"] == listed["fit"] | {"clusters.json"}
+        # ablate reads the designs fit built, and the embeddings it clusters their features by
+        assert listed["ablate"] == listed["fit"] | {"embeddings"}
         for key in keys:
             # A blank last line changes the file's hash but nothing its readers parse,
             # so a stage that reruns rewrites the same outputs and later stages stay cached.
@@ -277,6 +277,21 @@ class TestDerivedManifests:
                 fh.write("\n")
             expected = {s: "run" if key in listed[s] else "cached" for s in STAGE_ORDER}
             assert quiet_run(tiny) == expected, key
+
+    def test_select_screens_without_the_clustering_inputs(self, tiny):
+        # ablate clusters the retained features, so neither an embeddings edit nor a
+        # cluster key edit reruns the screen
+        recorded = manifests(tiny.output)
+        assert "embeddings" not in recorded["select"]["inputs"]
+        assert not {"clusters", "cluster_labels"} & set(recorded["select"]["params"])
+        assert {"clusters", "cluster_labels"} <= set(recorded["ablate"]["params"])
+        assert "embeddings" in recorded["ablate"]["inputs"]
+        assert [Path(p).name for p in recorded["ablate"]["outputs"]] == \
+            ["ablation.csv", "clusters.json"]
+        with open(tiny.embeddings, "a", encoding="utf-8") as fh:
+            fh.write("\n")
+        assert quiet_run(tiny) == {s: "run" if s in ("expand", "ablate", "report") else "cached"
+                                   for s in STAGE_ORDER}
 
     def test_each_run_file_read_was_written_by_an_earlier_stage(self, tiny):
         recorded = manifests(tiny.output)
@@ -286,8 +301,7 @@ class TestDerivedManifests:
                     if name not in _PATH_KEYS}
             assert read <= written, stage
             written |= set(manifest["outputs"])
-        assert [s for s, m in recorded.items() if "clusters.json" in m["inputs"]] == \
-            ["ablate", "report"]
+        assert [s for s, m in recorded.items() if "clusters.json" in m["inputs"]] == ["report"]
         assert not {"fronts.csv", "operating_points.json"} & set(recorded["report"]["inputs"])
 
     def test_every_run_file_is_an_output_of_exactly_one_manifest(self, tiny):

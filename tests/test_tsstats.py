@@ -765,16 +765,15 @@ class TestPanelStack:
     @pytest.mark.parametrize("n, t0", [(1, 1), (3, 3), (3, 8), (6, 8)])
     def test_equals_the_column_stack_form(self, n, t0):
         y_by, x_by = self.panel(np.random.default_rng(45))
-        X, resp, n_d = panel_stack_loop(y_by, x_by, n, t0)
+        X, resp, n_d = panel_stack_loop(y_by, x_by, n, t0)  # [dummies, y lags, x lags]
         expected = np.column_stack([X, resp])
-        M, m_d = _panel_stack(y_by, x_by, n, t0)
-        assert m_d == n_d and M.shape == expected.shape and (M == expected).all()
         pairs = [n_d + c for i in range(n) for c in (i, n + i)]
-        M, _ = _panel_stack(y_by, x_by, n, t0, paired=True)
+        M, m_d = _panel_stack(y_by, x_by, n, t0)
+        assert m_d == n_d and M.shape == expected.shape
         assert (M == expected[:, [*range(n_d), *pairs, -1]]).all()
-        # a narrower order at the same t0 is a column slice of the wider paired stack
+        # a narrower order at the same t0 is a column slice of the wider stack
         for m in range(1, n):
-            narrow, _ = _panel_stack(y_by, x_by, m, t0, paired=True)
+            narrow, _ = _panel_stack(y_by, x_by, m, t0)
             assert (narrow == M[:, [*range(n_d + 2 * m), -1]]).all()
 
     def test_no_usable_district_raises(self):
