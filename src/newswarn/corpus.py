@@ -5,12 +5,12 @@ text}. ``read_corpus`` parses it once, line by line, into per-article months
 and country tags, a vocabulary, and one array of token ids, tokenizing
 ``_TEXT_BLOCK`` articles' texts at a time; it keeps no per-n-gram article sets.
 Counts come from n-grams packed into integer keys: the 1..3-gram occurrences
-(``Corpus.ngram_counts``, by ``np.unique``), and, for a list of features, the
-articles that co-mention a feature and a location, found by a sorted-key
-lookup into per-block article x phrase masks (``news_factors``,
-``feature_coverage``). A news factor is the monthly share of a country's
-articles that co-mention a text feature and a location; ``save_factors``
-writes them as one feature x location x month array.
+(``Corpus.ngram_counts``, by ``np.bincount`` and ``np.unique``), and, for a
+list of features, the articles that co-mention a feature and a location,
+found by a sorted-key lookup into per-block article x phrase masks
+(``news_factors``, ``feature_coverage``). A news factor is the monthly share
+of a country's articles that co-mention a text feature and a location;
+``save_factors`` writes them as one feature x location x month array.
 """
 
 from __future__ import annotations
@@ -189,8 +189,11 @@ class Corpus:
 
     def ngram_counts(self) -> tuple[np.ndarray, np.ndarray]:
         """Each distinct 1..3-gram's key, ascending, and its number of occurrences."""
-        counted = [np.unique(self.keys_at(np.flatnonzero(self.fits(n)), n), return_counts=True)
-                   for n in (1, 2, 3)]  # one order at a time: the key ranges ascend by order
+        unigrams = np.bincount(self.token_ids, minlength=len(self.vocabulary))  # key = token id
+        seen = np.flatnonzero(unigrams)
+        counted = [(seen, unigrams[seen])] + [
+            np.unique(self.keys_at(np.flatnonzero(self.fits(n)), n), return_counts=True)
+            for n in (2, 3)]  # one order at a time: the key ranges ascend by order
         return tuple(np.concatenate(parts) for parts in zip(*counted))
 
 

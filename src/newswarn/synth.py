@@ -11,6 +11,7 @@ news-aware models see crises coming while the baseline cannot.
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -169,21 +170,94 @@ def _far_point(rng, dim) -> np.ndarray:
     return v
 
 
+class _RawDraws:
+    """Scalar ``Generator`` draws decoded from a block of PCG64's raw 64-bit outputs.
+
+    numpy's ``random()`` is ``(raw >> 11) * 2**-53``. Its ``integers(0, n)``
+    is Lemire's bounded method (ACM TOMACS 29(1), 2019) on a 32-bit word,
+    which PCG64 serves from its ``has_uint32``/``uinteger`` buffer if a half
+    is left there, and otherwise from the next raw, low half first, keeping
+    the high half. ``close`` sets the generator where those scalar calls
+    would have left it. A block that runs short draws more raws.
+    """
+
+    __slots__ = ("_bg", "_start", "has", "buf", "pos", "raws", "ints", "dbl")
+
+    def __init__(self, bit_generator, size: int):
+        self._bg = bit_generator
+        self._start = bit_generator.state
+        if self._start["bit_generator"] != "PCG64":
+            raise TypeError(f"decoded draws need PCG64, not {self._start['bit_generator']}")
+        self.has, self.buf = self._start["has_uint32"], self._start["uinteger"]
+        self.pos = 0
+        self.raws = bit_generator.random_raw(size)
+        self._decode()
+
+    def _decode(self) -> None:
+        self.ints = memoryview(self.raws)  # each raw as a Python int
+        self.dbl = memoryview((self.raws >> np.uint64(11)) * 2.0 ** -53)  # each raw as random()
+
+    def _more(self) -> None:
+        self.raws = np.concatenate((self.raws, self._bg.random_raw(len(self.raws) + 1)))
+        self._decode()
+
+    def take(self, k: int) -> int:
+        """Consume k ``random()`` doubles; return the first one's position in ``dbl``.
+
+        Read ``dbl`` after the call: a block that runs short is replaced.
+        """
+        at = self.pos
+        self.pos += k
+        while self.pos > len(self.raws):
+            self._more()
+        return at
+
+    def below(self, n: int) -> int:
+        """``integers(0, n)`` for 2 <= n <= 2**32."""
+        while True:
+            if self.has:
+                self.has = 0
+                m = self.buf * n
+            else:
+                if self.pos == len(self.raws):
+                    self._more()
+                raw = self.ints[self.pos]
+                self.pos += 1
+                self.has, self.buf = 1, raw >> 32
+                m = (raw & 0xFFFFFFFF) * n
+            if (m & 0xFFFFFFFF) >= (1 << 32) % n:  # otherwise rejected: draw again
+                return m >> 32
+
+    def close(self) -> None:
+        self._bg.state = self._start
+        self._bg.advance(self.pos)
+        state = self._bg.state
+        state["has_uint32"], state["uinteger"] = self.has, self.buf
+        self._bg.state = state
+
+
+_CHUNK = 64  # articles decoded from one block of raw draws
+
+
 def _articles(rng, spec: SyntheticSpec, districts: list[District], z: dict, fillers: list[str]):
     """Yield the corpus records in id order: month by month, country by country.
 
     A ``(spec, seed)`` pair fixes every byte of the bundle, so these are the
-    draws, in order, of a loop that makes one scalar draw per choice
-    (``article_records_loop`` in the tests):
-    ``cdf.searchsorted(rng.random(), side="right")`` is ``rng.choice(n, p=w)``;
-    k scalar ``rng.integers(0, n)`` are the k draws of
-    ``rng.choice(fillers, size=k)``; and one ``rng.random(m)`` returns the m
-    mention and target-gate uniforms of m scalar calls.
+    values, in order, of a loop that makes one scalar draw per choice
+    (``article_records_loop`` in the tests, the stream's spec): the home
+    district is ``rng.choice(n, p=w)``, each count and filler one
+    ``rng.integers``, each mention and the target gate one ``rng.random()``.
+    Only each country-month's article count, ``rng.poisson``, is drawn by
+    ``rng`` itself. The rest is decoded from ``rng``'s raw draws
+    (``_RawDraws``), ``_CHUNK`` articles at a time, so ``rng`` must be the
+    PCG64 generator that ``default_rng`` gives. A chunk's mention uniforms
+    are compared with ``rates`` as one array.
     """
     n_planted = len(spec.planted)
     words = ([p.ngram for p in spec.planted] + list(spec.extra_seeds)
              + [f"decoy{i:02d}" for i in range(spec.decoys)])
-    n_fill = len(fillers)
+    n_words, n_fill = len(words), len(fillers)
+    block = n_words + 10  # raws an article takes at most, rejections aside
     by_country: dict[str, list[District]] = {}
     for d in districts:
         by_country.setdefault(d.country, []).append(d)
@@ -195,41 +269,59 @@ def _articles(rng, spec: SyntheticSpec, districts: list[District], z: dict, fill
         cdf = (weights / weights.sum()).cumsum()
         cdf /= cdf[-1]
         # rates[h, j]: each word's mention probability in home h's month j
-        rates = np.empty((len(homes), spec.months, len(words)))
+        rates = np.empty((len(homes), spec.months, n_words))
         rates[:, :, n_planted:] = ([spec.mention_base] * len(spec.extra_seeds)
                                    + [DECOY_MENTION] * spec.decoys)
         for h, d in enumerate(homes):
             for k, p in enumerate(spec.planted):
                 rates[h, :, k] = spec.mention_base + spec.mention_boost * z[(p.ngram, d.district_id)]
-        streams.append((country, homes, cdf, rates))
+        # bisect_right on the cdf's floats is its searchsorted(side="right")
+        streams.append((country, [d.name for d in homes], cdf.tolist(), rates))
 
     start = parse_month(START)
     article_id = 0
     for j in range(spec.months):
         month = format_month(start + j)
-        for country, homes, cdf, rates in streams:
-            for _ in range(int(rng.poisson(spec.articles_per_country_month))):
-                h = int(cdf.searchsorted(rng.random(), side="right"))
-                tokens = [fillers[rng.integers(0, n_fill)] for _ in range(rng.integers(2, 5))]
-                tokens.append(homes[h].name)
-                tokens += [fillers[rng.integers(0, n_fill)] for _ in range(rng.integers(1, 3))]
-                u = rng.random(len(words) + 1)
-                hit = (u[:-1] < rates[h, j]).nonzero()[0].tolist()
-                tokens += [words[i] for i in hit]
-                # planted words lead `words`: one is hit iff the first hit is one
-                if u[-1] < (0.25 if hit and hit[0] < n_planted else 0.03):
-                    tokens.append(_TARGETS[rng.integers(0, len(_TARGETS))])
-                if rng.integers(0, 2):
-                    tokens.append(fillers[rng.integers(0, n_fill)])
-                day = int(rng.integers(1, 28))
-                yield {
-                    "id": f"a{article_id:07d}",
-                    "date": f"{month}-{day:02d}",
-                    "source": f"wire-{int(rng.integers(0, 5))}",
-                    "countries": [country],
-                    "text": " ".join(tokens),
-                }
-                article_id += 1
+        for country, names, cdf, rates in streams:
+            planted_rates = rates[:, j, :n_planted].tolist()
+            count = int(rng.poisson(spec.articles_per_country_month))
+            for first in range(0, count, _CHUNK):
+                size = min(_CHUNK, count - first)
+                raw = _RawDraws(rng.bit_generator, size * block)
+                below = raw.below
+                homes, starts, drawn = [], [], []
+                for _ in range(size):
+                    at = raw.take(1)
+                    h = bisect_right(cdf, raw.dbl[at])
+                    head = [fillers[below(n_fill)] for _ in range(2 + below(3))]
+                    head.append(names[h])
+                    head += [fillers[below(n_fill)] for _ in range(1 + below(2))]
+                    at = raw.take(n_words + 1)
+                    dbl = raw.dbl
+                    # planted words lead `words`; the gate's rate is 0.25 if one is hit
+                    hit = any(map(float.__lt__, dbl[at:at + n_planted], planted_rates[h]))
+                    gate = 0.25 if hit else 0.03
+                    rest = [_TARGETS[below(len(_TARGETS))]] if dbl[at + n_words] < gate else []
+                    if below(2):
+                        rest.append(fillers[below(n_fill)])
+                    day = 1 + below(27)
+                    homes.append(h)
+                    starts.append(at)
+                    drawn.append((head, rest, day, below(5)))
+                raw.close()
+                hits = np.asarray(raw.dbl)[np.add.outer(starts, np.arange(n_words))] < rates[homes, j]
+                mentions = [[] for _ in range(size)]
+                for a, i in zip(*(ix.tolist() for ix in hits.nonzero())):
+                    mentions[a].append(words[i])
+                for (head, rest, day, source), said in zip(drawn, mentions):
+                    yield {
+                        "id": f"a{article_id:07d}",
+                        "date": f"{month}-{day:02d}",
+                        "source": f"wire-{source}",
+                        "countries": [country],
+                        "text": " ".join(head + said + rest),
+                    }
+                    article_id += 1
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
@@ -349,10 +441,13 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir) -> dict:
                 fh.write(f"{did},{format_month(t)},{proj}\n")
 
     # Article stream: mention rates follow the latent processes immediately.
-    encode = json.JSONEncoder(sort_keys=True).encode
+    # One format string writes what json.dumps(record, sort_keys=True) would.
+    esc = json.encoder.encode_basestring_ascii
     with open(out / "corpus.jsonl", "w", encoding="utf-8") as fh:
-        for record in _articles(rng, spec, districts, z, fillers):
-            fh.write(encode(record) + "\n")
+        for r in _articles(rng, spec, districts, z, fillers):
+            fh.write('{"countries": [%s], "date": %s, "id": %s, "source": %s, "text": %s}\n' % (
+                ", ".join(map(esc, r["countries"])), esc(r["date"]), esc(r["id"]),
+                esc(r["source"]), esc(r["text"])))
 
     # Frame files: well-formed causal frames for every seed, plus chaff that
     # must fail each filter.

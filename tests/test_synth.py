@@ -13,11 +13,16 @@ from newswarn.frames import load_frames
 from newswarn.months import parse_month
 from newswarn.outbreak import detect_outbreaks
 from newswarn.semantics import load_embeddings, wmd
-from newswarn.synth import PlantedFeature, SyntheticSpec, _articles, _layout, generate_synthetic
+from newswarn import synth
+from newswarn.synth import (_CHUNK, PlantedFeature, SyntheticSpec, _articles, _layout,
+                            _RawDraws, generate_synthetic)
 
 from conftest import article_records_loop
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60)
+# a non-uniform choice of home district within country AA
+UNDERCOVER = dict(SMALL, months=24, countries=2, province_size=3, undercover_province="AA-P01",
+                  undercover_weight=0.05)
 
 
 def digest(path):
@@ -55,6 +60,7 @@ def test_corpus_lines_parse_and_mention_planted(bundle):
         for line in fh:
             rec = json.loads(line)
             assert set(rec) == {"id", "date", "source", "countries", "text"}
+            assert line == json.dumps(rec, sort_keys=True) + "\n"
             seen |= planted & set(rec["text"].split())
     assert seen == planted
 
@@ -134,20 +140,81 @@ def _stream_inputs(spec, rng):
 @pytest.mark.parametrize("fields", [
     SMALL,
     dict(SMALL, months=24, countries=3),  # 10 districts: the last country takes 4
-    # a non-uniform choice of home district within country AA
-    dict(SMALL, months=24, countries=2, province_size=3, undercover_province="AA-P01",
-         undercover_weight=0.05),
+    UNDERCOVER,
     dict(SMALL, months=24, extra_seeds=(), decoys=0),
-], ids=["small", "three-countries", "undercover", "planted-only"])
-def test_article_stream_keeps_the_loops_draws(fields):
+    # chunk edges inside a country-month
+    dict(SMALL, months=4, countries=1, articles_per_country_month=3 * _CHUNK + 20),
+    dict(SMALL, months=24, articles_per_country_month=1),  # a third of them draw none
+    dict(SMALL, months=24, articles_per_country_month=0),
+], ids=["small", "three-countries", "undercover", "planted-only", "three-chunks", "sparse",
+        "silent"])
+def test_article_stream_keeps_the_loops_draws(fields, monkeypatch):
     spec = SyntheticSpec(**fields)
     districts, z, fillers = _stream_inputs(spec, np.random.default_rng(11))
+    # Each chunk's (buffered half-word at its start, starts where the last chunk
+    # closed): with no poisson draw between them, the two share a country-month.
+    chunks, closed = [], [None]
+
+    class Recorded(_RawDraws):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            chunks.append((self.has, self._start == closed[0]))
+
+        def close(self):
+            super().close()
+            closed[0] = self._bg.state
+
+    monkeypatch.setattr(synth, "_RawDraws", Recorded)
     fast, slow = np.random.default_rng(5), np.random.default_rng(5)
     got = list(_articles(fast, spec, districts, z, fillers))
     want = list(article_records_loop(slow, spec, districts, z, fillers))
-    assert len(got) == len(want) > 0
+    assert len(got) == len(want)
+    assert {has for has, _ in chunks} == ({0, 1} if got else set())
+    if spec.articles_per_country_month > 2 * _CHUNK:
+        assert {has for has, inside in chunks if inside} == {0, 1}
     for a, b in zip(got, want):
         assert a == b
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("fields", [SMALL, UNDERCOVER], ids=["small", "undercover"])
+def test_bundle_bytes_equal_the_loop_oracles(fields, tmp_path, monkeypatch):
+    spec = SyntheticSpec(**fields)
+    fast = generate_synthetic(spec, seed=3, out_dir=tmp_path / "fast")
+    monkeypatch.setattr(synth, "_articles", article_records_loop)
+    slow = generate_synthetic(spec, seed=3, out_dir=tmp_path / "slow")
+    for name in fast["paths"]:
+        assert digest(fast["paths"][name]) == digest(slow["paths"][name]), name
+
+
+@pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered"])
+@pytest.mark.parametrize("n", [3, 27, 150, 2**31 + 1])  # 2**31 + 1 rejects about half
+def test_raw_draws_decode_scalar_integers(n, buffered):
+    fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+    if buffered:  # leave the high half of a raw in PCG64's buffer
+        fast.integers(0, 7), slow.integers(0, 7)
+    assert fast.bit_generator.state["has_uint32"] == buffered
+    raw = _RawDraws(fast.bit_generator, 8)  # runs short: more raws are drawn
+    got = [raw.below(n) for _ in range(300)]
+    raw.close()
+    assert got == [int(slow.integers(0, n)) for _ in range(300)]
+    assert fast.bit_generator.state == slow.bit_generator.state
+
+
+def test_raw_draws_interleave_doubles_with_integers():
+    fast, slow = np.random.default_rng(4), np.random.default_rng(4)
+    raw = _RawDraws(fast.bit_generator, 3)
+    got, want = [], []
+    for i in range(200):
+        at = raw.take(i % 4)
+        got += raw.dbl[at:at + i % 4].tolist()
+        want += slow.random(i % 4).tolist()
+        got.append(raw.below(150))
+        want.append(int(slow.integers(0, 150)))
+    raw.close()
+    assert got == want
     assert fast.bit_generator.state == slow.bit_generator.state
 
 
