@@ -9,8 +9,11 @@ Counts come from n-grams packed into integer keys: the 1..3-gram occurrences
 list of features, the articles that co-mention a feature and a location,
 found by a sorted-key lookup into per-block article x phrase masks
 (``news_factors``, ``feature_coverage``). A news factor is the monthly share
-of a country's articles that co-mention a text feature and a location;
-``save_factors`` writes them as one feature x location x month array.
+of a country's articles that co-mention a text feature and a location.
+``NewsFactors`` holds the two integers of each share, and ``save_factors``
+writes them: the co-mention counts as one feature x location x month array
+of the smallest unsigned type that holds them, and each location's monthly
+denominators beside the labels. The shares are divided out on reading.
 """
 
 from __future__ import annotations
@@ -432,29 +435,41 @@ def feature_coverage(corpus: Corpus, features, gaz: Gazetteer, locations) -> lis
 class NewsFactors:
     """Monthly share of a country's articles co-mentioning each feature and location.
 
-    ``values[f, i, t]`` is feature ``features[f]`` at ``locations[i]`` in month
-    ``start + t``. Locations are the sorted districts, then the sorted
-    provinces, then the sorted countries, and ``levels[i]`` names the level of
-    ``locations[i]``. ``zero_denominator[i, t]`` flags a month in which the
-    location's denominator counted no articles; its values are 0.
+    ``counts[f, i, t]`` is the number of articles in month ``start + t`` that
+    contain feature ``features[f]`` and name ``locations[i]``, out of the
+    ``denominators[i, t]`` articles that the location's share is of.
+    ``values`` is their quotient, 0 in a month whose denominator is 0.
+    Locations are the sorted districts, then the sorted provinces, then the
+    sorted countries, and ``levels[i]`` names the level of ``locations[i]``.
     """
 
     features: tuple[str, ...]
     locations: tuple[str, ...]
     levels: tuple[str, ...]
     start: int
-    values: np.ndarray            # float64, feature x location x month
-    zero_denominator: np.ndarray  # bool, location x month
+    counts: np.ndarray        # unsigned integers, feature x location x month
+    denominators: np.ndarray  # int64, location x month
 
     def __post_init__(self):
-        v, n_locs = self.values, len(self.locations)
-        if (v.dtype != np.float64 or v.ndim != 3 or v.shape[:2] != (len(self.features), n_locs)
-                or len(self.levels) != n_locs
-                or self.zero_denominator.shape != (n_locs, v.shape[2])):
-            raise DataError(f"news factors of dtype {v.dtype} and shape {v.shape} do not fit "
+        c, d, n_locs = self.counts, self.denominators, len(self.locations)
+        if (c.dtype.kind != "u" or c.ndim != 3 or c.shape[:2] != (len(self.features), n_locs)
+                or len(self.levels) != n_locs or d.dtype != np.int64
+                or d.shape != (n_locs, c.shape[2])):
+            raise DataError(f"news factor counts of dtype {c.dtype} and shape {c.shape}, over "
+                            f"denominators of dtype {d.dtype} and shape {d.shape}, do not fit "
                             f"{len(self.features)} features and {n_locs} locations")
-        if not np.all((v >= 0.0) & (v <= 1.0)):
-            raise DataError("news factor proportions must lie in [0, 1]")
+        if (d < 0).any():
+            raise DataError("news factor denominators must not be negative")
+        if not np.all(c <= d):
+            raise DataError("a news factor count exceeds its month's denominator")
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """float64 shares, feature x location x month: each count over its denominator."""
+        # An integer count over an integer count, as Python's int / int would give it.
+        values = np.zeros(self.counts.shape)
+        np.divide(self.counts, self.denominators, out=values, where=self.denominators > 0)
+        return values
 
 
 DENOMINATORS = ("country", "corpus")  # the articles a location's monthly share is of
@@ -475,8 +490,8 @@ def news_factors(
     the month's articles tagged with the location's country ("country", the
     default) or all articles that month ("corpus"). With "country", the
     numerator counts only articles tagged with the location's country too, so
-    the value is a share of that country's articles. Months with no such
-    articles get value 0 and are flagged. With ``exclude_targets`` set,
+    the value is a share of that country's articles. A month with no such
+    articles has denominator 0, and value 0. With ``exclude_targets`` set,
     articles containing a target keyword are removed from numerator and
     denominator.
 
@@ -521,10 +536,6 @@ def news_factors(
 
     a, c = np.nonzero(in_scope & keep[:, None])
     totals = np.bincount(c * n_months + month[a], minlength=len(scopes) * n_months)
-    denom = totals.reshape(len(scopes), n_months)[loc_scope]
-    # An integer count over an integer count, as Python's int / int would give it.
-    values = np.zeros(counts.shape)
-    np.divide(counts, denom, out=values, where=denom > 0)
 
     present = np.flatnonzero(found).tolist()
     factors = NewsFactors(
@@ -532,48 +543,54 @@ def news_factors(
         locations=tuple(locations),
         levels=tuple(gaz.location_level(loc) for loc in locations),
         start=w0,
-        values=values[present],
-        zero_denominator=denom <= 0,
+        counts=counts[present].astype(np.uint64),
+        denominators=totals.reshape(len(scopes), n_months)[loc_scope],
     )
     return factors, [feature for f, feature in enumerate(features) if not found[f]]
 
 
-def save_factors(values_path, labels_path, factors: NewsFactors) -> None:
-    """Write the values as ``.npy`` and the labels and empty-denominator months as JSON.
+def save_factors(counts_path, labels_path, factors: NewsFactors) -> None:
+    """Write the counts as ``.npy`` and the labels and denominators as JSON.
 
-    Neither file carries a timestamp, so equal factors give equal bytes.
+    The counts are stored in the smallest unsigned type that holds the
+    largest. Neither file carries a timestamp, so equal factors give equal bytes.
     """
-    with open(values_path, "wb") as fh:
-        np.save(fh, factors.values, allow_pickle=False)
+    counts = factors.counts
+    with open(counts_path, "wb") as fh:
+        np.save(fh, counts.astype(np.min_scalar_type(counts.max(initial=0))), allow_pickle=False)
     labels = {
         "features": list(factors.features),
         "locations": list(factors.locations),
         "levels": list(factors.levels),
         "start": format_month(factors.start),
-        "zero_denominator": {
-            loc: [format_month(factors.start + int(t)) for t in np.flatnonzero(row)]
-            for loc, row in zip(factors.locations, factors.zero_denominator) if row.any()
-        },
+        "denominators": factors.denominators.tolist(),
     }
     with open(labels_path, "w", encoding="utf-8") as fh:
         json.dump(labels, fh, indent=1)
         fh.write("\n")
 
 
-def load_factors(values_path, labels_path) -> NewsFactors:
-    """The factors ``save_factors`` wrote; DataError when the array does not fit the labels."""
+def load_factors(counts_path, labels_path) -> NewsFactors:
+    """The factors ``save_factors`` wrote; DataError, naming both files, when they do not fit."""
     try:
-        values = np.load(values_path, allow_pickle=False)
+        counts = np.load(counts_path, allow_pickle=False)
+        if counts.dtype.kind == "f":
+            raise DataError(f"the counts are {counts.dtype} shares, an older newswarn's format; "
+                            "rerun the factors stage (for example, delete "
+                            "manifests/factors.json)")
         with open(labels_path, "r", encoding="utf-8") as fh:
             labels = json.load(fh)
         features, locations, levels = (tuple(labels[k]) for k in
                                        ("features", "locations", "levels"))
         start = parse_month(labels["start"])
-        empty = {loc: set(months) for loc, months in labels["zero_denominator"].items()}
-        n_months = values.shape[2] if values.ndim == 3 else 0
-    except (KeyError, TypeError, ValueError, AttributeError, EOFError) as exc:
-        raise DataError(f"bad news factors {values_path}, {labels_path}: {exc}") from None
-    months = [format_month(start + t) for t in range(n_months)]
-    zero = np.array([[m in empty.get(loc, ()) for m in months] for loc in locations],
-                    dtype=bool).reshape(len(locations), n_months)
-    return NewsFactors(features, locations, levels, start, values, zero)
+        rows = labels["denominators"]
+        if not (isinstance(rows, list) and all(isinstance(row, list)
+                                               and all(type(n) is int for n in row)
+                                               for row in rows)):
+            raise DataError("denominators are not lists of integers")
+        n_months = counts.shape[2] if counts.ndim == 3 else 0
+        denominators = np.array(rows, dtype=np.int64).reshape(len(rows), -1 if rows else n_months)
+        return NewsFactors(features, locations, levels, start, counts, denominators)
+    except (KeyError, TypeError, ValueError, AttributeError, EOFError, OverflowError,
+            DataError) as exc:
+        raise DataError(f"bad news factors {counts_path}, {labels_path}: {exc}") from None

@@ -163,6 +163,23 @@ def grid_districts(n, countries=1, province_size=3):
     return out
 
 
+def assert_exact_shares(loaded, factors):
+    """``loaded.values`` is ``factors``' count over denominator, cell by cell, to the bit."""
+    denominators = np.broadcast_to(factors.denominators, factors.counts.shape)
+    want = np.array([float(c) / float(d) if d else 0.0 for c, d in
+                     zip(factors.counts.ravel().tolist(), denominators.ravel().tolist())],
+                    dtype=np.float64)
+    assert loaded.values.shape == factors.counts.shape
+    assert np.array_equal(loaded.values.ravel().view(np.uint64), want.view(np.uint64))
+
+
+def assert_same_bytes(directory, a, b):
+    """The factor files ``a.npy`` and ``a.json`` in ``directory`` equal ``b``'s, byte for byte."""
+    for suffix in ("npy", "json"):
+        assert (directory / f"{a}.{suffix}").read_bytes() == \
+               (directory / f"{b}.{suffix}").read_bytes()
+
+
 def make_panel(**kwargs):
     """Random but well-formed PanelDataset for unit tests."""
     return make_panel_and_factors(**kwargs)[0]
@@ -206,15 +223,15 @@ def make_panel_and_factors(n_districts=6, months=96, features=("alpha", "beta", 
         for d in districts:
             traditional[k][row[d], lead:] = rng.normal(0, 1, months)
     features = tuple(features)
-    values = np.empty((len(features),) + shape)
-    for f in range(len(features)):
-        for i in range(len(locations)):
-            values[f, i] = np.clip(rng.normal(0.05, 0.02, shape[1]), 0, 1)
+    # about 5% of 100 to 300 articles a month co-mention each feature and location
+    denominators = rng.integers(100, 300, shape)
+    counts = rng.binomial(denominators, 0.05, (len(features),) + shape).astype(np.uint16)
     cube = NewsFactors(
         features=features, locations=tuple(locations),
         levels=tuple(level for level, locs in by_level.items() for _ in locs),
-        start=t0 - lead, values=values, zero_denominator=np.zeros(shape, dtype=bool),
+        start=t0 - lead, counts=counts, denominators=denominators,
     )
+    values = cube.values
     panel = PanelDataset(
         districts=districts, start=t0, end=t1, publication_months=pub,
         rows=row, grid_start=t0 - lead,

@@ -17,7 +17,8 @@ from newswarn.semantics import enumerate_candidates
 from newswarn.stemmer import stem_tokens
 from newswarn.textutil import iter_ngrams, normalize_ngram, tokenize
 
-from conftest import article, article_tokens, make_gazetteer, ngram_occurrences, write_corpus
+from conftest import (article, article_tokens, assert_exact_shares, assert_same_bytes,
+                      make_gazetteer, ngram_occurrences, write_corpus)
 
 
 # ------------------------------------------------------------------ oracle
@@ -170,7 +171,7 @@ def records(factors):
     """(feature, location, level, value bytes, empty months) of each factor series."""
     return [
         (w, loc, level, factors.values[f, i].tobytes(),
-         tuple(factors.start + int(t) for t in np.flatnonzero(factors.zero_denominator[i])))
+         tuple(factors.start + int(t) for t in np.flatnonzero(factors.denominators[i] == 0)))
         for f, w in enumerate(factors.features)
         for i, (loc, level) in enumerate(zip(factors.locations, factors.levels))
     ]
@@ -499,7 +500,7 @@ class TestNewsFactor:
         factors, _ = news_factors(corpus, ["drought"], gazetteer)
         jam = factors.locations.index("so-jam")
         assert factors.values[0, jam, 1] == 0.0  # 2011-02
-        assert factors.zero_denominator[jam].tolist() == [False, True]
+        assert factors.denominators[jam].tolist() == [10, 0]
 
     def test_denominator_monotonicity(self, tmp_path, gazetteer):
         # Adding an SO-tagged article with no mentions weakly lowers the factor.
@@ -586,49 +587,91 @@ class TestNewsFactor:
         back = load_factors(tmp_path / "f.npy", tmp_path / "f.json")
         assert (back.features, back.locations, back.levels, back.start) == \
                (factors.features, factors.locations, factors.levels, factors.start)
-        assert back.values.tobytes() == factors.values.tobytes()
-        assert np.array_equal(back.zero_denominator, factors.zero_denominator)
+        assert back.counts.dtype == np.uint8
+        assert np.array_equal(back.counts, factors.counts)
+        assert np.array_equal(back.denominators, factors.denominators)
+        assert_exact_shares(back, factors)
         labels = json.loads((tmp_path / "f.json").read_text())
         assert labels["start"] == "2011-01"
-        so, et = ["2011-02"], ["2011-01", "2011-02"]  # every article is SO-tagged, in January
-        assert labels["zero_denominator"] == {
+        assert "zero_denominator" not in labels
+        so, et = [10, 0], [0, 0]  # every article is SO-tagged, in January
+        assert dict(zip(labels["locations"], labels["denominators"])) == {
             "so-jam": so, "so-kis": so, "so-lower-juba": so, "SO": so,
             "et-gog": et, "et-maj": et, "et-gambela": et, "ET": et}
+        save_factors(tmp_path / "g.npy", tmp_path / "g.json", back)
+        assert_same_bytes(tmp_path, "f", "g")
 
-    def test_factors_round_trip_values_bit_for_bit(self, tmp_path):
-        values = np.array([0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 1 / 3,
-                           0.1 + 0.2, np.nextafter(1.0, 0.0), 1.0])
-        zero = np.zeros((2, values.size), dtype=bool)
-        zero[1, [0, 7]] = True
-        factors = NewsFactors(("drought", "flood"), ("so-jam", "SO"), ("district", "country"),
-                              parse_month("2010-11"), np.stack([[values, values[::-1]]] * 2),
-                              zero)
+    @pytest.mark.parametrize("n_features, largest, dtype", [
+        (0, 0, np.uint8), (2, 0, np.uint8), (2, 255, np.uint8), (2, 256, np.uint16),
+        (2, 65_535, np.uint16), (2, 65_536, np.uint32)])
+    def test_counts_are_stored_in_the_smallest_unsigned_type(self, tmp_path, n_features, largest,
+                                                             dtype):
+        counts = np.zeros((n_features, 2, 3), dtype=np.uint64)
+        counts[:, 1, 2] = largest
+        if n_features:
+            counts[0, 0, 0] = 1
+        denominators = np.array([[3, 0, 3], [2, 2, largest + 1]])
+        factors = NewsFactors(("drought", "flood")[:n_features], ("so-jam", "SO"),
+                              ("district", "country"), parse_month("2010-11"), counts,
+                              denominators)
         save_factors(tmp_path / "a.npy", tmp_path / "a.json", factors)
         back = load_factors(tmp_path / "a.npy", tmp_path / "a.json")
-        assert back.values.tobytes() == factors.values.tobytes()
-        assert np.array_equal(back.zero_denominator, zero)
+        assert back.counts.dtype == dtype == np.load(tmp_path / "a.npy").dtype
+        assert np.array_equal(back.counts, counts)
+        assert np.array_equal(back.denominators, denominators)
         assert back.start == parse_month("2010-11")
+        assert_exact_shares(back, factors)
         save_factors(tmp_path / "b.npy", tmp_path / "b.json", back)
-        for suffix in ("npy", "json"):
-            assert (tmp_path / f"a.{suffix}").read_bytes() == \
-                   (tmp_path / f"b.{suffix}").read_bytes()
+        assert_same_bytes(tmp_path, "a", "b")
 
     def test_load_factors_rejects_an_array_that_does_not_fit_its_labels(self, tmp_path):
-        labels = tmp_path / "f.json"
-        labels.write_text(json.dumps({"features": ["drought"], "locations": ["so-jam", "SO"],
-                                      "levels": ["district", "country"], "start": "2011-01",
-                                      "zero_denominator": {}}))
-        values = tmp_path / "f.npy"
-        np.save(values, np.full((1, 2, 3), 0.5))
+        good = {"features": ["drought"], "locations": ["so-jam", "SO"],
+                "levels": ["district", "country"], "start": "2011-01",
+                "denominators": [[4, 0, 2], [5, 1, 2]]}
+        counts = np.array([[[4, 0, 1], [2, 1, 2]]], dtype=np.uint8)
+        labels, values = tmp_path / "f.json", tmp_path / "f.npy"
+        labels.write_text(json.dumps(good))
+        np.save(values, counts)
         back = load_factors(values, labels)
         assert back.start + back.values.shape[2] - 1 == parse_month("2011-03")
-        for bad, match in [(np.full((1, 3, 3), 0.5), "do not fit"),
-                           (np.full((1, 2), 0.5), "do not fit"),
-                           (np.full((1, 2, 3), 0.5, dtype=np.float32), "dtype float32"),
-                           (np.full((1, 2, 3), 1.5), r"\[0, 1\]")]:
+        assert back.values[0, :, 1].tolist() == [0.0, 1.0]
+        over = counts.copy()
+        over[0, 1, 0] = 6
+        on_empty = counts.copy()
+        on_empty[0, 0, 1] = 1
+        for bad, match in [(counts[:, :1], "do not fit"),
+                           (counts[0], "do not fit"),
+                           (counts.astype(np.int64), "dtype int64"),
+                           (counts.astype(np.float32), "float32 shares"),
+                           (counts / 4.0, "rerun the factors stage.*manifests/factors.json"),
+                           (over, "count exceeds"),
+                           (on_empty, "count exceeds")]:
             np.save(values, bad)
-            with pytest.raises(DataError, match=match):
+            with pytest.raises(DataError, match=f"{re.escape(str(values))}, "
+                                                f"{re.escape(str(labels))}: .*{match}"):
                 load_factors(values, labels)
+        np.save(values, counts)
+        for bad, match in [(dict(start="2011-13"), "month out of range"),
+                           (dict(denominators=None), "not lists of integers"),
+                           (dict(denominators=[[4, 0], [5, 1]]), "do not fit"),
+                           (dict(denominators=[[4, 0, 2]]), "do not fit"),
+                           (dict(denominators=[[4, 0, 2], [5, 1, 2], [5, 1, 2]]), "do not fit"),
+                           (dict(denominators=[[4, 0, 2], [5, 1]]), ""),
+                           (dict(denominators=[[4, 0, 2.0], [5, 1, 2]]), "not lists of integers"),
+                           (dict(denominators=[[4, 0, "2"], [5, 1, 2]]), "not lists of integers"),
+                           (dict(denominators=[[4, 0, True], [5, 1, 2]]), "not lists of integers"),
+                           (dict(denominators={"so-jam": [4, 0, 2], "SO": [5, 1, 2]}),
+                            "not lists of integers"),
+                           (dict(denominators=[[4, -1, 2], [5, 1, 2]]), "negative"),
+                           (dict(denominators=[[4, 0, 2], [5, 1, 2 ** 63]]), "")]:
+            labels.write_text(json.dumps({**good, **bad}))
+            with pytest.raises(DataError, match=f"{re.escape(str(values))}, "
+                                                f"{re.escape(str(labels))}: .*{match}"):
+                load_factors(values, labels)
+        labels.write_text(json.dumps({k: v for k, v in good.items() if k != "denominators"}))
+        with pytest.raises(DataError, match="'denominators'"):
+            load_factors(values, labels)
+        labels.write_text(json.dumps(good))
         values.write_bytes(b"not an array")
         with pytest.raises(DataError, match="bad news factors"):
             load_factors(values, labels)

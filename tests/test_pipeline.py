@@ -32,7 +32,7 @@ from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.report import trailing_mean
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
-from conftest import TINY, average_ranks_loop
+from conftest import TINY, assert_exact_shares, assert_same_bytes, average_ranks_loop
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60,
              countries=2)
@@ -118,9 +118,11 @@ class TestFullRun:
         assert labels["features"] == [w for w in features if w not in absent]
         assert labels["start"] == cfg.window_start
         months = parse_month(cfg.window_end) - parse_month(cfg.window_start) + 1
-        assert values.dtype == np.float64
+        assert values.dtype.kind == "u"
         assert values.shape == (len(labels["features"]), len(labels["locations"]), months)
         assert len(labels["levels"]) == len(labels["locations"])
+        assert np.array(labels["denominators"]).shape == (len(labels["locations"]), months)
+        assert "zero_denominator" not in labels
 
     def test_audit_reports_no_lookahead_violations(self, run_dir):
         _, cfg, _ = run_dir
@@ -623,7 +625,7 @@ class TestFailureModes:
 
 
 class TestFactorArtifact:
-    def test_the_zero_denominator_flag_survives_the_artifact(self, tmp_path):
+    def test_a_zero_denominator_survives_the_artifact(self, tmp_path):
         bundle = generate_synthetic(SyntheticSpec(**TINY), seed=3, out_dir=tmp_path)
         cfg = load_config(bundle["config"])
         empty = format_month(parse_month(cfg.window_start) + 5)
@@ -637,9 +639,24 @@ class TestFactorArtifact:
         want, _ = corpus_mod.news_factors(corpus_mod.read_corpus(cfg.corpus, ctx.window),
                                           features, ctx.gazetteer())
         got = ctx.factors()
-        assert want.zero_denominator[:, 5].all() and not want.zero_denominator[:, 4].any()
-        assert np.array_equal(got.zero_denominator, want.zero_denominator)
+        assert (want.denominators[:, 5] == 0).all() and (want.denominators[:, 4] > 0).all()
+        assert np.array_equal(got.denominators, want.denominators)
+        assert np.array_equal(got.counts, want.counts)
         assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("denominator", corpus_mod.DENOMINATORS)
+    def test_loaded_shares_are_the_exact_quotients(self, run_dir, tmp_path, denominator):
+        _, cfg, _ = run_dir
+        ctx = RunContext(cfg=cfg, out=Path(cfg.output))
+        features = sorted({r["ngram"] for r in json.loads(ctx.read("features.json").read_text())})
+        factors, _ = corpus_mod.news_factors(corpus_mod.read_corpus(cfg.corpus, ctx.window),
+                                             features, ctx.gazetteer(), denominator=denominator)
+        assert factors.counts.any()
+        corpus_mod.save_factors(tmp_path / "a.npy", tmp_path / "a.json", factors)
+        back = corpus_mod.load_factors(tmp_path / "a.npy", tmp_path / "a.json")
+        assert_exact_shares(back, factors)
+        corpus_mod.save_factors(tmp_path / "b.npy", tmp_path / "b.json", back)
+        assert_same_bytes(tmp_path, "a", "b")
 
 
 def _mean_of(series):
