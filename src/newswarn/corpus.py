@@ -550,7 +550,7 @@ def news_factors(
 
 
 def save_factors(counts_path, labels_path, factors: NewsFactors) -> None:
-    """Write the counts as ``.npy`` and the labels and denominators as JSON.
+    """Write the counts as ``.npy`` and the labels and denominators as one line of JSON.
 
     The counts are stored in the smallest unsigned type that holds the
     largest. Neither file carries a timestamp, so equal factors give equal bytes.
@@ -566,7 +566,7 @@ def save_factors(counts_path, labels_path, factors: NewsFactors) -> None:
         "denominators": factors.denominators.tolist(),
     }
     with open(labels_path, "w", encoding="utf-8") as fh:
-        json.dump(labels, fh, indent=1)
+        json.dump(labels, fh, separators=(",", ":"))
         fh.write("\n")
 
 

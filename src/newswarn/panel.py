@@ -38,7 +38,7 @@ MODEL_KINDS = ("baseline", "news", "combined")
 NEIGHBORS = 4          # districts a spatial average is taken over
 HORIZON = 3            # months ahead a forecast is issued
 RANK_TOL = 1e-8        # relative residual below which ``_least_squares`` drops a column
-LASSO_TOL = 1e-7       # largest final-sweep change at which ``lasso_cd`` has converged
+SPAN_TOL = 1e-12       # ``lasso_fit``'s in-span share of squares: RANK_TOL**2 is within Gram rounding
 MIN_DISTRICTS = 3      # districts ``validate_factors`` needs in a cross-section
 
 
@@ -387,41 +387,36 @@ class FitResult:
         return named
 
 
-def soft_threshold(rho: float, lam: float) -> float:
-    if rho > lam:
-        return rho - lam
-    if rho < -lam:
-        return rho + lam
-    return 0.0
-
-
 def _lasso_scale(X: np.ndarray, penalized: np.ndarray) -> np.ndarray:
     """Column scales of the lasso objective: a penalized column's sd, else 1."""
     sd = X.std(axis=0)
     return np.where(penalized & (sd > 0), sd, 1.0)
 
 
-def lasso_cd(R, scale, lam: float, penalized, nobs: int, max_sweeps: int = 100000):
-    """Cyclic coordinate descent for (1/2N)*RSS + lam*sum_penalized |beta_std|.
+def lasso_fit(R, scale, lam: float, penalized, nobs: int):
+    """The minimizer of (1/2N)*RSS + lam*sum_penalized |beta_std|, exactly.
 
     ``R`` is the model's columns, then y's, of an R factor of [X, y] over
     ``nobs`` rows, and ``scale`` is ``_lasso_scale`` of X. Penalized columns are
     divided by their sd (not centered); the coefficients returned are on the
     original scale. One QR of the scaled [unpenalized columns ``_independent``
     keeps, penalized, y] leaves below the unpenalized block the R factor of
-    the penalized columns and y profiled on them. Descent runs on its Gram
-    matrix (covariance updates; Friedman, Hastie & Tibshirani 2010, sec. 2.2),
-    and one triangular solve gives the unpenalized coefficients: the same
-    minimizer. Dropped and in-span columns get 0. ``LASSO_TOL`` bounds the
-    largest change of a penalized coordinate, on the standardized scale, in
-    the final sweep.
+    the penalized columns and y profiled on them. The homotopy path (Osborne,
+    Presnell & Turlach 2000; Efron et al. 2004, sec. 3) solves the lasso on
+    its Gram matrix, and one triangular solve gives the unpenalized ones.
 
-    Returns (beta, rss, sweeps). Raises NumericalError after ``max_sweeps``
-    sweeps, naming the last largest change and its column index, which is
-    also the error's ``columns``.
+    The path lowers the penalty from the least at which every coefficient is
+    0 to ``lam``. The active coefficients are linear in it between kinks,
+    where an inactive column's gradient, closing on the penalty, reaches it
+    (the column joins with its sign) or a shrinking active coefficient
+    reaches 0 (the column leaves). A
+    column within ``SPAN_TOL`` of the span of the unpenalized and active ones
+    would make the active Gram singular, and in exact arithmetic its gradient
+    stays within the penalty: it is barred from joining and stays 0. Each
+    pass stops at ``lam``, bars one column until the next kink, or lowers the
+    penalty strictly to the next kink; the kinks are finitely many, so the
+    loop ends. Returns (beta, rss).
     """
-    if max_sweeps < 1:
-        raise ConfigError("max_sweeps must be at least 1")
     penalized = np.asarray(penalized, dtype=bool)
     pen, free = np.flatnonzero(penalized), np.flatnonzero(~penalized)
     free = free[_independent(R, free)[0]]
@@ -431,53 +426,42 @@ def lasso_cd(R, scale, lam: float, penalized, nobs: int, max_sweeps: int = 10000
     F = np.linalg.qr(M, mode="r")
     Z, r = F[k:, k:-1], F[k:, -1]
     gram, grad = Z.T @ Z / nobs, Z.T @ r / nobs
-    col_sq = np.diag(gram).copy()
-    # columns the profiling left at rounding level lie in the unpenalized span
-    col_sq[col_sq <= 1e-16 * (M[:, k:-1] ** 2).sum(axis=0) / nobs] = 0.0
-    b = np.zeros(pen.size)
-    for sweep in range(1, max_sweeps + 1):
-        max_delta, worst = 0.0, -1
-        for j in range(pen.size):
-            if col_sq[j] == 0.0:
-                continue
-            rho = grad[j] + col_sq[j] * b[j]
-            new = soft_threshold(rho, lam) / col_sq[j]
-            delta = new - b[j]
-            if delta != 0.0:
-                grad -= gram[:, j] * delta
-                b[j] = new
-                if abs(delta) > max_delta:
-                    max_delta, worst = abs(delta), j
-        if max_delta <= LASSO_TOL:
-            beta = np.zeros(scale.size)
-            beta[pen] = b
-            beta[free] = np.linalg.solve(F[:k, :k], F[:k, -1] - F[:k, k:-1] @ b)
-            resid = r - Z @ b
-            return beta / scale, float(resid @ resid), sweep
-    raise NumericalError(f"lasso did not converge within {max_sweeps} sweeps: "
-                         f"last largest change {max_delta:.3g} at column [{pen[worst]}]",
-                         [int(pen[worst])])
-
-
-def lasso_kkt_residual(X, y, beta, lam: float, penalized) -> float:
-    """Largest violation of the lasso stationarity conditions (standardized scale)."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    N, p = X.shape
-    penalized = np.asarray(penalized, dtype=bool)
-    scale = _lasso_scale(X, penalized)
-    Xs = X / scale
-    beta_std = np.asarray(beta, dtype=float) * scale
-    g = Xs.T @ (y - Xs @ beta_std) / N
-    worst = 0.0
-    for j in range(p):
-        if not penalized[j]:
-            worst = max(worst, abs(g[j]))
-        elif beta_std[j] != 0.0:
-            worst = max(worst, abs(g[j] - lam * np.sign(beta_std[j])))
+    floor = SPAN_TOL * (M[:, k:-1] ** 2).sum(axis=0) / nobs
+    sign = np.array([[1.0], [-1.0]])
+    # penalties are held as their excess over lam: the current one, and each kink's
+    active, signs, barred, level = [], np.zeros(0), [], np.inf
+    while True:
+        G = gram[active]
+        rhs = np.column_stack([grad[active] - lam * signs, signs])
+        at_lam, step = np.linalg.solve(G[:, active], rhs).T  # coefficients = at_lam - excess*step
+        rate = 1 - sign * (G.T @ step)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            joins = np.where(rate > 0, (sign * (grad - G.T @ at_lam) - lam) / rate, -np.inf)
+            leaves = np.where(signs * step < 0, at_lam / step, -np.inf)
+        joins[:, active + barred] = -np.inf
+        kinks = np.concatenate([joins.ravel(), leaves, [0.0]])  # the last is lam itself
+        kinks[kinks >= level] = -np.inf
+        best = int(np.argmax(kinks))
+        if kinks[best] <= 0:
+            break
+        j = best % pen.size
+        if best >= joins.size:
+            del active[best - joins.size]
+            signs = np.delete(signs, best - joins.size)
+        elif gram[j, j] - G[:, j] @ np.linalg.solve(G[:, active], G[:, j]) <= floor[j]:
+            barred.append(j)
+            continue
         else:
-            worst = max(worst, max(abs(g[j]) - lam, 0.0))
-    return worst
+            active.append(j)
+            signs = np.append(signs, sign[best // pen.size])
+        level, barred = kinks[best], []
+    b = np.zeros(pen.size)
+    b[active] = at_lam
+    beta = np.zeros(scale.size)
+    beta[pen] = b
+    beta[free] = np.linalg.solve(F[:k, :k], F[:k, -1] - F[:k, k:-1] @ b)
+    resid = r - Z @ b
+    return beta / scale, float(resid @ resid)
 
 
 def _fit(design: DesignMatrix, spec: ModelSpec, window, train) -> FitResult:
@@ -498,13 +482,7 @@ def _fit(design: DesignMatrix, spec: ModelSpec, window, train) -> FitResult:
     else:
         penalized = np.array([c.group != "intercept" for c in design.columns])
         scale = _lasso_scale(design.X[train][:, design.cols], penalized)
-        try:
-            beta, rss, _ = lasso_cd(R[:, [*design.cols, -1]], scale, spec.lasso, penalized,
-                                    y.size)
-        except NumericalError as exc:
-            names = [design.columns[i].name for i in exc.columns]
-            raise NumericalError(f"{exc} ({', '.join(names)})" if names else str(exc),
-                                 exc.columns) from None
+        beta, rss = lasso_fit(R[:, [*design.cols, -1]], scale, spec.lasso, penalized, y.size)
         kept = range(len(design.columns))
     is_kept = set(kept)
     dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in is_kept)

@@ -255,22 +255,6 @@ def adf_test(s, max_lag: int | None = None, level: float = 0.05) -> AdfResult:
     return result
 
 
-def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
-                                level: float = 0.05):
-    """Smallest differencing order at which the series passes the ADF test."""
-    current = _as_values(s)
-    for d in range(max_d + 1):
-        result = adf_test(current, max_lag=max_lag, level=level)
-        if result.stationary:
-            return current, d
-        if d < max_d:
-            current = np.diff(current)
-    raise NumericalError(
-        f"series still non-stationary after {max_d} differences "
-        f"(last ADF statistic {result.statistic:.4f} vs {result.critical_value:.4f})"
-    )
-
-
 @dataclass(frozen=True)
 class GrangerResult:
     f_stat: float

@@ -411,35 +411,43 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
     return coef
 
 
-def lasso_r(X, y, lam, penalized, **kwargs):
-    """``panel.lasso_cd`` as ``panel._fit`` calls it: on the R factor of one QR of [X, y]."""
+def lasso_r(X, y, lam, penalized):
+    """``panel.lasso_fit`` as ``panel._fit`` calls it: on the R factor of one QR of [X, y]."""
     from newswarn import panel
 
     X, penalized = np.asarray(X, dtype=float), np.asarray(penalized, dtype=bool)
     R = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    return panel.lasso_cd(R, panel._lasso_scale(X, penalized), lam, penalized, len(y),
-                          **kwargs)
+    return panel.lasso_fit(R, panel._lasso_scale(X, penalized), lam, penalized, len(y))
 
 
-def lasso_rows(X, y, lam, penalized, max_sweeps=100000):
-    """The lasso of ``panel.lasso_cd`` on the rows of X: the reference route.
+LASSO_ROWS_TOL = 1e-13  # largest final-sweep change at which ``lasso_rows`` has converged
+
+
+def lasso_scale(X, penalized):
+    """Column scales of the lasso objective: a penalized column's sd, else 1."""
+    sd = X.std(axis=0)
+    return np.where(penalized & (sd > 0), sd, 1.0)
+
+
+def soft_threshold(rho, lam):
+    return rho - lam if rho > lam else rho + lam if rho < -lam else 0.0
+
+
+def lasso_rows(X, y, lam, penalized):
+    """The lasso of ``panel.lasso_fit`` by cyclic coordinate descent on the rows of X.
 
     The scaled penalized columns and y are projected off the unpenalized
     columns with an SVD (whose own eps cut drops a zero column), descent
     updates an N-row residual, and the unpenalized coefficients are the
-    least-squares fit to what the penalized ones leave. Returns (beta, rss,
-    sweeps) as ``lasso_cd`` does.
+    least-squares fit to what the penalized ones leave. Returns (beta, rss)
+    once a sweep changes no standardized coefficient by more than
+    ``LASSO_ROWS_TOL``.
     """
-    from newswarn.errors import ConfigError, NumericalError
-    from newswarn.panel import LASSO_TOL, _lasso_scale, soft_threshold
-
-    if max_sweeps < 1:
-        raise ConfigError("max_sweeps must be at least 1")
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     N, p = X.shape
     penalized = np.asarray(penalized, dtype=bool)
-    scale = _lasso_scale(X, penalized)
+    scale = lasso_scale(X, penalized)
     Xs = X / scale
     pen = np.flatnonzero(penalized)
     free = np.flatnonzero(~penalized)
@@ -454,8 +462,8 @@ def lasso_rows(X, y, lam, penalized, max_sweeps=100000):
     # columns the projection left at rounding level lie in the unpenalized span
     col_sq[col_sq <= 1e-16 * (Xs[:, pen] ** 2).sum(axis=0) / N] = 0.0
     b = np.zeros(pen.size)
-    for sweep in range(1, max_sweeps + 1):
-        max_delta, worst = 0.0, -1
+    for _ in range(100000):
+        max_delta = 0.0
         for j in range(pen.size):
             if col_sq[j] == 0.0:
                 continue
@@ -466,19 +474,69 @@ def lasso_rows(X, y, lam, penalized, max_sweeps=100000):
             if delta != 0.0:
                 r -= zj * delta
                 b[j] = new
-                if abs(delta) > max_delta:
-                    max_delta, worst = abs(delta), j
-        if max_delta <= LASSO_TOL:
+                max_delta = max(max_delta, abs(delta))
+        if max_delta <= LASSO_ROWS_TOL:
             beta = np.zeros(p)
             beta[pen] = b
             if free.size:
                 partial = y - Xs[:, pen] @ b
                 beta[free] = np.linalg.lstsq(Xs[:, free], partial, rcond=None)[0]
             resid = y - Xs @ beta
-            return beta / scale, float(resid @ resid), sweep
-    raise NumericalError(f"lasso did not converge within {max_sweeps} sweeps: "
-                         f"last largest change {max_delta:.3g} at column [{pen[worst]}]",
-                         [int(pen[worst])])
+            return beta / scale, float(resid @ resid)
+    raise AssertionError(f"lasso_rows did not converge: last largest change {max_delta:.3g}")
+
+
+def lasso_objective(X, y, beta, lam, penalized):
+    """(1/2N)*RSS + lam*sum_penalized |beta_std|, the objective both lasso routes minimize."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    penalized = np.asarray(penalized, dtype=bool)
+    resid = y - X @ beta
+    std = np.asarray(beta, dtype=float) * lasso_scale(X, penalized)
+    return resid @ resid / (2 * y.size) + lam * np.abs(std[penalized]).sum()
+
+
+def lasso_kkt_residual(X, y, beta, lam, penalized) -> float:
+    """Largest violation of the lasso stationarity conditions (standardized scale)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    N, p = X.shape
+    penalized = np.asarray(penalized, dtype=bool)
+    scale = lasso_scale(X, penalized)
+    Xs = X / scale
+    beta_std = np.asarray(beta, dtype=float) * scale
+    g = Xs.T @ (y - Xs @ beta_std) / N
+    worst = 0.0
+    for j in range(p):
+        if not penalized[j]:
+            worst = max(worst, abs(g[j]))
+        elif beta_std[j] != 0.0:
+            worst = max(worst, abs(g[j] - lam * np.sign(beta_std[j])))
+        else:
+            worst = max(worst, max(abs(g[j]) - lam, 0.0))
+    return worst
+
+
+def difference_until_stationary(s, max_d: int = 2, max_lag: int | None = None,
+                                level: float = 0.05):
+    """Smallest differencing order at which the series passes the ADF test.
+
+    Criterion 2's per-series procedure for Granger power and size.
+    """
+    from newswarn.errors import NumericalError
+    from newswarn.tsstats import adf_test
+
+    current = np.asarray(s, dtype=float).ravel()
+    for d in range(max_d + 1):
+        result = adf_test(current, max_lag=max_lag, level=level)
+        if result.stationary:
+            return current, d
+        if d < max_d:
+            current = np.diff(current)
+    raise NumericalError(
+        f"series still non-stationary after {max_d} differences "
+        f"(last ADF statistic {result.statistic:.4f} vs {result.critical_value:.4f})"
+    )
 
 
 def adl_design(y, x, n, t0):

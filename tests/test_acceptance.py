@@ -18,15 +18,15 @@ from newswarn.months import parse_month, publication_months
 from newswarn.outbreak import (OutbreakEvent, ParetoPoint, classify, detect_outbreaks,
                                score, sweep_pareto, threshold_grid)
 from newswarn.panel import (ModelSpec, audit_no_lookahead, build_design,
-                            cross_validate_design, fit_design, lasso_kkt_residual,
-                            validate_factors)
+                            cross_validate_design, fit_design, validate_factors)
 from newswarn.pipeline import RunContext, min_train_rows, run_pipeline
 from newswarn.semantics import wmd
 from newswarn.synth import SyntheticSpec, generate_synthetic
-from newswarn.tsstats import adf_test, difference_until_stationary, panel_granger
+from newswarn.tsstats import adf_test, panel_granger
 
-from conftest import (embedding_table, lasso_r, make_panel, make_panel_and_factors,
-                      plant_adl_response, planted_coefficients)
+from conftest import (difference_until_stationary, embedding_table, lasso_kkt_residual, lasso_r,
+                      make_panel, make_panel_and_factors, plant_adl_response,
+                      planted_coefficients)
 from test_semantics import brute_force_wmd
 from test_outbreak import brute_force_front
 
@@ -169,9 +169,9 @@ def test_criterion_4_ols_lasso_correctness():
     penalized = np.ones(5, dtype=bool)
     kkt_worst = 0.0
     for lam in (0.01, 0.1, 0.5):
-        beta, _, _ = lasso_r(X, y, lam, penalized)
+        beta, _ = lasso_r(X, y, lam, penalized)
         kkt_worst = max(kkt_worst, lasso_kkt_residual(X, y, beta, lam, penalized))
-    beta0, _, _ = lasso_r(X, y, 0.0, penalized)
+    beta0, _ = lasso_r(X, y, 0.0, penalized)
     ols_gap = float(np.max(np.abs(beta0 - np.linalg.lstsq(X, y, rcond=None)[0])))
     announce(
         4,

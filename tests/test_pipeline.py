@@ -32,7 +32,8 @@ from newswarn.pipeline import STAGE_ORDER, RunContext, run_pipeline
 from newswarn.report import trailing_mean
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
-from conftest import TINY, assert_exact_shares, assert_same_bytes, average_ranks_loop
+from conftest import (TINY, assert_exact_shares, assert_same_bytes, average_ranks_loop,
+                      lasso_kkt_residual, lasso_objective, lasso_rows)
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60,
              countries=2)
@@ -993,11 +994,12 @@ class TestNullSimulation:
 
 
 class TestSpatialAndLassoVariants:
-    def test_fit_stage_reports_all_variants(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def variants(self, tmp_path_factory):
         bundle = generate_synthetic(
             SyntheticSpec(districts=10, months=60, decoys=4,
                           articles_per_country_month=60, countries=2),
-            seed=9, out_dir=tmp_path)
+            seed=9, out_dir=tmp_path_factory.mktemp("variants"))
         cfg = load_config(bundle["config"])
         cfg.spatial = True
         cfg.lasso_compare = True
@@ -1006,6 +1008,10 @@ class TestSpatialAndLassoVariants:
         cfg.factor_lags = 3
         cfg.folds = 5
         quiet_run(cfg, stages=["extract", "expand", "factors", "select", "fit"])
+        return cfg
+
+    def test_fit_stage_reports_all_variants(self, variants):
+        cfg = variants
         cv = json.loads((Path(cfg.output) / "cv_reports.json").read_text())
         expected = {f"{kind}{suffix}" for kind in ("baseline", "news", "combined")
                     for suffix in ("", "_spatial", "_lasso")}
@@ -1016,6 +1022,29 @@ class TestSpatialAndLassoVariants:
         audits = json.loads((Path(cfg.output) / "audit.json").read_text())
         assert set(audits) == expected
         assert all(a["violations"] == [] for a in audits.values())
+
+    def test_every_cv_fold_of_a_lasso_spec_is_optimal(self, variants):
+        # Every training window, also those below the CV bar. The news model's
+        # later windows have 75 penalized columns of rank 51, which the path
+        # must solve without a singular active set.
+        ctx = RunContext(variants, Path(variants.output))
+        designs, _ = ctx.model_designs()
+        panel = ctx.panel_dataset()
+        blocks = panel_mod.month_folds(panel.start, panel.end, variants.folds)
+        for name, spec in sorted(ctx.model_specs().items()):
+            if spec.lasso is None:
+                continue
+            design = designs[name]
+            months = np.array([t for _, t in design.rows])
+            penalized = np.array([c.group != "intercept" for c in design.columns])
+            for block in blocks[1:]:
+                train = np.flatnonzero(panel_mod.fold_rows(months, block)[0])
+                X, y = design.X[train][:, design.cols], design.y[train]
+                beta = panel_mod._fit(design, spec, block[0], train).beta
+                assert lasso_kkt_residual(X, y, beta, spec.lasso, penalized) <= 1e-9, name
+                expected = lasso_rows(X, y, spec.lasso, penalized)[0]
+                assert lasso_objective(X, y, beta, spec.lasso, penalized) <= (
+                    lasso_objective(X, y, expected, spec.lasso, penalized) * (1 + 1e-12)), name
 
 
 class TestAblationBar:

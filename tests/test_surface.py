@@ -21,12 +21,11 @@ from conftest import TINY
 
 PACKAGE = Path(newswarn.__file__).parent
 
-# Test oracles kept in the package beside the code they check.
+# Package names that only tests call, each with its reason. Test oracles live in
+# tests/conftest.py.
 ORACLES = {
-    ("panel", "lasso_kkt_residual"):
-        "criterion 4 and TestLasso measure lasso_cd's optimality with it",
-    ("tsstats", "difference_until_stationary"):
-        "criterion 2's per-series differencing procedure for Granger power and size",
+    ("tsstats", "adf_test"):
+        "the one-series case of _adf_stack, which the benchmark's tracer counts by name",
 }
 
 
@@ -122,7 +121,9 @@ def test_every_public_name_has_a_caller_in_the_package():
 
 # Record fields that only tests read, and why each is kept.
 READ_BY_TESTS = {
+    ("AdfResult", "statistic"): "the ADF oracle comparison checks the t-ratio",
     ("AdfResult", "lag"): "the ADF oracle comparison checks the AIC lag order",
+    ("AdfResult", "critical_value"): "the ADF oracle comparison checks the MacKinnon value",
     ("AdfResult", "level"): "the ADF oracle comparison checks the level a decision used",
     ("GrangerResult", "x_diff_order"): "screening tests check the order a feature was tested at",
     ("PredictionRow", "fold"): "CV tests check each prediction follows its fold's training",
@@ -198,10 +199,7 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 
 
 # Defaults that no call in the package, the tests or the benchmark sets, and why each is kept.
-UNSET_DEFAULTS = {
-    "difference_until_stationary(level)":
-        "criterion 2's oracle procedure, kept whole beside the code it checks",
-}
+UNSET_DEFAULTS: dict[str, str] = {}
 SCANNED = (PACKAGE, PACKAGE.parents[1] / "tests", PACKAGE.parents[1] / "perfbench")
 
 

@@ -11,12 +11,11 @@ from newswarn import tsstats
 from newswarn.errors import DataError, NumericalError
 from newswarn.tsstats import (AdfResult, _adf_critical, _adf_stack, _aic, _aic_order,
                               _average_ranks, _granger_f, _log_beta, _nested_rss,
-                              _panel_diff_orders, _panel_stack, _r_factor, adf_test,
-                              difference_until_stationary, f_sf, panel_granger, select_features,
-                              spearman)
+                              _panel_diff_orders, _panel_stack, _r_factor, adf_test, f_sf,
+                              panel_granger, select_features, spearman)
 
-from conftest import (adf_loop, adl_design, average_ranks_loop, make_panel, panel_diff_order_loop,
-                      panel_stack_loop)
+from conftest import (adf_loop, adl_design, average_ranks_loop, difference_until_stationary,
+                      make_panel, panel_diff_order_loop, panel_stack_loop)
 
 
 class TestOls:
