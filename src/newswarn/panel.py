@@ -1,12 +1,13 @@
 """District-month panel assembly and distributed-lag forecasting.
 
-The design of the phase regression: district intercepts, six quarterly lags
-of the forward-filled phase, and six monthly lags (behind a two-month
-publication delay) of each traditional indicator and of each retained news
-factor at district, province, and country level. Baseline, news-based, and
-combined variants differ only in which blocks they keep; the spatial variant
-appends averages over those of the four nearest neighbours that have each
-series. Each model and ablation is an index set of one design's columns.
+The design of the phase regression: six quarterly lags of the forward-filled
+phase, and six monthly lags (behind a two-month publication delay) of each
+traditional indicator and of each retained news factor at district, province,
+and country level. Baseline, news-based, and combined variants differ only in
+which blocks they keep; the spatial variant appends averages over those of
+the four nearest neighbours that have each series. Each model and ablation is
+an index set of one design's columns. Each fit's district intercepts are
+absorbed by demeaning within districts, not held as columns.
 
 Every dated regressor sits at least three months behind the predicted month,
 which is what makes the forecasts issuable three months ahead.
@@ -26,7 +27,7 @@ from .artifacts import read_csv
 from .corpus import District, Gazetteer, NewsFactors
 from .errors import ConfigError, DataError, NumericalError
 from .months import parse_month, publication_months
-from .tsstats import diff_on_grid, spearman, _average_ranks
+from .tsstats import diff_on_grid, spearman, _average_ranks, _within
 
 TRADITIONAL_INDICATORS = (
     "conflict_events", "conflict_fatalities", "price_index", "price_yoy",
@@ -159,7 +160,7 @@ def spatial_average(panel: PanelDataset, district_id: str, values: np.ndarray) -
 class Column:
     name: str
     group: str
-    offset: int | None = None   # regressor month = t - offset; None for undated
+    offset: int                 # regressor month = t - offset
     feature: str | None = None  # news feature behind the column, for ablation
 
 
@@ -167,14 +168,17 @@ class Column:
 class DesignMatrix:
     """One model's design: its ``columns`` are the columns ``cols`` of ``X``.
 
-    Every model with these rows shares ``X``, ``y``, ``rows`` and ``_windows``,
-    the R factor of ``[X, y]`` per training window; ``skipped`` is its own.
+    Rows are grouped by district in the order of ``districts``: every district
+    of the panel, each with an intercept, rows or not. Every model with these
+    rows shares all but ``columns``, ``cols`` and ``skipped``, among them
+    ``_windows``, ``_fit``'s factor of ``[X, y]`` per training window.
     """
 
     X: np.ndarray
     y: np.ndarray
     columns: tuple[Column, ...]
     rows: tuple[tuple[str, int], ...]      # (district, month) per row
+    districts: tuple[str, ...]
     skipped: tuple[tuple[str, int, str], ...]
     cols: tuple[int, ...]
     _windows: dict = field(default_factory=dict, repr=False)
@@ -183,22 +187,19 @@ class DesignMatrix:
 class _Block(NamedTuple):
     """Adjacent design columns filled from one source per district.
 
-    ``source(d)`` gives district d's row of the panel grid for a dated block,
-    where all NaN skips d with the reason ``missing``, or its row of constants
-    for an undated one (``span`` None). ``span`` is (label, max offset, min
-    offset): a row at month t needs the series to cover t - max offset .. t -
-    min offset.
+    ``source(d)`` gives district d's row of the panel grid, where all NaN skips
+    d with the reason ``missing``. ``span`` is (label, max offset, min offset):
+    a row at month t needs the series to cover t - max offset .. t - min offset.
     """
 
     columns: tuple[Column, ...]
     source: Callable[[str], Any]
-    span: tuple[str, int, int] | None = None
-    missing: str = ""
+    span: tuple[str, int, int]
+    missing: str
 
 
 def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     """The blocks of ``spec``'s design, in column order."""
-    district_ids = sorted(panel.districts)
     locations = {"district": lambda d: d, "province": panel.province_of,
                  "country": panel.country_of}
     blocks: list[_Block] = []
@@ -220,8 +221,6 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     def around(values):
         return lambda d: spatial_average(panel, d, values)
 
-    blocks.append(_Block(tuple(Column(f"intercept[{d}]", "intercept") for d in district_ids),
-                         lambda d: [float(d == e) for e in district_ids]))
     phase("y_lag", "ipc", at(panel.ipc))
     if spec.uses_traditional:
         for k in TRADITIONAL_INDICATORS:
@@ -259,7 +258,7 @@ def _row_bounds(panel: PanelDataset, blocks: list[_Block]):
     g0 = panel.grid_start
     for d in sorted(panel.districts):
         t_lo, t_hi, lo_label, hi_label = panel.start, panel.end, "ipc", "ipc"
-        for b in (b for b in blocks if b.span is not None):
+        for b in blocks:
             covered = g0 + np.flatnonzero(np.isfinite(b.source(d)))  # months with a value
             if not covered.size:
                 skipped.append((d, -1, b.missing))
@@ -292,13 +291,7 @@ def build_design(panel: PanelDataset, *specs: ModelSpec) -> DesignMatrix:
     g0 = panel.grid_start
     for d, (t_lo, t_hi) in ranges.items():
         M = np.arange(t_lo, t_hi + 1)
-        cells = []
-        for b in blocks:
-            if b.span is None:
-                cells.append(np.broadcast_to(b.source(d), (M.size, len(b.columns))))
-            else:
-                offsets = np.array([c.offset for c in b.columns], dtype=int)
-                cells.append(b.source(d)[M[:, None] - offsets - g0])
+        cells = [b.source(d)[M[:, None] - [c.offset for c in b.columns] - g0] for b in blocks]
         parts.append((np.hstack(cells), panel.ipc[panel.rows[d], M - g0]))
         row_keys.extend((d, int(t)) for t in M)
 
@@ -308,7 +301,8 @@ def build_design(panel: PanelDataset, *specs: ModelSpec) -> DesignMatrix:
     y = np.concatenate([v for _, v in parts])
     columns = tuple(c for b in blocks for c in b.columns)
     return DesignMatrix(X=X, y=y, columns=columns, rows=tuple(row_keys),
-                        skipped=tuple(skipped), cols=tuple(range(len(columns))))
+                        districts=tuple(sorted(panel.districts)), skipped=tuple(skipped),
+                        cols=tuple(range(len(columns))))
 
 
 def model_designs(panel: PanelDataset, specs: dict[str, ModelSpec]) -> dict[str, DesignMatrix]:
@@ -338,36 +332,30 @@ def audit_no_lookahead(design: DesignMatrix) -> list[str]:
     A row's newest regressor sits the smallest dated offset before it, so a
     row fails exactly when some column does.
     """
-    return [c.name for c in design.columns if c.offset is not None and c.offset < HORIZON]
+    return [c.name for c in design.columns if c.offset < HORIZON]
 
 
-def _independent(R: np.ndarray, cols):
-    """(kept positions in ``cols``, R factor of [X's kept columns, y]) from ``R``, that of [X, y].
+def _least_squares(R: np.ndarray, norms: np.ndarray, cols, nobs: int, absorbed: int):
+    """(kept positions in ``cols``, beta, rss) of y on the columns ``cols`` of ``R`` it keeps.
 
-    Column ``cols[j]`` is kept when its residual on the kept columns before it
-    exceeds ``RANK_TOL`` times its own norm, so zero columns are dropped. Each
-    pass re-factors R's kept columns and y's, and drops the first that fails.
+    ``R`` is the R factor of ``[X, y]`` over ``nobs`` rows, square (rows past
+    ``nobs`` are zero), with ``absorbed`` intercepts demeaned out, and ``norms``
+    X's column norms before that. Column ``cols[j]`` is kept when its residual
+    on the kept columns before it exceeds ``RANK_TOL`` times its norm, so zero
+    columns and columns constant within every group are dropped. Each pass
+    re-factors R's kept columns and y's, and drops the first that fails.
     """
-    norms = np.linalg.norm(R[:, cols], axis=0)
     kept = list(range(len(cols)))
     while True:
-        F = np.linalg.qr(R[:, [cols[j] for j in kept] + [-1]], mode="r")
-        bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= RANK_TOL * norms[kept])
+        at = [cols[j] for j in kept]
+        F = np.linalg.qr(R[:, at + [-1]], mode="r")
+        bad = np.flatnonzero(np.abs(np.diag(F))[:-1] <= RANK_TOL * norms[at])
         if not bad.size:
-            return kept, F
+            break
         del kept[bad[0]]
-
-
-def _least_squares(R: np.ndarray, cols, nobs: int):
-    """(kept positions in ``cols``, beta, rss) of y on ``_independent``'s columns of ``cols``.
-
-    ``R`` is the R factor of ``[X, y]`` over ``nobs`` rows, square: rows past
-    ``nobs`` are zero, so columns past the ``nobs``-th have no residual.
-    """
-    kept, F = _independent(R, cols)
     k = len(kept)
-    if nobs <= k:
-        raise DataError(f"need more observations ({nobs}) than parameters ({k})")
+    if nobs <= k + absorbed:
+        raise DataError(f"need more observations ({nobs}) than parameters ({k + absorbed})")
     return kept, np.linalg.solve(F[:k, :k], F[:k, k]), float(F[k, k] ** 2)
 
 
@@ -376,57 +364,43 @@ class FitResult:
     columns: tuple[Column, ...]
     kept: tuple[int, ...]
     beta: np.ndarray
+    intercepts: dict[str, float]   # every district of the design; 0 for one with no rows
     dropped: tuple[str, ...]
     rss: float
     nobs: int
 
     def coefficients(self) -> dict[str, float]:
-        named = {self.columns[i].name: float(b) for i, b in zip(self.kept, self.beta)}
-        for name in (c.name for c in self.columns):
-            named.setdefault(name, 0.0)
-        return named
+        named = dict.fromkeys((c.name for c in self.columns), 0.0)
+        named.update((self.columns[i].name, float(b)) for i, b in zip(self.kept, self.beta))
+        return {f"intercept[{d}]": a for d, a in self.intercepts.items()} | named
 
 
-def _lasso_scale(X: np.ndarray, penalized: np.ndarray) -> np.ndarray:
-    """Column scales of the lasso objective: a penalized column's sd, else 1."""
-    sd = X.std(axis=0)
-    return np.where(penalized & (sd > 0), sd, 1.0)
-
-
-def lasso_fit(R, scale, lam: float, penalized, nobs: int):
-    """The minimizer of (1/2N)*RSS + lam*sum_penalized |beta_std|, exactly.
+def lasso_fit(R, norms, scale, lam: float, nobs: int):
+    """The minimizer of (1/2N)*RSS + lam*sum |beta_std|, exactly.
 
     ``R`` is the model's columns, then y's, of an R factor of [X, y] over
-    ``nobs`` rows, and ``scale`` is ``_lasso_scale`` of X. Penalized columns are
-    divided by their sd (not centered); the coefficients returned are on the
-    original scale. One QR of the scaled [unpenalized columns ``_independent``
-    keeps, penalized, y] leaves below the unpenalized block the R factor of
-    the penalized columns and y profiled on them. The homotopy path (Osborne,
-    Presnell & Turlach 2000; Efron et al. 2004, sec. 3) solves the lasso on
-    its Gram matrix, and one triangular solve gives the unpenalized ones.
+    ``nobs`` rows, demeaned within districts: the intercepts go unpenalized.
+    ``norms`` are X's column norms before demeaning and ``scale`` their sds,
+    which divide the columns; the coefficients returned are on the original
+    scale. The homotopy path (Osborne, Presnell & Turlach 2000; Efron et al.
+    2004, sec. 3) solves the lasso on the Gram matrix of R's scaled columns.
 
     The path lowers the penalty from the least at which every coefficient is
     0 to ``lam``. The active coefficients are linear in it between kinks,
     where an inactive column's gradient, closing on the penalty, reaches it
     (the column joins with its sign) or a shrinking active coefficient
-    reaches 0 (the column leaves). A
-    column within ``SPAN_TOL`` of the span of the unpenalized and active ones
-    would make the active Gram singular, and in exact arithmetic its gradient
-    stays within the penalty: it is barred from joining and stays 0. Each
-    pass stops at ``lam``, bars one column until the next kink, or lowers the
-    penalty strictly to the next kink; the kinks are finitely many, so the
+    reaches 0 (the column leaves). A column whose residual on the intercepts
+    and the active columns holds at most ``SPAN_TOL`` of its squares before
+    demeaning would make the active Gram singular, and in exact arithmetic its
+    gradient stays within the penalty: it is barred from joining and stays 0.
+    Each pass stops at ``lam``, bars one column until the next kink, or lowers
+    the penalty strictly to the next kink; the kinks are finitely many, so the
     loop ends. Returns (beta, rss).
     """
-    penalized = np.asarray(penalized, dtype=bool)
-    pen, free = np.flatnonzero(penalized), np.flatnonzero(~penalized)
-    free = free[_independent(R, free)[0]]
-    k = free.size
-    order = [*free, *pen, -1]
-    M = R[:, order] / np.append(scale[order[:-1]], 1.0)
-    F = np.linalg.qr(M, mode="r")
-    Z, r = F[k:, k:-1], F[k:, -1]
+    Z, r = R[:, :-1] / scale, R[:, -1]
+    p = scale.size
     gram, grad = Z.T @ Z / nobs, Z.T @ r / nobs
-    floor = SPAN_TOL * (M[:, k:-1] ** 2).sum(axis=0) / nobs
+    floor = SPAN_TOL * (norms / scale) ** 2 / nobs
     sign = np.array([[1.0], [-1.0]])
     # penalties are held as their excess over lam: the current one, and each kink's
     active, signs, barred, level = [], np.zeros(0), [], np.inf
@@ -444,7 +418,7 @@ def lasso_fit(R, scale, lam: float, penalized, nobs: int):
         best = int(np.argmax(kinks))
         if kinks[best] <= 0:
             break
-        j = best % pen.size
+        j = best % p
         if best >= joins.size:
             del active[best - joins.size]
             signs = np.delete(signs, best - joins.size)
@@ -453,41 +427,54 @@ def lasso_fit(R, scale, lam: float, penalized, nobs: int):
             continue
         else:
             active.append(j)
-            signs = np.append(signs, sign[best // pen.size])
+            signs = np.append(signs, sign[best // p])
         level, barred = kinks[best], []
-    b = np.zeros(pen.size)
-    b[active] = at_lam
-    beta = np.zeros(scale.size)
-    beta[pen] = b
-    beta[free] = np.linalg.solve(F[:k, :k], F[:k, -1] - F[:k, k:-1] @ b)
-    resid = r - Z @ b
+    beta = np.zeros(p)
+    beta[active] = at_lam
+    resid = r - Z @ beta
     return beta / scale, float(resid @ resid)
 
 
 def _fit(design: DesignMatrix, spec: ModelSpec, window, train) -> FitResult:
     """Fit ``spec`` on the design's rows ``train``, its training window ``window``.
 
-    OLS and the lasso both read the model's columns of the window's R factor,
-    which every model on the design's rows shares. OLS lists the columns it
-    leaves out under ``dropped``; the lasso gives them coefficient 0.
+    The window's ``[X, y]`` is demeaned within districts (``_within``) before
+    its one QR; the R factor, district means and column norms before demeaning
+    serve every model on the design's rows. District d's intercept is
+    mean(y_d) - mean(X_d) @ beta, or 0 if d has no training rows. OLS lists
+    the columns it leaves out under ``dropped``, after those districts'
+    intercepts; the lasso gives them coefficient 0.
     """
-    y = design.y[train]
     if window not in design._windows:
-        XY = np.column_stack([design.X[train], y])
-        design._windows[window] = R = np.zeros((XY.shape[1],) * 2)
+        XY = np.column_stack([design.X[train], design.y[train]])
+        who = np.array([d for d, _ in design.rows])[train]
+        first = np.flatnonzero(np.append(True, who[1:] != who[:-1]))
+        counts = np.diff(np.append(first, who.size))
+        means = _within(XY, counts)
+        R = np.zeros((XY.shape[1],) * 2)
         R[:min(XY.shape)] = np.linalg.qr(XY, mode="r")
-    R = design._windows[window]
+        norms = np.sqrt((R ** 2).sum(axis=0) + counts @ means ** 2)
+        design._windows[window] = R, who[first].tolist(), counts, means, norms
+    R, present, counts, means, norms = design._windows[window]
+    nobs = int(counts.sum())
+    cols = list(design.cols)
     if spec.lasso is None:
-        kept, beta, rss = _least_squares(R, design.cols, y.size)
+        kept, beta, rss = _least_squares(R, norms, cols, nobs, len(present))
+        dropped = [f"intercept[{d}]" for d in design.districts if d not in present]
     else:
-        penalized = np.array([c.group != "intercept" for c in design.columns])
-        scale = _lasso_scale(design.X[train][:, design.cols], penalized)
-        beta, rss = lasso_fit(R[:, [*design.cols, -1]], scale, spec.lasso, penalized, y.size)
-        kept = range(len(design.columns))
+        # each column's sd: its squares about its district means, and theirs about its mean
+        spread = (R ** 2).sum(axis=0) + counts @ (means - counts @ means / nobs) ** 2
+        sd = np.sqrt(spread[cols] / nobs)
+        beta, rss = lasso_fit(R[:, [*cols, -1]], norms[cols], np.where(sd > 0, sd, 1.0),
+                              spec.lasso, nobs)
+        kept = range(len(cols))
+        dropped = []
+    fitted = means[:, -1] - means[:, [cols[k] for k in kept]] @ beta  # of each present district
+    intercepts = dict.fromkeys(design.districts, 0.0) | dict(zip(present, fitted.tolist()))
     is_kept = set(kept)
-    dropped = tuple(c.name for i, c in enumerate(design.columns) if i not in is_kept)
-    return FitResult(columns=design.columns, kept=tuple(kept), beta=beta,
-                     dropped=dropped, rss=rss, nobs=y.size)
+    dropped += [c.name for i, c in enumerate(design.columns) if i not in is_kept]
+    return FitResult(columns=design.columns, kept=tuple(kept), beta=beta, intercepts=intercepts,
+                     dropped=tuple(dropped), rss=rss, nobs=nobs)
 
 
 def fit_design(design: DesignMatrix, spec: ModelSpec) -> FitResult:
@@ -557,6 +544,7 @@ def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDat
             reasons.append(f"fold {i + 1}: {reason}")
             continue
         yhat = design.X[test][:, [design.cols[k] for k in result.kept]] @ result.beta
+        yhat += [result.intercepts[design.rows[j][0]] for j in test]
         err = yhat - design.y[test]
         fold_rmse.append(float(np.sqrt(np.mean(err**2))))
         for j, yp in zip(test, yhat):

@@ -336,7 +336,7 @@ def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) 
     largest training window any fold can offer, so undersized fixtures still
     score their final folds.
     """
-    widest = max((len(d.columns) for d in designs), default=0)
+    widest = max((len(d.districts) + len(d.columns) for d in designs), default=0)
     bar = int(rows_per_parameter * widest) + 1
     last = panel_mod.month_folds(panel.start, panel.end, folds)[-1]
     cap = max((int(panel_mod.fold_rows(np.array([m for _, m in d.rows]), last)[0].sum())

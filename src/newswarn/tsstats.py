@@ -279,37 +279,52 @@ def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
                          x_diff_order=d)
 
 
-def _panel_stack(y_by, x_by, n: int, t0: int):
-    """The pooled design ``[dummies, y_1, x_1, ..., y_n, x_n, y]`` of the rows from t0, and n_d.
+def _within(M: np.ndarray, counts) -> np.ndarray:
+    """Demean each consecutive group of ``counts`` (> 0) rows of ``M`` in place; the means.
 
-    Districts go in sorted key order, each with its intercept dummy column (n_d
-    in all); one whose series differ in length or are no longer than t0 is
-    skipped. The lag blocks of every order m <= n are column prefixes, so one
-    ``_nested_rss`` serves an AIC search over the order.
+    By the Frisch-Waugh-Lovell theorem, a fit on the demeaned columns has the
+    slopes and RSS of the fit with one intercept per group.
+    """
+    ends = np.cumsum(counts)
+    means = np.add.reduceat(M, ends - counts, axis=0) / np.asarray(counts)[:, None]
+    for lo, hi, mean in zip(ends - counts, ends, means):  # no temporary the size of M
+        M[lo:hi] -= mean
+    return means
+
+
+def _panel_stack(y_by, x_by, n: int, t0: int):
+    """The pooled design ``[y_1, x_1, ..., y_n, x_n, y]`` from t0, intercepts absorbed, and n_d.
+
+    Districts go in sorted key order, each demeaned over its rows
+    (``_within``); one whose series differ in length or are no longer than t0
+    is skipped. The lag blocks of every order m <= n are column prefixes, so
+    one ``_nested_rss`` serves an AIC search over the order.
     """
     pairs = [(_as_values(y_by[key]), _as_values(x_by[key])) for key in sorted(y_by)]
     pairs = [(ya, xa) for ya, xa in pairs if ya.size == xa.size > t0]
     if not pairs:
         raise DataError("no district has enough aligned observations")
-    n_d, sizes = len(pairs), np.array([ya.size for ya, _ in pairs])
+    sizes = np.array([ya.size for ya, _ in pairs])
     ys, xs = np.concatenate([ya for ya, _ in pairs]), np.concatenate([xa for _, xa in pairs])
     # each district's months from t0 on, as positions in the concatenated series
     month = np.arange(ys.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     at = np.flatnonzero(month >= t0)
     lags = at[:, None] - np.arange(1, n + 1)  # row t holds months t-1, ..., t-n
-    M = np.zeros((at.size, n_d + 2 * n + 1))
-    M[np.arange(at.size), np.repeat(np.arange(n_d), sizes - t0)] = 1.0
-    M[:, n_d : n_d + 2 * n : 2], M[:, n_d + 1 : n_d + 2 * n : 2] = ys[lags], xs[lags]
+    M = np.empty((at.size, 2 * n + 1))
+    M[:, : 2 * n : 2], M[:, 1 : 2 * n : 2] = ys[lags], xs[lags]
     M[:, -1] = ys[at]
-    return M, n_d
+    _within(M, sizes - t0)
+    return M, len(pairs)
 
 
 def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
                   x_diff_order: int = 0) -> GrangerResult:
     """Pooled Granger test: district fixed intercepts, shared lag slopes.
 
-    The lag order minimises AIC over 1..n_max on the rows from t0 = n_max. With
-    one district the design is ``[1, y_1..y_n, x_1..x_n]``, the single-pair test.
+    The lag order minimises AIC over 1..n_max on the rows from t0 = n_max. The
+    intercepts are absorbed (``_panel_stack``); the F test's degrees of freedom
+    and AIC count them. With one district the design is ``[1, y_1..y_n,
+    x_1..x_n]``, the single-pair test.
     """
     M, n_d = _panel_stack(y_by, x_by, n_max, n_max)
     # Every order shares the rows from t0 = n_max; orders wider than they allow are skipped.
@@ -317,13 +332,13 @@ def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
     if not orders:
         raise DataError("panel too short for any candidate lag order")
     if orders[-1] < n_max:  # the narrower stack: the wider one's lag prefix and y
-        M = M[:, [*range(n_d + 2 * orders[-1]), -1]]
-    sizes = [n_d + 2 * n for n in orders]
-    n = orders[_aic_order(_nested_rss(M, sizes), len(M), sizes)]
-    # the F-test's columns are [dummies, y lags, x lags, y], so the restricted fit is a prefix
+        M = M[:, [*range(2 * orders[-1]), -1]]
+    rss = _nested_rss(M, [2 * n for n in orders])
+    n = orders[_aic_order(rss, len(M), [n_d + 2 * n for n in orders])]
+    # the F-test's columns are [y lags, x lags, y], so the restricted fit is a prefix
     M, n_d = _panel_stack(y_by, x_by, n, n)
-    M = M[:, [*range(n_d), *range(n_d, n_d + 2 * n, 2), *range(n_d + 1, n_d + 2 * n, 2), -1]]
-    rss_r, rss_u = _nested_rss(M, [n_d + n, n_d + 2 * n])
+    M = M[:, [*range(0, 2 * n, 2), *range(1, 2 * n, 2), -1]]
+    rss_r, rss_u = _nested_rss(M, [n, 2 * n])
     return _granger_f(rss_r, rss_u, n, len(M) - n_d - 2 * n, level, n, x_diff_order)
 
 

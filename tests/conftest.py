@@ -334,7 +334,7 @@ def design_loop(panel, spec):
         blocks.append((cols, source, span))
 
     def undated(group, names, source):
-        blocks.append(([Column(f"{group}[{s}]", group) for s in names], source, None))
+        blocks.append(([Column(f"{group}[{s}]", group, None) for s in names], source, None))
 
     undated("intercept", ds, lambda d: [float(d == e) for e in ds])
     phase("y_lag", "ipc", at(panel.ipc))
@@ -397,10 +397,10 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
 
     columns = build_design(panel, spec).columns
     coef = {}
+    for name in (f"intercept[{d}]" for d in sorted(panel.districts)):
+        coef[name] = 0.8 + 0.05 * (zlib.crc32(name.encode()) % 7)
     for c in columns:
-        if c.group == "intercept":
-            coef[c.name] = 0.8 + 0.05 * (zlib.crc32(c.name.encode()) % 7)
-        elif c.group == "y_lag":
+        if c.group == "y_lag":
             coef[c.name] = 0.04
         elif c.group == "traditional":
             coef[c.name] = float(rng.normal(0, 0.02))
@@ -411,13 +411,46 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
     return coef
 
 
-def lasso_r(X, y, lam, penalized):
-    """``panel.lasso_fit`` as ``panel._fit`` calls it: on the R factor of one QR of [X, y]."""
-    from newswarn import panel
+def lasso_r(X, y, lam, n_d=0):
+    """``panel.lasso_fit`` as ``panel._fit`` calls it, with X's first ``n_d`` columns absorbed.
 
-    X, penalized = np.asarray(X, dtype=float), np.asarray(penalized, dtype=bool)
-    R = np.linalg.qr(np.column_stack([X, y]), mode="r")
-    return panel.lasso_fit(R, panel._lasso_scale(X, penalized), lam, penalized, len(y))
+    Those are 0/1 intercept dummies of consecutive row groups, in order, a
+    zero column for a group with no rows. [X, y] less them is demeaned within
+    the groups and factored by one QR; the norms and sds of its columns are
+    taken before demeaning. Every other column is penalized. Returns (beta,
+    rss), beta over every column of X: each intercept is its group's mean of
+    y less its means of the other columns times their coefficients.
+    """
+    from newswarn import panel
+    from newswarn.tsstats import _within
+
+    X = np.asarray(X, dtype=float)
+    D, Z = X[:, :n_d].astype(bool), X[:, n_d:]
+    present = np.flatnonzero(D.any(axis=0))
+    XY = np.column_stack([Z, y])
+    means = _within(XY, D.sum(axis=0)[present])
+    R = np.linalg.qr(XY, mode="r")
+    b, rss = panel.lasso_fit(R, np.linalg.norm(Z, axis=0),
+                             lasso_scale(Z, np.ones(Z.shape[1], bool)), lam, len(y))
+    beta = np.zeros(X.shape[1])
+    beta[n_d:] = b
+    beta[present] = means[:, -1] - means[:, :-1] @ b
+    return beta, rss
+
+
+def dummy_columns(design, train=slice(None)):
+    """``design``'s model columns on its rows ``train`` behind explicit intercept dummies.
+
+    One 0/1 column ``intercept[d]`` per district of the design leads, zero
+    where d has no row in ``train``: the form of a fit with its intercepts as
+    columns, which the oracles take. Returns (X, y, names, penalized), where
+    the lasso penalizes every column but the dummies.
+    """
+    who = np.array([d for d, _ in design.rows])[train]
+    D = (who[:, None] == np.array(design.districts)).astype(float)
+    names = [f"intercept[{d}]" for d in design.districts] + [c.name for c in design.columns]
+    penalized = np.arange(len(names)) >= len(design.districts)
+    return np.column_stack([D, design.X[train][:, design.cols]]), design.y[train], names, penalized
 
 
 LASSO_ROWS_TOL = 1e-13  # largest final-sweep change at which ``lasso_rows`` has converged

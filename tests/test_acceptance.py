@@ -27,6 +27,7 @@ from newswarn.tsstats import adf_test, panel_granger
 from conftest import (difference_until_stationary, embedding_table, lasso_kkt_residual, lasso_r,
                       make_panel, make_panel_and_factors, plant_adl_response,
                       planted_coefficients)
+from test_panel import assert_fits_equal_dummy_fits
 from test_semantics import brute_force_wmd
 from test_outbreak import brute_force_front
 
@@ -169,9 +170,9 @@ def test_criterion_4_ols_lasso_correctness():
     penalized = np.ones(5, dtype=bool)
     kkt_worst = 0.0
     for lam in (0.01, 0.1, 0.5):
-        beta, _ = lasso_r(X, y, lam, penalized)
+        beta, _ = lasso_r(X, y, lam)
         kkt_worst = max(kkt_worst, lasso_kkt_residual(X, y, beta, lam, penalized))
-    beta0, _ = lasso_r(X, y, 0.0, penalized)
+    beta0, _ = lasso_r(X, y, 0.0)
     ols_gap = float(np.max(np.abs(beta0 - np.linalg.lstsq(X, y, rcond=None)[0])))
     announce(
         4,
@@ -322,6 +323,20 @@ def test_criterion_8_ablation_consistency(planted_run):
     )
 
 
+def test_the_fits_absorb_the_district_intercepts_exactly(planted_run):
+    # Frisch-Waugh-Lovell on the acceptance designs, with the spatial and lasso
+    # variants on: each CV window's fit, and the fit on every row, equals the
+    # fit with one 0/1 column per district intercept.
+    _, cfg, _, _ = planted_run
+    ctx = RunContext(cfg=replace(cfg, spatial=True, lasso_compare=True), out=Path(cfg.output))
+    designs, _ = ctx.model_designs()
+    specs = ctx.model_specs()
+    assert len(specs) == 9
+    for name, spec in sorted(specs.items()):
+        assert assert_fits_equal_dummy_fits(designs[name], spec, ctx.panel_dataset(),
+                                            cfg.folds) >= 5, name
+
+
 def test_criterion_9_no_lookahead_audit(planted_run):
     bundle, cfg, ctx, _ = planted_run
     out = Path(cfg.output)
@@ -338,7 +353,7 @@ def test_criterion_9_no_lookahead_audit(planted_run):
         clean = clean and not audit_no_lookahead(design)
         total_rows += len(design.rows)
         # every row's newest regressor sits the design's smallest dated offset before it
-        margin = min(c.offset for c in design.columns if c.offset is not None)
+        margin = min(c.offset for c in design.columns)
         worst_margin = margin if worst_margin is None else min(worst_margin, margin)
     announce(
         9,

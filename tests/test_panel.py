@@ -1,5 +1,6 @@
 import csv
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,8 @@ from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lo
 from newswarn.pipeline import _read_grid, min_train_rows
 from newswarn.tsstats import diff_on_grid
 
-from conftest import (design_loop, feature_clusters, grid_districts, lasso_kkt_residual,
+from conftest import (design_loop, dummy_columns, feature_clusters, grid_districts,
+                      lasso_kkt_residual,
                       lasso_objective, lasso_r, lasso_rows, load_panel_csv_loop, make_gazetteer,
                       make_panel, make_panel_and_factors, panel_value, plant_adl_response,
                       planted_coefficients, read_grid_loop)
@@ -80,15 +82,16 @@ class TestBuildDesign:
     def test_combined_column_count_three_features(self):
         panel = make_panel(n_districts=5, features=("alpha", "beta", "gamma"))
         design = build_design(panel, ModelSpec(kind="combined"))
-        expected = 5 + 6 + 9 * 6 + 3 * 18
+        expected = 6 + 9 * 6 + 3 * 18  # the district intercepts are no columns
         assert design.X.shape[1] == expected
         assert len(design.columns) == expected
+        assert design.districts == tuple(sorted(panel.districts))
 
     def test_baseline_has_no_news_columns(self):
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="baseline"))
         assert all(c.group != "news" for c in design.columns)
-        assert design.X.shape[1] == 5 + 6 + 54
+        assert design.X.shape[1] == 6 + 54
 
     def test_news_has_no_traditional_columns(self):
         panel = make_panel(n_districts=5)
@@ -103,7 +106,7 @@ class TestBuildDesign:
             for kind in ("baseline", "news", "combined")
         }
         shared = {c.name for c in build_design(panel, ModelSpec(kind="baseline")).columns
-                  if c.group in ("intercept", "y_lag")}
+                  if c.group == "y_lag"}
         assert names["baseline"] & names["news"] == shared
         assert names["combined"] == names["baseline"] | names["news"]
 
@@ -150,7 +153,7 @@ class TestBuildDesign:
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="combined"))
         assert audit_no_lookahead(design) == []
-        assert min(c.offset for c in design.columns if c.offset is not None) >= 3
+        assert min(c.offset for c in design.columns) >= 3
 
 
 def _without(get, loc_of):
@@ -227,9 +230,15 @@ class TestDesignReference:
         spec = ModelSpec(**spec_kwargs)
         design = build_design(panel, spec)
         X, y, columns, rows, skipped = design_loop(panel, spec)
-        assert design.columns == columns
+        # the reference leads with one intercept dummy per district; the design
+        # absorbs them, and lists the districts instead
+        n_d = len(panel.districts)
+        assert [c.name for c in columns[:n_d]] == [f"intercept[{d}]" for d in design.districts]
+        assert design.districts == tuple(sorted(panel.districts))
+        assert design.columns == columns[n_d:]
         assert design.rows == rows
         assert design.skipped == skipped
+        X = np.ascontiguousarray(X[:, n_d:])
         assert design.X.shape == X.shape and design.X.tobytes() == X.tobytes()
         assert design.y.tobytes() == y.tobytes()
 
@@ -361,15 +370,47 @@ class TestFit:
         # norm, so it is kept and fitted; no second rank test rejects it.
         rng = np.random.default_rng(35)
         a, b, c = rng.normal(0, 1, (3, 40))
-        X = np.column_stack([np.ones(40), a, a + b, b, c * 1e-12])
+        X = np.column_stack([a, a + b, b, c * 1e-12])
         y = rng.normal(0, 1, 40)
-        columns = tuple(Column(name, "test") for name in ("const", "a", "a+b", "b", "tiny"))
-        result = fit_design(DesignMatrix(X, y, columns, (), (), tuple(range(5))),
+        columns = tuple(Column(name, "test", 3) for name in ("a", "a+b", "b", "tiny"))
+        rows = tuple(("d", t) for t in range(40))
+        result = fit_design(DesignMatrix(X, y, columns, rows, ("d",), (), tuple(range(4))),
                             ModelSpec(kind="baseline"))
-        assert result.kept == (0, 1, 2, 4)
+        assert result.kept == (0, 1, 3)
         assert result.dropped == ("b",)
         assert result.coefficients()["tiny"] != 0.0
-        assert _check_least_squares(X, y)
+        assert _check_least_squares(np.column_stack([np.ones(40), X]), y)
+
+    @pytest.mark.parametrize("lasso", [None, 0.0])
+    def test_a_column_constant_within_every_district_is_left_out(self, lasso):
+        # Demeaned, such a column is rounding noise, and so is its own norm:
+        # judged by that norm it would be kept, and at penalty 0 join the lasso.
+        # Judged by its norm before demeaning, OLS drops it and the lasso bars
+        # it, and the fit is that of the design without it.
+        rng = np.random.default_rng(36)
+        districts, months = 4, 30
+        names = tuple(f"d{i}" for i in range(districts))
+        level = np.repeat(rng.uniform(0.1, 0.9, districts), months)
+        a, b = rng.normal(0, 1, (2, districts * months))
+        y = np.repeat(rng.normal(0, 1, districts), months) + a - b + rng.normal(0, 0.1, a.size)
+        columns = tuple(Column(name, "test", 3) for name in ("a", "level", "b"))
+        design = DesignMatrix(np.column_stack([a, level, b]), y, columns,
+                              tuple((d, t) for d in names for t in range(months)), names, (),
+                              (0, 1, 2))
+        spec = ModelSpec(kind="baseline", lasso=lasso)
+        result = fit_design(design, spec)
+        R, *_, norms = design._windows[None]
+        assert 0.0 < np.linalg.norm(R[:, 1]) <= 1e-12 * norms[1]
+        if lasso is None:
+            assert (result.kept, result.dropped) == ((0, 2), ("level",))
+        else:
+            assert result.dropped == () and result.beta[1] == 0.0 != result.beta[0]
+        without = fit_design(replace(design, columns=columns[::2], cols=(0, 2), _windows={}),
+                             spec)
+        got, expected = result.coefficients(), without.coefficients()
+        assert got.pop("level") == 0.0 and got.keys() == expected.keys()
+        assert np.allclose(list(got.values()), list(expected.values()), rtol=1e-9, atol=0)
+        assert result.rss == pytest.approx(without.rss, rel=1e-9)
 
 
 def _greedy_keep(X, tol=1e-8):
@@ -408,7 +449,8 @@ def r_factor(X, y):
 
 def matrix_least_squares(X, y):
     """The fit of every column of ``X`` from the R factor of ``[X, y]`` alone, per matrix."""
-    return _least_squares(r_factor(X, y), range(X.shape[1]), X.shape[0])
+    R = r_factor(X, y)
+    return _least_squares(R, np.linalg.norm(R, axis=0), range(X.shape[1]), X.shape[0], 0)
 
 
 def _check_least_squares(X, y) -> bool:
@@ -496,6 +538,7 @@ class TestColumnSetFit:
         X = np.column_stack(columns)[:, rng.permutation(len(columns))]
         y = X[:, :2] @ rng.normal(0, 1, 2) + rng.normal(0, 1, T)
         R = r_factor(X, y)  # T <= p gives zero rows below the T-th
+        norms = np.linalg.norm(R, axis=0)
         fitted = 0
         for size in [1] + rng.integers(1, X.shape[1] + 1, 7).tolist():
             cols = sorted(rng.choice(X.shape[1], size, replace=False).tolist())
@@ -503,9 +546,9 @@ class TestColumnSetFit:
                 expected = matrix_least_squares(X[:, cols], y)
             except DataError as exc:
                 with pytest.raises(DataError, match=re.escape(str(exc))):
-                    _least_squares(R, cols, T)
+                    _least_squares(R, norms, cols, T, 0)
                 continue
-            kept, beta, rss = _least_squares(R, cols, T)
+            kept, beta, rss = _least_squares(R, norms, cols, T, 0)
             assert kept == expected[0]
             assert np.allclose(beta, expected[1], rtol=1e-9, atol=0)
             assert rss == pytest.approx(expected[2], rel=1e-9, abs=1e-24 * (y @ y))
@@ -601,6 +644,77 @@ class TestRowSets:
             assert fit.beta.tobytes() == reference.beta.tobytes()
 
 
+def dummy_fit(design, train, lasso):
+    """The fit of ``design``'s rows ``train`` with its intercepts as columns (``dummy_columns``).
+
+    OLS keeps ``_greedy_keep``'s columns and fits them by lstsq; the lasso is
+    ``lasso_rows``. Returns (column names, coefficients, dropped names, rss),
+    or None when OLS keeps as many columns as there are rows.
+    """
+    X, y, names, penalized = dummy_columns(design, train)
+    if lasso is not None:
+        beta, rss = lasso_rows(X, y, lasso, penalized)
+        return names, beta, [], rss
+    kept = _greedy_keep(X)
+    if len(y) <= len(kept):
+        return None
+    norms = np.linalg.norm(X[:, kept], axis=0)  # lstsq's cutoff is not invariant to scale
+    beta = np.zeros(len(names))
+    beta[kept] = np.linalg.lstsq(X[:, kept] / norms, y, rcond=None)[0] / norms
+    resid = y - X @ beta
+    return names, beta, [n for j, n in enumerate(names) if j not in kept], float(resid @ resid)
+
+
+def assert_fits_equal_dummy_fits(design, spec, panel, folds, coef_tol=None) -> int:
+    """Each CV window's ``_fit`` of ``design``, and ``fit_design``, equal ``dummy_fit``.
+
+    Kept and dropped columns, every coefficient and intercept, the RSS and the
+    CV report's predictions of each fold are compared; coefficients on the
+    scale of their columns' norms, and, given ``coef_tol``, every coefficient
+    and intercept within ``coef_tol`` times the largest expected one. Returns
+    how many windows were fitted.
+    """
+    months = np.array([t for _, t in design.rows])
+    blocks = month_folds(panel.start, panel.end, folds)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = cross_validate_design(design, spec, panel, folds)
+    windows = [(blocks[i][0], *fold_rows(months, blocks[i]), i + 1) for i in range(1, folds)]
+    windows.append((None, months == months, months != months, None))  # every row, as fit_design
+    fitted = 0
+    for window, train, test, fold in windows:
+        train, test = np.flatnonzero(train), np.flatnonzero(test)
+        if not train.size or fold and not test.size:
+            continue
+        expected = dummy_fit(design, train, spec.lasso)
+        if expected is None:
+            with pytest.raises(DataError, match="need more observations"):
+                _fit(design, spec, window, train)
+            assert fold is None or report.fold_rmse[fold - 2] is None
+            continue
+        names, beta, dropped, rss = expected
+        got = _fit(design, spec, window, train)
+        assert got.dropped == tuple(dropped)
+        assert [design.columns[k].name for k in got.kept] == [
+            n for n in names[len(design.districts):] if n not in dropped]
+        coefficients = got.coefficients()
+        assert sorted(coefficients) == sorted(names)
+        X, y = dummy_columns(design, train)[:2]
+        norms = np.linalg.norm(X, axis=0)
+        got_beta = np.array([coefficients[n] for n in names])
+        assert np.allclose(got_beta * norms, beta * norms,
+                           rtol=1e-7, atol=1e-9 * np.linalg.norm(y))
+        if coef_tol is not None:
+            assert np.max(np.abs(got_beta - beta)) <= coef_tol * np.max(np.abs(beta))
+        assert got.rss == pytest.approx(rss, rel=1e-7, abs=1e-20 * (y @ y))
+        if fold is not None:
+            predicted = [p.y_pred for p in report.predictions if p.fold == fold]
+            assert np.allclose(predicted, dummy_columns(design, test)[0] @ beta,
+                               rtol=1e-9, atol=1e-9)
+        fitted += 1
+    return fitted
+
+
 class TestLasso:
     def fixture(self, seed=31, n=20, p=5):
         rng = np.random.default_rng(seed)
@@ -611,22 +725,24 @@ class TestLasso:
 
     def test_lambda_zero_equals_ols(self):
         X, y = self.fixture()
-        beta, _ = lasso_r(X, y, 0.0, np.ones(X.shape[1], bool))
+        beta, _ = lasso_r(X, y, 0.0)
         assert np.allclose(beta, np.linalg.lstsq(X, y, rcond=None)[0], atol=1e-6)
 
     def test_kkt_residual_small(self):
         X, y = self.fixture()
         penalized = np.ones(X.shape[1], bool)
         for lam in (0.01, 0.1, 0.5):
-            beta, _ = lasso_r(X, y, lam, penalized)
+            beta, _ = lasso_r(X, y, lam)
             assert lasso_kkt_residual(X, y, beta, lam, penalized) <= 1e-9
 
     def test_huge_lambda_zeroes_penalized(self):
         X, y = self.fixture()
-        penalized = np.array([False, True, True, True, True])
-        beta, _ = lasso_r(X, y, 1e6, penalized)
-        assert np.allclose(beta[1:], 0.0)
-        assert abs(beta[0]) > 0  # unpenalized coordinate still fits
+        groups = np.repeat([0, 1], [8, 12])
+        X = np.column_stack([groups == 0, groups == 1, X]).astype(float)
+        beta, rss = lasso_r(X, y, 1e6, n_d=2)
+        assert (beta[2:] == 0.0).all()
+        assert np.allclose(beta[:2], [y[:8].mean(), y[8:].mean()], rtol=1e-14, atol=0)
+        assert rss == pytest.approx(((y - beta[groups]) ** 2).sum(), rel=1e-12)
 
     def level_and_static(self):
         # A price-index-like level (mean 4.6, sd 0.005) is nearly parallel to
@@ -661,7 +777,7 @@ class TestLasso:
         # The level and the in-span static both used to stall coordinate descent.
         X, y, penalized = self.level_and_static()
         lam = 0.01
-        beta, _ = lasso_r(X, y, lam, penalized)
+        beta, _ = lasso_r(X, y, lam, n_d=int((~penalized).sum()))
         assert lasso_kkt_residual(X, y, beta, lam, penalized) <= 1e-9
         assert beta[-1] == 0.0
 
@@ -675,7 +791,7 @@ class TestLasso:
         X = np.column_stack([np.ones(40), Z, Z[:, 0], Z[:, 1] + Z[:, 2]])
         y = 1.0 + Z @ [1.0, -0.5, 0.3, 0.0, 0.2] + rng.normal(0, 0.1, 40)
         penalized = np.array([False] + [True] * 7)
-        beta, _ = lasso_r(X, y, lam, penalized)
+        beta, _ = lasso_r(X, y, lam, n_d=1)
         assert lasso_kkt_residual(X, y, beta, lam, penalized) <= 1e-9
         expected = lasso_rows(X, y, lam, penalized)[0]
         assert lasso_objective(X, y, beta, lam, penalized) <= (
@@ -683,7 +799,8 @@ class TestLasso:
 
     @pytest.mark.parametrize("case", ["plain", "level_and_static", "empty_district"])
     def test_the_r_route_equals_the_row_route(self, case):
-        # lasso_fit on an R factor against coordinate descent on the rows: the
+        # lasso_fit on an R factor, with the intercepts absorbed, against
+        # coordinate descent on the rows with them as unpenalized columns: the
         # same coefficients and RSS to rounding, zero where the intercepts'
         # span or an empty district leaves nothing to fit
         if case == "plain":
@@ -692,7 +809,7 @@ class TestLasso:
         else:
             fits = [(*getattr(self, case)(), lam) for lam in (0.01, 0.1)]
         for X, y, penalized, lam in fits:
-            beta, rss = lasso_r(X, y, lam, penalized)
+            beta, rss = lasso_r(X, y, lam, n_d=int((~penalized).sum()))
             beta_rows, rss_rows = lasso_rows(X, y, lam, penalized)
             assert np.max(np.abs(beta - beta_rows)) <= 1e-10 * np.max(np.abs(beta_rows))
             assert rss == pytest.approx(rss_rows, rel=1e-12, abs=0)
@@ -702,34 +819,26 @@ class TestLasso:
             if case == "empty_district":
                 assert beta[2] == 0.0
 
-    def test_each_cv_fold_equals_the_row_route(self):
+    @pytest.mark.parametrize("lasso", [None, 0.01])
+    def test_each_cv_fold_equals_the_row_route(self, lasso):
         # District d00's news factor opens 40 months in, so the early folds
-        # train on no row of d00 and its intercept column is zero there.
+        # train on no row of d00: OLS drops its intercept, the lasso gives it
+        # 0, and its test rows are predicted without one.
         panel = make_panel(n_districts=6, months=96, features=("alpha", "beta"))
         panel.factors["alpha"][panel.rows["d00"], : panel.start - panel.grid_start + 40] = np.nan
-        spec = ModelSpec(kind="combined", lasso=0.01)
+        spec = ModelSpec(kind="combined", lasso=lasso)
         design = build_design(panel, spec)
-        penalized = np.array([c.group != "intercept" for c in design.columns])
         months = np.array([t for _, t in design.rows])
         first_d00 = min(t for d, t in design.rows if d == "d00")
+        blocks = month_folds(panel.start, panel.end, 8)
         with pytest.warns(UserWarning, match="unusable training window"):
             report = cross_validate_design(design, spec, panel, folds=8)
-        blocks = month_folds(panel.start, panel.end, 8)
-        statuses, empty_scored = [], 0
-        for i in range(1, 8):
-            train, test = (np.flatnonzero(m) for m in fold_rows(months, blocks[i]))
-            if not (train.size and test.size):
-                statuses.append(False)
-                continue
-            expected = lasso_rows(design.X[train][:, design.cols], design.y[train], 0.01,
-                                  penalized)[0]
-            statuses.append(True)
-            got = _fit(design, spec, blocks[i][0], train)
-            assert got.kept == tuple(range(len(design.columns)))
-            assert np.max(np.abs(got.beta - expected)) <= 1e-10 * np.max(np.abs(expected))
-            empty_scored += blocks[i][0] <= first_d00
-        assert statuses == [r is not None for r in report.fold_rmse]
-        assert empty_scored >= 1
+        if lasso is not None:  # every fold with training and test rows is scored
+            assert [r is not None for r in report.fold_rmse] == [
+                all(m.any() for m in fold_rows(months, blocks[i])) for i in range(1, 8)]
+        assert [i for i in range(1, 8) if blocks[i][0] <= first_d00
+                and report.fold_rmse[i - 1] is not None]  # a scored fold without d00
+        assert assert_fits_equal_dummy_fits(design, spec, panel, 8, coef_tol=1e-10) >= 4
 
     def test_lasso_spec_through_fit(self):
         panel = make_panel(n_districts=5, features=("alpha",))

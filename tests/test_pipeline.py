@@ -33,7 +33,7 @@ from newswarn.report import trailing_mean
 from newswarn.synth import PlantedFeature, SyntheticSpec, generate_synthetic
 
 from conftest import (TINY, assert_exact_shares, assert_same_bytes, average_ranks_loop,
-                      lasso_kkt_residual, lasso_objective, lasso_rows)
+                      dummy_columns, lasso_kkt_residual, lasso_objective, lasso_rows)
 
 SMALL = dict(districts=10, months=60, decoys=6, articles_per_country_month=60,
              countries=2)
@@ -241,7 +241,10 @@ class TestFullRun:
         models = json.loads((Path(cfg.output) / "models.json").read_text())
         combined = models["combined"]["coefficients"]
         assert any(k.startswith("news[") for k in combined)
-        assert any(k.startswith("intercept[") for k in combined)
+        # the intercepts are absorbed in the fit, not columns, and still one per district
+        districts = RunContext(cfg=cfg, out=Path(cfg.output)).panel_dataset().districts
+        assert [k for k in combined if k.startswith("intercept[")] == [
+            f"intercept[{d}]" for d in sorted(districts)]
 
     def test_no_design_column_or_model_entry_is_a_district_static(self, run_dir):
         # A time-invariant district column lies in the span of the district
@@ -252,7 +255,7 @@ class TestFullRun:
                  for c in panel_mod.build_design(panel, panel_mod.ModelSpec(
                      kind=kind, spatial=sp, y_lags=cfg.y_lags, factor_lags=cfg.factor_lags,
                      delay=cfg.publication_delay)).columns]
-        assert names and not [n for n in names if "static[" in n]
+        assert names and not [n for n in names if "static[" in n or "intercept[" in n]
         models = json.loads((Path(cfg.output) / "models.json").read_text())
         entries = [n for m in models.values() for n in [*m["coefficients"], *m["dropped"]]]
         assert entries and not [n for n in entries if "static[" in n]
@@ -1036,11 +1039,11 @@ class TestSpatialAndLassoVariants:
                 continue
             design = designs[name]
             months = np.array([t for _, t in design.rows])
-            penalized = np.array([c.group != "intercept" for c in design.columns])
             for block in blocks[1:]:
                 train = np.flatnonzero(panel_mod.fold_rows(months, block)[0])
-                X, y = design.X[train][:, design.cols], design.y[train]
-                beta = panel_mod._fit(design, spec, block[0], train).beta
+                X, y, names, penalized = dummy_columns(design, train)
+                fit = panel_mod._fit(design, spec, block[0], train).coefficients()
+                beta = np.array([fit[n] for n in names])
                 assert lasso_kkt_residual(X, y, beta, spec.lasso, penalized) <= 1e-9, name
                 expected = lasso_rows(X, y, spec.lasso, penalized)[0]
                 assert lasso_objective(X, y, beta, spec.lasso, penalized) <= (

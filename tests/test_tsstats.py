@@ -11,7 +11,8 @@ from newswarn import tsstats
 from newswarn.errors import DataError, NumericalError
 from newswarn.tsstats import (AdfResult, _adf_critical, _adf_stack, _aic, _aic_order,
                               _average_ranks, _granger_f, _log_beta, _nested_rss,
-                              _panel_diff_orders, _panel_stack, _r_factor, adf_test, f_sf,
+                              _panel_diff_orders, _panel_stack, _r_factor, _within, adf_test,
+                              f_sf,
                               panel_granger, select_features, spearman)
 
 from conftest import (adf_loop, adl_design, average_ranks_loop, difference_until_stationary,
@@ -612,12 +613,16 @@ class TestNestedSearch:
                            oracle_panel_granger(y_by, x_by, n_max), GRANGER_INEXACT)
 
     def test_constant_factor_district_raises_as_oracle(self):
+        # The oracle's design leads with the n_d intercept dummies, which the
+        # package absorbs by demeaning, so it names the same column n_d lower.
         rng = np.random.default_rng(38)
         y_by = {"d0": rng.normal(0, 1, 40)}
         x_by = {"d0": np.full(40, 0.25)}
         expected = error_text(oracle_panel_granger, y_by, x_by, 3)
-        assert expected is not None and expected[0] == "NumericalError"
-        assert error_text(panel_granger, y_by, x_by, 3) == expected
+        assert expected == ("NumericalError", "rank-deficient design, collinear columns: [2]")
+        n_d = len(y_by)
+        assert error_text(panel_granger, y_by, x_by, 3) == (
+            "NumericalError", f"rank-deficient design, collinear columns: [{2 - n_d}]")
 
     def test_short_panel_skips_the_widest_orders(self):
         # 2 districts x 7 rows from t0 = 8 fit order n only if 14 > 2 + 2n, so
@@ -763,17 +768,27 @@ class TestPanelStack:
 
     @pytest.mark.parametrize("n, t0", [(1, 1), (3, 3), (3, 8), (6, 8)])
     def test_equals_the_column_stack_form(self, n, t0):
+        # the reference stack's lag columns and response, each demeaned over
+        # each district's rows, which its dummy columns mark
         y_by, x_by = self.panel(np.random.default_rng(45))
         X, resp, n_d = panel_stack_loop(y_by, x_by, n, t0)  # [dummies, y lags, x lags]
-        expected = np.column_stack([X, resp])
         pairs = [n_d + c for i in range(n) for c in (i, n + i)]
+        expected = np.column_stack([X, resp])[:, [*pairs, -1]]
+        for dummy in X[:, :n_d].T.astype(bool):
+            expected[dummy] -= expected[dummy].mean(axis=0)
         M, m_d = _panel_stack(y_by, x_by, n, t0)
-        assert m_d == n_d and M.shape == expected.shape
-        assert (M == expected[:, [*range(n_d), *pairs, -1]]).all()
+        assert m_d == n_d and M.shape == expected.shape == (resp.size, 2 * n + 1)
+        assert np.allclose(M, expected, rtol=0, atol=1e-14 * np.abs(expected).max())
         # a narrower order at the same t0 is a column slice of the wider stack
         for m in range(1, n):
             narrow, _ = _panel_stack(y_by, x_by, m, t0)
-            assert (narrow == M[:, [*range(n_d + 2 * m), -1]]).all()
+            assert (narrow == M[:, [*range(2 * m), -1]]).all()
+
+    def test_within_subtracts_each_group_mean_in_place(self):
+        M = np.arange(12.0).reshape(6, 2)
+        means = _within(M, [1, 3, 2])
+        assert means.tolist() == [[0.0, 1.0], [4.0, 5.0], [9.0, 10.0]]
+        assert M.tolist() == [[0, 0], [-2, -2], [0, 0], [2, 2], [-1, -1], [1, 1]]
 
     def test_no_usable_district_raises(self):
         with pytest.raises(DataError, match="no district has enough aligned observations"):
