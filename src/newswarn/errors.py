@@ -17,10 +17,6 @@ class DataError(PipelineError):
 
 
 class NumericalError(PipelineError):
-    """A numerical failure; ``columns`` indexes the design columns at fault."""
+    """A numerical failure; the message names the cause, and any design columns at fault."""
 
     exit_code = 3
-
-    def __init__(self, message: str = "", columns=()):
-        super().__init__(message)
-        self.columns = tuple(columns)

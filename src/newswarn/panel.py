@@ -41,6 +41,7 @@ HORIZON = 3            # months ahead a forecast is issued
 RANK_TOL = 1e-8        # relative residual below which ``_least_squares`` drops a column
 SPAN_TOL = 1e-12       # ``lasso_fit``'s in-span share of squares: RANK_TOL**2 is within Gram rounding
 MIN_DISTRICTS = 3      # districts ``validate_factors`` needs in a cross-section
+ROWS_PER_PARAMETER = 4  # ``min_train_rows``' training rows per fitted parameter
 
 
 def forward_fill_ipc(observed: np.ndarray) -> np.ndarray:
@@ -159,7 +160,6 @@ def spatial_average(panel: PanelDataset, district_id: str, values: np.ndarray) -
 @dataclass(frozen=True)
 class Column:
     name: str
-    group: str
     offset: int                 # regressor month = t - offset
     feature: str | None = None  # news feature behind the column, for ablation
 
@@ -170,8 +170,8 @@ class DesignMatrix:
 
     Rows are grouped by district in the order of ``districts``: every district
     of the panel, each with an intercept, rows or not. Every model with these
-    rows shares all but ``columns``, ``cols`` and ``skipped``, among them
-    ``_windows``, ``_fit``'s factor of ``[X, y]`` per training window.
+    rows shares all but ``columns`` and ``cols``, among them ``_windows``,
+    ``_fit``'s factor of ``[X, y]`` per training window.
     """
 
     X: np.ndarray
@@ -179,7 +179,6 @@ class DesignMatrix:
     columns: tuple[Column, ...]
     rows: tuple[tuple[str, int], ...]      # (district, month) per row
     districts: tuple[str, ...]
-    skipped: tuple[tuple[str, int, str], ...]
     cols: tuple[int, ...]
     _windows: dict = field(default_factory=dict, repr=False)
 
@@ -187,15 +186,14 @@ class DesignMatrix:
 class _Block(NamedTuple):
     """Adjacent design columns filled from one source per district.
 
-    ``source(d)`` gives district d's row of the panel grid, where all NaN skips
-    d with the reason ``missing``. ``span`` is (label, max offset, min offset):
-    a row at month t needs the series to cover t - max offset .. t - min offset.
+    ``source(d)`` gives district d's row of the panel grid, all NaN where d
+    has no series. ``span`` is (max offset, min offset): a row at month t needs
+    the series to cover t - max offset .. t - min offset.
     """
 
     columns: tuple[Column, ...]
     source: Callable[[str], Any]
-    span: tuple[str, int, int]
-    missing: str
+    span: tuple[int, int]
 
 
 def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
@@ -204,16 +202,14 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
                  "country": panel.country_of}
     blocks: list[_Block] = []
 
-    def phase(group, label, source, missing=""):
-        cols = tuple(Column(f"{group}[m={m}]", group, offset=3 * m)
-                     for m in range(1, spec.y_lags + 1))
-        blocks.append(_Block(cols, source, (label, 3 * spec.y_lags, 0), missing))
+    def phase(name, source):
+        cols = tuple(Column(f"{name}[m={m}]", offset=3 * m) for m in range(1, spec.y_lags + 1))
+        blocks.append(_Block(cols, source, (3 * spec.y_lags, 0)))
 
-    def lagged(name, group, label, source, feature=None, missing=""):
-        cols = tuple(Column(f"{name},n={n}]", group, offset=spec.delay + n, feature=feature)
+    def lagged(name, source, feature=None):
+        cols = tuple(Column(f"{name},n={n}]", offset=spec.delay + n, feature=feature)
                      for n in range(1, spec.factor_lags + 1))
-        span = (label, spec.delay + spec.factor_lags, spec.delay + 1)
-        blocks.append(_Block(cols, source, span, missing))
+        blocks.append(_Block(cols, source, (spec.delay + spec.factor_lags, spec.delay + 1)))
 
     def at(values, loc_of=lambda d: d):
         return lambda d: values[panel.rows[loc_of(d)]]
@@ -221,60 +217,46 @@ def _design_blocks(panel: PanelDataset, spec: ModelSpec) -> list[_Block]:
     def around(values):
         return lambda d: spatial_average(panel, d, values)
 
-    phase("y_lag", "ipc", at(panel.ipc))
+    phase("y_lag", at(panel.ipc))
     if spec.uses_traditional:
         for k in TRADITIONAL_INDICATORS:
-            lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
-                   missing=f"missing traditional indicator {k}")
+            lagged(f"trad[{k}", at(panel.traditional[k]))
     if spec.uses_news:
         for w in panel.feature_order:
             for level, loc_of in locations.items():
-                lagged(f"news[{w},{level}", "news", f"news:{w}:{level}",
-                       at(panel.factors[w], loc_of), feature=w,
-                       missing=f"missing news factor {w}@{level}")
+                lagged(f"news[{w},{level}", at(panel.factors[w], loc_of), feature=w)
     if spec.spatial:
-        phase("sp_y", "sp_ipc", around(panel.ipc), missing="no neighbour has ipc")
+        phase("sp_y", around(panel.ipc))
         if spec.uses_traditional:
             for k in TRADITIONAL_INDICATORS:
-                lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
-                       around(panel.traditional[k]),
-                       missing=f"no neighbour has traditional indicator {k}")
+                lagged(f"sp_trad[{k}", around(panel.traditional[k]))
         if spec.uses_news:
             for w in panel.feature_order:
-                lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}",
-                       around(panel.factors[w]), feature=w,
-                       missing=f"no neighbour has news factor {w}@district")
+                lagged(f"sp_news[{w}", around(panel.factors[w]), feature=w)
     return blocks
 
 
 def _row_bounds(panel: PanelDataset, blocks: list[_Block]):
-    """({district: (first month, last month)}, skip records) of the rows ``blocks`` cover.
+    """(district, first month, last month) of each district with rows ``blocks`` cover.
 
-    The first and last month with a value of each dated block bound a
-    district's rows, so every kept cell is finite; months outside the bounds
-    are skipped with an audit record naming the block that set the bound.
+    The first and last month with a value of each block bound a district's
+    rows, so every kept cell is finite. A district that some block has no
+    value for has no rows; the blocks after it are not read.
     """
-    ranges, skipped = {}, []
+    bounds = []
     g0 = panel.grid_start
     for d in sorted(panel.districts):
-        t_lo, t_hi, lo_label, hi_label = panel.start, panel.end, "ipc", "ipc"
+        t_lo, t_hi = panel.start, panel.end
         for b in blocks:
             covered = g0 + np.flatnonzero(np.isfinite(b.source(d)))  # months with a value
             if not covered.size:
-                skipped.append((d, -1, b.missing))
                 break
-            label, max_off, min_off = b.span
-            if covered[0] + max_off > t_lo:
-                t_lo, lo_label = covered[0] + max_off, label
-            if covered[-1] + min_off < t_hi:
-                t_hi, hi_label = covered[-1] + min_off, label
+            max_off, min_off = b.span
+            t_lo, t_hi = max(t_lo, covered[0] + max_off), min(t_hi, covered[-1] + min_off)
         else:
-            skipped += [(d, t, f"lag unavailable ({lo_label})")
-                        for t in range(panel.start, min(t_lo, panel.end + 1))]
-            skipped += [(d, t, f"series ends ({hi_label})")
-                        for t in range(max(t_lo, t_hi + 1), panel.end + 1)]
-            ranges[d] = (t_lo, t_hi)
-    return ranges, skipped
+            if t_lo <= t_hi:
+                bounds.append((d, int(t_lo), int(t_hi)))
+    return tuple(bounds)
 
 
 def build_design(panel: PanelDataset, *specs: ModelSpec) -> DesignMatrix:
@@ -286,10 +268,9 @@ def build_design(panel: PanelDataset, *specs: ModelSpec) -> DesignMatrix:
     wanted = {b.columns for s in specs for b in _design_blocks(panel, s)}
     widest = replace(specs[0], kind="combined", spatial=any(s.spatial for s in specs))
     blocks = [b for b in _design_blocks(panel, widest) if b.columns in wanted]
-    ranges, skipped = _row_bounds(panel, blocks)
     parts, row_keys = [], []
     g0 = panel.grid_start
-    for d, (t_lo, t_hi) in ranges.items():
+    for d, t_lo, t_hi in _row_bounds(panel, blocks):
         M = np.arange(t_lo, t_hi + 1)
         cells = [b.source(d)[M[:, None] - [c.offset for c in b.columns] - g0] for b in blocks]
         parts.append((np.hstack(cells), panel.ipc[panel.rows[d], M - g0]))
@@ -301,7 +282,7 @@ def build_design(panel: PanelDataset, *specs: ModelSpec) -> DesignMatrix:
     y = np.concatenate([v for _, v in parts])
     columns = tuple(c for b in blocks for c in b.columns)
     return DesignMatrix(X=X, y=y, columns=columns, rows=tuple(row_keys),
-                        districts=tuple(sorted(panel.districts)), skipped=tuple(skipped),
+                        districts=tuple(sorted(panel.districts)),
                         cols=tuple(range(len(columns))))
 
 
@@ -313,16 +294,13 @@ def model_designs(panel: PanelDataset, specs: dict[str, ModelSpec]) -> dict[str,
     """
     groups, views = {}, {}
     for spec in dict.fromkeys(replace(s, lasso=None) for _, s in sorted(specs.items())):
-        ranges, skipped = _row_bounds(panel, _design_blocks(panel, spec))
-        rows = tuple((d, lo, hi) for d, (lo, hi) in ranges.items() if lo <= hi)
-        groups.setdefault(rows, {})[spec] = tuple(skipped)
+        groups.setdefault(_row_bounds(panel, _design_blocks(panel, spec)), []).append(spec)
     for group in groups.values():
         design = build_design(panel, *group)
         at = {c: j for j, c in enumerate(design.columns)}
-        for spec, skipped in group.items():
+        for spec in group:
             columns = tuple(c for b in _design_blocks(panel, spec) for c in b.columns)
-            views[spec] = replace(design, columns=columns, cols=tuple(at[c] for c in columns),
-                                  skipped=skipped)
+            views[spec] = replace(design, columns=columns, cols=tuple(at[c] for c in columns))
     return {name: views[replace(spec, lasso=None)] for name, spec in specs.items()}
 
 
@@ -516,6 +494,23 @@ def month_folds(start: int, end: int, folds: int) -> list[list[int]]:
 def fold_rows(months: np.ndarray, block) -> tuple[np.ndarray, np.ndarray]:
     """Row masks of the fold testing ``block``: train before its first month, test within it."""
     return months < block[0], (months >= block[0]) & (months <= block[-1])
+
+
+def min_train_rows(designs, panel: PanelDataset, folds: int) -> int:
+    """Smallest training sample allowed in any fold, from the model with the most columns.
+
+    Expanding-window folds whose training sample is thinner than
+    ``ROWS_PER_PARAMETER`` rows per parameter produce wild extrapolations;
+    they are skipped for every model alike so fold averages stay comparable.
+    The bar is capped at the largest training window any fold can offer, so
+    undersized fixtures still score their final folds.
+    """
+    widest = max((len(d.districts) + len(d.columns) for d in designs), default=0)
+    bar = ROWS_PER_PARAMETER * widest + 1
+    last = month_folds(panel.start, panel.end, folds)[-1]
+    cap = max((int(fold_rows(np.array([m for _, m in d.rows]), last)[0].sum())
+               for d in designs), default=0)
+    return min(bar, cap)
 
 
 def cross_validate_design(design: DesignMatrix, spec: ModelSpec, panel: PanelDataset,

@@ -219,7 +219,7 @@ class RunContext:
                         f"{name}: the design looks ahead with publication_delay = "
                         f"{self.cfg.publication_delay}: {', '.join(ahead[:3])}"
                         f"{f' and {len(ahead) - 3} more' if len(ahead) > 3 else ''}")
-            return designs, min_train_rows(designs.values(), panel, self.cfg.folds)
+            return designs, panel_mod.min_train_rows(designs.values(), panel, self.cfg.folds)
 
         return self._memo("designs", build)
 
@@ -327,23 +327,6 @@ def _execute_stage(ctx: RunContext, name: str):
     return "run"
 
 
-def min_train_rows(designs, panel, folds: int, rows_per_parameter: float = 4.0) -> int:
-    """Smallest training sample allowed in any fold, from the model with the most columns.
-
-    Expanding-window folds whose training sample is thinner than a few rows
-    per parameter produce wild extrapolations; they are skipped for every
-    model alike so fold averages stay comparable. The bar is capped at the
-    largest training window any fold can offer, so undersized fixtures still
-    score their final folds.
-    """
-    widest = max((len(d.districts) + len(d.columns) for d in designs), default=0)
-    bar = int(rows_per_parameter * widest) + 1
-    last = panel_mod.month_folds(panel.start, panel.end, folds)[-1]
-    cap = max((int(panel_mod.fold_rows(np.array([m for _, m in d.rows]), last)[0].sum())
-               for d in designs), default=0)
-    return min(bar, cap)
-
-
 # ---------------------------------------------------------------- stages
 
 
@@ -426,13 +409,15 @@ def _stage_select(ctx: RunContext):
 def _stage_fit(ctx: RunContext):
     specs = ctx.model_specs()
     designs, _ = ctx.model_designs()
+    panel = ctx.panel_dataset()
+    months = panel.end - panel.start + 1
     reports = {}
     audits = {}
     for name in sorted(specs):
         design = designs[name]
         audits[name] = {"violations": panel_mod.audit_no_lookahead(design),
                         "rows": len(design.rows),
-                        "skipped": len(design.skipped)}
+                        "skipped": len(design.districts) * months - len(design.rows)}
         reports[name] = ctx.cv_report(name)
     write_json(ctx.write("cv_reports.json"), {
         name: {

@@ -107,7 +107,7 @@ def _r_factors(M, sizes):
     for i in np.flatnonzero(fails.any(axis=1)):
         d = diag[i, : checked[int(fails[i].argmax())]]
         bad = [int(j) for j in np.nonzero(d <= 1e-10 * max(d.max(), 1e-300))[0]]
-        errors[i] = NumericalError(f"rank-deficient design, collinear columns: {bad}", bad)
+        errors[i] = NumericalError(f"rank-deficient design, collinear columns: {bad}")
     return R, errors
 
 
@@ -261,11 +261,10 @@ class GrangerResult:
     p_value: float
     decision: bool
     n_lags: int
-    x_diff_order: int = 0
 
 
 def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
-               n: int, d: int) -> GrangerResult:
+               n: int) -> GrangerResult:
     if dof <= 0:
         raise DataError("no residual degrees of freedom for Granger F-test")
     # Floor the unrestricted RSS so a perfect fit yields a huge finite F.
@@ -275,8 +274,7 @@ def _granger_f(rss_r: float, rss_u: float, q: int, dof: int, level: float,
         raise NumericalError("non-finite Granger F statistic")
     f = max(f, 0.0)
     p = f_sf(f, q, dof)
-    return GrangerResult(f_stat=float(f), p_value=p, decision=p < level, n_lags=n,
-                         x_diff_order=d)
+    return GrangerResult(f_stat=float(f), p_value=p, decision=p < level, n_lags=n)
 
 
 def _within(M: np.ndarray, counts) -> np.ndarray:
@@ -317,8 +315,7 @@ def _panel_stack(y_by, x_by, n: int, t0: int):
     return M, len(pairs)
 
 
-def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
-                  x_diff_order: int = 0) -> GrangerResult:
+def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01) -> GrangerResult:
     """Pooled Granger test: district fixed intercepts, shared lag slopes.
 
     The lag order minimises AIC over 1..n_max on the rows from t0 = n_max. The
@@ -339,7 +336,7 @@ def panel_granger(y_by, x_by, n_max: int = 6, level: float = 0.01,
     M, n_d = _panel_stack(y_by, x_by, n, n)
     M = M[:, [*range(0, 2 * n, 2), *range(1, 2 * n, 2), -1]]
     rss_r, rss_u = _nested_rss(M, [n, 2 * n])
-    return _granger_f(rss_r, rss_u, n, len(M) - n_d - 2 * n, level, n, x_diff_order)
+    return _granger_f(rss_r, rss_u, n, len(M) - n_d - 2 * n, level, n)
 
 
 @dataclass(frozen=True)
@@ -455,7 +452,7 @@ def select_features(
             try:
                 results.append(panel_granger({k: y_by[k] for k in group},
                                              {k: x_by[k] for k in group}, n_max=n_max,
-                                             level=level, x_diff_order=d_order))
+                                             level=level))
             except (DataError, NumericalError) as exc:
                 errors.append(exc)
         if not results:

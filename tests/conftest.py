@@ -288,12 +288,10 @@ def plant_adl_response(panel, spec, coef, base=2.0):
 def design_loop(panel, spec):
     """``build_design``'s output rebuilt cell by cell: the reference builder.
 
-    Every cell is read from its array at month t - offset. A district is
-    skipped (month -1) at the first block none of whose months it covers. Else
-    each block's first and last covered month bound its rows: a bound moves,
-    and takes the block's label, only when it is stricter than the bound so
-    far, starting from the panel's months and the label ``ipc``. Months outside
-    the bounds are skipped as ``lag unavailable`` or ``series ends``.
+    Every cell is read from its array at month t - offset. A district has no
+    rows once some block covers none of its months. Else each block's first
+    and last covered month bound its rows: a bound moves only when it is
+    stricter than the bound so far, starting from the panel's months.
     """
     from newswarn.panel import TRADITIONAL_INDICATORS, Column
 
@@ -323,72 +321,55 @@ def design_loop(panel, spec):
 
     blocks = []  # (columns, source, span); undated sources give constants
 
-    def phase(group, label, source, missing=""):
-        cols = [Column(f"{group}[m={m}]", group, offset=3 * m) for m in range(1, spec.y_lags + 1)]
-        blocks.append((cols, source, (label, 3 * spec.y_lags, 0, missing)))
+    def phase(name, source):
+        cols = [Column(f"{name}[m={m}]", offset=3 * m) for m in range(1, spec.y_lags + 1)]
+        blocks.append((cols, source, (3 * spec.y_lags, 0)))
 
-    def lagged(name, group, label, source, missing, feature=None):
-        cols = [Column(f"{name},n={n}]", group, offset=spec.delay + n, feature=feature)
+    def lagged(name, source, feature=None):
+        cols = [Column(f"{name},n={n}]", offset=spec.delay + n, feature=feature)
                 for n in range(1, spec.factor_lags + 1)]
-        span = (label, spec.delay + spec.factor_lags, spec.delay + 1, missing)
-        blocks.append((cols, source, span))
+        blocks.append((cols, source, (spec.delay + spec.factor_lags, spec.delay + 1)))
 
-    def undated(group, names, source):
-        blocks.append(([Column(f"{group}[{s}]", group, None) for s in names], source, None))
+    def undated(name, labels, source):
+        blocks.append(([Column(f"{name}[{s}]", None) for s in labels], source, None))
 
     undated("intercept", ds, lambda d: [float(d == e) for e in ds])
-    phase("y_lag", "ipc", at(panel.ipc))
+    phase("y_lag", at(panel.ipc))
     if spec.uses_traditional:
         for k in TRADITIONAL_INDICATORS:
-            lagged(f"trad[{k}", "traditional", f"trad:{k}", at(panel.traditional[k]),
-                   f"missing traditional indicator {k}")
+            lagged(f"trad[{k}", at(panel.traditional[k]))
     if spec.uses_news:
         for w in features:
             for level, loc_of in (("district", lambda d: d), ("province", panel.province_of),
                                   ("country", panel.country_of)):
-                lagged(f"news[{w},{level}", "news", f"news:{w}:{level}",
-                       at(panel.factors[w], loc_of), f"missing news factor {w}@{level}", w)
+                lagged(f"news[{w},{level}", at(panel.factors[w], loc_of), w)
     if spec.spatial:
-        phase("sp_y", "sp_ipc", around(panel.ipc), "no neighbour has ipc")
+        phase("sp_y", around(panel.ipc))
         if spec.uses_traditional:
             for k in TRADITIONAL_INDICATORS:
-                lagged(f"sp_trad[{k}", "sp_traditional", f"sp_trad:{k}",
-                       around(panel.traditional[k]),
-                       f"no neighbour has traditional indicator {k}")
+                lagged(f"sp_trad[{k}", around(panel.traditional[k]))
         if spec.uses_news:
             for w in features:
-                lagged(f"sp_news[{w}", "sp_news", f"sp_news:{w}", around(panel.factors[w]),
-                       f"no neighbour has news factor {w}@district", w)
+                lagged(f"sp_news[{w}", around(panel.factors[w]), w)
 
-    X, y, rows, skipped = [], [], [], []
+    X, y, rows = [], [], []
     for d in ds:
-        lo, hi = (panel.start, "ipc"), (panel.end, "ipc")
+        lo, hi = panel.start, panel.end
         for _, source, span in blocks:
             if span is None:
                 continue
-            label, max_off, min_off, missing = span
             if source(d, g0) is None:
-                skipped.append((d, -1, missing))
                 break
             covered = [t for t in range(g0, g0 + n_grid) if np.isfinite(source(d, t))]
-            if covered[0] + max_off > lo[0]:
-                lo = (covered[0] + max_off, label)
-            if covered[-1] + min_off < hi[0]:
-                hi = (covered[-1] + min_off, label)
+            lo, hi = max(lo, covered[0] + span[0]), min(hi, covered[-1] + span[1])
         else:
-            for t in range(panel.start, panel.end + 1):
-                if t < lo[0]:
-                    skipped.append((d, t, f"lag unavailable ({lo[1]})"))
-                elif t > hi[0]:
-                    skipped.append((d, t, f"series ends ({hi[1]})"))
-                else:
-                    X.append([v for cols, source, span in blocks for v in (
-                        source(d) if span is None else [source(d, t - c.offset) for c in cols])])
-                    y.append(cell(panel.ipc, d, t))
-                    rows.append((d, t))
+            for t in range(lo, hi + 1):
+                X.append([v for cols, source, span in blocks for v in (
+                    source(d) if span is None else [source(d, t - c.offset) for c in cols])])
+                y.append(cell(panel.ipc, d, t))
+                rows.append((d, t))
     columns = tuple(c for cols, _, _ in blocks for c in cols)
-    return np.array(X).reshape(len(rows), len(columns)), np.array(y), columns, tuple(rows), \
-        tuple(skipped)
+    return np.array(X).reshape(len(rows), len(columns)), np.array(y), columns, tuple(rows)
 
 
 def planted_coefficients(panel, spec, rng, news_scale=1.0):
@@ -400,11 +381,11 @@ def planted_coefficients(panel, spec, rng, news_scale=1.0):
     for name in (f"intercept[{d}]" for d in sorted(panel.districts)):
         coef[name] = 0.8 + 0.05 * (zlib.crc32(name.encode()) % 7)
     for c in columns:
-        if c.group == "y_lag":
+        if c.name.startswith("y_lag["):
             coef[c.name] = 0.04
-        elif c.group == "traditional":
+        elif c.name.startswith("trad["):
             coef[c.name] = float(rng.normal(0, 0.02))
-        elif c.group == "news":
+        elif c.name.startswith("news["):
             coef[c.name] = float(rng.normal(0, 0.2)) * news_scale
         else:
             coef[c.name] = 0.0

@@ -18,8 +18,8 @@ from newswarn.months import parse_month, publication_months
 from newswarn.outbreak import (OutbreakEvent, ParetoPoint, classify, detect_outbreaks,
                                score, sweep_pareto, threshold_grid)
 from newswarn.panel import (ModelSpec, audit_no_lookahead, build_design,
-                            cross_validate_design, fit_design, validate_factors)
-from newswarn.pipeline import RunContext, min_train_rows, run_pipeline
+                            cross_validate_design, fit_design, min_train_rows, validate_factors)
+from newswarn.pipeline import RunContext, run_pipeline
 from newswarn.semantics import wmd
 from newswarn.synth import SyntheticSpec, generate_synthetic
 from newswarn.tsstats import adf_test, panel_granger
@@ -98,10 +98,10 @@ def test_criterion_2_granger_power_and_size():
     rng = np.random.default_rng(202)
 
     def run_procedure(y, x, n_max=4):
-        xs, d = difference_until_stationary(x, max_d=2, max_lag=6)
+        xs, _ = difference_until_stationary(x, max_d=2, max_lag=6)
         xv = np.asarray(xs)
         yv = np.asarray(y)[-xv.size:]
-        return panel_granger({0: yv}, {0: xv}, n_max=n_max, level=0.01, x_diff_order=d)
+        return panel_granger({0: yv}, {0: xv}, n_max=n_max, level=0.01)
 
     detected = 0
     power_reps = 200

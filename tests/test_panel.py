@@ -13,9 +13,10 @@ from newswarn.months import format_month, parse_month
 from newswarn.panel import (Column, DesignMatrix, ModelSpec, ablate, audit_no_lookahead,
                             build_design, cross_validate_design, fit_design, fold_rows,
                             TRADITIONAL_INDICATORS, forward_fill_ipc, _fit, _least_squares,
-                            load_panel_csv, model_designs, month_folds, percentile_ranks,
-                            spatial_average, validate_factors)
-from newswarn.pipeline import _read_grid, min_train_rows
+                            load_panel_csv, min_train_rows, model_designs, month_folds,
+                            percentile_ranks, spatial_average, validate_factors,
+                            ROWS_PER_PARAMETER)
+from newswarn.pipeline import _read_grid
 from newswarn.tsstats import diff_on_grid
 
 from conftest import (design_loop, dummy_columns, feature_clusters, grid_districts,
@@ -90,14 +91,13 @@ class TestBuildDesign:
     def test_baseline_has_no_news_columns(self):
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="baseline"))
-        assert all(c.group != "news" for c in design.columns)
+        assert all(c.feature is None for c in design.columns)
         assert design.X.shape[1] == 6 + 54
 
     def test_news_has_no_traditional_columns(self):
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="news"))
-        groups = {c.group for c in design.columns}
-        assert "traditional" not in groups
+        assert not any(c.name.startswith("trad[") for c in design.columns)
 
     def test_column_blocks_disjoint_and_combined_is_union(self):
         panel = make_panel(n_districts=5)
@@ -106,17 +106,16 @@ class TestBuildDesign:
             for kind in ("baseline", "news", "combined")
         }
         shared = {c.name for c in build_design(panel, ModelSpec(kind="baseline")).columns
-                  if c.group == "y_lag"}
+                  if c.name.startswith("y_lag[")}
         assert names["baseline"] & names["news"] == shared
         assert names["combined"] == names["baseline"] | names["news"]
 
-    def test_early_months_skipped_with_audit(self):
+    def test_early_months_have_no_rows(self):
+        # the deepest phase lag reaches 18 months back
         panel = make_panel(n_districts=5)
         design = build_design(panel, ModelSpec(kind="combined"))
-        first_row_month = min(m for _, m in design.rows)
-        assert first_row_month == panel.start + 18
-        reasons = {r for _, m, r in design.skipped if m < panel.start + 18}
-        assert reasons and all("lag" in r for r in reasons)
+        months = range(panel.start + 18, panel.end + 1)
+        assert design.rows == tuple((d, t) for d in sorted(panel.districts) for t in months)
 
     def test_no_valid_rows_when_the_series_are_too_short(self):
         # The phase lags reach 18 months back: 19 months give one row per district.
@@ -127,27 +126,23 @@ class TestBuildDesign:
         with pytest.raises(DataError, match="no valid rows"):
             build_design(make_panel(n_districts=5, months=18), spec)
 
-    def test_shortened_indicator_named_at_both_ends(self):
+    def test_shortened_indicator_bounds_the_rows_at_both_ends(self):
         panel = make_panel(n_districts=5)
         s = panel.traditional["price_index"][panel.rows["d01"]]
         s[:30] = s[-5:] = np.nan
         design = build_design(panel, ModelSpec(kind="baseline"))
-        reasons = {r for d, _, r in design.skipped if d == "d01"}
-        assert reasons == {"lag unavailable (trad:price_index)",
-                           "series ends (trad:price_index)"}
-        assert (("d01", panel.start + 37, "lag unavailable (trad:price_index)")
-                in design.skipped)
-        assert ("d01", panel.end - 1, "series ends (trad:price_index)") in design.skipped
+        # the lags n=1..6 behind the delay of 2 reach 8 months back and 3 months back
         kept = [m for d, m in design.rows if d == "d01"]
-        assert (min(kept), max(kept)) == (panel.start + 38, panel.end - 2)
+        assert kept == list(range(panel.start + 38, panel.end - 1))
+        others = [m for d, m in design.rows if d == "d02"]
+        assert others == list(range(panel.start + 18, panel.end + 1))
 
     def test_missing_news_factor_skips_the_district(self):
         panel = make_panel(n_districts=5, features=("alpha", "beta"))
         panel.factors["beta"][panel.rows["d03"]] = np.nan
         design = build_design(panel, ModelSpec(kind="news"))
-        assert [s for s in design.skipped if s[0] == "d03"] == [
-            ("d03", -1, "missing news factor beta@district")]
-        assert all(d != "d03" for d, _ in design.rows)
+        assert {d for d, _ in design.rows} == set(panel.districts) - {"d03"}
+        assert "d03" in design.districts
 
     def test_no_lookahead_audit_clean(self):
         panel = make_panel(n_districts=5)
@@ -229,7 +224,7 @@ class TestDesignReference:
             mutate(panel)
         spec = ModelSpec(**spec_kwargs)
         design = build_design(panel, spec)
-        X, y, columns, rows, skipped = design_loop(panel, spec)
+        X, y, columns, rows = design_loop(panel, spec)
         # the reference leads with one intercept dummy per district; the design
         # absorbs them, and lists the districts instead
         n_d = len(panel.districts)
@@ -237,7 +232,6 @@ class TestDesignReference:
         assert design.districts == tuple(sorted(panel.districts))
         assert design.columns == columns[n_d:]
         assert design.rows == rows
-        assert design.skipped == skipped
         X = np.ascontiguousarray(X[:, n_d:])
         assert design.X.shape == X.shape and design.X.tobytes() == X.tobytes()
         assert design.y.tobytes() == y.tobytes()
@@ -294,19 +288,17 @@ class TestSpatial:
             for j, c in cols:
                 assert design.X[i, j] == sp[t - c.offset - panel.grid_start]
 
-    @pytest.mark.parametrize("kind,drop,reason", [
-        ("baseline", lambda p: p.traditional["rain_mean"], "traditional indicator rain_mean"),
-        ("news", lambda p: p.factors["beta"], "news factor beta@district"),
+    @pytest.mark.parametrize("kind,drop", [
+        ("baseline", lambda p: p.traditional["rain_mean"]),
+        ("news", lambda p: p.factors["beta"]),
     ], ids=["indicator", "news_factor"])
-    def test_one_missing_series_skips_one_district_in_both_designs(self, kind, drop, reason):
+    def test_one_missing_series_skips_one_district_in_both_designs(self, kind, drop):
         panel = make_panel(n_districts=6, features=("alpha", "beta"))
         values = drop(panel)
         values[panel.rows["d03"]] = np.nan
         plain = build_design(panel, ModelSpec(kind=kind))
         spatial = build_design(panel, ModelSpec(kind=kind, spatial=True))
-        for design in (plain, spatial):
-            assert [s for s in design.skipped if s[0] == "d03"] == [
-                ("d03", -1, f"missing {reason}")]
+        assert {d for d, _ in plain.rows} == set(panel.districts) - {"d03"}
         assert spatial.rows == plain.rows
         # Neighbours of d03 average the neighbours that have the series.
         prefix = "sp_trad[rain_mean," if kind == "baseline" else "sp_news[beta,"
@@ -320,17 +312,16 @@ class TestSpatial:
                 assert spatial.X[i, j] == np.mean([panel_value(panel, values, n, t - c.offset)
                                                    for n in have])
 
-    def test_no_neighbour_with_the_series_skips_with_reason(self):
+    def test_no_neighbour_with_the_series_skips_the_district(self):
         panel = make_panel(n_districts=6)
         values = panel.traditional["rain_mean"]
         for n in panel.neighbors("d00"):
             values[panel.rows[n]] = np.nan
         spatial = build_design(panel, ModelSpec(kind="baseline", spatial=True))
-        assert [s for s in spatial.skipped if s[0] == "d00"] == [
-            ("d00", -1, "no neighbour has traditional indicator rain_mean")]
         assert np.isnan(spatial_average(panel, "d00", values)).all()
         plain = build_design(panel, ModelSpec(kind="baseline"))
-        assert {d for d, _ in plain.rows} == {d for d, _ in spatial.rows} | {"d00"}
+        assert "d00" in {d for d, _ in plain.rows}
+        assert {d for d, _ in spatial.rows} == {d for d, _ in plain.rows} - {"d00"}
 
     def test_neighbours_that_do_not_overlap_raise(self):
         panel = make_panel(n_districts=6)
@@ -349,7 +340,7 @@ class TestSpatial:
         spatial = build_design(panel, ModelSpec(kind="combined", spatial=True))
         extra = spatial.X.shape[1] - plain.X.shape[1]
         assert extra == 6 + 54 + 1 * 6
-        assert any(c.group == "sp_news" for c in spatial.columns)
+        assert any(c.name.startswith("sp_news[") for c in spatial.columns)
 
 
 class TestFit:
@@ -372,9 +363,9 @@ class TestFit:
         a, b, c = rng.normal(0, 1, (3, 40))
         X = np.column_stack([a, a + b, b, c * 1e-12])
         y = rng.normal(0, 1, 40)
-        columns = tuple(Column(name, "test", 3) for name in ("a", "a+b", "b", "tiny"))
+        columns = tuple(Column(name, 3) for name in ("a", "a+b", "b", "tiny"))
         rows = tuple(("d", t) for t in range(40))
-        result = fit_design(DesignMatrix(X, y, columns, rows, ("d",), (), tuple(range(4))),
+        result = fit_design(DesignMatrix(X, y, columns, rows, ("d",), tuple(range(4))),
                             ModelSpec(kind="baseline"))
         assert result.kept == (0, 1, 3)
         assert result.dropped == ("b",)
@@ -393,9 +384,9 @@ class TestFit:
         level = np.repeat(rng.uniform(0.1, 0.9, districts), months)
         a, b = rng.normal(0, 1, (2, districts * months))
         y = np.repeat(rng.normal(0, 1, districts), months) + a - b + rng.normal(0, 0.1, a.size)
-        columns = tuple(Column(name, "test", 3) for name in ("a", "level", "b"))
+        columns = tuple(Column(name, 3) for name in ("a", "level", "b"))
         design = DesignMatrix(np.column_stack([a, level, b]), y, columns,
-                              tuple((d, t) for d in names for t in range(months)), names, (),
+                              tuple((d, t) for d in names for t in range(months)), names,
                               (0, 1, 2))
         spec = ModelSpec(kind="baseline", lasso=lasso)
         result = fit_design(design, spec)
@@ -620,8 +611,7 @@ class TestRowSets:
         specs = {k: ModelSpec(kind=k, lasso=lasso) for k in ("baseline", "news", "combined")}
         shared = model_designs(panel, specs)[kind]
         own = build_design(panel, specs[kind])
-        assert (shared.columns, shared.rows, shared.skipped) == (own.columns, own.rows,
-                                                                  own.skipped)
+        assert (shared.columns, shared.rows) == (own.columns, own.rows)
         with pytest.warns(UserWarning, match="unusable training window"):
             got = cross_validate_design(shared, specs[kind], panel, folds=8, min_train_rows=150)
             expected = cross_validate_design(own, specs[kind], panel, folds=8,
@@ -895,11 +885,13 @@ class TestCrossValidate:
         assert "need 1000000" in message
 
     def test_min_train_rows_cap_is_the_last_fold_training_count(self):
-        panel = make_panel(n_districts=5, months=100)
+        panel = make_panel(n_districts=5, months=60)
         blocks = month_folds(panel.start, panel.end, 8)
         assert len(blocks[-1]) > len(blocks[0])  # the remainder joins the last block
         design = build_design(panel, BASELINE)
-        cap = min_train_rows([design], panel, 8, rows_per_parameter=10**6)
+        cap = min_train_rows([design], panel, 8)
+        bar = ROWS_PER_PARAMETER * (len(design.districts) + len(design.columns)) + 1
+        assert cap == sum(m < blocks[-1][0] for _, m in design.rows) < bar
         report = cross_validate_design(design, BASELINE, panel, folds=8, min_train_rows=cap)
         failed = tuple(k + 2 for k, r in enumerate(report.fold_rmse) if r is None)
         assert failed == tuple(range(2, 8))  # only the last fold fits

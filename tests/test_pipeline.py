@@ -261,6 +261,39 @@ class TestFullRun:
         assert entries and not [n for n in entries if "static[" in n]
 
 
+class TestSkippedDistrictMonths:
+    def test_a_district_without_an_indicator_has_no_baseline_rows(self, tmp_path):
+        bundle = generate_synthetic(SyntheticSpec(**SMALL), seed=3, out_dir=tmp_path / "bundle")
+        cfg = load_config(bundle["config"])
+        header, *lines = Path(cfg.panel).read_text(encoding="utf-8").splitlines()
+        columns = header.split(",")
+        d, k = columns.index("district_id"), columns.index("rain_mean")
+        cells = [line.split(",") for line in lines]
+        gone = cells[0][d]
+        for row in cells:
+            if row[d] == gone:
+                row[k] = ""
+        Path(cfg.panel).write_text("\n".join([header, *map(",".join, cells)]) + "\n",
+                                   encoding="utf-8")
+        # min_train_rows caps its bar at the widest design's last training window, which the
+        # baseline, a district short, does not reach; shallow lags keep the bar below it
+        cfg.y_lags, cfg.factor_lags = 3, 2
+        quiet_run(cfg, stages=["extract", "expand", "factors", "select", "fit"])
+        ctx = RunContext(cfg, Path(cfg.output))
+        panel = ctx.panel_dataset()
+        designs, _ = ctx.model_designs()
+        assert gone in panel.districts
+        assert gone not in {d for d, _ in designs["baseline"].rows}
+        assert gone in {d for d, _ in designs["news"].rows}
+        # each panel district-month is a design row or a skipped one
+        months = panel.end - panel.start + 1
+        audits = json.loads((Path(cfg.output) / "audit.json").read_text())
+        assert set(audits) == set(designs)
+        for name, audit in audits.items():
+            assert audit["rows"] == len(designs[name].rows)
+            assert audit["skipped"] == len(panel.districts) * months - audit["rows"], name
+
+
 class TestDerivedManifests:
     @pytest.fixture
     def tiny(self, tmp_path):
